@@ -20,8 +20,7 @@ Sections and keys (units: rates per year, horizon in years):
     [mc]          n_paths, n_steps, seed, y0, x0, state (bitstring)
 
 Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure,
-4 statistical-test failure.  The environment variable CREDITFOLIO_THREADS
-bounds the number of worker threads used for same-generation default states.
+4 statistical-test failure.
 
 All artifacts are CSV with a header row and floats at 17 significant digits,
 so files round-trip exactly and identical (config, seed) reruns are
@@ -40,10 +39,10 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import sim
+from .dual import Coefficients
 from .fields import GridSpec, PolicyField, SolutionField, SolveResult
-from .model import (CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec,
-                    PreferenceSpec, PRESET_NAMES, all_states, states_by_cardinality,
-                    validate_spec)
+from .model import (DefaultState, ModelSpec, PRESET_NAMES, all_states, build_model,
+                    preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
 from .strategy import SolverError
 
@@ -62,52 +61,6 @@ EXIT_STATISTICAL = 4
 # ---------------------------------------------------------------------------
 
 
-def preset_config(name: str) -> dict:
-    """Config-dict rendering of a named preset (the CLI's canonical model form)."""
-    if name == "benchmark_s5":
-        return {
-            "model": {"n": "2"},
-            "factor": {"kind": "ou", "u0": "0.5", "kappa": "1.2", "sigma0": "0.6, 0.4",
-                       "rho": "0.0", "domain": "-1.25, 1.25"},
-            "credit": {"kind": "exp_affine",
-                       "a_1_00": "0.6", "b_1_00": "0.4", "c_1_00": "0.1",
-                       "a_2_00": "0.5", "b_2_00": "0.3", "c_2_00": "0.1",
-                       "a_1_01": "0.8", "b_1_01": "0.6", "c_1_01": "0.1",
-                       "a_2_10": "0.8", "b_2_10": "0.6", "c_2_10": "0.1"},
-            "market": {"mu": "0.2, 0.2", "sigma": "0.8, 0.8", "r": "0.2"},
-            "preference": {"p": "0.8", "k1": "1.0", "k2": "1.0", "horizon": "1.0"},
-        }
-    if name == "merton_nodefault":
-        return {
-            "model": {"n": "2"},
-            "factor": {"kind": "ou", "u0": "0.5", "kappa": "1.0", "sigma0": "0.25, 0.25",
-                       "rho": "0.0", "domain": "-1.25, 1.25"},
-            "credit": {"kind": "zero"},
-            "market": {"mu": "0.25, 0.25", "sigma": "0.2, 0.2", "r": "0.2"},
-            "preference": {"p": "0.5", "k1": "1.0", "k2": "1.0", "horizon": "1.0"},
-        }
-    if name in ("scott_example22", "stein_stein_example22"):
-        kind = "scott" if name == "scott_example22" else "stein"
-        return {
-            "model": {"n": "2"},
-            "factor": {"kind": "ou", "u0": "0.2", "kappa": "1.0", "sigma0": "0.3, 0.2",
-                       "rho": "0.3", "domain": "-1.25, 1.25"},
-            "credit": {"kind": "exp_affine",
-                       "a_1_00": "0.5", "b_1_00": "0.3", "c_1_00": "0.2",
-                       "a_2_00": "0.4", "b_2_00": "0.2", "c_2_00": "0.2",
-                       "a_1_01": "0.7", "b_1_01": "0.4", "c_1_01": "0.2",
-                       "a_2_10": "0.6", "b_2_10": "0.4", "c_2_10": "0.2"},
-            "market": {"mu": "0.25, 0.24", "sigma_kind": kind,
-                       "sigma_eps": "0.25, 0.16", "sigma_gamma": "0.5, 0.4", "r": "0.2"},
-            "preference": {"p": "0.5", "k1": "1.0", "k2": "1.0", "horizon": "1.0"},
-        }
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-
-
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
-
-
 def read_config(path: str) -> dict:
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -124,59 +77,6 @@ def apply_overrides(config: dict, pairs: list[str]) -> dict:
         sec, key = dotted.split(".", 1)
         out.setdefault(sec, {})[key.strip()] = value.strip()
     return out
-
-
-def build_model(config: dict) -> ModelSpec:
-    """ModelSpec from a config dict; raises ValueError on malformed input."""
-    try:
-        n = int(config["model"]["n"])
-        fac = config["factor"]
-        if fac.get("kind", "ou") != "ou":
-            raise ValueError("only the mean-reverting (ou) factor kind is configurable")
-        u0, kappa = float(fac["u0"]), float(fac["kappa"])
-        sigma0 = np.array(_floats(fac["sigma0"]))
-        lo, hi = _floats(fac["domain"])
-        factor = FactorSpec(mu0=lambda y, u0=u0, kappa=kappa: u0 - kappa * np.asarray(y, dtype=float),
-                            sigma0=sigma0, rho=float(fac.get("rho", "0")),
-                            domain_lo=lo, domain_hi=hi)
-
-        cred = config["credit"]
-        if cred.get("kind", "exp_affine") == "zero":
-            credit = CreditSpec.zero(n)
-        else:
-            table = {}
-            for key, val in cred.items():
-                if key == "kind":
-                    continue
-                coef, name_s, bits_s = key.split("_")
-                i = int(name_s) - 1
-                entry = table.setdefault((i, bits_s), [0.0, 0.0, 0.0])
-                entry["abc".index(coef)] = float(val)
-            credit = CreditSpec.exp_affine(n, {k: tuple(v) for k, v in table.items()})
-
-        mkt = config["market"]
-        mu = _floats(mkt["mu"])
-        scale = float(mkt.get("sigma_scale", "1.0"))
-        kind = mkt.get("sigma_kind", "const")
-        if kind == "const":
-            sigma = scale * np.array(_floats(mkt["sigma"]))
-        elif kind in ("scott", "stein"):
-            eps = np.array(_floats(mkt["sigma_eps"]))
-            gam = np.array(_floats(mkt["sigma_gamma"]))
-            if kind == "scott":
-                sigma = lambda y, e=eps, g=gam, s=scale: s * np.sqrt(e + np.exp(g * np.asarray(y, dtype=float)[..., None]))
-            else:
-                sigma = lambda y, e=eps, g=gam, s=scale: s * np.sqrt(e + g * np.asarray(y, dtype=float)[..., None] ** 2)
-        else:
-            raise ValueError(f"unknown sigma_kind {kind!r}")
-        market = MarketSpec(mu=mu, sigma=sigma, r=float(mkt["r"]))
-
-        pref_c = config["preference"]
-        pref = PreferenceSpec(p=float(pref_c["p"]), K1=float(pref_c["k1"]),
-                              K2=float(pref_c["k2"]), T=float(pref_c["horizon"]))
-        return ModelSpec(n=n, factor=factor, credit=credit, market=market, pref=pref)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValueError(f"bad model configuration: {exc}") from exc
 
 
 def build_grid(config: dict, args) -> GridSpec:
@@ -250,7 +150,11 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
 
 
 def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
-    """Rebuild fields and policies from a previous solve's CSV artifacts."""
+    """Rebuild fields and policies from a previous solve's CSV artifacts.
+
+    ``theta`` is not dumped; it is rebuilt from ``hhat`` through the
+    admissibility tie, and each policy's ``hedge_gap`` from the loaded arrays.
+    """
     out_dir = Path(out_dir)
     fields: dict[str, SolutionField] = {}
     policies: dict[str, PolicyField] = {}
@@ -275,26 +179,13 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
         grid = fld.grid
         raw = np.loadtxt(path, delimiter=",", skiprows=1)
         shaped = raw.reshape(grid.n_t + 1, grid.n_y, -1)
-        pol = PolicyField(
-            state=fld.state, grid=grid, t_nodes=fld.t_nodes,
-            hhat=shaped[..., 2:2 + n], ahat=shaped[..., 2 + n:2 + 2 * n],
-            theta=np.zeros_like(shaped[..., 2:2 + n]),
-            pi=shaped[..., 2 + 2 * n:2 + 3 * n], c_mult=shaped[..., 2 + 3 * n])
-        # theta is not dumped; rebuild it from hhat through the admissibility tie
-        y_nodes = grid.y_nodes()
-        sig_diag = spec.market.sigma_diag_grid(y_nodes)
-        lam = (spec.intensity(y_nodes, fld.state) * (1.0 - fld.state.indicator()))
-        if sig_diag is not None:
-            xi = (spec.market.mu - spec.market.r) / sig_diag
-            pol.theta[:] = xi[None] - lam[None] * pol.hhat / sig_diag[None]
-        else:
-            from .dual import theta_from_h
-
-            for k in range(grid.n_t + 1):
-                for j in range(grid.n_y):
-                    pol.theta[k, j] = theta_from_h(pol.hhat[k, j], float(y_nodes[j]),
-                                                   fld.state, spec)
-        policies[bits] = pol
+        coef = Coefficients(spec, fld.state, grid.y_nodes())
+        hhat, pi = shaped[..., 2:2 + n], shaped[..., 2 + 2 * n:2 + 3 * n]
+        theta = coef.theta_from_h(hhat)
+        policies[bits] = PolicyField(
+            state=fld.state, grid=grid, t_nodes=fld.t_nodes, hhat=hhat, theta=theta,
+            ahat=shaped[..., 2 + n:2 + 2 * n], pi=pi, c_mult=shaped[..., 2 + 3 * n],
+            hedge_gap=coef.hedge_gap(pi, theta, fld.f, fld.df))
     return SolveResult(fields=fields, policies=policies, bounds={}, report={})
 
 

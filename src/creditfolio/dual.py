@@ -1,8 +1,16 @@
-"""Pointwise coefficient kernel of the dual control problem.
+"""Coefficient kernel of the dual control problem.
 
-Pure functions of value inputs; freely parallelizable.  The dual diffusion
-loading ``theta`` is never an independent input: it is always derived from the
-jump loading ``h`` through the admissibility constraint
+:class:`Coefficients` holds the model coefficients of one default state on an
+array of factor values and owns every formula built from them: the
+admissibility tie between ``theta`` and ``h``, the reaction rate ``phi`` and
+transformed drift ``nu``, the contagion source sum, the diffusion row
+``Lambda`` of the optimal wealth and the hedge gap.  The PDE march, the
+policy extraction, the artifact reader and the Monte Carlo checks build it
+once per state; the point functions below are its size-1 case.
+
+The dual diffusion loading ``theta`` is never an independent input: it is
+always derived from the jump loading ``h`` through the admissibility
+constraint
 
     sigma(y) (xi(y) - theta) = diag((1 - z) lambda(y, z)) h,
 
@@ -12,12 +20,15 @@ Jump loadings of defaulted names are stored as 0 and excluded from all sums.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
-from .model import DefaultState, ModelSpec
+from .model import DefaultState, ModelSpec, beta_exponent
 
 __all__ = [
     "H_FLOOR",
+    "Coefficients",
     "market_price_of_risk",
     "theta_from_h",
     "h_from_theta",
@@ -34,18 +45,118 @@ __all__ = [
 H_FLOOR = 1e-6
 
 
-def _check_h(h: np.ndarray, state: DefaultState) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    alive = 1.0 - state.indicator()
-    if np.any(1.0 + h[alive > 0] <= H_FLOOR):
-        raise ValueError(f"jump loading out of domain: need 1 + h > {H_FLOOR} for alive names")
-    return h * alive
+class Coefficients:
+    """Coefficients of one default state on a 1-D array of factor values ``y``.
+
+    A scalar ``y`` is the size-1 case.  Arrays are shaped (n_y, n) (``mu0``:
+    (n_y,)).  Control arguments of the methods may carry extra leading axes,
+    e.g. (n_t + 1, n_y, n) for a whole policy, and broadcast against these
+    arrays.  Volatility is held as its diagonal entries ``sig_diag`` when the
+    market is diagonal, else as the matrix stack ``sigma`` of shape
+    (n_y, n, n); the other one is None.
+    """
+
+    def __init__(self, spec: ModelSpec, state: DefaultState, y):
+        self.spec = spec
+        self.state = state
+        self.y = np.atleast_1d(np.asarray(y, dtype=float))
+        self.q = spec.q
+        self.beta = spec.beta
+        self.rho = spec.factor.rho
+        self.alive = 1.0 - state.indicator()
+        self.lam = spec.alive_intensity(self.y, state)
+        excess = spec.market.mu - spec.market.r
+        self.sig_diag = spec.market.sigma_diag_grid(self.y)
+        if self.sig_diag is not None:
+            self.sigma = None
+            self.xi = excess / self.sig_diag
+        else:
+            self.sigma = np.stack([spec.market.sigma_at(float(v)) for v in self.y])
+            rhs = np.broadcast_to(excess[:, None], self.lam.shape + (1,))
+            self.xi = np.linalg.solve(self.sigma, rhs)[..., 0]
+        self.s0 = spec.factor.vol_row(self.y)
+        self.mu0 = spec.factor.drift(self.y)
+
+    def check_h(self, h) -> np.ndarray:
+        """``h`` with defaulted entries zeroed; ValueError unless 1 + h > H_FLOOR on alive names."""
+        h = np.asarray(h, dtype=float)
+        if np.any(1.0 + h[..., self.alive > 0] <= H_FLOOR):
+            raise ValueError(f"jump loading out of domain: need 1 + h > {H_FLOOR} for alive names")
+        return h * self.alive
+
+    def theta_from_h(self, h) -> np.ndarray:
+        """theta = xi - sigma^{-1} diag((1-z) lambda) h."""
+        if self.sigma is None:
+            return self.xi - self.lam * h / self.sig_diag
+        return self.xi - np.linalg.solve(self.sigma, (self.lam * h)[..., None])[..., 0]
+
+    def h_from_theta(self, theta) -> np.ndarray:
+        """Inverse of :meth:`theta_from_h` on alive names (0 where defaulted)."""
+        gap = self.xi - np.asarray(theta, dtype=float)
+        if self.sigma is None:
+            rhs = self.sig_diag * gap
+        else:
+            rhs = (self.sigma @ gap[..., None])[..., 0]
+        pos = self.lam > 0
+        if np.any((self.alive > 0) & ~pos & (np.abs(rhs) > 1e-12)):
+            raise ValueError("no jump loading reproduces theta: zero intensity for an alive name")
+        return np.where(pos, rhs / np.where(pos, self.lam, 1.0), 0.0)
+
+    def phi_nu(self, hhat, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Reaction rate and transformed factor drift.
+
+        phi = q(q-1)/2 |theta|^2 - q r + sum_i [q - 1 - q (1 + hhat_i)] (1-z_i) lambda_i;
+        nu = mu0 - q rho sigma0 theta.
+        """
+        q = self.q
+        phi = (0.5 * q * (q - 1.0) * np.sum(theta**2, axis=-1)
+               - q * self.spec.market.r
+               + np.sum((q - 1.0 - q * (1.0 + hhat)) * self.lam, axis=-1))
+        nu = self.mu0
+        if self.rho != 0.0:
+            nu = nu - q * self.rho * np.sum(self.s0 * theta, axis=-1)
+        return phi, nu
+
+    def source_sum(self, hhat, children: Mapping[int, np.ndarray]) -> np.ndarray:
+        """K2^{1-q} + sum_i f_child_i^beta (1+hhat_i)^q (1-z_i) lambda_i.
+
+        ``children[i]`` is the f-value of the state where alive name i has
+        additionally defaulted, shaped like ``hhat[..., 0]``.
+        """
+        q = self.q
+        out = np.full(np.shape(hhat)[:-1], self.spec.pref.K2 ** (1.0 - q))
+        for i in self.state.alive:
+            out = out + children[i] ** self.beta * (1.0 + hhat[..., i]) ** q * self.lam[:, i]
+        return out
+
+    def grad_term(self, f, df) -> np.ndarray:
+        """rho beta (D_y f / f) sigma0: the factor-hedging part of Lambda (zero when rho = 0)."""
+        if self.rho == 0.0:
+            return np.zeros(np.shape(f) + self.s0.shape[-1:])
+        return self.rho * self.beta * (df / f)[..., None] * self.s0
+
+    def diffusion_row(self, theta, grad) -> np.ndarray:
+        """Diffusion row Lambda = (1-q) theta + grad of the optimal wealth."""
+        return (1.0 - self.q) * theta + grad
+
+    def pi_sigma(self, pi) -> np.ndarray:
+        """Row vector pi^T sigma: the diffusion loading a portfolio pi puts on each Brownian motion."""
+        if self.sigma is None:
+            return pi * self.sig_diag
+        return (pi[..., None, :] @ self.sigma)[..., 0, :]
+
+    def hedge_gap(self, pi, theta, f, df) -> float:
+        """Largest unmatched |pi^T sigma - Lambda| on defaulted names' Brownian motions (0 if none)."""
+        dead = list(self.state.defaulted)
+        if not dead:
+            return 0.0
+        gap = self.pi_sigma(pi) - self.diffusion_row(theta, self.grad_term(f, df))
+        return float(np.max(np.abs(gap[..., dead])))
 
 
 def market_price_of_risk(y: float, spec: ModelSpec) -> np.ndarray:
     """xi(y) = sigma(y)^{-1} (mu - r 1)."""
-    s = spec.market.sigma_at(y)
-    return np.linalg.solve(s, spec.market.mu - spec.market.r)
+    return Coefficients(spec, DefaultState(spec.n), y).xi[0]
 
 
 def theta_from_h(h, y: float, state: DefaultState, spec: ModelSpec) -> np.ndarray:
@@ -54,27 +165,13 @@ def theta_from_h(h, y: float, state: DefaultState, spec: ModelSpec) -> np.ndarra
     theta = xi(y) - sigma(y)^{-1} diag((1-z) lambda) h; when every name has
     defaulted this is the market price of risk regardless of h.
     """
-    h = _check_h(h, state)
-    s = spec.market.sigma_at(y)
-    xi = np.linalg.solve(s, spec.market.mu - spec.market.r)
-    lam = spec.alive_intensity(y, state)
-    return xi - np.linalg.solve(s, lam * h)
+    coef = Coefficients(spec, state, y)
+    return coef.theta_from_h(coef.check_h(h)[None])[0]
 
 
 def h_from_theta(theta, y: float, state: DefaultState, spec: ModelSpec) -> np.ndarray:
     """Inverse of :func:`theta_from_h` on alive components (0 where defaulted)."""
-    s = spec.market.sigma_at(y)
-    xi = np.linalg.solve(s, spec.market.mu - spec.market.r)
-    rhs = s @ (xi - np.asarray(theta, dtype=float))
-    lam = spec.alive_intensity(y, state)
-    h = np.zeros(spec.n)
-    for i in state.alive:
-        if lam[i] <= 0:
-            if abs(rhs[i]) > 1e-12:
-                raise ValueError(f"no jump loading reproduces theta: zero intensity for name {i}")
-            continue
-        h[i] = rhs[i] / lam[i]
-    return h
+    return Coefficients(spec, state, y).h_from_theta(np.asarray(theta, dtype=float)[None])[0]
 
 
 def psi(a, h, theta, y: float, state: DefaultState, spec: ModelSpec) -> float:
@@ -86,13 +183,12 @@ def psi(a, h, theta, y: float, state: DefaultState, spec: ModelSpec) -> float:
     q = spec.q
     a = np.asarray(a, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    h = _check_h(h, state)
-    lam = spec.alive_intensity(y, state)
-    alive = 1.0 - state.indicator()
-    one_ph = np.where(alive > 0, 1.0 + h, 1.0)
+    coef = Coefficients(spec, state, y)
+    h = coef.check_h(h)
+    one_ph = np.where(coef.alive > 0, 1.0 + h, 1.0)
     bracket = one_ph**q - q * one_ph + q - 1.0
     out = 0.5 * q * (q - 1.0) * (float(theta @ theta) + float(a @ a)) - q * spec.market.r
-    return float(out + np.sum(bracket * lam))
+    return float(out + np.sum(bracket * coef.lam[0]))
 
 
 def phi_and_nu(hhat, theta, y: float, state: DefaultState, spec: ModelSpec) -> tuple[float, float]:
@@ -101,14 +197,9 @@ def phi_and_nu(hhat, theta, y: float, state: DefaultState, spec: ModelSpec) -> t
     nu = mu0(y) - q rho sigma0(y) theta (scalar for m = 1);
     phi = q(q-1)/2 |theta|^2 - q r + sum_i [q - 1 - q (1 + hhat_i)] (1-z_i) lambda_i.
     """
-    q = spec.q
-    theta = np.asarray(theta, dtype=float)
-    hhat = _check_h(hhat, state)
-    lam = spec.alive_intensity(y, state)
-    nu = float(spec.factor.drift(y)) - q * spec.factor.rho * float(spec.factor.vol_row(y) @ theta)
-    phi = 0.5 * q * (q - 1.0) * float(theta @ theta) - q * spec.market.r
-    phi += float(np.sum((q - 1.0 - q * (1.0 + hhat)) * lam))
-    return phi, nu
+    coef = Coefficients(spec, state, y)
+    phi, nu = coef.phi_nu(coef.check_h(hhat)[None], np.asarray(theta, dtype=float)[None])
+    return float(phi[0]), float(nu[0])
 
 
 def phi_bounds(sup_theta_sq: float, sup_lam, sup_h, sup_one_ph, q: float, r: float) -> tuple[float, float]:
@@ -134,11 +225,6 @@ def phi_bounds(sup_theta_sq: float, sup_lam, sup_h, sup_one_ph, q: float, r: flo
     upper = 0.5 * q * (q - 1.0) * sup_theta_sq - q * r - q * float(np.sum(sup_lam * sup_h))
     lower = -(1.0 - q) * float(np.sum(sup_lam))
     return (lower, upper)
-
-
-def beta_exponent(q: float, rho: float) -> float:
-    """Power-transform exponent beta = (1-q)/(1 - q rho^2); positive for q < 1, |rho| < 1."""
-    return (1.0 - q) / (1.0 - q * rho * rho)
 
 
 def legendre(i: int, y_dual: float, spec: ModelSpec) -> tuple[float, float]:

@@ -29,6 +29,9 @@ __all__ = [
     "all_states",
     "states_by_cardinality",
     "validate_spec",
+    "beta_exponent",
+    "preset_config",
+    "build_model",
     "load_preset",
     "PRESET_NAMES",
 ]
@@ -57,10 +60,6 @@ class DefaultState:
         """Neighbouring state obtained by toggling the default flag of name ``i``."""
         self._check_index(i)
         return DefaultState(self.n, self.bits ^ (1 << i))
-
-    def with_clear(self, i: int) -> "DefaultState":
-        self._check_index(i)
-        return DefaultState(self.n, self.bits & ~(1 << i))
 
     @property
     def cardinality(self) -> int:
@@ -122,6 +121,11 @@ def states_by_cardinality(n: int, descending: bool = True) -> list[DefaultState]
     states = all_states(n)
     states.sort(key=lambda s: (-s.cardinality if descending else s.cardinality, s.bits))
     return states
+
+
+def beta_exponent(q: float, rho: float) -> float:
+    """Power-transform exponent beta = (1-q)/(1 - q rho^2); positive for q < 1, |rho| < 1."""
+    return (1.0 - q) / (1.0 - q * rho * rho)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +242,10 @@ class CreditSpec:
         """lambda(y, z) as an (..., n) array; includes entries of defaulted names."""
         y = np.asarray(y, dtype=float)
         if self._abc is not None:
+            # the tables are canonicalised at construction, so a plain gather suffices
             a, b, c = self._abc
-            canon = np.array([state.with_clear(i).bits for i in range(self.n)])
-            ai, bi, ci = a[np.arange(self.n), canon], b[np.arange(self.n), canon], c[np.arange(self.n), canon]
-            return ai + bi * np.exp(ci * y[..., None])
+            sel = (self._names, state.bits)
+            return a[sel] + b[sel] * np.exp(c[sel] * y[..., None])
         canon_state = state  # custom fn must canonicalise itself if it cares
         out = np.asarray(self._fn(y, canon_state), dtype=float)
         if out.shape[-1] != self.n:
@@ -289,18 +293,14 @@ class MarketSpec:
             if m.shape != (self.n, self.n):
                 raise ValueError(f"sigma must be {self.n}x{self.n}")
             self._sigma_const = m
+        # a constant matrix that is diagonal up to allclose tolerance takes the diagonal path
+        self.is_diagonal = self._sigma_diag_fn is not None or (
+            self._sigma_const is not None
+            and bool(np.allclose(self._sigma_const, np.diag(np.diag(self._sigma_const)))))
 
     @property
     def is_constant(self) -> bool:
         return self._sigma_const is not None
-
-    @property
-    def is_diagonal(self) -> bool:
-        if self._sigma_diag_fn is not None:
-            return True
-        if self._sigma_const is not None:
-            return bool(np.allclose(self._sigma_const, np.diag(np.diag(self._sigma_const))))
-        return False
 
     def sigma_at(self, y: float) -> np.ndarray:
         """Volatility matrix at a single factor value."""
@@ -312,16 +312,11 @@ class MarketSpec:
 
     def sigma_diag_grid(self, y) -> np.ndarray | None:
         """Diagonal entries over a y-grid, or None when sigma is not diagonal."""
+        if not self.is_diagonal:
+            return None
         y = np.asarray(y, dtype=float)
-        if self._sigma_diag_fn is not None:
-            out = np.asarray(self._sigma_diag_fn(y), dtype=float)
-            if out.shape == (self.n,):
-                out = np.broadcast_to(out, y.shape + (self.n,)).copy()
-            return out
-        if self._sigma_const is not None and self.is_diagonal:
-            d = np.diag(self._sigma_const)
-            return np.broadcast_to(d, y.shape + (self.n,)).copy()
-        return None
+        d = self._sigma_diag_fn(y) if self._sigma_diag_fn is not None else np.diag(self._sigma_const)
+        return np.broadcast_to(np.asarray(d, dtype=float), y.shape + (self.n,)).copy()
 
 
 @dataclass(frozen=True)
@@ -383,8 +378,7 @@ class ModelSpec:
     @property
     def beta(self) -> float:
         """Power-transform exponent (1-q) / (1 - q rho^2) > 0."""
-        q, rho = self.q, self.factor.rho
-        return (1.0 - q) / (1.0 - q * rho * rho)
+        return beta_exponent(self.q, self.factor.rho)
 
     def intensity(self, y, state: DefaultState) -> np.ndarray:
         return self.credit.intensity(y, state)
@@ -502,40 +496,16 @@ def validate_spec(spec: ModelSpec, grid) -> ValidationReport:
             break
     checks.append(ValidationCheck("volatility-invertible", inv_ok, inv_detail, inv_where))
 
-    # (A3): for candidate dual diffusion loadings, the jump loading h solving
-    # sigma (xi - theta) = diag((1-z) lambda) h must exist with h > -1 + eps
-    a3_ok, a3_where, a3_detail = True, None, ""
-    if inv_ok:
-        for state in all_states(spec.n):
-            zmask = 1.0 - state.indicator()
-            sol_found = np.zeros(y.shape, dtype=bool)
-            for theta_kind in ("market-price-of-risk", "zero"):
-                ok_here = np.ones(y.shape, dtype=bool)
-                for k, yv in enumerate(y):
-                    s = spec.market.sigma_at(float(yv))
-                    xi = np.linalg.solve(s, spec.market.mu - spec.market.r)
-                    theta = xi if theta_kind == "market-price-of-risk" else np.zeros_like(xi)
-                    rhs = s @ (xi - theta)
-                    lam = spec.intensity(float(yv), state) * zmask
-                    h = np.zeros(spec.n)
-                    for i in range(spec.n):
-                        if lam[i] > 1e-14:
-                            h[i] = rhs[i] / lam[i]
-                        elif abs(rhs[i]) > 1e-10:
-                            ok_here[k] = False
-                    if not np.all(h > -1.0 + _H_FLOOR_EPS) or not np.all(np.isfinite(h)):
-                        ok_here[k] = False
-                sol_found |= ok_here
-                if np.all(sol_found):
-                    break
-            if not np.all(sol_found):
-                a3_ok = False
-                a3_where = _first_bad(y, ~sol_found)
-                a3_detail = f"no admissible jump loading in state {state}"
-                break
-    else:
+    # (A3): the jump loading h solving sigma (xi - theta) = diag((1-z) lambda) h must
+    # exist with h > -1 + eps for some admissible theta.  theta = xi makes the left side
+    # vanish, so h = 0 solves it at every node and in every state as soon as sigma is
+    # invertible and xi = sigma^{-1} (mu - r) is finite; no node search can fail otherwise.
+    if not inv_ok:
         a3_ok, a3_detail = False, "skipped: sigma not invertible"
-    checks.append(ValidationCheck("dual-constraint-solvable", a3_ok, a3_detail, a3_where))
+    else:
+        a3_ok = bool(np.all(np.isfinite(spec.market.mu - spec.market.r)))
+        a3_detail = "" if a3_ok else "non-finite excess return mu - r"
+    checks.append(ValidationCheck("dual-constraint-solvable", a3_ok, a3_detail))
 
     # preference block
     q = spec.q
@@ -551,63 +521,113 @@ def validate_spec(spec: ModelSpec, grid) -> ValidationReport:
 PRESET_NAMES = ("benchmark_s5", "merton_nodefault", "scott_example22", "stein_stein_example22")
 
 
-def _ou(u0: float, kappa: float):
-    return lambda y: u0 - kappa * np.asarray(y, dtype=float)
+def preset_config(name: str) -> dict:
+    """Config-dict rendering of a named preset (the canonical model form)."""
+    if name == "benchmark_s5":
+        return {
+            "model": {"n": "2"},
+            "factor": {"kind": "ou", "u0": "0.5", "kappa": "1.2", "sigma0": "0.6, 0.4",
+                       "rho": "0.0", "domain": "-1.25, 1.25"},
+            "credit": {"kind": "exp_affine",
+                       "a_1_00": "0.6", "b_1_00": "0.4", "c_1_00": "0.1",
+                       "a_2_00": "0.5", "b_2_00": "0.3", "c_2_00": "0.1",
+                       "a_1_01": "0.8", "b_1_01": "0.6", "c_1_01": "0.1",
+                       "a_2_10": "0.8", "b_2_10": "0.6", "c_2_10": "0.1"},
+            "market": {"mu": "0.2, 0.2", "sigma": "0.8, 0.8", "r": "0.2"},
+            "preference": {"p": "0.8", "k1": "1.0", "k2": "1.0", "horizon": "1.0"},
+        }
+    if name == "merton_nodefault":
+        return {
+            "model": {"n": "2"},
+            "factor": {"kind": "ou", "u0": "0.5", "kappa": "1.0", "sigma0": "0.25, 0.25",
+                       "rho": "0.0", "domain": "-1.25, 1.25"},
+            "credit": {"kind": "zero"},
+            "market": {"mu": "0.25, 0.25", "sigma": "0.2, 0.2", "r": "0.2"},
+            "preference": {"p": "0.5", "k1": "1.0", "k2": "1.0", "horizon": "1.0"},
+        }
+    if name in ("scott_example22", "stein_stein_example22"):
+        kind = "scott" if name == "scott_example22" else "stein"
+        return {
+            "model": {"n": "2"},
+            "factor": {"kind": "ou", "u0": "0.2", "kappa": "1.0", "sigma0": "0.3, 0.2",
+                       "rho": "0.3", "domain": "-1.25, 1.25"},
+            "credit": {"kind": "exp_affine",
+                       "a_1_00": "0.5", "b_1_00": "0.3", "c_1_00": "0.2",
+                       "a_2_00": "0.4", "b_2_00": "0.2", "c_2_00": "0.2",
+                       "a_1_01": "0.7", "b_1_01": "0.4", "c_1_01": "0.2",
+                       "a_2_10": "0.6", "b_2_10": "0.4", "c_2_10": "0.2"},
+            "market": {"mu": "0.25, 0.24", "sigma_kind": kind,
+                       "sigma_eps": "0.25, 0.16", "sigma_gamma": "0.5, 0.4", "r": "0.2"},
+            "preference": {"p": "0.5", "k1": "1.0", "k2": "1.0", "horizon": "1.0"},
+        }
+    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def build_model(config: dict) -> ModelSpec:
+    """ModelSpec from a config dict; raises ValueError on malformed input."""
+    try:
+        n = int(config["model"]["n"])
+        fac = config["factor"]
+        if fac.get("kind", "ou") != "ou":
+            raise ValueError("only the mean-reverting (ou) factor kind is configurable")
+        u0, kappa = float(fac["u0"]), float(fac["kappa"])
+        sigma0 = np.array(_floats(fac["sigma0"]))
+        lo, hi = _floats(fac["domain"])
+        factor = FactorSpec(mu0=lambda y, u0=u0, kappa=kappa: u0 - kappa * np.asarray(y, dtype=float),
+                            sigma0=sigma0, rho=float(fac.get("rho", "0")),
+                            domain_lo=lo, domain_hi=hi)
+
+        cred = config["credit"]
+        if cred.get("kind", "exp_affine") == "zero":
+            credit = CreditSpec.zero(n)
+        else:
+            table = {}
+            for key, val in cred.items():
+                if key == "kind":
+                    continue
+                coef, name_s, bits_s = key.split("_")
+                i = int(name_s) - 1
+                entry = table.setdefault((i, bits_s), [0.0, 0.0, 0.0])
+                entry["abc".index(coef)] = float(val)
+            credit = CreditSpec.exp_affine(n, {k: tuple(v) for k, v in table.items()})
+
+        mkt = config["market"]
+        mu = _floats(mkt["mu"])
+        scale = float(mkt.get("sigma_scale", "1.0"))
+        kind = mkt.get("sigma_kind", "const")
+        if kind == "const":
+            sigma = scale * np.array(_floats(mkt["sigma"]))
+        elif kind in ("scott", "stein"):
+            eps = np.array(_floats(mkt["sigma_eps"]))
+            gam = np.array(_floats(mkt["sigma_gamma"]))
+            if kind == "scott":
+                sigma = lambda y, e=eps, g=gam, s=scale: s * np.sqrt(e + np.exp(g * np.asarray(y, dtype=float)[..., None]))
+            else:
+                sigma = lambda y, e=eps, g=gam, s=scale: s * np.sqrt(e + g * np.asarray(y, dtype=float)[..., None] ** 2)
+        else:
+            raise ValueError(f"unknown sigma_kind {kind!r}")
+        market = MarketSpec(mu=mu, sigma=sigma, r=float(mkt["r"]))
+
+        pref_c = config["preference"]
+        pref = PreferenceSpec(p=float(pref_c["p"]), K1=float(pref_c["k1"]),
+                              K2=float(pref_c["k2"]), T=float(pref_c["horizon"]))
+        return ModelSpec(n=n, factor=factor, credit=credit, market=market, pref=pref)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ValueError(f"bad model configuration: {exc}") from exc
 
 
 def load_preset(name: str, p: float | None = None) -> ModelSpec:
     """Fully populated ModelSpec for a named preset.
 
-    ``p`` overrides the preset's default risk-aversion exponent; everything
-    else can be overridden through the CLI config machinery.
+    ``p`` overrides the preset's risk-aversion exponent (config key
+    ``preference.p``); other overrides go through :func:`preset_config` and
+    :func:`build_model` directly.
     """
-    if name == "benchmark_s5":
-        table = {
-            (0, "00"): (0.6, 0.4, 0.1),
-            (1, "00"): (0.5, 0.3, 0.1),
-            (0, "01"): (0.8, 0.6, 0.1),
-            (1, "10"): (0.8, 0.6, 0.1),
-        }
-        return ModelSpec(
-            n=2,
-            factor=FactorSpec(mu0=_ou(0.5, 1.2), sigma0=np.array([0.6, 0.4]), rho=0.0,
-                              domain_lo=-1.25, domain_hi=1.25),
-            credit=CreditSpec.exp_affine(2, table),
-            market=MarketSpec(mu=[0.2, 0.2], sigma=[0.8, 0.8], r=0.2),
-            pref=PreferenceSpec(p=0.8 if p is None else p, K1=1.0, K2=1.0, T=1.0),
-        )
-    if name == "merton_nodefault":
-        return ModelSpec(
-            n=2,
-            factor=FactorSpec(mu0=_ou(0.5, 1.0), sigma0=np.array([0.25, 0.25]), rho=0.0,
-                              domain_lo=-1.25, domain_hi=1.25),
-            credit=CreditSpec.zero(2),
-            market=MarketSpec(mu=[0.25, 0.25], sigma=[0.2, 0.2], r=0.2),
-            pref=PreferenceSpec(p=0.5 if p is None else p, K1=1.0, K2=1.0, T=1.0),
-        )
-    if name in ("scott_example22", "stein_stein_example22"):
-        eps = np.array([0.25, 0.16])
-        gam = np.array([0.5, 0.4])
-        if name == "scott_example22":
-            def vol_diag(y, eps=eps, gam=gam):
-                y = np.asarray(y, dtype=float)
-                return np.sqrt(eps + np.exp(gam * y[..., None]))
-        else:
-            def vol_diag(y, eps=eps, gam=gam):
-                y = np.asarray(y, dtype=float)
-                return np.sqrt(eps + gam * y[..., None] ** 2)
-        table = {
-            (0, "00"): (0.5, 0.3, 0.2),
-            (1, "00"): (0.4, 0.2, 0.2),
-            (0, "01"): (0.7, 0.4, 0.2),
-            (1, "10"): (0.6, 0.4, 0.2),
-        }
-        return ModelSpec(
-            n=2,
-            factor=FactorSpec(mu0=_ou(0.2, 1.0), sigma0=np.array([0.3, 0.2]), rho=0.3,
-                              domain_lo=-1.25, domain_hi=1.25),
-            credit=CreditSpec.exp_affine(2, table),
-            market=MarketSpec(mu=[0.25, 0.24], sigma=vol_diag, r=0.2),
-            pref=PreferenceSpec(p=0.5 if p is None else p, K1=1.0, K2=1.0, T=1.0),
-        )
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    config = preset_config(name)
+    if p is not None:
+        config["preference"]["p"] = repr(float(p))
+    return build_model(config)

@@ -6,9 +6,8 @@ For each default state z the transformed value function f(t, y, z) satisfies
 
 on the factor domain, where A_z is the diffusion-drift generator, phi the
 reaction rate and Phi the contagion source built from the already-solved
-states with one more default.  States are solved in descending default count;
-states of equal count are independent given their children and may be solved
-concurrently.
+states with one more default.  States are solved in descending default count,
+so every state's children are solved before it.
 
 Time stepping is a theta = 1/2 IMEX scheme: the linear operator is treated by
 Crank-Nicolson, the reaction and source explicitly at the clamped current
@@ -24,16 +23,14 @@ and preserves spatial constants); enlarge the domain to refine it.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from . import strategy
-from .dual import phi_bounds as _phi_bounds
+from .dual import Coefficients, phi_bounds as _phi_bounds
 from .fields import GridSpec, PolicyField, SolutionField, SolveResult, TruncationBounds, spatial_gradient
 from .model import DefaultState, ModelSpec, states_by_cardinality, validate_spec
 from .strategy import SolverError
@@ -49,36 +46,10 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Pointwise pieces
-# ---------------------------------------------------------------------------
-
-
-def _phi_nu_slices(y_nodes, state, spec, hhat, theta):
-    """Reaction rate and transformed drift on one slice from solved controls."""
-    q = spec.q
-    lam = spec.intensity(y_nodes, state) * (1.0 - state.indicator())
-    phi = (0.5 * q * (q - 1.0) * np.sum(theta**2, axis=1)
-           - q * spec.market.r
-           + np.sum((q - 1.0 - q * (1.0 + hhat)) * lam, axis=1))
-    nu = spec.factor.drift(y_nodes)
-    if spec.factor.rho != 0.0:
-        s0 = spec.factor.vol_row(y_nodes)
-        nu = nu - q * spec.factor.rho * np.sum(s0 * theta, axis=1)
-    return phi, nu
-
-
-def _source_sum(y_nodes, state, spec, hhat, children: Mapping[int, np.ndarray]):
-    """K2^{1-q} + sum_i f_child_i^beta (1+hhat_i)^q (1-z_i) lambda_i on one slice."""
-    q = spec.q
-    beta = spec.beta
-    out = np.full(y_nodes.shape, spec.pref.K2 ** (1.0 - q))
-    lam = spec.intensity(y_nodes, state)
-    for i in state.alive:
-        out = out + children[i] ** beta * (1.0 + hhat[:, i]) ** q * lam[:, i]
-    return out
+# fixed-point sweeps per step that refresh the controls at the new slice, and the
+# relative change below which the sweep stops early
+_INNER_SWEEPS = 5
+_INNER_TOL = 1e-8
 
 
 def _clamp(v, t, bounds: TruncationBounds | None):
@@ -102,12 +73,10 @@ def nonlinear_source(t: float, y: float, v: float, state: DefaultState,
         v = float(np.clip(v, bounds.k_under, bounds.k_bar(t)))
     elif v <= 0:
         raise ValueError("solution value must be positive when the clamp is disabled")
-    hhat = np.asarray(hhat, dtype=float)
-    children = {i: np.array([float(children_values[i])]) for i in state.alive}
-    for val in children.values():
-        if val[0] <= 0:
-            raise ValueError("child values must be positive")
-    s = _source_sum(np.array([float(y)]), state, spec, hhat[None, :], children)
+    children = {i: float(children_values[i]) for i in state.alive}
+    if any(val <= 0 for val in children.values()):
+        raise ValueError("child values must be positive")
+    s = Coefficients(spec, state, y).source_sum(np.asarray(hhat, dtype=float)[None, :], children)
     return float(v ** (1.0 - beta) / beta * s[0])
 
 
@@ -154,14 +123,13 @@ def _cn_solve(sub, diag, sup, rhs, dt):
 
 
 class _StepWorkspace:
-    """Per-state marching state: grid geometry plus control warm starts and running stats."""
+    """Per-state marching state: grid geometry, the state's coefficient kernel,
+    control warm starts and running stats."""
 
     def __init__(self, state: DefaultState, spec: ModelSpec, grid: GridSpec):
-        self.state = state
-        self.spec = spec
-        self.grid = grid
         self.y = grid.y_nodes()
         self.dy = grid.dy
+        self.coef = Coefficients(spec, state, self.y)
         self.diff = 0.5 * spec.factor.vol_sq(self.y) * np.ones_like(self.y)
         self.h_warm: np.ndarray | None = None
         self.static_operator = spec.factor.rho == 0.0
@@ -169,30 +137,21 @@ class _StepWorkspace:
         self.clamp_hits = 0
         self.newton_iters = 0
         self.resid_max = 0.0
-        n = spec.n
-        self.max_abs_theta = np.zeros(n)
-        self.max_abs_h = np.zeros(n)
-        self.min_one_ph = np.ones(n)
-        self.max_one_ph = np.ones(n)
-        self.phi_min = np.inf
-        self.phi_max = -np.inf
-        self.source_sum_max = 0.0
+        self.stats = _empty_stats(spec.n)
 
-    def controls(self, f_slice, children):
+    def terms(self, f_slice, children):
+        """Controls at one slice, folded into the running stats; returns (phi, nu, source sum)."""
         df_slice = spatial_gradient(f_slice, self.dy)
         hhat, theta, _, iters, resid = strategy.solve_hhat_slice(
-            self.y, self.state, self.spec, f_slice, df_slice, children, h_init=self.h_warm)
+            self.y, self.coef.state, self.coef.spec, f_slice, df_slice, children,
+            h_init=self.h_warm, coef=self.coef)
         self.h_warm = hhat
         self.newton_iters = max(self.newton_iters, iters)
         self.resid_max = max(self.resid_max, resid)
-        alive = list(self.state.alive)
-        self.max_abs_theta = np.maximum(self.max_abs_theta, np.max(np.abs(theta), axis=0))
-        if alive:
-            one_ph = 1.0 + hhat[:, alive]
-            self.max_abs_h[alive] = np.maximum(self.max_abs_h[alive], np.max(np.abs(hhat[:, alive]), axis=0))
-            self.min_one_ph[alive] = np.minimum(self.min_one_ph[alive], np.min(one_ph, axis=0))
-            self.max_one_ph[alive] = np.maximum(self.max_one_ph[alive], np.max(one_ph, axis=0))
-        return hhat, theta
+        phi, nu = self.coef.phi_nu(hhat, theta)
+        s = self.coef.source_sum(hhat, children)
+        _fold_stats(self.stats, list(self.coef.state.alive), hhat, theta, phi, s)
+        return phi, nu, s
 
     def operator(self, nu):
         if self.static_operator and self._op_cache is not None:
@@ -202,28 +161,22 @@ class _StepWorkspace:
             self._op_cache = op
         return op
 
-    def explicit_source(self, t, f_slice, hhat, phi, children, bounds):
+    def explicit_source(self, t, f_slice, phi, s, bounds):
+        """Reaction plus contagion source at the clamped slice value."""
         v, hits = _clamp(f_slice, t, bounds)
         self.clamp_hits += hits
-        beta = self.spec.beta
-        s = _source_sum(self.y, self.state, self.spec, hhat, children)
-        self.phi_min = min(self.phi_min, float(phi.min()))
-        self.phi_max = max(self.phi_max, float(phi.max()))
-        self.source_sum_max = max(self.source_sum_max, float(s.max()))
+        beta = self.coef.beta
         return (phi * v + v ** (1.0 - beta) * s) / beta
 
 
 def step_slice(f_now: np.ndarray, t: float, dt: float, state: DefaultState,
                children_now: Mapping[int, np.ndarray], children_next: Mapping[int, np.ndarray],
                spec: ModelSpec, grid: GridSpec, bounds: TruncationBounds | None = None,
-               hhat_now: np.ndarray | None = None, inner_sweeps: int = 5,
-               inner_tol: float = 1e-8, workspace: _StepWorkspace | None = None) -> np.ndarray:
+               workspace: _StepWorkspace | None = None) -> np.ndarray:
     """Advance one horizon slice by dt with the IMEX theta = 1/2 scheme.
 
     ``children_now``/``children_next`` hold the child-state slices at t and
-    t + dt.  ``hhat_now`` may supply precomputed jump loadings for the current
-    slice; they are re-solved otherwise.  A zero dt returns the slice
-    unchanged.
+    t + dt.  A zero dt returns the slice unchanged.
     """
     if dt == 0.0:
         return f_now.copy()
@@ -231,28 +184,20 @@ def step_slice(f_now: np.ndarray, t: float, dt: float, state: DefaultState,
     if np.any(f_now <= 0) and bounds is None:
         raise SolverError("non-positive slice value with the clamp disabled")
 
-    if hhat_now is None:
-        h_now, th_now = ws.controls(f_now, children_now)
-    else:
-        h_now = np.asarray(hhat_now, dtype=float)
-        from .dual import theta_from_h
-
-        th_now = np.stack([theta_from_h(h_now[j], ws.y[j], state, spec) for j in range(len(ws.y))])
-    phi_now, nu_now = _phi_nu_slices(ws.y, state, spec, h_now, th_now)
+    phi_now, nu_now, s_now = ws.terms(f_now, children_now)
     op_now = ws.operator(nu_now)
-    src_now = ws.explicit_source(t, f_now, h_now, phi_now, children_now, bounds)
+    src_now = ws.explicit_source(t, f_now, phi_now, s_now, bounds)
 
     expl = f_now + 0.5 * dt * _apply_operator(*op_now, f_now)
     f_next = _cn_solve(*ws.operator(nu_now), expl + dt * src_now, dt)
 
-    for _ in range(max(inner_sweeps, 0)):
-        h_next, th_next = ws.controls(f_next, children_next)
-        phi_next, nu_next = _phi_nu_slices(ws.y, state, spec, h_next, th_next)
-        src_next = ws.explicit_source(t + dt, f_next, h_next, phi_next, children_next, bounds)
+    for _ in range(_INNER_SWEEPS):
+        phi_next, nu_next, s_next = ws.terms(f_next, children_next)
+        src_next = ws.explicit_source(t + dt, f_next, phi_next, s_next, bounds)
         f_new = _cn_solve(*ws.operator(nu_next), expl + 0.5 * dt * (src_now + src_next), dt)
         change = float(np.max(np.abs(f_new - f_next)) / np.max(np.abs(f_next)))
         f_next = f_new
-        if change < inner_tol:
+        if change < _INNER_TOL:
             break
     if np.any(~np.isfinite(f_next)):
         raise SolverError(f"slice blow-up at t={t:.6g} in state {state}")
@@ -264,35 +209,35 @@ def step_slice(f_now: np.ndarray, t: float, dt: float, state: DefaultState,
 # ---------------------------------------------------------------------------
 
 
+def _empty_stats(n: int) -> dict:
+    return {"max_abs_theta": np.zeros(n), "max_abs_h": np.zeros(n), "min_one_ph": np.ones(n),
+            "max_one_ph": np.ones(n), "phi_min": np.inf, "phi_max": -np.inf,
+            "source_sum_max": 0.0}
+
+
+def _fold_stats(stats: dict, alive: list, hhat, theta, phi, s) -> dict:
+    """Fold the controls, reaction and source sum of one or more slices into ``stats``."""
+    axes = tuple(range(hhat.ndim - 1))
+    stats["max_abs_theta"] = np.maximum(stats["max_abs_theta"], np.max(np.abs(theta), axis=axes))
+    if alive:
+        h = hhat[..., alive]
+        stats["max_abs_h"][alive] = np.maximum(stats["max_abs_h"][alive], np.max(np.abs(h), axis=axes))
+        stats["min_one_ph"][alive] = np.minimum(stats["min_one_ph"][alive], np.min(1.0 + h, axis=axes))
+        stats["max_one_ph"][alive] = np.maximum(stats["max_one_ph"][alive], np.max(1.0 + h, axis=axes))
+    stats["phi_min"] = min(stats["phi_min"], float(phi.min()))
+    stats["phi_max"] = max(stats["phi_max"], float(phi.max()))
+    stats["source_sum_max"] = max(stats["source_sum_max"], float(s.max()))
+    return stats
+
+
 def control_stats_from_policy(policy: PolicyField, state: DefaultState, spec: ModelSpec,
                               fields: Mapping[str, SolutionField]) -> dict:
     """Realised control statistics of a finished policy, as consumed by truncation_bounds."""
     alive = list(state.alive)
-    n = policy.hhat.shape[-1]
-    grid = policy.grid
-    y = grid.y_nodes()
-    stats = {
-        "max_abs_theta": np.max(np.abs(policy.theta), axis=(0, 1)),
-        "max_abs_h": np.zeros(n),
-        "min_one_ph": np.ones(n),
-        "max_one_ph": np.ones(n),
-        "phi_min": np.inf,
-        "phi_max": -np.inf,
-        "source_sum_max": 0.0,
-    }
-    if alive:
-        h = policy.hhat[:, :, alive]
-        stats["max_abs_h"][alive] = np.max(np.abs(h), axis=(0, 1))
-        stats["min_one_ph"][alive] = np.min(1.0 + h, axis=(0, 1))
-        stats["max_one_ph"][alive] = np.max(1.0 + h, axis=(0, 1))
-    children = {i: fields[state.flip(i).bitstring] for i in alive}
-    for k in range(grid.n_t + 1):
-        phi, _ = _phi_nu_slices(y, state, spec, policy.hhat[k], policy.theta[k])
-        s = _source_sum(y, state, spec, policy.hhat[k], {i: cf.f[k] for i, cf in children.items()})
-        stats["phi_min"] = min(stats["phi_min"], float(phi.min()))
-        stats["phi_max"] = max(stats["phi_max"], float(phi.max()))
-        stats["source_sum_max"] = max(stats["source_sum_max"], float(s.max()))
-    return stats
+    coef = Coefficients(spec, state, policy.grid.y_nodes())
+    phi, _ = coef.phi_nu(policy.hhat, policy.theta)
+    s = coef.source_sum(policy.hhat, {i: fields[state.flip(i).bitstring].f for i in alive})
+    return _fold_stats(_empty_stats(spec.n), alive, policy.hhat, policy.theta, phi, s)
 
 
 def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, TruncationBounds],
@@ -306,7 +251,7 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
     since phi < 0 there); the coarser sup-norm envelope of the control
     family is carried alongside for reporting.  ``control_stats`` is the
     dict produced by :func:`control_stats_from_policy` or by the marching
-    workspace.
+    workspace (``_StepWorkspace.stats``).
     """
     for i in state.alive:
         key = state.flip(i).bitstring
@@ -316,10 +261,8 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
     q = spec.q
     beta = spec.beta
     T = spec.pref.T
-    y = grid.y_nodes()
     zmask = 1.0 - state.indicator()
-    lam = spec.intensity(y, state) * zmask
-    sup_lam = np.max(lam, axis=0)
+    sup_lam = np.max(spec.alive_intensity(grid.y_nodes(), state), axis=0)
     sup_theta_sq = float(np.sum(control_stats["max_abs_theta"] ** 2))
     sup_h = control_stats["max_abs_h"] * zmask
     sup_one_ph = control_stats["max_one_ph"] * zmask
@@ -352,9 +295,8 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
 # ---------------------------------------------------------------------------
 
 
-def _march_state(state, spec, grid, fields, bounds, inner_sweeps, inner_tol):
+def _march_state(state, spec, grid, fields, bounds):
     """Time-march one state, children already in ``fields``; returns (f array, workspace)."""
-    y = grid.y_nodes()
     t_nodes = grid.t_nodes(spec.pref.T)
     f = np.empty((grid.n_t + 1, grid.n_y))
     f0 = spec.pref.K1 ** ((1.0 - spec.q) / spec.beta)
@@ -366,33 +308,13 @@ def _march_state(state, spec, grid, fields, bounds, inner_sweeps, inner_tol):
         children_next = {i: cf.f[k + 1] for i, cf in child_fields.items()}
         dt = t_nodes[k + 1] - t_nodes[k]
         f[k + 1] = step_slice(f[k], t_nodes[k], dt, state, children_now, children_next,
-                              spec, grid, bounds=bounds, inner_sweeps=inner_sweeps,
-                              inner_tol=inner_tol, workspace=ws)
+                              spec, grid, bounds=bounds, workspace=ws)
     # realised control stats must cover the final slice too
-    children_last = {i: cf.f[-1] for i, cf in child_fields.items()}
-    h_last, th_last = ws.controls(f[-1], children_last)
-    phi_last, _ = _phi_nu_slices(y, state, spec, h_last, th_last)
-    s_last = _source_sum(y, state, spec, h_last, children_last)
-    ws.phi_min = min(ws.phi_min, float(phi_last.min()))
-    ws.phi_max = max(ws.phi_max, float(phi_last.max()))
-    ws.source_sum_max = max(ws.source_sum_max, float(s_last.max()))
+    ws.terms(f[-1], {i: cf.f[-1] for i, cf in child_fields.items()})
     return f, ws
 
 
-def _stats_dict(ws: _StepWorkspace) -> dict:
-    return {
-        "max_abs_theta": ws.max_abs_theta,
-        "max_abs_h": ws.max_abs_h,
-        "min_one_ph": ws.min_one_ph,
-        "max_one_ph": ws.max_one_ph,
-        "phi_min": ws.phi_min,
-        "phi_max": ws.phi_max,
-        "source_sum_max": ws.source_sum_max,
-    }
-
-
-def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *, inner_sweeps: int = 5,
-                           inner_tol: float = 1e-8, n_workers: int | None = None,
+def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
                            validate: bool = True) -> SolveResult:
     """Solve every default state in descending default count and extract policies.
 
@@ -407,8 +329,6 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *, inner_sweeps: int
         report = validate_spec(spec, grid.y_nodes())
         if not report.ok:
             raise ValueError("model validation failed:\n" + str(report))
-    if n_workers is None:
-        n_workers = int(os.environ.get("CREDITFOLIO_THREADS", "1"))
 
     t_nodes = grid.t_nodes(spec.pref.T)
     fields: dict[str, SolutionField] = {}
@@ -416,18 +336,15 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *, inner_sweeps: int
     bounds: dict[str, TruncationBounds] = {}
     report_rows: dict[str, dict] = {}
 
-    def solve_one(state: DefaultState):
+    for state in states_by_cardinality(spec.n):
         started = time.perf_counter()
-        f_a, ws_a = _march_state(state, spec, grid, fields, None, inner_sweeps, inner_tol)
-        state_bounds = truncation_bounds(state, bounds, spec, grid, _stats_dict(ws_a))
+        f_a, ws_a = _march_state(state, spec, grid, fields, None)
+        state_bounds = truncation_bounds(state, bounds, spec, grid, ws_a.stats)
         if grid.clamp_enabled:
-            f_fin, ws_fin = _march_state(state, spec, grid, fields, state_bounds,
-                                         inner_sweeps, inner_tol)
+            f_fin, ws_fin = _march_state(state, spec, grid, fields, state_bounds)
         else:
             f_fin, ws_fin = f_a, ws_a
         df = np.stack([spatial_gradient(f_fin[k], grid.dy) for k in range(grid.n_t + 1)])
-        fld = SolutionField(state=state, grid=grid, t_nodes=t_nodes, f=f_fin, df=df,
-                            beta=spec.beta)
         margin_lo = float(np.min(f_fin - state_bounds.k_under))
         margin_hi = float(np.min(state_bounds.k_bar(t_nodes)[:, None] - f_fin))
         row = {
@@ -444,19 +361,10 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *, inner_sweeps: int
                 raise SolverError(
                     f"solution escaped its a-priori bounds in state {state}: "
                     f"margins ({margin_lo:.3e}, {margin_hi:.3e})")
-        return fld, state_bounds, row
-
-    for card in range(spec.n, -1, -1):
-        layer = [s for s in states_by_cardinality(spec.n) if s.cardinality == card]
-        if n_workers > 1 and len(layer) > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(solve_one, layer))
-        else:
-            results = [solve_one(s) for s in layer]
-        for state, (fld, b, row) in zip(layer, results):
-            fields[state.bitstring] = fld
-            bounds[state.bitstring] = b
-            report_rows[state.bitstring] = row
+        fields[state.bitstring] = SolutionField(state=state, grid=grid, t_nodes=t_nodes,
+                                                f=f_fin, df=df, beta=spec.beta)
+        bounds[state.bitstring] = state_bounds
+        report_rows[state.bitstring] = row
 
     for state in states_by_cardinality(spec.n):
         pol = strategy.build_policy(fields, state, spec)

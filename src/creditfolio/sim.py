@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .dual import Coefficients
 from .fields import SolveResult, _bilinear
 from .model import DefaultState, ModelSpec
-from .pde import _phi_nu_slices, _source_sum
 from .strategy import SolverError
 
 __all__ = [
@@ -196,7 +196,7 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
               z0: DefaultState, *, result: SolveResult | None = None,
               x0: float | None = None, pi_scale: float = 1.0,
               pi_override: np.ndarray | None = None, zero_consumption: bool = False,
-              cmult_scale: float = 1.0, g_probe_times: Sequence[float] = (),
+              g_probe_times: Sequence[float] = (),
               comp_probe_times: Sequence[float] = (), keep: int = 0) -> dict:
     """One vectorised forward pass over all paths; memory stays O(n_paths).
 
@@ -249,7 +249,8 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
         if pi_override is not None:
             pi = np.broadcast_to(np.asarray(pi_override, dtype=float), pi.shape).copy()
         pi = pi * pi_scale * alive_of[bv]
-        cm = np.zeros_like(cm) if zero_consumption else cm * cmult_scale
+        if zero_consumption:
+            cm = np.zeros_like(cm)
         return pi, hh, th, ah, cm
 
     if with_controls:
@@ -441,7 +442,7 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
 
 def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
                     pi_scale: float = 1.0, pi_override: np.ndarray | None = None,
-                    zero_consumption: bool = False, cmult_scale: float = 1.0) -> PathBundle:
+                    zero_consumption: bool = False) -> PathBundle:
     """Wealth under the feedback policy along the bundle's paths (same draws).
 
     Fills ``bundle.wealth`` with terminal wealth, accumulated consumption
@@ -453,8 +454,7 @@ def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
     spec = bundle.spec
     out = _simulate(spec, bundle.n_paths, bundle.n_steps, bundle.seed, bundle.y0, bundle.z0,
                     result=result, x0=x0, pi_scale=pi_scale, pi_override=pi_override,
-                    zero_consumption=zero_consumption, cmult_scale=cmult_scale,
-                    keep=len(bundle.kept.get("Y", ())))
+                    zero_consumption=zero_consumption, keep=len(bundle.kept.get("Y", ())))
     q = spec.q
     X_T = out["X_T"]
     util = _power_utility(X_T, spec.pref.K1, spec.pref.p) + out["cons_util"]
@@ -465,8 +465,7 @@ def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
     X_rep = x0 * (g_term / g_T0) * (out["Gamma_T"] / B_T) ** (q - 1.0)
     bundle.wealth = {"X_T": X_T, "cons_util": out["cons_util"], "utility": util,
                      "X_rep_T": X_rep, "flagged": out["wealth_flagged"],
-                     "x0": x0, "pi_scale": pi_scale, "zero_consumption": zero_consumption,
-                     "cmult_scale": cmult_scale}
+                     "x0": x0, "pi_scale": pi_scale, "zero_consumption": zero_consumption}
     bundle.x0 = x0
     bundle.default_times = out["default_times"]
     bundle.final_bits = out["final_bits"]
@@ -517,7 +516,7 @@ def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
                 n_steps: int, seed: int, *, y0: float = 0.0,
                 z0: DefaultState | None = None, pi_scale: float = 1.0,
                 pi_override: np.ndarray | None = None, zero_consumption: bool = False,
-                cmult_scale: float = 1.0, tol_se: float = 3.0) -> McReport:
+                tol_se: float = 3.0) -> McReport:
     """Simulated primal utility under the feedback policy vs the dual value.
 
     The target is V(x0, y0, z0) = (x0^p / p) g(T, y0, z0)^{1-p}; the bias
@@ -535,7 +534,7 @@ def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
                         default_times=np.empty(0), final_bits=np.empty(0, dtype=np.int64),
                         y_terminal=np.empty(0), reflect_count=0, compensator={}, kept={})
     simulate_wealth(bundle, result, x0, pi_scale=pi_scale, pi_override=pi_override,
-                    zero_consumption=zero_consumption, cmult_scale=cmult_scale)
+                    zero_consumption=zero_consumption)
     util = bundle.wealth["utility"]
     ok = ~bundle.wealth["flagged"] & np.isfinite(util)
     est, se = _mean_se(util[ok])
@@ -603,15 +602,11 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult, state: DefaultState,
     q = spec.q
 
     # tabulate reaction, drift and contagion source on the grid once
-    n_slices = len(t_nodes)
-    PHI = np.empty((n_slices, grid.n_y))
-    NU = np.empty((n_slices, grid.n_y))
-    SRC = np.empty((n_slices, grid.n_y))
-    children = {i: result.fields[state.flip(i).bitstring] for i in state.alive}
-    for kk in range(n_slices):
-        PHI[kk], NU[kk] = _phi_nu_slices(y_nodes, state, spec, pol.hhat[kk], pol.theta[kk])
-        SRC[kk] = _source_sum(y_nodes, state, spec, pol.hhat[kk],
-                              {i: cf.f[kk] for i, cf in children.items()})
+    coef = Coefficients(spec, state, y_nodes)
+    PHI, NU = coef.phi_nu(pol.hhat, pol.theta)
+    NU = np.broadcast_to(NU, PHI.shape)
+    SRC = coef.source_sum(pol.hhat, {i: result.fields[state.flip(i).bitstring].f
+                                     for i in state.alive})
 
     dt = t_probe / n_steps
     ou = _affine_factor(spec) if spec.factor.rho == 0.0 else None
@@ -635,8 +630,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult, state: DefaultState,
         else:
             u_rev = max(t_probe - k * dt, 0.0)  # field time runs backward along the path
             nu_here = _bilinear(NU, t_nodes, y_nodes, np.full(n_paths, u_rev), Yp)
-            s0 = spec.factor.vol_row(Yp)
-            Y_new = Yp + nu_here * dt + np.sqrt(np.sum(s0 * s0, axis=-1)) * np.sqrt(dt) * z_draw
+            Y_new = Yp + nu_here * dt + np.sqrt(spec.factor.vol_sq(Yp)) * np.sqrt(dt) * z_draw
         Y_new = np.where(Y_new < grid.y_lo, 2 * grid.y_lo - Y_new, Y_new)
         Y_new = np.where(Y_new > grid.y_hi, 2 * grid.y_hi - Y_new, Y_new)
         u_next = t_probe - (k + 1) * dt

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dual import H_FLOOR
+from .dual import H_FLOOR, Coefficients
 from .fields import PolicyField, SolutionField
 from .model import DefaultState, ModelSpec
 
@@ -64,55 +64,42 @@ def _fields_of(obj) -> Mapping[str, SolutionField]:
 def solve_hhat_slice(y_nodes: np.ndarray, state: DefaultState, spec: ModelSpec,
                      f_slice: np.ndarray, df_slice: np.ndarray,
                      children: Mapping[int, np.ndarray],
-                     h_init: np.ndarray | None = None,
+                     h_init: np.ndarray | None = None, coef: Coefficients | None = None,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
     """Solve the feedback system at every node of one horizon slice.
 
     Returns ``(hhat, theta, pi, newton_iters, residual_max)`` with arrays of
     shape (n_y, n).  ``children[i]`` is the f-slice of the state where name i
     has additionally defaulted, required for every alive name with positive
-    intensity.
+    intensity.  ``coef`` is the state's coefficient kernel on ``y_nodes``,
+    built here when not supplied.
     """
-    n = spec.n
-    q = spec.q
-    beta = spec.beta
-    rho = spec.factor.rho
-    y_nodes = np.asarray(y_nodes, dtype=float)
-    n_y = y_nodes.shape[0]
-    alive = state.alive
+    if coef is None:
+        coef = Coefficients(spec, state, y_nodes)
+    lam = coef.lam
+    grad_term = coef.grad_term(f_slice, df_slice)
 
-    lam_full = spec.intensity(y_nodes, state)
-    zmask = 1.0 - state.indicator()
-    lam = lam_full * zmask
-
-    grad_term = np.zeros((n_y, n))
-    if rho != 0.0:
-        s0 = spec.factor.vol_row(y_nodes)
-        grad_term = rho * beta * (df_slice / f_slice)[:, None] * s0
-
-    ratio = np.ones((n_y, n))
-    for i in alive:
+    ratio = np.ones(lam.shape)
+    for i in state.alive:
         if i in children:
-            ratio[:, i] = (children[i] / f_slice) ** beta
+            ratio[:, i] = (children[i] / f_slice) ** coef.beta
         elif np.any(lam[:, i] > _LAMBDA_TOL):
             raise SolverError(f"missing child field for alive name {i} in state {state}")
 
-    sig_diag = spec.market.sigma_diag_grid(y_nodes)
-    if sig_diag is not None:
-        return _solve_slice_diagonal(y_nodes, state, spec, sig_diag, lam, ratio, grad_term, h_init)
-    return _solve_slice_general(y_nodes, state, spec, lam, ratio, grad_term, h_init)
+    if coef.sigma is None:
+        return _solve_slice_diagonal(coef, ratio, grad_term, h_init)
+    return _solve_slice_general(coef, ratio, grad_term, h_init)
 
 
-def _solve_slice_diagonal(y_nodes, state, spec, sig_diag, lam, ratio, grad_term, h_init):
+def _solve_slice_diagonal(coef, ratio, grad_term, h_init):
     """Decoupled per-name scalar roots: safeguarded Newton inside a sign-change bracket."""
-    n = spec.n
-    q = spec.q
-    n_y = y_nodes.shape[0]
-    alive_mask = (1.0 - state.indicator()) > 0
-    xi = (spec.market.mu - spec.market.r) / sig_diag  # diagonal: componentwise
+    state = coef.state
+    q = coef.q
+    lam, sig_diag, xi = coef.lam, coef.sig_diag, coef.xi
+    alive_mask = coef.alive > 0
 
-    hhat = np.zeros((n_y, n))
-    pi = np.zeros((n_y, n))
+    hhat = np.zeros(lam.shape)
+    pi = np.zeros(lam.shape)
     iters_used = 0
     resid_max = 0.0
 
@@ -120,7 +107,7 @@ def _solve_slice_diagonal(y_nodes, state, spec, sig_diag, lam, ratio, grad_term,
     riskfree = alive_mask[None, :] & ~jumpy                   # defaultless names: diffusion matching only
 
     if np.any(riskfree):
-        lin = ((1.0 - q) * xi + grad_term) / sig_diag
+        lin = coef.diffusion_row(xi, grad_term) / sig_diag
         pi[riskfree] = lin[riskfree]
 
     if np.any(jumpy):
@@ -176,20 +163,19 @@ def _solve_slice_diagonal(y_nodes, state, spec, sig_diag, lam, ratio, grad_term,
         hhat[jumpy] = x
         pi[jumpy] = 1.0 - (1.0 + x) ** (q - 1.0) * ratv
 
-    theta = xi - lam * hhat / sig_diag
-    return hhat, theta, pi, iters_used, resid_max
+    return hhat, coef.theta_from_h(hhat), pi, iters_used, resid_max
 
 
-def _solve_slice_general(y_nodes, state, spec, lam, ratio, grad_term, h_init):
+def _solve_slice_general(coef, ratio, grad_term, h_init):
     """Per-node damped Newton on the coupled alive-column system (full sigma).
 
     Unknowns at a node: h_i for alive names with positive intensity, pi_i for
     alive defaultless names.  Equations: the alive columns of
     pi^T sigma = Lambda with pi_i = J_i(h_i) substituted for jump names.
     """
-    n = spec.n
-    q = spec.q
-    n_y = y_nodes.shape[0]
+    state, y_nodes, lam = coef.state, coef.y, coef.lam
+    n_y, n = lam.shape
+    q = coef.q
     alive = list(state.alive)
     hhat = np.zeros((n_y, n))
     theta = np.zeros((n_y, n))
@@ -200,9 +186,9 @@ def _solve_slice_general(y_nodes, state, spec, lam, ratio, grad_term, h_init):
     warm = np.zeros(n)
 
     for k, yv in enumerate(y_nodes):
-        s = spec.market.sigma_at(float(yv))
+        s = coef.sigma[k]
         s_inv = np.linalg.inv(s)
-        xi = s_inv @ (spec.market.mu - spec.market.r)
+        xi = coef.xi[k]
         lam_k = lam[k]
         jumpy = [i for i in alive if lam_k[i] > _LAMBDA_TOL]
         free = [i for i in alive if i not in jumpy]
@@ -278,11 +264,14 @@ def _solve_slice_general(y_nodes, state, spec, lam, ratio, grad_term, h_init):
 
 def ahat_slice(y_nodes: np.ndarray, spec: ModelSpec, f_slice: np.ndarray,
                df_slice: np.ndarray) -> np.ndarray:
-    """Orthogonal diffusion loading ahat = -sqrt(1-rho^2)/(1-q) * beta sigma0^T D_y f / f."""
+    """Orthogonal diffusion loading ahat = -sqrt(1-rho^2)/(1-q) * beta sigma0^T D_y f / f.
+
+    ``f_slice``/``df_slice`` may carry a leading time axis.
+    """
     rho = spec.factor.rho
-    coef = -np.sqrt(1.0 - rho * rho) / (1.0 - spec.q) * spec.beta
+    scale = -np.sqrt(1.0 - rho * rho) / (1.0 - spec.q) * spec.beta
     s0 = spec.factor.vol_row(np.asarray(y_nodes, dtype=float))
-    return coef * (df_slice / f_slice)[:, None] * s0
+    return scale * (df_slice / f_slice)[..., None] * s0
 
 
 # ---------------------------------------------------------------------------
@@ -296,49 +285,29 @@ def build_policy(fields: Mapping[str, SolutionField], state: DefaultState,
     fld = fields[state.bitstring]
     grid = fld.grid
     y_nodes = grid.y_nodes()
-    n_t = grid.n_t
-    n = spec.n
-    q = spec.q
 
-    hhat = np.zeros((n_t + 1, grid.n_y, n))
+    hhat = np.zeros((grid.n_t + 1, grid.n_y, spec.n))
     theta = np.zeros_like(hhat)
-    ahat = np.zeros_like(hhat)
     pi = np.zeros_like(hhat)
-    c_mult = np.zeros((n_t + 1, grid.n_y))
     resid = 0.0
     iters = 0
 
     child_fields = {i: fields[state.flip(i).bitstring] for i in state.alive}
-    K2_pow = spec.pref.K2 ** (1.0 - q)
+    coef = Coefficients(spec, state, y_nodes)
     h_prev = None
-    hedge_gap = 0.0
-    dead = list(state.defaulted)
-    sig_diag = spec.market.sigma_diag_grid(y_nodes)
-    for k in range(n_t + 1):
-        f_slice = fld.f[k]
-        df_slice = fld.df[k]
+    for k in range(grid.n_t + 1):
         children = {i: cf.f[k] for i, cf in child_fields.items()}
         h_k, th_k, pi_k, it_k, r_k = solve_hhat_slice(
-            y_nodes, state, spec, f_slice, df_slice, children, h_init=h_prev)
+            y_nodes, state, spec, fld.f[k], fld.df[k], children, h_init=h_prev, coef=coef)
         hhat[k], theta[k], pi[k] = h_k, th_k, pi_k
-        ahat[k] = ahat_slice(y_nodes, spec, f_slice, df_slice)
-        c_mult[k] = K2_pow / f_slice**spec.beta
         h_prev = h_k
         resid = max(resid, r_k)
         iters = max(iters, it_k)
-        if dead:
-            # unmatched diffusion loading on dead names' drivers (replication
-            # hypothesis diagnostic; the alive columns vanish by construction)
-            Lam = (1.0 - q) * th_k
-            if spec.factor.rho != 0.0:
-                s0 = spec.factor.vol_row(y_nodes)
-                Lam = Lam + spec.factor.rho * spec.beta * (df_slice / f_slice)[:, None] * s0
-            if sig_diag is not None:
-                pisig = pi_k * sig_diag
-            else:
-                pisig = np.stack([pi_k[j] @ spec.market.sigma_at(float(y_nodes[j]))
-                                  for j in range(len(y_nodes))])
-            hedge_gap = max(hedge_gap, float(np.max(np.abs((pisig - Lam)[:, dead]))))
+    ahat = ahat_slice(y_nodes, spec, fld.f, fld.df)
+    c_mult = spec.pref.K2 ** (1.0 - spec.q) / fld.f**spec.beta
+    # unmatched diffusion loading on dead names' Brownian motions (replication hypothesis
+    # diagnostic; the alive columns vanish by construction)
+    hedge_gap = coef.hedge_gap(pi, theta, fld.f, fld.df)
     return PolicyField(state=state, grid=grid, t_nodes=fld.t_nodes, hhat=hhat,
                        theta=theta, ahat=ahat, pi=pi, c_mult=c_mult,
                        residual_max=resid, newton_iters_max=iters, hedge_gap=hedge_gap)
@@ -356,78 +325,56 @@ def _point_inputs(t: float, y: float, state: DefaultState, fields, spec: ModelSp
     if u < -1e-12:
         raise ValueError(f"clock time {t} exceeds the horizon {spec.pref.T}")
     u = max(u, 0.0)
-    f_val = float(fld.f_at(u, y))
-    df_val = float(fld.df_at(u, y))
     children = {}
     for i in state.alive:
         key = state.flip(i).bitstring
         if key not in fields:
             raise SolverError(f"missing child field {key} for state {state}")
         children[i] = np.array([float(fields[key].f_at(u, y))])
-    return fld, u, f_val, df_val, children
+    return float(fld.f_at(u, y)), float(fld.df_at(u, y)), children
 
 
 def solve_hhat(t: float, y: float, state: DefaultState, fields, spec: ModelSpec) -> np.ndarray:
     """Jump loadings hhat(t, y, z) at one point (zeros for defaulted names)."""
-    _, _, f_val, df_val, children = _point_inputs(t, y, state, fields, spec)
+    f_val, df_val, children = _point_inputs(t, y, state, fields, spec)
     h, _, _, _, _ = solve_hhat_slice(np.array([y]), state, spec,
                                      np.array([f_val]), np.array([df_val]), children)
     return h[0]
 
 
+def _point_terms(t, y, state, hhat, fields, spec):
+    """(Lambda, J, size-1 kernel) at one point for a jump loading hhat."""
+    f_val, df_val, children = _point_inputs(t, y, state, fields, spec)
+    coef = Coefficients(spec, state, y)
+    theta = coef.theta_from_h(coef.check_h(hhat)[None])
+    Lam = coef.diffusion_row(theta, coef.grad_term(np.array([f_val]), np.array([df_val])))[0]
+    J = np.zeros(spec.n)
+    for i in state.alive:
+        J[i] = 1.0 - (1.0 + hhat[i]) ** (coef.q - 1.0) * (float(children[i][0]) / f_val) ** coef.beta
+    return Lam, J, coef
+
+
 def lambda_and_J(t: float, y: float, state: DefaultState, hhat: np.ndarray,
                  fields, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Diffusion row Lambda and jump vector J of the optimal wealth dynamics."""
-    from .dual import theta_from_h
-
-    fields = _fields_of(fields)
-    _, u, f_val, df_val, children = _point_inputs(t, y, state, fields, spec)
-    q = spec.q
-    beta = spec.beta
-    g_val = f_val**beta
-    theta = theta_from_h(hhat, y, state, spec)
-    Lam = (1.0 - q) * theta
-    if spec.factor.rho != 0.0:
-        dg = beta * f_val ** (beta - 1.0) * df_val
-        Lam = Lam + spec.factor.rho * (dg / g_val) * spec.factor.vol_row(y)
-    J = np.zeros(spec.n)
-    for i in state.alive:
-        g_child = float(children[i][0]) ** beta
-        J[i] = 1.0 - (1.0 + hhat[i]) ** (q - 1.0) * g_child / g_val
+    Lam, J, _ = _point_terms(t, y, state, hhat, fields, spec)
     return Lam, J
 
 
 def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
            fields, spec: ModelSpec) -> np.ndarray:
     """Optimal wealth fractions; raises if inconsistent with the diffusion matching."""
-    fields = _fields_of(fields)
-    _, u, f_val, df_val, children = _point_inputs(t, y, state, fields, spec)
-    q = spec.q
-    beta = spec.beta
-    lam = spec.alive_intensity(y, state)
-    pi = np.zeros(spec.n)
+    Lam, J, coef = _point_terms(t, y, state, hhat, fields, spec)
+    lam = coef.lam[0]
+    pi = np.where(lam > _LAMBDA_TOL, J, 0.0)
     s = spec.market.sigma_at(y)
-    from .dual import theta_from_h
-
-    theta = theta_from_h(hhat, y, state, spec)
-    Lam = (1.0 - q) * theta
-    if spec.factor.rho != 0.0:
-        Lam = Lam + spec.factor.rho * beta * (df_val / f_val) * spec.factor.vol_row(y)
-    Lam_masked = Lam * (1.0 - state.indicator())
-    for i in state.alive:
-        if lam[i] > _LAMBDA_TOL:
-            ratio = (float(children[i][0]) / f_val) ** beta
-            pi[i] = 1.0 - (1.0 + hhat[i]) ** (q - 1.0) * ratio
+    Lam_masked = Lam * coef.alive
     free = [i for i in state.alive if lam[i] <= _LAMBDA_TOL]
     if free:
-        # diffusion matching determines the defaultless weights
-        cols = [j for j in state.alive]
-        rhs = Lam_masked[cols] - np.array([sum(pi[i] * s[i, j] for i in state.alive if i not in free)
-                                           for j in cols])
-        sub = np.array([[s[i, j] for j in cols] for i in free])
-        sol, *_ = np.linalg.lstsq(sub.T, rhs, rcond=None)
-        for m, i in enumerate(free):
-            pi[i] = sol[m]
+        # diffusion matching on the alive columns determines the defaultless weights
+        cols = list(state.alive)
+        rhs = Lam_masked[cols] - (pi @ s)[cols]
+        pi[free] = np.linalg.lstsq(s[np.ix_(free, cols)].T, rhs, rcond=None)[0]
     residual = float(np.max(np.abs(pi @ s - Lam_masked))) if spec.n else 0.0
     if residual > _PI_CONSISTENCY_TOL:
         raise SolverError(

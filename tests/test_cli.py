@@ -7,7 +7,7 @@ import pytest
 
 import creditfolio as cf
 from creditfolio.cli import (EXIT_STATISTICAL, EXIT_VALIDATION, apply_overrides,
-                             build_model, load_solution, main, preset_config)
+                             build_model, dump_solution, load_solution, main, preset_config)
 
 
 def run_cli(*args):
@@ -113,7 +113,7 @@ class TestSolveCommand:
         rc = run_cli("solve", "--out", str(tmp_path / "x"))
         assert rc.returncode == EXIT_VALIDATION
 
-    def test_load_solution_round_trip(self, solve_dir):
+    def test_load_solution_round_trip(self, solve_dir, tmp_path):
         spec = build_model(preset_config("benchmark_s5"))
         result = load_solution(solve_dir, spec)
         assert set(result.fields) == {"00", "01", "10", "11"}
@@ -122,6 +122,20 @@ class TestSolveCommand:
         assert np.all(fld.f > 0)
         pol = result.policies["00"]
         assert pol.pi.shape == (41, 41, 2)
+
+        # solve -> dump -> load reproduces every array bitwise and the hedge gap
+        spec = build_model(preset_config("scott_example22"))
+        solved = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 41, 40))
+        dump_solution(solved, tmp_path, spec)
+        loaded = load_solution(tmp_path, spec)
+        assert set(loaded.policies) == set(solved.policies)
+        for bits, pol in solved.policies.items():
+            fld, back, back_fld = solved.fields[bits], loaded.policies[bits], loaded.fields[bits]
+            assert np.array_equal(back_fld.f, fld.f) and np.array_equal(back_fld.df, fld.df)
+            for name in ("hhat", "theta", "ahat", "pi", "c_mult"):
+                assert np.array_equal(getattr(back, name), getattr(pol, name)), (bits, name)
+            assert back.hedge_gap == pol.hedge_gap, bits
+        assert max(pol.hedge_gap for pol in solved.policies.values()) > 0.05
 
 
 class TestSweepCommand:

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import creditfolio as cf
-from creditfolio.dual import (beta_exponent, dual_value, h_from_theta, kappa_hat,
-                              legendre, market_price_of_risk, phi_and_nu, phi_bounds,
-                              psi, theta_from_h)
+from creditfolio.dual import (Coefficients, beta_exponent, dual_value, h_from_theta,
+                              kappa_hat, legendre, market_price_of_risk, phi_and_nu,
+                              phi_bounds, psi, theta_from_h)
 from creditfolio.model import DefaultState, load_preset
 
 from conftest import make_single_name_spec
@@ -65,6 +65,32 @@ class TestThetaFromH:
         theta = theta_from_h(h, y, state, spec)
         back = h_from_theta(theta, y, state, spec)
         assert np.allclose(back, h, atol=1e-12)
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("sigma", [None, [[0.8, 0.1], [0.05, 0.7]]])
+    def test_slice_against_dense_reference(self, sigma):
+        # diagonal (scott) and full constant sigma: the kernel over a y array, with
+        # an extra leading axis, against a per-node dense-matrix reference
+        spec = load_preset("scott_example22")
+        if sigma is not None:
+            spec = cf.ModelSpec(n=2, factor=spec.factor, credit=spec.credit, pref=spec.pref,
+                                market=cf.MarketSpec(mu=[0.25, 0.24], sigma=np.array(sigma), r=0.2))
+        assert spec.market.is_diagonal == (sigma is None)
+        y = np.linspace(-0.9, 0.9, 5)
+        h = np.linspace(-0.5, 1.5, 10).reshape(5, 2)
+        coef = Coefficients(spec, Z00, y)
+        theta = coef.theta_from_h(np.stack([h, 0.5 * h]))
+        pisig = coef.pi_sigma(h)
+        for j, yv in enumerate(y):
+            s = spec.market.sigma_at(yv)
+            xi = np.linalg.solve(s, spec.market.mu - spec.market.r)
+            lam = spec.alive_intensity(yv, Z00)
+            for k, scale in enumerate((1.0, 0.5)):
+                want = xi - np.linalg.inv(s) @ (lam * scale * h[j])
+                assert np.allclose(theta[k, j], want, rtol=0, atol=1e-14)
+            assert np.allclose(pisig[j], h[j] @ s, rtol=0, atol=1e-14)
+        assert np.allclose(coef.h_from_theta(theta[0]), h, rtol=0, atol=1e-12)
 
 
 class TestPsi:

@@ -3,6 +3,7 @@ import pytest
 
 import creditfolio as cf
 from creditfolio import oracle as om
+from creditfolio.dual import Coefficients
 from creditfolio.model import DefaultState, load_preset
 from creditfolio.pde import (control_stats_from_policy, nonlinear_source, step_slice,
                              truncation_bounds)
@@ -110,13 +111,11 @@ class TestTruncationBounds:
 
     def test_phi_field_within_norm_envelope(self, scott_result):
         spec, result, grid = scott_result
-        from creditfolio.pde import _phi_nu_slices
         for bits, pol in result.policies.items():
             b = result.bounds[bits]
-            y = grid.y_nodes()
-            state = DefaultState.from_bitstring(bits)
+            coef = Coefficients(spec, DefaultState.from_bitstring(bits), grid.y_nodes())
             for k in (0, grid.n_t // 2, grid.n_t):
-                phi, _ = _phi_nu_slices(y, state, spec, pol.hhat[k], pol.theta[k])
+                phi, _ = coef.phi_nu(pol.hhat[k], pol.theta[k])
                 assert np.all(phi >= b.m_lo_norms - 1e-9)
                 assert np.all(phi <= b.m_hi_norms + 1e-9)
 
@@ -233,13 +232,6 @@ class TestValidationGate:
         grid = cf.GridSpec(-2.0, 2.0, 21, 10)  # outside declared domain
         with pytest.raises(ValueError):
             cf.solve_recursive_system(spec, grid)
-
-    def test_parallel_state_solve_deterministic(self, benchmark_spec):
-        grid = cf.GridSpec(-1.0, 1.0, 51, 50)
-        seq = cf.solve_recursive_system(benchmark_spec, grid, n_workers=1)
-        par = cf.solve_recursive_system(benchmark_spec, grid, n_workers=4)
-        for bits in seq.fields:
-            assert np.array_equal(seq.fields[bits].f, par.fields[bits].f)
 
     def test_no_clamp_solve_matches(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
