@@ -24,7 +24,13 @@ Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure,
 
 All artifacts are CSV with a header row and floats at 17 significant digits,
 so files round-trip exactly and identical (config, seed) reruns are
-byte-identical.
+byte-identical.  ``solve`` writes ``f_state_<bits>.csv``,
+``policy_state_<bits>.csv``, ``bounds.csv`` and ``solve_report.csv``; the
+per-state solve times, the grid and the Python/numpy/scipy versions go to
+``run.json`` beside them, so the CSVs carry no timing.  ``load_solution``
+reads all of these back and rejects, naming the file, a missing state, a
+field or policy file without its partner, or one with a row count, column
+count or ``t, y`` grid that does not match.
 """
 
 from __future__ import annotations
@@ -32,15 +38,19 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
+import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import oracle as oracle_mod
 from . import sim
 from .dual import Coefficients
-from .fields import GridSpec, PolicyField, SolutionField, SolveResult
+from .fields import GridSpec, PolicyField, SolutionField, SolveResult, TruncationBounds
 from .model import (DefaultState, ModelSpec, PRESET_NAMES, all_states, build_model,
                     preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
@@ -112,81 +122,167 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_FMT % v if isinstance(v, float) else v for v in row])
 
 
+def _write_grid_csv(path: Path, header: list[str], t_nodes: np.ndarray, y_nodes: np.ndarray,
+                    values: np.ndarray) -> None:
+    """Rows ``t, y, *values[k, j]``, time-major: the bytes :func:`_write_csv` writes.
+
+    Each time slice is rendered by one ``%`` on a template of ``n_y`` rows;
+    the ``y`` text is formatted once per file and the ``t`` text once per slice.
+    """
+    row_tails = [f",{_FMT % y}," + ",".join([_FMT] * values.shape[-1]) + "\r\n"
+                 for y in y_nodes.tolist()]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for t, block in zip(t_nodes.tolist(), values):
+            t_text = _FMT % t
+            # joining the row tails on the t text puts it before every row but the first
+            template = t_text + t_text.join(row_tails)
+            fh.write(template % tuple(block.ravel().tolist()))
+
+
+def _read_grid_csv(path: Path, n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(t_nodes, y_nodes, values[k, j, c])`` of a file written by :func:`_write_grid_csv`.
+
+    Raises ValueError naming the file unless it holds ``n_cols`` numeric
+    columns whose ``t, y`` pairs cover the tensor grid once, time-major.
+    """
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if data.shape[1] != n_cols:
+        raise ValueError(f"{path}: {data.shape[1]} columns, expected {n_cols}")
+    t_nodes, y_nodes = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if len(data) != len(t_nodes) * len(y_nodes):
+        raise ValueError(f"{path}: {len(data)} rows, expected (n_t+1)*n_y = "
+                         f"{len(t_nodes)}*{len(y_nodes)}")
+    shaped = data.reshape(len(t_nodes), len(y_nodes), n_cols)
+    if not (np.all(shaped[..., 0] == t_nodes[:, None]) and np.all(shaped[..., 1] == y_nodes)):
+        raise ValueError(f"{path}: the t, y columns are not the tensor grid, time-major")
+    return t_nodes, y_nodes, shaped[..., 2:]
+
+
+def _read_state_rows(path: Path, convert) -> dict:
+    """``{state: convert(row)}`` over a per-state CSV; ValueError names the file."""
+    with open(path, newline="") as fh:
+        try:
+            return {row["state"]: convert(row) for row in csv.DictReader(fh)}
+        except KeyError as exc:
+            raise ValueError(f"{path}: no column {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+# solve_report.csv columns after ``state``, with the type each reloads as
+_REPORT_COLUMNS = {"resid_max": float, "policy_resid_max": float, "newton_iters_max": int,
+                   "clamp_hits": int, "bound_margin_lo": float, "bound_margin_hi": float,
+                   "hedge_gap": float, "ahat_max": float, "bound_violation": bool}
+
+
 def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
+    """Write the solve's CSV artifacts and its ``run.json`` manifest into ``out_dir``.
+
+    The CSVs hold no timing, so a rerun writes them byte for byte again; the
+    per-state solve times go to ``run.json`` with the grid and the versions.
+    """
     n = spec.n
     for bits, fld in result.fields.items():
-        y = fld.grid.y_nodes()
-        rows = []
-        for k, t in enumerate(fld.t_nodes):
-            g_row = fld.f[k] ** fld.beta
-            for j in range(fld.grid.n_y):
-                rows.append((float(t), float(y[j]), float(fld.f[k, j]),
-                             float(g_row[j]), float(fld.df[k, j])))
-        _write_csv(out_dir / f"f_state_{bits}.csv", ["t", "y", "f", "g", "df_dy"], rows)
+        _write_grid_csv(out_dir / f"f_state_{bits}.csv", ["t", "y", "f", "g", "df_dy"],
+                        fld.t_nodes, fld.grid.y_nodes(),
+                        np.stack([fld.f, fld.f ** fld.beta, fld.df], axis=-1))
+    header = (["t", "y"] + [f"hhat_{i+1}" for i in range(n)]
+              + [f"ahat_{i+1}" for i in range(n)] + [f"pi_{i+1}" for i in range(n)]
+              + ["c_mult"])
     for bits, pol in result.policies.items():
-        y = pol.grid.y_nodes()
-        header = (["t", "y"] + [f"hhat_{i+1}" for i in range(n)]
-                  + [f"ahat_{i+1}" for i in range(n)] + [f"pi_{i+1}" for i in range(n)]
-                  + ["c_mult"])
-        rows = []
-        for k, t in enumerate(pol.t_nodes):
-            for j in range(pol.grid.n_y):
-                rows.append((float(t), float(y[j]),
-                             *map(float, pol.hhat[k, j]), *map(float, pol.ahat[k, j]),
-                             *map(float, pol.pi[k, j]), float(pol.c_mult[k, j])))
-        _write_csv(out_dir / f"policy_state_{bits}.csv", header, rows)
+        _write_grid_csv(out_dir / f"policy_state_{bits}.csv", header,
+                        pol.t_nodes, pol.grid.y_nodes(),
+                        np.concatenate([pol.hhat, pol.ahat, pol.pi, pol.c_mult[..., None]],
+                                       axis=-1))
     _write_csv(out_dir / "bounds.csv",
                ["state", "k_under", "k_bar_T", "theta_rate", "m_lo", "m_hi",
                 "m_lo_norms", "m_hi_norms"],
                [(bits, b.k_under, b.k_bar_final, b.theta_rate, b.m_lo, b.m_hi,
                  b.m_lo_norms, b.m_hi_norms) for bits, b in result.bounds.items()])
-    _write_csv(out_dir / "solve_report.csv",
-               ["state", "elapsed", "resid_max", "policy_resid_max", "newton_iters_max",
-                "clamp_hits", "bound_margin_lo", "bound_margin_hi"],
-               [(bits, row["elapsed"], row["resid_max"], row.get("policy_resid_max", 0.0),
-                 float(row["newton_iters_max"]), float(row["clamp_hits"]),
-                 row["bound_margin_lo"], row["bound_margin_hi"])
+    _write_csv(out_dir / "solve_report.csv", ["state", *_REPORT_COLUMNS],
+               [(bits, *(float(row[key]) if kind is float else int(row[key])
+                         for key, kind in _REPORT_COLUMNS.items()))
                 for bits, row in result.report.items()])
+    grid = next(iter(result.fields.values())).grid
+    manifest = {"grid": dataclasses.asdict(grid),
+                "elapsed": {bits: row["elapsed"] for bits, row in result.report.items()
+                            if "elapsed" in row},
+                "python": platform.python_version(), "numpy": np.__version__,
+                "scipy": scipy.__version__}
+    (out_dir / "run.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
-    """Rebuild fields and policies from a previous solve's CSV artifacts.
+    """Rebuild a solve from its CSV artifacts in ``out_dir``.
 
     ``theta`` is not dumped; it is rebuilt from ``hhat`` through the
     admissibility tie, and each policy's ``hedge_gap`` from the loaded arrays.
+    ``bounds`` and ``report`` come from ``bounds.csv`` and ``solve_report.csv``
+    when present (the report without the ``elapsed`` times of ``run.json``).
+    Raises ValueError naming the file when a state of the model has no
+    files, or a field or policy file lacks its partner or does not hold the
+    grid its partner holds.
     """
     out_dir = Path(out_dir)
+    f_paths = {p.name[len("f_state_"):-len(".csv")]: p
+               for p in sorted(out_dir.glob("f_state_*.csv"))}
+    pol_paths = {p.name[len("policy_state_"):-len(".csv")]: p
+                 for p in sorted(out_dir.glob("policy_state_*.csv"))}
+    if not f_paths:
+        raise FileNotFoundError(f"no f_state_*.csv artifacts under {out_dir}")
+    for bits in sorted(f_paths.keys() ^ pol_paths.keys()):
+        present = f_paths.get(bits) or pol_paths[bits]
+        missing = "policy_state" if bits in f_paths else "f_state"
+        raise ValueError(f"{present}: no matching {out_dir / f'{missing}_{bits}.csv'}")
+    states = {state.bitstring for state in all_states(spec.n)}
+    for bits in sorted(f_paths.keys() ^ states):
+        problem = "missing" if bits in states else f"not a state of the {spec.n}-name model"
+        raise ValueError(f"{out_dir / f'f_state_{bits}.csv'}: {problem}")
+
+    n = spec.n
     fields: dict[str, SolutionField] = {}
     policies: dict[str, PolicyField] = {}
-    beta = spec.beta
-    for path in sorted(out_dir.glob("f_state_*.csv")):
-        bits = path.stem.replace("f_state_", "")
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        t_nodes = np.unique(data["t"])
-        y_nodes = np.unique(data["y"])
-        n_t, n_y = len(t_nodes) - 1, len(y_nodes)
-        grid = GridSpec(float(y_nodes[0]), float(y_nodes[-1]), n_y, n_t)
-        f = data["f"].reshape(n_t + 1, n_y)
-        df = data["df_dy"].reshape(n_t + 1, n_y)
-        fields[bits] = SolutionField(state=DefaultState.from_bitstring(bits), grid=grid,
-                                     t_nodes=t_nodes, f=f, df=df, beta=beta)
-    if not fields:
-        raise FileNotFoundError(f"no f_state_*.csv artifacts under {out_dir}")
-    n = spec.n
-    for path in sorted(out_dir.glob("policy_state_*.csv")):
-        bits = path.stem.replace("policy_state_", "")
-        fld = fields[bits]
-        grid = fld.grid
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
-        shaped = raw.reshape(grid.n_t + 1, grid.n_y, -1)
-        coef = Coefficients(spec, fld.state, grid.y_nodes())
-        hhat, pi = shaped[..., 2:2 + n], shaped[..., 2 + 2 * n:2 + 3 * n]
+    for bits, path in f_paths.items():
+        t_nodes, y_nodes, values = _read_grid_csv(path, 5)
+        try:
+            grid = GridSpec(float(y_nodes[0]), float(y_nodes[-1]), len(y_nodes), len(t_nodes) - 1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        state = DefaultState.from_bitstring(bits)
+        fld = fields[bits] = SolutionField(state=state, grid=grid, t_nodes=t_nodes,
+                                           f=values[..., 0], df=values[..., 2], beta=spec.beta)
+        pol_path = pol_paths[bits]
+        pol_t, pol_y, values = _read_grid_csv(pol_path, 3 * n + 3)
+        if not (np.array_equal(pol_t, t_nodes) and np.array_equal(pol_y, y_nodes)):
+            raise ValueError(f"{pol_path}: its t, y grid differs from {path}'s")
+        coef = Coefficients(spec, state, grid.y_nodes())
+        hhat, pi = values[..., :n], values[..., 2 * n:3 * n]
         theta = coef.theta_from_h(hhat)
         policies[bits] = PolicyField(
-            state=fld.state, grid=grid, t_nodes=fld.t_nodes, hhat=hhat, theta=theta,
-            ahat=shaped[..., 2 + n:2 + 2 * n], pi=pi, c_mult=shaped[..., 2 + 3 * n],
+            state=state, grid=grid, t_nodes=t_nodes, hhat=hhat, theta=theta,
+            ahat=values[..., n:2 * n], pi=pi, c_mult=values[..., 3 * n],
             hedge_gap=coef.hedge_gap(pi, theta, fld.f, fld.df))
-    return SolveResult(fields=fields, policies=policies, bounds={}, report={})
+
+    def bound(row):
+        return TruncationBounds(
+            state=DefaultState.from_bitstring(row["state"]), k_under=float(row["k_under"]),
+            m_lo=float(row["m_lo"]), m_hi=float(row["m_hi"]), theta_rate=float(row["theta_rate"]),
+            f0=spec.f0, beta=spec.beta, T=spec.pref.T, m_lo_norms=float(row["m_lo_norms"]),
+            m_hi_norms=float(row["m_hi_norms"]))
+
+    def report_row(row):
+        # a report written before a column existed restores the columns it has
+        return {key: float(row[key]) if kind is float else kind(int(row[key]))
+                for key, kind in _REPORT_COLUMNS.items() if key in row}
+
+    bounds_path, report_path = out_dir / "bounds.csv", out_dir / "solve_report.csv"
+    bounds = _read_state_rows(bounds_path, bound) if bounds_path.is_file() else {}
+    report = _read_state_rows(report_path, report_row) if report_path.is_file() else {}
+    return SolveResult(fields=fields, policies=policies, bounds=bounds, report=report)
 
 
 # ---------------------------------------------------------------------------

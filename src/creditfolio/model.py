@@ -380,6 +380,11 @@ class ModelSpec:
         """Power-transform exponent (1-q) / (1 - q rho^2) > 0."""
         return beta_exponent(self.q, self.factor.rho)
 
+    @property
+    def f0(self) -> float:
+        """Initial condition f(0, y) = K1^{(1-q)/beta}, so g(0) = f0^beta = K1^{1-q}."""
+        return self.pref.K1 ** ((1.0 - self.q) / self.beta)
+
     def intensity(self, y, state: DefaultState) -> np.ndarray:
         return self.credit.intensity(y, state)
 

@@ -278,8 +278,7 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
         m_hi = 0.0  # phi < 0 on this branch; zero is the tight usable cap
     m_lo = max(m_lo, m_lo_norms)
 
-    # f(0) = K1^{(1-q)/beta} so that g(0) = f(0)^beta carries the terminal weight K1^{1-q}
-    f0 = spec.pref.K1 ** ((1.0 - q) / beta)
+    f0 = spec.f0
     k_under = f0 * np.exp(min(m_lo, 0.0) * T / beta)
     source_cap = control_stats["source_sum_max"] * (1.0 + pad)
     theta_rate = source_cap * k_under ** (-beta) / beta
@@ -299,8 +298,7 @@ def _march_state(state, spec, grid, fields, bounds):
     """Time-march one state, children already in ``fields``; returns (f array, workspace)."""
     t_nodes = grid.t_nodes(spec.pref.T)
     f = np.empty((grid.n_t + 1, grid.n_y))
-    f0 = spec.pref.K1 ** ((1.0 - spec.q) / spec.beta)
-    f[0] = f0
+    f[0] = spec.f0
     ws = _StepWorkspace(state, spec, grid)
     child_fields = {i: fields[state.flip(i).bitstring] for i in state.alive}
     for k in range(grid.n_t):
@@ -354,13 +352,12 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             "clamp_hits": ws_fin.clamp_hits,
             "bound_margin_lo": margin_lo,
             "bound_margin_hi": margin_hi,
+            "bound_violation": min(margin_lo, margin_hi) < -_BOUND_SLACK,
         }
-        if min(margin_lo, margin_hi) < -_BOUND_SLACK:
-            row["bound_violation"] = True
-            if not grid.clamp_enabled:
-                raise SolverError(
-                    f"solution escaped its a-priori bounds in state {state}: "
-                    f"margins ({margin_lo:.3e}, {margin_hi:.3e})")
+        if row["bound_violation"] and not grid.clamp_enabled:
+            raise SolverError(
+                f"solution escaped its a-priori bounds in state {state}: "
+                f"margins ({margin_lo:.3e}, {margin_hi:.3e})")
         fields[state.bitstring] = SolutionField(state=state, grid=grid, t_nodes=t_nodes,
                                                 f=f_fin, df=df, beta=spec.beta)
         bounds[state.bitstring] = state_bounds

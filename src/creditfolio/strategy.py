@@ -178,6 +178,8 @@ def _solve_slice_general(coef, ratio, grad_term, h_init):
     q = coef.q
     alive = list(state.alive)
     hhat = np.zeros((n_y, n))
+    if not alive:
+        return hhat, coef.theta_from_h(hhat), np.zeros((n_y, n)), 0, 0.0
     theta = np.zeros((n_y, n))
     pi = np.zeros((n_y, n))
     iters_max = 0
@@ -248,7 +250,7 @@ def _solve_slice_general(coef, ratio, grad_term, h_init):
                 break
             it += 1
         h, piv, th, res = assemble(u)
-        node_res = float(np.max(np.abs(res))) if alive else 0.0
+        node_res = float(np.max(np.abs(res)))
         if node_res > _RESID_TOL:
             raise SolverError(
                 f"coupled control solve failed at node {k} (y={yv:.4g}) in state {state}: "

@@ -1,4 +1,6 @@
 import csv
+import json
+import shutil
 import subprocess
 import sys
 
@@ -16,6 +18,30 @@ def run_cli(*args):
 
 
 SMALL = ["--ny", "41", "--nt", "40"]
+
+
+def three_name_config() -> dict:
+    cfg = preset_config("benchmark_s5")
+    cfg["model"]["n"] = "3"
+    cfg["credit"] = {
+        "kind": "exp_affine",
+        "a_1_000": "0.6", "b_1_000": "0.4", "c_1_000": "0.1",
+        "a_2_000": "0.5", "b_2_000": "0.3", "c_2_000": "0.1",
+        "a_3_000": "0.4", "b_3_000": "0.2", "c_3_000": "0.1",
+    }
+    cfg["market"]["mu"] = "0.2, 0.2, 0.2"
+    cfg["market"]["sigma"] = "0.8, 0.8, 0.8"
+    cfg["factor"]["sigma0"] = "0.6, 0.4, 0.2"
+    return cfg
+
+
+def write_rows_reference(path, header, rows):
+    """The row-by-row csv.writer rendering the block writer must reproduce byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.17g" % v for v in row])
 
 
 @pytest.fixture(scope="module")
@@ -80,17 +106,7 @@ class TestSolveCommand:
         assert np.array_equal(g_vals, f_vals**5.000000000000001)
 
     def test_three_name_spec_writes_eight_states(self, tmp_path):
-        cfg = preset_config("benchmark_s5")
-        cfg["model"]["n"] = "3"
-        cfg["credit"] = {
-            "kind": "exp_affine",
-            "a_1_000": "0.6", "b_1_000": "0.4", "c_1_000": "0.1",
-            "a_2_000": "0.5", "b_2_000": "0.3", "c_2_000": "0.1",
-            "a_3_000": "0.4", "b_3_000": "0.2", "c_3_000": "0.1",
-        }
-        cfg["market"]["mu"] = "0.2, 0.2, 0.2"
-        cfg["market"]["sigma"] = "0.8, 0.8, 0.8"
-        cfg["factor"]["sigma0"] = "0.6, 0.4, 0.2"
+        cfg = three_name_config()
         ini = tmp_path / "three.ini"
         lines = []
         for sec, kv in cfg.items():
@@ -102,6 +118,47 @@ class TestSolveCommand:
                      "--out", str(out))
         assert rc.returncode == 0, rc.stderr
         assert len(list(out.glob("f_state_*.csv"))) == 8
+
+    def test_writer_bytes_match_csv_writer_reference(self, tmp_path):
+        spec = build_model(three_name_config())
+        result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 21, 10))
+        dump_solution(result, tmp_path, spec)
+        ref = tmp_path / "reference.csv"
+        for bits, fld in result.fields.items():
+            y = fld.grid.y_nodes()
+            write_rows_reference(
+                ref, ["t", "y", "f", "g", "df_dy"],
+                [(float(t), float(y[j]), float(fld.f[k, j]), float(g_row[j]), float(fld.df[k, j]))
+                 for k, t in enumerate(fld.t_nodes) for g_row in [fld.f[k] ** fld.beta]
+                 for j in range(fld.grid.n_y)])
+            assert (tmp_path / f"f_state_{bits}.csv").read_bytes() == ref.read_bytes(), bits
+        header = (["t", "y"] + [f"{c}_{i}" for c in ("hhat", "ahat", "pi") for i in (1, 2, 3)]
+                  + ["c_mult"])
+        for bits, pol in result.policies.items():
+            y = pol.grid.y_nodes()
+            write_rows_reference(
+                ref, header,
+                [(float(t), float(y[j]), *map(float, pol.hhat[k, j]), *map(float, pol.ahat[k, j]),
+                  *map(float, pol.pi[k, j]), float(pol.c_mult[k, j]))
+                 for k, t in enumerate(pol.t_nodes) for j in range(pol.grid.n_y)])
+            assert (tmp_path / f"policy_state_{bits}.csv").read_bytes() == ref.read_bytes(), bits
+        assert len(result.policies) == 8
+
+    def test_rerun_csvs_are_byte_identical(self, solve_dir, tmp_path):
+        rc = run_cli("solve", "--preset", "benchmark_s5", *SMALL, "--out", str(tmp_path))
+        assert rc.returncode == 0, rc.stderr
+        names = sorted(p.name for p in solve_dir.glob("*.csv"))
+        assert names == sorted(p.name for p in tmp_path.glob("*.csv")) and len(names) == 10
+        for name in names:
+            assert (solve_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        with open(solve_dir / "solve_report.csv") as fh:
+            assert next(csv.reader(fh)) == [
+                "state", "resid_max", "policy_resid_max", "newton_iters_max", "clamp_hits",
+                "bound_margin_lo", "bound_margin_hi", "hedge_gap", "ahat_max", "bound_violation"]
+        manifest = json.loads((tmp_path / "run.json").read_text())
+        assert set(manifest["elapsed"]) == {"00", "01", "10", "11"}
+        assert manifest["grid"]["n_y"] == 41 and manifest["grid"]["n_t"] == 40
+        assert manifest["numpy"] == np.__version__
 
     def test_invalid_spec_exits_2(self, tmp_path):
         rc = run_cli("solve", "--preset", "benchmark_s5", "--set", "credit.b_1_00=-5.0",
@@ -136,6 +193,10 @@ class TestSolveCommand:
                 assert np.array_equal(getattr(back, name), getattr(pol, name)), (bits, name)
             assert back.hedge_gap == pol.hedge_gap, bits
         assert max(pol.hedge_gap for pol in solved.policies.values()) > 0.05
+        # and restores the bounds and the report, less the run.json timings
+        assert loaded.bounds == solved.bounds
+        assert loaded.report == {bits: {k: v for k, v in row.items() if k != "elapsed"}
+                                 for bits, row in solved.report.items()}
 
 
 class TestSweepCommand:
@@ -225,6 +286,39 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         duality = [r for r in rows if r["test"] == "duality-gap"]
         assert duality and duality[0]["pass"] == "0"
+
+
+def _drop_last_lines(path):
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-7]))
+
+
+def _swap_first_rows(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_bytes(b"".join(lines))
+
+
+def _drop_last_column(path):
+    path.write_bytes(b"".join(line.rsplit(b",", 1)[0] + b"\r\n"
+                              for line in path.read_bytes().splitlines()))
+
+
+@pytest.mark.parametrize("damage, name", [
+    (lambda d: (d / "f_state_01.csv").unlink(), "f_state_01.csv"),
+    (lambda d: [(d / f"{kind}_state_01.csv").unlink() for kind in ("f", "policy")],
+     "f_state_01.csv"),
+    (lambda d: _drop_last_lines(d / "f_state_10.csv"), "f_state_10.csv"),
+    (lambda d: _swap_first_rows(d / "f_state_11.csv"), "f_state_11.csv"),
+    (lambda d: _drop_last_column(d / "policy_state_00.csv"), "policy_state_00.csv"),
+], ids=["missing-partner", "missing-state", "truncated", "not-a-tensor-grid", "policy-columns"])
+def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, name):
+    damaged = tmp_path / "damaged"
+    shutil.copytree(solve_dir, damaged)
+    damage(damaged)
+    rc = run_cli("simulate", "--preset", "benchmark_s5", *SMALL, "--paths", "100",
+                 "--steps", "10", "--solution", str(damaged), "--out", str(tmp_path / "rep"))
+    assert rc.returncode == EXIT_VALIDATION, rc.stderr
+    assert name in rc.stderr and "Traceback" not in rc.stderr
 
 
 class TestOracleAndValidate:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import creditfolio as cf
 from creditfolio import oracle as om
+from creditfolio.dual import Coefficients
 from creditfolio.fields import GridSpec, SolutionField
 from creditfolio.model import DefaultState
 from creditfolio.strategy import (SolverError, ahat_slice, consumption_rate,
@@ -15,6 +16,7 @@ from conftest import bisect_reference, make_contagion_spec, make_single_name_spe
 
 Z00 = DefaultState.from_bitstring("00")
 Z11 = DefaultState.from_bitstring("11")
+GENERAL_SIGMA = np.array([[0.8, 0.1], [0.05, 0.7]])  # not diagonal: takes the general Newton
 
 
 def constant_fields(spec, values: dict, grid=None):
@@ -110,13 +112,14 @@ class TestSolveHhat:
             solve_hhat(0.5, 0.0, Z00, partial, benchmark_spec)
 
     def test_general_sigma_path_matches_diagonal(self, benchmark_spec, benchmark_result):
-        # a full (but numerically diagonal) sigma must reproduce the fast path
+        # on the zero-premium benchmark a genuinely full sigma, solved by the
+        # general Newton, must give the fast path's vanishing controls
         result, _ = benchmark_result
         spec2 = cf.ModelSpec(
             n=2, factor=benchmark_spec.factor, credit=benchmark_spec.credit,
-            market=cf.MarketSpec(mu=[0.2, 0.2],
-                                 sigma=np.array([[0.8, 1e-9], [0.0, 0.8]]), r=0.2),
+            market=cf.MarketSpec(mu=[0.2, 0.2], sigma=GENERAL_SIGMA, r=0.2),
             pref=benchmark_spec.pref)
+        assert not spec2.market.is_diagonal
         fld = result.fields["00"]
         children = {i: result.fields[Z00.flip(i).bitstring].f[100] for i in (0, 1)}
         y = np.linspace(-1, 1, 9)
@@ -126,6 +129,26 @@ class TestSolveHhat:
                                             {i: c[idx] for i, c in children.items()})
         assert np.allclose(h2, 0.0, atol=1e-6)
         assert np.allclose(pi2, 0.0, atol=1e-6)
+
+    def test_general_sigma_solves_every_state(self):
+        # the general Newton must also solve the all-defaulted state (no alive
+        # names) and match the alive columns of pi^T sigma = Lambda everywhere
+        base = cf.load_preset("scott_example22")
+        spec = cf.ModelSpec(
+            n=2, factor=base.factor, credit=base.credit,
+            market=cf.MarketSpec(mu=base.market.mu, sigma=GENERAL_SIGMA, r=base.market.r),
+            pref=base.pref)
+        assert not spec.market.is_diagonal
+        result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 11, 10))
+        assert set(result.report) == {"00", "01", "10", "11"}
+        for bits, row in result.report.items():
+            assert row["resid_max"] <= 1e-10 and row["policy_resid_max"] <= 1e-10, bits
+            fld, pol = result.fields[bits], result.policies[bits]
+            alive = list(fld.state.alive)
+            coef = Coefficients(spec, fld.state, fld.grid.y_nodes())
+            gap = coef.pi_sigma(pol.pi) - coef.diffusion_row(pol.theta,
+                                                             coef.grad_term(fld.f, fld.df))
+            assert np.max(np.abs(gap[..., alive]), initial=0.0) <= 1e-10, bits
 
 
 class TestPiHat:
