@@ -26,11 +26,14 @@ All artifacts are CSV with a header row and floats at 17 significant digits,
 so files round-trip exactly and identical (config, seed) reruns are
 byte-identical.  ``solve`` writes ``f_state_<bits>.csv``,
 ``policy_state_<bits>.csv``, ``bounds.csv`` and ``solve_report.csv``; the
-per-state solve times, the grid and the Python/numpy/scipy versions go to
-``run.json`` beside them, so the CSVs carry no timing.  ``load_solution``
-reads all of these back and rejects, naming the file, a missing state, a
+per-state solve times, the grid, the Python/numpy/scipy versions and the
+model fingerprint ``spec_sha256`` go to ``run.json`` beside them, so the CSVs
+carry no timing.  ``load_solution`` reads all of these back and rejects,
+naming the file, artifacts solved for another model, a missing state, a
 field or policy file without its partner, or one with a row count, column
-count or ``t, y`` grid that does not match.
+count or ``t, y`` grid that does not match.  ``simulate`` writes
+``mc_report.csv``, whose last column ``extra`` holds each check's
+diagnostics as ``key=value`` pairs joined by ``;``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import scipy
 from . import oracle as oracle_mod
 from . import sim
 from .dual import Coefficients
-from .fields import GridSpec, PolicyField, SolutionField, SolveResult, TruncationBounds
+from .fields import GridSpec, PolicyField, SolutionField, SolveResult, TruncationBounds, lookup
 from .model import (DefaultState, ModelSpec, PRESET_NAMES, all_states, build_model,
                     preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
@@ -140,6 +143,12 @@ def _write_grid_csv(path: Path, header: list[str], t_nodes: np.ndarray, y_nodes:
             fh.write(template % tuple(block.ravel().tolist()))
 
 
+def _extra_text(extra: dict) -> str:
+    """``key=value`` pairs joined by ``;``, floats at 17 significant digits."""
+    return ";".join(f"{key}={_FMT % value if isinstance(value, float) else value}"
+                    for key, value in extra.items())
+
+
 def _read_grid_csv(path: Path, n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(t_nodes, y_nodes, values[k, j, c])`` of a file written by :func:`_write_grid_csv`.
 
@@ -183,7 +192,8 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     """Write the solve's CSV artifacts and its ``run.json`` manifest into ``out_dir``.
 
     The CSVs hold no timing, so a rerun writes them byte for byte again; the
-    per-state solve times go to ``run.json`` with the grid and the versions.
+    per-state solve times go to ``run.json`` with the grid, the versions and
+    the model's ``spec_sha256`` fingerprint.
     """
     n = spec.n
     for bits, fld in result.fields.items():
@@ -208,7 +218,7 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
                          for key, kind in _REPORT_COLUMNS.items()))
                 for bits, row in result.report.items()])
     grid = next(iter(result.fields.values())).grid
-    manifest = {"grid": dataclasses.asdict(grid),
+    manifest = {"spec_sha256": spec.fingerprint(), "grid": dataclasses.asdict(grid),
                 "elapsed": {bits: row["elapsed"] for bits, row in result.report.items()
                             if "elapsed" in row},
                 "python": platform.python_version(), "numpy": np.__version__,
@@ -223,9 +233,11 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
     admissibility tie, and each policy's ``hedge_gap`` from the loaded arrays.
     ``bounds`` and ``report`` come from ``bounds.csv`` and ``solve_report.csv``
     when present (the report without the ``elapsed`` times of ``run.json``).
-    Raises ValueError naming the file when a state of the model has no
-    files, or a field or policy file lacks its partner or does not hold the
-    grid its partner holds.
+    Raises ValueError naming the file when ``run.json`` was written for
+    another model (its ``spec_sha256`` differs from ``spec``'s; a manifest
+    without one is accepted), when a state of the model has no files, or when
+    a field or policy file lacks its partner or does not hold the grid its
+    partner holds.
     """
     out_dir = Path(out_dir)
     f_paths = {p.name[len("f_state_"):-len(".csv")]: p
@@ -234,6 +246,15 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
                  for p in sorted(out_dir.glob("policy_state_*.csv"))}
     if not f_paths:
         raise FileNotFoundError(f"no f_state_*.csv artifacts under {out_dir}")
+    manifest_path = out_dir / "run.json"
+    if manifest_path.is_file():
+        try:
+            solved_for = json.loads(manifest_path.read_text()).get("spec_sha256")
+        except (ValueError, AttributeError) as exc:
+            raise ValueError(f"{manifest_path}: {exc}") from None
+        if solved_for is not None and solved_for != spec.fingerprint():
+            raise ValueError(f"{manifest_path}: solved for another model (spec_sha256 "
+                             f"{solved_for}, this model {spec.fingerprint()})")
     for bits in sorted(f_paths.keys() ^ pol_paths.keys()):
         present = f_paths.get(bits) or pol_paths[bits]
         missing = "policy_state" if bits in f_paths else "f_state"
@@ -384,9 +405,9 @@ def cmd_simulate(args) -> int:
                              float(pb.kept["Gamma"][path_i, kk])))
         _write_csv(out / "paths.csv", ["path", "t", "Y", "H_bits", "X", "c", "Gamma"], rows)
     _write_csv(out / "mc_report.csv",
-               ["test", "estimate", "target", "se", "tolerance", "n_paths", "pass"],
+               ["test", "estimate", "target", "se", "tolerance", "n_paths", "pass", "extra"],
                [(r.name, r.estimate, r.target, r.se, r.tolerance, r.n_paths,
-                 int(r.passed)) for r in reports])
+                 int(r.passed), _extra_text(r.extra)) for r in reports])
     n_fail = sum(not r.passed for r in reports)
     for r in reports:
         print(r)
@@ -410,7 +431,7 @@ def cmd_sweep(args) -> int:
         y_nodes = grid.y_nodes()
         for state in all_states(spec.n):
             pol = result.policy(state)
-            pi_slice = pol.channels_at(np.full(grid.n_y, u), y_nodes)["pi"]
+            pi_slice = lookup(pol.pi, pol.t_nodes, y_nodes, u, y_nodes)
             for i in state.alive:
                 for j in range(grid.n_y):
                     rows.append((float(axis_value), float(y_nodes[j]), state.bitstring,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import DefaultState
 
-__all__ = ["GridSpec", "SolutionField", "PolicyField", "TruncationBounds", "SolveResult"]
+__all__ = ["GridSpec", "lookup", "SolutionField", "PolicyField", "TruncationBounds", "SolveResult"]
 
 
 @dataclass(frozen=True)
@@ -46,27 +46,26 @@ class GridSpec:
         return (self.y_hi - self.y_lo) / (self.n_y - 1)
 
 
-def _bilinear(values: np.ndarray, t_nodes: np.ndarray, y_nodes: np.ndarray, t, y) -> np.ndarray:
-    """Bilinear interpolation on a uniform (t, y) grid; extra trailing axes pass through."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dt = t_nodes[1] - t_nodes[0] if len(t_nodes) > 1 else 1.0
-    dy = y_nodes[1] - y_nodes[0] if len(y_nodes) > 1 else 1.0
-    ft = np.clip((t - t_nodes[0]) / dt, 0.0, len(t_nodes) - 1.0)
-    fy = np.clip((y - y_nodes[0]) / dy, 0.0, len(y_nodes) - 1.0)
-    k0 = np.minimum(ft.astype(int), len(t_nodes) - 2) if len(t_nodes) > 1 else np.zeros_like(ft, dtype=int)
-    j0 = np.minimum(fy.astype(int), len(y_nodes) - 2) if len(y_nodes) > 1 else np.zeros_like(fy, dtype=int)
+def lookup(values: np.ndarray, t_nodes: np.ndarray, y_nodes: np.ndarray, t: float, y) -> np.ndarray:
+    """Interpolate a (t, y) grid stack at one time ``t`` and the points ``y``.
+
+    The two time rows that bracket ``t`` are blended once into one ``(n_y, ...)``
+    row, which is then interpolated linearly in y; extra trailing axes of
+    ``values`` pass through.  Both coordinates are clamped to the grid, so a
+    point outside it reads the edge value.  A 0-d ``y`` gives a point query.
+    """
+    ft = min(max((t - t_nodes[0]) / (t_nodes[1] - t_nodes[0]), 0.0), len(t_nodes) - 1.0)
+    k0 = min(int(ft), len(t_nodes) - 2)
     wt = ft - k0
+    row = (1 - wt) * values[k0] + wt * values[k0 + 1]
+    fy = np.clip((np.asarray(y, dtype=float) - y_nodes[0]) / (y_nodes[1] - y_nodes[0]),
+                 0.0, len(y_nodes) - 1.0)
+    j0 = np.minimum(fy.astype(int), len(y_nodes) - 2)
     wy = fy - j0
     if values.ndim > 2:
-        wt = wt[..., None]
         wy = wy[..., None]
-    v00 = values[k0, j0]
-    v01 = values[k0, np.minimum(j0 + 1, len(y_nodes) - 1)]
-    v10 = values[np.minimum(k0 + 1, len(t_nodes) - 1), j0]
-    v11 = values[np.minimum(k0 + 1, len(t_nodes) - 1), np.minimum(j0 + 1, len(y_nodes) - 1)]
-    return ((1 - wt) * (1 - wy) * v00 + (1 - wt) * wy * v01
-            + wt * (1 - wy) * v10 + wt * wy * v11)
+    a = row.take(j0, axis=0)   # take gathers rows several times faster than row[j0]
+    return a + wy * (row.take(j0 + 1, axis=0) - a)
 
 
 @dataclass
@@ -90,13 +89,13 @@ class SolutionField:
         return self.f**self.beta
 
     def f_at(self, t, y):
-        return _bilinear(self.f, self.t_nodes, self.grid.y_nodes(), t, y)
+        return lookup(self.f, self.t_nodes, self.grid.y_nodes(), t, y)
 
     def g_at(self, t, y):
         return self.f_at(t, y) ** self.beta
 
     def df_at(self, t, y):
-        return _bilinear(self.df, self.t_nodes, self.grid.y_nodes(), t, y)
+        return lookup(self.df, self.t_nodes, self.grid.y_nodes(), t, y)
 
 
 def spatial_gradient(f_slice: np.ndarray, dy: float) -> np.ndarray:
@@ -135,16 +134,6 @@ class PolicyField:
     residual_max: float = 0.0
     newton_iters_max: int = 0
     hedge_gap: float = 0.0
-
-    def channels_at(self, t, y) -> dict[str, np.ndarray]:
-        tn, yn = self.t_nodes, self.grid.y_nodes()
-        return {
-            "hhat": _bilinear(self.hhat, tn, yn, t, y),
-            "theta": _bilinear(self.theta, tn, yn, t, y),
-            "ahat": _bilinear(self.ahat, tn, yn, t, y),
-            "pi": _bilinear(self.pi, tn, yn, t, y),
-            "c_mult": _bilinear(self.c_mult, tn, yn, t, y),
-        }
 
 
 @dataclass

@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -387,6 +388,28 @@ class ModelSpec:
 
     def intensity(self, y, state: DefaultState) -> np.ndarray:
         return self.credit.intensity(y, state)
+
+    def fingerprint(self) -> str:
+        """SHA-256 of the model: its scalars and every coefficient at fixed factor points.
+
+        Callable coefficients enter through their values at nine points across
+        the factor domain: the drift and loading row of the factor, sigma, and
+        each state's intensities.  Values are hashed as 12-significant-digit
+        text, so a last-bit difference between math libraries keeps the hash.
+        The grid is not part of the model.
+        """
+        y = np.linspace(self.factor.domain_lo, self.factor.domain_hi, 9)
+        parts = [[self.n, self.pref.p, self.q, self.pref.K1, self.pref.K2, self.pref.T,
+                  self.market.r, self.factor.rho, self.factor.domain_lo, self.factor.domain_hi],
+                 self.market.mu, self.factor.drift(y), self.factor.vol_row(y),
+                 [self.market.sigma_at(v) for v in y]]
+        parts += [self.intensity(y, state) for state in all_states(self.n)]
+        h = hashlib.sha256()
+        for part in parts:
+            values = np.asarray(part, dtype=float)
+            h.update(f"{values.shape}:".encode())
+            h.update(",".join("%.12g" % v for v in values.ravel().tolist()).encode() + b";")
+        return h.hexdigest()
 
     def alive_intensity(self, y, state: DefaultState) -> np.ndarray:
         """(1 - z_i) lambda_i(y, z): defaulted entries zeroed."""

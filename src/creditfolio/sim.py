@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import Coefficients
-from .fields import SolveResult, _bilinear
+from .fields import SolveResult, lookup
 from .model import DefaultState, ModelSpec
 from .strategy import SolverError
 
@@ -79,9 +79,10 @@ class McReport:
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
+        extra = "".join(f", {key} {value:.3g}" for key, value in self.extra.items())
         return (f"[{status}] {self.name}: estimate {self.estimate:.8g} vs target "
                 f"{self.target:.8g} (se {self.se:.3g}, tol {self.tolerance:.3g}, "
-                f"n={self.n_paths})")
+                f"n={self.n_paths}{extra})")
 
 
 def reachable_states(spec: ModelSpec, z0: DefaultState) -> list[DefaultState]:
@@ -133,10 +134,17 @@ class PathBundle:
     wealth: dict = field(default_factory=dict)
     density: dict = field(default_factory=dict)
     g_probes: dict = field(default_factory=dict)
+    grid_exit_count: int = 0       # path-steps outside the solved grid (wealth stage)
 
     @property
     def exit_fraction(self) -> float:
+        """Share of path-steps whose factor step left the domain and was reflected."""
         return self.reflect_count / float(self.n_paths * max(self.n_steps, 1))
+
+    @property
+    def grid_exit_frac(self) -> float:
+        """Share of path-steps whose Y lies outside the solved grid, where lookups hold the edge."""
+        return self.grid_exit_count / float(self.n_paths * max(self.n_steps, 1))
 
     def survival_probability(self) -> float:
         return float(np.mean(self.final_bits == self.z0.bits))
@@ -146,7 +154,7 @@ class PathBundle:
 
 
 class _PolicyPack:
-    """Per-state channel stack so each step needs one bilinear lookup per state."""
+    """Per-state channel stack so each step needs one lookup per state."""
 
     def __init__(self, result: SolveResult, spec: ModelSpec):
         self.n = spec.n
@@ -159,7 +167,7 @@ class _PolicyPack:
 
     def at(self, bits: int, u: float, y: np.ndarray):
         t_nodes, y_nodes, stack = self.packs[bits]
-        vals = _bilinear(stack, t_nodes, y_nodes, np.full(y.shape, u), y)
+        vals = lookup(stack, t_nodes, y_nodes, u, y)
         n = self.n
         return (vals[..., :n], vals[..., n:2 * n], vals[..., 2 * n:3 * n],
                 vals[..., 3 * n:4 * n], vals[..., 4 * n])
@@ -181,7 +189,7 @@ def _g_lookup(result: SolveResult, spec: ModelSpec, bits_arr: np.ndarray, u: flo
     for b in np.nonzero(np.bincount(bits_arr, minlength=1 << spec.n))[0]:
         mask = bits_arr == b
         fld = result.fields[DefaultState(spec.n, int(b)).bitstring]
-        out[mask] = fld.f_at(np.full(int(mask.sum()), u), y[mask]) ** spec.beta
+        out[mask] = fld.f_at(u, y[mask]) ** spec.beta
     return out
 
 
@@ -227,6 +235,7 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
     default_times = np.full((n_paths, n), np.inf)
     comp_int = np.zeros((n_paths, n))        # integral of alive intensity since time 0
     reflect_count = 0
+    grid_exit_count = 0                      # Y after a step outside the solved grid
 
     alive_of = np.array([[1.0 - ((b >> i) & 1) for i in range(n)] for b in range(1 << n)])
     state_of = {b: DefaultState(n, b) for b in range(1 << n)}
@@ -235,6 +244,7 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
         return spec.credit.intensity_per_path(yv, bv) * alive_of[bv]
 
     pack = _PolicyPack(result, spec) if with_controls else None
+    grid = next(iter(result.fields.values())).grid if with_controls else None
 
     def controls_at(t_clock, Yv, bv):
         uu = max(T - t_clock, 0.0)
@@ -391,6 +401,7 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
         Y = Y_next
 
         if with_controls:
+            grid_exit_count += int(np.count_nonzero((Y < grid.y_lo) | (Y > grid.y_hi)))
             gq_now = (Gamma * np.exp(-r * t_mesh[k + 1])) ** q
             dens_int += 0.5 * (gq_prev + gq_now) * dt
             gq_prev = gq_now
@@ -417,7 +428,8 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
         # close the trapezoid: running sum used left endpoints only
         cons_util += 0.5 * (u2_T - u2_first) * dt
         out.update({"X_T": X, "Gamma_T": Gamma, "cons_util": cons_util,
-                    "g_probes": g_out, "wealth_flagged": wealth_flagged})
+                    "g_probes": g_out, "wealth_flagged": wealth_flagged,
+                    "grid_exit_count": grid_exit_count})
     return out
 
 
@@ -471,6 +483,7 @@ def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
     bundle.final_bits = out["final_bits"]
     bundle.y_terminal = out["y_terminal"]
     bundle.reflect_count = out["reflect_count"]
+    bundle.grid_exit_count = out["grid_exit_count"]
     bundle.kept.update(out["kept"])
     return bundle
 
@@ -502,13 +515,16 @@ def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_ste
                     g_probe_times=tuple(probes))
     g0 = _g_lookup(result, spec, np.array([z0.bits]), spec.pref.T, np.array([y0]))[0]
     dt = spec.pref.T / n_steps
+    path_steps = float(n_paths * n_steps)
+    exits = {"grid_exit_frac": out["grid_exit_count"] / path_steps,
+             "exit_fraction": out["reflect_count"] / path_steps}
     reports = []
     for t_probe, samples in sorted(out["g_probes"].items()):
         est, se = _mean_se(samples)
         reports.append(McReport(
             name=f"G-martingale t={t_probe:g}", estimate=est, target=float(g0), se=se,
             n_paths=n_paths, tol_se=tol_se, bias_floor=abs(g0) * dt,
-            elapsed=time.perf_counter() - started))
+            elapsed=time.perf_counter() - started, extra=dict(exits)))
     return reports
 
 
@@ -556,7 +572,8 @@ def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
         name="duality-gap", estimate=est, target=target, se=se, n_paths=int(ok.sum()),
         tol_se=tol_se, bias_floor=abs(target) * dt, elapsed=time.perf_counter() - started,
         extra={"rep_log_corr": rep_corr, "rep_log_maxdev": rep_dev,
-               "flagged": int((~ok).sum()), "hedge_gap": hedge_gap})
+               "flagged": int((~ok).sum()), "hedge_gap": hedge_gap,
+               "grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
 
 
 def _affine_factor(spec: ModelSpec):
@@ -599,53 +616,57 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult, state: DefaultState,
     y_nodes = grid.y_nodes()
     t_nodes = fld.t_nodes
     beta = spec.beta
-    q = spec.q
 
-    # tabulate reaction, drift and contagion source on the grid once
+    # tabulate reaction, contagion source, f and drift on the grid once, stacked so that
+    # each step reads all four with one lookup
     coef = Coefficients(spec, state, y_nodes)
     PHI, NU = coef.phi_nu(pol.hhat, pol.theta)
-    NU = np.broadcast_to(NU, PHI.shape)
     SRC = coef.source_sum(pol.hhat, {i: result.fields[state.flip(i).bitstring].f
                                      for i in state.alive})
+    table = np.stack([PHI, SRC, fld.f, np.broadcast_to(NU, PHI.shape)], axis=-1)
 
     dt = t_probe / n_steps
     ou = _affine_factor(spec) if spec.factor.rho == 0.0 else None
+    if ou is not None:
+        kap, mean, vol = ou
+        decay = np.exp(-kap * dt)
+        sd = vol * np.sqrt((1.0 - decay**2) / (2.0 * kap))
+    else:
+        # sqrt(sigma0 sigma0^T dt): once for constant loadings, per step when they depend on y
+        vol_step = (None if callable(spec.factor.sigma0)
+                    else np.sqrt(spec.factor.vol_sq(0.0)) * np.sqrt(dt))
     rng_offset = 1 << 20  # keep FK blocks clear of market-step blocks
 
     Yp = np.full(n_paths, float(y_probe))
     I_acc = np.zeros(n_paths)          # int_0^s phi/beta along the path, trapezoid
-    phi_here = _bilinear(PHI, t_nodes, y_nodes, np.full(n_paths, t_probe), Yp) / beta
-    f_here = fld.f_at(np.full(n_paths, t_probe), Yp)
-    src_here = _bilinear(SRC, t_nodes, y_nodes, np.full(n_paths, t_probe), Yp)
-    integrand_prev = f_here ** (1.0 - beta) / beta * src_here  # e^{I_0} = 1
+    phi, src, f_here, nu_here = lookup(table, t_nodes, y_nodes, t_probe, Yp).T
+    phi_here = phi / beta
+    integrand_prev = f_here ** (1.0 - beta) / beta * src  # e^{I_0} = 1
     E2 = np.zeros(n_paths)
 
     for k in range(n_steps):
         z_draw = _block_rng(seed, _KIND_FK, rng_offset + k).standard_normal(n_paths)
         if ou is not None:
-            kap, mean, vol = ou
-            decay = np.exp(-kap * dt)
-            sd = vol * np.sqrt((1.0 - decay**2) / (2.0 * kap))
             Y_new = mean + (Yp - mean) * decay + sd * z_draw
         else:
-            u_rev = max(t_probe - k * dt, 0.0)  # field time runs backward along the path
-            nu_here = _bilinear(NU, t_nodes, y_nodes, np.full(n_paths, u_rev), Yp)
-            Y_new = Yp + nu_here * dt + np.sqrt(spec.factor.vol_sq(Yp)) * np.sqrt(dt) * z_draw
+            # nu_here came with the previous step's lookup, at this step's time and Yp
+            step_sd = (vol_step if vol_step is not None
+                       else np.sqrt(spec.factor.vol_sq(Yp)) * np.sqrt(dt))
+            Y_new = Yp + nu_here * dt + step_sd * z_draw
         Y_new = np.where(Y_new < grid.y_lo, 2 * grid.y_lo - Y_new, Y_new)
         Y_new = np.where(Y_new > grid.y_hi, 2 * grid.y_hi - Y_new, Y_new)
-        u_next = t_probe - (k + 1) * dt
-        phi_next = _bilinear(PHI, t_nodes, y_nodes, np.full(n_paths, max(u_next, 0.0)), Y_new) / beta
+        # field time runs backward along the path
+        u_next = max(t_probe - (k + 1) * dt, 0.0)
+        phi, src, f_next, nu_here = lookup(table, t_nodes, y_nodes, u_next, Y_new).T
+        phi_next = phi / beta
         I_acc += 0.5 * (phi_here + phi_next) * dt
-        f_next = fld.f_at(np.full(n_paths, max(u_next, 0.0)), Y_new)
-        src_next = _bilinear(SRC, t_nodes, y_nodes, np.full(n_paths, max(u_next, 0.0)), Y_new)
-        integrand_next = f_next ** (1.0 - beta) / beta * src_next * np.exp(I_acc)
+        integrand_next = f_next ** (1.0 - beta) / beta * src * np.exp(I_acc)
         E2 += 0.5 * (integrand_prev + integrand_next) * dt
         Yp = Y_new
         phi_here = phi_next
         integrand_prev = integrand_next
 
-    f0 = spec.pref.K1 ** ((1.0 - q) / beta)
-    samples = f0 * np.exp(I_acc) + E2
+    samples = spec.f0 * np.exp(I_acc) + E2
     est, se = _mean_se(samples)
     target = float(fld.f_at(t_probe, y_probe))
     return McReport(

@@ -288,6 +288,52 @@ class TestSimulateCommand:
         assert duality and duality[0]["pass"] == "0"
 
 
+def _extras(report_csv) -> dict:
+    """``{test: {key: value text}}`` from the ``extra`` column of an mc_report.csv."""
+    with open(report_csv, newline="") as fh:
+        return {row["test"]: dict(pair.split("=", 1) for pair in row["extra"].split(";") if pair)
+                for row in csv.DictReader(fh)}
+
+
+def test_reloaded_solution_reports_the_in_process_hedge_gap(tmp_path):
+    size = ["--ny", "41", "--nt", "40"]
+    mc = ["--paths", "400", "--steps", "20", "--seed", "5"]
+    assert main(["solve", "--preset", "scott_example22", *size, "--out", str(tmp_path / "s")]) == 0
+    rc_loaded = main(["simulate", "--preset", "scott_example22", *size, *mc,
+                      "--solution", str(tmp_path / "s"), "--out", str(tmp_path / "loaded")])
+    rc_direct = main(["simulate", "--preset", "scott_example22", *size, *mc,
+                      "--out", str(tmp_path / "direct")])
+    assert rc_loaded == rc_direct
+    loaded = _extras(tmp_path / "loaded" / "mc_report.csv")
+    direct = _extras(tmp_path / "direct" / "mc_report.csv")
+    assert set(loaded["duality-gap"]) == {"rep_log_corr", "rep_log_maxdev", "flagged",
+                                          "hedge_gap", "grid_exit_frac", "exit_fraction"}
+    assert loaded["duality-gap"]["hedge_gap"] == direct["duality-gap"]["hedge_gap"]
+    assert float(loaded["duality-gap"]["hedge_gap"]) > 0.05
+    assert set(loaded["G-martingale t=1"]) == {"grid_exit_frac", "exit_fraction"}
+    assert loaded["compensator name=1 t=1"] == {}
+    # the reloaded arrays are bitwise the solved ones, so the whole report is too
+    assert ((tmp_path / "loaded" / "mc_report.csv").read_bytes()
+            == (tmp_path / "direct" / "mc_report.csv").read_bytes())
+
+
+def test_foreign_solution_exits_2_naming_run_json(tmp_path):
+    rc = run_cli("solve", "--preset", "benchmark_s5", "--ny", "21", "--nt", "10",
+                 "--out", str(tmp_path / "s5"))
+    assert rc.returncode == 0, rc.stderr
+    rc = run_cli("simulate", "--preset", "scott_example22", "--paths", "100", "--steps", "10",
+                 "--solution", str(tmp_path / "s5"), "--out", str(tmp_path / "rep"))
+    assert rc.returncode == EXIT_VALIDATION, rc.stderr
+    assert "run.json" in rc.stderr and "Traceback" not in rc.stderr
+    # a manifest from before the fingerprint still loads
+    manifest_path = tmp_path / "s5" / "run.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest.pop("spec_sha256") == build_model(preset_config("benchmark_s5")).fingerprint()
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = load_solution(tmp_path / "s5", build_model(preset_config("benchmark_s5")))
+    assert set(loaded.fields) == {"00", "01", "10", "11"}
+
+
 def _drop_last_lines(path):
     path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-7]))
 

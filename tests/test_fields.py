@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from creditfolio.fields import GridSpec, _bilinear, spatial_gradient
+from creditfolio.fields import GridSpec, lookup, spatial_gradient
 
 
 class TestGridSpec:
@@ -22,32 +22,70 @@ class TestGridSpec:
             GridSpec(**kwargs)
 
 
+def four_corner(values, t_nodes, y_nodes, t, y):
+    """The per-point bilinear formula over the four corners of each point's cell (reference)."""
+    t, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
+    ft = np.clip((t - t_nodes[0]) / (t_nodes[1] - t_nodes[0]), 0.0, len(t_nodes) - 1.0)
+    fy = np.clip((y - y_nodes[0]) / (y_nodes[1] - y_nodes[0]), 0.0, len(y_nodes) - 1.0)
+    k0 = np.minimum(ft.astype(int), len(t_nodes) - 2)
+    j0 = np.minimum(fy.astype(int), len(y_nodes) - 2)
+    wt, wy = ft - k0, fy - j0
+    if values.ndim > 2:
+        wt, wy = wt[..., None], wy[..., None]
+    return ((1 - wt) * (1 - wy) * values[k0, j0] + (1 - wt) * wy * values[k0, j0 + 1]
+            + wt * (1 - wy) * values[k0 + 1, j0] + wt * wy * values[k0 + 1, j0 + 1])
+
+
 class TestBilinear:
     def test_exact_on_bilinear_function(self):
         t_nodes = np.linspace(0, 1, 11)
         y_nodes = np.linspace(-1, 1, 21)
         vals = 2.0 + 3.0 * t_nodes[:, None] - 1.5 * y_nodes[None, :] \
             + 0.7 * t_nodes[:, None] * y_nodes[None, :]
-        t = np.array([0.13, 0.5, 0.99])
         y = np.array([-0.77, 0.0, 0.31])
-        got = _bilinear(vals, t_nodes, y_nodes, t, y)
-        want = 2.0 + 3.0 * t - 1.5 * y + 0.7 * t * y
-        assert np.allclose(got, want, atol=1e-13)
+        for t in (0.13, 0.5, 0.99):
+            got = lookup(vals, t_nodes, y_nodes, t, y)
+            want = 2.0 + 3.0 * t - 1.5 * y + 0.7 * t * y
+            assert np.allclose(got, want, atol=1e-13)
 
     def test_clamps_outside(self):
         t_nodes = np.linspace(0, 1, 3)
         y_nodes = np.linspace(0, 1, 3)
         vals = np.arange(9.0).reshape(3, 3)
-        assert _bilinear(vals, t_nodes, y_nodes, np.array([2.0]), np.array([2.0]))[0] == 8.0
-        assert _bilinear(vals, t_nodes, y_nodes, np.array([-1.0]), np.array([-1.0]))[0] == 0.0
+        assert lookup(vals, t_nodes, y_nodes, 2.0, np.array([2.0]))[0] == 8.0
+        assert lookup(vals, t_nodes, y_nodes, -1.0, np.array([-1.0]))[0] == 0.0
+        assert lookup(vals, t_nodes, y_nodes, 2.0, -1.0) == 6.0   # 0-d point query
 
     def test_trailing_axes(self):
         t_nodes = np.linspace(0, 1, 4)
         y_nodes = np.linspace(0, 1, 4)
         vals = np.stack([np.ones((4, 4)), 2 * np.ones((4, 4))], axis=-1)
-        out = _bilinear(vals, t_nodes, y_nodes, np.array([0.3, 0.6]), np.array([0.2, 0.9]))
+        out = lookup(vals, t_nodes, y_nodes, 0.3, np.array([0.2, 0.9]))
         assert out.shape == (2, 2)
         assert np.allclose(out, [[1, 2], [1, 2]])
+        assert lookup(vals, t_nodes, y_nodes, 0.3, 0.2).shape == (2,)
+
+    @pytest.mark.parametrize("channels", [None, 1, 4])
+    def test_matches_four_corner_reference(self, channels):
+        rng = np.random.default_rng(7)
+        t_nodes = np.linspace(0.0, 1.5, 13)
+        y_nodes = np.linspace(-1.0, 1.0, 21)
+        shape = (len(t_nodes), len(y_nodes)) + (() if channels is None else (channels,))
+        vals = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        y = np.concatenate([y_nodes, rng.uniform(-1.0, 1.0, 200),
+                            [-1.7, -1.0 - 1e-12, 1.0 + 1e-12, 2.3]])
+        times = np.concatenate([t_nodes, rng.uniform(0.0, 1.5, 20),
+                                [-0.4, -1e-15, 1.5 + 1e-15, 9.0]])
+        atol = 1e-14 * np.max(np.abs(vals))
+        for t in times:
+            got = lookup(vals, t_nodes, y_nodes, float(t), y)
+            want = four_corner(vals, t_nodes, y_nodes, t, y)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+            for yy in y[::37]:
+                np.testing.assert_allclose(lookup(vals, t_nodes, y_nodes, float(t), yy),
+                                           four_corner(vals, t_nodes, y_nodes, t, yy),
+                                           rtol=0, atol=atol)
 
 
 class TestSpatialGradient:

@@ -85,6 +85,22 @@ class TestMarketPaths:
 
 
 class TestWealthPaths:
+    def test_grid_exit_fraction_counts_kept_paths(self, benchmark_spec, benchmark_result):
+        result, grid = benchmark_result
+        bundle = sim.simulate_market(benchmark_spec, 400, 50, seed=4, keep=400)
+        sim.simulate_wealth(bundle, result, 1.0)
+        Y = bundle.kept["Y"][:, 1:]
+        outside = np.count_nonzero((Y < grid.y_lo) | (Y > grid.y_hi))
+        assert outside > 0
+        assert bundle.grid_exit_frac == outside / Y.size
+        # the checks run the same factor paths for the same (seed, n_paths, n_steps)
+        rep = sim.duality_gap(benchmark_spec, result, 1.0, 400, 50, seed=4)
+        assert rep.extra["grid_exit_frac"] == bundle.grid_exit_frac
+        assert rep.extra["exit_fraction"] == bundle.exit_fraction
+        for g_rep in sim.check_G_martingale(benchmark_spec, result, 400, 50, seed=4):
+            assert g_rep.extra == {"grid_exit_frac": bundle.grid_exit_frac,
+                                   "exit_fraction": bundle.exit_fraction}
+
     def test_bank_account_exact(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         bundle = sim.simulate_market(benchmark_spec, 500, 64, seed=2, keep=0)
