@@ -33,7 +33,9 @@ naming the file, artifacts solved for another model, a missing state, a
 field or policy file without its partner, or one with a row count, column
 count or ``t, y`` grid that does not match.  ``simulate`` writes
 ``mc_report.csv``, whose last column ``extra`` holds each check's
-diagnostics as ``key=value`` pairs joined by ``;``.
+diagnostics as ``key=value`` pairs joined by ``;``, and ``simulate.json``
+beside it with the run's fingerprint, seed, sizes, solution directory,
+versions and the time of each check, so ``mc_report.csv`` carries no timing.
 """
 
 from __future__ import annotations
@@ -182,10 +184,20 @@ def _read_state_rows(path: Path, convert) -> dict:
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def _write_json(path: Path, manifest: dict) -> None:
+    path.write_text(json.dumps(manifest, indent=1) + "\n")
+
+
 # solve_report.csv columns after ``state``, with the type each reloads as
 _REPORT_COLUMNS = {"resid_max": float, "policy_resid_max": float, "newton_iters_max": int,
-                   "clamp_hits": int, "bound_margin_lo": float, "bound_margin_hi": float,
-                   "hedge_gap": float, "ahat_max": float, "bound_violation": bool}
+                   "clamp_hits": int, "clamp_pass_skipped": bool, "bound_margin_lo": float,
+                   "bound_margin_hi": float, "hedge_gap": float, "ahat_max": float,
+                   "bound_violation": bool}
 
 
 def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
@@ -221,9 +233,8 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     manifest = {"spec_sha256": spec.fingerprint(), "grid": dataclasses.asdict(grid),
                 "elapsed": {bits: row["elapsed"] for bits, row in result.report.items()
                             if "elapsed" in row},
-                "python": platform.python_version(), "numpy": np.__version__,
-                "scipy": scipy.__version__}
-    (out_dir / "run.json").write_text(json.dumps(manifest, indent=1) + "\n")
+                **_versions()}
+    _write_json(out_dir / "run.json", manifest)
 
 
 def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
@@ -351,7 +362,8 @@ def cmd_solve(args) -> int:
     for bits, row in sorted(result.report.items()):
         print(f"state {bits}: solved in {row['elapsed']:.2f}s, control residual "
               f"{max(row['resid_max'], row.get('policy_resid_max', 0.0)):.2e}, "
-              f"clamp hits {row['clamp_hits']}")
+              f"clamp hits {row['clamp_hits']}"
+              + (", clamped pass skipped" if row["clamp_pass_skipped"] else ""))
     return EXIT_OK
 
 
@@ -408,6 +420,11 @@ def cmd_simulate(args) -> int:
                ["test", "estimate", "target", "se", "tolerance", "n_paths", "pass", "extra"],
                [(r.name, r.estimate, r.target, r.se, r.tolerance, r.n_paths,
                  int(r.passed), _extra_text(r.extra)) for r in reports])
+    _write_json(out / "simulate.json", {
+        "spec_sha256": spec.fingerprint(), "seed": mc["seed"], "n_paths": mc["n_paths"],
+        "n_steps": mc["n_steps"],
+        "solution": str(Path(args.solution).resolve()) if args.solution else None,
+        **_versions(), "checks": [{"name": r.name, "elapsed": r.elapsed} for r in reports]})
     n_fail = sum(not r.passed for r in reports)
     for r in reports:
         print(r)

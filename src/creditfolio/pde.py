@@ -13,8 +13,16 @@ Time stepping is a theta = 1/2 IMEX scheme: the linear operator is treated by
 Crank-Nicolson, the reaction and source explicitly at the clamped current
 value, with a small fixed-point sweep per step that refreshes the jump
 loadings (and, when rho != 0, the gradient coupling) at the new slice.  The
-clamp reproduces the truncation device that makes the source Lipschitz; at
-convergence it is never active.
+Crank-Nicolson matrix is LU-factored once per operator and time step and
+reused by every solve with both unchanged (for rho = 0, one operator serves
+the whole march).
+
+The clamp reproduces the truncation device that makes the source Lipschitz.
+Each state is marched once without it; that bootstrap pass fixes the
+truncation bounds.  It is marched again, clamped, only when some slice value
+the bootstrap fed to the source lay outside those bounds; otherwise the clamp
+is the identity on every argument and the clamped march would repeat the
+bootstrap bit for bit.  At convergence the clamp is never active.
 
 Boundary conditions are homogeneous Neumann at both ends of the factor
 domain.  This is an approximation (zero flux matches a mean-reverting factor
@@ -27,7 +35,7 @@ import time
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import strategy
 from .dual import Coefficients, phi_bounds as _phi_bounds
@@ -110,18 +118,6 @@ def _apply_operator(sub, diag, sup, f):
     return out
 
 
-def _cn_solve(sub, diag, sup, rhs, dt):
-    n_y = rhs.shape[0]
-    ab = np.zeros((3, n_y))
-    ab[0, 1:] = -0.5 * dt * sup[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * sub[1:]
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - diagnostic path
-        raise SolverError("tridiagonal solve failed") from exc
-
-
 class _StepWorkspace:
     """Per-state marching state: grid geometry, the state's coefficient kernel,
     control warm starts and running stats."""
@@ -134,6 +130,10 @@ class _StepWorkspace:
         self.h_warm: np.ndarray | None = None
         self.static_operator = spec.factor.rho == 0.0
         self._op_cache = None
+        self._lu_op = None
+        self._lu: dict = {}
+        # (t, min, max) of every slice value the unclamped source was given
+        self.envelope: list[tuple[float, float, float]] = []
         self.clamp_hits = 0
         self.newton_iters = 0
         self.resid_max = 0.0
@@ -161,8 +161,34 @@ class _StepWorkspace:
             self._op_cache = op
         return op
 
+    def cn_solve(self, op, rhs, dt):
+        """Solve the Crank-Nicolson system (I - dt/2 A) x = rhs for the operator ``op``.
+
+        The LAPACK ``dgttrf`` factors are kept per ``dt`` while ``op`` stays
+        the same object, so every later solve is one ``dgttrs`` call.
+        """
+        if op is not self._lu_op:
+            self._lu_op, self._lu = op, {}
+        lu = self._lu.get(dt)
+        if lu is None:
+            sub, diag, sup = op
+            *lu, info = dgttrf(-0.5 * dt * sub[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * sup[:-1])
+            if info != 0:
+                raise SolverError("tridiagonal solve failed")
+            self._lu[dt] = lu
+        x, info = dgttrs(*lu, rhs)
+        if info != 0:  # pragma: no cover - dgttrs only rejects malformed arguments
+            raise SolverError("tridiagonal solve failed")
+        return x
+
     def explicit_source(self, t, f_slice, phi, s, bounds):
-        """Reaction plus contagion source at the clamped slice value."""
+        """Reaction plus contagion source at the clamped slice value.
+
+        Unclamped, it records the slice's range in ``envelope`` so the caller
+        can tell whether a clamp would have changed anything.
+        """
+        if bounds is None:
+            self.envelope.append((t, float(f_slice.min()), float(f_slice.max())))
         v, hits = _clamp(f_slice, t, bounds)
         self.clamp_hits += hits
         beta = self.coef.beta
@@ -189,12 +215,12 @@ def step_slice(f_now: np.ndarray, t: float, dt: float, state: DefaultState,
     src_now = ws.explicit_source(t, f_now, phi_now, s_now, bounds)
 
     expl = f_now + 0.5 * dt * _apply_operator(*op_now, f_now)
-    f_next = _cn_solve(*ws.operator(nu_now), expl + dt * src_now, dt)
+    f_next = ws.cn_solve(op_now, expl + dt * src_now, dt)
 
     for _ in range(_INNER_SWEEPS):
         phi_next, nu_next, s_next = ws.terms(f_next, children_next)
         src_next = ws.explicit_source(t + dt, f_next, phi_next, s_next, bounds)
-        f_new = _cn_solve(*ws.operator(nu_next), expl + 0.5 * dt * (src_now + src_next), dt)
+        f_new = ws.cn_solve(ws.operator(nu_next), expl + 0.5 * dt * (src_now + src_next), dt)
         change = float(np.max(np.abs(f_new - f_next)) / np.max(np.abs(f_next)))
         f_next = f_new
         if change < _INNER_TOL:
@@ -270,7 +296,8 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
                                          spec.market.r)
 
     # usable envelope: realised phi extremes (inside the sup-norm envelope) with a
-    # hair of inflation so the second clamped pass stays strictly enveloped
+    # hair of inflation so the march these bounds were fitted to stays strictly
+    # inside them
     pad = 1e-9
     m_lo = min(control_stats["phi_min"], m_hi_norms) - pad * (1.0 + abs(control_stats["phi_min"]))
     m_hi = control_stats["phi_max"] + pad * (1.0 + abs(control_stats["phi_max"]))
@@ -312,16 +339,28 @@ def _march_state(state, spec, grid, fields, bounds):
     return f, ws
 
 
+def _clamp_is_identity(envelope, bounds: TruncationBounds) -> bool:
+    """True when ``_clamp`` would return every recorded slice unchanged.
+
+    ``k_bar`` is evaluated per recorded ``t`` as a scalar, exactly as
+    ``_clamp`` evaluates it; a NaN range fails the comparisons.
+    """
+    return all(lo >= bounds.k_under and hi <= bounds.k_bar(t) for t, lo, hi in envelope)
+
+
 def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
                            validate: bool = True) -> SolveResult:
     """Solve every default state in descending default count and extract policies.
 
-    With clamping enabled each state is solved twice: a bootstrap pass without
-    the clamp yields the realised control sup norms that fix the truncation
-    bounds, and the definitive pass runs with the clamped source.  The
-    returned report records, per state, the control-solve residual, clamp
-    activity, pass timings and the worst signed distance of the solution to
-    its bounds (nonnegative margin means the bounds hold).
+    Each state is marched once without the clamp; that bootstrap pass yields
+    the realised control statistics that fix the truncation bounds.  With
+    clamping enabled the state is marched again with the clamped source only
+    when a slice value the bootstrap fed to the source lay outside those
+    bounds; otherwise the clamped march would repeat the bootstrap bit for
+    bit, and the report marks the state ``clamp_pass_skipped``.  The report
+    also records, per state, the control-solve residual, clamp activity and
+    the worst signed distance of the solution to its bounds (nonnegative
+    margin means the bounds hold).
     """
     if validate:
         report = validate_spec(spec, grid.y_nodes())
@@ -338,7 +377,8 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
         started = time.perf_counter()
         f_a, ws_a = _march_state(state, spec, grid, fields, None)
         state_bounds = truncation_bounds(state, bounds, spec, grid, ws_a.stats)
-        if grid.clamp_enabled:
+        skipped = grid.clamp_enabled and _clamp_is_identity(ws_a.envelope, state_bounds)
+        if grid.clamp_enabled and not skipped:
             f_fin, ws_fin = _march_state(state, spec, grid, fields, state_bounds)
         else:
             f_fin, ws_fin = f_a, ws_a
@@ -350,6 +390,7 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             "resid_max": ws_fin.resid_max,
             "newton_iters_max": ws_fin.newton_iters,
             "clamp_hits": ws_fin.clamp_hits,
+            "clamp_pass_skipped": skipped,
             "bound_margin_lo": margin_lo,
             "bound_margin_hi": margin_hi,
             "bound_violation": min(margin_lo, margin_hi) < -_BOUND_SLACK,

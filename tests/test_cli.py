@@ -147,6 +147,7 @@ class TestSolveCommand:
     def test_rerun_csvs_are_byte_identical(self, solve_dir, tmp_path):
         rc = run_cli("solve", "--preset", "benchmark_s5", *SMALL, "--out", str(tmp_path))
         assert rc.returncode == 0, rc.stderr
+        assert rc.stdout.count("clamped pass skipped") == 4
         names = sorted(p.name for p in solve_dir.glob("*.csv"))
         assert names == sorted(p.name for p in tmp_path.glob("*.csv")) and len(names) == 10
         for name in names:
@@ -154,7 +155,8 @@ class TestSolveCommand:
         with open(solve_dir / "solve_report.csv") as fh:
             assert next(csv.reader(fh)) == [
                 "state", "resid_max", "policy_resid_max", "newton_iters_max", "clamp_hits",
-                "bound_margin_lo", "bound_margin_hi", "hedge_gap", "ahat_max", "bound_violation"]
+                "clamp_pass_skipped", "bound_margin_lo", "bound_margin_hi", "hedge_gap",
+                "ahat_max", "bound_violation"]
         manifest = json.loads((tmp_path / "run.json").read_text())
         assert set(manifest["elapsed"]) == {"00", "01", "10", "11"}
         assert manifest["grid"]["n_y"] == 41 and manifest["grid"]["n_t"] == 40
@@ -315,6 +317,29 @@ def test_reloaded_solution_reports_the_in_process_hedge_gap(tmp_path):
     # the reloaded arrays are bitwise the solved ones, so the whole report is too
     assert ((tmp_path / "loaded" / "mc_report.csv").read_bytes()
             == (tmp_path / "direct" / "mc_report.csv").read_bytes())
+
+
+def test_simulate_manifest_holds_the_run_and_its_timings(solve_dir, tmp_path):
+    args = ["simulate", "--preset", "benchmark_s5", *SMALL, "--paths", "200", "--steps", "10",
+            "--seed", "7"]
+    rc_direct = main([*args, "--out", str(tmp_path / "direct")])
+    rc_loaded = main([*args, "--solution", str(solve_dir), "--out", str(tmp_path / "loaded")])
+    assert rc_direct == rc_loaded
+    report = (tmp_path / "direct" / "mc_report.csv").read_bytes()
+    assert report == (tmp_path / "loaded" / "mc_report.csv").read_bytes()
+    with open(tmp_path / "direct" / "mc_report.csv", newline="") as fh:
+        tests = [row["test"] for row in csv.DictReader(fh)]
+    spec = build_model(preset_config("benchmark_s5"))
+    for name, solution in (("direct", None), ("loaded", str(solve_dir.resolve()))):
+        manifest = json.loads((tmp_path / name / "simulate.json").read_text())
+        assert set(manifest) == {"spec_sha256", "seed", "n_paths", "n_steps", "solution",
+                                 "python", "numpy", "scipy", "checks"}
+        assert manifest["spec_sha256"] == spec.fingerprint()
+        assert (manifest["seed"], manifest["n_paths"], manifest["n_steps"]) == (7, 200, 10)
+        assert manifest["solution"] == solution and manifest["numpy"] == np.__version__
+        assert [check["name"] for check in manifest["checks"]] == tests
+        assert all(check["elapsed"] >= 0.0 for check in manifest["checks"])
+        assert max(check["elapsed"] for check in manifest["checks"]) > 0.0
 
 
 def test_foreign_solution_exits_2_naming_run_json(tmp_path):

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf
 
 import creditfolio as cf
 from creditfolio import oracle as om
+from creditfolio import pde
 from creditfolio.dual import Coefficients
-from creditfolio.model import DefaultState, load_preset
+from creditfolio.model import DefaultState, load_preset, states_by_cardinality
 from creditfolio.pde import (control_stats_from_policy, nonlinear_source, step_slice,
                              truncation_bounds)
 from creditfolio.strategy import SolverError
@@ -240,4 +245,80 @@ class TestValidationGate:
         b = cf.solve_recursive_system(benchmark_spec,
                                       cf.GridSpec(-1.0, 1.0, 51, 50, clamp_enabled=False))
         for bits in a.fields:
-            assert np.max(np.abs(a.fields[bits].f - b.fields[bits].f)) < 1e-12
+            assert np.array_equal(a.fields[bits].f, b.fields[bits].f), bits
+            assert a.report[bits]["clamp_pass_skipped"] and not b.report[bits]["clamp_pass_skipped"]
+
+
+class TestClampPassSkip:
+    @pytest.mark.parametrize("preset", ["benchmark_s5", "scott_example22"])
+    def test_skip_equals_the_clamped_march(self, preset):
+        spec = load_preset(preset)
+        grid = cf.GridSpec(-1.0, 1.0, 41, 40)
+        result = cf.solve_recursive_system(spec, grid)
+        for state in states_by_cardinality(spec.n):
+            bits = state.bitstring
+            row = result.report[bits]
+            assert row["clamp_pass_skipped"], bits
+            f, ws = pde._march_state(state, spec, grid, result.fields, result.bounds[bits])
+            assert np.array_equal(result.fields[bits].f, f), bits
+            assert (row["resid_max"], row["newton_iters_max"], row["clamp_hits"]) == (
+                ws.resid_max, ws.newton_iters, ws.clamp_hits), bits
+
+    def test_clamped_march_runs_when_the_bootstrap_leaves_its_bounds(self, monkeypatch):
+        spec = load_preset("benchmark_s5")
+        grid = cf.GridSpec(-1.0, 1.0, 21, 10)
+        f = cf.solve_recursive_system(spec, grid).fields["11"].f
+        assert f.min() < f.max()
+        fitted = pde.truncation_bounds
+
+        def raised_floor(state, *args):
+            b = fitted(state, *args)
+            if state.bitstring != "11":
+                return b
+            return dataclasses.replace(b, k_under=0.5 * (f.min() + f.max()))
+
+        monkeypatch.setattr(pde, "truncation_bounds", raised_floor)
+        result = cf.solve_recursive_system(spec, grid)
+        row = result.report["11"]
+        assert not row["clamp_pass_skipped"] and row["clamp_hits"] > 0
+        assert not np.array_equal(result.fields["11"].f, f)
+
+
+def _banded_reference(op, rhs, dt):
+    sub, diag, sup = op
+    ab = np.zeros((3, rhs.shape[0]))
+    ab[0, 1:] = -0.5 * dt * sup[:-1]
+    ab[1, :] = 1.0 - 0.5 * dt * diag
+    ab[2, :-1] = -0.5 * dt * sub[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+class TestCrankNicolsonFactors:
+    def test_factors_reused_while_operator_and_dt_hold(self, benchmark_spec, monkeypatch):
+        grid = cf.GridSpec(-1.0, 1.0, 41, 40)
+        ws = pde._StepWorkspace(DefaultState.from_bitstring("00"), benchmark_spec, grid)
+        assert ws.static_operator
+        rng = np.random.default_rng(3)
+        op = ws.operator(rng.normal(size=grid.n_y))
+        factored = []
+
+        def counted(*args):
+            factored.append(args)
+            return dgttrf(*args)
+
+        monkeypatch.setattr(pde, "dgttrf", counted)
+        for dt in (0.025, 0.025, 0.025, 0.05, 0.05, 0.025):
+            assert ws.operator(rng.normal(size=grid.n_y)) is op
+            rhs = rng.normal(size=grid.n_y)
+            assert np.array_equal(ws.cn_solve(op, rhs, dt), _banded_reference(op, rhs, dt)), dt
+        assert len(factored) == 2
+
+    def test_singular_matrix_raises(self, benchmark_spec):
+        grid = cf.GridSpec(-1.0, 1.0, 11, 10)
+        ws = pde._StepWorkspace(DefaultState.from_bitstring("00"), benchmark_spec, grid)
+        dt = 0.1
+        diag = np.full(grid.n_y, -1.0)
+        diag[0] = 2.0 / dt  # zero pivot: the first row and column of the CN matrix vanish
+        op = (np.zeros(grid.n_y), diag, np.zeros(grid.n_y))
+        with pytest.raises(SolverError, match="tridiagonal"):
+            ws.cn_solve(op, np.ones(grid.n_y), dt)
