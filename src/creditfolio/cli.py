@@ -104,9 +104,16 @@ def build_grid(config: dict, args) -> GridSpec:
 
 def _mc_params(config: dict, args) -> dict:
     mc = config.get("mc", {})
+    counts = {}
+    for key, flag, given, default in (("n_paths", "--paths", args.paths, "100000"),
+                                      ("n_steps", "--steps", args.steps, "400")):
+        value = given if given is not None else int(mc.get(key, default))
+        if value <= 0:
+            where = flag if given is not None else f"[mc] {key}"
+            raise ValueError(f"{where} must be a positive integer, got {value}")
+        counts[key] = value
     return {
-        "n_paths": args.paths or int(mc.get("n_paths", "100000")),
-        "n_steps": args.steps or int(mc.get("n_steps", "400")),
+        **counts,
         "seed": args.seed if args.seed is not None else int(mc.get("seed", "42")),
         "y0": float(mc.get("y0", "0.0")),
         "x0": float(mc.get("x0", "1.0")),
@@ -395,10 +402,10 @@ def cmd_simulate(args) -> int:
     reports.extend(sim.check_G_martingale(spec, result, mc["n_paths"], mc["n_steps"],
                                           mc["seed"] + 1, probes=probes, y0=mc["y0"],
                                           z0=mc["z0"]))
-    for state in states_by_cardinality(spec.n):
-        for t_probe in (0.5 * spec.pref.T, spec.pref.T):
-            reports.append(sim.mc_feynman_kac(spec, result, state, (t_probe, mc["y0"]),
-                                              mc["n_paths"], seed=mc["seed"] + 2))
+    fk_probes = [(state, (t_probe, mc["y0"])) for state in states_by_cardinality(spec.n)
+                 for t_probe in (0.5 * spec.pref.T, spec.pref.T)]
+    reports.extend(sim.mc_feynman_kac(spec, result, fk_probes, mc["n_paths"],
+                                      seed=mc["seed"] + 2))
     reports.append(sim.duality_gap(spec, result, mc["x0"], mc["n_paths"], mc["n_steps"],
                                    mc["seed"] + 3, y0=mc["y0"], z0=mc["z0"]))
     out = Path(args.out)
@@ -448,7 +455,7 @@ def cmd_sweep(args) -> int:
         y_nodes = grid.y_nodes()
         for state in all_states(spec.n):
             pol = result.policy(state)
-            pi_slice = lookup(pol.pi, pol.t_nodes, y_nodes, u, y_nodes)
+            pi_slice = lookup(pol.pi[None], pol.t_nodes, y_nodes, u, 0, y_nodes)
             for i in state.alive:
                 for j in range(grid.n_y):
                     rows.append((float(axis_value), float(y_nodes[j]), state.bitstring,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .model import DefaultState
 
-__all__ = ["GridSpec", "lookup", "SolutionField", "PolicyField", "TruncationBounds", "SolveResult"]
+__all__ = ["GridSpec", "blend_t", "interp_y", "lookup", "SolutionField", "PolicyField",
+           "TruncationBounds", "SolveResult"]
 
 
 @dataclass(frozen=True)
@@ -46,26 +47,60 @@ class GridSpec:
         return (self.y_hi - self.y_lo) / (self.n_y - 1)
 
 
-def lookup(values: np.ndarray, t_nodes: np.ndarray, y_nodes: np.ndarray, t: float, y) -> np.ndarray:
-    """Interpolate a (t, y) grid stack at one time ``t`` and the points ``y``.
+def blend_t(table: np.ndarray, t_nodes: np.ndarray, t, rows=slice(None)) -> np.ndarray:
+    """Rows of a state-stacked (S, n_t+1, n_y[, C]) table, blended linearly in time.
 
-    The two time rows that bracket ``t`` are blended once into one ``(n_y, ...)``
-    row, which is then interpolated linearly in y; extra trailing axes of
-    ``values`` pass through.  Both coordinates are clamped to the grid, so a
-    point outside it reads the edge value.  A 0-d ``y`` gives a point query.
+    With a scalar ``t`` the two time slices that bracket it are blended for
+    all the ``rows`` at once; with an array ``t``, one time per selected row,
+    each row is blended at its own time.  Times are clamped to the grid.
+    Returns one ``(n_y[, C])`` slice per row.
     """
-    ft = min(max((t - t_nodes[0]) / (t_nodes[1] - t_nodes[0]), 0.0), len(t_nodes) - 1.0)
-    k0 = min(int(ft), len(t_nodes) - 2)
-    wt = ft - k0
-    row = (1 - wt) * values[k0] + wt * values[k0 + 1]
+    ft = np.clip((np.asarray(t, dtype=float) - t_nodes[0]) / (t_nodes[1] - t_nodes[0]),
+                 0.0, len(t_nodes) - 1.0)
+    k0 = np.minimum(ft.astype(int), len(t_nodes) - 2)
+    wt = (ft - k0).reshape(ft.shape + (1,) * (table.ndim - 2))
+    return (1 - wt) * table[rows, k0] + wt * table[rows, k0 + 1]
+
+
+def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y) -> np.ndarray:
+    """Interpolate (R, n_y[, C]) slices linearly in y: each point reads slice ``rows``.
+
+    ``rows`` and ``y`` broadcast together; a point gathers from the flattened
+    slices with the flat index ``row * n_y + j``, so no per-row mask is needed.
+    ``y`` is clamped to the grid and extra trailing axes pass through; a 0-d
+    ``rows`` and ``y`` give a point query.
+    """
+    n_y = len(y_nodes)
+    flat = slices.reshape((-1,) + slices.shape[2:])
     fy = np.clip((np.asarray(y, dtype=float) - y_nodes[0]) / (y_nodes[1] - y_nodes[0]),
-                 0.0, len(y_nodes) - 1.0)
-    j0 = np.minimum(fy.astype(int), len(y_nodes) - 2)
+                 0.0, n_y - 1.0)
+    j0 = np.minimum(fy.astype(int), n_y - 2)
     wy = fy - j0
-    if values.ndim > 2:
+    if slices.ndim > 2:
         wy = wy[..., None]
-    a = row.take(j0, axis=0)   # take gathers rows several times faster than row[j0]
-    return a + wy * (row.take(j0 + 1, axis=0) - a)
+    idx = np.asarray(rows) * n_y + j0
+    a = flat.take(idx, axis=0)   # take gathers rows several times faster than flat[idx]
+    idx += 1
+    out = flat.take(idx, axis=0)
+    # a + wy (b - a), in place: fewer large temporaries, the same rounding
+    out -= a
+    out *= wy
+    out += a
+    return out
+
+
+def lookup(table: np.ndarray, t_nodes: np.ndarray, y_nodes: np.ndarray, t: float, rows,
+           y) -> np.ndarray:
+    """Interpolate a state-stacked (S, n_t+1, n_y[, C]) table at time ``t`` and points ``y``.
+
+    The two time slices that bracket ``t`` are blended once for all S rows;
+    each point then interpolates linearly in y within its row ``rows`` (the
+    state's bits when the table is indexed by them).  Both coordinates are
+    clamped to the grid, so a point outside it reads the edge value.  One
+    state's ``(n_t+1, n_y[, C])`` array is the size-1 case: ``values[None]``
+    with row 0.
+    """
+    return interp_y(blend_t(table, t_nodes, t), y_nodes, rows, y)
 
 
 @dataclass
@@ -89,13 +124,13 @@ class SolutionField:
         return self.f**self.beta
 
     def f_at(self, t, y):
-        return lookup(self.f, self.t_nodes, self.grid.y_nodes(), t, y)
+        return lookup(self.f[None], self.t_nodes, self.grid.y_nodes(), t, 0, y)
 
     def g_at(self, t, y):
         return self.f_at(t, y) ** self.beta
 
     def df_at(self, t, y):
-        return lookup(self.df, self.t_nodes, self.grid.y_nodes(), t, y)
+        return lookup(self.df[None], self.t_nodes, self.grid.y_nodes(), t, 0, y)
 
 
 def spatial_gradient(f_slice: np.ndarray, dy: float) -> np.ndarray:

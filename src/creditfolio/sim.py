@@ -12,6 +12,12 @@ one block per time step (normals) and per default round (exponential clocks),
 so a path set is a pure function of (spec, seed, n_paths, n_steps), bit-stable
 across runs and independent of which optional observers are active.
 
+Controls and ``g`` are read from tables that stack every default state,
+indexed by the state's bits, so one lookup per step serves all paths with no
+per-state mask; each path's intensity at the end of a step carries into the
+next.  The Feynman–Kac probes of a call share one normal stream and one pass
+over (probe, path) arrays; a probe's draws do not depend on its batch.
+
 Statistical reports compare an estimate to its target within ``tol_se``
 standard errors plus an explicit ``bias_floor``.  The floor states the weak
 order of the discretization (first order in dt for controlled wealth/density
@@ -29,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import Coefficients
-from .fields import SolveResult, lookup
+from .fields import SolveResult, blend_t, interp_y, lookup
 from .model import DefaultState, ModelSpec
 from .strategy import SolverError
 
@@ -153,24 +159,22 @@ class PathBundle:
         return (self.n_paths, self.n_steps, self.seed, self.y0, self.z0.bits)
 
 
-class _PolicyPack:
-    """Per-state channel stack so each step needs one lookup per state."""
+def _state_tables(result: SolveResult, n: int):
+    """(t_nodes, y_nodes, policy table, f table), both tables indexed by the state's bits.
 
-    def __init__(self, result: SolveResult, spec: ModelSpec):
-        self.n = spec.n
-        self.packs = {}
-        for bits_str, pol in result.policies.items():
-            stack = np.concatenate(
-                [pol.pi, pol.hhat, pol.theta, pol.ahat, pol.c_mult[..., None]], axis=-1)
-            self.packs[DefaultState.from_bitstring(bits_str).bits] = (
-                pol.t_nodes, pol.grid.y_nodes(), stack)
-
-    def at(self, bits: int, u: float, y: np.ndarray):
-        t_nodes, y_nodes, stack = self.packs[bits]
-        vals = lookup(stack, t_nodes, y_nodes, u, y)
-        n = self.n
-        return (vals[..., :n], vals[..., n:2 * n], vals[..., 2 * n:3 * n],
-                vals[..., 3 * n:4 * n], vals[..., 4 * n])
+    The policy table stacks the channels pi | hhat | theta | ahat | c_mult on
+    its last axis, so one lookup per step reads every control of every path.
+    """
+    states = [DefaultState(n, b) for b in range(1 << n)]
+    first = result.field(states[0])
+    policy = np.empty((len(states),) + first.f.shape + (4 * n + 1,))
+    for b, state in enumerate(states):
+        pol = result.policy(state)
+        for c, arr in enumerate((pol.pi, pol.hhat, pol.theta, pol.ahat)):
+            policy[b, ..., c * n:(c + 1) * n] = arr
+        policy[b, ..., 4 * n] = pol.c_mult
+    f = np.stack([result.field(state).f for state in states])
+    return first.t_nodes, first.grid.y_nodes(), policy, f
 
 
 def _sigma_rows(spec: ModelSpec, y: np.ndarray):
@@ -181,16 +185,6 @@ def _sigma_rows(spec: ModelSpec, y: np.ndarray):
     if spec.market.is_constant:
         return None, spec.market.sigma_at(0.0)
     raise SolverError("path simulation supports diagonal or constant volatility only")
-
-
-def _g_lookup(result: SolveResult, spec: ModelSpec, bits_arr: np.ndarray, u: float,
-              y: np.ndarray) -> np.ndarray:
-    out = np.empty(y.shape)
-    for b in np.nonzero(np.bincount(bits_arr, minlength=1 << spec.n))[0]:
-        mask = bits_arr == b
-        fld = result.fields[DefaultState(spec.n, int(b)).bitstring]
-        out[mask] = fld.f_at(u, y[mask]) ** spec.beta
-    return out
 
 
 def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
@@ -238,24 +232,21 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
     grid_exit_count = 0                      # Y after a step outside the solved grid
 
     alive_of = np.array([[1.0 - ((b >> i) & 1) for i in range(n)] for b in range(1 << n)])
-    state_of = {b: DefaultState(n, b) for b in range(1 << n)}
+    if with_controls:
+        t_nodes, y_nodes, policy_table, f_table = _state_tables(result, n)
 
     def lam_alive(yv, bv):
         return spec.credit.intensity_per_path(yv, bv) * alive_of[bv]
 
-    pack = _PolicyPack(result, spec) if with_controls else None
-    grid = next(iter(result.fields.values())).grid if with_controls else None
+    def g_at(u, bv, yv):
+        return lookup(f_table, t_nodes, y_nodes, u, bv, yv) ** spec.beta
 
     def controls_at(t_clock, Yv, bv):
-        uu = max(T - t_clock, 0.0)
-        pi = np.empty((len(Yv), n))
-        hh = np.empty((len(Yv), n))
-        th = np.empty((len(Yv), n))
-        ah = np.empty((len(Yv), n))
-        cm = np.empty(len(Yv))
-        for b in np.nonzero(np.bincount(bv, minlength=alive_of.shape[0]))[0]:
-            mask = bv == b
-            pi[mask], hh[mask], th[mask], ah[mask], cm[mask] = pack.at(int(b), uu, Yv[mask])
+        vals = lookup(policy_table, t_nodes, y_nodes, max(T - t_clock, 0.0), bv, Yv)
+        pi = vals[:, :n]
+        # contiguous channels keep the einsum reductions below on one code path
+        hh, th, ah = (np.ascontiguousarray(vals[:, c * n:(c + 1) * n]) for c in (1, 2, 3))
+        cm = vals[:, 4 * n]
         if pi_override is not None:
             pi = np.broadcast_to(np.asarray(pi_override, dtype=float), pi.shape).copy()
         pi = pi * pi_scale * alive_of[bv]
@@ -302,11 +293,12 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
             H_ind = np.stack([(bits >> i) & 1 for i in range(n)], axis=1).astype(float)
             comp_out[float(t_now)] = H_ind - comp_int.copy()
         if with_controls and k in g_idx:
-            g_val = _g_lookup(result, spec, bits, T - t_now, Y)
+            g_val = g_at(T - t_now, bits, Y)
             gq = (Gamma * np.exp(-r * t_now)) ** q
             g_out[float(t_now)] = spec.pref.K2 ** (1.0 - q) * dens_int + gq * g_val
 
     record_probes(0)
+    lam_now = lam_alive(Y, bits)              # carried from step to step
 
     for k in range(n_steps):
         t_now = t_mesh[k]
@@ -318,7 +310,6 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
             pi, hh, th, ah, cm = controls_at(t_now, Y, bits)
             sig_diag, sig_const = _sigma_rows(spec, Y)
             pisig = pi * sig_diag if sig_diag is not None else pi @ sig_const
-            lam_now = lam_alive(Y, bits)
             u2_now = _power_utility(cm * X, spec.pref.K2, p)
             cons_util += u2_now * dt
             if u2_first is None:
@@ -336,7 +327,7 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
         if keep:
             kk = slice(0, keep)
             sd, sc = _sigma_rows(spec, Y[kk])
-            lam_k = lam_alive(Y[kk], bits[kk])
+            lam_k = lam_now[kk]
             vol_term = sd * dW[kk] if sd is not None else dW[kk] @ sc.T
             drag = sd**2 if sd is not None else np.sum(sc**2, axis=1)
             P_kept = P_kept * np.exp((mu + lam_k - 0.5 * drag) * dt + vol_term)
@@ -354,17 +345,18 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
         # default clocks over [t_now, t_now + dt]; at most n crossings per path
         frac_from = np.zeros(n_paths)
         active = np.ones(n_paths, dtype=bool)
-        lam_full = lam_alive(Y, bits) if not with_controls else lam_now
+        bits_start = bits.copy()
+        lam_next = lam_alive(Y_next, bits)
         for sweep in range(n + 1):
             idx = np.nonzero(active)[0]
             if idx.size == 0:
                 break
             if sweep == 0:
-                lam_a = lam_full
+                lam_a, lam_b = lam_now, lam_next
             else:
                 Y_a = Y[idx] + frac_from[idx] * (Y_next[idx] - Y[idx])
                 lam_a = lam_alive(Y_a, bits[idx])
-            lam_b = lam_alive(Y_next[idx], bits[idx])
+                lam_b = lam_alive(Y_next[idx], bits[idx])
             dA = 0.5 * (lam_a + lam_b) * ((1.0 - frac_from[idx])[:, None] * dt)
             crossing = (acc[idx] + dA >= E[idx]) & (dA > 0)
             any_cross = crossing.any(axis=1)
@@ -399,9 +391,14 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
             frac_from[hit] = frac_from[hit] + fr * (1.0 - frac_from[hit])
 
         Y = Y_next
+        # the intensity at Y_next carries to the next step; only paths that defaulted change it
+        changed = np.nonzero(bits != bits_start)[0]
+        if changed.size:
+            lam_next[changed] = lam_alive(Y[changed], bits[changed])
+        lam_now = lam_next
 
         if with_controls:
-            grid_exit_count += int(np.count_nonzero((Y < grid.y_lo) | (Y > grid.y_hi)))
+            grid_exit_count += int(np.count_nonzero((Y < y_nodes[0]) | (Y > y_nodes[-1])))
             gq_now = (Gamma * np.exp(-r * t_mesh[k + 1])) ** q
             dens_int += 0.5 * (gq_prev + gq_now) * dt
             gq_prev = gq_now
@@ -429,7 +426,9 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
         cons_util += 0.5 * (u2_T - u2_first) * dt
         out.update({"X_T": X, "Gamma_T": Gamma, "cons_util": cons_util,
                     "g_probes": g_out, "wealth_flagged": wealth_flagged,
-                    "grid_exit_count": grid_exit_count})
+                    "grid_exit_count": grid_exit_count,
+                    "g0": g_at(T, np.array([z0.bits]), np.array([y0], dtype=float))[0],
+                    "g_terminal": g_at(0.0, bits, Y)})
     return out
 
 
@@ -470,11 +469,8 @@ def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
     q = spec.q
     X_T = out["X_T"]
     util = _power_utility(X_T, spec.pref.K1, spec.pref.p) + out["cons_util"]
-    g_T0 = _g_lookup(result, spec, np.array([bundle.z0.bits]), spec.pref.T,
-                     np.array([bundle.y0]))[0]
-    g_term = _g_lookup(result, spec, out["final_bits"], 0.0, out["y_terminal"])
     B_T = np.exp(spec.market.r * spec.pref.T)
-    X_rep = x0 * (g_term / g_T0) * (out["Gamma_T"] / B_T) ** (q - 1.0)
+    X_rep = x0 * (out["g_terminal"] / out["g0"]) * (out["Gamma_T"] / B_T) ** (q - 1.0)
     bundle.wealth = {"X_T": X_T, "cons_util": out["cons_util"], "utility": util,
                      "X_rep_T": X_rep, "flagged": out["wealth_flagged"],
                      "x0": x0, "pi_scale": pi_scale, "zero_consumption": zero_consumption}
@@ -513,7 +509,7 @@ def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_ste
     started = time.perf_counter()
     out = _simulate(spec, n_paths, n_steps, seed, y0, z0, result=result, x0=1.0,
                     g_probe_times=tuple(probes))
-    g0 = _g_lookup(result, spec, np.array([z0.bits]), spec.pref.T, np.array([y0]))[0]
+    g0 = out["g0"]
     dt = spec.pref.T / n_steps
     path_steps = float(n_paths * n_steps)
     exits = {"grid_exit_frac": out["grid_exit_count"] / path_steps,
@@ -593,56 +589,90 @@ def _affine_factor(spec: ModelSpec):
     return float(kappa), float(d[1] / kappa), vol
 
 
-def mc_feynman_kac(spec: ModelSpec, result: SolveResult, state: DefaultState,
-                   probe: tuple[float, float], n_paths: int, n_steps: int = 256,
-                   seed: int = 0, tol_se: float = 3.0) -> McReport:
-    """Monte Carlo evaluation of the solution representation at one probe.
+def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
+              y_nodes: np.ndarray) -> np.ndarray:
+    """Reaction phi, contagion source, f and drift nu of each state, channel-major.
 
-    Simulates the auxiliary factor under the transformed drift, accumulates
-    f(t, y) = E[f(0) e^{int phi/beta}] + E[int Phi e^{int phi/beta}] with the
-    grid fields supplying phi, the contagion source and f along the path, and
-    compares against the grid value at the probe.  The probe time is the
-    remaining-horizon coordinate of the solution field.  Exact factor
-    transitions are used in the zero-correlation affine case, Euler otherwise;
-    the quadrature bias floor is second order in the step.
+    Row ``c * len(states) + s`` holds channel c of state s, so one lookup
+    reads all four channels of every probe and the y weights are found once.
     """
-    t_probe, y_probe = probe
-    if t_probe <= 0:
+    first = result.field(states[0]).f
+    table = np.empty((4, len(states)) + first.shape)
+    for row, state in enumerate(states):
+        pol = result.policy(state)
+        coef = Coefficients(spec, state, y_nodes)
+        table[0, row], table[3, row] = coef.phi_nu(pol.hhat, pol.theta)
+        table[1, row] = coef.source_sum(pol.hhat, {i: result.fields[state.flip(i).bitstring].f
+                                                   for i in state.alive})
+        table[2, row] = result.field(state).f
+    return table.reshape((-1,) + first.shape)
+
+
+def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
+                   probes: Sequence[tuple[DefaultState, tuple[float, float]]], n_paths: int,
+                   n_steps: int = 256, seed: int = 0, tol_se: float = 3.0) -> list[McReport]:
+    """Monte Carlo evaluation of the solution representation at a batch of probes.
+
+    For each probe ``(state, (t, y))`` simulates the auxiliary factor under
+    the state's transformed drift, accumulates f(t, y) = E[f(0) e^{int
+    phi/beta}] + E[int Phi e^{int phi/beta}] with the grid fields supplying
+    phi, the contagion source and f along the path, and compares against the
+    grid value at the probe.  The probe time is the remaining-horizon
+    coordinate of the solution field.  Exact factor transitions are used in
+    the zero-correlation affine case, Euler otherwise; the quadrature bias
+    floor is second order in the step.
+
+    All probes run as one pass over (probe, path) arrays with one normal
+    draw per step, the draw a single probe would use, so each report equals
+    that of a call with its probe alone.  Reports come back in the order of
+    ``probes``; each carries the elapsed time of the whole pass.
+    """
+    if any(t <= 0 for _, (t, _) in probes):
         raise ValueError("probe time must be positive")
     started = time.perf_counter()
-    fld = result.field(state)
-    pol = result.policy(state)
-    grid = fld.grid
-    y_nodes = grid.y_nodes()
-    t_nodes = fld.t_nodes
+    states = list({state.bits: state for state, _ in probes}.values())
+    row_of = {state.bits: r for r, state in enumerate(states)}
+    rows = np.array([row_of[state.bits] for state, _ in probes])
+    t_list = [t for _, (t, _) in probes]
+    dt_list = [t / n_steps for t in t_list]
+    first = result.field(states[0])
+    grid, t_nodes, y_nodes = first.grid, first.t_nodes, first.grid.y_nodes()
     beta = spec.beta
 
-    # tabulate reaction, contagion source, f and drift on the grid once, stacked so that
-    # each step reads all four with one lookup
-    coef = Coefficients(spec, state, y_nodes)
-    PHI, NU = coef.phi_nu(pol.hhat, pol.theta)
-    SRC = coef.source_sum(pol.hhat, {i: result.fields[state.flip(i).bitstring].f
-                                     for i in state.alive})
-    table = np.stack([PHI, SRC, fld.f, np.broadcast_to(NU, PHI.shape)], axis=-1)
+    table = _fk_table(spec, result, states, y_nodes)
 
-    dt = t_probe / n_steps
+    # per-probe constants, each computed as for a lone probe, as columns over the paths
+    col = (slice(None), None)
+    dt = np.array(dt_list)[col]
     ou = _affine_factor(spec) if spec.factor.rho == 0.0 else None
     if ou is not None:
         kap, mean, vol = ou
-        decay = np.exp(-kap * dt)
-        sd = vol * np.sqrt((1.0 - decay**2) / (2.0 * kap))
+        decay = [np.exp(-kap * d) for d in dt_list]
+        sd = np.array([vol * np.sqrt((1.0 - e**2) / (2.0 * kap)) for e in decay])[col]
+        decay = np.array(decay)[col]
     else:
         # sqrt(sigma0 sigma0^T dt): once for constant loadings, per step when they depend on y
         vol_step = (None if callable(spec.factor.sigma0)
-                    else np.sqrt(spec.factor.vol_sq(0.0)) * np.sqrt(dt))
-    rng_offset = 1 << 20  # keep FK blocks clear of market-step blocks
+                    else np.array([np.sqrt(spec.factor.vol_sq(0.0)) * np.sqrt(d)
+                                   for d in dt_list])[col])
 
-    Yp = np.full(n_paths, float(y_probe))
-    I_acc = np.zeros(n_paths)          # int_0^s phi/beta along the path, trapezoid
-    phi, src, f_here, nu_here = lookup(table, t_nodes, y_nodes, t_probe, Yp).T
+    # one blended slice per (channel, probe); each path reads its probe's four slices
+    slice_rows = (np.arange(4)[:, None] * len(states) + rows).ravel()
+    out_rows = np.arange(4 * len(probes)).reshape(4, len(probes), 1)
+
+    def read(u, Yv):
+        """phi, source, f and nu at per-probe times u and points Yv: (4, probe, path)."""
+        return interp_y(blend_t(table, t_nodes, np.tile(u, 4), slice_rows), y_nodes,
+                        out_rows, Yv)
+
+    rng_offset = 1 << 20  # keep FK blocks clear of market-step blocks
+    t_probe = np.array(t_list)
+    Yp = np.repeat(np.array([y for _, (_, y) in probes], dtype=float)[col], n_paths, axis=1)
+    I_acc = np.zeros(Yp.shape)          # int_0^s phi/beta along the path, trapezoid
+    phi, src, f_here, nu_here = read(t_probe, Yp)
     phi_here = phi / beta
     integrand_prev = f_here ** (1.0 - beta) / beta * src  # e^{I_0} = 1
-    E2 = np.zeros(n_paths)
+    E2 = np.zeros(Yp.shape)
 
     for k in range(n_steps):
         z_draw = _block_rng(seed, _KIND_FK, rng_offset + k).standard_normal(n_paths)
@@ -651,13 +681,12 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult, state: DefaultState,
         else:
             # nu_here came with the previous step's lookup, at this step's time and Yp
             step_sd = (vol_step if vol_step is not None
-                       else np.sqrt(spec.factor.vol_sq(Yp)) * np.sqrt(dt))
+                       else np.sqrt(spec.factor.vol_sq(Yp.ravel()).reshape(Yp.shape)) * np.sqrt(dt))
             Y_new = Yp + nu_here * dt + step_sd * z_draw
         Y_new = np.where(Y_new < grid.y_lo, 2 * grid.y_lo - Y_new, Y_new)
         Y_new = np.where(Y_new > grid.y_hi, 2 * grid.y_hi - Y_new, Y_new)
         # field time runs backward along the path
-        u_next = max(t_probe - (k + 1) * dt, 0.0)
-        phi, src, f_next, nu_here = lookup(table, t_nodes, y_nodes, u_next, Y_new).T
+        phi, src, f_next, nu_here = read(np.maximum(t_probe - (k + 1) * dt[:, 0], 0.0), Y_new)
         phi_next = phi / beta
         I_acc += 0.5 * (phi_here + phi_next) * dt
         integrand_next = f_next ** (1.0 - beta) / beta * src * np.exp(I_acc)
@@ -667,9 +696,13 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult, state: DefaultState,
         integrand_prev = integrand_next
 
     samples = spec.f0 * np.exp(I_acc) + E2
-    est, se = _mean_se(samples)
-    target = float(fld.f_at(t_probe, y_probe))
-    return McReport(
-        name=f"feynman-kac state={state} probe=({t_probe:g},{y_probe:g})",
-        estimate=est, target=target, se=se, n_paths=n_paths, tol_se=tol_se,
-        bias_floor=4.0 * abs(target) * dt**2, elapsed=time.perf_counter() - started)
+    elapsed = time.perf_counter() - started
+    reports = []
+    for (state, (t, y)), d, row in zip(probes, dt_list, samples):
+        est, se = _mean_se(row)
+        target = float(result.field(state).f_at(t, y))
+        reports.append(McReport(
+            name=f"feynman-kac state={state} probe=({t:g},{y:g})",
+            estimate=est, target=target, se=se, n_paths=n_paths, tol_se=tol_se,
+            bias_floor=4.0 * abs(target) * d**2, elapsed=elapsed))
+    return reports

@@ -392,6 +392,32 @@ def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, n
     assert name in rc.stderr and "Traceback" not in rc.stderr
 
 
+@pytest.mark.parametrize("flags, where", [
+    (["--paths", "0"], "--paths"),
+    (["--paths", "-5"], "--paths"),
+    (["--steps", "0"], "--steps"),
+    (["--steps", "-1"], "--steps"),
+    (["--set", "mc.n_paths=0"], "[mc] n_paths"),
+    (["--set", "mc.n_steps=-3"], "[mc] n_steps"),
+], ids=["paths-zero", "paths-negative", "steps-zero", "steps-negative", "config-paths",
+        "config-steps"])
+def test_non_positive_mc_counts_exit_2_before_the_solve(tmp_path, monkeypatch, capsys,
+                                                         flags, where):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the Monte Carlo sizes were checked")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    monkeypatch.setattr(cli_mod, "load_solution", no_solve)
+    rc = main(["simulate", "--preset", "benchmark_s5", *SMALL, *flags,
+               "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert where in err and "positive" in err
+    assert not (tmp_path / "rep").exists()
+
+
 class TestOracleAndValidate:
     def test_oracle_command(self, tmp_path):
         rc = run_cli("oracle", "--out", str(tmp_path / "o"))

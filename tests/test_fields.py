@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from creditfolio.fields import GridSpec, lookup, spatial_gradient
+from creditfolio.fields import GridSpec, blend_t, interp_y, lookup, spatial_gradient
 
 
 class TestGridSpec:
@@ -36,6 +36,22 @@ def four_corner(values, t_nodes, y_nodes, t, y):
             + wt * (1 - wy) * values[k0 + 1, j0] + wt * wy * values[k0 + 1, j0 + 1])
 
 
+def one_state_lookup(values, t_nodes, y_nodes, t, y):
+    """The single-state kernel: blend one state's two bracketing time rows, then interpolate in y."""
+    ft = min(max((t - t_nodes[0]) / (t_nodes[1] - t_nodes[0]), 0.0), len(t_nodes) - 1.0)
+    k0 = min(int(ft), len(t_nodes) - 2)
+    wt = ft - k0
+    row = (1 - wt) * values[k0] + wt * values[k0 + 1]
+    fy = np.clip((np.asarray(y, dtype=float) - y_nodes[0]) / (y_nodes[1] - y_nodes[0]),
+                 0.0, len(y_nodes) - 1.0)
+    j0 = np.minimum(fy.astype(int), len(y_nodes) - 2)
+    wy = fy - j0
+    if values.ndim > 2:
+        wy = wy[..., None]
+    a = row.take(j0, axis=0)
+    return a + wy * (row.take(j0 + 1, axis=0) - a)
+
+
 class TestBilinear:
     def test_exact_on_bilinear_function(self):
         t_nodes = np.linspace(0, 1, 11)
@@ -44,7 +60,7 @@ class TestBilinear:
             + 0.7 * t_nodes[:, None] * y_nodes[None, :]
         y = np.array([-0.77, 0.0, 0.31])
         for t in (0.13, 0.5, 0.99):
-            got = lookup(vals, t_nodes, y_nodes, t, y)
+            got = lookup(vals[None], t_nodes, y_nodes, t, 0, y)
             want = 2.0 + 3.0 * t - 1.5 * y + 0.7 * t * y
             assert np.allclose(got, want, atol=1e-13)
 
@@ -52,18 +68,18 @@ class TestBilinear:
         t_nodes = np.linspace(0, 1, 3)
         y_nodes = np.linspace(0, 1, 3)
         vals = np.arange(9.0).reshape(3, 3)
-        assert lookup(vals, t_nodes, y_nodes, 2.0, np.array([2.0]))[0] == 8.0
-        assert lookup(vals, t_nodes, y_nodes, -1.0, np.array([-1.0]))[0] == 0.0
-        assert lookup(vals, t_nodes, y_nodes, 2.0, -1.0) == 6.0   # 0-d point query
+        assert lookup(vals[None], t_nodes, y_nodes, 2.0, 0, np.array([2.0]))[0] == 8.0
+        assert lookup(vals[None], t_nodes, y_nodes, -1.0, 0, np.array([-1.0]))[0] == 0.0
+        assert lookup(vals[None], t_nodes, y_nodes, 2.0, 0, -1.0) == 6.0   # 0-d point query
 
     def test_trailing_axes(self):
         t_nodes = np.linspace(0, 1, 4)
         y_nodes = np.linspace(0, 1, 4)
         vals = np.stack([np.ones((4, 4)), 2 * np.ones((4, 4))], axis=-1)
-        out = lookup(vals, t_nodes, y_nodes, 0.3, np.array([0.2, 0.9]))
+        out = lookup(vals[None], t_nodes, y_nodes, 0.3, 0, np.array([0.2, 0.9]))
         assert out.shape == (2, 2)
         assert np.allclose(out, [[1, 2], [1, 2]])
-        assert lookup(vals, t_nodes, y_nodes, 0.3, 0.2).shape == (2,)
+        assert lookup(vals[None], t_nodes, y_nodes, 0.3, 0, 0.2).shape == (2,)
 
     @pytest.mark.parametrize("channels", [None, 1, 4])
     def test_matches_four_corner_reference(self, channels):
@@ -78,12 +94,12 @@ class TestBilinear:
                                 [-0.4, -1e-15, 1.5 + 1e-15, 9.0]])
         atol = 1e-14 * np.max(np.abs(vals))
         for t in times:
-            got = lookup(vals, t_nodes, y_nodes, float(t), y)
+            got = lookup(vals[None], t_nodes, y_nodes, float(t), 0, y)
             want = four_corner(vals, t_nodes, y_nodes, t, y)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=atol)
             for yy in y[::37]:
-                np.testing.assert_allclose(lookup(vals, t_nodes, y_nodes, float(t), yy),
+                np.testing.assert_allclose(lookup(vals[None], t_nodes, y_nodes, float(t), 0, yy),
                                            four_corner(vals, t_nodes, y_nodes, t, yy),
                                            rtol=0, atol=atol)
 
@@ -98,3 +114,48 @@ class TestSpatialGradient:
     def test_constant_gives_zero(self):
         df = spatial_gradient(np.full(11, 3.3), 0.1)
         assert np.allclose(df, 0.0)
+
+
+class TestStackedLookup:
+    """The state-stacked kernel against the single-state one, bit for bit."""
+
+    T_NODES = np.linspace(0.0, 1.5, 13)
+    Y_NODES = np.linspace(-1.0, 1.0, 21)
+
+    def stack_and_points(self, channels, seed=11):
+        rng = np.random.default_rng(seed)
+        shape = (5, len(self.T_NODES), len(self.Y_NODES)) + (() if channels is None else (channels,))
+        stack = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        y = np.concatenate([self.Y_NODES, rng.uniform(-1.0, 1.0, 200),
+                            [-1.7, -1.0 - 1e-12, 1.0 + 1e-12, 2.3]])
+        rows = rng.integers(0, stack.shape[0], size=y.shape)
+        times = np.concatenate([self.T_NODES, rng.uniform(0.0, 1.5, 10),
+                                [-0.4, -1e-15, 1.5 + 1e-15, 9.0]])
+        return stack, y, rows, times
+
+    @pytest.mark.parametrize("channels", [None, 1, 4])
+    def test_equals_per_state_lookup_bitwise(self, channels):
+        stack, y, rows, times = self.stack_and_points(channels)
+        for t in times:
+            got = lookup(stack, self.T_NODES, self.Y_NODES, float(t), rows, y)
+            for b in range(stack.shape[0]):
+                mask = rows == b
+                want = one_state_lookup(stack[b], self.T_NODES, self.Y_NODES, float(t), y[mask])
+                assert np.array_equal(got[mask], want)
+            for b, yy in zip(rows[::29], y[::29]):   # 0-d point queries
+                got_pt = lookup(stack, self.T_NODES, self.Y_NODES, float(t), b, yy)
+                want_pt = one_state_lookup(stack[b], self.T_NODES, self.Y_NODES, float(t), yy)
+                assert np.shape(got_pt) == np.shape(want_pt)
+                assert np.array_equal(got_pt, want_pt)
+
+    @pytest.mark.parametrize("channels", [None, 4])
+    def test_one_time_per_row_equals_per_state_lookup_bitwise(self, channels):
+        stack, y, _, times = self.stack_and_points(channels, seed=12)
+        # rows pick table rows (repeats allowed); each blends at its own time
+        table_rows = np.array([3, 0, 3, 1])
+        t_rows = times[[2, 13, 20, 25]]
+        slices = blend_t(stack, self.T_NODES, t_rows, table_rows)
+        for r, (b, t) in enumerate(zip(table_rows, t_rows)):
+            got = interp_y(slices, self.Y_NODES, r, y)
+            want = one_state_lookup(stack[b], self.T_NODES, self.Y_NODES, float(t), y)
+            assert np.array_equal(got, want)

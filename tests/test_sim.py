@@ -317,8 +317,8 @@ class TestFeynmanKac:
         )
         grid = cf.GridSpec(-0.5, 0.5, 3, 200)
         result = cf.solve_recursive_system(spec, grid)
-        rep = sim.mc_feynman_kac(spec, result, DefaultState.from_bitstring("0"),
-                                 (1.0, 0.0), 64, 256, seed=1)
+        [rep] = sim.mc_feynman_kac(spec, result, [(DefaultState.from_bitstring("0"), (1.0, 0.0))],
+                                   64, 256, seed=1)
         assert rep.se < 1e-12
         assert abs(rep.estimate - rep.target) < 1e-5
 
@@ -327,30 +327,56 @@ class TestFeynmanKac:
         z11 = DefaultState.from_bitstring("11")
         m = om.ScalarModel(lambda0=0.0, sigma=0.8, xi=0.0, r=0.2, q=benchmark_spec.q,
                            K1=1.0, K2=1.0, T=1.0)
-        rep = sim.mc_feynman_kac(benchmark_spec, result, z11, (0.5, 0.0), 20000, 128,
-                                 seed=2)
+        [rep] = sim.mc_feynman_kac(benchmark_spec, result, [(z11, (0.5, 0.0))], 20000, 128,
+                                   seed=2)
         oracle_val = float(om.all_defaulted_closed_form(0.5, m))
         assert rep.passed
         assert abs(rep.estimate - oracle_val) <= rep.tolerance + 1e-6
 
     def test_benchmark_all_states(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
-        for bits in ("00", "01", "10", "11"):
-            rep = sim.mc_feynman_kac(benchmark_spec, result,
-                                     DefaultState.from_bitstring(bits), (0.5, 0.0),
-                                     20000, 128, seed=3)
+        probes = [(DefaultState.from_bitstring(bits), (0.5, 0.0))
+                  for bits in ("00", "01", "10", "11")]
+        reports = sim.mc_feynman_kac(benchmark_spec, result, probes, 20000, 128, seed=3)
+        assert len(reports) == 4
+        for rep in reports:
             assert rep.passed, str(rep)
 
     def test_nondegenerate_state_has_variance(self, scott_result):
         spec, result, _ = scott_result
-        rep = sim.mc_feynman_kac(spec, result, Z00, (0.8, -0.2), 20000, 128, seed=4)
+        [rep] = sim.mc_feynman_kac(spec, result, [(Z00, (0.8, -0.2))], 20000, 128, seed=4)
         assert rep.passed
         assert rep.se > 1e-8
 
     def test_bad_probe_raises(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         with pytest.raises(ValueError):
-            sim.mc_feynman_kac(benchmark_spec, result, Z00, (0.0, 0.0), 100, 16, seed=5)
+            sim.mc_feynman_kac(benchmark_spec, result, [(Z00, (0.0, 0.0))], 100, 16, seed=5)
+
+    def test_bad_probe_in_a_batch_raises(self, benchmark_spec, benchmark_result):
+        result, _ = benchmark_result
+        probes = [(Z00, (0.5, 0.0)), (DefaultState.from_bitstring("11"), (-0.1, 0.0))]
+        with pytest.raises(ValueError):
+            sim.mc_feynman_kac(benchmark_spec, result, probes, 100, 16, seed=5)
+
+    @pytest.mark.parametrize("which", ["benchmark_s5", "scott_example22"])
+    def test_batch_reports_equal_lone_probe_reports(self, which, benchmark_spec,
+                                                    benchmark_result, scott_result):
+        # benchmark_s5 takes the exact OU transition, scott_example22 the Euler step
+        if which == "benchmark_s5":
+            spec, (result, _) = benchmark_spec, benchmark_result
+        else:
+            spec, result, _ = scott_result
+        probes = [(DefaultState.from_bitstring(bits), probe) for bits, probe in
+                  (("00", (0.5, 0.0)), ("11", (1.0, 0.3)), ("00", (0.25, -0.4)),
+                   ("10", (0.8, 1.5)), ("01", (0.02, -0.9)))]
+        batch = sim.mc_feynman_kac(spec, result, probes, 3000, 24, seed=9)
+        assert len(batch) == len(probes)
+        for probe, rep in zip(probes, batch):
+            [lone] = sim.mc_feynman_kac(spec, result, [probe], 3000, 24, seed=9)
+            assert rep.name == lone.name
+            assert (rep.estimate, rep.se, rep.target) == (lone.estimate, lone.se, lone.target)
+            assert rep.tolerance == lone.tolerance
 
 
 class TestReachability:
