@@ -119,15 +119,8 @@ class SolutionField:
     df: np.ndarray
     beta: float
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.f**self.beta
-
     def f_at(self, t, y):
         return lookup(self.f[None], self.t_nodes, self.grid.y_nodes(), t, 0, y)
-
-    def g_at(self, t, y):
-        return self.f_at(t, y) ** self.beta
 
     def df_at(self, t, y):
         return lookup(self.df[None], self.t_nodes, self.grid.y_nodes(), t, 0, y)

@@ -18,6 +18,16 @@ per-state mask; each path's intensity at the end of a step carries into the
 next.  The Feynman–Kac probes of a call share one normal stream and one pass
 over (probe, path) arrays; a probe's draws do not depend on its batch.
 
+One controlled pass serves every path check: given a solved result,
+:func:`simulate_market` runs the controls beside the market and records the
+compensator samples, the G-martingale probes, wealth and consumption
+utility, the density Gamma and the kept paths as observers of the same
+draws.  Because the market block draws its randomness in a fixed order, its
+samples are bitwise those of a market-only pass.  Each check's report is
+computed once from a filled :class:`PathBundle` (``_compensator_reports``,
+``_g_reports``, ``_duality_report``); :func:`check_G_martingale` and
+:func:`duality_gap` run their pass and call the same helper.
+
 Statistical reports compare an estimate to its target within ``tol_se``
 standard errors plus an explicit ``bias_floor``.  The floor states the weak
 order of the discretization (first order in dt for controlled wealth/density
@@ -44,7 +54,6 @@ __all__ = [
     "PathBundle",
     "simulate_market",
     "simulate_wealth",
-    "density_path",
     "check_G_martingale",
     "duality_gap",
     "mc_feynman_kac",
@@ -116,11 +125,14 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class PathBundle:
-    """Trajectories of (Y, H, P, X, c, Gamma) with RNG provenance.
+    """Trajectories of (Y, H, P, X, c, Gamma) and the observers of the pass that made them.
 
-    Full histories are retained for the first ``keep`` paths only; per-path
-    terminal and probe summaries cover the whole set.  ``wealth`` and
-    ``density`` appear after the corresponding simulation stage.
+    The first six fields are the pass's inputs; the rest are filled by the
+    pass.  Full histories are retained for the first ``keep`` paths only;
+    per-path terminal and probe summaries cover the whole set.  ``wealth``,
+    ``density``, ``g_probes``, ``g0`` and ``grid_exit_count`` come from a
+    controlled pass (one given a solved result); ``elapsed`` is the time of
+    the last pass, in seconds.
     """
 
     spec: ModelSpec
@@ -129,18 +141,21 @@ class PathBundle:
     seed: int
     y0: float
     z0: DefaultState
-    x0: float | None
-    t_mesh: np.ndarray
-    default_times: np.ndarray      # (n_paths, n); +inf where never defaulted
-    final_bits: np.ndarray         # (n_paths,)
-    y_terminal: np.ndarray
-    reflect_count: int
-    compensator: dict              # probe time -> (n_paths, n) samples of M_t^i
-    kept: dict
+    x0: float | None = None
+    t_mesh: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # (n_paths, n) default times, +inf where never defaulted
+    default_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    final_bits: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    y_terminal: np.ndarray = field(default_factory=lambda: np.empty(0))
+    reflect_count: int = 0
+    compensator: dict = field(default_factory=dict)  # probe time -> (n_paths, n) samples of M_t^i
+    kept: dict = field(default_factory=dict)
     wealth: dict = field(default_factory=dict)
     density: dict = field(default_factory=dict)
-    g_probes: dict = field(default_factory=dict)
-    grid_exit_count: int = 0       # path-steps outside the solved grid (wealth stage)
+    g_probes: dict = field(default_factory=dict)     # probe time -> (n_paths,) samples of G_t
+    g0: float = float("nan")                         # G_0 = g(T, y0, z0)
+    grid_exit_count: int = 0       # path-steps outside the solved grid
+    elapsed: float = 0.0
 
     @property
     def exit_fraction(self) -> float:
@@ -154,9 +169,6 @@ class PathBundle:
 
     def survival_probability(self) -> float:
         return float(np.mean(self.final_bits == self.z0.bits))
-
-    def provenance(self) -> tuple:
-        return (self.n_paths, self.n_steps, self.seed, self.y0, self.z0.bits)
 
 
 def _state_tables(result: SolveResult, n: int):
@@ -194,19 +206,25 @@ def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
     return out
 
 
-def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
-              z0: DefaultState, *, result: SolveResult | None = None,
+def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
               x0: float | None = None, pi_scale: float = 1.0,
               pi_override: np.ndarray | None = None, zero_consumption: bool = False,
               g_probe_times: Sequence[float] = (),
-              comp_probe_times: Sequence[float] = (), keep: int = 0) -> dict:
-    """One vectorised forward pass over all paths; memory stays O(n_paths).
+              comp_probe_times: Sequence[float] = (), keep: int = 0) -> PathBundle:
+    """One vectorised forward pass over all paths from the bundle's inputs; fills the bundle.
 
     The market block (factor, clocks, defaults) always runs and consumes
     randomness in a fixed order; the control block (wealth, consumption
     utility, density, martingale probes) runs when a solved ``result`` is
-    supplied.
+    supplied.  Memory stays O(n_paths).
     """
+    if g_probe_times and result is None:
+        raise ValueError("G-martingale probes need a solved result")
+    if result is not None and x0 <= 0:
+        raise ValueError("initial wealth must be positive")
+    started = time.perf_counter()
+    spec, n_paths, n_steps, seed = bundle.spec, bundle.n_paths, bundle.n_steps, bundle.seed
+    y0, z0 = bundle.y0, bundle.z0
     n = spec.n
     T = spec.pref.T
     q = spec.q
@@ -416,20 +434,26 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
                 kept["c"][:, k + 1] = cmk * X[kk]
         record_probes(k + 1)
 
-    out = {"t_mesh": t_mesh, "default_times": default_times, "final_bits": bits,
-           "reflect_count": reflect_count, "compensator": comp_out, "kept": kept,
-           "y_terminal": Y}
+    bundle.t_mesh, bundle.default_times, bundle.final_bits = t_mesh, default_times, bits
+    bundle.y_terminal, bundle.reflect_count = Y, reflect_count
+    bundle.compensator, bundle.kept = comp_out, kept
     if with_controls:
         _, _, _, _, cm_T = controls_at(T, Y, bits)
         u2_T = _power_utility(cm_T * X, spec.pref.K2, p)
         # close the trapezoid: running sum used left endpoints only
         cons_util += 0.5 * (u2_T - u2_first) * dt
-        out.update({"X_T": X, "Gamma_T": Gamma, "cons_util": cons_util,
-                    "g_probes": g_out, "wealth_flagged": wealth_flagged,
-                    "grid_exit_count": grid_exit_count,
-                    "g0": g_at(T, np.array([z0.bits]), np.array([y0], dtype=float))[0],
-                    "g_terminal": g_at(0.0, bits, Y)})
-    return out
+        g0 = g_at(T, np.array([z0.bits]), np.array([y0], dtype=float))[0]
+        B_T = np.exp(r * T)
+        X_rep = x0 * (g_at(0.0, bits, Y) / g0) * (Gamma / B_T) ** (q - 1.0)
+        bundle.wealth = {"X_T": X, "cons_util": cons_util,
+                         "utility": _power_utility(X, spec.pref.K1, p) + cons_util,
+                         "X_rep_T": X_rep, "flagged": wealth_flagged,
+                         "x0": x0, "pi_scale": pi_scale, "zero_consumption": zero_consumption}
+        bundle.density = {"Gamma_T": Gamma}
+        bundle.x0, bundle.g0, bundle.g_probes = x0, float(g0), g_out
+        bundle.grid_exit_count = grid_exit_count
+    bundle.elapsed = time.perf_counter() - started
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +463,21 @@ def _simulate(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, y0: float,
 
 def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
                     y0: float = 0.0, z0: DefaultState | None = None,
-                    comp_probe_times: Sequence[float] = (), keep: int = 64) -> PathBundle:
-    """Factor, default-indicator and pre-default price paths under the physical measure."""
-    z0 = z0 or DefaultState(spec.n, 0)
-    out = _simulate(spec, n_paths, n_steps, seed, y0, z0,
-                    comp_probe_times=comp_probe_times, keep=keep)
-    return PathBundle(spec=spec, n_paths=n_paths, n_steps=n_steps, seed=seed, y0=y0,
-                      z0=z0, x0=None, t_mesh=out["t_mesh"],
-                      default_times=out["default_times"], final_bits=out["final_bits"],
-                      y_terminal=out["y_terminal"], reflect_count=out["reflect_count"],
-                      compensator=out["compensator"], kept=out["kept"])
+                    comp_probe_times: Sequence[float] = (), keep: int = 64,
+                    result: SolveResult | None = None, x0: float = 1.0,
+                    g_probe_times: Sequence[float] = ()) -> PathBundle:
+    """Factor, default-indicator and pre-default price paths under the physical measure.
+
+    Records the compensator samples at ``comp_probe_times`` and the full
+    histories of the first ``keep`` paths.  Given a solved ``result``, the
+    same pass also runs the feedback policy from wealth ``x0``: it fills
+    ``wealth`` and ``density`` as :func:`simulate_wealth` does, samples
+    ``G_t`` at ``g_probe_times`` and keeps X, c and Gamma for the kept paths.
+    The market paths and compensator samples do not depend on ``result``.
+    """
+    return _simulate(PathBundle(spec, n_paths, n_steps, seed, y0, z0 or DefaultState(spec.n, 0)),
+                     result=result, x0=x0, comp_probe_times=comp_probe_times,
+                     g_probe_times=g_probe_times, keep=keep)
 
 
 def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
@@ -456,43 +485,78 @@ def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
                     zero_consumption: bool = False) -> PathBundle:
     """Wealth under the feedback policy along the bundle's paths (same draws).
 
-    Fills ``bundle.wealth`` with terminal wealth, accumulated consumption
-    utility, the total realised utility sample and the terminal wealth implied
-    by the dual representation x (f(0,Y_T,H_T)/f(T,y0,z0))^beta (Gamma_T/B_T)^{q-1}.
+    Reruns the bundle's pass with the controls, keeping its probes and kept
+    paths.  Fills ``bundle.wealth`` with terminal wealth, accumulated
+    consumption utility, the total realised utility sample and the terminal
+    wealth implied by the dual representation x (f(0,Y_T,H_T)/f(T,y0,z0))^beta
+    (Gamma_T/B_T)^{q-1}, and ``bundle.density`` with the dual density
+    ``Gamma_T`` (the kept paths gain ``Gamma``).  Gamma depends neither on
+    ``x0`` nor on the policy flags.
     """
-    if x0 <= 0:
-        raise ValueError("initial wealth must be positive")
-    spec = bundle.spec
-    out = _simulate(spec, bundle.n_paths, bundle.n_steps, bundle.seed, bundle.y0, bundle.z0,
-                    result=result, x0=x0, pi_scale=pi_scale, pi_override=pi_override,
-                    zero_consumption=zero_consumption, keep=len(bundle.kept.get("Y", ())))
-    q = spec.q
-    X_T = out["X_T"]
-    util = _power_utility(X_T, spec.pref.K1, spec.pref.p) + out["cons_util"]
-    B_T = np.exp(spec.market.r * spec.pref.T)
-    X_rep = x0 * (out["g_terminal"] / out["g0"]) * (out["Gamma_T"] / B_T) ** (q - 1.0)
-    bundle.wealth = {"X_T": X_T, "cons_util": out["cons_util"], "utility": util,
-                     "X_rep_T": X_rep, "flagged": out["wealth_flagged"],
-                     "x0": x0, "pi_scale": pi_scale, "zero_consumption": zero_consumption}
-    bundle.x0 = x0
-    bundle.default_times = out["default_times"]
-    bundle.final_bits = out["final_bits"]
-    bundle.y_terminal = out["y_terminal"]
-    bundle.reflect_count = out["reflect_count"]
-    bundle.grid_exit_count = out["grid_exit_count"]
-    bundle.kept.update(out["kept"])
-    return bundle
+    return _simulate(bundle, result=result, x0=x0, pi_scale=pi_scale, pi_override=pi_override,
+                     zero_consumption=zero_consumption,
+                     comp_probe_times=tuple(bundle.compensator),
+                     g_probe_times=tuple(bundle.g_probes), keep=len(bundle.kept.get("Y", ())))
 
 
-def density_path(bundle: PathBundle, result: SolveResult) -> PathBundle:
-    """Dual density Gamma along the bundle's paths; fills ``bundle.density``."""
-    spec = bundle.spec
-    out = _simulate(spec, bundle.n_paths, bundle.n_steps, bundle.seed, bundle.y0, bundle.z0,
-                    result=result, x0=1.0, keep=len(bundle.kept.get("Y", ())))
-    bundle.density = {"Gamma_T": out["Gamma_T"]}
-    if "Gamma" in out["kept"]:
-        bundle.kept["Gamma"] = out["kept"]["Gamma"]
-    return bundle
+def _compensator_reports(bundle: PathBundle) -> list[McReport]:
+    """Mean of the compensated default indicator M_t^i against 0, per probe time and name."""
+    reports = []
+    for t_probe, samples in sorted(bundle.compensator.items()):
+        for i in range(bundle.spec.n):
+            est, se = _mean_se(samples[:, i])
+            reports.append(McReport(name=f"compensator name={i+1} t={t_probe:g}",
+                                    estimate=est, target=0.0, se=se, n_paths=bundle.n_paths,
+                                    elapsed=bundle.elapsed))
+    return reports
+
+
+def _g_reports(bundle: PathBundle, tol_se: float = 3.0) -> list[McReport]:
+    """E[G_t] at each of the bundle's G probes against G_0; see :func:`check_G_martingale`."""
+    g0 = bundle.g0
+    dt = bundle.spec.pref.T / bundle.n_steps
+    exits = {"grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction}
+    reports = []
+    for t_probe, samples in sorted(bundle.g_probes.items()):
+        est, se = _mean_se(samples)
+        reports.append(McReport(
+            name=f"G-martingale t={t_probe:g}", estimate=est, target=g0, se=se,
+            n_paths=bundle.n_paths, tol_se=tol_se, bias_floor=abs(g0) * dt,
+            elapsed=bundle.elapsed, extra=dict(exits)))
+    return reports
+
+
+def _duality_report(bundle: PathBundle, result: SolveResult, tol_se: float = 3.0) -> McReport:
+    """Realised utility of the bundle's controlled pass against V(x0, y0, z0).
+
+    See :func:`duality_gap` for the target, the bias floor and the extras.
+    """
+    from .strategy import value_function
+
+    spec, z0 = bundle.spec, bundle.z0
+    util = bundle.wealth["utility"]
+    ok = ~bundle.wealth["flagged"] & np.isfinite(util)
+    est, se = _mean_se(util[ok])
+    target = value_function(bundle.x0, bundle.y0, z0, result, spec)
+    dt = spec.pref.T / bundle.n_steps
+
+    X_T = bundle.wealth["X_T"][ok]
+    X_rep = bundle.wealth["X_rep_T"][ok]
+    lx, lr = np.log(X_T), np.log(X_rep)
+    if np.std(lx) > 1e-8 and np.std(lr) > 1e-8:
+        rep_corr = float(np.corrcoef(lx, lr)[0, 1])
+        rep_dev = float(np.max(np.abs(lx - lr)))
+    else:
+        rep_corr = float("nan")  # degenerate: terminal wealth is deterministic
+        rep_dev = float(np.max(np.abs(lx - lr)))
+    hedge_gap = max(result.policies[s.bitstring].hedge_gap
+                    for s in reachable_states(spec, z0))
+    return McReport(
+        name="duality-gap", estimate=est, target=target, se=se, n_paths=int(ok.sum()),
+        tol_se=tol_se, bias_floor=abs(target) * dt, elapsed=bundle.elapsed,
+        extra={"rep_log_corr": rep_corr, "rep_log_maxdev": rep_dev,
+               "flagged": int((~ok).sum()), "hedge_gap": hedge_gap,
+               "grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
 
 
 def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_steps: int,
@@ -505,23 +569,9 @@ def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_ste
     is a martingale under the optimal dual controls.  One report per probe;
     the bias floor is |G_0| dt (first-order density stepping).
     """
-    z0 = z0 or DefaultState(spec.n, 0)
-    started = time.perf_counter()
-    out = _simulate(spec, n_paths, n_steps, seed, y0, z0, result=result, x0=1.0,
-                    g_probe_times=tuple(probes))
-    g0 = out["g0"]
-    dt = spec.pref.T / n_steps
-    path_steps = float(n_paths * n_steps)
-    exits = {"grid_exit_frac": out["grid_exit_count"] / path_steps,
-             "exit_fraction": out["reflect_count"] / path_steps}
-    reports = []
-    for t_probe, samples in sorted(out["g_probes"].items()):
-        est, se = _mean_se(samples)
-        reports.append(McReport(
-            name=f"G-martingale t={t_probe:g}", estimate=est, target=float(g0), se=se,
-            n_paths=n_paths, tol_se=tol_se, bias_floor=abs(g0) * dt,
-            elapsed=time.perf_counter() - started, extra=dict(exits)))
-    return reports
+    bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0, keep=0,
+                             result=result, g_probe_times=tuple(probes))
+    return _g_reports(bundle, tol_se)
 
 
 def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
@@ -537,39 +587,10 @@ def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
     ``passed`` indicates attainment, not correctness of the perturbed run;
     the utility estimate itself feeds optimality-ordering checks.
     """
-    from .strategy import value_function
-
-    z0 = z0 or DefaultState(spec.n, 0)
-    started = time.perf_counter()
-    bundle = PathBundle(spec=spec, n_paths=n_paths, n_steps=n_steps, seed=seed, y0=y0,
-                        z0=z0, x0=None, t_mesh=np.linspace(0.0, spec.pref.T, n_steps + 1),
-                        default_times=np.empty(0), final_bits=np.empty(0, dtype=np.int64),
-                        y_terminal=np.empty(0), reflect_count=0, compensator={}, kept={})
+    bundle = PathBundle(spec, n_paths, n_steps, seed, y0, z0 or DefaultState(spec.n, 0))
     simulate_wealth(bundle, result, x0, pi_scale=pi_scale, pi_override=pi_override,
                     zero_consumption=zero_consumption)
-    util = bundle.wealth["utility"]
-    ok = ~bundle.wealth["flagged"] & np.isfinite(util)
-    est, se = _mean_se(util[ok])
-    target = value_function(x0, y0, z0, result, spec)
-    dt = spec.pref.T / n_steps
-
-    X_T = bundle.wealth["X_T"][ok]
-    X_rep = bundle.wealth["X_rep_T"][ok]
-    lx, lr = np.log(X_T), np.log(X_rep)
-    if np.std(lx) > 1e-8 and np.std(lr) > 1e-8:
-        rep_corr = float(np.corrcoef(lx, lr)[0, 1])
-        rep_dev = float(np.max(np.abs(lx - lr)))
-    else:
-        rep_corr = float("nan")  # degenerate: terminal wealth is deterministic
-        rep_dev = float(np.max(np.abs(lx - lr)))
-    hedge_gap = max(result.policies[s.bitstring].hedge_gap
-                    for s in reachable_states(spec, z0))
-    return McReport(
-        name="duality-gap", estimate=est, target=target, se=se, n_paths=int(ok.sum()),
-        tol_se=tol_se, bias_floor=abs(target) * dt, elapsed=time.perf_counter() - started,
-        extra={"rep_log_corr": rep_corr, "rep_log_maxdev": rep_dev,
-               "flagged": int((~ok).sum()), "hedge_gap": hedge_gap,
-               "grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
+    return _duality_report(bundle, result, tol_se)
 
 
 def _affine_factor(spec: ModelSpec):

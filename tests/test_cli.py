@@ -333,13 +333,66 @@ def test_simulate_manifest_holds_the_run_and_its_timings(solve_dir, tmp_path):
     for name, solution in (("direct", None), ("loaded", str(solve_dir.resolve()))):
         manifest = json.loads((tmp_path / name / "simulate.json").read_text())
         assert set(manifest) == {"spec_sha256", "seed", "n_paths", "n_steps", "solution",
-                                 "python", "numpy", "scipy", "checks"}
+                                 "python", "numpy", "scipy", "grid_exit_frac",
+                                 "exit_fraction", "checks"}
         assert manifest["spec_sha256"] == spec.fingerprint()
         assert (manifest["seed"], manifest["n_paths"], manifest["n_steps"]) == (7, 200, 10)
         assert manifest["solution"] == solution and manifest["numpy"] == np.__version__
         assert [check["name"] for check in manifest["checks"]] == tests
-        assert all(check["elapsed"] >= 0.0 for check in manifest["checks"])
-        assert max(check["elapsed"] for check in manifest["checks"]) > 0.0
+        extras = _extras(tmp_path / name / "mc_report.csv")
+        assert (str(manifest["grid_exit_frac"]), str(manifest["exit_fraction"])) == \
+            tuple(str(float(extras["duality-gap"][key]))
+                  for key in ("grid_exit_frac", "exit_fraction"))
+        with open(tmp_path / name / "mc_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for check, row in zip(manifest["checks"], rows):
+            assert set(check) == {"name", "estimate", "target", "tolerance", "passed",
+                                  "elapsed"}
+            assert (check["estimate"], check["target"], check["tolerance"]) == \
+                (float(row["estimate"]), float(row["target"]), float(row["tolerance"]))
+            assert check["passed"] == (row["pass"] == "1")
+        # every row of the one pass, compensator included, carries that pass's time
+        assert all(check["elapsed"] > 0.0 for check in manifest["checks"])
+
+
+def test_simulate_rows_equal_the_library_checks(solve_dir, tmp_path):
+    from creditfolio import sim
+
+    seed, n_paths, n_steps = 5, 600, 20
+    rc = main(["simulate", "--preset", "benchmark_s5", *SMALL, "--paths", str(n_paths),
+               "--steps", str(n_steps), "--seed", str(seed), "--solution", str(solve_dir),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "mc_report.csv", newline="") as fh:
+        rows = {row["test"]: row for row in csv.DictReader(fh)}
+    spec = build_model(preset_config("benchmark_s5"))
+    result = load_solution(solve_dir, spec)
+    library = [*sim.check_G_martingale(spec, result, n_paths, n_steps, seed=seed),
+               sim.duality_gap(spec, result, 1.0, n_paths, n_steps, seed=seed)]
+    assert len(library) == 4
+    for rep in library:
+        row = rows[rep.name]
+        assert (float(row["estimate"]), float(row["se"]), float(row["target"])) == \
+            (rep.estimate, rep.se, rep.target)
+
+
+@pytest.mark.parametrize("dump", [[], ["--dump-paths", "3"]], ids=["plain", "dump-paths"])
+def test_simulate_runs_one_path_pass(solve_dir, tmp_path, monkeypatch, dump):
+    import creditfolio.sim as sim_mod
+
+    calls = []
+    path_pass = sim_mod._simulate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("keep"))
+        return path_pass(*args, **kwargs)
+
+    monkeypatch.setattr(sim_mod, "_simulate", counted)
+    rc = main(["simulate", "--preset", "benchmark_s5", *SMALL, "--paths", "300", "--steps", "10",
+               "--seed", "2", "--solution", str(solve_dir), *dump, "--out", str(tmp_path)])
+    assert rc == 0
+    assert calls == [3 if dump else 0]
+    assert (tmp_path / "paths.csv").is_file() == bool(dump)
 
 
 def test_foreign_solution_exits_2_naming_run_json(tmp_path):
@@ -412,6 +465,31 @@ def test_non_positive_mc_counts_exit_2_before_the_solve(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli_mod, "load_solution", no_solve)
     rc = main(["simulate", "--preset", "benchmark_s5", *SMALL, *flags,
                "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert where in err and "positive" in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flags,where", [
+    (["--ny", "0"], "--ny"),
+    (["--ny", "-3"], "--ny"),
+    (["--nt", "0"], "--nt"),
+    (["--nt", "-1"], "--nt"),
+    (["--set", "grid.n_y=0"], "[grid] n_y"),
+    (["--set", "grid.n_t=-2"], "[grid] n_t"),
+], ids=["ny-zero", "ny-negative", "nt-zero", "nt-negative", "config-ny", "config-nt"])
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_non_positive_grid_counts_exit_2_before_the_solve(tmp_path, monkeypatch, capsys,
+                                                           command, flags, where):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the grid sizes were checked")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    monkeypatch.setattr(cli_mod, "load_solution", no_solve)
+    rc = main([command, "--preset", "benchmark_s5", *flags, "--out", str(tmp_path / "rep")])
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert where in err and "positive" in err

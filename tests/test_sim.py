@@ -84,6 +84,30 @@ class TestMarketPaths:
         assert 0.0 <= bundle.exit_fraction < 0.05
 
 
+class TestOnePass:
+    def test_controlled_pass_keeps_the_market_draws(self, benchmark_spec, benchmark_result):
+        result, _ = benchmark_result
+        probes = (0.25, 0.5, 1.0)
+        market = sim.simulate_market(benchmark_spec, 3000, 40, seed=17, keep=5,
+                                     comp_probe_times=probes)
+        both = sim.simulate_market(benchmark_spec, 3000, 40, seed=17, keep=5,
+                                   comp_probe_times=probes, result=result, x0=2.0,
+                                   g_probe_times=probes)
+        assert sorted(both.compensator) == sorted(market.compensator)
+        for t, samples in market.compensator.items():
+            assert np.array_equal(both.compensator[t], samples)
+        assert np.array_equal(both.default_times, market.default_times)
+        assert np.array_equal(both.y_terminal, market.y_terminal)
+        for key in ("Y", "H_bits", "P"):
+            assert np.array_equal(both.kept[key], market.kept[key])
+        assert sorted(both.g_probes) == sorted(market.compensator)
+        assert both.x0 == 2.0 and both.wealth["X_T"].shape == (3000,)
+
+    def test_probes_without_controls_raise(self, benchmark_spec):
+        with pytest.raises(ValueError, match="solved result"):
+            sim.simulate_market(benchmark_spec, 10, 5, seed=0, g_probe_times=(0.5,))
+
+
 class TestWealthPaths:
     def test_grid_exit_fraction_counts_kept_paths(self, benchmark_spec, benchmark_result):
         result, grid = benchmark_result
@@ -167,7 +191,7 @@ class TestDensity:
         # benchmark optimal controls are ~0: Gamma stays at 1
         result, _ = benchmark_result
         bundle = sim.simulate_market(benchmark_spec, 2000, 50, seed=6, keep=0)
-        sim.density_path(bundle, result)
+        sim.simulate_wealth(bundle, result, 1.0)
         assert np.max(np.abs(bundle.density["Gamma_T"] - 1.0)) < 1e-6
 
     def test_unit_mean_deterministic_theta(self, merton_result):
@@ -175,7 +199,7 @@ class TestDensity:
         spec, result, _ = merton_result
         n = 50000
         bundle = sim.simulate_market(spec, n, 64, seed=8, keep=0)
-        sim.density_path(bundle, result)
+        sim.simulate_wealth(bundle, result, 1.0)
         g = bundle.density["Gamma_T"]
         se = g.std(ddof=1) / np.sqrt(n)
         assert abs(g.mean() - 1.0) <= 3 * se
@@ -196,7 +220,7 @@ class TestDensity:
             pol.ahat[:] = 0.0
         n_steps = 50
         bundle = sim.simulate_market(spec, 3000, n_steps, seed=10, keep=0)
-        sim.density_path(bundle, result)
+        sim.simulate_wealth(bundle, result, 1.0)
         # the density drift -h lambda accrues per step started alive; the jump
         # multiplies by exactly (1 + h)
         tau = bundle.default_times[:, 0]
