@@ -104,16 +104,25 @@ def apply_overrides(config: dict, pairs: list[str]) -> dict:
     return out
 
 
+def _config_int(section: str, values: dict, key: str, default: str) -> int:
+    """``[section] key`` as an integer; ValueError naming the key when it is not one."""
+    text = values.get(key, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} must be an integer, got {text!r}") from None
+
+
 def _counts(section: str, values: dict, wanted) -> dict:
     """``{key: count}`` from a flag when given, else the config section, else the default.
 
     ``wanted`` holds ``(key, flag, flag value or None, default)`` rows.
     Raises ValueError naming the flag or ``[section] key`` of a count that is
-    not positive.
+    not a positive integer.
     """
     counts = {}
     for key, flag, given, default in wanted:
-        value = given if given is not None else int(values.get(key, default))
+        value = given if given is not None else _config_int(section, values, key, default)
         if value <= 0:
             where = flag if given is not None else f"[{section}] {key}"
             raise ValueError(f"{where} must be a positive integer, got {value}")
@@ -135,7 +144,7 @@ def _mc_params(config: dict, args) -> dict:
     return {
         **_counts("mc", mc, (("n_paths", "--paths", args.paths, "100000"),
                              ("n_steps", "--steps", args.steps, "400"))),
-        "seed": args.seed if args.seed is not None else int(mc.get("seed", "42")),
+        "seed": args.seed if args.seed is not None else _config_int("mc", mc, "seed", "42"),
         "y0": float(mc.get("y0", "0.0")),
         "x0": float(mc.get("x0", "1.0")),
         "z0": DefaultState.from_bitstring(mc.get("state", "0" * int(config["model"]["n"]))),
@@ -232,8 +241,9 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     """Write the solve's CSV artifacts and its ``run.json`` manifest into ``out_dir``.
 
     The CSVs hold no timing, so a rerun writes them byte for byte again; the
-    per-state solve times go to ``run.json`` with the grid, the versions and
-    the model's ``spec_sha256`` fingerprint.
+    per-state solve times and the march's counts and stage seconds
+    (``SolveResult.march``) go to ``run.json`` with the grid, the versions
+    and the model's ``spec_sha256`` fingerprint.
     """
     n = spec.n
     for bits, fld in result.fields.items():
@@ -261,7 +271,7 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     manifest = {"spec_sha256": spec.fingerprint(), "grid": dataclasses.asdict(grid),
                 "elapsed": {bits: row["elapsed"] for bits, row in result.report.items()
                             if "elapsed" in row},
-                **_versions()}
+                "march": result.march, **_versions()}
     _write_json(out_dir / "run.json", manifest)
 
 
@@ -400,6 +410,8 @@ def cmd_simulate(args) -> int:
     spec = build_model(config)
     grid = build_grid(config, args)
     mc = _mc_params(config, args)
+    if args.dump_paths < 0:
+        raise ValueError(f"--dump-paths must be zero or a positive integer, got {args.dump_paths}")
     report = validate_spec(spec, grid.y_nodes())
     if not report.ok:
         print(report, file=sys.stderr)

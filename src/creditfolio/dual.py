@@ -20,6 +20,7 @@ Jump loadings of defaulted names are stored as 0 and excluded from all sums.
 
 from __future__ import annotations
 
+import copy
 from typing import Mapping
 
 import numpy as np
@@ -46,25 +47,34 @@ H_FLOOR = 1e-6
 
 
 class Coefficients:
-    """Coefficients of one default state on a 1-D array of factor values ``y``.
+    """Coefficients of one default state, or a stack of S states, on a 1-D array ``y``.
 
-    A scalar ``y`` is the size-1 case.  Arrays are shaped (n_y, n) (``mu0``:
-    (n_y,)).  Control arguments of the methods may carry extra leading axes,
-    e.g. (n_t + 1, n_y, n) for a whole policy, and broadcast against these
-    arrays.  Volatility is held as its diagonal entries ``sig_diag`` when the
-    market is diagonal, else as the matrix stack ``sigma`` of shape
-    (n_y, n, n); the other one is None.
+    A scalar ``y`` is the size-1 case.  For one state the per-state arrays are
+    shaped (n_y, n) (``alive``: (n,)); for a sequence of states they gain a
+    leading state axis, (S, n_y, n) (``alive``: (S, 1, n)), and the formulas
+    broadcast over it unchanged.  The y-only arrays (``xi``, ``sig_diag``,
+    ``s0``: (n_y, n); ``mu0``: (n_y,)) are shared by the stack.  Control
+    arguments of the methods may carry extra leading axes, e.g.
+    (n_t + 1, n_y, n) for a whole policy, and broadcast against these arrays.
+    Volatility is held as its diagonal entries ``sig_diag`` when the market
+    is diagonal, else as the matrix stack ``sigma`` of shape (n_y, n, n); the
+    other one is None.
     """
 
-    def __init__(self, spec: ModelSpec, state: DefaultState, y):
+    def __init__(self, spec: ModelSpec, state, y):
         self.spec = spec
-        self.state = state
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         self.q = spec.q
         self.beta = spec.beta
         self.rho = spec.factor.rho
-        self.alive = 1.0 - state.indicator()
-        self.lam = spec.alive_intensity(self.y, state)
+        if isinstance(state, DefaultState):
+            self.state, self.states = state, (state,)
+            self.alive = 1.0 - state.indicator()
+            self.lam = spec.alive_intensity(self.y, state)
+        else:
+            self.state, self.states = None, tuple(state)
+            self.alive = 1.0 - np.stack([s.indicator() for s in self.states])[:, None, :]
+            self.lam = np.stack([spec.alive_intensity(self.y, s) for s in self.states])
         excess = spec.market.mu - spec.market.r
         self.sig_diag = spec.market.sigma_diag_grid(self.y)
         if self.sig_diag is not None:
@@ -72,10 +82,36 @@ class Coefficients:
             self.xi = excess / self.sig_diag
         else:
             self.sigma = np.stack([spec.market.sigma_at(float(v)) for v in self.y])
-            rhs = np.broadcast_to(excess[:, None], self.lam.shape + (1,))
+            rhs = np.broadcast_to(excess[:, None], self.y.shape + excess.shape + (1,))
             self.xi = np.linalg.solve(self.sigma, rhs)[..., 0]
         self.s0 = spec.factor.vol_row(self.y)
         self.mu0 = spec.factor.drift(self.y)
+
+    @property
+    def alive_names(self) -> tuple[int, ...]:
+        """Names alive in some state of the stack: the names the per-name sums run over.
+
+        In a state where such a name has defaulted its intensity is 0, so its
+        terms there vanish exactly.
+        """
+        if self.state is not None:
+            return self.state.alive
+        return tuple(np.flatnonzero(self.alive.any(axis=(0, 1))).tolist())
+
+    def take(self, rows) -> "Coefficients":
+        """The states at ``rows`` of this stack as a stack, or the one at an int ``rows`` alone.
+
+        The y-only arrays are shared, not copied.
+        """
+        out = copy.copy(self)
+        if isinstance(rows, (int, np.integer)):
+            out.state = self.states[rows]
+            out.states = (out.state,)
+            out.alive, out.lam = self.alive[rows, 0], self.lam[rows]
+        else:
+            out.states = tuple(self.states[r] for r in rows)
+            out.alive, out.lam = self.alive[rows], self.lam[rows]
+        return out
 
     def check_h(self, h) -> np.ndarray:
         """``h`` with defaulted entries zeroed; ValueError unless 1 + h > H_FLOOR on alive names."""
@@ -121,12 +157,13 @@ class Coefficients:
         """K2^{1-q} + sum_i f_child_i^beta (1+hhat_i)^q (1-z_i) lambda_i.
 
         ``children[i]`` is the f-value of the state where alive name i has
-        additionally defaulted, shaped like ``hhat[..., 0]``.
+        additionally defaulted, shaped like ``hhat[..., 0]``; for a stack it
+        holds any positive value in the states where name i has defaulted.
         """
         q = self.q
         out = np.full(np.shape(hhat)[:-1], self.spec.pref.K2 ** (1.0 - q))
-        for i in self.state.alive:
-            out = out + children[i] ** self.beta * (1.0 + hhat[..., i]) ** q * self.lam[:, i]
+        for i in self.alive_names:
+            out = out + children[i] ** self.beta * (1.0 + hhat[..., i]) ** q * self.lam[..., i]
         return out
 
     def grad_term(self, f, df) -> np.ndarray:

@@ -127,11 +127,14 @@ class SolutionField:
 
 
 def spatial_gradient(f_slice: np.ndarray, dy: float) -> np.ndarray:
-    """Second-order gradient of one spatial slice: central inside, one-sided at the edges."""
+    """Second-order gradient along the last (space) axis: central inside, one-sided at the edges.
+
+    Leading axes (states, time slices) pass through.
+    """
     df = np.empty_like(f_slice)
-    df[1:-1] = (f_slice[2:] - f_slice[:-2]) / (2.0 * dy)
-    df[0] = (-3.0 * f_slice[0] + 4.0 * f_slice[1] - f_slice[2]) / (2.0 * dy)
-    df[-1] = (3.0 * f_slice[-1] - 4.0 * f_slice[-2] + f_slice[-3]) / (2.0 * dy)
+    df[..., 1:-1] = (f_slice[..., 2:] - f_slice[..., :-2]) / (2.0 * dy)
+    df[..., 0] = (-3.0 * f_slice[..., 0] + 4.0 * f_slice[..., 1] - f_slice[..., 2]) / (2.0 * dy)
+    df[..., -1] = (3.0 * f_slice[..., -1] - 4.0 * f_slice[..., -2] + f_slice[..., -3]) / (2.0 * dy)
     return df
 
 
@@ -208,6 +211,7 @@ class SolveResult:
     policies: dict[str, PolicyField]
     bounds: dict[str, TruncationBounds]
     report: dict[str, dict] = field(default_factory=dict)
+    march: dict = field(default_factory=dict)   # the march's counts and stage seconds
 
     def field(self, state: DefaultState) -> SolutionField:
         return self.fields[state.bitstring]

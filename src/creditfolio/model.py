@@ -37,7 +37,9 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-MAX_NAMES = 16
+# the most names the solver handles: 2^9 states at 101 x 100 solve in about 40 s and
+# 1.7 GB; at 2^10 the policy arrays alone need 2.5 GB
+MAX_NAMES = 9
 
 
 @dataclass(frozen=True, order=True)
@@ -599,6 +601,8 @@ def build_model(config: dict) -> ModelSpec:
     """ModelSpec from a config dict; raises ValueError on malformed input."""
     try:
         n = int(config["model"]["n"])
+        if not 1 <= n <= MAX_NAMES:
+            raise ValueError(f"[model] n must be in [1, {MAX_NAMES}], got {n}")
         fac = config["factor"]
         if fac.get("kind", "ou") != "ou":
             raise ValueError("only the mean-reverting (ou) factor kind is configurable")

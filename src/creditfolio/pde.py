@@ -5,9 +5,8 @@ For each default state z the transformed value function f(t, y, z) satisfies
     df/dt = A_z f + phi/beta f + Phi(t, y, f, z),      f(0, y, z) = K1^{(1-q)/beta},
 
 on the factor domain, where A_z is the diffusion-drift generator, phi the
-reaction rate and Phi the contagion source built from the already-solved
-states with one more default.  States are solved in descending default count,
-so every state's children are solved before it.
+reaction rate and Phi the contagion source built from the children of z, the
+states with one more default.
 
 Time stepping is a theta = 1/2 IMEX scheme: the linear operator is treated by
 Crank-Nicolson, the reaction and source explicitly at the clamped current
@@ -15,14 +14,33 @@ value, with a small fixed-point sweep per step that refreshes the jump
 loadings (and, when rho != 0, the gradient coupling) at the new slice.  The
 Crank-Nicolson matrix is LU-factored once per operator and time step and
 reused by every solve with both unchanged (for rho = 0, one operator serves
-the whole march).
+every state and step).
+
+All 2^n states march in one wavefront loop (the hyperplane method of
+Lamport, "The parallel execution of DO loops", CACM 17(2), 1974).  A state's
+step k reads only its children's slices k and k + 1, so a state with d
+defaults takes step k at iteration m = k + (n - d): the loop runs n_t + n
+iterations, and each one advances every state in range as one stack, with
+one control solve, source assembly and Crank-Nicolson pass per predictor or
+sweep (with rho = 0 the stack shares one ``dgttrs`` call per distinct dt;
+with rho != 0 the operators differ and the solve goes state by state).
+Everything a state owns stays per state: its sweep leaves the stack once it
+converges, and its warm starts, stats, envelope, clamp hits and Newton
+counts are kept by row, so every state gets the values it would get marched
+alone.  The controls each step solves on its final slice f[k] (the
+predictor's) are the state's policy there; the last iteration solves the
+final slice n_t, and :func:`strategy.build_policy` assembles the policy from
+these arrays without solving again.
 
 The clamp reproduces the truncation device that makes the source Lipschitz.
-Each state is marched once without it; that bootstrap pass fixes the
-truncation bounds.  It is marched again, clamped, only when some slice value
-the bootstrap fed to the source lay outside those bounds; otherwise the clamp
-is the identity on every argument and the clamped march would repeat the
-bootstrap bit for bit.  At convergence the clamp is never active.
+The wavefront first marches every state without it; that bootstrap pass
+fixes the truncation bounds.  A state is marched again, clamped, only when
+some slice value its bootstrap fed to the source lay outside those bounds;
+otherwise the clamp is the identity on every argument and the clamped march
+would repeat the bootstrap bit for bit.  The parents of a re-marched state
+are marched again, unclamped, against its final slices, one generation at a
+time, before their own bounds are fitted.  At convergence the clamp is never
+active.
 
 Boundary conditions are homogeneous Neumann at both ends of the factor
 domain.  This is an approximation (zero flux matches a mean-reverting factor
@@ -60,14 +78,6 @@ _INNER_SWEEPS = 5
 _INNER_TOL = 1e-8
 
 
-def _clamp(v, t, bounds: TruncationBounds | None):
-    if bounds is None:
-        return v, 0
-    hi = bounds.k_bar(t)
-    clipped = np.clip(v, bounds.k_under, hi)
-    return clipped, int(np.sum(clipped != v))
-
-
 def nonlinear_source(t: float, y: float, v: float, state: DefaultState,
                      children_values: Mapping[int, float], hhat, spec: ModelSpec,
                      bounds: TruncationBounds | None = None) -> float:
@@ -89,68 +99,127 @@ def nonlinear_source(t: float, y: float, v: float, state: DefaultState,
 
 
 # ---------------------------------------------------------------------------
-# One IMEX step
+# One IMEX step over a stack of states
 # ---------------------------------------------------------------------------
 
 
 def _banded_operator(y_nodes, diff_coef, nu, dy):
-    """Banded (super/diag/sub) rows of the generator with Neumann mirror rows."""
-    n_y = y_nodes.shape[0]
-    sub = np.zeros(n_y)
-    diag = np.zeros(n_y)
-    sup = np.zeros(n_y)
+    """Banded (sub/diag/super) rows of the generator with Neumann mirror rows.
+
+    A drift ``nu`` with a leading state axis gives rows with that axis too.
+    """
+    shape = np.shape(nu)
+    sub = np.zeros(shape)
+    diag = np.zeros(shape)
+    sup = np.zeros(shape)
     d = diff_coef / dy**2
     adv = nu / (2.0 * dy)
-    diag[1:-1] = -2.0 * d[1:-1]
-    sub[1:-1] = d[1:-1] - adv[1:-1]
-    sup[1:-1] = d[1:-1] + adv[1:-1]
-    diag[0] = -2.0 * d[0]
-    sup[0] = 2.0 * d[0]
-    diag[-1] = -2.0 * d[-1]
-    sub[-1] = 2.0 * d[-1]
+    diag[..., 1:-1] = -2.0 * d[1:-1]
+    sub[..., 1:-1] = d[1:-1] - adv[..., 1:-1]
+    sup[..., 1:-1] = d[1:-1] + adv[..., 1:-1]
+    diag[..., 0] = -2.0 * d[0]
+    sup[..., 0] = 2.0 * d[0]
+    diag[..., -1] = -2.0 * d[-1]
+    sub[..., -1] = 2.0 * d[-1]
     return sub, diag, sup
 
 
 def _apply_operator(sub, diag, sup, f):
     out = diag * f
-    out[:-1] += sup[:-1] * f[1:]
-    out[1:] += sub[1:] * f[:-1]
+    out[..., :-1] += sup[..., :-1] * f[..., 1:]
+    out[..., 1:] += sub[..., 1:] * f[..., :-1]
     return out
 
 
-class _StepWorkspace:
-    """Per-state marching state: grid geometry, the state's coefficient kernel,
-    control warm starts and running stats."""
+def _cn_factor(sub, diag, sup, dt):
+    """LAPACK ``dgttrf`` factors of the Crank-Nicolson matrix I - dt/2 A."""
+    *lu, info = dgttrf(-0.5 * dt * sub[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * sup[:-1])
+    if info != 0:
+        raise SolverError("tridiagonal solve failed")
+    return lu
 
-    def __init__(self, state: DefaultState, spec: ModelSpec, grid: GridSpec):
+
+def _cn_apply(lu, rhs):
+    x, info = dgttrs(*lu, rhs)
+    if info != 0:  # pragma: no cover - dgttrs only rejects malformed arguments
+        raise SolverError("tridiagonal solve failed")
+    return x
+
+
+class _StepWorkspace:
+    """Marching bookkeeping of a stack of states; one state is the size-1 case.
+
+    It holds the grid geometry, the stacked coefficient kernel and, per state
+    (by row), the control warm starts, the running control stats, the range
+    of every slice value the unclamped source was given (``envelope``), clamp
+    hits, Newton counts and control residuals.  ``controls`` keeps the last
+    control solve asked to be kept, and ``tally`` counts the march's work.
+    """
+
+    def __init__(self, states, spec: ModelSpec, grid: GridSpec):
+        self.states = (states,) if isinstance(states, DefaultState) else tuple(states)
+        self.row = {s.bits: r for r, s in enumerate(self.states)}
+        self.spec, self.grid = spec, grid
         self.y = grid.y_nodes()
         self.dy = grid.dy
-        self.coef = Coefficients(spec, state, self.y)
+        self.coef = Coefficients(spec, self.states, self.y)
         self.diff = 0.5 * spec.factor.vol_sq(self.y) * np.ones_like(self.y)
-        self.h_warm: np.ndarray | None = None
         self.static_operator = spec.factor.rho == 0.0
         self._op_cache = None
         self._lu_op = None
         self._lu: dict = {}
-        # (t, min, max) of every slice value the unclamped source was given
-        self.envelope: list[tuple[float, float, float]] = []
-        self.clamp_hits = 0
-        self.newton_iters = 0
-        self.resid_max = 0.0
-        self.stats = _empty_stats(spec.n)
+        self.controls = None
+        self.tally = {"iterations": 0, "largest_batch": 0, "control_solves": 0, "sweeps": 0}
+        S, n = len(self.states), spec.n
+        self.all_rows = np.arange(S)
+        self.h_warm = np.empty((S, grid.n_y, n))
+        self.stats = _empty_stats((S, grid.n_y), n)
+        self.envelope: list[list] = [[] for _ in range(S)]
+        self.clamp_hits = np.zeros(S, dtype=int)
+        self.newton_iters = np.zeros(S, dtype=int)
+        self.resid_max = np.zeros(S)
+        self.reset(range(S))
 
-    def terms(self, f_slice, children):
-        """Controls at one slice, folded into the running stats; returns (phi, nu, source sum)."""
+    def reset(self, rows):
+        """Fresh bookkeeping for the states at ``rows``, as before their first step."""
+        rows = list(rows)
+        # no warm start yet: 0 is none for the diagonal Newton, and the general
+        # one reads NaN as none (it then continues from the previous node)
+        self.h_warm[rows] = 0.0 if self.coef.sigma is None else np.nan
+        for key, value in _empty_stats((len(rows), self.grid.n_y), self.spec.n).items():
+            self.stats[key][rows] = value
+        for r in rows:
+            self.envelope[r] = []
+        self.clamp_hits[rows] = 0
+        self.newton_iters[rows] = 0
+        self.resid_max[rows] = 0.0
+
+    def rows_of(self, states) -> np.ndarray:
+        return np.array([self.row[s.bits] for s in states])
+
+    def terms(self, rows, f_slice, children, keep=False):
+        """Controls of the states at ``rows`` on their slices, folded into their stats.
+
+        Returns the reaction rate, drift and source sum; with ``keep`` the
+        solve's ``(hhat, theta, pi, iters, residuals)`` go to ``controls``.
+        """
         df_slice = spatial_gradient(f_slice, self.dy)
-        hhat, theta, _, iters, resid = strategy.solve_hhat_slice(
-            self.y, self.coef.state, self.coef.spec, f_slice, df_slice, children,
-            h_init=self.h_warm, coef=self.coef)
-        self.h_warm = hhat
-        self.newton_iters = max(self.newton_iters, iters)
-        self.resid_max = max(self.resid_max, resid)
-        phi, nu = self.coef.phi_nu(hhat, theta)
-        s = self.coef.source_sum(hhat, children)
-        _fold_stats(self.stats, list(self.coef.state.alive), hhat, theta, phi, s)
+        if np.array_equal(rows, self.all_rows):   # the whole stack: views, no gathers
+            rows, coef = slice(None), self.coef
+        else:
+            coef = self.coef.take(rows)
+        out = strategy.solve_hhat_slice(self.y, coef.states, self.spec, f_slice, df_slice,
+                                        children, h_init=self.h_warm[rows], coef=coef)
+        hhat, theta, _, iters, resid = out
+        self.tally["control_solves"] += 1
+        self.h_warm[rows] = hhat
+        self.newton_iters[rows] = np.maximum(self.newton_iters[rows], iters)
+        self.resid_max[rows] = np.maximum(self.resid_max[rows], resid)
+        phi, nu = coef.phi_nu(hhat, theta)
+        s = coef.source_sum(hhat, children)
+        _fold_stats(self.stats, rows, hhat, theta, phi, s)
+        if keep:
+            self.controls = out
         return phi, nu, s
 
     def operator(self, nu):
@@ -162,71 +231,107 @@ class _StepWorkspace:
         return op
 
     def cn_solve(self, op, rhs, dt):
-        """Solve the Crank-Nicolson system (I - dt/2 A) x = rhs for the operator ``op``.
+        """Solve the Crank-Nicolson systems (I - dt/2 A) x = rhs for the operator ``op``.
 
-        The LAPACK ``dgttrf`` factors are kept per ``dt`` while ``op`` stays
-        the same object, so every later solve is one ``dgttrs`` call.
+        ``rhs`` holds (S, n_y) slices and ``dt`` their S steps.  An operator
+        shared by the stack keeps its ``dgttrf`` factors per ``dt`` while it
+        stays the same object, and the slices with equal ``dt`` go through one
+        ``dgttrs`` call; per-state operators (rows with a state axis) are
+        factored and solved state by state.
         """
+        sub, diag, sup = op
+        if sub.ndim > 1:
+            return np.stack([_cn_apply(_cn_factor(sub[s], diag[s], sup[s], dt[s]), rhs[s])
+                             for s in range(len(rhs))])
         if op is not self._lu_op:
             self._lu_op, self._lu = op, {}
-        lu = self._lu.get(dt)
-        if lu is None:
-            sub, diag, sup = op
-            *lu, info = dgttrf(-0.5 * dt * sub[1:], 1.0 - 0.5 * dt * diag, -0.5 * dt * sup[:-1])
-            if info != 0:
-                raise SolverError("tridiagonal solve failed")
-            self._lu[dt] = lu
-        x, info = dgttrs(*lu, rhs)
-        if info != 0:  # pragma: no cover - dgttrs only rejects malformed arguments
-            raise SolverError("tridiagonal solve failed")
-        return x
+        out = np.empty_like(rhs)
+        for d in (dt[:1] if np.all(dt == dt[0]) else np.unique(dt)):
+            lu = self._lu.get(d)
+            if lu is None:
+                lu = self._lu[d] = _cn_factor(sub, diag, sup, d)
+            same = dt == d
+            out[same] = _cn_apply(lu, rhs[same].T).T
+        return out
 
-    def explicit_source(self, t, f_slice, phi, s, bounds):
-        """Reaction plus contagion source at the clamped slice value.
+    def explicit_source(self, rows, t, f_slice, phi, s, bounds):
+        """Reaction plus contagion source at the clamped slice values.
 
-        Unclamped, it records the slice's range in ``envelope`` so the caller
-        can tell whether a clamp would have changed anything.
+        Unclamped (``bounds`` None), it records each slice's range in its
+        state's ``envelope`` so the caller can tell whether a clamp would have
+        changed anything; otherwise ``bounds`` holds one TruncationBounds per
+        slice.
         """
         if bounds is None:
-            self.envelope.append((t, float(f_slice.min()), float(f_slice.max())))
-        v, hits = _clamp(f_slice, t, bounds)
-        self.clamp_hits += hits
+            v = f_slice
+            for r, entry in zip(rows.tolist(), zip(t.tolist(), f_slice.min(axis=-1).tolist(),
+                                                   f_slice.max(axis=-1).tolist())):
+                self.envelope[r].append(entry)
+        else:
+            lo = np.array([[b.k_under] for b in bounds])
+            hi = np.array([[b.k_bar(tt)] for b, tt in zip(bounds, t.tolist())])
+            v = np.clip(f_slice, lo, hi)
+            self.clamp_hits[rows] += np.sum(v != f_slice, axis=-1)
         beta = self.coef.beta
         return (phi * v + v ** (1.0 - beta) * s) / beta
 
 
-def step_slice(f_now: np.ndarray, t: float, dt: float, state: DefaultState,
-               children_now: Mapping[int, np.ndarray], children_next: Mapping[int, np.ndarray],
-               spec: ModelSpec, grid: GridSpec, bounds: TruncationBounds | None = None,
-               workspace: _StepWorkspace | None = None) -> np.ndarray:
+def step_slice(f_now: np.ndarray, t, dt, state, children_now: Mapping[int, np.ndarray],
+               children_next: Mapping[int, np.ndarray], spec: ModelSpec, grid: GridSpec,
+               bounds=None, workspace: _StepWorkspace | None = None) -> np.ndarray:
     """Advance one horizon slice by dt with the IMEX theta = 1/2 scheme.
 
     ``children_now``/``children_next`` hold the child-state slices at t and
     t + dt.  A zero dt returns the slice unchanged.
+
+    The stacked form advances S states at once, each by its own step:
+    ``f_now`` is (S, n_y), ``t`` and ``dt`` are (S,) arrays, ``state`` the S
+    states, ``children_*[i]`` (S, n_y) arrays (any positive value where name
+    i has defaulted), and ``bounds`` None or one TruncationBounds per state.
+    One control solve, source assembly and Crank-Nicolson solve serve the
+    whole stack; a state whose inner sweep has converged leaves it.  Each
+    state gets the slice it would get alone.
     """
-    if dt == 0.0:
-        return f_now.copy()
-    ws = workspace or _StepWorkspace(state, spec, grid)
-    if np.any(f_now <= 0) and bounds is None:
+    if isinstance(state, DefaultState):
+        if dt == 0.0:
+            return f_now.copy()
+        return step_slice(f_now[None], np.array([t]), np.array([dt]), (state,),
+                          {i: c[None] for i, c in children_now.items()},
+                          {i: c[None] for i, c in children_next.items()}, spec, grid,
+                          None if bounds is None else (bounds,),
+                          workspace or _StepWorkspace(state, spec, grid))[0]
+    ws = workspace
+    rows = ws.rows_of(state)
+    if bounds is None and np.any(f_now <= 0):
         raise SolverError("non-positive slice value with the clamp disabled")
 
-    phi_now, nu_now, s_now = ws.terms(f_now, children_now)
+    dtc = dt[:, None]
+    phi_now, nu_now, s_now = ws.terms(rows, f_now, children_now, keep=True)
     op_now = ws.operator(nu_now)
-    src_now = ws.explicit_source(t, f_now, phi_now, s_now, bounds)
+    src_now = ws.explicit_source(rows, t, f_now, phi_now, s_now, bounds)
 
-    expl = f_now + 0.5 * dt * _apply_operator(*op_now, f_now)
-    f_next = ws.cn_solve(op_now, expl + dt * src_now, dt)
+    expl = f_now + 0.5 * dtc * _apply_operator(*op_now, f_now)
+    f_next = ws.cn_solve(op_now, expl + dtc * src_now, dt)
 
+    live = np.arange(len(rows))   # the states still sweeping
     for _ in range(_INNER_SWEEPS):
-        phi_next, nu_next, s_next = ws.terms(f_next, children_next)
-        src_next = ws.explicit_source(t + dt, f_next, phi_next, s_next, bounds)
-        f_new = ws.cn_solve(ws.operator(nu_next), expl + 0.5 * dt * (src_now + src_next), dt)
-        change = float(np.max(np.abs(f_new - f_next)) / np.max(np.abs(f_next)))
-        f_next = f_new
-        if change < _INNER_TOL:
+        ws.tally["sweeps"] += 1
+        f_it = f_next[live]
+        phi_next, nu_next, s_next = ws.terms(rows[live], f_it,
+                                             {i: c[live] for i, c in children_next.items()})
+        src_next = ws.explicit_source(rows[live], t[live] + dt[live], f_it, phi_next, s_next,
+                                      None if bounds is None else [bounds[j] for j in live])
+        f_new = ws.cn_solve(ws.operator(nu_next),
+                            expl[live] + 0.5 * dtc[live] * (src_now[live] + src_next), dt[live])
+        change = np.max(np.abs(f_new - f_it), axis=-1) / np.max(np.abs(f_it), axis=-1)
+        f_next[live] = f_new
+        live = live[~(change < _INNER_TOL)]
+        if not live.size:
             break
-    if np.any(~np.isfinite(f_next)):
-        raise SolverError(f"slice blow-up at t={t:.6g} in state {state}")
+    bad = ~np.all(np.isfinite(f_next), axis=-1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SolverError(f"slice blow-up at t={t[j]:.6g} in state {state[j]}")
     return f_next
 
 
@@ -235,35 +340,51 @@ def step_slice(f_now: np.ndarray, t: float, dt: float, state: DefaultState,
 # ---------------------------------------------------------------------------
 
 
-def _empty_stats(n: int) -> dict:
-    return {"max_abs_theta": np.zeros(n), "max_abs_h": np.zeros(n), "min_one_ph": np.ones(n),
-            "max_one_ph": np.ones(n), "phi_min": np.inf, "phi_max": -np.inf,
-            "source_sum_max": 0.0}
+def _empty_stats(shape: tuple, n: int) -> dict:
+    """Running elementwise extremes over blocks of ``shape`` (states first, then nodes)."""
+    return {"abs_theta": np.zeros(shape + (n,)), "h_max": np.zeros(shape + (n,)),
+            "h_min": np.zeros(shape + (n,)), "phi_min": np.full(shape, np.inf),
+            "phi_max": np.full(shape, -np.inf), "source_sum_max": np.zeros(shape)}
 
 
-def _fold_stats(stats: dict, alive: list, hhat, theta, phi, s) -> dict:
-    """Fold the controls, reaction and source sum of one or more slices into ``stats``."""
-    axes = tuple(range(hhat.ndim - 1))
-    stats["max_abs_theta"] = np.maximum(stats["max_abs_theta"], np.max(np.abs(theta), axis=axes))
-    if alive:
-        h = hhat[..., alive]
-        stats["max_abs_h"][alive] = np.maximum(stats["max_abs_h"][alive], np.max(np.abs(h), axis=axes))
-        stats["min_one_ph"][alive] = np.minimum(stats["min_one_ph"][alive], np.min(1.0 + h, axis=axes))
-        stats["max_one_ph"][alive] = np.maximum(stats["max_one_ph"][alive], np.max(1.0 + h, axis=axes))
-    stats["phi_min"] = min(stats["phi_min"], float(phi.min()))
-    stats["phi_max"] = max(stats["phi_max"], float(phi.max()))
-    stats["source_sum_max"] = max(stats["source_sum_max"], float(s.max()))
+def _fold_stats(stats: dict, rows, hhat, theta, phi, s) -> dict:
+    """Fold the controls, reaction and source sum of the states at ``rows`` into ``stats``.
+
+    The extremes are kept per node and reduced once, by :func:`_stats_row`;
+    the extremes of extremes are the same numbers.  A defaulted name's h is 0,
+    which leaves its entries as they start.
+    """
+    for key, fold, value in (("abs_theta", np.maximum, np.abs(theta)),
+                             ("h_max", np.maximum, hhat), ("h_min", np.minimum, hhat),
+                             ("phi_min", np.fmin, phi), ("phi_max", np.fmax, phi),
+                             ("source_sum_max", np.fmax, s)):
+        stats[key][rows] = fold(stats[key][rows], value)
     return stats
+
+
+def _stats_row(stats: dict, r: int) -> dict:
+    """One state's control stats, as :func:`truncation_bounds` takes them.
+
+    ``1 + h`` rounds monotonically in h, so its extremes are those of h plus one.
+    """
+    axes = tuple(range(stats["phi_min"].ndim - 1))
+    h_max = stats["h_max"][r].max(axis=axes)
+    h_min = stats["h_min"][r].min(axis=axes)
+    return {"max_abs_theta": stats["abs_theta"][r].max(axis=axes),
+            "max_abs_h": np.maximum(h_max, -h_min), "max_one_ph": 1.0 + h_max,
+            "phi_min": float(stats["phi_min"][r].min()),
+            "phi_max": float(stats["phi_max"][r].max()),
+            "source_sum_max": float(stats["source_sum_max"][r].max())}
 
 
 def control_stats_from_policy(policy: PolicyField, state: DefaultState, spec: ModelSpec,
                               fields: Mapping[str, SolutionField]) -> dict:
     """Realised control statistics of a finished policy, as consumed by truncation_bounds."""
-    alive = list(state.alive)
     coef = Coefficients(spec, state, policy.grid.y_nodes())
     phi, _ = coef.phi_nu(policy.hhat, policy.theta)
-    s = coef.source_sum(policy.hhat, {i: fields[state.flip(i).bitstring].f for i in alive})
-    return _fold_stats(_empty_stats(spec.n), alive, policy.hhat, policy.theta, phi, s)
+    s = coef.source_sum(policy.hhat, {i: fields[state.flip(i).bitstring].f for i in state.alive})
+    return _stats_row(_fold_stats(_empty_stats((1,) + phi.shape, spec.n), [0],
+                                  policy.hhat[None], policy.theta[None], phi[None], s[None]), 0)
 
 
 def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, TruncationBounds],
@@ -277,7 +398,7 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
     since phi < 0 there); the coarser sup-norm envelope of the control
     family is carried alongside for reporting.  ``control_stats`` is the
     dict produced by :func:`control_stats_from_policy` or by the marching
-    workspace (``_StepWorkspace.stats``).
+    workspace (one row of ``_StepWorkspace.stats``, through ``_stats_row``).
     """
     for i in state.alive:
         key = state.flip(i).bitstring
@@ -321,46 +442,96 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
 # ---------------------------------------------------------------------------
 
 
-def _march_state(state, spec, grid, fields, bounds):
-    """Time-march one state, children already in ``fields``; returns (f array, workspace)."""
-    t_nodes = grid.t_nodes(spec.pref.T)
-    f = np.empty((grid.n_t + 1, grid.n_y))
-    f[0] = spec.f0
-    ws = _StepWorkspace(state, spec, grid)
-    child_fields = {i: fields[state.flip(i).bitstring] for i in state.alive}
-    for k in range(grid.n_t):
-        children_now = {i: cf.f[k] for i, cf in child_fields.items()}
-        children_next = {i: cf.f[k + 1] for i, cf in child_fields.items()}
-        dt = t_nodes[k + 1] - t_nodes[k]
-        f[k + 1] = step_slice(f[k], t_nodes[k], dt, state, children_now, children_next,
-                              spec, grid, bounds=bounds, workspace=ws)
-    # realised control stats must cover the final slice too
-    ws.terms(f[-1], {i: cf.f[-1] for i, cf in child_fields.items()})
-    return f, ws
+def _march(ws: _StepWorkspace, slices: np.ndarray, policy: dict, rows, bounds, t_nodes, child):
+    """Wavefront march of the states at ``rows``, all of them in one loop.
+
+    ``slices`` holds the n_t + 1 slices of every state, state by state, then
+    one slice of ones: ``child[i, r]`` is the row of state r's child for name
+    i, or S where name i has defaulted, which reads the ones.  A child
+    outside ``rows`` must be marched already.  A state that is ``lag``
+    generations above the bottom of ``rows`` takes its step k at iteration
+    k + lag, when its children hold slices k and k + 1, so iteration m steps
+    every state whose k = m - lag is in range, as one stack.  A state's last
+    iteration solves the controls of its final slice n_t.  The controls each
+    step solves on its final slice f[k] are kept in ``policy``.  ``bounds``
+    is None for the bootstrap, else the TruncationBounds of each row.
+    """
+    n_t = len(t_nodes) - 1
+    dt = np.diff(t_nodes)
+    S = len(ws.states)
+    rows = np.asarray(rows)
+    marching = np.zeros(S + 1, dtype=bool)
+    marching[rows] = True
+    lag = np.zeros(S + 1, dtype=int)
+    for r in sorted(rows):   # rows ascend with falling default count: children come first
+        kids = child[:, r][marching[child[:, r]]]
+        lag[r] = lag[kids].max() + 1 if kids.size else 0
+    lag = lag[rows]
+    # (state, slice k) is row state * (n_t + 1) + k of ``slices`` and of the kept
+    # controls: one gather or scatter per array.  A defaulted name's child stays
+    # on the ones slice, S * (n_t + 1), whatever k.
+    first, moves = child * (n_t + 1), child < S
+    kept = {key: policy[key].reshape((-1,) + policy[key].shape[2:])
+            for key in ("hhat", "theta", "pi")}
+    for m in range(n_t + lag.max() + 1):
+        k = m - lag
+        go = (k >= 0) & (k < n_t)
+        if go.any():
+            r, kr = rows[go], k[go]
+            at, kids = r * (n_t + 1) + kr, first[:, r] + moves[:, r] * kr
+            slices[at + 1] = step_slice(
+                slices[at], t_nodes[kr], dt[kr], tuple(ws.states[j] for j in r),
+                dict(enumerate(slices[kids])), dict(enumerate(slices[kids + moves[:, r]])),
+                ws.spec, ws.grid, None if bounds is None else [bounds[j] for j in r], ws)
+            _keep_controls(ws.controls, kept, policy, r, at)
+        done = rows[k == n_t]
+        if done.size:
+            kids = first[:, done] + moves[:, done] * n_t
+            ws.terms(done, slices[done * (n_t + 1) + n_t], dict(enumerate(slices[kids])),
+                     keep=True)
+            _keep_controls(ws.controls, kept, policy, done, done * (n_t + 1) + n_t)
+        ws.tally["iterations"] += 1
+        ws.tally["largest_batch"] = max(ws.tally["largest_batch"], int(go.sum()))
+
+
+def _keep_controls(controls, kept, policy, rows, at):
+    """Write a solve's controls at the flat (state, slice) indices ``at``."""
+    hhat, theta, pi, iters, resid = controls
+    kept["hhat"][at] = hhat
+    kept["theta"][at] = theta
+    kept["pi"][at] = pi
+    policy["iters"][rows] = np.maximum(policy["iters"][rows], iters)
+    policy["resid"][rows] = np.maximum(policy["resid"][rows], resid)
 
 
 def _clamp_is_identity(envelope, bounds: TruncationBounds) -> bool:
-    """True when ``_clamp`` would return every recorded slice unchanged.
+    """True when the clamp would return every recorded slice unchanged.
 
-    ``k_bar`` is evaluated per recorded ``t`` as a scalar, exactly as
-    ``_clamp`` evaluates it; a NaN range fails the comparisons.
+    ``k_bar`` is evaluated per recorded ``t`` as a scalar, exactly as the
+    clamp evaluates it; a NaN range fails the comparisons.
     """
     return all(lo >= bounds.k_under and hi <= bounds.k_bar(t) for t, lo, hi in envelope)
 
 
 def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
                            validate: bool = True) -> SolveResult:
-    """Solve every default state in descending default count and extract policies.
+    """Solve every default state and extract policies.
 
-    Each state is marched once without the clamp; that bootstrap pass yields
-    the realised control statistics that fix the truncation bounds.  With
-    clamping enabled the state is marched again with the clamped source only
-    when a slice value the bootstrap fed to the source lay outside those
-    bounds; otherwise the clamped march would repeat the bootstrap bit for
-    bit, and the report marks the state ``clamp_pass_skipped``.  The report
-    also records, per state, the control-solve residual, clamp activity and
-    the worst signed distance of the solution to its bounds (nonnegative
-    margin means the bounds hold).
+    All states are marched together by :func:`_march` without the clamp;
+    that bootstrap pass yields the realised control statistics that fix the
+    truncation bounds.  Then, one generation (default count) at a time from
+    the top: a state whose children were re-marched is re-marched unclamped
+    against them first; its bounds follow; with clamping enabled it is
+    marched again with the clamped source only when a slice value its
+    bootstrap fed to the source lay outside those bounds.  Otherwise the
+    clamped march would repeat the bootstrap bit for bit, and the report
+    marks the state ``clamp_pass_skipped``.  The report also records, per
+    state, the control-solve residual, clamp activity and the worst signed
+    distance of the solution to its bounds (nonnegative margin means the
+    bounds hold); ``elapsed`` is the wall time of the marches the state took
+    part in, shared with the states marched beside it, plus its own bounds
+    and policy.  ``SolveResult.march`` holds the march's counts and stage
+    seconds.
     """
     if validate:
         report = validate_spec(spec, grid.y_nodes())
@@ -368,47 +539,89 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             raise ValueError("model validation failed:\n" + str(report))
 
     t_nodes = grid.t_nodes(spec.pref.T)
+    states = states_by_cardinality(spec.n)
+    S, n = len(states), spec.n
+    ws = _StepWorkspace(states, spec, grid)
+    child = np.array([[ws.row[st.flip(i).bits] if i in st.alive else S for st in states]
+                      for i in range(n)], dtype=int)
+    slices = np.empty((S * (grid.n_t + 1) + 1, grid.n_y))
+    slices[-1] = 1.0
+    f = slices[:-1].reshape(S, grid.n_t + 1, grid.n_y)
+    f[:, 0] = spec.f0
+    policy = {key: np.zeros((S, grid.n_t + 1, grid.n_y, n)) for key in ("hhat", "theta", "pi")}
+    policy["iters"] = np.zeros(S, dtype=int)
+    policy["resid"] = np.zeros(S)
+    elapsed = np.zeros(S)
+    seconds = {"march_s": 0.0, "bounds_s": 0.0, "policy_s": 0.0}
+
+    def march(rows, bounds):
+        started = time.perf_counter()
+        ws.reset(rows)
+        for key in ("iters", "resid"):
+            policy[key][rows] = 0
+        _march(ws, slices, policy, rows, bounds, t_nodes, child)
+        spent = time.perf_counter() - started
+        elapsed[rows] += spent
+        seconds["march_s"] += spent
+
+    march(np.arange(S), None)
+    bounds: dict[str, TruncationBounds] = {}
+    skipped = np.zeros(S, dtype=bool)
+    remarched = np.zeros(S + 1, dtype=bool)
+    for d in range(n, -1, -1):
+        gen = [r for r, st in enumerate(states) if st.cardinality == d]
+        stale = [r for r in gen if remarched[child[:, r]].any()]
+        if stale:
+            march(stale, None)
+        for r in gen:
+            started = time.perf_counter()
+            st = states[r]
+            bounds[st.bitstring] = truncation_bounds(st, bounds, spec, grid,
+                                                     _stats_row(ws.stats, r))
+            skipped[r] = grid.clamp_enabled and _clamp_is_identity(ws.envelope[r],
+                                                                    bounds[st.bitstring])
+            ws.envelope[r] = []   # read by this check only
+            spent = time.perf_counter() - started
+            elapsed[r] += spent
+            seconds["bounds_s"] += spent
+        clamped = [r for r in gen if grid.clamp_enabled and not skipped[r]]
+        if clamped:
+            march(clamped, {r: bounds[states[r].bitstring] for r in clamped})
+        remarched[stale + clamped] = True
+
     fields: dict[str, SolutionField] = {}
     policies: dict[str, PolicyField] = {}
-    bounds: dict[str, TruncationBounds] = {}
     report_rows: dict[str, dict] = {}
-
-    for state in states_by_cardinality(spec.n):
+    for r, st in enumerate(states):
         started = time.perf_counter()
-        f_a, ws_a = _march_state(state, spec, grid, fields, None)
-        state_bounds = truncation_bounds(state, bounds, spec, grid, ws_a.stats)
-        skipped = grid.clamp_enabled and _clamp_is_identity(ws_a.envelope, state_bounds)
-        if grid.clamp_enabled and not skipped:
-            f_fin, ws_fin = _march_state(state, spec, grid, fields, state_bounds)
-        else:
-            f_fin, ws_fin = f_a, ws_a
-        df = np.stack([spatial_gradient(f_fin[k], grid.dy) for k in range(grid.n_t + 1)])
-        margin_lo = float(np.min(f_fin - state_bounds.k_under))
-        margin_hi = float(np.min(state_bounds.k_bar(t_nodes)[:, None] - f_fin))
+        bits, b, f_st = st.bitstring, bounds[st.bitstring], f[r]
+        margin_lo = float(np.min(f_st - b.k_under))
+        margin_hi = float(np.min(b.k_bar(t_nodes)[:, None] - f_st))
         row = {
-            "elapsed": time.perf_counter() - started,
-            "resid_max": ws_fin.resid_max,
-            "newton_iters_max": ws_fin.newton_iters,
-            "clamp_hits": ws_fin.clamp_hits,
-            "clamp_pass_skipped": skipped,
+            "resid_max": float(ws.resid_max[r]),
+            "newton_iters_max": int(ws.newton_iters[r]),
+            "clamp_hits": int(ws.clamp_hits[r]),
+            "clamp_pass_skipped": bool(skipped[r]),
             "bound_margin_lo": margin_lo,
             "bound_margin_hi": margin_hi,
             "bound_violation": min(margin_lo, margin_hi) < -_BOUND_SLACK,
         }
         if row["bound_violation"] and not grid.clamp_enabled:
             raise SolverError(
-                f"solution escaped its a-priori bounds in state {state}: "
+                f"solution escaped its a-priori bounds in state {st}: "
                 f"margins ({margin_lo:.3e}, {margin_hi:.3e})")
-        fields[state.bitstring] = SolutionField(state=state, grid=grid, t_nodes=t_nodes,
-                                                f=f_fin, df=df, beta=spec.beta)
-        bounds[state.bitstring] = state_bounds
-        report_rows[state.bitstring] = row
+        fld = fields[bits] = SolutionField(state=st, grid=grid, t_nodes=t_nodes, f=f_st,
+                                           df=spatial_gradient(f_st, grid.dy), beta=spec.beta)
+        pol = policies[bits] = strategy.build_policy(
+            fld, spec, policy["hhat"][r], policy["theta"][r], policy["pi"][r],
+            residual_max=float(policy["resid"][r]), newton_iters_max=int(policy["iters"][r]))
+        row["policy_resid_max"] = pol.residual_max
+        row["hedge_gap"] = pol.hedge_gap
+        row["ahat_max"] = float(np.max(np.abs(pol.ahat)))
+        spent = time.perf_counter() - started
+        seconds["policy_s"] += spent
+        row["elapsed"] = float(elapsed[r] + spent)
+        report_rows[bits] = row
 
-    for state in states_by_cardinality(spec.n):
-        pol = strategy.build_policy(fields, state, spec)
-        policies[state.bitstring] = pol
-        report_rows[state.bitstring]["policy_resid_max"] = pol.residual_max
-        report_rows[state.bitstring]["hedge_gap"] = pol.hedge_gap
-        report_rows[state.bitstring]["ahat_max"] = float(np.max(np.abs(pol.ahat)))
-
-    return SolveResult(fields=fields, policies=policies, bounds=bounds, report=report_rows)
+    return SolveResult(fields=fields, policies=policies, bounds=bounds, report=report_rows,
+                       march={**ws.tally, **seconds})

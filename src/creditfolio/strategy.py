@@ -12,9 +12,13 @@ portfolio weight comes from the diffusion matching alone (this is how the
 classical Merton fraction, which may exceed 1, is recovered in the
 default-free limit).  Defaulted names carry h = 0 and zero weight.
 
-Roots are followed by continuation in time: each slice warm-starts from the
-previous one, seeded with h = 0 at zero horizon, which picks the branch that
-is continuous in t when the scalar equations admit several crossings.
+Roots are followed by continuation in time, inside the PDE march: every
+control solve of a state warm-starts from that state's previous one, seeded
+with h = 0 at zero horizon, which picks the branch that is continuous in t
+when the scalar equations admit several crossings.  The march keeps the
+controls it solves on each final slice, and :func:`build_policy` assembles
+the policy from them without solving again.  The slice solver takes one
+state or a stack of states; a stack solves each state as it would alone.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def _fields_of(obj) -> Mapping[str, SolutionField]:
 # ---------------------------------------------------------------------------
 
 
-def solve_hhat_slice(y_nodes: np.ndarray, state: DefaultState, spec: ModelSpec,
+def solve_hhat_slice(y_nodes: np.ndarray, state, spec: ModelSpec,
                      f_slice: np.ndarray, df_slice: np.ndarray,
                      children: Mapping[int, np.ndarray],
                      h_init: np.ndarray | None = None, coef: Coefficients | None = None,
@@ -73,56 +77,83 @@ def solve_hhat_slice(y_nodes: np.ndarray, state: DefaultState, spec: ModelSpec,
     has additionally defaulted, required for every alive name with positive
     intensity.  ``coef`` is the state's coefficient kernel on ``y_nodes``,
     built here when not supplied.
+
+    ``state`` may also be a sequence of S states, with ``f_slice`` and
+    ``df_slice`` shaped (S, n_y) and ``children[i]`` too (any positive value
+    where name i has defaulted); the arrays then come back shaped
+    (S, n_y, n), and the iteration counts and residuals per state, as (S,)
+    arrays.  Each state gets the values it would get alone.
     """
     if coef is None:
         coef = Coefficients(spec, state, y_nodes)
     lam = coef.lam
     grad_term = coef.grad_term(f_slice, df_slice)
 
-    ratio = np.ones(lam.shape)
-    for i in state.alive:
+    child = np.ones(lam.shape)   # child[..., i]: f of the state where name i also defaulted
+    for i in coef.alive_names:
         if i in children:
-            ratio[:, i] = (children[i] / f_slice) ** coef.beta
-        elif np.any(lam[:, i] > _LAMBDA_TOL):
+            child[..., i] = children[i]
+        elif np.any(lam[..., i] > _LAMBDA_TOL):
             raise SolverError(f"missing child field for alive name {i} in state {state}")
 
     if coef.sigma is None:
-        return _solve_slice_diagonal(coef, ratio, grad_term, h_init)
-    return _solve_slice_general(coef, ratio, grad_term, h_init)
+        return _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init)
+    ratio = (child / f_slice[..., None]) ** coef.beta
+    if coef.state is not None:
+        return _solve_slice_general(coef, ratio, grad_term, h_init)
+    out = [_solve_slice_general(coef.take(s), ratio[s], grad_term[s],
+                                None if h_init is None else h_init[s])
+           for s in range(len(coef.states))]
+    return tuple(np.stack(parts) for parts in zip(*out))
 
 
-def _solve_slice_diagonal(coef, ratio, grad_term, h_init):
-    """Decoupled per-name scalar roots: safeguarded Newton inside a sign-change bracket."""
-    state = coef.state
+def _per_state(full: np.ndarray, single: bool):
+    """Largest entry of each state's (n_y, n) block; a scalar for one state."""
+    out = full.max(axis=(-2, -1))
+    return out.item() if single else out
+
+
+def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
+    """Decoupled per-name scalar roots: safeguarded Newton inside a sign-change bracket.
+
+    Every node and name iterates on its own (a converged entry is frozen),
+    so a stack of states solves each state exactly as it would alone.  The
+    entries solved are addressed by their flat index into the (..., n_y, n)
+    arrays.
+    """
     q = coef.q
     lam, sig_diag, xi = coef.lam, coef.sig_diag, coef.xi
     alive_mask = coef.alive > 0
 
     hhat = np.zeros(lam.shape)
     pi = np.zeros(lam.shape)
-    iters_used = 0
-    resid_max = 0.0
+    steps = np.zeros(lam.shape, dtype=int)
+    resid_full = np.zeros(lam.shape)
 
-    jumpy = alive_mask[None, :] & (lam > _LAMBDA_TOL)        # names solved through the jump FOC
-    riskfree = alive_mask[None, :] & ~jumpy                   # defaultless names: diffusion matching only
+    jumpy = alive_mask & (lam > _LAMBDA_TOL)        # names solved through the jump FOC
+    riskfree = alive_mask & ~jumpy                   # defaultless names: diffusion matching only
 
     if np.any(riskfree):
         lin = coef.diffusion_row(xi, grad_term) / sig_diag
         pi[riskfree] = lin[riskfree]
 
-    if np.any(jumpy):
-        sd = sig_diag[jumpy]
-        xiv = xi[jumpy]
-        lamv = lam[jumpy]
-        ratv = ratio[jumpy]
-        gv = grad_term[jumpy]
+    idx = np.flatnonzero(jumpy)
+    if idx.size:
+        node = idx % sig_diag.size                   # the entry of the y-only arrays
+        sd = sig_diag.reshape(-1)[node]
+        xiv = xi.reshape(-1)[node]
+        lamv = lam.reshape(-1)[idx]
+        ratv = (child.reshape(-1)[idx] / f_slice.reshape(-1)[idx // lam.shape[-1]]) ** coef.beta
+        gv = grad_term.reshape(-1)[idx]
         one_q = 1.0 - q
 
         def resid(h):
             return sd * (1.0 - (1.0 + h) ** (q - 1.0) * ratv) - one_q * (xiv - lamv * h / sd) - gv
 
+        lam_sd = lamv / sd
+
         def dresid(h):
-            return one_q * (sd * (1.0 + h) ** (q - 2.0) * ratv + lamv / sd)
+            return one_q * (sd * (1.0 + h) ** (q - 2.0) * ratv + lam_sd)
 
         lo = np.full(sd.shape, -1.0 + H_FLOOR)
         hi = np.full(sd.shape, _H_MAX_START)
@@ -134,36 +165,46 @@ def _solve_slice_diagonal(coef, ratio, grad_term, h_init):
         if np.any(r_hi <= 0):
             bad = int(np.argmax(r_hi <= 0))
             raise SolverError(
-                f"jump-loading root not bracketed below h={_H_MAX_CAP} in state {state} "
-                f"(residual {r_hi[bad]:.3e})")
+                f"jump-loading root not bracketed below h={_H_MAX_CAP} in state "
+                f"{coef.states[idx[bad] // sig_diag.size]} (residual {r_hi[bad]:.3e})")
 
-        x = np.clip(h_init[jumpy] if h_init is not None else np.zeros(sd.shape), lo + 1e-12, hi - 1e-12)
+        x = np.clip(h_init.reshape(-1)[idx] if h_init is not None else np.zeros(sd.shape),
+                    lo + 1e-12, hi - 1e-12)
         r = resid(x)
         lo = np.where(r < 0, x, lo)
         hi = np.where(r > 0, x, hi)
         converged = np.abs(r) < _NEWTON_TOL
-        for iters_used in range(1, _MAX_ITER + 1):
+        taken = np.zeros(sd.shape, dtype=int)   # Newton updates each entry needed
+        for _ in range(_MAX_ITER):
             if converged.all():
                 break
+            active = ~converged
+            taken += active
             step = r / dresid(x)
             x_new = x - step
             outside = (x_new <= lo) | (x_new >= hi)
             x_new = np.where(outside, 0.5 * (lo + hi), x_new)
             x = np.where(converged, x, x_new)
             r = np.where(converged, r, resid(x))
-            lo = np.where(~converged & (r < 0), x, lo)
-            hi = np.where(~converged & (r > 0), x, hi)
+            lo = np.where(active & (r < 0), x, lo)
+            hi = np.where(active & (r > 0), x, hi)
             converged |= (np.abs(r) < _NEWTON_TOL) | (hi - lo < 1e-15)
-        resid_final = np.abs(resid(x))
-        resid_max = float(resid_final.max()) if resid_final.size else 0.0
-        if resid_max > _RESID_TOL:
+        np.put(resid_full, idx, np.abs(r))   # r is resid(x) at every entry's final x
+        # a state alone stops on the pass that finds all of its entries converged
+        np.put(steps, idx, np.minimum(taken + 1, _MAX_ITER))
+        worst = resid_full.max(axis=(-2, -1))
+        if np.any(worst > _RESID_TOL):
+            bad = int(np.argmax(np.atleast_1d(worst) > _RESID_TOL))
             raise SolverError(
-                f"jump-loading solve stalled in state {state}: residual {resid_max:.3e} "
-                f"after {iters_used} iterations")
-        hhat[jumpy] = x
-        pi[jumpy] = 1.0 - (1.0 + x) ** (q - 1.0) * ratv
+                f"jump-loading solve stalled in state {coef.states[bad]}: residual "
+                f"{np.atleast_1d(worst)[bad]:.3e} after "
+                f"{np.atleast_1d(steps.max(axis=(-2, -1)))[bad]} iterations")
+        np.put(hhat, idx, x)
+        np.put(pi, idx, 1.0 - (1.0 + x) ** (q - 1.0) * ratv)
 
-    return hhat, coef.theta_from_h(hhat), pi, iters_used, resid_max
+    single = coef.state is not None
+    return (hhat, coef.theta_from_h(hhat), pi, _per_state(steps, single),
+            _per_state(resid_full, single))
 
 
 def _solve_slice_general(coef, ratio, grad_term, h_init):
@@ -172,6 +213,8 @@ def _solve_slice_general(coef, ratio, grad_term, h_init):
     Unknowns at a node: h_i for alive names with positive intensity, pi_i for
     alive defaultless names.  Equations: the alive columns of
     pi^T sigma = Lambda with pi_i = J_i(h_i) substituted for jump names.
+    A node starts from ``h_init`` when given and free of NaN, else from the
+    previous node's root (the first node from 0).
     """
     state, y_nodes, lam = coef.state, coef.y, coef.lam
     n_y, n = lam.shape
@@ -221,7 +264,7 @@ def _solve_slice_general(coef, ratio, grad_term, h_init):
             return J
 
         u = np.zeros(len(alive))
-        if h_init is not None:
+        if h_init is not None and not np.isnan(h_init[k]).any():
             for m, i in enumerate(jumpy):
                 u[m] = h_init[k, i]
         elif k > 0:
@@ -281,38 +324,26 @@ def ahat_slice(y_nodes: np.ndarray, spec: ModelSpec, f_slice: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def build_policy(fields: Mapping[str, SolutionField], state: DefaultState,
-                 spec: ModelSpec) -> PolicyField:
-    """Pointwise controls on every grid node of one state, by time continuation."""
-    fld = fields[state.bitstring]
+def build_policy(fld: SolutionField, spec: ModelSpec, hhat: np.ndarray, theta: np.ndarray,
+                 pi: np.ndarray, residual_max: float = 0.0,
+                 newton_iters_max: int = 0) -> PolicyField:
+    """Policy of one state from the controls its march solved on every final slice.
+
+    ``hhat``, ``theta`` and ``pi`` are (n_t + 1, n_y, n) arrays, kept as they
+    are; the rest of the policy (``ahat``, the consumption multiplier and the
+    hedge gap) follows from the solution field.  Nothing is solved here.
+    """
     grid = fld.grid
     y_nodes = grid.y_nodes()
-
-    hhat = np.zeros((grid.n_t + 1, grid.n_y, spec.n))
-    theta = np.zeros_like(hhat)
-    pi = np.zeros_like(hhat)
-    resid = 0.0
-    iters = 0
-
-    child_fields = {i: fields[state.flip(i).bitstring] for i in state.alive}
-    coef = Coefficients(spec, state, y_nodes)
-    h_prev = None
-    for k in range(grid.n_t + 1):
-        children = {i: cf.f[k] for i, cf in child_fields.items()}
-        h_k, th_k, pi_k, it_k, r_k = solve_hhat_slice(
-            y_nodes, state, spec, fld.f[k], fld.df[k], children, h_init=h_prev, coef=coef)
-        hhat[k], theta[k], pi[k] = h_k, th_k, pi_k
-        h_prev = h_k
-        resid = max(resid, r_k)
-        iters = max(iters, it_k)
     ahat = ahat_slice(y_nodes, spec, fld.f, fld.df)
     c_mult = spec.pref.K2 ** (1.0 - spec.q) / fld.f**spec.beta
     # unmatched diffusion loading on dead names' Brownian motions (replication hypothesis
     # diagnostic; the alive columns vanish by construction)
-    hedge_gap = coef.hedge_gap(pi, theta, fld.f, fld.df)
-    return PolicyField(state=state, grid=grid, t_nodes=fld.t_nodes, hhat=hhat,
+    hedge_gap = Coefficients(spec, fld.state, y_nodes).hedge_gap(pi, theta, fld.f, fld.df)
+    return PolicyField(state=fld.state, grid=grid, t_nodes=fld.t_nodes, hhat=hhat,
                        theta=theta, ahat=ahat, pi=pi, c_mult=c_mult,
-                       residual_max=resid, newton_iters_max=iters, hedge_gap=hedge_gap)
+                       residual_max=residual_max, newton_iters_max=newton_iters_max,
+                       hedge_gap=hedge_gap)
 
 
 # ---------------------------------------------------------------------------

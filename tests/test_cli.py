@@ -158,7 +158,16 @@ class TestSolveCommand:
                 "clamp_pass_skipped", "bound_margin_lo", "bound_margin_hi", "hedge_gap",
                 "ahat_max", "bound_violation"]
         manifest = json.loads((tmp_path / "run.json").read_text())
+        assert set(manifest) == {"spec_sha256", "grid", "elapsed", "march", "python", "numpy",
+                                 "scipy"}
         assert set(manifest["elapsed"]) == {"00", "01", "10", "11"}
+        march = manifest["march"]
+        assert set(march) == {"iterations", "largest_batch", "control_solves", "sweeps",
+                              "march_s", "bounds_s", "policy_s"}
+        # the wavefront: n_t + n iterations plus the final slice, all four states at once
+        assert (march["iterations"], march["largest_batch"]) == (43, 4)
+        assert march["control_solves"] > march["iterations"] and march["sweeps"] > 0
+        assert all(march[key] > 0.0 for key in ("march_s", "bounds_s", "policy_s"))
         assert manifest["grid"]["n_y"] == 41 and manifest["grid"]["n_t"] == 40
         assert manifest["numpy"] == np.__version__
 
@@ -452,8 +461,9 @@ def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, n
     (["--steps", "-1"], "--steps"),
     (["--set", "mc.n_paths=0"], "[mc] n_paths"),
     (["--set", "mc.n_steps=-3"], "[mc] n_steps"),
+    (["--dump-paths", "-2"], "--dump-paths"),
 ], ids=["paths-zero", "paths-negative", "steps-zero", "steps-negative", "config-paths",
-        "config-steps"])
+        "config-steps", "dump-paths-negative"])
 def test_non_positive_mc_counts_exit_2_before_the_solve(tmp_path, monkeypatch, capsys,
                                                          flags, where):
     import creditfolio.cli as cli_mod
@@ -514,3 +524,40 @@ class TestOracleAndValidate:
         rc = run_cli("validate", "--preset", "benchmark_s5",
                      "--set", "credit.b_2_00=-9.0")
         assert rc.returncode == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("flags,where", [
+    (["--set", "grid.n_y=abc"], "[grid] n_y"),
+    (["--set", "grid.n_t=1.5"], "[grid] n_t"),
+    (["--set", "mc.n_paths=many"], "[mc] n_paths"),
+    (["--set", "mc.n_steps="], "[mc] n_steps"),
+    (["--set", "mc.seed=x7"], "[mc] seed"),
+], ids=["config-ny", "config-nt", "config-paths", "config-steps", "config-seed"])
+def test_non_integer_counts_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, flags, where):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the counts were read")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    rc = main(["simulate", "--preset", "benchmark_s5", *flags, "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert where in err and "integer" in err and "invalid literal" not in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_one_name_more_than_max_names_exits_2(tmp_path, monkeypatch, capsys):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran for a model with too many names")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    n = cf.model.MAX_NAMES + 1
+    rc = main(["solve", "--preset", "benchmark_s5", "--set", f"model.n={n}",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert "[model] n" in err and str(cf.model.MAX_NAMES) in err
+    assert not (tmp_path / "out").exists()

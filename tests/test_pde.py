@@ -7,9 +7,10 @@ from scipy.linalg.lapack import dgttrf
 
 import creditfolio as cf
 from creditfolio import oracle as om
-from creditfolio import pde
+from creditfolio import pde, strategy
 from creditfolio.dual import Coefficients
-from creditfolio.model import DefaultState, load_preset, states_by_cardinality
+from creditfolio.fields import spatial_gradient
+from creditfolio.model import DefaultState, build_model, load_preset, states_by_cardinality
 from creditfolio.pde import (control_stats_from_policy, nonlinear_source, step_slice,
                              truncation_bounds)
 from creditfolio.strategy import SolverError
@@ -249,6 +250,134 @@ class TestValidationGate:
             assert a.report[bits]["clamp_pass_skipped"] and not b.report[bits]["clamp_pass_skipped"]
 
 
+def march_one_state(state, spec, grid, fields, bounds):
+    """Per-state reference march: one state alone, step by step, its children solved.
+
+    Returns (f, workspace, kept controls); the controls are those each step
+    solved on its final slice f[k], plus the final slice's.
+    """
+    t_nodes = grid.t_nodes(spec.pref.T)
+    f = np.empty((grid.n_t + 1, grid.n_y))
+    f[0] = spec.f0
+    ws = pde._StepWorkspace(state, spec, grid)
+    kids = {i: fields[state.flip(i).bitstring].f for i in state.alive}
+    kept = {key: np.zeros((grid.n_t + 1, grid.n_y, spec.n)) for key in ("hhat", "theta", "pi")}
+    iters, resid = 0, 0.0
+
+    def keep(k):
+        nonlocal iters, resid
+        hhat, theta, pi, it, res = ws.controls
+        kept["hhat"][k], kept["theta"][k], kept["pi"][k] = hhat[0], theta[0], pi[0]
+        iters, resid = max(iters, int(it[0])), max(resid, float(res[0]))
+
+    for k in range(grid.n_t):
+        f[k + 1] = step_slice(f[k], t_nodes[k], t_nodes[k + 1] - t_nodes[k], state,
+                              {i: c[k] for i, c in kids.items()},
+                              {i: c[k + 1] for i, c in kids.items()}, spec, grid, bounds, ws)
+        keep(k)
+    ws.terms(ws.all_rows, f[-1][None], {i: c[-1][None] for i, c in kids.items()}, keep=True)
+    keep(grid.n_t)
+    return f, ws, (kept, iters, resid)
+
+
+def reference_solve(spec, grid):
+    """The recursive solve one state at a time, in descending default count."""
+    t_nodes = grid.t_nodes(spec.pref.T)
+    fields, bounds, report, policies = {}, {}, {}, {}
+    for state in states_by_cardinality(spec.n):
+        bits = state.bitstring
+        f, ws, kept = march_one_state(state, spec, grid, fields, None)
+        b = bounds[bits] = pde.truncation_bounds(state, bounds, spec, grid,
+                                                 pde._stats_row(ws.stats, 0))
+        skipped = grid.clamp_enabled and pde._clamp_is_identity(ws.envelope[0], b)
+        if grid.clamp_enabled and not skipped:
+            f, ws, kept = march_one_state(state, spec, grid, fields, b)
+        fld = fields[bits] = cf.SolutionField(state=state, grid=grid, t_nodes=t_nodes, f=f,
+                                              df=spatial_gradient(f, grid.dy), beta=spec.beta)
+        (controls, iters, resid) = kept
+        pol = policies[bits] = cf.build_policy(fld, spec, controls["hhat"], controls["theta"],
+                                               controls["pi"], resid, iters)
+        margin_lo = float(np.min(f - b.k_under))
+        margin_hi = float(np.min(b.k_bar(t_nodes)[:, None] - f))
+        report[bits] = {
+            "resid_max": float(ws.resid_max[0]), "newton_iters_max": int(ws.newton_iters[0]),
+            "clamp_hits": int(ws.clamp_hits[0]), "clamp_pass_skipped": bool(skipped),
+            "bound_margin_lo": margin_lo, "bound_margin_hi": margin_hi,
+            "bound_violation": min(margin_lo, margin_hi) < -pde._BOUND_SLACK,
+            "policy_resid_max": pol.residual_max, "hedge_gap": pol.hedge_gap,
+            "ahat_max": float(np.max(np.abs(pol.ahat)))}
+    return cf.SolveResult(fields=fields, policies=policies, bounds=bounds, report=report)
+
+
+def assert_same_solve(result, reference, states=None):
+    for bits in states or reference.fields:
+        got, want = result.fields[bits], reference.fields[bits]
+        assert np.array_equal(got.f, want.f) and np.array_equal(got.df, want.df), bits
+        assert result.bounds[bits] == reference.bounds[bits], bits
+        row = {key: v for key, v in result.report[bits].items() if key != "elapsed"}
+        assert row == reference.report[bits], bits
+        for key in ("hhat", "theta", "pi", "ahat", "c_mult"):
+            assert np.array_equal(getattr(result.policies[bits], key),
+                                  getattr(reference.policies[bits], key)), (bits, key)
+
+
+def three_name_spec():
+    from test_cli import three_name_config
+
+    return build_model(three_name_config())
+
+
+class TestWavefront:
+    @pytest.mark.parametrize("make_spec", [lambda: load_preset("benchmark_s5"),
+                                           lambda: load_preset("scott_example22"),
+                                           three_name_spec],
+                             ids=["benchmark_s5", "scott_example22", "three_names"])
+    def test_equals_the_per_state_march(self, make_spec):
+        spec = make_spec()
+        grid = cf.GridSpec(-1.0, 1.0, 41, 40)
+        result = cf.solve_recursive_system(spec, grid)
+        assert_same_solve(result, reference_solve(spec, grid))
+        # every state is marched in one loop: n_t + n iterations and the final slice
+        assert result.march["iterations"] == grid.n_t + spec.n + 1
+        assert result.march["largest_batch"] == 2**spec.n
+
+    def test_policy_slices_match_a_fresh_control_solve(self, benchmark_spec):
+        grid = cf.GridSpec(-1.0, 1.0, 41, 40)
+        result = cf.solve_recursive_system(benchmark_spec, grid)
+        y = grid.y_nodes()
+        for state in states_by_cardinality(benchmark_spec.n):
+            fld, pol = result.field(state), result.policy(state)
+            kids = {i: result.fields[state.flip(i).bitstring].f for i in state.alive}
+            for k in range(grid.n_t + 1):
+                hhat, theta, pi, _, _ = strategy.solve_hhat_slice(
+                    y, state, benchmark_spec, fld.f[k], fld.df[k],
+                    {i: c[k] for i, c in kids.items()})
+                for got, want in ((pol.hhat[k], hhat), (pol.theta[k], theta), (pol.pi[k], pi)):
+                    assert np.max(np.abs(got - want)) <= 1e-12, (state, k)
+
+    def test_build_policy_solves_nothing(self, benchmark_spec, monkeypatch):
+        solves = {"march": 0, "policy": 0}
+        inside = []
+        solve, build = strategy.solve_hhat_slice, strategy.build_policy
+
+        def counted_solve(*args, **kwargs):
+            solves["policy" if inside else "march"] += 1
+            return solve(*args, **kwargs)
+
+        def marked_build(*args, **kwargs):
+            inside.append(True)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(strategy, "solve_hhat_slice", counted_solve)
+        monkeypatch.setattr(strategy, "build_policy", marked_build)
+        result = cf.solve_recursive_system(benchmark_spec, cf.GridSpec(-1.0, 1.0, 21, 20))
+        assert solves["policy"] == 0
+        assert solves["march"] == result.march["control_solves"] > 0
+
+
 class TestClampPassSkip:
     @pytest.mark.parametrize("preset", ["benchmark_s5", "scott_example22"])
     def test_skip_equals_the_clamped_march(self, preset):
@@ -259,10 +388,10 @@ class TestClampPassSkip:
             bits = state.bitstring
             row = result.report[bits]
             assert row["clamp_pass_skipped"], bits
-            f, ws = pde._march_state(state, spec, grid, result.fields, result.bounds[bits])
+            f, ws, _ = march_one_state(state, spec, grid, result.fields, result.bounds[bits])
             assert np.array_equal(result.fields[bits].f, f), bits
             assert (row["resid_max"], row["newton_iters_max"], row["clamp_hits"]) == (
-                ws.resid_max, ws.newton_iters, ws.clamp_hits), bits
+                ws.resid_max[0], ws.newton_iters[0], ws.clamp_hits[0]), bits
 
     def test_clamped_march_runs_when_the_bootstrap_leaves_its_bounds(self, monkeypatch):
         spec = load_preset("benchmark_s5")
@@ -282,6 +411,8 @@ class TestClampPassSkip:
         row = result.report["11"]
         assert not row["clamp_pass_skipped"] and row["clamp_hits"] > 0
         assert not np.array_equal(result.fields["11"].f, f)
+        # its parents were marched again against the clamped state, as one at a time would
+        assert_same_solve(result, reference_solve(spec, grid), ["11", "10", "01", "00"])
 
 
 def _banded_reference(op, rhs, dt):
@@ -310,7 +441,8 @@ class TestCrankNicolsonFactors:
         for dt in (0.025, 0.025, 0.025, 0.05, 0.05, 0.025):
             assert ws.operator(rng.normal(size=grid.n_y)) is op
             rhs = rng.normal(size=grid.n_y)
-            assert np.array_equal(ws.cn_solve(op, rhs, dt), _banded_reference(op, rhs, dt)), dt
+            x = ws.cn_solve(op, rhs[None], np.array([dt]))[0]
+            assert np.array_equal(x, _banded_reference(op, rhs, dt)), dt
         assert len(factored) == 2
 
     def test_singular_matrix_raises(self, benchmark_spec):
@@ -321,4 +453,4 @@ class TestCrankNicolsonFactors:
         diag[0] = 2.0 / dt  # zero pivot: the first row and column of the CN matrix vanish
         op = (np.zeros(grid.n_y), diag, np.zeros(grid.n_y))
         with pytest.raises(SolverError, match="tridiagonal"):
-            ws.cn_solve(op, np.ones(grid.n_y), dt)
+            ws.cn_solve(op, np.ones((1, grid.n_y)), np.array([dt]))
