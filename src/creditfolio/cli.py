@@ -28,7 +28,8 @@ byte-identical.  ``solve`` writes ``f_state_<bits>.csv``,
 ``policy_state_<bits>.csv``, ``bounds.csv`` and ``solve_report.csv``; the
 per-state solve times, the grid, the Python/numpy/scipy versions and the
 model fingerprint ``spec_sha256`` go to ``run.json`` beside them, so the CSVs
-carry no timing.  ``load_solution`` reads all of these back and rejects,
+carry no timing.  Each state's files hold its row of the result's stacked
+arrays.  ``load_solution`` reads them all back into such arrays and rejects,
 naming the file, artifacts solved for another model, a missing state, a
 field or policy file without its partner, or one with a row count, column
 count or ``t, y`` grid that does not match.
@@ -43,9 +44,10 @@ directory, versions, the pass's grid-exit and reflection fractions, and each
 check's estimate, target, tolerance, verdict and time, so ``mc_report.csv``
 carries no timing.
 
-Grid and Monte Carlo counts (``--ny``, ``--nt``, ``--paths``, ``--steps`` and
-their config keys) must be positive; otherwise a command exits 2 naming the
-flag or key before it loads or solves anything.
+Counts (``--ny``, ``--nt``, ``--paths``, ``--steps`` and their keys) must be
+positive, ``[grid] y_lo < y_hi`` and ``[mc] y0/x0`` numbers, and ``[mc] state``
+one digit per name; otherwise a command exits 2 naming the flag or key before
+it loads or solves anything.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import scipy
 from . import oracle as oracle_mod
 from . import sim
 from .dual import Coefficients
-from .fields import GridSpec, PolicyField, SolutionField, SolveResult, TruncationBounds, lookup
+from .fields import GridSpec, PolicyField, SolveResult, TruncationBounds, lookup, policy_channel
 from .model import (DefaultState, ModelSpec, PRESET_NAMES, all_states, build_model,
                     preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
@@ -113,6 +115,15 @@ def _config_int(section: str, values: dict, key: str, default: str) -> int:
         raise ValueError(f"[{section}] {key} must be an integer, got {text!r}") from None
 
 
+def _config_float(section: str, values: dict, key: str, default: str) -> float:
+    """``[section] key`` as a float; ValueError naming the key when it is not a number."""
+    text = values.get(key, default)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} must be a number, got {text!r}") from None
+
+
 def _counts(section: str, values: dict, wanted) -> dict:
     """``{key: count}`` from a flag when given, else the config section, else the default.
 
@@ -134,20 +145,28 @@ def build_grid(config: dict, args) -> GridSpec:
     g = config.get("grid", {})
     counts = _counts("grid", g, (("n_y", "--ny", args.ny, "401"),
                                  ("n_t", "--nt", args.nt, "400")))
-    return GridSpec(
-        y_lo=float(g.get("y_lo", "-1.0")), y_hi=float(g.get("y_hi", "1.0")), **counts,
-        clamp_enabled=not args.no_clamp and g.get("clamp", "true").lower() != "false")
+    y_lo, y_hi = _config_float("grid", g, "y_lo", "-1.0"), _config_float("grid", g, "y_hi", "1.0")
+    if not y_lo < y_hi:
+        raise ValueError(f"empty spatial domain: [grid] y_lo = {y_lo!r} must be below "
+                         f"[grid] y_hi = {y_hi!r}")
+    return GridSpec(y_lo=y_lo, y_hi=y_hi, **counts,
+                    clamp_enabled=not args.no_clamp and g.get("clamp", "true").lower() != "false")
 
 
-def _mc_params(config: dict, args) -> dict:
+def _mc_params(config: dict, args, n: int) -> dict:
+    """Monte Carlo settings of an ``n``-name model; ValueError naming a bad flag or key."""
     mc = config.get("mc", {})
+    state = mc.get("state", "0" * n)
+    if len(state) != n or any(c not in "01" for c in state):
+        raise ValueError(f"[mc] state must be {n} digits 0 or 1, one per name of the "
+                         f"n = {n} model, got {state!r}")
     return {
         **_counts("mc", mc, (("n_paths", "--paths", args.paths, "100000"),
                              ("n_steps", "--steps", args.steps, "400"))),
         "seed": args.seed if args.seed is not None else _config_int("mc", mc, "seed", "42"),
-        "y0": float(mc.get("y0", "0.0")),
-        "x0": float(mc.get("x0", "1.0")),
-        "z0": DefaultState.from_bitstring(mc.get("state", "0" * int(config["model"]["n"]))),
+        "y0": _config_float("mc", mc, "y0", "0.0"),
+        "x0": _config_float("mc", mc, "x0", "1.0"),
+        "z0": DefaultState.from_bitstring(state),
     }
 
 
@@ -237,6 +256,11 @@ _REPORT_COLUMNS = {"resid_max": float, "policy_resid_max": float, "newton_iters_
                    "bound_violation": bool}
 
 
+def _policy_columns(n: int) -> np.ndarray:
+    """The policy-table channels behind the ``policy_state_<bits>.csv`` columns after ``t, y``."""
+    return np.r_[tuple(policy_channel(name, n) for name in ("hhat", "ahat", "pi", "c_mult"))]
+
+
 def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     """Write the solve's CSV artifacts and its ``run.json`` manifest into ``out_dir``.
 
@@ -246,18 +270,18 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     and the model's ``spec_sha256`` fingerprint.
     """
     n = spec.n
-    for bits, fld in result.fields.items():
-        _write_grid_csv(out_dir / f"f_state_{bits}.csv", ["t", "y", "f", "g", "df_dy"],
-                        fld.t_nodes, fld.grid.y_nodes(),
-                        np.stack([fld.f, fld.f ** fld.beta, fld.df], axis=-1))
+    t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
     header = (["t", "y"] + [f"hhat_{i+1}" for i in range(n)]
               + [f"ahat_{i+1}" for i in range(n)] + [f"pi_{i+1}" for i in range(n)]
               + ["c_mult"])
-    for bits, pol in result.policies.items():
-        _write_grid_csv(out_dir / f"policy_state_{bits}.csv", header,
-                        pol.t_nodes, pol.grid.y_nodes(),
-                        np.concatenate([pol.hhat, pol.ahat, pol.pi, pol.c_mult[..., None]],
-                                       axis=-1))
+    columns = _policy_columns(n)
+    for state in all_states(n):
+        b, bits = state.bits, state.bitstring
+        f = result.f[b]
+        _write_grid_csv(out_dir / f"f_state_{bits}.csv", ["t", "y", "f", "g", "df_dy"],
+                        t_nodes, y_nodes, np.stack([f, f ** spec.beta, result.df[b]], axis=-1))
+        _write_grid_csv(out_dir / f"policy_state_{bits}.csv", header, t_nodes, y_nodes,
+                        result.policy[b][..., columns])
     _write_csv(out_dir / "bounds.csv",
                ["state", "k_under", "k_bar_T", "theta_rate", "m_lo", "m_hi",
                 "m_lo_norms", "m_hi_norms"],
@@ -267,8 +291,7 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
                [(bits, *(float(row[key]) if kind is float else int(row[key])
                          for key, kind in _REPORT_COLUMNS.items()))
                 for bits, row in result.report.items()])
-    grid = next(iter(result.fields.values())).grid
-    manifest = {"spec_sha256": spec.fingerprint(), "grid": dataclasses.asdict(grid),
+    manifest = {"spec_sha256": spec.fingerprint(), "grid": dataclasses.asdict(result.grid),
                 "elapsed": {bits: row["elapsed"] for bits, row in result.report.items()
                             if "elapsed" in row},
                 "march": result.march, **_versions()}
@@ -279,14 +302,13 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
     """Rebuild a solve from its CSV artifacts in ``out_dir``.
 
     ``theta`` is not dumped; it is rebuilt from ``hhat`` through the
-    admissibility tie, and each policy's ``hedge_gap`` from the loaded arrays.
+    admissibility tie, and each state's ``hedge_gap`` from the loaded arrays.
     ``bounds`` and ``report`` come from ``bounds.csv`` and ``solve_report.csv``
     when present (the report without the ``elapsed`` times of ``run.json``).
     Raises ValueError naming the file when ``run.json`` was written for
     another model (its ``spec_sha256`` differs from ``spec``'s; a manifest
     without one is accepted), when a state of the model has no files, or when
-    a field or policy file lacks its partner or does not hold the grid its
-    partner holds.
+    a field or policy file lacks its partner or holds another grid.
     """
     out_dir = Path(out_dir)
     f_paths = {p.name[len("f_state_"):-len(".csv")]: p
@@ -313,29 +335,34 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
         problem = "missing" if bits in states else f"not a state of the {spec.n}-name model"
         raise ValueError(f"{out_dir / f'f_state_{bits}.csv'}: {problem}")
 
-    n = spec.n
-    fields: dict[str, SolutionField] = {}
-    policies: dict[str, PolicyField] = {}
+    n, S = spec.n, len(states)
+    columns = _policy_columns(n)
+    result = None
     for bits, path in f_paths.items():
         t_nodes, y_nodes, values = _read_grid_csv(path, 5)
-        try:
-            grid = GridSpec(float(y_nodes[0]), float(y_nodes[-1]), len(y_nodes), len(t_nodes) - 1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        if result is None:
+            try:
+                grid = GridSpec(float(y_nodes[0]), float(y_nodes[-1]), len(y_nodes),
+                                len(t_nodes) - 1)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            first, shape = (path, t_nodes, y_nodes), (S,) + values.shape[:2]
+            result = SolveResult(grid=grid, t_nodes=t_nodes, f=np.empty(shape),
+                                 df=np.empty(shape), policy=np.empty(shape + (4 * n + 1,)),
+                                 hedge_gap=np.empty(S))
+        elif not (np.array_equal(t_nodes, first[1]) and np.array_equal(y_nodes, first[2])):
+            raise ValueError(f"{path}: its t, y grid differs from {first[0]}'s")
         state = DefaultState.from_bitstring(bits)
-        fld = fields[bits] = SolutionField(state=state, grid=grid, t_nodes=t_nodes,
-                                           f=values[..., 0], df=values[..., 2], beta=spec.beta)
+        b = state.bits
+        result.f[b], result.df[b] = values[..., 0], values[..., 2]
         pol_path = pol_paths[bits]
         pol_t, pol_y, values = _read_grid_csv(pol_path, 3 * n + 3)
         if not (np.array_equal(pol_t, t_nodes) and np.array_equal(pol_y, y_nodes)):
             raise ValueError(f"{pol_path}: its t, y grid differs from {path}'s")
-        coef = Coefficients(spec, state, grid.y_nodes())
-        hhat, pi = values[..., :n], values[..., 2 * n:3 * n]
-        theta = coef.theta_from_h(hhat)
-        policies[bits] = PolicyField(
-            state=state, grid=grid, t_nodes=t_nodes, hhat=hhat, theta=theta,
-            ahat=values[..., n:2 * n], pi=pi, c_mult=values[..., 3 * n],
-            hedge_gap=coef.hedge_gap(pi, theta, fld.f, fld.df))
+        result.policy[b][..., columns] = values
+        pol, coef = PolicyField(result, state), Coefficients(spec, state, grid.y_nodes())
+        pol.theta[...] = coef.theta_from_h(values[..., :n])
+        result.hedge_gap[b] = coef.hedge_gap(pol.pi, pol.theta, pol.f, pol.df)
 
     def bound(row):
         return TruncationBounds(
@@ -350,9 +377,11 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
                 for key, kind in _REPORT_COLUMNS.items() if key in row}
 
     bounds_path, report_path = out_dir / "bounds.csv", out_dir / "solve_report.csv"
-    bounds = _read_state_rows(bounds_path, bound) if bounds_path.is_file() else {}
-    report = _read_state_rows(report_path, report_row) if report_path.is_file() else {}
-    return SolveResult(fields=fields, policies=policies, bounds=bounds, report=report)
+    if bounds_path.is_file():
+        result.bounds = _read_state_rows(bounds_path, bound)
+    if report_path.is_file():
+        result.report = _read_state_rows(report_path, report_row)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +438,7 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     spec = build_model(config)
     grid = build_grid(config, args)
-    mc = _mc_params(config, args)
+    mc = _mc_params(config, args, spec.n)
     if args.dump_paths < 0:
         raise ValueError(f"--dump-paths must be zero or a positive integer, got {args.dump_paths}")
     report = validate_spec(spec, grid.y_nodes())
@@ -480,8 +509,8 @@ def cmd_sweep(args) -> int:
         u = spec.pref.T - t_clock
         y_nodes = grid.y_nodes()
         for state in all_states(spec.n):
-            pol = result.policy(state)
-            pi_slice = lookup(pol.pi[None], pol.t_nodes, y_nodes, u, 0, y_nodes)
+            pi_slice = lookup(result.channel("pi"), result.t_nodes, y_nodes, u, state.bits,
+                              y_nodes)
             for i in state.alive:
                 for j in range(grid.n_y):
                     rows.append((float(axis_value), float(y_nodes[j]), state.bitstring,

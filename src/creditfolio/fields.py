@@ -1,5 +1,10 @@
 """Grid containers shared by the PDE solver, the strategy extractor and the simulator.
 
+A :class:`SolveResult` holds a solve as arrays stacked by the state's bits:
+``f``, ``df`` and one policy table (channels: :data:`POLICY_CHANNELS`).  The
+PDE march writes into them, the CSV artifacts are written from and read into
+them, and the path engine and the point queries :func:`lookup` their rows.
+
 Time index convention: ``t`` is remaining investment horizon.  Slice ``k = 0``
 holds the initial condition (zero horizon, value pinned by the terminal
 utility weight) and slice ``k = n_t`` the full horizon ``T``.  A trading clock
@@ -12,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DefaultState
+from .model import DefaultState, all_states
 
-__all__ = ["GridSpec", "blend_t", "interp_y", "lookup", "SolutionField", "PolicyField",
-           "TruncationBounds", "SolveResult"]
+__all__ = ["GridSpec", "blend_t", "interp_y", "lookup", "POLICY_CHANNELS", "policy_channel",
+           "SolutionField", "PolicyField", "TruncationBounds", "SolveResult"]
 
 
 @dataclass(frozen=True)
@@ -103,68 +108,18 @@ def lookup(table: np.ndarray, t_nodes: np.ndarray, y_nodes: np.ndarray, t: float
     return interp_y(blend_t(table, t_nodes, t), y_nodes, rows, y)
 
 
-@dataclass
-class SolutionField:
-    """Transformed value function f on the grid for one default state.
-
-    ``f[k, j] = f(t_k, y_j)`` with t the remaining horizon; ``df`` holds the
-    central-difference spatial gradient (second-order one-sided at the two
-    boundary nodes).  The dual value function is ``g = f**beta``.
-    """
-
-    state: DefaultState
-    grid: GridSpec
-    t_nodes: np.ndarray
-    f: np.ndarray
-    df: np.ndarray
-    beta: float
-
-    def f_at(self, t, y):
-        return lookup(self.f[None], self.t_nodes, self.grid.y_nodes(), t, 0, y)
-
-    def df_at(self, t, y):
-        return lookup(self.df[None], self.t_nodes, self.grid.y_nodes(), t, 0, y)
-
-
 def spatial_gradient(f_slice: np.ndarray, dy: float) -> np.ndarray:
     """Second-order gradient along the last (space) axis: central inside, one-sided at the edges.
 
-    Leading axes (states, time slices) pass through.
+    Leading axes (states, time slices) pass through; the interior is formed
+    in place, so a whole stack costs no temporaries of its size.
     """
     df = np.empty_like(f_slice)
-    df[..., 1:-1] = (f_slice[..., 2:] - f_slice[..., :-2]) / (2.0 * dy)
+    np.subtract(f_slice[..., 2:], f_slice[..., :-2], out=df[..., 1:-1])
+    df[..., 1:-1] /= 2.0 * dy
     df[..., 0] = (-3.0 * f_slice[..., 0] + 4.0 * f_slice[..., 1] - f_slice[..., 2]) / (2.0 * dy)
     df[..., -1] = (3.0 * f_slice[..., -1] - 4.0 * f_slice[..., -2] + f_slice[..., -3]) / (2.0 * dy)
     return df
-
-
-@dataclass
-class PolicyField:
-    """Dual and primal feedback controls on the grid for one default state.
-
-    Arrays are indexed ``[k, j, i]`` (horizon slice, space node, name) except
-    the scalar consumption multiplier ``c_mult[k, j] = K2^{1-q} / g(t_k, y_j)``
-    which converts wealth into the optimal consumption rate.
-
-    ``hedge_gap`` is the worst unmatched diffusion loading on defaulted
-    names' drivers: the dual-optimal wealth may load on those Brownians while
-    no admissible portfolio can (dead stocks are untradable).  A material gap
-    means the feedback strategy attains strictly less than the dual value,
-    which then only bounds the primal from above; it vanishes when defaultable
-    names carry no excess return and the factor is uncorrelated with prices.
-    """
-
-    state: DefaultState
-    grid: GridSpec
-    t_nodes: np.ndarray
-    hhat: np.ndarray
-    theta: np.ndarray
-    ahat: np.ndarray
-    pi: np.ndarray
-    c_mult: np.ndarray
-    residual_max: float = 0.0
-    newton_iters_max: int = 0
-    hedge_gap: float = 0.0
 
 
 @dataclass
@@ -203,21 +158,89 @@ class TruncationBounds:
         return np.exp(self.m_hi / self.beta * np.asarray(t, dtype=float))
 
 
-@dataclass
-class SolveResult:
-    """Everything produced by one recursive solve, keyed by state bitstring."""
 
-    fields: dict[str, SolutionField]
-    policies: dict[str, PolicyField]
-    bounds: dict[str, TruncationBounds]
+# last axis of the policy table: pi | hhat | theta | ahat, one column per name
+# each, then c_mult = K2^{1-q} / g, which turns wealth into the consumption rate
+POLICY_CHANNELS = ("pi", "hhat", "theta", "ahat", "c_mult")
+
+
+def policy_channel(name: str, n: int):
+    """Index of channel ``name`` on the last axis of an n-name policy table (an int for c_mult)."""
+    c = POLICY_CHANNELS.index(name)
+    return c * n if name == "c_mult" else slice(c * n, (c + 1) * n)
+
+
+@dataclass(eq=False)
+class SolveResult:
+    """One recursive solve, stacked by state: row ``state.bits`` of each array is that state's.
+
+    ``f`` and ``df`` are (S, n_t+1, n_y), ``policy`` is (S, n_t+1, n_y, 4n+1)
+    with the channels of :data:`POLICY_CHANNELS`, and ``hedge_gap`` holds one
+    value per state.  ``bounds`` and ``report`` are keyed by bitstring.
+    ``fields`` and ``policies`` hand out per-state row views that own no
+    arrays; a perturbed policy is a copy with an edited table,
+    ``dataclasses.replace(result, policy=edited)``.
+    """
+
+    grid: GridSpec
+    t_nodes: np.ndarray
+    f: np.ndarray
+    df: np.ndarray
+    policy: np.ndarray
+    hedge_gap: np.ndarray
+    bounds: dict[str, TruncationBounds] = field(default_factory=dict)
     report: dict[str, dict] = field(default_factory=dict)
     march: dict = field(default_factory=dict)   # the march's counts and stage seconds
 
-    def field(self, state: DefaultState) -> SolutionField:
-        return self.fields[state.bitstring]
+    @property
+    def n(self) -> int:
+        return len(self.f).bit_length() - 1
 
-    def policy(self, state: DefaultState) -> PolicyField:
-        return self.policies[state.bitstring]
+    def channel(self, name: str) -> np.ndarray:
+        """Channel ``name`` of every state's policy, (S, n_t+1, n_y[, n]): a view of ``policy``."""
+        return self.policy[..., policy_channel(name, self.n)]
 
-    def bound(self, state: DefaultState) -> TruncationBounds:
-        return self.bounds[state.bitstring]
+    @property
+    def fields(self) -> dict[str, SolutionField]:
+        return {s.bitstring: SolutionField(self, s) for s in all_states(self.n)}
+
+    @property
+    def policies(self) -> dict[str, PolicyField]:
+        return {s.bitstring: PolicyField(self, s) for s in all_states(self.n)}
+
+
+@dataclass(frozen=True, eq=False)
+class SolutionField:
+    """Row ``state.bits`` of a :class:`SolveResult`: views, not copies, of its arrays.
+
+    ``f[k, j] = f(t_k, y_j)`` with t the remaining horizon; ``df`` holds the
+    central-difference spatial gradient (second-order one-sided at the two
+    boundary nodes).  The dual value function is ``g = f**beta``.
+    """
+
+    result: SolveResult = field(repr=False)
+    state: DefaultState
+
+    grid = property(lambda self: self.result.grid)
+    t_nodes = property(lambda self: self.result.t_nodes)
+    f = property(lambda self: self.result.f[self.state.bits])
+    df = property(lambda self: self.result.df[self.state.bits])
+
+
+class PolicyField(SolutionField):
+    """The same row seen through its feedback controls, indexed ``[k, j(, i)]``.
+
+    ``hedge_gap`` is the worst unmatched diffusion loading on defaulted
+    names' drivers: the dual-optimal wealth may load on those Brownians while
+    no admissible portfolio can (dead stocks are untradable).  A material gap
+    means the feedback strategy attains strictly less than the dual value,
+    which then only bounds the primal from above; it vanishes when defaultable
+    names carry no excess return and the factor is uncorrelated with prices.
+    """
+
+    hhat = property(lambda self: self.result.channel("hhat")[self.state.bits])
+    theta = property(lambda self: self.result.channel("theta")[self.state.bits])
+    ahat = property(lambda self: self.result.channel("ahat")[self.state.bits])
+    pi = property(lambda self: self.result.channel("pi")[self.state.bits])
+    c_mult = property(lambda self: self.result.channel("c_mult")[self.state.bits])
+    hedge_gap = property(lambda self: float(self.result.hedge_gap[self.state.bits]))

@@ -27,10 +27,12 @@ with rho != 0 the operators differ and the solve goes state by state).
 Everything a state owns stays per state: its sweep leaves the stack once it
 converges, and its warm starts, stats, envelope, clamp hits and Newton
 counts are kept by row, so every state gets the values it would get marched
-alone.  The controls each step solves on its final slice f[k] (the
-predictor's) are the state's policy there; the last iteration solves the
-final slice n_t, and :func:`strategy.build_policy` assembles the policy from
-these arrays without solving again.
+alone.  The rows of every stack are the states' bits, so the march writes
+straight into the arrays of the :class:`SolveResult`.  The controls each step
+solves on its final slice f[k] (the predictor's) are the state's policy
+there and go into their channels of the policy table; the last iteration
+solves the final slice n_t, and :func:`strategy.build_policy` fills the rest
+of the table for the whole stack without solving again.
 
 The clamp reproduces the truncation device that makes the source Lipschitz.
 The wavefront first marches every state without it; that bootstrap pass
@@ -57,13 +59,12 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import strategy
 from .dual import Coefficients, phi_bounds as _phi_bounds
-from .fields import GridSpec, PolicyField, SolutionField, SolveResult, TruncationBounds, spatial_gradient
-from .model import DefaultState, ModelSpec, states_by_cardinality, validate_spec
+from .fields import GridSpec, SolveResult, TruncationBounds, policy_channel, spatial_gradient
+from .model import DefaultState, ModelSpec, all_states, states_by_cardinality, validate_spec
 from .strategy import SolverError
 
 __all__ = [
     "GridSpec",
-    "SolutionField",
     "TruncationBounds",
     "nonlinear_source",
     "step_slice",
@@ -347,7 +348,7 @@ def _empty_stats(shape: tuple, n: int) -> dict:
             "phi_max": np.full(shape, -np.inf), "source_sum_max": np.zeros(shape)}
 
 
-def _fold_stats(stats: dict, rows, hhat, theta, phi, s) -> dict:
+def _fold_stats(stats: dict, rows, hhat, theta, phi, s) -> None:
     """Fold the controls, reaction and source sum of the states at ``rows`` into ``stats``.
 
     The extremes are kept per node and reduced once, by :func:`_stats_row`;
@@ -359,7 +360,6 @@ def _fold_stats(stats: dict, rows, hhat, theta, phi, s) -> dict:
                              ("phi_min", np.fmin, phi), ("phi_max", np.fmax, phi),
                              ("source_sum_max", np.fmax, s)):
         stats[key][rows] = fold(stats[key][rows], value)
-    return stats
 
 
 def _stats_row(stats: dict, r: int) -> dict:
@@ -367,24 +367,13 @@ def _stats_row(stats: dict, r: int) -> dict:
 
     ``1 + h`` rounds monotonically in h, so its extremes are those of h plus one.
     """
-    axes = tuple(range(stats["phi_min"].ndim - 1))
-    h_max = stats["h_max"][r].max(axis=axes)
-    h_min = stats["h_min"][r].min(axis=axes)
-    return {"max_abs_theta": stats["abs_theta"][r].max(axis=axes),
+    h_max = stats["h_max"][r].max(axis=0)
+    h_min = stats["h_min"][r].min(axis=0)
+    return {"max_abs_theta": stats["abs_theta"][r].max(axis=0),
             "max_abs_h": np.maximum(h_max, -h_min), "max_one_ph": 1.0 + h_max,
             "phi_min": float(stats["phi_min"][r].min()),
             "phi_max": float(stats["phi_max"][r].max()),
             "source_sum_max": float(stats["source_sum_max"][r].max())}
-
-
-def control_stats_from_policy(policy: PolicyField, state: DefaultState, spec: ModelSpec,
-                              fields: Mapping[str, SolutionField]) -> dict:
-    """Realised control statistics of a finished policy, as consumed by truncation_bounds."""
-    coef = Coefficients(spec, state, policy.grid.y_nodes())
-    phi, _ = coef.phi_nu(policy.hhat, policy.theta)
-    s = coef.source_sum(policy.hhat, {i: fields[state.flip(i).bitstring].f for i in state.alive})
-    return _stats_row(_fold_stats(_empty_stats((1,) + phi.shape, spec.n), [0],
-                                  policy.hhat[None], policy.theta[None], phi[None], s[None]), 0)
 
 
 def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, TruncationBounds],
@@ -396,9 +385,8 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
     growth rate at k_under.  The usable reaction envelope [m_lo, m_hi] comes
     from the realised reaction field (for q in (0, 1) the upper bound is 0,
     since phi < 0 there); the coarser sup-norm envelope of the control
-    family is carried alongside for reporting.  ``control_stats`` is the
-    dict produced by :func:`control_stats_from_policy` or by the marching
-    workspace (one row of ``_StepWorkspace.stats``, through ``_stats_row``).
+    family is carried alongside for reporting.  ``control_stats`` is one row
+    of the marching workspace's ``_StepWorkspace.stats``, through ``_stats_row``.
     """
     for i in state.alive:
         key = state.flip(i).bitstring
@@ -442,19 +430,22 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
 # ---------------------------------------------------------------------------
 
 
-def _march(ws: _StepWorkspace, slices: np.ndarray, policy: dict, rows, bounds, t_nodes, child):
+def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, resid: np.ndarray,
+           rows, bounds, t_nodes, child):
     """Wavefront march of the states at ``rows``, all of them in one loop.
 
-    ``slices`` holds the n_t + 1 slices of every state, state by state, then
-    one slice of ones: ``child[i, r]`` is the row of state r's child for name
-    i, or S where name i has defaulted, which reads the ones.  A child
-    outside ``rows`` must be marched already.  A state that is ``lag``
-    generations above the bottom of ``rows`` takes its step k at iteration
-    k + lag, when its children hold slices k and k + 1, so iteration m steps
-    every state whose k = m - lag is in range, as one stack.  A state's last
-    iteration solves the controls of its final slice n_t.  The controls each
-    step solves on its final slice f[k] are kept in ``policy``.  ``bounds``
-    is None for the bootstrap, else the TruncationBounds of each row.
+    ``slices`` holds the n_t + 1 slices of every state, row by row (the
+    states' bits), then one slice of ones: ``child[i, r]`` is the row of state
+    r's child for name i, or S where name i has defaulted, which reads the
+    ones.  A child outside ``rows`` must be marched already.  A state that is
+    ``lag`` generations above the bottom of ``rows`` takes its step k at
+    iteration k + lag, when its children hold slices k and k + 1, so
+    iteration m steps every state whose k = m - lag is in range, as one
+    stack.  A state's last iteration solves the controls of its final slice
+    n_t.  The controls each step solves on its final slice f[k] go into their
+    channels of the (S, n_t + 1, n_y, 4n + 1) ``policy`` table, and the
+    largest control residual of each state into ``resid``.  ``bounds`` is
+    None for the bootstrap, else the TruncationBounds of each row.
     """
     n_t = len(t_nodes) - 1
     dt = np.diff(t_nodes)
@@ -463,16 +454,15 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: dict, rows, bounds, t
     marching = np.zeros(S + 1, dtype=bool)
     marching[rows] = True
     lag = np.zeros(S + 1, dtype=int)
-    for r in sorted(rows):   # rows ascend with falling default count: children come first
+    for r in sorted(rows, reverse=True):   # a child has one more bit set: children come first
         kids = child[:, r][marching[child[:, r]]]
         lag[r] = lag[kids].max() + 1 if kids.size else 0
     lag = lag[rows]
-    # (state, slice k) is row state * (n_t + 1) + k of ``slices`` and of the kept
-    # controls: one gather or scatter per array.  A defaulted name's child stays
+    # (state, slice k) is row state * (n_t + 1) + k of ``slices`` and of the flattened
+    # policy table: one gather or scatter per array.  A defaulted name's child stays
     # on the ones slice, S * (n_t + 1), whatever k.
     first, moves = child * (n_t + 1), child < S
-    kept = {key: policy[key].reshape((-1,) + policy[key].shape[2:])
-            for key in ("hhat", "theta", "pi")}
+    kept = policy.reshape((-1,) + policy.shape[2:])
     for m in range(n_t + lag.max() + 1):
         k = m - lag
         go = (k >= 0) & (k < n_t)
@@ -483,25 +473,23 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: dict, rows, bounds, t
                 slices[at], t_nodes[kr], dt[kr], tuple(ws.states[j] for j in r),
                 dict(enumerate(slices[kids])), dict(enumerate(slices[kids + moves[:, r]])),
                 ws.spec, ws.grid, None if bounds is None else [bounds[j] for j in r], ws)
-            _keep_controls(ws.controls, kept, policy, r, at)
+            _keep_controls(ws.controls, kept, resid, r, at)
         done = rows[k == n_t]
         if done.size:
             kids = first[:, done] + moves[:, done] * n_t
             ws.terms(done, slices[done * (n_t + 1) + n_t], dict(enumerate(slices[kids])),
                      keep=True)
-            _keep_controls(ws.controls, kept, policy, done, done * (n_t + 1) + n_t)
+            _keep_controls(ws.controls, kept, resid, done, done * (n_t + 1) + n_t)
         ws.tally["iterations"] += 1
         ws.tally["largest_batch"] = max(ws.tally["largest_batch"], int(go.sum()))
 
 
-def _keep_controls(controls, kept, policy, rows, at):
-    """Write a solve's controls at the flat (state, slice) indices ``at``."""
-    hhat, theta, pi, iters, resid = controls
-    kept["hhat"][at] = hhat
-    kept["theta"][at] = theta
-    kept["pi"][at] = pi
-    policy["iters"][rows] = np.maximum(policy["iters"][rows], iters)
-    policy["resid"][rows] = np.maximum(policy["resid"][rows], resid)
+def _keep_controls(controls, kept, resid, rows, at):
+    """Write a solve's controls at the flat (state, slice) indices ``at`` of the policy table."""
+    hhat, theta, pi, _, res = controls
+    for name, value in (("hhat", hhat), ("theta", theta), ("pi", pi)):
+        kept[at, :, policy_channel(name, hhat.shape[-1])] = value
+    resid[rows] = np.maximum(resid[rows], res)
 
 
 def _clamp_is_identity(envelope, bounds: TruncationBounds) -> bool:
@@ -530,8 +518,8 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
     distance of the solution to its bounds (nonnegative margin means the
     bounds hold); ``elapsed`` is the wall time of the marches the state took
     part in, shared with the states marched beside it, plus its own bounds
-    and policy.  ``SolveResult.march`` holds the march's counts and stage
-    seconds.
+    and the policy assembly of the whole stack.  ``SolveResult.march`` holds
+    the march's counts and stage seconds.
     """
     if validate:
         report = validate_spec(spec, grid.y_nodes())
@@ -539,37 +527,36 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             raise ValueError("model validation failed:\n" + str(report))
 
     t_nodes = grid.t_nodes(spec.pref.T)
-    states = states_by_cardinality(spec.n)
+    states = all_states(spec.n)   # row r of every stack is the state with bits r
     S, n = len(states), spec.n
     ws = _StepWorkspace(states, spec, grid)
-    child = np.array([[ws.row[st.flip(i).bits] if i in st.alive else S for st in states]
+    child = np.array([[st.flip(i).bits if i in st.alive else S for st in states]
                       for i in range(n)], dtype=int)
     slices = np.empty((S * (grid.n_t + 1) + 1, grid.n_y))
     slices[-1] = 1.0
     f = slices[:-1].reshape(S, grid.n_t + 1, grid.n_y)
     f[:, 0] = spec.f0
-    policy = {key: np.zeros((S, grid.n_t + 1, grid.n_y, n)) for key in ("hhat", "theta", "pi")}
-    policy["iters"] = np.zeros(S, dtype=int)
-    policy["resid"] = np.zeros(S)
+    policy = np.empty(f.shape + (4 * n + 1,))
+    resid = np.zeros(S)   # largest residual of the controls kept for the policy
     elapsed = np.zeros(S)
     seconds = {"march_s": 0.0, "bounds_s": 0.0, "policy_s": 0.0}
 
     def march(rows, bounds):
         started = time.perf_counter()
         ws.reset(rows)
-        for key in ("iters", "resid"):
-            policy[key][rows] = 0
-        _march(ws, slices, policy, rows, bounds, t_nodes, child)
+        resid[rows] = 0.0
+        _march(ws, slices, policy, resid, rows, bounds, t_nodes, child)
         spent = time.perf_counter() - started
         elapsed[rows] += spent
         seconds["march_s"] += spent
 
     march(np.arange(S), None)
+    order = states_by_cardinality(n)   # the row order of the bounds and the report
     bounds: dict[str, TruncationBounds] = {}
     skipped = np.zeros(S, dtype=bool)
     remarched = np.zeros(S + 1, dtype=bool)
     for d in range(n, -1, -1):
-        gen = [r for r, st in enumerate(states) if st.cardinality == d]
+        gen = [st.bits for st in order if st.cardinality == d]
         stale = [r for r in gen if remarched[child[:, r]].any()]
         if stale:
             march(stale, None)
@@ -589,14 +576,16 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             march(clamped, {r: bounds[states[r].bitstring] for r in clamped})
         remarched[stale + clamped] = True
 
-    fields: dict[str, SolutionField] = {}
-    policies: dict[str, PolicyField] = {}
-    report_rows: dict[str, dict] = {}
-    for r, st in enumerate(states):
-        started = time.perf_counter()
-        bits, b, f_st = st.bitstring, bounds[st.bitstring], f[r]
-        margin_lo = float(np.min(f_st - b.k_under))
-        margin_hi = float(np.min(b.k_bar(t_nodes)[:, None] - f_st))
+    started = time.perf_counter()
+    result = SolveResult(grid=grid, t_nodes=t_nodes, f=f, df=spatial_gradient(f, grid.dy),
+                         policy=policy, hedge_gap=np.zeros(S), bounds=bounds)
+    strategy.build_policy(result, spec)
+    seconds["policy_s"] = time.perf_counter() - started
+    ahat = result.channel("ahat")
+    for st in order:
+        r, b = st.bits, bounds[st.bitstring]
+        margin_lo = float(np.min(f[r] - b.k_under))
+        margin_hi = float(np.min(b.k_bar(t_nodes)[:, None] - f[r]))
         row = {
             "resid_max": float(ws.resid_max[r]),
             "newton_iters_max": int(ws.newton_iters[r]),
@@ -605,23 +594,15 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             "bound_margin_lo": margin_lo,
             "bound_margin_hi": margin_hi,
             "bound_violation": min(margin_lo, margin_hi) < -_BOUND_SLACK,
+            "policy_resid_max": float(resid[r]),
+            "hedge_gap": float(result.hedge_gap[r]),
+            "ahat_max": float(np.max(np.abs(ahat[r]))),
+            "elapsed": float(elapsed[r] + seconds["policy_s"]),
         }
         if row["bound_violation"] and not grid.clamp_enabled:
             raise SolverError(
                 f"solution escaped its a-priori bounds in state {st}: "
                 f"margins ({margin_lo:.3e}, {margin_hi:.3e})")
-        fld = fields[bits] = SolutionField(state=st, grid=grid, t_nodes=t_nodes, f=f_st,
-                                           df=spatial_gradient(f_st, grid.dy), beta=spec.beta)
-        pol = policies[bits] = strategy.build_policy(
-            fld, spec, policy["hhat"][r], policy["theta"][r], policy["pi"][r],
-            residual_max=float(policy["resid"][r]), newton_iters_max=int(policy["iters"][r]))
-        row["policy_resid_max"] = pol.residual_max
-        row["hedge_gap"] = pol.hedge_gap
-        row["ahat_max"] = float(np.max(np.abs(pol.ahat)))
-        spent = time.perf_counter() - started
-        seconds["policy_s"] += spent
-        row["elapsed"] = float(elapsed[r] + spent)
-        report_rows[bits] = row
-
-    return SolveResult(fields=fields, policies=policies, bounds=bounds, report=report_rows,
-                       march={**ws.tally, **seconds})
+        result.report[st.bitstring] = row
+    result.march = {**ws.tally, **seconds}
+    return result

@@ -12,11 +12,14 @@ one block per time step (normals) and per default round (exponential clocks),
 so a path set is a pure function of (spec, seed, n_paths, n_steps), bit-stable
 across runs and independent of which optional observers are active.
 
-Controls and ``g`` are read from tables that stack every default state,
-indexed by the state's bits, so one lookup per step serves all paths with no
-per-state mask; each path's intensity at the end of a step carries into the
-next.  The Feynman–Kac probes of a call share one normal stream and one pass
-over (probe, path) arrays; a probe's draws do not depend on its batch.
+Controls and ``g`` are read in place from the solved result's policy table
+and ``f``, which stack every default state indexed by the state's bits, so
+one lookup per step serves all paths with no per-state mask; each path's
+intensity at the end of a step carries into the next.  The policy is data:
+a perturbed policy is a result whose table was edited, and a defaulted
+name's weight is masked to zero whatever the table holds.  The Feynman–Kac
+probes of a call share one normal stream and one pass over (probe, path)
+arrays; a probe's draws do not depend on its batch.
 
 One controlled pass serves every path check: given a solved result,
 :func:`simulate_market` runs the controls beside the market and records the
@@ -45,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import Coefficients
-from .fields import SolveResult, blend_t, interp_y, lookup
+from .fields import SolveResult, blend_t, interp_y, lookup, policy_channel
 from .model import DefaultState, ModelSpec
 from .strategy import SolverError
 
@@ -171,24 +174,6 @@ class PathBundle:
         return float(np.mean(self.final_bits == self.z0.bits))
 
 
-def _state_tables(result: SolveResult, n: int):
-    """(t_nodes, y_nodes, policy table, f table), both tables indexed by the state's bits.
-
-    The policy table stacks the channels pi | hhat | theta | ahat | c_mult on
-    its last axis, so one lookup per step reads every control of every path.
-    """
-    states = [DefaultState(n, b) for b in range(1 << n)]
-    first = result.field(states[0])
-    policy = np.empty((len(states),) + first.f.shape + (4 * n + 1,))
-    for b, state in enumerate(states):
-        pol = result.policy(state)
-        for c, arr in enumerate((pol.pi, pol.hhat, pol.theta, pol.ahat)):
-            policy[b, ..., c * n:(c + 1) * n] = arr
-        policy[b, ..., 4 * n] = pol.c_mult
-    f = np.stack([result.field(state).f for state in states])
-    return first.t_nodes, first.grid.y_nodes(), policy, f
-
-
 def _sigma_rows(spec: ModelSpec, y: np.ndarray):
     """(diagonal entries over paths, None) or (None, constant matrix)."""
     diag = spec.market.sigma_diag_grid(y)
@@ -207,9 +192,7 @@ def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
 
 
 def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
-              x0: float | None = None, pi_scale: float = 1.0,
-              pi_override: np.ndarray | None = None, zero_consumption: bool = False,
-              g_probe_times: Sequence[float] = (),
+              x0: float | None = None, g_probe_times: Sequence[float] = (),
               comp_probe_times: Sequence[float] = (), keep: int = 0) -> PathBundle:
     """One vectorised forward pass over all paths from the bundle's inputs; fills the bundle.
 
@@ -251,26 +234,21 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
 
     alive_of = np.array([[1.0 - ((b >> i) & 1) for i in range(n)] for b in range(1 << n)])
     if with_controls:
-        t_nodes, y_nodes, policy_table, f_table = _state_tables(result, n)
+        t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
 
     def lam_alive(yv, bv):
         return spec.credit.intensity_per_path(yv, bv) * alive_of[bv]
 
     def g_at(u, bv, yv):
-        return lookup(f_table, t_nodes, y_nodes, u, bv, yv) ** spec.beta
+        return lookup(result.f, t_nodes, y_nodes, u, bv, yv) ** spec.beta
 
     def controls_at(t_clock, Yv, bv):
-        vals = lookup(policy_table, t_nodes, y_nodes, max(T - t_clock, 0.0), bv, Yv)
-        pi = vals[:, :n]
+        vals = lookup(result.policy, t_nodes, y_nodes, max(T - t_clock, 0.0), bv, Yv)
+        pi = vals[:, policy_channel("pi", n)] * alive_of[bv]
         # contiguous channels keep the einsum reductions below on one code path
-        hh, th, ah = (np.ascontiguousarray(vals[:, c * n:(c + 1) * n]) for c in (1, 2, 3))
-        cm = vals[:, 4 * n]
-        if pi_override is not None:
-            pi = np.broadcast_to(np.asarray(pi_override, dtype=float), pi.shape).copy()
-        pi = pi * pi_scale * alive_of[bv]
-        if zero_consumption:
-            cm = np.zeros_like(cm)
-        return pi, hh, th, ah, cm
+        hh, th, ah = (np.ascontiguousarray(vals[:, policy_channel(c, n)])
+                      for c in ("hhat", "theta", "ahat"))
+        return pi, hh, th, ah, vals[:, policy_channel("c_mult", n)]
 
     if with_controls:
         X = np.full(n_paths, float(x0))
@@ -447,8 +425,7 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
         X_rep = x0 * (g_at(0.0, bits, Y) / g0) * (Gamma / B_T) ** (q - 1.0)
         bundle.wealth = {"X_T": X, "cons_util": cons_util,
                          "utility": _power_utility(X, spec.pref.K1, p) + cons_util,
-                         "X_rep_T": X_rep, "flagged": wealth_flagged,
-                         "x0": x0, "pi_scale": pi_scale, "zero_consumption": zero_consumption}
+                         "X_rep_T": X_rep, "flagged": wealth_flagged, "x0": x0}
         bundle.density = {"Gamma_T": Gamma}
         bundle.x0, bundle.g0, bundle.g_probes = x0, float(g0), g_out
         bundle.grid_exit_count = grid_exit_count
@@ -480,10 +457,8 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
                      g_probe_times=g_probe_times, keep=keep)
 
 
-def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
-                    pi_scale: float = 1.0, pi_override: np.ndarray | None = None,
-                    zero_consumption: bool = False) -> PathBundle:
-    """Wealth under the feedback policy along the bundle's paths (same draws).
+def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float) -> PathBundle:
+    """Wealth under the feedback policy of ``result`` along the bundle's paths (same draws).
 
     Reruns the bundle's pass with the controls, keeping its probes and kept
     paths.  Fills ``bundle.wealth`` with terminal wealth, accumulated
@@ -491,11 +466,9 @@ def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float, *,
     wealth implied by the dual representation x (f(0,Y_T,H_T)/f(T,y0,z0))^beta
     (Gamma_T/B_T)^{q-1}, and ``bundle.density`` with the dual density
     ``Gamma_T`` (the kept paths gain ``Gamma``).  Gamma depends neither on
-    ``x0`` nor on the policy flags.
+    ``x0`` nor on the ``pi`` and ``c_mult`` channels of the policy.
     """
-    return _simulate(bundle, result=result, x0=x0, pi_scale=pi_scale, pi_override=pi_override,
-                     zero_consumption=zero_consumption,
-                     comp_probe_times=tuple(bundle.compensator),
+    return _simulate(bundle, result=result, x0=x0, comp_probe_times=tuple(bundle.compensator),
                      g_probe_times=tuple(bundle.g_probes), keep=len(bundle.kept.get("Y", ())))
 
 
@@ -549,8 +522,7 @@ def _duality_report(bundle: PathBundle, result: SolveResult, tol_se: float = 3.0
     else:
         rep_corr = float("nan")  # degenerate: terminal wealth is deterministic
         rep_dev = float(np.max(np.abs(lx - lr)))
-    hedge_gap = max(result.policies[s.bitstring].hedge_gap
-                    for s in reachable_states(spec, z0))
+    hedge_gap = max(float(result.hedge_gap[s.bits]) for s in reachable_states(spec, z0))
     return McReport(
         name="duality-gap", estimate=est, target=target, se=se, n_paths=int(ok.sum()),
         tol_se=tol_se, bias_floor=abs(target) * dt, elapsed=bundle.elapsed,
@@ -576,20 +548,18 @@ def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_ste
 
 def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
                 n_steps: int, seed: int, *, y0: float = 0.0,
-                z0: DefaultState | None = None, pi_scale: float = 1.0,
-                pi_override: np.ndarray | None = None, zero_consumption: bool = False,
-                tol_se: float = 3.0) -> McReport:
+                z0: DefaultState | None = None, tol_se: float = 3.0) -> McReport:
     """Simulated primal utility under the feedback policy vs the dual value.
 
     The target is V(x0, y0, z0) = (x0^p / p) g(T, y0, z0)^{1-p}; the bias
-    floor is |V| dt (first-order controlled stepping).  With a perturbed
-    policy the report compares against the same optimal-value target, so
-    ``passed`` indicates attainment, not correctness of the perturbed run;
-    the utility estimate itself feeds optimality-ordering checks.
+    floor is |V| dt (first-order controlled stepping).  Given a result with
+    a perturbed policy table the report compares against the same
+    optimal-value target, so ``passed`` indicates attainment, not
+    correctness of the perturbed run; the utility estimate itself feeds
+    optimality-ordering checks.
     """
     bundle = PathBundle(spec, n_paths, n_steps, seed, y0, z0 or DefaultState(spec.n, 0))
-    simulate_wealth(bundle, result, x0, pi_scale=pi_scale, pi_override=pi_override,
-                    zero_consumption=zero_consumption)
+    simulate_wealth(bundle, result, x0)
     return _duality_report(bundle, result, tol_se)
 
 
@@ -616,17 +586,18 @@ def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
 
     Row ``c * len(states) + s`` holds channel c of state s, so one lookup
     reads all four channels of every probe and the y weights are found once.
+    The inputs are rows of the result's stacked ``f`` and policy table.
     """
-    first = result.field(states[0]).f
-    table = np.empty((4, len(states)) + first.shape)
+    hhat, theta = result.channel("hhat"), result.channel("theta")
+    table = np.empty((4, len(states)) + result.f.shape[1:])
     for row, state in enumerate(states):
-        pol = result.policy(state)
+        b = state.bits
         coef = Coefficients(spec, state, y_nodes)
-        table[0, row], table[3, row] = coef.phi_nu(pol.hhat, pol.theta)
-        table[1, row] = coef.source_sum(pol.hhat, {i: result.fields[state.flip(i).bitstring].f
-                                                   for i in state.alive})
-        table[2, row] = result.field(state).f
-    return table.reshape((-1,) + first.shape)
+        table[0, row], table[3, row] = coef.phi_nu(hhat[b], theta[b])
+        table[1, row] = coef.source_sum(hhat[b], {i: result.f[state.flip(i).bits]
+                                                  for i in state.alive})
+        table[2, row] = result.f[b]
+    return table.reshape((-1,) + result.f.shape[1:])
 
 
 def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
@@ -656,8 +627,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     rows = np.array([row_of[state.bits] for state, _ in probes])
     t_list = [t for _, (t, _) in probes]
     dt_list = [t / n_steps for t in t_list]
-    first = result.field(states[0])
-    grid, t_nodes, y_nodes = first.grid, first.t_nodes, first.grid.y_nodes()
+    grid, t_nodes, y_nodes = result.grid, result.t_nodes, result.grid.y_nodes()
     beta = spec.beta
 
     table = _fk_table(spec, result, states, y_nodes)
@@ -721,7 +691,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     reports = []
     for (state, (t, y)), d, row in zip(probes, dt_list, samples):
         est, se = _mean_se(row)
-        target = float(result.field(state).f_at(t, y))
+        target = float(lookup(result.f, t_nodes, y_nodes, t, state.bits, y))
         reports.append(McReport(
             name=f"feynman-kac state={state} probe=({t:g},{y:g})",
             estimate=est, target=target, se=se, n_paths=n_paths, tol_se=tol_se,

@@ -15,10 +15,13 @@ default-free limit).  Defaulted names carry h = 0 and zero weight.
 Roots are followed by continuation in time, inside the PDE march: every
 control solve of a state warm-starts from that state's previous one, seeded
 with h = 0 at zero horizon, which picks the branch that is continuous in t
-when the scalar equations admit several crossings.  The march keeps the
-controls it solves on each final slice, and :func:`build_policy` assembles
-the policy from them without solving again.  The slice solver takes one
+when the scalar equations admit several crossings.  The march writes the
+controls it solves on each final slice into the policy table of its
+:class:`SolveResult`, and :func:`build_policy` fills the rest of the table
+for the whole stack without solving again.  The slice solver takes one
 state or a stack of states; a stack solves each state as it would alone.
+The point queries read the result's stacked ``f`` and ``df`` with
+:func:`fields.lookup`.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import Mapping
 import numpy as np
 
 from .dual import H_FLOOR, Coefficients
-from .fields import PolicyField, SolutionField
-from .model import DefaultState, ModelSpec
+from .fields import SolveResult, lookup, policy_channel
+from .model import DefaultState, ModelSpec, all_states
 
 __all__ = [
     "SolverError",
@@ -54,10 +57,6 @@ _PI_CONSISTENCY_TOL = 1e-6
 
 class SolverError(RuntimeError):
     """Raised when a pointwise control solve or a PDE step fails to converge."""
-
-
-def _fields_of(obj) -> Mapping[str, SolutionField]:
-    return obj.fields if hasattr(obj, "fields") else obj
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +323,25 @@ def ahat_slice(y_nodes: np.ndarray, spec: ModelSpec, f_slice: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def build_policy(fld: SolutionField, spec: ModelSpec, hhat: np.ndarray, theta: np.ndarray,
-                 pi: np.ndarray, residual_max: float = 0.0,
-                 newton_iters_max: int = 0) -> PolicyField:
-    """Policy of one state from the controls its march solved on every final slice.
+def build_policy(result: SolveResult, spec: ModelSpec) -> None:
+    """Complete the policy table of every state from its solution, in place.
 
-    ``hhat``, ``theta`` and ``pi`` are (n_t + 1, n_y, n) arrays, kept as they
-    are; the rest of the policy (``ahat``, the consumption multiplier and the
-    hedge gap) follows from the solution field.  Nothing is solved here.
+    The march wrote ``hhat``, ``theta`` and ``pi`` into ``result.policy``; the
+    rest of the policy (``ahat``, the consumption multiplier and the hedge
+    gap) follows from ``f`` and ``df``.  Nothing is solved here.  Each state
+    is filled in turn, so the temporaries stay one state's size.
     """
-    grid = fld.grid
-    y_nodes = grid.y_nodes()
-    ahat = ahat_slice(y_nodes, spec, fld.f, fld.df)
-    c_mult = spec.pref.K2 ** (1.0 - spec.q) / fld.f**spec.beta
-    # unmatched diffusion loading on dead names' Brownian motions (replication hypothesis
-    # diagnostic; the alive columns vanish by construction)
-    hedge_gap = Coefficients(spec, fld.state, y_nodes).hedge_gap(pi, theta, fld.f, fld.df)
-    return PolicyField(state=fld.state, grid=grid, t_nodes=fld.t_nodes, hhat=hhat,
-                       theta=theta, ahat=ahat, pi=pi, c_mult=c_mult,
-                       residual_max=residual_max, newton_iters_max=newton_iters_max,
-                       hedge_gap=hedge_gap)
+    n, y_nodes = spec.n, result.grid.y_nodes()
+    k2q = spec.pref.K2 ** (1.0 - spec.q)
+    for state in all_states(n):
+        b = state.bits
+        f, df, table = result.f[b], result.df[b], result.policy[b]
+        table[..., policy_channel("ahat", n)] = ahat_slice(y_nodes, spec, f, df)
+        table[..., policy_channel("c_mult", n)] = k2q / f**spec.beta
+        # unmatched diffusion loading on dead names' Brownian motions (replication
+        # hypothesis diagnostic; the alive columns vanish by construction)
+        result.hedge_gap[b] = Coefficients(spec, state, y_nodes).hedge_gap(
+            table[..., policy_channel("pi", n)], table[..., policy_channel("theta", n)], f, df)
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +349,31 @@ def build_policy(fld: SolutionField, spec: ModelSpec, hhat: np.ndarray, theta: n
 # ---------------------------------------------------------------------------
 
 
-def _point_inputs(t: float, y: float, state: DefaultState, fields, spec: ModelSpec):
-    fields = _fields_of(fields)
-    fld = fields[state.bitstring]
+def _point_inputs(t: float, y: float, state: DefaultState, result: SolveResult,
+                  spec: ModelSpec):
     u = spec.pref.T - t
     if u < -1e-12:
         raise ValueError(f"clock time {t} exceeds the horizon {spec.pref.T}")
     u = max(u, 0.0)
-    children = {}
-    for i in state.alive:
-        key = state.flip(i).bitstring
-        if key not in fields:
-            raise SolverError(f"missing child field {key} for state {state}")
-        children[i] = np.array([float(fields[key].f_at(u, y))])
-    return float(fld.f_at(u, y)), float(fld.df_at(u, y)), children
+    t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
+    rows = np.array([state.bits] + [state.flip(i).bits for i in state.alive])
+    f_val, *child_vals = lookup(result.f, t_nodes, y_nodes, u, rows, y)
+    children = {i: np.array([float(v)]) for i, v in zip(state.alive, child_vals)}
+    return float(f_val), float(lookup(result.df, t_nodes, y_nodes, u, state.bits, y)), children
 
 
-def solve_hhat(t: float, y: float, state: DefaultState, fields, spec: ModelSpec) -> np.ndarray:
+def solve_hhat(t: float, y: float, state: DefaultState, result: SolveResult,
+               spec: ModelSpec) -> np.ndarray:
     """Jump loadings hhat(t, y, z) at one point (zeros for defaulted names)."""
-    f_val, df_val, children = _point_inputs(t, y, state, fields, spec)
+    f_val, df_val, children = _point_inputs(t, y, state, result, spec)
     h, _, _, _, _ = solve_hhat_slice(np.array([y]), state, spec,
                                      np.array([f_val]), np.array([df_val]), children)
     return h[0]
 
 
-def _point_terms(t, y, state, hhat, fields, spec):
+def _point_terms(t, y, state, hhat, result, spec):
     """(Lambda, J, size-1 kernel) at one point for a jump loading hhat."""
-    f_val, df_val, children = _point_inputs(t, y, state, fields, spec)
+    f_val, df_val, children = _point_inputs(t, y, state, result, spec)
     coef = Coefficients(spec, state, y)
     theta = coef.theta_from_h(coef.check_h(hhat)[None])
     Lam = coef.diffusion_row(theta, coef.grad_term(np.array([f_val]), np.array([df_val])))[0]
@@ -388,16 +384,16 @@ def _point_terms(t, y, state, hhat, fields, spec):
 
 
 def lambda_and_J(t: float, y: float, state: DefaultState, hhat: np.ndarray,
-                 fields, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+                 result: SolveResult, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Diffusion row Lambda and jump vector J of the optimal wealth dynamics."""
-    Lam, J, _ = _point_terms(t, y, state, hhat, fields, spec)
+    Lam, J, _ = _point_terms(t, y, state, hhat, result, spec)
     return Lam, J
 
 
 def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
-           fields, spec: ModelSpec) -> np.ndarray:
+           result: SolveResult, spec: ModelSpec) -> np.ndarray:
     """Optimal wealth fractions; raises if inconsistent with the diffusion matching."""
-    Lam, J, coef = _point_terms(t, y, state, hhat, fields, spec)
+    Lam, J, coef = _point_terms(t, y, state, hhat, result, spec)
     lam = coef.lam[0]
     pi = np.where(lam > _LAMBDA_TOL, J, 0.0)
     s = spec.market.sigma_at(y)
@@ -417,23 +413,21 @@ def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
 
 
 def consumption_rate(t: float, y: float, state: DefaultState, x_wealth: float,
-                     fields, spec: ModelSpec) -> float:
+                     result: SolveResult, spec: ModelSpec) -> float:
     """Optimal consumption rate c = K2^{1-q} x / g(T-t, y, z)."""
     if x_wealth <= 0:
         raise ValueError("wealth must be positive")
-    fields = _fields_of(fields)
-    fld = fields[state.bitstring]
     u = max(spec.pref.T - t, 0.0)
-    g_val = float(fld.f_at(u, y)) ** spec.beta
-    return spec.pref.K2 ** (1.0 - spec.q) * x_wealth / g_val
+    f_val = float(lookup(result.f, result.t_nodes, result.grid.y_nodes(), u, state.bits, y))
+    return spec.pref.K2 ** (1.0 - spec.q) * x_wealth / f_val**spec.beta
 
 
-def value_function(x: float, y: float, state: DefaultState, fields, spec: ModelSpec) -> float:
+def value_function(x: float, y: float, state: DefaultState, result: SolveResult,
+                   spec: ModelSpec) -> float:
     """Primal value V(x, y, z) = (x^p / p) g(T, y, z)^{1-p}."""
     if x <= 0:
         raise ValueError("wealth must be positive")
-    fields = _fields_of(fields)
-    fld = fields[state.bitstring]
-    g_val = float(fld.f_at(spec.pref.T, y)) ** spec.beta
+    g_val = float(lookup(result.f, result.t_nodes, result.grid.y_nodes(), spec.pref.T,
+                         state.bits, y)) ** spec.beta
     p = spec.pref.p
     return (x**p / p) * g_val ** (1.0 - p)

@@ -1,8 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import creditfolio as cf
+from creditfolio.fields import policy_channel
 from creditfolio.model import CreditSpec, FactorSpec, MarketSpec, ModelSpec, PreferenceSpec
+
+
+def with_policy(result, pi_scale=1.0, **channels):
+    """A copy of ``result`` that runs another policy: its policy table, edited.
+
+    Each keyword names a channel of ``fields.POLICY_CHANNELS`` and the value
+    it takes everywhere, broadcast against that channel's (S, n_t+1, n_y[, n])
+    array: one weight per name, or an (S, 1, 1, n) array for per-state values.
+    ``pi_scale`` then multiplies the portfolio weights.  The path engine
+    masks a defaulted name's weight to zero whatever the table holds.
+    """
+    policy = result.policy.copy()
+    for name, value in channels.items():
+        policy[..., policy_channel(name, result.n)] = value
+    policy[..., policy_channel("pi", result.n)] *= pi_scale
+    return dataclasses.replace(result, policy=policy)
 
 
 def bisect_reference(spec, state, i, y, f_val, df_val, f_child, lo=-1 + 1e-6, hi=8.0):

@@ -17,7 +17,7 @@ from creditfolio.cli import apply_overrides, build_model, preset_config
 from creditfolio.model import (CreditSpec, DefaultState, FactorSpec, MarketSpec,
                                ModelSpec, PreferenceSpec, load_preset)
 
-from conftest import bisect_reference
+from conftest import bisect_reference, with_policy
 
 N_PATHS = 100_000
 N_STEPS = 400
@@ -200,17 +200,17 @@ def test_criterion_9_duality_gap(bench, bench_p01):
     # ordering with perturbations that genuinely move the policy.
     spec, result = bench
     rep_main = main_reports["p=0.8"]
-    rep_scaled = sim.duality_gap(spec, result, 1.0, N_PATHS, N_STEPS, seed=2025,
-                                 pi_scale=1.5)
+    rep_scaled = sim.duality_gap(spec, with_policy(result, pi_scale=1.5), 1.0, N_PATHS,
+                                 N_STEPS, seed=2025)
     inert = abs(rep_scaled.estimate - rep_main.estimate) <= 1e-9 * abs(rep_main.estimate)
     ok &= inert
     lines.append(f"pi x1.5 inert on the zero-premium optimum "
                  f"(|delta| = {abs(rep_scaled.estimate - rep_main.estimate):.2e})")
 
-    rep_zero_c = sim.duality_gap(spec, result, 1.0, 30000, 200, seed=2026,
-                                 zero_consumption=True)
-    rep_const_pi = sim.duality_gap(spec, result, 1.0, 30000, 200, seed=2026,
-                                   pi_override=np.array([0.5, 0.5]))
+    rep_zero_c = sim.duality_gap(spec, with_policy(result, c_mult=0.0), 1.0, 30000, 200,
+                                 seed=2026)
+    rep_const_pi = sim.duality_gap(spec, with_policy(result, pi=np.array([0.5, 0.5])), 1.0,
+                                   30000, 200, seed=2026)
     for rep_ctrl, name in ((rep_zero_c, "consumption off"), (rep_const_pi, "pi=0.5")):
         lower = rep_ctrl.estimate < rep_ctrl.target - rep_ctrl.tolerance
         ok &= lower
@@ -294,8 +294,7 @@ def test_criterion_11_simulator_exactness(bench):
                  f"(3se = {3 * se:.5f})")
 
     bundle2 = sim.simulate_market(spec, 1000, N_STEPS, seed=9)
-    sim.simulate_wealth(bundle2, result, 1.0, pi_override=np.zeros(2),
-                        zero_consumption=True)
+    sim.simulate_wealth(bundle2, with_policy(result, pi=np.zeros(2), c_mult=0.0), 1.0)
     bank_err = float(np.max(np.abs(bundle2.wealth["X_T"] - np.exp(0.2))))
     ok &= bank_err < 1e-12
     notes.append(f"bank-account wealth exact to {bank_err:.1e} (tol 1e-12)")

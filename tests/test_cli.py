@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import creditfolio as cf
+from creditfolio.fields import POLICY_CHANNELS
 from creditfolio.cli import (EXIT_STATISTICAL, EXIT_VALIDATION, apply_overrides,
                              build_model, dump_solution, load_solution, main, preset_config)
 
@@ -129,7 +130,7 @@ class TestSolveCommand:
             write_rows_reference(
                 ref, ["t", "y", "f", "g", "df_dy"],
                 [(float(t), float(y[j]), float(fld.f[k, j]), float(g_row[j]), float(fld.df[k, j]))
-                 for k, t in enumerate(fld.t_nodes) for g_row in [fld.f[k] ** fld.beta]
+                 for k, t in enumerate(fld.t_nodes) for g_row in [fld.f[k] ** spec.beta]
                  for j in range(fld.grid.n_y)])
             assert (tmp_path / f"f_state_{bits}.csv").read_bytes() == ref.read_bytes(), bits
         header = (["t", "y"] + [f"{c}_{i}" for c in ("hhat", "ahat", "pi") for i in (1, 2, 3)]
@@ -208,6 +209,22 @@ class TestSolveCommand:
         assert loaded.bounds == solved.bounds
         assert loaded.report == {bits: {k: v for k, v in row.items() if k != "elapsed"}
                                  for bits, row in solved.report.items()}
+
+    def test_row_views_share_the_stacked_arrays(self, solve_dir):
+        spec = build_model(preset_config("benchmark_s5"))
+        solved = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 21, 10))
+        for result in (solved, load_solution(solve_dir, spec)):
+            assert result.f.shape[0] == result.policy.shape[0] == 4
+            for bits, fld in result.fields.items():
+                b = fld.state.bits
+                assert fld.state.bitstring == bits
+                assert np.shares_memory(fld.f, result.f) and np.shares_memory(fld.df, result.df)
+                assert np.array_equal(fld.f, result.f[b])
+                pol = result.policies[bits]
+                for name in POLICY_CHANNELS:
+                    assert np.shares_memory(getattr(pol, name), result.policy), (bits, name)
+                    assert np.array_equal(getattr(pol, name), result.channel(name)[b])
+                assert pol.hedge_gap == result.hedge_gap[b]
 
 
 class TestSweepCommand:
@@ -421,8 +438,8 @@ def test_foreign_solution_exits_2_naming_run_json(tmp_path):
     assert set(loaded.fields) == {"00", "01", "10", "11"}
 
 
-def _drop_last_lines(path):
-    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-7]))
+def _drop_last_lines(path, count=7):
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-count]))
 
 
 def _swap_first_rows(path):
@@ -443,7 +460,11 @@ def _drop_last_column(path):
     (lambda d: _drop_last_lines(d / "f_state_10.csv"), "f_state_10.csv"),
     (lambda d: _swap_first_rows(d / "f_state_11.csv"), "f_state_11.csv"),
     (lambda d: _drop_last_column(d / "policy_state_00.csv"), "policy_state_00.csv"),
-], ids=["missing-partner", "missing-state", "truncated", "not-a-tensor-grid", "policy-columns"])
+    # one time slice fewer in both files of a state: a whole grid, but not the others' grid
+    (lambda d: [_drop_last_lines(d / f"{kind}_state_10.csv", 41) for kind in ("f", "policy")],
+     "f_state_10.csv"),
+], ids=["missing-partner", "missing-state", "truncated", "not-a-tensor-grid", "policy-columns",
+        "other-grid"])
 def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, name):
     damaged = tmp_path / "damaged"
     shutil.copytree(solve_dir, damaged)
@@ -544,6 +565,47 @@ def test_non_integer_counts_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert where in err and "integer" in err and "invalid literal" not in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flags,where", [
+    (["--set", "grid.y_lo=abc"], ["[grid] y_lo"]),
+    (["--set", "grid.y_hi=1e"], ["[grid] y_hi"]),
+    (["--set", "mc.y0=abc"], ["[mc] y0"]),
+    (["--set", "mc.x0=abc"], ["[mc] x0"]),
+    (["--set", "grid.y_lo=2"], ["[grid] y_lo = 2.0", "[grid] y_hi = 1.0", "empty"]),
+], ids=["config-y-lo", "config-y-hi", "config-y0", "config-x0", "empty-domain"])
+def test_bad_floats_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, flags, where):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the numbers were read")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    monkeypatch.setattr(cli_mod, "load_solution", no_solve)
+    rc = main(["simulate", "--preset", "benchmark_s5", *flags, "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert all(part in err for part in where), err
+    assert "could not convert" not in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("state", ["0", "111", "0a", ""], ids=["short", "long", "not-binary",
+                                                              "empty"])
+def test_bad_mc_state_exits_2_before_the_solve(tmp_path, monkeypatch, capsys, state):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the start state was checked")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    monkeypatch.setattr(cli_mod, "load_solution", no_solve)
+    rc = main(["simulate", "--preset", "benchmark_s5", "--set", f"mc.state={state}",
+               "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert "[mc] state" in err and "n = 2" in err and "Traceback" not in err
     assert not (tmp_path / "rep").exists()
 
 

@@ -9,10 +9,9 @@ import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio import pde, strategy
 from creditfolio.dual import Coefficients
-from creditfolio.fields import spatial_gradient
+from creditfolio.fields import policy_channel, spatial_gradient
 from creditfolio.model import DefaultState, build_model, load_preset, states_by_cardinality
-from creditfolio.pde import (control_stats_from_policy, nonlinear_source, step_slice,
-                             truncation_bounds)
+from creditfolio.pde import nonlinear_source, step_slice, truncation_bounds
 from creditfolio.strategy import SolverError
 
 from conftest import make_single_name_spec
@@ -127,12 +126,10 @@ class TestTruncationBounds:
 
     def test_missing_children_raise(self, benchmark_spec, benchmark_result):
         result, grid = benchmark_result
-        stats = control_stats_from_policy(result.policies["00"],
-                                          DefaultState.from_bitstring("00"),
-                                          benchmark_spec, result.fields)
+        z00 = DefaultState.from_bitstring("00")
+        _, ws, _ = march_one_state(z00, benchmark_spec, grid, result.f, None)
         with pytest.raises(SolverError):
-            truncation_bounds(DefaultState.from_bitstring("00"), {}, benchmark_spec,
-                              grid, stats)
+            truncation_bounds(z00, {}, benchmark_spec, grid, pde._stats_row(ws.stats, 0))
 
 
 class TestNonlinearSource:
@@ -250,25 +247,27 @@ class TestValidationGate:
             assert a.report[bits]["clamp_pass_skipped"] and not b.report[bits]["clamp_pass_skipped"]
 
 
-def march_one_state(state, spec, grid, fields, bounds):
+def march_one_state(state, spec, grid, f_stack, bounds):
     """Per-state reference march: one state alone, step by step, its children solved.
 
-    Returns (f, workspace, kept controls); the controls are those each step
-    solved on its final slice f[k], plus the final slice's.
+    ``f_stack`` holds the children's solutions at the rows of their bits.
+    Returns (f, workspace, (kept controls, their largest residual)); the
+    controls are those each step solved on its final slice f[k], plus the
+    final slice's.
     """
     t_nodes = grid.t_nodes(spec.pref.T)
     f = np.empty((grid.n_t + 1, grid.n_y))
     f[0] = spec.f0
     ws = pde._StepWorkspace(state, spec, grid)
-    kids = {i: fields[state.flip(i).bitstring].f for i in state.alive}
+    kids = {i: f_stack[state.flip(i).bits] for i in state.alive}
     kept = {key: np.zeros((grid.n_t + 1, grid.n_y, spec.n)) for key in ("hhat", "theta", "pi")}
-    iters, resid = 0, 0.0
+    resid = 0.0
 
     def keep(k):
-        nonlocal iters, resid
-        hhat, theta, pi, it, res = ws.controls
+        nonlocal resid
+        hhat, theta, pi, _, res = ws.controls
         kept["hhat"][k], kept["theta"][k], kept["pi"][k] = hhat[0], theta[0], pi[0]
-        iters, resid = max(iters, int(it[0])), max(resid, float(res[0]))
+        resid = max(resid, float(res[0]))
 
     for k in range(grid.n_t):
         f[k + 1] = step_slice(f[k], t_nodes[k], t_nodes[k + 1] - t_nodes[k], state,
@@ -277,36 +276,43 @@ def march_one_state(state, spec, grid, fields, bounds):
         keep(k)
     ws.terms(ws.all_rows, f[-1][None], {i: c[-1][None] for i, c in kids.items()}, keep=True)
     keep(grid.n_t)
-    return f, ws, (kept, iters, resid)
+    return f, ws, (kept, resid)
 
 
 def reference_solve(spec, grid):
     """The recursive solve one state at a time, in descending default count."""
     t_nodes = grid.t_nodes(spec.pref.T)
-    fields, bounds, report, policies = {}, {}, {}, {}
-    for state in states_by_cardinality(spec.n):
-        bits = state.bitstring
-        f, ws, kept = march_one_state(state, spec, grid, fields, None)
-        b = bounds[bits] = pde.truncation_bounds(state, bounds, spec, grid,
-                                                 pde._stats_row(ws.stats, 0))
-        skipped = grid.clamp_enabled and pde._clamp_is_identity(ws.envelope[0], b)
+    S, n = 2**spec.n, spec.n
+    f_stack = np.empty((S, grid.n_t + 1, grid.n_y))
+    policy = np.empty(f_stack.shape + (4 * n + 1,))
+    bounds, report = {}, {}
+    for state in states_by_cardinality(n):
+        bits, b = state.bitstring, state.bits
+        f, ws, kept = march_one_state(state, spec, grid, f_stack, None)
+        bnd = bounds[bits] = pde.truncation_bounds(state, bounds, spec, grid,
+                                                   pde._stats_row(ws.stats, 0))
+        skipped = grid.clamp_enabled and pde._clamp_is_identity(ws.envelope[0], bnd)
         if grid.clamp_enabled and not skipped:
-            f, ws, kept = march_one_state(state, spec, grid, fields, b)
-        fld = fields[bits] = cf.SolutionField(state=state, grid=grid, t_nodes=t_nodes, f=f,
-                                              df=spatial_gradient(f, grid.dy), beta=spec.beta)
-        (controls, iters, resid) = kept
-        pol = policies[bits] = cf.build_policy(fld, spec, controls["hhat"], controls["theta"],
-                                               controls["pi"], resid, iters)
-        margin_lo = float(np.min(f - b.k_under))
-        margin_hi = float(np.min(b.k_bar(t_nodes)[:, None] - f))
+            f, ws, kept = march_one_state(state, spec, grid, f_stack, bnd)
+        f_stack[b] = f
+        controls, resid = kept
+        for key, value in controls.items():
+            policy[b][..., policy_channel(key, n)] = value
+        margin_lo = float(np.min(f - bnd.k_under))
+        margin_hi = float(np.min(bnd.k_bar(t_nodes)[:, None] - f))
         report[bits] = {
             "resid_max": float(ws.resid_max[0]), "newton_iters_max": int(ws.newton_iters[0]),
             "clamp_hits": int(ws.clamp_hits[0]), "clamp_pass_skipped": bool(skipped),
             "bound_margin_lo": margin_lo, "bound_margin_hi": margin_hi,
             "bound_violation": min(margin_lo, margin_hi) < -pde._BOUND_SLACK,
-            "policy_resid_max": pol.residual_max, "hedge_gap": pol.hedge_gap,
-            "ahat_max": float(np.max(np.abs(pol.ahat)))}
-    return cf.SolveResult(fields=fields, policies=policies, bounds=bounds, report=report)
+            "policy_resid_max": resid}
+    result = cf.SolveResult(grid=grid, t_nodes=t_nodes, f=f_stack,
+                            df=spatial_gradient(f_stack, grid.dy), policy=policy,
+                            hedge_gap=np.zeros(S), bounds=bounds, report=report)
+    cf.build_policy(result, spec)
+    for bits, pol in result.policies.items():
+        report[bits].update(hedge_gap=pol.hedge_gap, ahat_max=float(np.max(np.abs(pol.ahat))))
+    return result
 
 
 def assert_same_solve(result, reference, states=None):
@@ -346,8 +352,8 @@ class TestWavefront:
         result = cf.solve_recursive_system(benchmark_spec, grid)
         y = grid.y_nodes()
         for state in states_by_cardinality(benchmark_spec.n):
-            fld, pol = result.field(state), result.policy(state)
-            kids = {i: result.fields[state.flip(i).bitstring].f for i in state.alive}
+            fld, pol = result.fields[state.bitstring], result.policies[state.bitstring]
+            kids = {i: result.f[state.flip(i).bits] for i in state.alive}
             for k in range(grid.n_t + 1):
                 hhat, theta, pi, _, _ = strategy.solve_hhat_slice(
                     y, state, benchmark_spec, fld.f[k], fld.df[k],
@@ -388,7 +394,7 @@ class TestClampPassSkip:
             bits = state.bitstring
             row = result.report[bits]
             assert row["clamp_pass_skipped"], bits
-            f, ws, _ = march_one_state(state, spec, grid, result.fields, result.bounds[bits])
+            f, ws, _ = march_one_state(state, spec, grid, result.f, result.bounds[bits])
             assert np.array_equal(result.fields[bits].f, f), bits
             assert (row["resid_max"], row["newton_iters_max"], row["clamp_hits"]) == (
                 ws.resid_max[0], ws.newton_iters[0], ws.clamp_hits[0]), bits

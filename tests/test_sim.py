@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio import sim
 from creditfolio.model import CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec, PreferenceSpec
+
+from conftest import with_policy
 
 Z00 = DefaultState.from_bitstring("00")
 
@@ -128,8 +130,7 @@ class TestWealthPaths:
     def test_bank_account_exact(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         bundle = sim.simulate_market(benchmark_spec, 500, 64, seed=2, keep=0)
-        sim.simulate_wealth(bundle, result, 1.0, pi_override=np.zeros(2),
-                            zero_consumption=True)
+        sim.simulate_wealth(bundle, with_policy(result, pi=np.zeros(2), c_mult=0.0), 1.0)
         want = np.exp(benchmark_spec.market.r * 1.0)
         assert np.max(np.abs(bundle.wealth["X_T"] - want)) < 1e-12
 
@@ -139,8 +140,8 @@ class TestWealthPaths:
         n = 40000
         pi_c = 0.6
         bundle = sim.simulate_market(spec, n, 64, seed=21, keep=0)
-        sim.simulate_wealth(bundle, result, 1.0, pi_override=np.array([pi_c, 0.0]),
-                            zero_consumption=True)
+        sim.simulate_wealth(bundle, with_policy(result, pi=np.array([pi_c, 0.0]), c_mult=0.0),
+                            1.0)
         lx = np.log(bundle.wealth["X_T"])
         sig = 0.2
         drift = (spec.market.r + pi_c * (0.25 - 0.2) - 0.5 * pi_c**2 * sig**2) * 1.0
@@ -163,8 +164,7 @@ class TestWealthPaths:
         result = cf.solve_recursive_system(spec, grid)
         n_steps = 200
         bundle = sim.simulate_market(spec, 2000, n_steps, seed=3, keep=0)
-        sim.simulate_wealth(bundle, result, 1.0, pi_override=np.array([0.3]),
-                            zero_consumption=True)
+        sim.simulate_wealth(bundle, with_policy(result, pi=np.array([0.3]), c_mult=0.0), 1.0)
         tau = bundle.default_times[:, 0]
         defaulted = np.isfinite(tau)
         assert 0.5 < defaulted.mean() < 0.95
@@ -181,7 +181,7 @@ class TestWealthPaths:
         grid = cf.GridSpec(-1.0, 1.0, 21, 20)
         result = cf.solve_recursive_system(spec, grid)
         bundle = sim.simulate_market(spec, 2000, 20, seed=4, keep=0)
-        sim.simulate_wealth(bundle, result, 1.0, pi_override=np.array([1.5, 0.0]))
+        sim.simulate_wealth(bundle, with_policy(result, pi=np.array([1.5, 0.0])), 1.0)
         defaulted = np.isfinite(bundle.default_times[:, 0])
         assert np.all(bundle.wealth["flagged"][defaulted])
 
@@ -213,11 +213,9 @@ class TestDensity:
         grid = cf.GridSpec(-1.0, 1.0, 21, 20)
         result = cf.solve_recursive_system(spec, grid)
         h_const = 0.2
-        for pol in result.policies.values():
-            pol.hhat[:] = 0.0
-            pol.hhat[:, :, 0] = h_const * (1.0 - pol.state.indicator()[0])
-            pol.theta[:] = 0.0
-            pol.ahat[:] = 0.0
+        # name 1 (bit 0) carries the loading in the states where it is alive
+        hhat = np.array([[h_const * (1 - (b & 1)), 0.0] for b in range(4)])[:, None, None, :]
+        result = with_policy(result, hhat=hhat, theta=0.0, ahat=0.0)
         n_steps = 50
         bundle = sim.simulate_market(spec, 3000, n_steps, seed=10, keep=0)
         sim.simulate_wealth(bundle, result, 1.0)
@@ -247,10 +245,7 @@ class TestGMartingale:
 
     def test_corrupted_field_fails_at_T(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
-        corrupted = copy.deepcopy(result)
-        for fld in corrupted.fields.values():
-            fld.f = fld.f * 1.1
-            fld.df = fld.df * 1.1
+        corrupted = dataclasses.replace(result, f=result.f * 1.1, df=result.df * 1.1)
         reports = sim.check_G_martingale(benchmark_spec, corrupted, 20000, 100, seed=12,
                                          probes=(1.0,))
         assert not reports[0].passed
@@ -294,15 +289,15 @@ class TestDualityGap:
 
     def test_zero_consumption_strictly_lower(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
-        rep = sim.duality_gap(benchmark_spec, result, 1.0, 20000, 200, seed=15,
-                              zero_consumption=True)
+        rep = sim.duality_gap(benchmark_spec, with_policy(result, c_mult=0.0), 1.0, 20000, 200,
+                              seed=15)
         assert not rep.passed
         assert rep.estimate < rep.target - rep.tolerance
 
     def test_constant_pi_strictly_lower(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
-        rep = sim.duality_gap(benchmark_spec, result, 1.0, 20000, 200, seed=15,
-                              pi_override=np.array([0.5, 0.5]))
+        rep = sim.duality_gap(benchmark_spec, with_policy(result, pi=np.array([0.5, 0.5])), 1.0,
+                              20000, 200, seed=15)
         assert rep.estimate < rep.target - rep.tolerance
 
     def test_weak_duality_under_hedge_gap(self, single_name_result):

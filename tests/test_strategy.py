@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio.dual import Coefficients
-from creditfolio.fields import GridSpec, SolutionField
+from creditfolio.fields import GridSpec, SolveResult
 from creditfolio.model import DefaultState
 from creditfolio.strategy import (SolverError, ahat_slice, consumption_rate,
                                   lambda_and_J, pi_hat, solve_hhat, solve_hhat_slice,
@@ -20,16 +20,13 @@ GENERAL_SIGMA = np.array([[0.8, 0.1], [0.05, 0.7]])  # not diagonal: takes the g
 
 
 def constant_fields(spec, values: dict, grid=None):
-    """Synthetic solution set with constant f per state (for point-query tests)."""
+    """Synthetic stacked solution with constant f per state (for point-query tests)."""
     grid = grid or GridSpec(-1.0, 1.0, 11, 10)
-    t_nodes = grid.t_nodes(spec.pref.T)
-    out = {}
+    f = np.empty((2**spec.n, grid.n_t + 1, grid.n_y))
     for bits, val in values.items():
-        f = np.full((grid.n_t + 1, grid.n_y), float(val))
-        out[bits] = SolutionField(state=DefaultState.from_bitstring(bits), grid=grid,
-                                  t_nodes=t_nodes, f=f, df=np.zeros_like(f),
-                                  beta=spec.beta)
-    return out
+        f[DefaultState.from_bitstring(bits).bits] = float(val)
+    return SolveResult(grid=grid, t_nodes=grid.t_nodes(spec.pref.T), f=f, df=np.zeros_like(f),
+                       policy=np.zeros(f.shape + (4 * spec.n + 1,)), hedge_gap=np.zeros(len(f)))
 
 
 class TestLambdaAndJ:
@@ -106,10 +103,11 @@ class TestSolveHhat:
                 assert pol.hhat[k, j, i] == pytest.approx(ref, abs=1e-8)
 
     def test_missing_child_raises(self, benchmark_spec, benchmark_result):
-        result, _ = benchmark_result
-        partial = {"00": result.fields["00"]}
-        with pytest.raises(SolverError):
-            solve_hhat(0.5, 0.0, Z00, partial, benchmark_spec)
+        result, grid = benchmark_result
+        fld, node = result.fields["00"], [grid.n_y // 2]
+        with pytest.raises(SolverError, match="missing child"):
+            solve_hhat_slice(grid.y_nodes()[node], Z00, benchmark_spec, fld.f[100, node],
+                             fld.df[100, node], {})
 
     def test_general_sigma_path_matches_diagonal(self, benchmark_spec, benchmark_result):
         # on the zero-premium benchmark a genuinely full sigma, solved by the
