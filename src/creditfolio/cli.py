@@ -22,17 +22,19 @@ Sections and keys (units: rates per year, horizon in years):
 Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure,
 4 statistical-test failure.
 
-All artifacts are CSV with a header row and floats at 17 significant digits,
-so files round-trip exactly and identical (config, seed) reruns are
-byte-identical.  ``solve`` writes ``f_state_<bits>.csv``,
-``policy_state_<bits>.csv``, ``bounds.csv`` and ``solve_report.csv``; the
-per-state solve times, the grid, the Python/numpy/scipy versions and the
-model fingerprint ``spec_sha256`` go to ``run.json`` beside them, so the CSVs
-carry no timing.  Each state's files hold its row of the result's stacked
-arrays.  ``load_solution`` reads them all back into such arrays and rejects,
-naming the file, artifacts solved for another model, a missing state, a
-field or policy file without its partner, or one with a row count, column
-count or ``t, y`` grid that does not match.
+``solve`` writes the result's stacked arrays as ``.npy`` files (float64, no
+pickles): ``f.npy`` and ``df.npy`` (S, n_t+1, n_y), ``policy.npy``
+(S, n_t+1, n_y, 4n+1), ``hedge_gap.npy`` (S,), ``t_nodes.npy`` and
+``y_nodes.npy``, where S = 2^n and row ``state.bits`` is that state's.  Beside
+them go ``bounds.csv`` and ``solve_report.csv`` (a header row, floats at 17
+significant digits) and ``run.json`` with the per-state solve times, the
+grid, the Python/numpy/scipy versions and the model fingerprint
+``spec_sha256``; only ``run.json`` carries timing, so identical reruns write
+every other file byte for byte.  ``solve --csv`` also exports each state's
+rows as ``f_state_<bits>.csv`` and ``policy_state_<bits>.csv``; nothing reads
+them back.  ``load_solution`` reads the arrays back bitwise and rejects,
+naming the file, artifacts solved for another model, a missing array, or one
+whose dtype or shape disagrees with the model's states and the saved nodes.
 
 ``simulate`` runs one controlled Monte Carlo pass at ``seed``: its draws
 serve the compensator checks, the G-martingale probes, the duality gap and
@@ -45,9 +47,9 @@ check's estimate, target, tolerance, verdict and time, so ``mc_report.csv``
 carries no timing.
 
 Counts (``--ny``, ``--nt``, ``--paths``, ``--steps`` and their keys) must be
-positive, ``[grid] y_lo < y_hi`` and ``[mc] y0/x0`` numbers, and ``[mc] state``
-one digit per name; otherwise a command exits 2 naming the flag or key before
-it loads or solves anything.
+positive, ``[grid] y_lo < y_hi``, ``[mc] x0`` positive, ``[mc] y0`` strictly
+inside ``[factor] domain``, and ``[mc] state`` one digit per name; otherwise a
+command exits 2 naming the flag or key before it loads or solves anything.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ import scipy
 
 from . import oracle as oracle_mod
 from . import sim
-from .dual import Coefficients
-from .fields import GridSpec, PolicyField, SolveResult, TruncationBounds, lookup, policy_channel
+from .fields import GridSpec, SolveResult, TruncationBounds, lookup, policy_channel
 from .model import (DefaultState, ModelSpec, PRESET_NAMES, all_states, build_model,
                     preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
@@ -153,25 +154,30 @@ def build_grid(config: dict, args) -> GridSpec:
                     clamp_enabled=not args.no_clamp and g.get("clamp", "true").lower() != "false")
 
 
-def _mc_params(config: dict, args, n: int) -> dict:
-    """Monte Carlo settings of an ``n``-name model; ValueError naming a bad flag or key."""
-    mc = config.get("mc", {})
+def _mc_params(config: dict, args, spec: ModelSpec) -> dict:
+    """Monte Carlo settings for ``spec``; ValueError naming a bad flag or key."""
+    mc, n = config.get("mc", {}), spec.n
     state = mc.get("state", "0" * n)
     if len(state) != n or any(c not in "01" for c in state):
         raise ValueError(f"[mc] state must be {n} digits 0 or 1, one per name of the "
                          f"n = {n} model, got {state!r}")
+    y0, x0 = _config_float("mc", mc, "y0", "0.0"), _config_float("mc", mc, "x0", "1.0")
+    lo, hi = spec.factor.domain_lo, spec.factor.domain_hi
+    if not lo < y0 < hi:
+        raise ValueError(f"[mc] y0 = {y0!r} must lie strictly inside [factor] domain "
+                         f"= {lo!r}, {hi!r}")
+    if not x0 > 0:
+        raise ValueError(f"[mc] x0 = {x0!r} must be positive (the initial wealth)")
     return {
         **_counts("mc", mc, (("n_paths", "--paths", args.paths, "100000"),
                              ("n_steps", "--steps", args.steps, "400"))),
         "seed": args.seed if args.seed is not None else _config_int("mc", mc, "seed", "42"),
-        "y0": _config_float("mc", mc, "y0", "0.0"),
-        "x0": _config_float("mc", mc, "x0", "1.0"),
-        "z0": DefaultState.from_bitstring(state),
+        "y0": y0, "x0": x0, "z0": DefaultState.from_bitstring(state),
     }
 
 
 # ---------------------------------------------------------------------------
-# CSV artifacts
+# Artifacts
 # ---------------------------------------------------------------------------
 
 
@@ -207,26 +213,24 @@ def _extra_text(extra: dict) -> str:
                     for key, value in extra.items())
 
 
-def _read_grid_csv(path: Path, n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(t_nodes, y_nodes, values[k, j, c])`` of a file written by :func:`_write_grid_csv`.
+def _read_array(path: Path, shape=None) -> np.ndarray:
+    """The float64 array saved in ``path``, of ``shape`` (any 1-D one when None).
 
-    Raises ValueError naming the file unless it holds ``n_cols`` numeric
-    columns whose ``t, y`` pairs cover the tensor grid once, time-major.
+    Raises ValueError naming the file when it is missing, unreadable, holds a
+    pickled object array, or holds another dtype or shape.
     """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
+        values = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: missing") from None
+    except (OSError, ValueError, EOFError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if data.shape[1] != n_cols:
-        raise ValueError(f"{path}: {data.shape[1]} columns, expected {n_cols}")
-    t_nodes, y_nodes = np.unique(data[:, 0]), np.unique(data[:, 1])
-    if len(data) != len(t_nodes) * len(y_nodes):
-        raise ValueError(f"{path}: {len(data)} rows, expected (n_t+1)*n_y = "
-                         f"{len(t_nodes)}*{len(y_nodes)}")
-    shaped = data.reshape(len(t_nodes), len(y_nodes), n_cols)
-    if not (np.all(shaped[..., 0] == t_nodes[:, None]) and np.all(shaped[..., 1] == y_nodes)):
-        raise ValueError(f"{path}: the t, y columns are not the tensor grid, time-major")
-    return t_nodes, y_nodes, shaped[..., 2:]
+    if not isinstance(values, np.ndarray):
+        raise ValueError(f"{path}: not a .npy array")
+    if values.dtype != np.float64 or (values.shape != shape if shape else values.ndim != 1):
+        raise ValueError(f"{path}: a {values.dtype} array of shape {values.shape}, expected "
+                         f"float64 of shape {shape or '(n,)'}")
+    return values
 
 
 def _read_state_rows(path: Path, convert) -> dict:
@@ -256,32 +260,40 @@ _REPORT_COLUMNS = {"resid_max": float, "policy_resid_max": float, "newton_iters_
                    "bound_violation": bool}
 
 
-def _policy_columns(n: int) -> np.ndarray:
-    """The policy-table channels behind the ``policy_state_<bits>.csv`` columns after ``t, y``."""
-    return np.r_[tuple(policy_channel(name, n) for name in ("hhat", "ahat", "pi", "c_mult"))]
+def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec, *,
+                  csv: bool = False) -> None:
+    """Write the solve's arrays, its per-state tables and its ``run.json`` into ``out_dir``.
 
-
-def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
-    """Write the solve's CSV artifacts and its ``run.json`` manifest into ``out_dir``.
-
-    The CSVs hold no timing, so a rerun writes them byte for byte again; the
-    per-state solve times and the march's counts and stage seconds
-    (``SolveResult.march``) go to ``run.json`` with the grid, the versions
-    and the model's ``spec_sha256`` fingerprint.
+    ``f``, ``df``, the whole ``policy`` table, ``hedge_gap``, ``t_nodes`` and
+    ``y_nodes`` go to ``<name>.npy`` (float64, no pickles), the bounds and the
+    report rows to ``bounds.csv`` and ``solve_report.csv``.  None of these
+    holds a timing, so a rerun writes them byte for byte again; the per-state
+    solve times and the march's counts and stage seconds
+    (``SolveResult.march``) go to ``run.json`` with the grid, the versions and
+    the model's ``spec_sha256`` fingerprint.  With ``csv``, each state's rows
+    are also exported as ``f_state_<bits>.csv`` (``t, y, f, g, df_dy``) and
+    ``policy_state_<bits>.csv`` (``t, y, hhat_*, ahat_*, pi_*, c_mult``).
     """
     n = spec.n
     t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
-    header = (["t", "y"] + [f"hhat_{i+1}" for i in range(n)]
-              + [f"ahat_{i+1}" for i in range(n)] + [f"pi_{i+1}" for i in range(n)]
-              + ["c_mult"])
-    columns = _policy_columns(n)
-    for state in all_states(n):
-        b, bits = state.bits, state.bitstring
-        f = result.f[b]
-        _write_grid_csv(out_dir / f"f_state_{bits}.csv", ["t", "y", "f", "g", "df_dy"],
-                        t_nodes, y_nodes, np.stack([f, f ** spec.beta, result.df[b]], axis=-1))
-        _write_grid_csv(out_dir / f"policy_state_{bits}.csv", header, t_nodes, y_nodes,
-                        result.policy[b][..., columns])
+    for name, values in (("f", result.f), ("df", result.df), ("policy", result.policy),
+                         ("hedge_gap", result.hedge_gap), ("t_nodes", t_nodes),
+                         ("y_nodes", y_nodes)):
+        np.save(out_dir / f"{name}.npy", np.asarray(values, dtype=np.float64), allow_pickle=False)
+    if csv:
+        header = (["t", "y"] + [f"hhat_{i+1}" for i in range(n)]
+                  + [f"ahat_{i+1}" for i in range(n)] + [f"pi_{i+1}" for i in range(n)]
+                  + ["c_mult"])
+        columns = np.r_[tuple(policy_channel(name, n)
+                              for name in ("hhat", "ahat", "pi", "c_mult"))]
+        for state in all_states(n):
+            b, bits = state.bits, state.bitstring
+            f = result.f[b]
+            _write_grid_csv(out_dir / f"f_state_{bits}.csv", ["t", "y", "f", "g", "df_dy"],
+                            t_nodes, y_nodes,
+                            np.stack([f, f ** spec.beta, result.df[b]], axis=-1))
+            _write_grid_csv(out_dir / f"policy_state_{bits}.csv", header, t_nodes, y_nodes,
+                            result.policy[b][..., columns])
     _write_csv(out_dir / "bounds.csv",
                ["state", "k_under", "k_bar_T", "theta_rate", "m_lo", "m_hi",
                 "m_lo_norms", "m_hi_norms"],
@@ -299,24 +311,23 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
 
 
 def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
-    """Rebuild a solve from its CSV artifacts in ``out_dir``.
+    """Rebuild a solve from the artifacts :func:`dump_solution` wrote into ``out_dir``.
 
-    ``theta`` is not dumped; it is rebuilt from ``hhat`` through the
-    admissibility tie, and each state's ``hedge_gap`` from the loaded arrays.
+    The ``.npy`` arrays load bitwise, ``theta`` and ``hedge_gap`` included.
     ``bounds`` and ``report`` come from ``bounds.csv`` and ``solve_report.csv``
     when present (the report without the ``elapsed`` times of ``run.json``).
     Raises ValueError naming the file when ``run.json`` was written for
     another model (its ``spec_sha256`` differs from ``spec``'s; a manifest
-    without one is accepted), when a state of the model has no files, or when
-    a field or policy file lacks its partner or holds another grid.
+    without one is accepted), when an array is missing, unreadable, not
+    float64, or not of the shape the model's 2^n states and the grid of
+    ``t_nodes.npy`` and ``y_nodes.npy`` give, when those nodes are not that
+    grid's, or when ``out_dir`` holds only the per-state CSVs of an older
+    ``solve``.
     """
     out_dir = Path(out_dir)
-    f_paths = {p.name[len("f_state_"):-len(".csv")]: p
-               for p in sorted(out_dir.glob("f_state_*.csv"))}
-    pol_paths = {p.name[len("policy_state_"):-len(".csv")]: p
-                 for p in sorted(out_dir.glob("policy_state_*.csv"))}
-    if not f_paths:
-        raise FileNotFoundError(f"no f_state_*.csv artifacts under {out_dir}")
+    if not (out_dir / "f.npy").exists() and any(out_dir.glob("f_state_*.csv")):
+        raise ValueError(f"{out_dir / 'f.npy'}: missing; {out_dir} holds only per-state CSVs, "
+                         "which are not read back: re-run `creditfolio solve` to write the arrays")
     manifest_path = out_dir / "run.json"
     if manifest_path.is_file():
         try:
@@ -326,43 +337,24 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
         if solved_for is not None and solved_for != spec.fingerprint():
             raise ValueError(f"{manifest_path}: solved for another model (spec_sha256 "
                              f"{solved_for}, this model {spec.fingerprint()})")
-    for bits in sorted(f_paths.keys() ^ pol_paths.keys()):
-        present = f_paths.get(bits) or pol_paths[bits]
-        missing = "policy_state" if bits in f_paths else "f_state"
-        raise ValueError(f"{present}: no matching {out_dir / f'{missing}_{bits}.csv'}")
-    states = {state.bitstring for state in all_states(spec.n)}
-    for bits in sorted(f_paths.keys() ^ states):
-        problem = "missing" if bits in states else f"not a state of the {spec.n}-name model"
-        raise ValueError(f"{out_dir / f'f_state_{bits}.csv'}: {problem}")
-
-    n, S = spec.n, len(states)
-    columns = _policy_columns(n)
-    result = None
-    for bits, path in f_paths.items():
-        t_nodes, y_nodes, values = _read_grid_csv(path, 5)
-        if result is None:
-            try:
-                grid = GridSpec(float(y_nodes[0]), float(y_nodes[-1]), len(y_nodes),
-                                len(t_nodes) - 1)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            first, shape = (path, t_nodes, y_nodes), (S,) + values.shape[:2]
-            result = SolveResult(grid=grid, t_nodes=t_nodes, f=np.empty(shape),
-                                 df=np.empty(shape), policy=np.empty(shape + (4 * n + 1,)),
-                                 hedge_gap=np.empty(S))
-        elif not (np.array_equal(t_nodes, first[1]) and np.array_equal(y_nodes, first[2])):
-            raise ValueError(f"{path}: its t, y grid differs from {first[0]}'s")
-        state = DefaultState.from_bitstring(bits)
-        b = state.bits
-        result.f[b], result.df[b] = values[..., 0], values[..., 2]
-        pol_path = pol_paths[bits]
-        pol_t, pol_y, values = _read_grid_csv(pol_path, 3 * n + 3)
-        if not (np.array_equal(pol_t, t_nodes) and np.array_equal(pol_y, y_nodes)):
-            raise ValueError(f"{pol_path}: its t, y grid differs from {path}'s")
-        result.policy[b][..., columns] = values
-        pol, coef = PolicyField(result, state), Coefficients(spec, state, grid.y_nodes())
-        pol.theta[...] = coef.theta_from_h(values[..., :n])
-        result.hedge_gap[b] = coef.hedge_gap(pol.pi, pol.theta, pol.f, pol.df)
+    t_path, y_path = out_dir / "t_nodes.npy", out_dir / "y_nodes.npy"
+    t_nodes, y_nodes = _read_array(t_path), _read_array(y_path)
+    try:
+        grid = GridSpec(float(y_nodes[0]), float(y_nodes[-1]), len(y_nodes), len(t_nodes) - 1)
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{y_path}, {t_path}: no grid ({exc})") from None
+    for path, nodes, expected in ((t_path, t_nodes, grid.t_nodes(spec.pref.T)),
+                                  (y_path, y_nodes, grid.y_nodes())):
+        if not np.array_equal(nodes, expected):
+            raise ValueError(f"{path}: not the uniform nodes of the grid {grid} at horizon "
+                             f"{spec.pref.T!r}")
+    S = 2 ** spec.n
+    shape = (S, grid.n_t + 1, grid.n_y)
+    result = SolveResult(
+        grid=grid, t_nodes=t_nodes, f=_read_array(out_dir / "f.npy", shape),
+        df=_read_array(out_dir / "df.npy", shape),
+        policy=_read_array(out_dir / "policy.npy", shape + (4 * spec.n + 1,)),
+        hedge_gap=_read_array(out_dir / "hedge_gap.npy", (S,)))
 
     def bound(row):
         return TruncationBounds(
@@ -425,7 +417,7 @@ def cmd_solve(args) -> int:
     result = solve_recursive_system(spec, grid, validate=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dump_solution(result, out, spec)
+    dump_solution(result, out, spec, csv=args.csv)
     for bits, row in sorted(result.report.items()):
         print(f"state {bits}: solved in {row['elapsed']:.2f}s, control residual "
               f"{max(row['resid_max'], row.get('policy_resid_max', 0.0)):.2e}, "
@@ -438,7 +430,7 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     spec = build_model(config)
     grid = build_grid(config, args)
-    mc = _mc_params(config, args, spec.n)
+    mc = _mc_params(config, args, spec)
     if args.dump_paths < 0:
         raise ValueError(f"--dump-paths must be zero or a positive integer, got {args.dump_paths}")
     report = validate_spec(spec, grid.y_nodes())
@@ -583,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI model configuration file")
         p.add_argument("--set", action="append", metavar="SEC.KEY=VAL",
                        help="override one configuration key (repeatable)")
-        p.add_argument("--out", default="out", help="output directory for CSV artifacts")
+        p.add_argument("--out", default="out", help="output directory for the artifacts")
         p.add_argument("--ny", type=int, help="spatial nodes (odd)")
         p.add_argument("--nt", type=int, help="time steps")
         p.add_argument("--no-clamp", action="store_true",
@@ -593,13 +585,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--paths", type=int, help="Monte Carlo paths")
             p.add_argument("--steps", type=int, help="Monte Carlo time steps")
 
-    p_solve = sub.add_parser("solve", help="solve the PDE system and dump fields/policies")
+    p_solve = sub.add_parser(
+        "solve", help="solve the PDE system; write f, df, policy, hedge_gap and the nodes as "
+                      ".npy, bounds.csv, solve_report.csv and run.json")
     common(p_solve)
+    p_solve.add_argument("--csv", action="store_true",
+                         help="also export each state's rows as f_state_<bits>.csv and "
+                              "policy_state_<bits>.csv")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo validation suite")
     common(p_sim, with_mc=True)
-    p_sim.add_argument("--solution", help="directory with a prior solve's CSV artifacts")
+    p_sim.add_argument("--solution", help="directory a prior solve wrote its artifacts to")
     p_sim.add_argument("--dump-paths", type=int, default=0, metavar="N",
                        help="also write the first N simulated trajectories to paths.csv")
     p_sim.set_defaults(func=cmd_simulate)

@@ -2,8 +2,9 @@
 
 A :class:`SolveResult` holds a solve as arrays stacked by the state's bits:
 ``f``, ``df`` and one policy table (channels: :data:`POLICY_CHANNELS`).  The
-PDE march writes into them, the CSV artifacts are written from and read into
-them, and the path engine and the point queries :func:`lookup` their rows.
+PDE march writes into them, ``solve`` saves them whole as ``.npy`` artifacts
+that ``simulate --solution`` loads back, and the path engine and the point
+queries :func:`lookup` their rows.
 
 Time index convention: ``t`` is remaining investment horizon.  Slice ``k = 0``
 holds the initial condition (zero horizon, value pinned by the terminal

@@ -62,3 +62,21 @@ def test_worker_reads_a_traced_solve(harness, tmp_path):
         assert np.all(np.isfinite(arr)), key
     assert len(worker.digest(arrays)) == 64
     assert workload.check(rc) == (4, [])
+
+
+def test_worker_runs_a_traced_simulate_from_a_saved_solution(harness, tmp_path):
+    spans, worker = harness
+    # set-up solves scott_example22 through cli.main and dumps it; the workflow loads it back
+    workload = worker.Workload("mc_scott", cf, worker.SIZES["mc_scott"]["smoke"], tmp_path, seed=1)
+    tracer = spans.Tracer("contract")
+    try:
+        spans.install(tracer, cf)
+        with tracer.span("workflow.mc_scott"):
+            rc = workload.run()
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    # 3n + 3 compensator and G-martingale checks, two Feynman-Kac probes per state, the gap
+    assert workload.check(rc) == (3 * 2 + 3 + 2 * 4 + 1, [])
+    layers = worker.layer_metrics(tracer.spans, workload.layer_result)
+    assert layers["cli.load_solution.s"] > 0

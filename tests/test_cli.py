@@ -53,6 +53,20 @@ def solve_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """A ``solve --csv`` of the same model and grid as ``solve_dir``."""
+    out = tmp_path_factory.mktemp("solve_csv")
+    rc = main(["solve", "--preset", "benchmark_s5", *SMALL, "--csv", "--out", str(out)])
+    assert rc == 0
+    return out
+
+
+# what a default solve writes
+ARTIFACTS = {"f.npy", "df.npy", "policy.npy", "hedge_gap.npy", "t_nodes.npy", "y_nodes.npy",
+             "bounds.csv", "solve_report.csv", "run.json"}
+
+
 class TestConfig:
     def test_preset_round_trip(self):
         spec = build_model(preset_config("benchmark_s5"))
@@ -90,15 +104,24 @@ class TestConfig:
 
 
 class TestSolveCommand:
-    def test_artifacts_written(self, solve_dir):
-        names = sorted(p.name for p in solve_dir.iterdir())
+    def test_artifacts_written(self, csv_dir):
+        names = sorted(p.name for p in csv_dir.iterdir())
         for bits in ("00", "01", "10", "11"):
             assert f"f_state_{bits}.csv" in names
             assert f"policy_state_{bits}.csv" in names
         assert "bounds.csv" in names and "solve_report.csv" in names
+        assert ARTIFACTS <= set(names)
 
-    def test_header_and_roundtrip(self, solve_dir):
-        with open(solve_dir / "f_state_00.csv") as fh:
+    def test_default_solve_writes_the_arrays_and_no_state_csv(self, solve_dir):
+        assert {p.name for p in solve_dir.iterdir()} == ARTIFACTS
+        shapes = {"f": (4, 41, 41), "df": (4, 41, 41), "policy": (4, 41, 41, 9),
+                  "hedge_gap": (4,), "t_nodes": (41,), "y_nodes": (41,)}
+        for name, shape in shapes.items():
+            values = np.load(solve_dir / f"{name}.npy", allow_pickle=False)
+            assert values.dtype == np.float64 and values.shape == shape, name
+
+    def test_header_and_roundtrip(self, csv_dir):
+        with open(csv_dir / "f_state_00.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "y", "f", "g", "df_dy"]
         # 17 significant digits round-trip exactly
@@ -115,15 +138,16 @@ class TestSolveCommand:
             lines.extend(f"{k} = {v}" for k, v in kv.items())
         ini.write_text("\n".join(lines))
         out = tmp_path / "out"
-        rc = run_cli("solve", "--config", str(ini), "--ny", "21", "--nt", "10",
+        rc = run_cli("solve", "--config", str(ini), "--ny", "21", "--nt", "10", "--csv",
                      "--out", str(out))
         assert rc.returncode == 0, rc.stderr
         assert len(list(out.glob("f_state_*.csv"))) == 8
+        assert np.load(out / "policy.npy").shape == (8, 11, 21, 13)
 
     def test_writer_bytes_match_csv_writer_reference(self, tmp_path):
         spec = build_model(three_name_config())
         result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 21, 10))
-        dump_solution(result, tmp_path, spec)
+        dump_solution(result, tmp_path, spec, csv=True)
         ref = tmp_path / "reference.csv"
         for bits, fld in result.fields.items():
             y = fld.grid.y_nodes()
@@ -145,15 +169,15 @@ class TestSolveCommand:
             assert (tmp_path / f"policy_state_{bits}.csv").read_bytes() == ref.read_bytes(), bits
         assert len(result.policies) == 8
 
-    def test_rerun_csvs_are_byte_identical(self, solve_dir, tmp_path):
-        rc = run_cli("solve", "--preset", "benchmark_s5", *SMALL, "--out", str(tmp_path))
+    def test_rerun_csvs_are_byte_identical(self, csv_dir, tmp_path):
+        rc = run_cli("solve", "--preset", "benchmark_s5", *SMALL, "--csv", "--out", str(tmp_path))
         assert rc.returncode == 0, rc.stderr
         assert rc.stdout.count("clamped pass skipped") == 4
-        names = sorted(p.name for p in solve_dir.glob("*.csv"))
+        names = sorted(p.name for p in csv_dir.glob("*.csv"))
         assert names == sorted(p.name for p in tmp_path.glob("*.csv")) and len(names) == 10
         for name in names:
-            assert (solve_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
-        with open(solve_dir / "solve_report.csv") as fh:
+            assert (csv_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        with open(csv_dir / "solve_report.csv") as fh:
             assert next(csv.reader(fh)) == [
                 "state", "resid_max", "policy_resid_max", "newton_iters_max", "clamp_hits",
                 "clamp_pass_skipped", "bound_margin_lo", "bound_margin_hi", "hedge_gap",
@@ -171,6 +195,12 @@ class TestSolveCommand:
         assert all(march[key] > 0.0 for key in ("march_s", "bounds_s", "policy_s"))
         assert manifest["grid"]["n_y"] == 41 and manifest["grid"]["n_t"] == 40
         assert manifest["numpy"] == np.__version__
+
+    def test_rerun_artifacts_are_byte_identical(self, solve_dir, tmp_path):
+        assert main(["solve", "--preset", "benchmark_s5", *SMALL, "--out", str(tmp_path)]) == 0
+        assert {p.name for p in tmp_path.iterdir()} == ARTIFACTS
+        for name in sorted(ARTIFACTS - {"run.json"}):
+            assert (solve_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_invalid_spec_exits_2(self, tmp_path):
         rc = run_cli("solve", "--preset", "benchmark_s5", "--set", "credit.b_1_00=-5.0",
@@ -291,21 +321,10 @@ class TestSimulateCommand:
         assert np.all(data["X"] > 0)
 
     def test_corrupted_solution_fails_statistics(self, tmp_path, solve_dir):
-        # user-edited f CSVs: scale f and g columns by 1.1
+        # a user-edited f: every state's f scaled by 1.1, df left as solved
         corrupt = tmp_path / "corrupt"
-        corrupt.mkdir()
-        for path in solve_dir.iterdir():
-            text = path.read_text()
-            if path.name.startswith("f_state_"):
-                lines = text.splitlines()
-                out_lines = [lines[0]]
-                for line in lines[1:]:
-                    t, y, f, g, df = line.split(",")
-                    out_lines.append(",".join([
-                        t, y, "%.17g" % (1.1 * float(f)), "%.17g" % (1.1**5 * float(g)),
-                        df]))
-                text = "\n".join(out_lines) + "\n"
-            (corrupt / path.name).write_text(text)
+        shutil.copytree(solve_dir, corrupt)
+        np.save(corrupt / "f.npy", 1.1 * np.load(solve_dir / "f.npy"), allow_pickle=False)
         rc = run_cli("simulate", "--preset", "benchmark_s5", *SMALL,
                      "--paths", "3000", "--steps", "40", "--seed", "2",
                      "--solution", str(corrupt), "--out", str(tmp_path / "rep"))
@@ -438,41 +457,41 @@ def test_foreign_solution_exits_2_naming_run_json(tmp_path):
     assert set(loaded.fields) == {"00", "01", "10", "11"}
 
 
-def _drop_last_lines(path, count=7):
-    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-count]))
+def _edit_array(path, edit):
+    np.save(path, edit(np.load(path)))
 
 
-def _swap_first_rows(path):
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[1], lines[2] = lines[2], lines[1]
-    path.write_bytes(b"".join(lines))
+def _drop_last_bytes(path, count=50):
+    path.write_bytes(path.read_bytes()[:-count])
 
 
-def _drop_last_column(path):
-    path.write_bytes(b"".join(line.rsplit(b",", 1)[0] + b"\r\n"
-                              for line in path.read_bytes().splitlines()))
-
-
-@pytest.mark.parametrize("damage, name", [
-    (lambda d: (d / "f_state_01.csv").unlink(), "f_state_01.csv"),
-    (lambda d: [(d / f"{kind}_state_01.csv").unlink() for kind in ("f", "policy")],
-     "f_state_01.csv"),
-    (lambda d: _drop_last_lines(d / "f_state_10.csv"), "f_state_10.csv"),
-    (lambda d: _swap_first_rows(d / "f_state_11.csv"), "f_state_11.csv"),
-    (lambda d: _drop_last_column(d / "policy_state_00.csv"), "policy_state_00.csv"),
-    # one time slice fewer in both files of a state: a whole grid, but not the others' grid
-    (lambda d: [_drop_last_lines(d / f"{kind}_state_10.csv", 41) for kind in ("f", "policy")],
-     "f_state_10.csv"),
+@pytest.mark.parametrize("damage, where", [
+    (lambda d: (d / "policy.npy").unlink(), ["policy.npy", "missing"]),
+    # one state's row fewer
+    (lambda d: _edit_array(d / "f.npy", lambda a: a[:-1]), ["f.npy", "(3, 41, 41)"]),
+    (lambda d: _drop_last_bytes(d / "df.npy"), ["df.npy"]),
+    # the (t, y) grid flattened into one axis
+    (lambda d: _edit_array(d / "f.npy", lambda a: a.reshape(len(a), -1)), ["f.npy", "(4, 1681)"]),
+    (lambda d: _edit_array(d / "policy.npy", lambda a: a[..., :-1]),
+     ["policy.npy", "(4, 41, 41, 9)"]),
+    # nodes of a 39-step grid beside arrays of the 40-step one
+    (lambda d: np.save(d / "t_nodes.npy", np.linspace(0.0, 1.0, 40)), ["f.npy", "(4, 40, 41)"]),
+    (lambda d: _edit_array(d / "df.npy", lambda a: a.astype(np.float32)), ["df.npy", "float32"]),
+    (lambda d: np.save(d / "hedge_gap.npy", np.array([0.0, None, 0.0, 0.0]), allow_pickle=True),
+     ["hedge_gap.npy", "allow_pickle"]),
+    # a directory written before the arrays existed: per-state CSVs only
+    (lambda d: [p.unlink() for p in d.glob("*.npy")], ["f.npy", "re-run `creditfolio solve`"]),
 ], ids=["missing-partner", "missing-state", "truncated", "not-a-tensor-grid", "policy-columns",
-        "other-grid"])
-def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, name):
+        "other-grid", "wrong-dtype", "object-array", "csv-only"])
+def test_damaged_solution_exits_2_naming_the_file(csv_dir, tmp_path, damage, where):
     damaged = tmp_path / "damaged"
-    shutil.copytree(solve_dir, damaged)
+    shutil.copytree(csv_dir, damaged)
     damage(damaged)
     rc = run_cli("simulate", "--preset", "benchmark_s5", *SMALL, "--paths", "100",
                  "--steps", "10", "--solution", str(damaged), "--out", str(tmp_path / "rep"))
     assert rc.returncode == EXIT_VALIDATION, rc.stderr
-    assert name in rc.stderr and "Traceback" not in rc.stderr
+    assert all(part in rc.stderr for part in where), rc.stderr
+    assert "Traceback" not in rc.stderr
 
 
 @pytest.mark.parametrize("flags, where", [
@@ -574,7 +593,12 @@ def test_non_integer_counts_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
     (["--set", "mc.y0=abc"], ["[mc] y0"]),
     (["--set", "mc.x0=abc"], ["[mc] x0"]),
     (["--set", "grid.y_lo=2"], ["[grid] y_lo = 2.0", "[grid] y_hi = 1.0", "empty"]),
-], ids=["config-y-lo", "config-y-hi", "config-y0", "config-x0", "empty-domain"])
+    (["--set", "mc.x0=-1"], ["[mc] x0 = -1.0", "positive"]),
+    (["--set", "mc.x0=0"], ["[mc] x0 = 0.0", "positive"]),
+    (["--set", "mc.y0=5"], ["[mc] y0 = 5.0", "[factor] domain"]),
+    (["--set", "mc.y0=-1.25"], ["[mc] y0 = -1.25", "[factor] domain"]),
+], ids=["config-y-lo", "config-y-hi", "config-y0", "config-x0", "empty-domain", "x0-negative",
+        "x0-zero", "y0-outside", "y0-on-the-edge"])
 def test_bad_floats_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, flags, where):
     import creditfolio.cli as cli_mod
 
