@@ -5,17 +5,7 @@ extract optimal feedback trading and consumption policies, and validate both
 against closed forms and Monte Carlo simulation.
 """
 
-from .dual import (
-    beta_exponent,
-    dual_value,
-    kappa_hat,
-    legendre,
-    market_price_of_risk,
-    phi_and_nu,
-    phi_bounds,
-    psi,
-    theta_from_h,
-)
+from .dual import beta_exponent, phi_bounds
 from .fields import GridSpec, PolicyField, SolutionField, SolveResult, TruncationBounds
 from .model import (
     CreditSpec,
@@ -26,22 +16,13 @@ from .model import (
     PreferenceSpec,
     ValidationReport,
     all_states,
-    flip,
     load_preset,
     states_by_cardinality,
     validate_spec,
 )
 from .oracle import ScalarModel, all_defaulted_closed_form, merton_fraction, picard_fixed_point
-from .pde import nonlinear_source, solve_recursive_system, step_slice, truncation_bounds
-from .strategy import (
-    SolverError,
-    build_policy,
-    consumption_rate,
-    lambda_and_J,
-    pi_hat,
-    solve_hhat,
-    value_function,
-)
+from .pde import solve_recursive_system, step_slice, truncation_bounds
+from .strategy import SolverError, build_policy, pi_hat, solve_hhat, value_function
 
 __version__ = "0.1.0"
 
@@ -50,9 +31,7 @@ __all__ = [
     "PolicyField", "PreferenceSpec", "ScalarModel", "SolutionField", "SolveResult",
     "SolverError", "TruncationBounds", "ValidationReport",
     "all_defaulted_closed_form", "all_states", "beta_exponent", "build_policy",
-    "consumption_rate", "dual_value", "flip", "kappa_hat", "lambda_and_J", "legendre",
-    "load_preset", "market_price_of_risk", "merton_fraction", "nonlinear_source",
-    "phi_and_nu", "phi_bounds", "pi_hat", "picard_fixed_point", "psi",
+    "load_preset", "merton_fraction", "phi_bounds", "pi_hat", "picard_fixed_point",
     "solve_hhat", "solve_recursive_system", "states_by_cardinality", "step_slice",
-    "theta_from_h", "truncation_bounds", "validate_spec", "value_function",
+    "truncation_bounds", "validate_spec", "value_function",
 ]

@@ -511,12 +511,11 @@ def cmd_sweep(args) -> int:
     solve_values = [None] if plan["axis"] == "t" else plan["values"]
     for value in solve_values:
         cfg = {sec: dict(kv) for sec, kv in config.items()}
-        if plan["axis"] == "p":
-            cfg["preference"]["p"] = repr(value)
-        elif plan["axis"] == "sigma_scale":
+        p = value if plan["axis"] == "p" else plan.get("p")
+        if p is not None and "preference" in cfg:   # without it build_model names the section
+            cfg["preference"]["p"] = repr(p)
+        if plan["axis"] == "sigma_scale":
             cfg.setdefault("market", {})["sigma_scale"] = repr(value)
-        if "p" in plan:
-            cfg["preference"]["p"] = repr(plan["p"])
         spec = build_model(cfg)
         grid = build_grid(cfg, args)
         report = validate_spec(spec, grid.y_nodes())
@@ -580,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nt", type=int, help="time steps")
         p.add_argument("--no-clamp", action="store_true",
                        help="disable the a-priori clamp on the nonlinear source")
-        p.add_argument("--seed", type=int, help="Monte Carlo seed")
         if with_mc:
+            p.add_argument("--seed", type=int, help="Monte Carlo seed")
             p.add_argument("--paths", type=int, help="Monte Carlo paths")
             p.add_argument("--steps", type=int, help="Monte Carlo time steps")
 

@@ -5,8 +5,8 @@ array of factor values and owns every formula built from them: the
 admissibility tie between ``theta`` and ``h``, the reaction rate ``phi`` and
 transformed drift ``nu``, the contagion source sum, the diffusion row
 ``Lambda`` of the optimal wealth and the hedge gap.  The PDE march, the
-policy extraction, the artifact reader and the Monte Carlo checks build it
-once per state; the point functions below are its size-1 case.
+policy extraction, the point queries and the Monte Carlo checks build it
+once per state or stack; a scalar ``y`` is its size-1 case.
 
 The dual diffusion loading ``theta`` is never an independent input: it is
 always derived from the jump loading ``h`` through the admissibility
@@ -27,20 +27,7 @@ import numpy as np
 
 from .model import DefaultState, ModelSpec, beta_exponent
 
-__all__ = [
-    "H_FLOOR",
-    "Coefficients",
-    "market_price_of_risk",
-    "theta_from_h",
-    "h_from_theta",
-    "psi",
-    "phi_and_nu",
-    "phi_bounds",
-    "beta_exponent",
-    "legendre",
-    "kappa_hat",
-    "dual_value",
-]
+__all__ = ["H_FLOOR", "Coefficients", "phi_bounds", "beta_exponent"]
 
 # powers (1+h)^q use the real branch; require 1 + h > H_FLOOR
 H_FLOOR = 1e-6
@@ -99,18 +86,10 @@ class Coefficients:
         return tuple(np.flatnonzero(self.alive.any(axis=(0, 1))).tolist())
 
     def take(self, rows) -> "Coefficients":
-        """The states at ``rows`` of this stack as a stack, or the one at an int ``rows`` alone.
-
-        The y-only arrays are shared, not copied.
-        """
+        """The states at ``rows`` of this stack, as a stack; the y-only arrays are shared."""
         out = copy.copy(self)
-        if isinstance(rows, (int, np.integer)):
-            out.state = self.states[rows]
-            out.states = (out.state,)
-            out.alive, out.lam = self.alive[rows, 0], self.lam[rows]
-        else:
-            out.states = tuple(self.states[r] for r in rows)
-            out.alive, out.lam = self.alive[rows], self.lam[rows]
+        out.states = tuple(self.states[r] for r in rows)
+        out.alive, out.lam = self.alive[rows], self.lam[rows]
         return out
 
     def check_h(self, h) -> np.ndarray:
@@ -191,54 +170,6 @@ class Coefficients:
         return float(np.max(np.abs(gap[..., dead])))
 
 
-def market_price_of_risk(y: float, spec: ModelSpec) -> np.ndarray:
-    """xi(y) = sigma(y)^{-1} (mu - r 1)."""
-    return Coefficients(spec, DefaultState(spec.n), y).xi[0]
-
-
-def theta_from_h(h, y: float, state: DefaultState, spec: ModelSpec) -> np.ndarray:
-    """Dual diffusion loading tied to the jump loading h.
-
-    theta = xi(y) - sigma(y)^{-1} diag((1-z) lambda) h; when every name has
-    defaulted this is the market price of risk regardless of h.
-    """
-    coef = Coefficients(spec, state, y)
-    return coef.theta_from_h(coef.check_h(h)[None])[0]
-
-
-def h_from_theta(theta, y: float, state: DefaultState, spec: ModelSpec) -> np.ndarray:
-    """Inverse of :func:`theta_from_h` on alive components (0 where defaulted)."""
-    return Coefficients(spec, state, y).h_from_theta(np.asarray(theta, dtype=float)[None])[0]
-
-
-def psi(a, h, theta, y: float, state: DefaultState, spec: ModelSpec) -> float:
-    """Exponential growth rate of the simplified dual criterion.
-
-    psi = q(q-1)/2 (|theta|^2 + |a|^2) - q r
-          + sum_i (1-z_i) [ (1+h_i)^q - q (1+h_i) + q - 1 ] lambda_i(y, z).
-    """
-    q = spec.q
-    a = np.asarray(a, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    coef = Coefficients(spec, state, y)
-    h = coef.check_h(h)
-    one_ph = np.where(coef.alive > 0, 1.0 + h, 1.0)
-    bracket = one_ph**q - q * one_ph + q - 1.0
-    out = 0.5 * q * (q - 1.0) * (float(theta @ theta) + float(a @ a)) - q * spec.market.r
-    return float(out + np.sum(bracket * coef.lam[0]))
-
-
-def phi_and_nu(hhat, theta, y: float, state: DefaultState, spec: ModelSpec) -> tuple[float, float]:
-    """Linear reaction rate phi and transformed factor drift nu at one node.
-
-    nu = mu0(y) - q rho sigma0(y) theta (scalar for m = 1);
-    phi = q(q-1)/2 |theta|^2 - q r + sum_i [q - 1 - q (1 + hhat_i)] (1-z_i) lambda_i.
-    """
-    coef = Coefficients(spec, state, y)
-    phi, nu = coef.phi_nu(coef.check_h(hhat)[None], np.asarray(theta, dtype=float)[None])
-    return float(phi[0]), float(nu[0])
-
-
 def phi_bounds(sup_theta_sq: float, sup_lam, sup_h, sup_one_ph, q: float, r: float) -> tuple[float, float]:
     """State-dependent lower/upper bounds of phi from sup norms of the control family.
 
@@ -262,36 +193,3 @@ def phi_bounds(sup_theta_sq: float, sup_lam, sup_h, sup_one_ph, q: float, r: flo
     upper = 0.5 * q * (q - 1.0) * sup_theta_sq - q * r - q * float(np.sum(sup_lam * sup_h))
     lower = -(1.0 - q) * float(np.sum(sup_lam))
     return (lower, upper)
-
-
-def legendre(i: int, y_dual: float, spec: ModelSpec) -> tuple[float, float]:
-    """Convex-conjugate pair (Utilde_i, I_i) of the power utility at a dual point.
-
-    I_i(y) = K_i^{1-q} y^{q-1} attains the sup in the transform, and
-    Utilde_i(y) = -(1/q) K_i^{1-q} y^q.
-    """
-    if y_dual <= 0:
-        raise ValueError("dual argument must be positive")
-    if i not in (1, 2):
-        raise ValueError("utility index must be 1 (terminal wealth) or 2 (consumption)")
-    q = spec.q
-    if q == 0.0:
-        raise ValueError("legendre transform of power utility needs q != 0")
-    K = spec.pref.K1 if i == 1 else spec.pref.K2
-    I = K ** (1.0 - q) * y_dual ** (q - 1.0)
-    U_tilde = -(1.0 / q) * K ** (1.0 - q) * y_dual**q
-    return U_tilde, I
-
-
-def kappa_hat(x: float, F: float, q: float) -> float:
-    """Optimal dual scale kappa = (F / x)^{1/(1-q)} for initial wealth x and dual value F."""
-    if x <= 0 or F <= 0:
-        raise ValueError("wealth and dual value must be positive")
-    return (F / x) ** (1.0 / (1.0 - q))
-
-
-def dual_value(x: float, F: float, p: float) -> float:
-    """Primal value attained by the dual optimum: (x^p / p) F^{1-p}."""
-    if x <= 0 or F <= 0:
-        raise ValueError("wealth and dual value must be positive")
-    return (x**p / p) * F ** (1.0 - p)

@@ -26,7 +26,6 @@ __all__ = [
     "PreferenceSpec",
     "ModelSpec",
     "ValidationReport",
-    "flip",
     "all_states",
     "states_by_cardinality",
     "validate_spec",
@@ -91,24 +90,12 @@ class DefaultState:
         bits = sum((1 << i) for i, c in enumerate(s) if c == "1")
         return cls(len(s), bits)
 
-    @classmethod
-    def from_indicator(cls, z: Sequence[int]) -> "DefaultState":
-        z = tuple(int(v) for v in z)
-        if any(v not in (0, 1) for v in z):
-            raise ValueError("default indicator entries must be 0 or 1")
-        return cls(len(z), sum(1 << i for i, v in enumerate(z) if v))
-
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise IndexError(f"name index {i} out of range for n={self.n}")
 
     def __str__(self) -> str:
         return self.bitstring
-
-
-def flip(state: DefaultState, i: int) -> DefaultState:
-    """Toggle the default flag of name ``i``; involution on states."""
-    return state.flip(i)
 
 
 def all_states(n: int) -> list[DefaultState]:
@@ -454,7 +441,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-_H_FLOOR_EPS = 1e-6
 _COND_CAP = 1e8
 
 

@@ -66,7 +66,6 @@ from .strategy import SolverError
 __all__ = [
     "GridSpec",
     "TruncationBounds",
-    "nonlinear_source",
     "step_slice",
     "truncation_bounds",
     "solve_recursive_system",
@@ -77,26 +76,6 @@ _BOUND_SLACK = 1e-12
 # relative change below which the sweep stops early
 _INNER_SWEEPS = 5
 _INNER_TOL = 1e-8
-
-
-def nonlinear_source(t: float, y: float, v: float, state: DefaultState,
-                     children_values: Mapping[int, float], hhat, spec: ModelSpec,
-                     bounds: TruncationBounds | None = None) -> float:
-    """Contagion source Phi = v^{1-beta}/beta (K2^{1-q} + sum_i f_i^beta (1+h_i)^q lambda_i).
-
-    With bounds supplied, v is first clamped into [k_under, k_bar(t)]; without
-    them a non-positive v is a domain error.
-    """
-    beta = spec.beta
-    if bounds is not None:
-        v = float(np.clip(v, bounds.k_under, bounds.k_bar(t)))
-    elif v <= 0:
-        raise ValueError("solution value must be positive when the clamp is disabled")
-    children = {i: float(children_values[i]) for i in state.alive}
-    if any(val <= 0 for val in children.values()):
-        raise ValueError("child values must be positive")
-    s = Coefficients(spec, state, y).source_sum(np.asarray(hhat, dtype=float)[None, :], children)
-    return float(v ** (1.0 - beta) / beta * s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +163,7 @@ class _StepWorkspace:
     def reset(self, rows):
         """Fresh bookkeeping for the states at ``rows``, as before their first step."""
         rows = list(rows)
-        # no warm start yet: 0 is none for the diagonal Newton, and the general
-        # one reads NaN as none (it then continues from the previous node)
-        self.h_warm[rows] = 0.0 if self.coef.sigma is None else np.nan
+        self.h_warm[rows] = 0.0   # no warm start yet: both Newtons start from h = 0
         for key, value in _empty_stats((len(rows), self.grid.n_y), self.spec.n).items():
             self.stats[key][rows] = value
         for r in rows:

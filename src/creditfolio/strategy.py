@@ -36,13 +36,11 @@ from .model import DefaultState, ModelSpec, all_states
 
 __all__ = [
     "SolverError",
-    "lambda_and_J",
     "solve_hhat",
     "solve_hhat_slice",
     "ahat_slice",
     "build_policy",
     "pi_hat",
-    "consumption_rate",
     "value_function",
 ]
 
@@ -97,18 +95,13 @@ def solve_hhat_slice(y_nodes: np.ndarray, state, spec: ModelSpec,
 
     if coef.sigma is None:
         return _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init)
-    ratio = (child / f_slice[..., None]) ** coef.beta
-    if coef.state is not None:
-        return _solve_slice_general(coef, ratio, grad_term, h_init)
-    out = [_solve_slice_general(coef.take(s), ratio[s], grad_term[s],
-                                None if h_init is None else h_init[s])
-           for s in range(len(coef.states))]
-    return tuple(np.stack(parts) for parts in zip(*out))
+    return _solve_slice_general(coef, (child / f_slice[..., None]) ** coef.beta, grad_term,
+                                h_init)
 
 
-def _per_state(full: np.ndarray, single: bool):
-    """Largest entry of each state's (n_y, n) block; a scalar for one state."""
-    out = full.max(axis=(-2, -1))
+def _per_state(per_node: np.ndarray, single: bool):
+    """Largest entry of each state's (n_y,) row; a scalar for one state."""
+    out = per_node.max(axis=-1)
     return out.item() if single else out
 
 
@@ -202,108 +195,98 @@ def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
         np.put(pi, idx, 1.0 - (1.0 + x) ** (q - 1.0) * ratv)
 
     single = coef.state is not None
-    return (hhat, coef.theta_from_h(hhat), pi, _per_state(steps, single),
-            _per_state(resid_full, single))
+    return (hhat, coef.theta_from_h(hhat), pi, _per_state(steps.max(axis=-1), single),
+            _per_state(resid_full.max(axis=-1), single))
 
 
 def _solve_slice_general(coef, ratio, grad_term, h_init):
-    """Per-node damped Newton on the coupled alive-column system (full sigma).
+    """Damped Newton on the coupled system (full sigma), every (state, node) row at once.
 
-    Unknowns at a node: h_i for alive names with positive intensity, pi_i for
-    alive defaultless names.  Equations: the alive columns of
-    pi^T sigma = Lambda with pi_i = J_i(h_i) substituted for jump names.
-    A node starts from ``h_init`` when given and free of NaN, else from the
-    previous node's root (the first node from 0).
+    A row's unknown u_i is h_i for an alive name with positive intensity,
+    pi_i for an alive defaultless name and 0 for a defaulted name, which an
+    identity row of the Jacobian keeps there.  Its equations are the alive
+    columns of pi^T sigma = Lambda with pi_i = J_i(h_i) substituted for jump
+    names.  A row starts from ``h_init`` (0 when not given), runs its own line
+    search of up to 60 halvings and stops on its own, so a stack of states
+    solves each state as it would alone.  One stacked ``np.linalg.solve``
+    takes the Newton steps of all rows still iterating.
     """
-    state, y_nodes, lam = coef.state, coef.y, coef.lam
-    n_y, n = lam.shape
-    q = coef.q
-    alive = list(state.alive)
-    hhat = np.zeros((n_y, n))
-    if not alive:
-        return hhat, coef.theta_from_h(hhat), np.zeros((n_y, n)), 0, 0.0
-    theta = np.zeros((n_y, n))
-    pi = np.zeros((n_y, n))
-    iters_max = 0
-    resid_max = 0.0
-    one_q = 1.0 - q
-    warm = np.zeros(n)
+    q, one_q = coef.q, 1.0 - coef.q
+    shape, n = coef.lam.shape, coef.lam.shape[-1]
 
-    for k, yv in enumerate(y_nodes):
-        s = coef.sigma[k]
-        s_inv = np.linalg.inv(s)
-        xi = coef.xi[k]
-        lam_k = lam[k]
-        jumpy = [i for i in alive if lam_k[i] > _LAMBDA_TOL]
-        free = [i for i in alive if i not in jumpy]
-        n_j = len(jumpy)
+    def rows(a, tail=(n,)):
+        return np.broadcast_to(a, shape[:-1] + tail).reshape((-1,) + tail)
 
-        def assemble(u):
-            h = np.zeros(n)
-            piv = np.zeros(n)
-            for m, i in enumerate(jumpy):
-                h[i] = u[m]
-                piv[i] = 1.0 - (1.0 + u[m]) ** (q - 1.0) * ratio[k, i]
-            for m, i in enumerate(free):
-                piv[i] = u[n_j + m]
-            th = xi - s_inv @ (lam_k * h)
-            res = (piv @ s) - (one_q * th + grad_term[k])
-            return h, piv, th, res[alive]
+    lam, ratio, grad, xi, alive = (rows(a) for a in (coef.lam, ratio, grad_term, coef.xi,
+                                                     coef.alive > 0))
+    sigma, s_inv = rows(coef.sigma, (n, n)), rows(np.linalg.inv(coef.sigma), (n, n))
+    jumpy = alive & (lam > _LAMBDA_TOL)
+    free = alive & ~jumpy
 
-        def jacobian(u):
-            J = np.zeros((len(alive), len(alive)))
-            for col, i in enumerate(jumpy):
-                dpi = one_q * (1.0 + u[col]) ** (q - 2.0) * ratio[k, i]
-                for row, j in enumerate(alive):
-                    # pi_i(h_i) enters column j through sigma[i, j]; theta through s^{-1}
-                    J[row, col] = dpi * s[i, j] + one_q * lam_k[i] * s_inv[j, i]
-            for col, i in enumerate(free):
-                for row, j in enumerate(alive):
-                    J[row, n_j + col] = s[i, j]
-            return J
+    def assemble(u, at):
+        h = np.where(jumpy[at], u, 0.0)
+        pi = np.where(jumpy[at], 1.0 - (1.0 + h) ** (q - 1.0) * ratio[at],
+                      np.where(free[at], u, 0.0))
+        th = xi[at] - (s_inv[at] @ (lam[at] * h)[..., None])[..., 0]
+        res = (pi[:, None, :] @ sigma[at])[:, 0] - (one_q * th + grad[at])
+        return h, pi, th, np.where(alive[at], res, 0.0)
 
-        u = np.zeros(len(alive))
-        if h_init is not None and not np.isnan(h_init[k]).any():
-            for m, i in enumerate(jumpy):
-                u[m] = h_init[k, i]
-        elif k > 0:
-            for m, i in enumerate(jumpy):
-                u[m] = warm[i]
-        _, _, _, res = assemble(u)
-        it = 0
-        while np.max(np.abs(res)) > _NEWTON_TOL and it < _MAX_ITER:
-            J = jacobian(u)
-            try:
-                step = np.linalg.solve(J, res)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular Jacobian at node {k} in state {state}") from exc
-            scale = 1.0
-            improved = False
-            for _ in range(60):
-                u_try = u - scale * step
-                if all(1.0 + u_try[m] > H_FLOOR for m in range(n_j)):
-                    _, _, _, res_try = assemble(u_try)
-                    if np.max(np.abs(res_try)) < np.max(np.abs(res)) or scale < 1e-8:
-                        u, res = u_try, res_try
-                        improved = True
-                        break
-                scale *= 0.5
-            if not improved:
+    def jacobian(u, at):
+        # J[j, i]: pi_i(h_i) enters column j through sigma[i, j]; theta through s^{-1}
+        dpi = one_q * (1.0 + np.where(jumpy[at], u, 0.0)) ** (q - 2.0) * ratio[at]
+        sig_t = sigma[at].swapaxes(-1, -2)
+        J = np.where(jumpy[at][:, None, :],
+                     dpi[:, None, :] * sig_t + one_q * lam[at][:, None, :] * s_inv[at],
+                     np.where(free[at][:, None, :], sig_t, 0.0))
+        J = np.where(alive[at][:, :, None], J, 0.0)
+        J[:, np.arange(n), np.arange(n)] += ~alive[at]
+        return J
+
+    def place(row):
+        s, k = divmod(int(row), shape[-2])
+        return f"node {k} (y={coef.y[k]:.4g}) in state {coef.states[s]}"
+
+    u = np.zeros(lam.shape) if h_init is None else np.where(jumpy, rows(h_init), 0.0)
+    res = assemble(u, slice(None))[3]
+    norm = np.abs(res).max(axis=-1)
+    iters = np.zeros(len(u), dtype=int)
+    live = np.flatnonzero(norm > _NEWTON_TOL)
+    while live.size:
+        J = jacobian(u[live], live)
+        try:
+            step = np.linalg.solve(J, res[live][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            bad = live[np.argmin(np.abs(np.linalg.det(J)))]
+            raise SolverError(f"singular Jacobian at {place(bad)}") from exc
+        u0, n0, todo, scale = u[live], norm[live], np.ones(live.size, dtype=bool), 1.0
+        for _ in range(60):
+            u_try = u0 - scale * step
+            test = np.flatnonzero(todo & np.all((1.0 + u_try > H_FLOOR) | ~jumpy[live], axis=-1))
+            if test.size:
+                res_try = assemble(u_try[test], live[test])[3]
+                n_try = np.abs(res_try).max(axis=-1)
+                acc = (n_try < n0[test]) | (scale < 1e-8)
+                take = test[acc]
+                won = live[take]
+                u[won], res[won], norm[won] = u_try[take], res_try[acc], n_try[acc]
+                todo[take] = False
+            if not todo.any():
                 break
-            it += 1
-        h, piv, th, res = assemble(u)
-        node_res = float(np.max(np.abs(res)))
-        if node_res > _RESID_TOL:
-            raise SolverError(
-                f"coupled control solve failed at node {k} (y={yv:.4g}) in state {state}: "
-                f"residual {node_res:.3e}")
-        hhat[k] = h
-        pi[k] = piv
-        theta[k] = th
-        warm = h
-        iters_max = max(iters_max, it)
-        resid_max = max(resid_max, node_res)
-    return hhat, theta, pi, iters_max, resid_max
+            scale *= 0.5
+        live = live[~todo]
+        iters[live] += 1
+        live = live[(norm[live] > _NEWTON_TOL) & (iters[live] < _MAX_ITER)]
+
+    h, pi, th, res = assemble(u, slice(None))
+    node_res = np.abs(res).max(axis=-1)
+    if np.any(node_res > _RESID_TOL):
+        bad = int(np.argmax(node_res > _RESID_TOL))
+        raise SolverError(f"coupled control solve failed at {place(bad)}: "
+                          f"residual {node_res[bad]:.3e}")
+    single = coef.state is not None
+    return (h.reshape(shape), th.reshape(shape), pi.reshape(shape),
+            _per_state(iters.reshape(shape[:-1]), single),
+            _per_state(node_res.reshape(shape[:-1]), single))
 
 
 def ahat_slice(y_nodes: np.ndarray, spec: ModelSpec, f_slice: np.ndarray,
@@ -371,31 +354,24 @@ def solve_hhat(t: float, y: float, state: DefaultState, result: SolveResult,
     return h[0]
 
 
-def _point_terms(t, y, state, hhat, result, spec):
-    """(Lambda, J, size-1 kernel) at one point for a jump loading hhat."""
+def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
+           result: SolveResult, spec: ModelSpec) -> np.ndarray:
+    """Optimal wealth fractions; raises if inconsistent with the diffusion matching.
+
+    A name with positive intensity holds its jump exposure J_i = 1 - (1 +
+    hhat_i)^{q-1} (f_child_i / f)^beta; the diffusion matching on the alive
+    columns fixes the weights of alive defaultless names.
+    """
     f_val, df_val, children = _point_inputs(t, y, state, result, spec)
     coef = Coefficients(spec, state, y)
     theta = coef.theta_from_h(coef.check_h(hhat)[None])
     Lam = coef.diffusion_row(theta, coef.grad_term(np.array([f_val]), np.array([df_val])))[0]
-    J = np.zeros(spec.n)
-    for i in state.alive:
-        J[i] = 1.0 - (1.0 + hhat[i]) ** (coef.q - 1.0) * (float(children[i][0]) / f_val) ** coef.beta
-    return Lam, J, coef
-
-
-def lambda_and_J(t: float, y: float, state: DefaultState, hhat: np.ndarray,
-                 result: SolveResult, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion row Lambda and jump vector J of the optimal wealth dynamics."""
-    Lam, J, _ = _point_terms(t, y, state, hhat, result, spec)
-    return Lam, J
-
-
-def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
-           result: SolveResult, spec: ModelSpec) -> np.ndarray:
-    """Optimal wealth fractions; raises if inconsistent with the diffusion matching."""
-    Lam, J, coef = _point_terms(t, y, state, hhat, result, spec)
     lam = coef.lam[0]
-    pi = np.where(lam > _LAMBDA_TOL, J, 0.0)
+    pi = np.zeros(spec.n)
+    for i in state.alive:
+        if lam[i] > _LAMBDA_TOL:
+            ratio = (float(children[i][0]) / f_val) ** coef.beta
+            pi[i] = 1.0 - (1.0 + hhat[i]) ** (coef.q - 1.0) * ratio
     s = spec.market.sigma_at(y)
     Lam_masked = Lam * coef.alive
     free = [i for i in state.alive if lam[i] <= _LAMBDA_TOL]
@@ -410,16 +386,6 @@ def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
             f"feedback weights inconsistent with diffusion matching: residual {residual:.3e} "
             f"(jump loadings or gradient out of sync)")
     return pi
-
-
-def consumption_rate(t: float, y: float, state: DefaultState, x_wealth: float,
-                     result: SolveResult, spec: ModelSpec) -> float:
-    """Optimal consumption rate c = K2^{1-q} x / g(T-t, y, z)."""
-    if x_wealth <= 0:
-        raise ValueError("wealth must be positive")
-    u = max(spec.pref.T - t, 0.0)
-    f_val = float(lookup(result.f, result.t_nodes, result.grid.y_nodes(), u, state.bits, y))
-    return spec.pref.K2 ** (1.0 - spec.q) * x_wealth / f_val**spec.beta
 
 
 def value_function(x: float, y: float, state: DefaultState, result: SolveResult,

@@ -291,6 +291,34 @@ class TestSweepCommand:
         assert rc.returncode != 0
 
 
+def test_config_without_preference_exits_2_for_every_command(tmp_path, monkeypatch, capsys):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran for a configuration without [preference]")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    ini = tmp_path / "one_name.ini"
+    ini.write_text("\n".join([
+        "[model]", "n = 1",
+        "[factor]", "kind = ou", "u0 = 0.5", "kappa = 1.0", "sigma0 = 0.5", "domain = -1.25, 1.25",
+        "[credit]", "kind = exp_affine", "a_1_0 = 0.5", "b_1_0 = 0.2", "c_1_0 = 0.3",
+        "[market]", "mu = 0.3", "sigma = 0.8", "r = 0.1"]))
+    for command in (["solve"], ["validate"], ["sweep", "--sweep", "fig1"],
+                    ["sweep", "--sweep", "fig2"]):
+        rc = main([*command, "--config", str(ini), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION, command
+        assert "bad model configuration: 'preference'" in err, (command, err)
+
+
+def test_seed_is_a_simulate_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--preset", "benchmark_s5", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_small_run_passes_and_is_deterministic(self, tmp_path):
         args = ["simulate", "--preset", "benchmark_s5", *SMALL,

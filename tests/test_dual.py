@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import creditfolio as cf
-from creditfolio.dual import (Coefficients, beta_exponent, dual_value, h_from_theta,
-                              kappa_hat, legendre, market_price_of_risk, phi_and_nu,
-                              phi_bounds, psi, theta_from_h)
+from creditfolio.dual import Coefficients, beta_exponent, phi_bounds
+from creditfolio.fields import GridSpec, SolveResult
 from creditfolio.model import DefaultState, load_preset
+from creditfolio.strategy import value_function
 
 from conftest import make_single_name_spec
 
@@ -15,15 +15,40 @@ Z00 = DefaultState.from_bitstring("00")
 Z11 = DefaultState.from_bitstring("11")
 
 
+def xi_at(y, spec):
+    """Market price of risk xi(y) = sigma(y)^{-1} (mu - r 1), the kernel's y-only array."""
+    return Coefficients(spec, DefaultState(spec.n), y).xi[0]
+
+
+def theta_at(h, y, state, spec):
+    """theta tied to h at one node, through the kernel's domain check."""
+    coef = Coefficients(spec, state, y)
+    return coef.theta_from_h(coef.check_h(h)[None])[0]
+
+
+def constant_dual(spec, g):
+    """Stacked solution whose dual value g(T, y, z) = f^beta equals ``g`` everywhere."""
+    grid = GridSpec(-1.0, 1.0, 11, 10)
+    f = np.full((2**spec.n, grid.n_t + 1, grid.n_y), g ** (1.0 / spec.beta))
+    return SolveResult(grid=grid, t_nodes=grid.t_nodes(spec.pref.T), f=f, df=np.zeros_like(f),
+                       policy=np.zeros(f.shape + (4 * spec.n + 1,)), hedge_gap=np.zeros(len(f)))
+
+
+def phi_nu_at(hhat, theta, y, state, spec):
+    coef = Coefficients(spec, state, y)
+    phi, nu = coef.phi_nu(coef.check_h(hhat)[None], np.asarray(theta, dtype=float)[None])
+    return float(phi[0]), float(nu[0])
+
+
 class TestMarketPriceOfRisk:
     def test_benchmark_is_zero(self):
         spec = load_preset("benchmark_s5")
         for y in (-0.8, 0.0, 0.9):
-            assert np.allclose(market_price_of_risk(y, spec), 0.0)
+            assert np.allclose(xi_at(y, spec), 0.0)
 
     def test_scalar_division(self):
         spec = make_single_name_spec(mu=0.25, sigma=0.8, r=0.05)
-        assert market_price_of_risk(0.0, spec)[0] == pytest.approx(0.25)
+        assert xi_at(0.0, spec)[0] == pytest.approx(0.25)
 
     def test_singular_sigma_raises(self):
         spec = load_preset("benchmark_s5")
@@ -31,29 +56,29 @@ class TestMarketPriceOfRisk:
         spec2 = cf.ModelSpec(n=2, factor=spec.factor, credit=spec.credit,
                              market=bad, pref=spec.pref)
         with pytest.raises(np.linalg.LinAlgError):
-            market_price_of_risk(0.0, spec2)
+            xi_at(0.0, spec2)
 
 
 class TestThetaFromH:
     def test_zero_loading_gives_xi(self):
         spec = load_preset("scott_example22")
-        xi = market_price_of_risk(0.2, spec)
-        assert np.allclose(theta_from_h([0.0, 0.0], 0.2, Z00, spec), xi)
+        xi = xi_at(0.2, spec)
+        assert np.allclose(theta_at([0.0, 0.0], 0.2, Z00, spec), xi)
 
     def test_all_defaulted_gives_xi(self):
         spec = load_preset("scott_example22")
-        xi = market_price_of_risk(-0.3, spec)
-        assert np.allclose(theta_from_h([5.0, -0.9], -0.3, Z11, spec), xi)
+        xi = xi_at(-0.3, spec)
+        assert np.allclose(theta_at([5.0, -0.9], -0.3, Z11, spec), xi)
 
     def test_benchmark_hand_value(self):
         spec = load_preset("benchmark_s5")
-        theta = theta_from_h([0.1, 0.1], 0.0, Z00, spec)
+        theta = theta_at([0.1, 0.1], 0.0, Z00, spec)
         assert theta == pytest.approx([-0.125, -0.1])
 
     def test_domain_error(self):
         spec = load_preset("benchmark_s5")
         with pytest.raises(ValueError):
-            theta_from_h([-1.0, 0.0], 0.0, Z00, spec)
+            theta_at([-1.0, 0.0], 0.0, Z00, spec)
 
     @given(st.lists(st.floats(-0.9, 5.0), min_size=2, max_size=2),
            st.floats(-0.9, 0.9), st.integers(0, 3))
@@ -62,8 +87,8 @@ class TestThetaFromH:
         spec = load_preset("benchmark_s5")
         state = DefaultState(2, bits)
         h = np.array(h) * (1.0 - state.indicator())
-        theta = theta_from_h(h, y, state, spec)
-        back = h_from_theta(theta, y, state, spec)
+        coef = Coefficients(spec, state, y)
+        back = coef.h_from_theta(coef.theta_from_h(h[None]))[0]
         assert np.allclose(back, h, atol=1e-12)
 
 
@@ -93,47 +118,26 @@ class TestCoefficients:
         assert np.allclose(coef.h_from_theta(theta[0]), h, rtol=0, atol=1e-12)
 
 
-class TestPsi:
-    def test_zero_controls_cancellation(self):
-        spec = load_preset("benchmark_s5")
-        for y in (-0.5, 0.4):
-            for bits in range(4):
-                z = DefaultState(2, bits)
-                val = psi([0, 0], [0, 0], [0, 0], y, z, spec)
-                assert val == pytest.approx(-spec.q * spec.market.r, abs=1e-14)
-
-    def test_q_minus4_value(self):
-        spec = load_preset("benchmark_s5")
-        assert psi([0, 0], [0, 0], [0, 0], 0.0, Z00, spec) == pytest.approx(0.8)
-
-    def test_hand_value_q_half(self):
-        # q=0.5 (p=-1), r=0, lambda=1: bracket = 2^0.5 - 1 - 0.5
-        spec = make_single_name_spec(p=-1.0, lam_a=1.0, lam_b=0.0, mu=0.0, sigma=1.0, r=0.0)
-        z0 = DefaultState.from_bitstring("0")
-        val = psi([0.0], [1.0], [0.0], 0.0, z0, spec)
-        assert val == pytest.approx(np.sqrt(2.0) - 1.5, abs=1e-12)
-
-
 class TestPhiAndNu:
     def test_rho_zero_drift(self):
         spec = load_preset("benchmark_s5")
-        phi, nu = phi_and_nu([0.0, 0.0], [0.0, 0.0], 0.25, Z00, spec)
+        phi, nu = phi_nu_at([0.0, 0.0], [0.0, 0.0], 0.25, Z00, spec)
         assert nu == pytest.approx(float(spec.factor.drift(0.25)))
 
     def test_bracket_minus_one(self):
         # hhat = 0, theta = xi: phi = q(q-1)/2 |xi|^2 - qr - sum lambda_i
         spec = load_preset("scott_example22")
         y = 0.1
-        xi = market_price_of_risk(y, spec)
+        xi = xi_at(y, spec)
         q = spec.q
         lam = spec.alive_intensity(y, Z00)
-        phi, _ = phi_and_nu([0.0, 0.0], xi, y, Z00, spec)
+        phi, _ = phi_nu_at([0.0, 0.0], xi, y, Z00, spec)
         expected = 0.5 * q * (q - 1) * float(xi @ xi) - q * spec.market.r - float(lam.sum())
         assert phi == pytest.approx(expected, abs=1e-12)
 
     def test_all_defaulted_benchmark(self):
         spec = load_preset("benchmark_s5")
-        phi, _ = phi_and_nu([0.0, 0.0], [0.0, 0.0], 0.0, Z11, spec)
+        phi, _ = phi_nu_at([0.0, 0.0], [0.0, 0.0], 0.0, Z11, spec)
         assert phi == pytest.approx(0.8)
 
 
@@ -162,8 +166,7 @@ class TestPhiBounds:
             return
         spec = load_preset("benchmark_s5")
         h = np.array([h1, h2]) * 0.9
-        theta = theta_from_h(h, y, Z00, spec)
-        phi, _ = phi_and_nu(h, theta, y, Z00, spec)
+        theta = theta_at(h, y, Z00, spec)
 
         # rebuild phi with the requested q (preset q is fixed, recompute directly)
         lam = spec.alive_intensity(y, Z00)
@@ -190,49 +193,20 @@ class TestBeta:
         assert beta_exponent(q, rho) > 0.0
 
 
-class TestLegendre:
-    def test_unit_case(self):
-        spec = load_preset("benchmark_s5")
-        _, I = legendre(1, 1.0, spec)
-        assert I == pytest.approx(1.0)
-
-    def test_q_half_values(self):
-        spec = make_single_name_spec(p=-1.0)  # q = 0.5
-        U_t, I = legendre(1, 4.0, spec)
-        assert I == pytest.approx(0.5)
-        assert U_t == pytest.approx(-4.0)
-
-    def test_defining_identity(self):
-        # U(I(y)) - I(y) y = Utilde(y) at y = 2, p = -1
-        spec = make_single_name_spec(p=-1.0)
-        y = 2.0
-        U_t, I = legendre(1, y, spec)
-        K, p = spec.pref.K1, spec.pref.p
-        assert (K / p) * I**p - I * y == pytest.approx(U_t, abs=1e-12)
-
-    def test_domain_error(self):
-        spec = load_preset("benchmark_s5")
-        with pytest.raises(ValueError):
-            legendre(1, 0.0, spec)
-        with pytest.raises(ValueError):
-            legendre(3, 1.0, spec)
-
-
 class TestKappaAndValue:
-    def test_fixed_point(self):
-        assert kappa_hat(2.0, 2.0, -4.0) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        assert kappa_hat(1.0, 32.0, -4.0) == pytest.approx(2.0)
-
-    def test_ratio_one(self):
-        assert kappa_hat(2.0, 2.0, 0.5) == pytest.approx(1.0)
-
     def test_dual_value(self):
-        assert dual_value(1.0, 32.0, 0.8) == pytest.approx(2.5)
+        # primal value attained by the dual optimum: (x^p / p) F^{1-p}
+        spec = make_single_name_spec(p=0.8)
+        z0 = DefaultState.from_bitstring("0")
+        result = constant_dual(spec, 32.0)
+        assert value_function(1.0, 0.0, z0, result, spec) == pytest.approx(2.5)
+        assert value_function(4.0, 0.3, z0, result, spec) == pytest.approx(4.0**0.8 * 2.5)
 
     def test_errors(self):
+        spec = make_single_name_spec(p=0.5)
+        z0 = DefaultState.from_bitstring("0")
+        result = constant_dual(spec, 2.0)
         with pytest.raises(ValueError):
-            kappa_hat(0.0, 1.0, 0.5)
+            value_function(0.0, 0.0, z0, result, spec)
         with pytest.raises(ValueError):
-            dual_value(1.0, -1.0, 0.5)
+            value_function(-1.0, 0.0, z0, result, spec)

@@ -4,19 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import creditfolio as cf
+from creditfolio.dual import Coefficients
 from creditfolio.model import (CreditSpec, DefaultState, MarketSpec, PreferenceSpec,
-                               all_states, flip, load_preset, states_by_cardinality,
+                               all_states, load_preset, states_by_cardinality,
                                validate_spec)
 
 
 class TestDefaultState:
     def test_flip_examples(self):
-        assert flip(DefaultState.from_bitstring("00"), 0).bitstring == "10"
-        assert flip(DefaultState.from_bitstring("11"), 1).bitstring == "10"
+        assert DefaultState.from_bitstring("00").flip(0).bitstring == "10"
+        assert DefaultState.from_bitstring("11").flip(1).bitstring == "10"
 
     def test_flip_involution_example(self):
         z = DefaultState.from_bitstring("010")
-        assert flip(flip(z, 2), 2) == z
+        assert z.flip(2).flip(2) == z
 
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=60, deadline=None)
@@ -24,8 +25,8 @@ class TestDefaultState:
         bits = data.draw(st.integers(0, (1 << n) - 1))
         i = data.draw(st.integers(0, n - 1))
         z = DefaultState(n, bits)
-        assert flip(flip(z, i), i) == z
-        assert flip(z, i).bitstring != z.bitstring
+        assert z.flip(i).flip(i) == z
+        assert z.flip(i).bitstring != z.bitstring
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -110,7 +111,7 @@ class TestPresets:
     def test_scott_market_price_of_risk(self):
         spec = load_preset("scott_example22")
         for y in (-0.5, 0.0, 0.7):
-            xi = cf.market_price_of_risk(y, spec)
+            xi = Coefficients(spec, DefaultState(spec.n), y).xi[0]
             theta_diag = np.diag(spec.market.sigma_at(y)) ** 2
             expected = (spec.market.mu - spec.market.r) / np.sqrt(theta_diag)
             assert np.allclose(xi, expected)

@@ -11,7 +11,7 @@ from creditfolio import pde, strategy
 from creditfolio.dual import Coefficients
 from creditfolio.fields import policy_channel, spatial_gradient
 from creditfolio.model import DefaultState, build_model, load_preset, states_by_cardinality
-from creditfolio.pde import nonlinear_source, step_slice, truncation_bounds
+from creditfolio.pde import step_slice, truncation_bounds
 from creditfolio.strategy import SolverError
 
 from conftest import make_single_name_spec
@@ -132,11 +132,25 @@ class TestTruncationBounds:
             truncation_bounds(z00, {}, benchmark_spec, grid, pde._stats_row(ws.stats, 0))
 
 
+def explicit_source(t, v, state, children, hhat, spec, bounds=None):
+    """The march's explicit source at a constant slice v with phi = 0.
+
+    That is v^{1-beta}/beta times the kernel's source sum, with v clamped
+    into ``bounds`` when they are given.
+    """
+    ws = pde._StepWorkspace(state, spec, cf.GridSpec(-1.0, 1.0, 3, 10))
+    kids = {i: np.full((1, 3), c) for i, c in children.items()}
+    s = ws.coef.source_sum(np.broadcast_to(np.asarray(hhat, dtype=float), (1, 3, spec.n)), kids)
+    out = ws.explicit_source(np.array([0]), np.array([t]), np.full((1, 3), v), np.zeros((1, 3)),
+                             s, None if bounds is None else [bounds])
+    return float(out[0, 1])
+
+
 class TestNonlinearSource:
     def test_all_defaulted_form(self, benchmark_spec):
         v = 1.3
         beta = benchmark_spec.beta
-        got = nonlinear_source(0.5, 0.0, v, Z11, {}, [0.0, 0.0], benchmark_spec)
+        got = explicit_source(0.5, v, Z11, {}, [0.0, 0.0], benchmark_spec)
         want = v ** (1 - beta) / beta * benchmark_spec.pref.K2 ** (1 - benchmark_spec.q)
         assert got == pytest.approx(want)
 
@@ -144,20 +158,21 @@ class TestNonlinearSource:
         spec = make_single_name_spec()
         object.__setattr__(spec.pref, "_q_override", 0.0)  # beta = 1
         z0 = DefaultState.from_bitstring("0")
-        vals = [nonlinear_source(0.2, 0.0, v, z0, {0: 1.4}, [0.1], spec) for v in (0.5, 2.0)]
+        vals = [explicit_source(0.2, v, z0, {0: 1.4}, [0.1], spec) for v in (0.5, 2.0)]
         assert vals[0] == pytest.approx(vals[1])
 
     def test_clamp_noop_when_inside(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         b = result.bounds["11"]
         v = float(result.fields["11"].f[100, 0])
-        with_clamp = nonlinear_source(0.5, 0.0, v, Z11, {}, [0.0, 0.0], benchmark_spec, b)
-        without = nonlinear_source(0.5, 0.0, v, Z11, {}, [0.0, 0.0], benchmark_spec)
+        with_clamp = explicit_source(0.5, v, Z11, {}, [0.0, 0.0], benchmark_spec, b)
+        without = explicit_source(0.5, v, Z11, {}, [0.0, 0.0], benchmark_spec)
         assert with_clamp == pytest.approx(without)
 
     def test_nonpositive_v_raises_unclamped(self, benchmark_spec):
-        with pytest.raises(ValueError):
-            nonlinear_source(0.5, 0.0, -1.0, Z11, {}, [0.0, 0.0], benchmark_spec)
+        with pytest.raises(SolverError, match="non-positive slice value"):
+            step_slice(np.full(11, -1.0), 0.5, 0.1, Z11, {}, {}, benchmark_spec,
+                       cf.GridSpec(-1.0, 1.0, 11, 10))
 
 
 class TestStepSlice:
@@ -189,7 +204,7 @@ class TestStepSlice:
         z1 = DefaultState.from_bitstring("1")
         grid = cf.GridSpec(-0.5, 0.5, 3, 10)
         q, beta = spec.q, spec.beta
-        xi = cf.market_price_of_risk(0.0, spec)[0]
+        xi = Coefficients(spec, z1, 0.0).xi[0, 0]
         phi1 = 0.5 * q * (q - 1) * xi**2 - q * spec.market.r
         f0 = spec.pref.K1 ** ((1 - q) / beta)
         for dt in (0.02, 0.01, 0.005):

@@ -271,7 +271,8 @@ class TestDualityGap:
         xi_sq = 2 * 0.25**2
         m = om.ScalarModel(lambda0=0.0, sigma=0.2, xi=np.sqrt(xi_sq), r=0.2, q=spec.q,
                            K1=1.0, K2=1.0, T=1.0)
-        V_closed = cf.dual_value(1.0, float(om.ftil_defaulted(1.0, m)), spec.pref.p)
+        p = spec.pref.p
+        V_closed = (1.0**p / p) * float(om.ftil_defaulted(1.0, m)) ** (1.0 - p)
         v_solver = cf.value_function(1.0, 0.0, Z00, result, spec)
         # fixture grid is 100 time steps; the solver's own error is ~1e-6 here
         assert v_solver == pytest.approx(V_closed, rel=1e-5)

@@ -6,17 +6,28 @@ from hypothesis import strategies as st
 import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio.dual import Coefficients
-from creditfolio.fields import GridSpec, SolveResult
+from creditfolio.fields import GridSpec, SolveResult, lookup
 from creditfolio.model import DefaultState
-from creditfolio.strategy import (SolverError, ahat_slice, consumption_rate,
-                                  lambda_and_J, pi_hat, solve_hhat, solve_hhat_slice,
-                                  value_function)
+from creditfolio.strategy import (SolverError, ahat_slice, build_policy, pi_hat, solve_hhat,
+                                  solve_hhat_slice, value_function)
 
 from conftest import bisect_reference, make_contagion_spec, make_single_name_spec
 
 Z00 = DefaultState.from_bitstring("00")
 Z11 = DefaultState.from_bitstring("11")
 GENERAL_SIGMA = np.array([[0.8, 0.1], [0.05, 0.7]])  # not diagonal: takes the general Newton
+
+
+def general_sigma_of_y(y):
+    """A y-dependent full sigma: GENERAL_SIGMA scaled by 1 + 0.2 y."""
+    return (1.0 + 0.2 * np.asarray(y, dtype=float)) * GENERAL_SIGMA
+
+
+def full_sigma_scott(sigma):
+    """scott_example22 with its diagonal sigma replaced by ``sigma``."""
+    base = cf.load_preset("scott_example22")
+    return cf.ModelSpec(n=2, factor=base.factor, credit=base.credit, pref=base.pref,
+                        market=cf.MarketSpec(mu=base.market.mu, sigma=sigma, r=base.market.r))
 
 
 def constant_fields(spec, values: dict, grid=None):
@@ -29,35 +40,47 @@ def constant_fields(spec, values: dict, grid=None):
                        policy=np.zeros(f.shape + (4 * spec.n + 1,)), hedge_gap=np.zeros(len(f)))
 
 
+def consumption_at(t, y, state, x_wealth, result):
+    """Consumption c = c_mult x, with the multiplier channel read as the path engine reads it."""
+    u = max(float(result.t_nodes[-1]) - t, 0.0)
+    return x_wealth * float(lookup(result.channel("c_mult"), result.t_nodes,
+                                   result.grid.y_nodes(), u, state.bits, y))
+
+
 class TestLambdaAndJ:
+    # the jump exposure J and the diffusion row Lambda of the optimal wealth,
+    # read through pi_hat (pi_i = J_i for a name with positive intensity)
     def test_zero_case(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         h = solve_hhat(0.5, 0.0, Z00, result, benchmark_spec)
-        Lam, J = lambda_and_J(0.5, 0.0, Z00, h, result, benchmark_spec)
+        assert np.allclose(pi_hat(0.5, 0.0, Z00, h, result, benchmark_spec), 0.0, atol=1e-8)
+        coef = Coefficients(benchmark_spec, Z00, 0.0)
+        f, df = (lookup(a, result.t_nodes, result.grid.y_nodes(), 0.5, Z00.bits, 0.0)
+                 for a in (result.f, result.df))
+        Lam = coef.diffusion_row(coef.theta_from_h(h[None]), coef.grad_term(f, df))
         assert np.allclose(Lam, 0.0, atol=1e-8)
-        assert np.allclose(J, 0.0, atol=1e-8)
 
     def test_unit_ratio_gives_zero_J(self):
-        spec = make_single_name_spec()
+        spec = make_single_name_spec(mu=0.1, r=0.1)   # xi = 0: Lambda vanishes at h = 0
         fields = constant_fields(spec, {"0": 1.3, "1": 1.3})
-        _, J = lambda_and_J(0.4, 0.0, DefaultState.from_bitstring("0"),
-                            np.array([0.0]), fields, spec)
-        assert J[0] == pytest.approx(0.0, abs=1e-14)
+        pi = pi_hat(0.4, 0.0, DefaultState.from_bitstring("0"), np.array([0.0]), fields, spec)
+        assert pi[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_value_q_zero(self):
-        spec = make_single_name_spec()
-        object.__setattr__(spec.pref, "_q_override", 0.0)  # q = 0, beta = 1
-        fields = constant_fields(spec, {"0": 1.0, "1": 0.5})  # g-ratio = 0.5
-        _, J = lambda_and_J(0.4, 0.0, DefaultState.from_bitstring("0"),
-                            np.array([1.0]), fields, spec)
-        assert J[0] == pytest.approx(0.75)
+        # q = 0, beta = 1, g-ratio 0.5, h = 1: J = 1 - 0.5 / 2; sigma = 1 and
+        # xi - lambda h = 1 - 0.25 make it the diffusion matching's weight too
+        spec = make_single_name_spec(lam_a=0.25, lam_b=0.0, lam_c=0.0, mu=1.1, sigma=1.0,
+                                     r=0.1)
+        object.__setattr__(spec.pref, "_q_override", 0.0)
+        fields = constant_fields(spec, {"0": 1.0, "1": 0.5})
+        pi = pi_hat(0.4, 0.0, DefaultState.from_bitstring("0"), np.array([1.0]), fields, spec)
+        assert pi[0] == pytest.approx(0.75)
 
     def test_defaulted_component_zero(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         z10 = DefaultState.from_bitstring("10")
         h = solve_hhat(0.5, 0.0, z10, result, benchmark_spec)
-        _, J = lambda_and_J(0.5, 0.0, z10, h, result, benchmark_spec)
-        assert J[0] == 0.0
+        assert pi_hat(0.5, 0.0, z10, h, result, benchmark_spec)[0] == 0.0
 
 
 class TestSolveHhat:
@@ -130,23 +153,49 @@ class TestSolveHhat:
 
     def test_general_sigma_solves_every_state(self):
         # the general Newton must also solve the all-defaulted state (no alive
-        # names) and match the alive columns of pi^T sigma = Lambda everywhere
-        base = cf.load_preset("scott_example22")
-        spec = cf.ModelSpec(
-            n=2, factor=base.factor, credit=base.credit,
-            market=cf.MarketSpec(mu=base.market.mu, sigma=GENERAL_SIGMA, r=base.market.r),
-            pref=base.pref)
-        assert not spec.market.is_diagonal
-        result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 11, 10))
-        assert set(result.report) == {"00", "01", "10", "11"}
-        for bits, row in result.report.items():
-            assert row["resid_max"] <= 1e-10 and row["policy_resid_max"] <= 1e-10, bits
-            fld, pol = result.fields[bits], result.policies[bits]
-            alive = list(fld.state.alive)
-            coef = Coefficients(spec, fld.state, fld.grid.y_nodes())
-            gap = coef.pi_sigma(pol.pi) - coef.diffusion_row(pol.theta,
-                                                             coef.grad_term(fld.f, fld.df))
-            assert np.max(np.abs(gap[..., alive]), initial=0.0) <= 1e-10, bits
+        # names) and match the alive columns of pi^T sigma = Lambda everywhere,
+        # with pi_i = J_i(hhat_i) and theta tied to hhat, for a constant and
+        # for a y-dependent full sigma
+        for sigma in (GENERAL_SIGMA, general_sigma_of_y):
+            spec = full_sigma_scott(sigma)
+            assert not spec.market.is_diagonal
+            result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 11, 10))
+            assert set(result.report) == {"00", "01", "10", "11"}
+            for bits, row in result.report.items():
+                assert row["resid_max"] <= 1e-10 and row["policy_resid_max"] <= 1e-10, bits
+                fld, pol = result.fields[bits], result.policies[bits]
+                alive = list(fld.state.alive)
+                coef = Coefficients(spec, fld.state, fld.grid.y_nodes())
+                gap = coef.pi_sigma(pol.pi) - coef.diffusion_row(pol.theta,
+                                                                 coef.grad_term(fld.f, fld.df))
+                assert np.max(np.abs(gap[..., alive]), initial=0.0) <= 1e-10, bits
+                assert np.allclose(pol.theta, coef.theta_from_h(pol.hhat), rtol=0, atol=1e-13)
+                for i in alive:   # every alive name of this model has a positive intensity
+                    ratio = (result.f[fld.state.flip(i).bits] / fld.f) ** spec.beta
+                    J = 1.0 - (1.0 + pol.hhat[..., i]) ** (spec.q - 1.0) * ratio
+                    assert np.allclose(pol.pi[..., i], J, rtol=0, atol=1e-13), (bits, i)
+
+    @pytest.mark.parametrize("sigma", [GENERAL_SIGMA, general_sigma_of_y], ids=["const", "y"])
+    def test_general_sigma_stack_equals_lone_states(self, sigma):
+        # the four states of the full-sigma model as one stack, cold and warm
+        # started, give what each state's lone solve gives, bit for bit
+        spec = full_sigma_scott(sigma)
+        grid = cf.GridSpec(-1.0, 1.0, 21, 20)
+        result = cf.solve_recursive_system(spec, grid)
+        y, states, k = grid.y_nodes(), cf.all_states(2), 12
+        f, df = result.f[:, k], result.df[:, k]
+        kids = {i: np.stack([f[s.flip(i).bits] if i in s.alive else np.ones(len(y))
+                             for s in states]) for i in range(2)}
+        warm = result.channel("hhat")[:, k - 1]
+        for h_init in (None, warm):
+            stack = solve_hhat_slice(y, states, spec, f, df, kids, h_init=h_init)
+            for s in states:
+                lone = solve_hhat_slice(y, s, spec, f[s.bits], df[s.bits],
+                                        {i: kids[i][s.bits] for i in s.alive},
+                                        h_init=None if h_init is None else h_init[s.bits])
+                for got, want in zip(stack, lone):
+                    assert np.array_equal(got[s.bits], want), s
+            assert np.max(stack[3]) > 0   # the Newton iterated
 
 
 class TestPiHat:
@@ -189,31 +238,37 @@ class TestConsumptionAndValue:
     def test_unit_normalisation(self):
         spec = make_single_name_spec()
         fields = constant_fields(spec, {"0": 1.0, "1": 1.0})
-        assert consumption_rate(0.3, 0.0, DefaultState.from_bitstring("0"),
-                                2.7, fields, spec) == pytest.approx(2.7)
+        build_policy(fields, spec)
+        assert consumption_at(0.3, 0.0, DefaultState.from_bitstring("0"),
+                              2.7, fields) == pytest.approx(2.7)
 
     def test_direct_ratio(self):
         spec = make_single_name_spec()
         object.__setattr__(spec.pref, "_q_override", 0.0)  # q = 0: g = f
         fields = constant_fields(spec, {"0": 2.0, "1": 2.0})
-        assert consumption_rate(0.1, 0.0, DefaultState.from_bitstring("0"),
-                                1.0, fields, spec) == pytest.approx(0.5)
+        build_policy(fields, spec)
+        assert consumption_at(0.1, 0.0, DefaultState.from_bitstring("0"),
+                              1.0, fields) == pytest.approx(0.5)
 
-    def test_terminal_time_ratio(self, benchmark_spec, benchmark_result):
+    def test_terminal_time_ratio(self, benchmark_result):
         result, _ = benchmark_result
-        c = consumption_rate(1.0, 0.0, Z00, 3.0, result, benchmark_spec)
+        c = consumption_at(1.0, 0.0, Z00, 3.0, result)
         assert c == pytest.approx(3.0, rel=1e-10)  # K2^{1-q} / K1^{1-q} = 1
 
     def test_consumption_homogeneous(self, benchmark_spec, benchmark_result):
+        # c = K2^{1-q} x / g(T - t, y, z), read at a grid node
         result, _ = benchmark_result
-        c1 = consumption_rate(0.4, 0.1, Z00, 1.0, result, benchmark_spec)
-        c2 = consumption_rate(0.4, 0.1, Z00, 7.5, result, benchmark_spec)
+        c1 = consumption_at(0.4, 0.1, Z00, 1.0, result)
+        c2 = consumption_at(0.4, 0.1, Z00, 7.5, result)
         assert c2 == pytest.approx(7.5 * c1)
+        f = float(lookup(result.f, result.t_nodes, result.grid.y_nodes(), 0.6, Z00.bits, 0.1))
+        k2q = benchmark_spec.pref.K2 ** (1.0 - benchmark_spec.q)
+        assert c1 == pytest.approx(k2q / f**benchmark_spec.beta, rel=1e-12)
 
     def test_nonpositive_wealth_raises(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         with pytest.raises(ValueError):
-            consumption_rate(0.4, 0.1, Z00, 0.0, result, benchmark_spec)
+            value_function(0.0, 0.1, Z00, result, benchmark_spec)
 
     def test_value_unit_dual(self):
         spec = make_single_name_spec(p=0.8)
