@@ -28,9 +28,10 @@ pickles): ``f.npy`` and ``df.npy`` (S, n_t+1, n_y), ``policy.npy``
 ``y_nodes.npy``, where S = 2^n and row ``state.bits`` is that state's.  Beside
 them go ``bounds.csv`` and ``solve_report.csv`` (a header row, floats at 17
 significant digits) and ``run.json`` with the per-state solve times, the
-grid, the Python/numpy/scipy versions and the model fingerprint
-``spec_sha256``; only ``run.json`` carries timing, so identical reruns write
-every other file byte for byte.  ``solve --csv`` also exports each state's
+grid, the Python/numpy/scipy versions, the model fingerprint ``spec_sha256``
+and the states whose upper truncation bound overflows to +inf
+(``unbounded_above``); only ``run.json`` carries timing, so identical reruns
+write every other file byte for byte.  ``solve --csv`` also exports each state's
 rows as ``f_state_<bits>.csv`` and ``policy_state_<bits>.csv``; nothing reads
 them back.  ``load_solution`` reads the arrays back bitwise and rejects,
 naming the file, artifacts solved for another model, a missing array, or one
@@ -42,7 +43,8 @@ the ``--dump-paths`` trajectories; the Feynman–Kac probes run their own pass
 at ``seed + 2``.  It writes ``mc_report.csv``, whose last column ``extra``
 holds each check's diagnostics as ``key=value`` pairs joined by ``;``, and
 ``simulate.json`` beside it with the run's fingerprint, seed, sizes, solution
-directory, versions, the pass's grid-exit and reflection fractions, and each
+directory, versions, the pass's grid-exit and reflection fractions, the
+Feynman–Kac pass's own ``n_steps`` and ``seed`` (``feynman_kac``), and each
 check's estimate, target, tolerance, verdict and time, so ``mc_report.csv``
 carries no timing.
 
@@ -269,8 +271,9 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec, *,
     report rows to ``bounds.csv`` and ``solve_report.csv``.  None of these
     holds a timing, so a rerun writes them byte for byte again; the per-state
     solve times and the march's counts and stage seconds
-    (``SolveResult.march``) go to ``run.json`` with the grid, the versions and
-    the model's ``spec_sha256`` fingerprint.  With ``csv``, each state's rows
+    (``SolveResult.march``) go to ``run.json`` with the grid, the versions,
+    the model's ``spec_sha256`` fingerprint and ``unbounded_above``, the
+    states whose ``k_bar`` is +inf.  With ``csv``, each state's rows
     are also exported as ``f_state_<bits>.csv`` (``t, y, f, g, df_dy``) and
     ``policy_state_<bits>.csv`` (``t, y, hhat_*, ahat_*, pi_*, c_mult``).
     """
@@ -306,7 +309,10 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec, *,
     manifest = {"spec_sha256": spec.fingerprint(), "grid": dataclasses.asdict(result.grid),
                 "elapsed": {bits: row["elapsed"] for bits, row in result.report.items()
                             if "elapsed" in row},
-                "march": result.march, **_versions()}
+                "march": result.march,
+                "unbounded_above": [bits for bits, b in result.bounds.items()
+                                    if np.isinf(b.k_bar_final)],
+                **_versions()}
     _write_json(out_dir / "run.json", manifest)
 
 
@@ -426,6 +432,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+_FK_STEPS = 256   # the Feynman–Kac pass's own steps, whatever --steps says
+
+
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     spec = build_model(config)
@@ -442,11 +451,12 @@ def cmd_simulate(args) -> int:
     else:
         result = solve_recursive_system(spec, grid, validate=False)
 
-    # Feynman–Kac first: run after the controlled pass, its arrays stack on the heap that
-    # pass grew (about 1.4 MB more peak RSS at 4000 paths, for about 0.1 s less time)
+    # Feynman–Kac first: run after the controlled pass, its buffers stack on the heap that
+    # pass grew (about 1.4 MB more peak RSS at 4000 paths; the time does not move)
     fk_probes = [(state, (t_probe, mc["y0"])) for state in states_by_cardinality(spec.n)
                  for t_probe in (0.5 * spec.pref.T, spec.pref.T)]
-    fk_reports = sim.mc_feynman_kac(spec, result, fk_probes, mc["n_paths"], seed=mc["seed"] + 2)
+    fk_run = {"n_steps": _FK_STEPS, "seed": mc["seed"] + 2}
+    fk_reports = sim.mc_feynman_kac(spec, result, fk_probes, mc["n_paths"], **fk_run)
     # one controlled pass serves the compensator, G-martingale, duality-gap and path outputs
     probes = (0.25 * spec.pref.T, 0.5 * spec.pref.T, spec.pref.T)
     bundle = sim.simulate_market(spec, mc["n_paths"], mc["n_steps"], mc["seed"], y0=mc["y0"],
@@ -475,7 +485,7 @@ def cmd_simulate(args) -> int:
         "n_steps": mc["n_steps"],
         "solution": str(Path(args.solution).resolve()) if args.solution else None,
         **_versions(), "grid_exit_frac": bundle.grid_exit_frac,
-        "exit_fraction": bundle.exit_fraction,
+        "exit_fraction": bundle.exit_fraction, "feynman_kac": fk_run,
         "checks": [{"name": r.name, "estimate": r.estimate, "target": r.target,
                     "tolerance": r.tolerance, "passed": bool(r.passed), "elapsed": r.elapsed}
                    for r in reports]})

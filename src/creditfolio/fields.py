@@ -68,26 +68,56 @@ def blend_t(table: np.ndarray, t_nodes: np.ndarray, t, rows=slice(None)) -> np.n
     return (1 - wt) * table[rows, k0] + wt * table[rows, k0 + 1]
 
 
-def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y) -> np.ndarray:
+def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
+             work: dict | None = None) -> np.ndarray:
     """Interpolate (R, n_y[, C]) slices linearly in y: each point reads slice ``rows``.
 
     ``rows`` and ``y`` broadcast together; a point gathers from the flattened
     slices with the flat index ``row * n_y + j``, so no per-row mask is needed.
     ``y`` is clamped to the grid and extra trailing axes pass through; a 0-d
     ``rows`` and ``y`` give a point query.
+
+    ``work`` is an optional dict of scratch arrays that a loop passes to every
+    call: the kernel then allocates nothing once the arrays exist, and the
+    result is one of them, overwritten by the next call.  Its gathers write
+    into those arrays with ``mode="clip"``; the indices are in range by
+    construction, so clipping changes no value, and numpy's default
+    ``mode="raise"`` would copy ``out`` on every call.  Without ``work`` the
+    result is a new array and an index out of range raises.
     """
     n_y = len(y_nodes)
     flat = slices.reshape((-1,) + slices.shape[2:])
-    fy = np.clip((np.asarray(y, dtype=float) - y_nodes[0]) / (y_nodes[1] - y_nodes[0]),
-                 0.0, n_y - 1.0)
-    j0 = np.minimum(fy.astype(int), n_y - 2)
-    wy = fy - j0
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(np.shape(rows), y.shape)
+    scratch = {} if work is None else work
+
+    def buf(name, shp, dtype=float):
+        b = scratch.get(name)
+        if b is None or b.shape != shp or b.dtype != dtype:
+            b = scratch[name] = np.empty(shp, dtype)
+        return b
+
+    fy = np.subtract(y, y_nodes[0], out=buf("fy", y.shape))
+    fy /= y_nodes[1] - y_nodes[0]
+    np.clip(fy, 0.0, n_y - 1.0, out=fy)
+    j0 = buf("j0", y.shape, np.intp)
+    np.copyto(j0, fy, casting="unsafe")     # truncates, as astype(int) does
+    np.minimum(j0, n_y - 2, out=j0)
+    wy = np.subtract(fy, j0, out=fy)
     if slices.ndim > 2:
         wy = wy[..., None]
-    idx = np.asarray(rows) * n_y + j0
-    a = flat.take(idx, axis=0)   # take gathers rows several times faster than flat[idx]
+    idx = np.multiply(rows, n_y, out=buf("idx", shape, np.intp))
+    idx += j0
+
+    def gather(name):
+        """Rows ``idx`` of flat: take gathers rows several times faster than flat[idx]."""
+        if work is None:
+            return flat.take(idx, axis=0)
+        return flat.take(idx, axis=0, out=buf(name, shape + flat.shape[1:]), mode="clip")
+
+    a = gather("a")
     idx += 1
-    out = flat.take(idx, axis=0)
+    out = gather("out")
     # a + wy (b - a), in place: fewer large temporaries, the same rounding
     out -= a
     out *= wy
@@ -148,7 +178,14 @@ class TruncationBounds:
     m_hi_norms: float = float("inf")
 
     def k_bar(self, t):
-        return self.f0 * np.exp((self.m_hi / self.beta + self.theta_rate) * np.asarray(t, dtype=float))
+        """The upper bound at horizon t; +inf, with no overflow warning, past the float range.
+
+        An infinite bound clamps nothing: ``run.json`` lists such states as
+        ``unbounded_above``.
+        """
+        with np.errstate(over="ignore"):
+            return self.f0 * np.exp((self.m_hi / self.beta + self.theta_rate)
+                                    * np.asarray(t, dtype=float))
 
     @property
     def k_bar_final(self) -> float:

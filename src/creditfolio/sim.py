@@ -338,40 +338,28 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
         Y_next = np.where(out_lo, 2 * lo - Y_next, Y_next)
         Y_next = np.where(out_hi, 2 * hi - Y_next, Y_next)
 
-        # default clocks over [t_now, t_now + dt]; at most n crossings per path
-        frac_from = np.zeros(n_paths)
-        active = np.ones(n_paths, dtype=bool)
+        # default clocks over [t_now, t_now + dt]; at most n crossings per path.  Sweep 0
+        # runs on the whole arrays, where (1 - 0) dt is exactly dt; the paths that cross a
+        # clock in it go on alone, each sweep from its last crossing to the step's end
         bits_start = bits.copy()
         lam_next = lam_alive(Y_next, bits)
-        for sweep in range(n + 1):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            if sweep == 0:
-                lam_a, lam_b = lam_now, lam_next
-            else:
-                Y_a = Y[idx] + frac_from[idx] * (Y_next[idx] - Y[idx])
-                lam_a = lam_alive(Y_a, bits[idx])
-                lam_b = lam_alive(Y_next[idx], bits[idx])
-            dA = 0.5 * (lam_a + lam_b) * ((1.0 - frac_from[idx])[:, None] * dt)
-            crossing = (acc[idx] + dA >= E[idx]) & (dA > 0)
-            any_cross = crossing.any(axis=1)
-            done = idx[~any_cross]
-            comp_int[done] += dA[~any_cross]
-            acc[done] += dA[~any_cross]
-            active[done] = False
-            hit = idx[any_cross]
-            if hit.size == 0:
-                break
-            dA_h = dA[any_cross]
-            frac = np.where(crossing[any_cross],
-                            (E[hit] - acc[hit]) / np.maximum(dA_h, 1e-300), np.inf)
+        dA = 0.5 * (lam_now + lam_next) * dt
+        crossing = (acc + dA >= E) & (dA > 0)
+        any_cross = crossing.any(axis=1)
+        quiet = ~any_cross[:, None]
+        np.add(comp_int, dA, out=comp_int, where=quiet)
+        np.add(acc, dA, out=acc, where=quiet)
+        hit = np.nonzero(any_cross)[0]
+        dA, crossing = dA[hit], crossing[hit]
+        frac_from = np.zeros(hit.size)
+        while hit.size:
+            frac = np.where(crossing, (E[hit] - acc[hit]) / np.maximum(dA, 1e-300), np.inf)
             frac = np.clip(frac, 0.0, 1.0)
             winner = np.argmin(frac, axis=1)
             fr = frac[np.arange(hit.size), winner]
-            tau = t_now + (frac_from[hit] + fr * (1.0 - frac_from[hit])) * dt
-            comp_int[hit] += dA_h * fr[:, None]
-            acc[hit] += dA_h * fr[:, None]
+            tau = t_now + (frac_from + fr * (1.0 - frac_from)) * dt
+            comp_int[hit] += dA * fr[:, None]
+            acc[hit] += dA * fr[:, None]
             if with_controls:
                 jump_factor = 1.0 - pi[hit, winner]
                 bad = jump_factor <= 1e-12
@@ -384,7 +372,19 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
             rounds[hit] = np.minimum(rounds[hit] + 1, n - 1)
             acc[hit] = 0.0
             E[hit] = clock_draws[rounds[hit], hit]
-            frac_from[hit] = frac_from[hit] + fr * (1.0 - frac_from[hit])
+            frac_from = frac_from + fr * (1.0 - frac_from)
+            # the next sweep, over the rest of the step
+            Y_a = Y[hit] + frac_from * (Y_next[hit] - Y[hit])
+            lam_a = lam_alive(Y_a, bits[hit])
+            lam_b = lam_alive(Y_next[hit], bits[hit])
+            dA = 0.5 * (lam_a + lam_b) * ((1.0 - frac_from)[:, None] * dt)
+            crossing = (acc[hit] + dA >= E[hit]) & (dA > 0)
+            any_cross = crossing.any(axis=1)
+            done = hit[~any_cross]
+            comp_int[done] += dA[~any_cross]
+            acc[done] += dA[~any_cross]
+            hit, dA, crossing = hit[any_cross], dA[any_cross], crossing[any_cross]
+            frac_from = frac_from[any_cross]
 
         Y = Y_next
         # the intensity at Y_next carries to the next step; only paths that defaulted change it
@@ -582,22 +582,22 @@ def _affine_factor(spec: ModelSpec):
 
 def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
               y_nodes: np.ndarray) -> np.ndarray:
-    """Reaction phi, contagion source, f and drift nu of each state, channel-major.
+    """Reaction phi, contagion source, f and drift nu of each state, channel-last.
 
-    Row ``c * len(states) + s`` holds channel c of state s, so one lookup
-    reads all four channels of every probe and the y weights are found once.
-    The inputs are rows of the result's stacked ``f`` and policy table.
+    ``table[s, k, j]`` holds the four channels of state s at node (k, j), so
+    one gathered row reads all of them and the y weights are found once.  The
+    inputs are rows of the result's stacked ``f`` and policy table.
     """
     hhat, theta = result.channel("hhat"), result.channel("theta")
-    table = np.empty((4, len(states)) + result.f.shape[1:])
+    table = np.empty((len(states),) + result.f.shape[1:] + (4,))
     for row, state in enumerate(states):
         b = state.bits
         coef = Coefficients(spec, state, y_nodes)
-        table[0, row], table[3, row] = coef.phi_nu(hhat[b], theta[b])
-        table[1, row] = coef.source_sum(hhat[b], {i: result.f[state.flip(i).bits]
-                                                  for i in state.alive})
-        table[2, row] = result.f[b]
-    return table.reshape((-1,) + result.f.shape[1:])
+        table[row, ..., 0], table[row, ..., 3] = coef.phi_nu(hhat[b], theta[b])
+        table[row, ..., 1] = coef.source_sum(hhat[b], {i: result.f[state.flip(i).bits]
+                                                       for i in state.alive})
+        table[row, ..., 2] = result.f[b]
+    return table
 
 
 def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
@@ -616,7 +616,9 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
 
     All probes run as one pass over (probe, path) arrays with one normal
     draw per step, the draw a single probe would use, so each report equals
-    that of a call with its probe alone.  Reports come back in the order of
+    that of a call with its probe alone.  The steps update a fixed set of
+    (probe, path) arrays in place, so the pass allocates nothing per step
+    but the small blended slices.  Reports come back in the order of
     ``probes``; each carries the elapsed time of the whole pass.
     """
     if any(t <= 0 for _, (t, _) in probes):
@@ -647,44 +649,75 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
                     else np.array([np.sqrt(spec.factor.vol_sq(0.0)) * np.sqrt(d)
                                    for d in dt_list])[col])
 
-    # one blended slice per (channel, probe); each path reads its probe's four slices
-    slice_rows = (np.arange(4)[:, None] * len(states) + rows).ravel()
-    out_rows = np.arange(4 * len(probes)).reshape(4, len(probes), 1)
+    work = {}                                   # interp_y's arrays, reused by every step
+    probe_rows = np.arange(len(probes))[col]    # one blended slice per probe
 
     def read(u, Yv):
-        """phi, source, f and nu at per-probe times u and points Yv: (4, probe, path)."""
-        return interp_y(blend_t(table, t_nodes, np.tile(u, 4), slice_rows), y_nodes,
-                        out_rows, Yv)
+        """phi, source, f and nu at per-probe times u and points Yv: (probe, path, 4) in work."""
+        return interp_y(blend_t(table, t_nodes, u, rows), y_nodes, probe_rows, Yv, work)
 
     rng_offset = 1 << 20  # keep FK blocks clear of market-step blocks
     t_probe = np.array(t_list)
     Yp = np.repeat(np.array([y for _, (_, y) in probes], dtype=float)[col], n_paths, axis=1)
     I_acc = np.zeros(Yp.shape)          # int_0^s phi/beta along the path, trapezoid
-    phi, src, f_here, nu_here = read(t_probe, Yp)
-    phi_here = phi / beta
-    integrand_prev = f_here ** (1.0 - beta) / beta * src  # e^{I_0} = 1
     E2 = np.zeros(Yp.shape)
+    tmp, phi_here, phi_next, integrand_prev, integrand_next = (np.empty(Yp.shape)
+                                                               for _ in range(5))
+    z_draw = np.empty(n_paths)
 
+    def integrand(vals, out):
+        """f^{1-beta} / beta * source into ``out``.
+
+        The power runs on a contiguous copy of f: numpy may pick another loop,
+        with other last bits, for a strided input.
+        """
+        np.copyto(out, vals[..., 2])
+        out **= 1.0 - beta
+        out /= beta
+        out *= vals[..., 1]
+
+    vals = read(t_probe, Yp)
+    np.divide(vals[..., 0], beta, out=phi_here)
+    integrand(vals, integrand_prev)     # e^{I_0} = 1
+
+    # each line below is one operation of the expression in its comment, in its order
     for k in range(n_steps):
-        z_draw = _block_rng(seed, _KIND_FK, rng_offset + k).standard_normal(n_paths)
+        _block_rng(seed, _KIND_FK, rng_offset + k).standard_normal(out=z_draw)
         if ou is not None:
-            Y_new = mean + (Yp - mean) * decay + sd * z_draw
+            # Yp = mean + (Yp - mean) decay + sd z
+            Yp -= mean
+            Yp *= decay
+            Yp += mean
+            np.multiply(sd, z_draw, out=tmp)
         else:
-            # nu_here came with the previous step's lookup, at this step's time and Yp
+            # Yp = Yp + nu dt + step_sd z, with nu from the previous step's read
             step_sd = (vol_step if vol_step is not None
                        else np.sqrt(spec.factor.vol_sq(Yp.ravel()).reshape(Yp.shape)) * np.sqrt(dt))
-            Y_new = Yp + nu_here * dt + step_sd * z_draw
-        Y_new = np.where(Y_new < grid.y_lo, 2 * grid.y_lo - Y_new, Y_new)
-        Y_new = np.where(Y_new > grid.y_hi, 2 * grid.y_hi - Y_new, Y_new)
+            np.multiply(vals[..., 3], dt, out=tmp)
+            Yp += tmp
+            np.multiply(step_sd, z_draw, out=tmp)
+        Yp += tmp
+        np.subtract(2 * grid.y_lo, Yp, out=Yp, where=Yp < grid.y_lo)
+        np.subtract(2 * grid.y_hi, Yp, out=Yp, where=Yp > grid.y_hi)
         # field time runs backward along the path
-        phi, src, f_next, nu_here = read(np.maximum(t_probe - (k + 1) * dt[:, 0], 0.0), Y_new)
-        phi_next = phi / beta
-        I_acc += 0.5 * (phi_here + phi_next) * dt
-        integrand_next = f_next ** (1.0 - beta) / beta * src * np.exp(I_acc)
-        E2 += 0.5 * (integrand_prev + integrand_next) * dt
-        Yp = Y_new
-        phi_here = phi_next
-        integrand_prev = integrand_next
+        vals = read(np.maximum(t_probe - (k + 1) * dt[:, 0], 0.0), Yp)
+        np.divide(vals[..., 0], beta, out=phi_next)
+        # I_acc += 0.5 (phi_here + phi_next) dt
+        np.add(phi_here, phi_next, out=tmp)
+        tmp *= 0.5
+        tmp *= dt
+        I_acc += tmp
+        # integrand_next = f^{1-beta} / beta * source * e^{I_acc}
+        integrand(vals, integrand_next)
+        np.exp(I_acc, out=tmp)
+        integrand_next *= tmp
+        # E2 += 0.5 (integrand_prev + integrand_next) dt
+        np.add(integrand_prev, integrand_next, out=tmp)
+        tmp *= 0.5
+        tmp *= dt
+        E2 += tmp
+        phi_here, phi_next = phi_next, phi_here
+        integrand_prev, integrand_next = integrand_next, integrand_prev
 
     samples = spec.f0 * np.exp(I_acc) + E2
     elapsed = time.perf_counter() - started

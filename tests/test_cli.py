@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import creditfolio as cf
 from creditfolio.fields import POLICY_CHANNELS
+from creditfolio.model import all_states
 from creditfolio.cli import (EXIT_STATISTICAL, EXIT_VALIDATION, apply_overrides,
                              build_model, dump_solution, load_solution, main, preset_config)
 
@@ -183,8 +185,9 @@ class TestSolveCommand:
                 "clamp_pass_skipped", "bound_margin_lo", "bound_margin_hi", "hedge_gap",
                 "ahat_max", "bound_violation"]
         manifest = json.loads((tmp_path / "run.json").read_text())
-        assert set(manifest) == {"spec_sha256", "grid", "elapsed", "march", "python", "numpy",
-                                 "scipy"}
+        assert set(manifest) == {"spec_sha256", "grid", "elapsed", "march", "unbounded_above",
+                                 "python", "numpy", "scipy"}
+        assert manifest["unbounded_above"] == []
         assert set(manifest["elapsed"]) == {"00", "01", "10", "11"}
         march = manifest["march"]
         assert set(march) == {"iterations", "largest_batch", "control_solves", "sweeps",
@@ -239,6 +242,14 @@ class TestSolveCommand:
         assert loaded.bounds == solved.bounds
         assert loaded.report == {bits: {k: v for k, v in row.items() if k != "elapsed"}
                                  for bits, row in solved.report.items()}
+
+    def test_an_overflowing_bound_is_listed_and_reloads_as_inf(self, solve_dir, tmp_path):
+        spec = build_model(preset_config("benchmark_s5"))
+        result = load_solution(solve_dir, spec)
+        result.bounds["01"] = dataclasses.replace(result.bounds["01"], theta_rate=800.0)
+        dump_solution(result, tmp_path, spec)
+        assert json.loads((tmp_path / "run.json").read_text())["unbounded_above"] == ["01"]
+        assert load_solution(tmp_path, spec).bounds["01"].k_bar_final == np.inf
 
     def test_row_views_share_the_stacked_arrays(self, solve_dir):
         spec = build_model(preset_config("benchmark_s5"))
@@ -407,9 +418,11 @@ def test_simulate_manifest_holds_the_run_and_its_timings(solve_dir, tmp_path):
         manifest = json.loads((tmp_path / name / "simulate.json").read_text())
         assert set(manifest) == {"spec_sha256", "seed", "n_paths", "n_steps", "solution",
                                  "python", "numpy", "scipy", "grid_exit_frac",
-                                 "exit_fraction", "checks"}
+                                 "exit_fraction", "feynman_kac", "checks"}
         assert manifest["spec_sha256"] == spec.fingerprint()
         assert (manifest["seed"], manifest["n_paths"], manifest["n_steps"]) == (7, 200, 10)
+        # the Feynman-Kac pass keeps its own step count and seed, whatever --steps says
+        assert manifest["feynman_kac"] == {"n_steps": 256, "seed": 9}
         assert manifest["solution"] == solution and manifest["numpy"] == np.__version__
         assert [check["name"] for check in manifest["checks"]] == tests
         extras = _extras(tmp_path / name / "mc_report.csv")
@@ -443,6 +456,10 @@ def test_simulate_rows_equal_the_library_checks(solve_dir, tmp_path):
     library = [*sim.check_G_martingale(spec, result, n_paths, n_steps, seed=seed),
                sim.duality_gap(spec, result, 1.0, n_paths, n_steps, seed=seed)]
     assert len(library) == 4
+    # the Feynman-Kac rows come from the pass that simulate.json describes
+    fk_run = json.loads((tmp_path / "simulate.json").read_text())["feynman_kac"]
+    library += sim.mc_feynman_kac(spec, result, [(state, (t, 0.0)) for state in all_states(2)
+                                                 for t in (0.5, 1.0)], n_paths, **fk_run)
     for rep in library:
         row = rows[rep.name]
         assert (float(row["estimate"]), float(row["se"]), float(row["target"])) == \

@@ -159,3 +159,25 @@ class TestStackedLookup:
             got = interp_y(slices, self.Y_NODES, r, y)
             want = one_state_lookup(stack[b], self.T_NODES, self.Y_NODES, float(t), y)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("channels", [None, 4])
+    def test_workspace_equals_the_allocating_kernel_bitwise(self, channels):
+        stack, _, _, times = self.stack_and_points(channels, seed=13)
+        lo, hi = self.Y_NODES[0], self.Y_NODES[-1]
+        # the edges, just inside and beyond them, far outside, and every interior node
+        edges = np.array([lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0),
+                          np.nextafter(lo, -2.0), np.nextafter(hi, 2.0), lo - 0.3, hi + 0.3,
+                          -1e300, 1e300])
+        y = np.stack([np.resize(np.concatenate([edges, self.Y_NODES[1:-1]]), 40)] * 3)
+        y[1] = y[1, ::-1]
+        rows = np.arange(3)[:, None]          # (probe, 1) rows against (probe, point) y
+        slices = blend_t(stack, self.T_NODES, times[[3, 7, 11]], np.array([4, 0, 2]))
+        work = {}
+        for shift in (0.0, 0.05, 0.0):        # the same workspace serves call after call
+            got = interp_y(slices, self.Y_NODES, rows, y + shift, work)
+            want = interp_y(slices, self.Y_NODES, rows, y + shift)
+            assert got.shape == want.shape == y.shape + stack.shape[3:]
+            assert np.array_equal(got, want)
+            assert got is work["out"]
+        # the upper corners' flat indices stay inside the slices, so clipping moved none
+        assert 1 <= work["idx"].min() and work["idx"].max() <= slices.shape[0] * slices.shape[1] - 1

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ class TestTruncationBounds:
                 phi, _ = coef.phi_nu(pol.hhat[k], pol.theta[k])
                 assert np.all(phi >= b.m_lo_norms - 1e-9)
                 assert np.all(phi <= b.m_hi_norms + 1e-9)
+
+    def test_overflowing_upper_bound_is_inf_and_clamps_nothing(self, benchmark_spec):
+        b = cf.TruncationBounds(state=Z11, k_under=0.5, m_lo=0.0, m_hi=0.0, theta_rate=800.0,
+                                f0=1.0, beta=benchmark_spec.beta, T=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert b.k_bar_final == np.inf
+            assert np.isinf(b.k_bar(np.array([0.9, 1.0]))).all() and np.isfinite(b.k_bar(0.5))
+            for v in (0.7, 3.0, 1e6):
+                clamped = explicit_source(1.0, v, Z11, {}, [0.0, 0.0], benchmark_spec, b)
+                assert clamped == explicit_source(1.0, v, Z11, {}, [0.0, 0.0], benchmark_spec)
+            # early on the bound is finite (e^0.8 at t = 0.001) and does clamp
+            assert (explicit_source(0.001, 3.0, Z11, {}, [0.0, 0.0], benchmark_spec, b)
+                    != explicit_source(0.001, 3.0, Z11, {}, [0.0, 0.0], benchmark_spec))
 
     def test_missing_children_raise(self, benchmark_spec, benchmark_result):
         result, grid = benchmark_result

@@ -86,6 +86,76 @@ class TestMarketPaths:
         assert 0.0 <= bundle.exit_fraction < 0.05
 
 
+def clock_reference(spec, Y, n_steps, seed, probe_steps):
+    """The crossing construction path by path, in plain Python over the factor paths ``Y``.
+
+    The intensity integral is the trapezoid from the last crossing to the
+    step's end, with the factor interpolated linearly inside the step; a
+    crossing is placed linearly within that stretch, the earliest name wins,
+    and every name then draws its clock from the next round.
+    """
+    n_paths, n = Y.shape[0], spec.n
+    dt = spec.pref.T / n_steps
+    clocks = [sim._block_rng(seed, sim._KIND_CLOCKS, rnd).exponential(size=(n_paths, n))
+              for rnd in range(n)]
+
+    def lam(y, bits):
+        rates = spec.intensity(np.array([y]), DefaultState(n, bits))[0]
+        return [float(rates[i]) if not (bits >> i) & 1 else 0.0 for i in range(n)]
+
+    times = np.full((n_paths, n), np.inf)
+    final_bits = np.zeros(n_paths, dtype=np.int64)
+    comp = {k: np.zeros((n_paths, n)) for k in probe_steps}
+    for p in range(n_paths):
+        bits, rnd = 0, 0
+        clock = list(clocks[0][p])
+        acc, integral = [0.0] * n, [0.0] * n
+        for k in range(n_steps):
+            y0, y1, s = Y[p, k], Y[p, k + 1], 0.0     # s: fraction of the step already run
+            while True:
+                la, lb = lam(y0 + s * (y1 - y0), bits), lam(y1, bits)
+                dA = [0.5 * (la[i] + lb[i]) * ((1.0 - s) * dt) for i in range(n)]
+                frac = [min(max((clock[i] - acc[i]) / dA[i], 0.0), 1.0)
+                        if dA[i] > 0 and acc[i] + dA[i] >= clock[i] else np.inf
+                        for i in range(n)]
+                if min(frac) == np.inf:
+                    acc = [acc[i] + dA[i] for i in range(n)]
+                    integral = [integral[i] + dA[i] for i in range(n)]
+                    break
+                win = int(np.argmin(frac))
+                fr = frac[win]
+                integral = [integral[i] + dA[i] * fr for i in range(n)]
+                times[p, win] = k * dt + (s + fr * (1.0 - s)) * dt
+                bits |= 1 << win
+                rnd = min(rnd + 1, n - 1)
+                acc, clock = [0.0] * n, list(clocks[rnd][p])
+                s = s + fr * (1.0 - s)
+            if k + 1 in comp:
+                comp[k + 1][p] = [((bits >> i) & 1) - integral[i] for i in range(n)]
+        final_bits[p] = bits
+    return times, final_bits, comp
+
+
+@pytest.mark.parametrize("spec", [
+    constant_lambda_spec((6.0, 4.0)),
+    dataclasses.replace(constant_lambda_spec(), credit=CreditSpec(2, fn=lambda y, st: np.stack(
+        [6.0 * np.exp(0.8 * np.asarray(y)), 4.0 * np.exp(-0.5 * np.asarray(y))], axis=-1))),
+], ids=["constant", "factor-driven"])
+def test_clock_sweeps_equal_a_per_path_reference(spec):
+    n_paths, n_steps, seed = 200, 8, 3
+    dt = spec.pref.T / n_steps
+    bundle = sim.simulate_market(spec, n_paths, n_steps, seed, keep=n_paths,
+                                 comp_probe_times=(0.5, 1.0))
+    times, final_bits, comp = clock_reference(spec, bundle.kept["Y"], n_steps, seed, (4, 8))
+    np.testing.assert_allclose(bundle.default_times, times, rtol=0, atol=1e-12)
+    assert np.array_equal(bundle.final_bits, final_bits)
+    for k in (4, 8):
+        np.testing.assert_allclose(bundle.compensator[k * dt], comp[k], rtol=0, atol=1e-12)
+    # the sweeps after the first: both names default inside one step on some paths
+    both = np.isfinite(times).all(axis=1)
+    assert np.any(np.floor(times[both, 0] / dt) == np.floor(times[both, 1] / dt))
+
+
 class TestOnePass:
     def test_controlled_pass_keeps_the_market_draws(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
