@@ -12,7 +12,8 @@ Sections and keys (units: rates per year, horizon in years):
     [credit]      kind=exp_affine|zero; for exp_affine: a_<i>_<bits>, b_<i>_<bits>,
                   c_<i>_<bits> per 1-based name i and state bitstring (states
                   omitted inherit the all-alive parameters of the name)
-    [market]      mu (comma list), sigma (comma list of diagonal volatilities),
+    [market]      mu (comma list), sigma (comma list of diagonal volatilities,
+                  or n comma rows separated by ';' for a full constant matrix),
                   sigma_kind=const|scott|stein (scott/stein take sigma_eps and
                   sigma_gamma lists), sigma_scale, r
     [preference]  p, k1, k2, horizon
@@ -31,11 +32,10 @@ significant digits) and ``run.json`` with the per-state solve times, the
 grid, the Python/numpy/scipy versions, the model fingerprint ``spec_sha256``
 and the states whose upper truncation bound overflows to +inf
 (``unbounded_above``); only ``run.json`` carries timing, so identical reruns
-write every other file byte for byte.  ``solve --csv`` also exports each state's
-rows as ``f_state_<bits>.csv`` and ``policy_state_<bits>.csv``; nothing reads
-them back.  ``load_solution`` reads the arrays back bitwise and rejects,
-naming the file, artifacts solved for another model, a missing array, or one
-whose dtype or shape disagrees with the model's states and the saved nodes.
+write every other file byte for byte.  ``load_solution`` reads the arrays
+back bitwise and rejects, naming the file, artifacts solved for another
+model, a missing array, or one whose dtype or shape disagrees with the
+model's states and the saved nodes.
 
 ``simulate`` runs one controlled Monte Carlo pass at ``seed``: its draws
 serve the compensator checks, the G-martingale probes, the duality gap and
@@ -70,7 +70,7 @@ import scipy
 
 from . import oracle as oracle_mod
 from . import sim
-from .fields import GridSpec, SolveResult, TruncationBounds, lookup, policy_channel
+from .fields import GridSpec, SolveResult, TruncationBounds, lookup
 from .model import (DefaultState, ModelSpec, PRESET_NAMES, all_states, build_model,
                     preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
@@ -191,24 +191,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_FMT % v if isinstance(v, float) else v for v in row])
 
 
-def _write_grid_csv(path: Path, header: list[str], t_nodes: np.ndarray, y_nodes: np.ndarray,
-                    values: np.ndarray) -> None:
-    """Rows ``t, y, *values[k, j]``, time-major: the bytes :func:`_write_csv` writes.
-
-    Each time slice is rendered by one ``%`` on a template of ``n_y`` rows;
-    the ``y`` text is formatted once per file and the ``t`` text once per slice.
-    """
-    row_tails = [f",{_FMT % y}," + ",".join([_FMT] * values.shape[-1]) + "\r\n"
-                 for y in y_nodes.tolist()]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for t, block in zip(t_nodes.tolist(), values):
-            t_text = _FMT % t
-            # joining the row tails on the t text puts it before every row but the first
-            template = t_text + t_text.join(row_tails)
-            fh.write(template % tuple(block.ravel().tolist()))
-
-
 def _extra_text(extra: dict) -> str:
     """``key=value`` pairs joined by ``;``, floats at 17 significant digits."""
     return ";".join(f"{key}={_FMT % value if isinstance(value, float) else value}"
@@ -262,8 +244,7 @@ _REPORT_COLUMNS = {"resid_max": float, "policy_resid_max": float, "newton_iters_
                    "bound_violation": bool}
 
 
-def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec, *,
-                  csv: bool = False) -> None:
+def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     """Write the solve's arrays, its per-state tables and its ``run.json`` into ``out_dir``.
 
     ``f``, ``df``, the whole ``policy`` table, ``hedge_gap``, ``t_nodes`` and
@@ -273,30 +254,12 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec, *,
     solve times and the march's counts and stage seconds
     (``SolveResult.march``) go to ``run.json`` with the grid, the versions,
     the model's ``spec_sha256`` fingerprint and ``unbounded_above``, the
-    states whose ``k_bar`` is +inf.  With ``csv``, each state's rows
-    are also exported as ``f_state_<bits>.csv`` (``t, y, f, g, df_dy``) and
-    ``policy_state_<bits>.csv`` (``t, y, hhat_*, ahat_*, pi_*, c_mult``).
+    states whose ``k_bar`` is +inf.
     """
-    n = spec.n
-    t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
     for name, values in (("f", result.f), ("df", result.df), ("policy", result.policy),
-                         ("hedge_gap", result.hedge_gap), ("t_nodes", t_nodes),
-                         ("y_nodes", y_nodes)):
+                         ("hedge_gap", result.hedge_gap), ("t_nodes", result.t_nodes),
+                         ("y_nodes", result.grid.y_nodes())):
         np.save(out_dir / f"{name}.npy", np.asarray(values, dtype=np.float64), allow_pickle=False)
-    if csv:
-        header = (["t", "y"] + [f"hhat_{i+1}" for i in range(n)]
-                  + [f"ahat_{i+1}" for i in range(n)] + [f"pi_{i+1}" for i in range(n)]
-                  + ["c_mult"])
-        columns = np.r_[tuple(policy_channel(name, n)
-                              for name in ("hhat", "ahat", "pi", "c_mult"))]
-        for state in all_states(n):
-            b, bits = state.bits, state.bitstring
-            f = result.f[b]
-            _write_grid_csv(out_dir / f"f_state_{bits}.csv", ["t", "y", "f", "g", "df_dy"],
-                            t_nodes, y_nodes,
-                            np.stack([f, f ** spec.beta, result.df[b]], axis=-1))
-            _write_grid_csv(out_dir / f"policy_state_{bits}.csv", header, t_nodes, y_nodes,
-                            result.policy[b][..., columns])
     _write_csv(out_dir / "bounds.csv",
                ["state", "k_under", "k_bar_T", "theta_rate", "m_lo", "m_hi",
                 "m_lo_norms", "m_hi_norms"],
@@ -423,7 +386,7 @@ def cmd_solve(args) -> int:
     result = solve_recursive_system(spec, grid, validate=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dump_solution(result, out, spec, csv=args.csv)
+    dump_solution(result, out, spec)
     for bits, row in sorted(result.report.items()):
         print(f"state {bits}: solved in {row['elapsed']:.2f}s, control residual "
               f"{max(row['resid_max'], row.get('policy_resid_max', 0.0)):.2e}, "
@@ -598,9 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="solve the PDE system; write f, df, policy, hedge_gap and the nodes as "
                       ".npy, bounds.csv, solve_report.csv and run.json")
     common(p_solve)
-    p_solve.add_argument("--csv", action="store_true",
-                         help="also export each state's rows as f_state_<bits>.csv and "
-                              "policy_state_<bits>.csv")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo validation suite")

@@ -39,13 +39,12 @@ class Coefficients:
     A scalar ``y`` is the size-1 case.  For one state the per-state arrays are
     shaped (n_y, n) (``alive``: (n,)); for a sequence of states they gain a
     leading state axis, (S, n_y, n) (``alive``: (S, 1, n)), and the formulas
-    broadcast over it unchanged.  The y-only arrays (``xi``, ``sig_diag``,
-    ``s0``: (n_y, n); ``mu0``: (n_y,)) are shared by the stack.  Control
+    broadcast over it unchanged.  The y-only arrays (``xi``, ``s0``:
+    (n_y, n); ``mu0``: (n_y,); ``sig``) are shared by the stack.  Control
     arguments of the methods may carry extra leading axes, e.g.
     (n_t + 1, n_y, n) for a whole policy, and broadcast against these arrays.
-    Volatility is held as its diagonal entries ``sig_diag`` when the market
-    is diagonal, else as the matrix stack ``sigma`` of shape (n_y, n, n); the
-    other one is None.
+    ``sig`` is :meth:`MarketSpec.sigma` on ``y``: diagonal entries (n_y, n)
+    when ``diagonal``, else matrices (n_y, n, n).
     """
 
     def __init__(self, spec: ModelSpec, state, y):
@@ -63,14 +62,13 @@ class Coefficients:
             self.alive = 1.0 - np.stack([s.indicator() for s in self.states])[:, None, :]
             self.lam = np.stack([spec.alive_intensity(self.y, s) for s in self.states])
         excess = spec.market.mu - spec.market.r
-        self.sig_diag = spec.market.sigma_diag_grid(self.y)
-        if self.sig_diag is not None:
-            self.sigma = None
-            self.xi = excess / self.sig_diag
+        self.diagonal = spec.market.is_diagonal
+        self.sig = spec.market.sigma(self.y)
+        if self.diagonal:
+            self.xi = excess / self.sig
         else:
-            self.sigma = np.stack([spec.market.sigma_at(float(v)) for v in self.y])
             rhs = np.broadcast_to(excess[:, None], self.y.shape + excess.shape + (1,))
-            self.xi = np.linalg.solve(self.sigma, rhs)[..., 0]
+            self.xi = np.linalg.solve(self.sig, rhs)[..., 0]
         self.s0 = spec.factor.vol_row(self.y)
         self.mu0 = spec.factor.drift(self.y)
 
@@ -101,17 +99,17 @@ class Coefficients:
 
     def theta_from_h(self, h) -> np.ndarray:
         """theta = xi - sigma^{-1} diag((1-z) lambda) h."""
-        if self.sigma is None:
-            return self.xi - self.lam * h / self.sig_diag
-        return self.xi - np.linalg.solve(self.sigma, (self.lam * h)[..., None])[..., 0]
+        if self.diagonal:
+            return self.xi - self.lam * h / self.sig
+        return self.xi - np.linalg.solve(self.sig, (self.lam * h)[..., None])[..., 0]
 
     def h_from_theta(self, theta) -> np.ndarray:
         """Inverse of :meth:`theta_from_h` on alive names (0 where defaulted)."""
         gap = self.xi - np.asarray(theta, dtype=float)
-        if self.sigma is None:
-            rhs = self.sig_diag * gap
+        if self.diagonal:
+            rhs = self.sig * gap
         else:
-            rhs = (self.sigma @ gap[..., None])[..., 0]
+            rhs = (self.sig @ gap[..., None])[..., 0]
         pos = self.lam > 0
         if np.any((self.alive > 0) & ~pos & (np.abs(rhs) > 1e-12)):
             raise ValueError("no jump loading reproduces theta: zero intensity for an alive name")
@@ -155,18 +153,13 @@ class Coefficients:
         """Diffusion row Lambda = (1-q) theta + grad of the optimal wealth."""
         return (1.0 - self.q) * theta + grad
 
-    def pi_sigma(self, pi) -> np.ndarray:
-        """Row vector pi^T sigma: the diffusion loading a portfolio pi puts on each Brownian motion."""
-        if self.sigma is None:
-            return pi * self.sig_diag
-        return (pi[..., None, :] @ self.sigma)[..., 0, :]
-
     def hedge_gap(self, pi, theta, f, df) -> float:
         """Largest unmatched |pi^T sigma - Lambda| on defaulted names' Brownian motions (0 if none)."""
         dead = list(self.state.defaulted)
         if not dead:
             return 0.0
-        gap = self.pi_sigma(pi) - self.diffusion_row(theta, self.grad_term(f, df))
+        gap = (self.spec.market.pi_sigma(pi, self.sig)
+               - self.diffusion_row(theta, self.grad_term(f, df)))
         return float(np.max(np.abs(gap[..., dead])))
 
 

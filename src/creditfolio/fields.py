@@ -191,11 +191,6 @@ class TruncationBounds:
     def k_bar_final(self) -> float:
         return float(self.k_bar(self.T))
 
-    def growth_factor(self, t):
-        """exp(m_hi t / beta); identically 1 when the usable reaction bound m_hi is 0."""
-        return np.exp(self.m_hi / self.beta * np.asarray(t, dtype=float))
-
-
 
 # last axis of the policy table: pi | hhat | theta | ahat, one column per name
 # each, then c_mult = K2^{1-q} / g, which turns wealth into the consumption rate

@@ -54,10 +54,6 @@ class DefaultState:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bits {self.bits} out of range for n={self.n}")
 
-    def is_defaulted(self, i: int) -> bool:
-        self._check_index(i)
-        return bool((self.bits >> i) & 1)
-
     def flip(self, i: int) -> "DefaultState":
         """Neighbouring state obtained by toggling the default flag of name ``i``."""
         self._check_index(i)
@@ -151,13 +147,11 @@ class FactorSpec:
 
     def vol_row(self, y) -> np.ndarray:
         """Loading row sigma0(y); shape (..., n) for array y, (n,) for scalar."""
+        y = np.asarray(y, dtype=float)
         if callable(self.sigma0):
-            out = np.asarray(self.sigma0(np.asarray(y, dtype=float)), dtype=float)
-        else:
-            base = np.asarray(self.sigma0, dtype=float)
-            y = np.asarray(y, dtype=float)
-            out = np.broadcast_to(base, y.shape + base.shape).copy() if y.ndim else base
-        return out
+            return np.asarray(self.sigma0(y), dtype=float)
+        base = np.asarray(self.sigma0, dtype=float)
+        return np.broadcast_to(base, y.shape + base.shape).copy() if y.ndim else base
 
     def vol_sq(self, y):
         """sigma0 sigma0^T (scalar diffusion coefficient), elementwise in y."""
@@ -236,8 +230,7 @@ class CreditSpec:
             a, b, c = self._abc
             sel = (self._names, state.bits)
             return a[sel] + b[sel] * np.exp(c[sel] * y[..., None])
-        canon_state = state  # custom fn must canonicalise itself if it cares
-        out = np.asarray(self._fn(y, canon_state), dtype=float)
+        out = np.asarray(self._fn(y, state), dtype=float)   # a custom fn canonicalises itself
         if out.shape[-1] != self.n:
             raise ValueError("intensity callable returned wrong width")
         return out
@@ -260,53 +253,61 @@ class CreditSpec:
 
 
 class MarketSpec:
-    """Stock appreciation rates mu, volatility matrix sigma(y), risk-free rate r."""
+    """Stock appreciation rates mu, volatility matrix sigma(y), risk-free rate r.
+
+    ``sigma`` is a vector of n diagonal volatilities, a constant n-by-n
+    matrix, or a vectorised callable that maps factor values of shape (m,) to
+    (m, n) diagonal entries or to an (m, n, n) stack of matrices; any other
+    output raises ValueError naming its shape.  The market is diagonal when
+    the input is a vector or a diagonal-entries callable, or a matrix whose
+    off-diagonal entries are exactly zero.  :meth:`sigma` is the one
+    evaluation: (..., n) diagonal entries for a diagonal market, else
+    (..., n, n) matrices; a scalar y is the size-1 case.
+    """
 
     def __init__(self, mu: Sequence[float], sigma, r: float):
         self.mu = np.asarray(mu, dtype=float)
         self.r = float(r)
-        self.n = self.mu.shape[0]
-        self._sigma_const: np.ndarray | None = None
-        self._sigma_diag_fn: Callable[[np.ndarray], np.ndarray] | None = None
-        self._sigma_fn: Callable[[float], np.ndarray] | None = None
+        self.n = n = self.mu.shape[0]
         if callable(sigma):
-            probe = np.asarray(sigma(np.zeros(1)), dtype=float)
-            if probe.shape[-1] == self.n and probe.ndim <= 2 and probe.shape != (self.n, self.n):
-                # vectorised diagonal entries
-                self._sigma_diag_fn = sigma
-            else:
-                self._sigma_fn = sigma
-        else:
-            m = np.asarray(sigma, dtype=float)
-            if m.ndim == 1:
-                m = np.diag(m)
-            if m.shape != (self.n, self.n):
-                raise ValueError(f"sigma must be {self.n}x{self.n}")
-            self._sigma_const = m
-        # a constant matrix that is diagonal up to allclose tolerance takes the diagonal path
-        self.is_diagonal = self._sigma_diag_fn is not None or (
-            self._sigma_const is not None
-            and bool(np.allclose(self._sigma_const, np.diag(np.diag(self._sigma_const)))))
+            k = MAX_NAMES + 1   # more factor values than names: (k, n) never reads as (n, n)
+            shape = np.shape(sigma(np.zeros(k)))
+            if shape not in ((k, n), (k, n, n)):
+                raise ValueError(f"sigma callable must map y of shape (m,) to (m, {n}) or "
+                                 f"(m, {n}, {n}); y of shape ({k},) gave shape {shape}")
+            self._fn, self.is_diagonal = sigma, len(shape) == 2
+            return
+        m = np.asarray(sigma, dtype=float)
+        if m.shape == (n, n) and not np.any(m[~np.eye(n, dtype=bool)]):
+            m = np.diag(m)
+        if m.shape not in ((n,), (n, n)):
+            raise ValueError(f"sigma must be {n} diagonal entries or {n}x{n}, got shape {m.shape}")
+        self._fn = lambda y: np.broadcast_to(m, y.shape + m.shape).copy()
+        self.is_diagonal = m.ndim == 1
 
-    @property
-    def is_constant(self) -> bool:
-        return self._sigma_const is not None
-
-    def sigma_at(self, y: float) -> np.ndarray:
-        """Volatility matrix at a single factor value."""
-        if self._sigma_const is not None:
-            return self._sigma_const
-        if self._sigma_diag_fn is not None:
-            return np.diag(np.asarray(self._sigma_diag_fn(np.asarray(float(y))), dtype=float))
-        return np.asarray(self._sigma_fn(float(y)), dtype=float)
-
-    def sigma_diag_grid(self, y) -> np.ndarray | None:
-        """Diagonal entries over a y-grid, or None when sigma is not diagonal."""
-        if not self.is_diagonal:
-            return None
+    def sigma(self, y) -> np.ndarray:
+        """sigma at factor values ``y``: (..., n) diagonal entries or (..., n, n) matrices."""
         y = np.asarray(y, dtype=float)
-        d = self._sigma_diag_fn(y) if self._sigma_diag_fn is not None else np.diag(self._sigma_const)
-        return np.broadcast_to(np.asarray(d, dtype=float), y.shape + (self.n,)).copy()
+        out = np.asarray(self._fn(y.reshape(-1)), dtype=float)
+        return out.reshape(y.shape + out.shape[1:])
+
+    def matrix(self, y) -> np.ndarray:
+        """:meth:`sigma` as (..., n, n) matrices, the diagonal entries placed on zeros."""
+        s = self.sigma(y)
+        if not self.is_diagonal:
+            return s
+        out = np.zeros(s.shape + (self.n,))
+        out[..., range(self.n), range(self.n)] = s
+        return out
+
+    def pi_sigma(self, pi, sig) -> np.ndarray:
+        """Row vector pi^T sigma, the loading a portfolio puts on each Brownian motion.
+
+        ``sig`` is :meth:`sigma` at the factor values of ``pi``'s rows.
+        """
+        if self.is_diagonal:
+            return pi * sig
+        return (pi[..., None, :] @ sig)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -391,7 +392,7 @@ class ModelSpec:
         parts = [[self.n, self.pref.p, self.q, self.pref.K1, self.pref.K2, self.pref.T,
                   self.market.r, self.factor.rho, self.factor.domain_lo, self.factor.domain_hi],
                  self.market.mu, self.factor.drift(y), self.factor.vol_row(y),
-                 [self.market.sigma_at(v) for v in y]]
+                 self.market.matrix(y)]
         parts += [self.intensity(y, state) for state in all_states(self.n)]
         h = hashlib.sha256()
         for part in parts:
@@ -500,16 +501,15 @@ def validate_spec(spec: ModelSpec, grid) -> ValidationReport:
     checks.append(ValidationCheck("intensity-bounded-nonnegative", a2_ok, a2_detail, a2_where))
 
     # market volatility invertible with moderate conditioning
-    inv_ok, inv_where, inv_detail = True, None, ""
-    for yv in y:
-        s = spec.market.sigma_at(float(yv))
-        if not np.all(np.isfinite(s)):
-            inv_ok, inv_where, inv_detail = False, float(yv), "non-finite sigma"
-            break
-        cond = np.linalg.cond(s)
-        if not np.isfinite(cond) or cond > _COND_CAP:
-            inv_ok, inv_where, inv_detail = False, float(yv), f"cond(sigma) = {cond:.3g}"
-            break
+    s = spec.market.matrix(y)
+    finite = np.all(np.isfinite(s), axis=(-2, -1))
+    cond = np.full(y.shape, np.inf)
+    cond[finite] = np.linalg.cond(s[finite])
+    bad = ~(cond <= _COND_CAP)
+    inv_ok, inv_where, inv_detail = not bad.any(), _first_bad(y, bad), ""
+    if not inv_ok:
+        k = int(np.argmax(bad))
+        inv_detail = f"cond(sigma) = {cond[k]:.3g}" if finite[k] else "non-finite sigma"
     checks.append(ValidationCheck("volatility-invertible", inv_ok, inv_detail, inv_where))
 
     # (A3): the jump loading h solving sigma (xi - theta) = diag((1-z) lambda) h must
@@ -618,7 +618,11 @@ def build_model(config: dict) -> ModelSpec:
         scale = float(mkt.get("sigma_scale", "1.0"))
         kind = mkt.get("sigma_kind", "const")
         if kind == "const":
-            sigma = scale * np.array(_floats(mkt["sigma"]))
+            rows = [_floats(row) for row in mkt["sigma"].split(";")]
+            if [len(row) for row in rows] not in ([n], [n] * n):
+                raise ValueError(f"[market] sigma must be {n} diagonal volatilities or {n} rows "
+                                 f"of {n} separated by ';', got {mkt['sigma']!r}")
+            sigma = scale * np.array(rows[0] if len(rows) == 1 else rows)
         elif kind in ("scott", "stein"):
             eps = np.array(_floats(mkt["sigma_eps"]))
             gam = np.array(_floats(mkt["sigma_gamma"]))

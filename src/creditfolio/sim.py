@@ -50,7 +50,6 @@ import numpy as np
 from .dual import Coefficients
 from .fields import SolveResult, blend_t, interp_y, lookup, policy_channel
 from .model import DefaultState, ModelSpec
-from .strategy import SolverError
 
 __all__ = [
     "McReport",
@@ -174,16 +173,6 @@ class PathBundle:
         return float(np.mean(self.final_bits == self.z0.bits))
 
 
-def _sigma_rows(spec: ModelSpec, y: np.ndarray):
-    """(diagonal entries over paths, None) or (None, constant matrix)."""
-    diag = spec.market.sigma_diag_grid(y)
-    if diag is not None:
-        return diag, None
-    if spec.market.is_constant:
-        return None, spec.market.sigma_at(0.0)
-    raise SolverError("path simulation supports diagonal or constant volatility only")
-
-
 def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
     """(K/p) c^p with the c = 0 limit handled (0 for p > 0, -inf for p < 0)."""
     pos = c > 0
@@ -304,8 +293,7 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
 
         if with_controls:
             pi, hh, th, ah, cm = controls_at(t_now, Y, bits)
-            sig_diag, sig_const = _sigma_rows(spec, Y)
-            pisig = pi * sig_diag if sig_diag is not None else pi @ sig_const
+            pisig = spec.market.pi_sigma(pi, spec.market.sigma(Y))
             u2_now = _power_utility(cm * X, spec.pref.K2, p)
             cons_util += u2_now * dt
             if u2_first is None:
@@ -322,11 +310,9 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
 
         if keep:
             kk = slice(0, keep)
-            sd, sc = _sigma_rows(spec, Y[kk])
-            lam_k = lam_now[kk]
-            vol_term = sd * dW[kk] if sd is not None else dW[kk] @ sc.T
-            drag = sd**2 if sd is not None else np.sum(sc**2, axis=1)
-            P_kept = P_kept * np.exp((mu + lam_k - 0.5 * drag) * dt + vol_term)
+            sig = spec.market.matrix(Y[kk])   # stock i loads sig[i, j] on dW_j
+            P_kept = P_kept * np.exp((mu + lam_now[kk] - 0.5 * np.sum(sig**2, axis=-1)) * dt
+                                     + (sig @ dW[kk][..., None])[..., 0])
 
         # factor step (Euler-Maruyama with correlated drivers), reflected at the domain edge
         s0 = spec.factor.vol_row(Y)

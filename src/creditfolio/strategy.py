@@ -93,7 +93,7 @@ def solve_hhat_slice(y_nodes: np.ndarray, state, spec: ModelSpec,
         elif np.any(lam[..., i] > _LAMBDA_TOL):
             raise SolverError(f"missing child field for alive name {i} in state {state}")
 
-    if coef.sigma is None:
+    if coef.diagonal:
         return _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init)
     return _solve_slice_general(coef, (child / f_slice[..., None]) ** coef.beta, grad_term,
                                 h_init)
@@ -114,7 +114,7 @@ def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
     arrays.
     """
     q = coef.q
-    lam, sig_diag, xi = coef.lam, coef.sig_diag, coef.xi
+    lam, sig_diag, xi = coef.lam, coef.sig, coef.xi
     alive_mask = coef.alive > 0
 
     hhat = np.zeros(lam.shape)
@@ -219,7 +219,7 @@ def _solve_slice_general(coef, ratio, grad_term, h_init):
 
     lam, ratio, grad, xi, alive = (rows(a) for a in (coef.lam, ratio, grad_term, coef.xi,
                                                      coef.alive > 0))
-    sigma, s_inv = rows(coef.sigma, (n, n)), rows(np.linalg.inv(coef.sigma), (n, n))
+    sigma, s_inv = rows(coef.sig, (n, n)), rows(np.linalg.inv(coef.sig), (n, n))
     jumpy = alive & (lam > _LAMBDA_TOL)
     free = alive & ~jumpy
 
@@ -372,7 +372,7 @@ def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
         if lam[i] > _LAMBDA_TOL:
             ratio = (float(children[i][0]) / f_val) ** coef.beta
             pi[i] = 1.0 - (1.0 + hhat[i]) ** (coef.q - 1.0) * ratio
-    s = spec.market.sigma_at(y)
+    s = spec.market.matrix(y)
     Lam_masked = Lam * coef.alive
     free = [i for i in state.alive if lam[i] <= _LAMBDA_TOL]
     if free:

@@ -8,6 +8,21 @@ from creditfolio.fields import policy_channel
 from creditfolio.model import CreditSpec, FactorSpec, MarketSpec, ModelSpec, PreferenceSpec
 
 
+GENERAL_SIGMA = np.array([[0.8, 0.1], [0.05, 0.7]])  # not diagonal: takes the general Newton
+
+
+def general_sigma_of_y(y):
+    """A y-dependent full sigma: GENERAL_SIGMA scaled by 1 + 0.2 y, vectorised over y."""
+    return (1.0 + 0.2 * y)[..., None, None] * GENERAL_SIGMA
+
+
+def full_sigma_scott(sigma):
+    """scott_example22 with its diagonal sigma replaced by ``sigma``."""
+    base = cf.load_preset("scott_example22")
+    return cf.ModelSpec(n=2, factor=base.factor, credit=base.credit, pref=base.pref,
+                        market=MarketSpec(mu=base.market.mu, sigma=sigma, r=base.market.r))
+
+
 def with_policy(result, pi_scale=1.0, **channels):
     """A copy of ``result`` that runs another policy: its policy table, edited.
 
@@ -27,7 +42,7 @@ def with_policy(result, pi_scale=1.0, **channels):
 def bisect_reference(spec, state, i, y, f_val, df_val, f_child, lo=-1 + 1e-6, hi=8.0):
     """Independent dense bisection of the scalar stationarity equation for name i."""
     q, beta, rho = spec.q, spec.beta, spec.factor.rho
-    sig = spec.market.sigma_at(y)[i, i]
+    sig = spec.market.matrix(y)[i, i]
     xi = (spec.market.mu[i] - spec.market.r) / sig
     lam = float(spec.alive_intensity(y, state)[i])
     grad = rho * beta * (df_val / f_val) * float(spec.factor.vol_row(y)[i])

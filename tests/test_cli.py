@@ -39,27 +39,27 @@ def three_name_config() -> dict:
 
 
 def write_rows_reference(path, header, rows):
-    """The row-by-row csv.writer rendering the block writer must reproduce byte for byte."""
+    """The row-by-row csv.writer rendering, floats at 17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(["%.17g" % v for v in row])
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
+
+
+BOUNDS_HEADER = ["state", "k_under", "k_bar_T", "theta_rate", "m_lo", "m_hi", "m_lo_norms",
+                 "m_hi_norms"]
+
+
+def bounds_rows(result):
+    return [(bits, b.k_under, b.k_bar_final, b.theta_rate, b.m_lo, b.m_hi, b.m_lo_norms,
+             b.m_hi_norms) for bits, b in result.bounds.items()]
 
 
 @pytest.fixture(scope="module")
 def solve_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("solve")
     rc = main(["solve", "--preset", "benchmark_s5", *SMALL, "--out", str(out)])
-    assert rc == 0
-    return out
-
-
-@pytest.fixture(scope="module")
-def csv_dir(tmp_path_factory):
-    """A ``solve --csv`` of the same model and grid as ``solve_dir``."""
-    out = tmp_path_factory.mktemp("solve_csv")
-    rc = main(["solve", "--preset", "benchmark_s5", *SMALL, "--csv", "--out", str(out)])
     assert rc == 0
     return out
 
@@ -86,13 +86,13 @@ class TestConfig:
 
     def test_scott_config_build(self):
         spec = build_model(preset_config("scott_example22"))
-        assert not spec.market.is_constant
         assert spec.market.is_diagonal
+        assert spec.market.sigma([0.0, 1.0]).shape == (2, 2)
 
     def test_sigma_scale(self):
         cfg = apply_overrides(preset_config("benchmark_s5"), ["market.sigma_scale=1.5"])
         spec = build_model(cfg)
-        assert np.allclose(np.diag(spec.market.sigma_at(0.0)), 1.2)
+        assert np.allclose(spec.market.sigma(0.0), 1.2)
 
     def test_config_file_round_trip(self, tmp_path):
         ini = tmp_path / "model.ini"
@@ -106,11 +106,8 @@ class TestConfig:
 
 
 class TestSolveCommand:
-    def test_artifacts_written(self, csv_dir):
-        names = sorted(p.name for p in csv_dir.iterdir())
-        for bits in ("00", "01", "10", "11"):
-            assert f"f_state_{bits}.csv" in names
-            assert f"policy_state_{bits}.csv" in names
+    def test_artifacts_written(self, solve_dir):
+        names = sorted(p.name for p in solve_dir.iterdir())
         assert "bounds.csv" in names and "solve_report.csv" in names
         assert ARTIFACTS <= set(names)
 
@@ -122,14 +119,14 @@ class TestSolveCommand:
             values = np.load(solve_dir / f"{name}.npy", allow_pickle=False)
             assert values.dtype == np.float64 and values.shape == shape, name
 
-    def test_header_and_roundtrip(self, csv_dir):
-        with open(csv_dir / "f_state_00.csv") as fh:
+    def test_header_and_roundtrip(self, solve_dir):
+        with open(solve_dir / "bounds.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "y", "f", "g", "df_dy"]
+        assert rows[0] == BOUNDS_HEADER
         # 17 significant digits round-trip exactly
-        f_vals = np.array([float(r[2]) for r in rows[1:]])
-        g_vals = np.array([float(r[3]) for r in rows[1:]])
-        assert np.array_equal(g_vals, f_vals**5.000000000000001)
+        spec = build_model(preset_config("benchmark_s5"))
+        result = cf.solve_recursive_system(spec, load_solution(solve_dir, spec).grid)
+        assert [(r[0], *map(float, r[1:])) for r in rows[1:]] == bounds_rows(result)
 
     def test_three_name_spec_writes_eight_states(self, tmp_path):
         cfg = three_name_config()
@@ -140,46 +137,30 @@ class TestSolveCommand:
             lines.extend(f"{k} = {v}" for k, v in kv.items())
         ini.write_text("\n".join(lines))
         out = tmp_path / "out"
-        rc = run_cli("solve", "--config", str(ini), "--ny", "21", "--nt", "10", "--csv",
+        rc = run_cli("solve", "--config", str(ini), "--ny", "21", "--nt", "10",
                      "--out", str(out))
         assert rc.returncode == 0, rc.stderr
-        assert len(list(out.glob("f_state_*.csv"))) == 8
         assert np.load(out / "policy.npy").shape == (8, 11, 21, 13)
 
     def test_writer_bytes_match_csv_writer_reference(self, tmp_path):
         spec = build_model(three_name_config())
         result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 21, 10))
-        dump_solution(result, tmp_path, spec, csv=True)
+        dump_solution(result, tmp_path, spec)
         ref = tmp_path / "reference.csv"
-        for bits, fld in result.fields.items():
-            y = fld.grid.y_nodes()
-            write_rows_reference(
-                ref, ["t", "y", "f", "g", "df_dy"],
-                [(float(t), float(y[j]), float(fld.f[k, j]), float(g_row[j]), float(fld.df[k, j]))
-                 for k, t in enumerate(fld.t_nodes) for g_row in [fld.f[k] ** spec.beta]
-                 for j in range(fld.grid.n_y)])
-            assert (tmp_path / f"f_state_{bits}.csv").read_bytes() == ref.read_bytes(), bits
-        header = (["t", "y"] + [f"{c}_{i}" for c in ("hhat", "ahat", "pi") for i in (1, 2, 3)]
-                  + ["c_mult"])
-        for bits, pol in result.policies.items():
-            y = pol.grid.y_nodes()
-            write_rows_reference(
-                ref, header,
-                [(float(t), float(y[j]), *map(float, pol.hhat[k, j]), *map(float, pol.ahat[k, j]),
-                  *map(float, pol.pi[k, j]), float(pol.c_mult[k, j]))
-                 for k, t in enumerate(pol.t_nodes) for j in range(pol.grid.n_y)])
-            assert (tmp_path / f"policy_state_{bits}.csv").read_bytes() == ref.read_bytes(), bits
+        write_rows_reference(ref, BOUNDS_HEADER, bounds_rows(result))
+        assert (tmp_path / "bounds.csv").read_bytes() == ref.read_bytes()
+        assert np.array_equal(np.load(tmp_path / "policy.npy"), result.policy)
         assert len(result.policies) == 8
 
-    def test_rerun_csvs_are_byte_identical(self, csv_dir, tmp_path):
-        rc = run_cli("solve", "--preset", "benchmark_s5", *SMALL, "--csv", "--out", str(tmp_path))
+    def test_rerun_csvs_are_byte_identical(self, solve_dir, tmp_path):
+        rc = run_cli("solve", "--preset", "benchmark_s5", *SMALL, "--out", str(tmp_path))
         assert rc.returncode == 0, rc.stderr
         assert rc.stdout.count("clamped pass skipped") == 4
-        names = sorted(p.name for p in csv_dir.glob("*.csv"))
-        assert names == sorted(p.name for p in tmp_path.glob("*.csv")) and len(names) == 10
+        names = sorted(p.name for p in solve_dir.glob("*.csv"))
+        assert names == sorted(p.name for p in tmp_path.glob("*.csv")) and len(names) == 2
         for name in names:
-            assert (csv_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
-        with open(csv_dir / "solve_report.csv") as fh:
+            assert (solve_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        with open(solve_dir / "solve_report.csv") as fh:
             assert next(csv.reader(fh)) == [
                 "state", "resid_max", "policy_resid_max", "newton_iters_max", "clamp_hits",
                 "clamp_pass_skipped", "bound_margin_lo", "bound_margin_hi", "hedge_gap",
@@ -441,6 +422,35 @@ def test_simulate_manifest_holds_the_run_and_its_timings(solve_dir, tmp_path):
         assert all(check["elapsed"] > 0.0 for check in manifest["checks"])
 
 
+FULL_SIGMA = ["--set", "market.sigma_kind=const", "--set", "market.sigma=0.8, 0.1; 0.05, 0.7"]
+
+
+def test_full_sigma_matrix_solves_and_simulates(tmp_path):
+    rc = main(["solve", "--preset", "scott_example22", *SMALL, *FULL_SIGMA,
+               "--out", str(tmp_path / "sol")])
+    assert rc == 0
+    spec = build_model(apply_overrides(preset_config("scott_example22"), FULL_SIGMA[1::2]))
+    assert not spec.market.is_diagonal
+    assert np.array_equal(spec.market.sigma(0.0), [[0.8, 0.1], [0.05, 0.7]])
+    rc = main(["simulate", "--preset", "scott_example22", *SMALL, *FULL_SIGMA, "--paths", "4000",
+               "--steps", "100", "--solution", str(tmp_path / "sol"),
+               "--out", str(tmp_path / "mc")])
+    assert rc == 0
+    with open(tmp_path / "mc" / "mc_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 18 and all(row["pass"] == "1" for row in rows)
+
+
+@pytest.mark.parametrize("sigma", ["0.8, 0.1; 0.05", "0.8, 0.1; 0.05, 0.7; 0.1, 0.1",
+                                   "0.8, 0.1, 0.3"], ids=["short-row", "extra-row", "long-vector"])
+def test_misshapen_sigma_exits_2_naming_the_key(tmp_path, capsys, sigma):
+    rc = main(["solve", "--preset", "scott_example22", "--set", "market.sigma_kind=const",
+               "--set", f"market.sigma={sigma}", "--out", str(tmp_path / "sol")])
+    assert rc == EXIT_VALIDATION
+    assert "[market] sigma" in capsys.readouterr().err
+    assert not (tmp_path / "sol").exists()
+
+
 def test_simulate_rows_equal_the_library_checks(solve_dir, tmp_path):
     from creditfolio import sim
 
@@ -510,6 +520,13 @@ def _drop_last_bytes(path, count=50):
     path.write_bytes(path.read_bytes()[:-count])
 
 
+def _only_state_csvs(d):
+    """A directory written before the arrays existed: per-state CSVs only."""
+    for path in d.glob("*.npy"):
+        path.unlink()
+    (d / "f_state_00.csv").write_text("t,y,f,g,df_dy\n")
+
+
 @pytest.mark.parametrize("damage, where", [
     (lambda d: (d / "policy.npy").unlink(), ["policy.npy", "missing"]),
     # one state's row fewer
@@ -524,13 +541,12 @@ def _drop_last_bytes(path, count=50):
     (lambda d: _edit_array(d / "df.npy", lambda a: a.astype(np.float32)), ["df.npy", "float32"]),
     (lambda d: np.save(d / "hedge_gap.npy", np.array([0.0, None, 0.0, 0.0]), allow_pickle=True),
      ["hedge_gap.npy", "allow_pickle"]),
-    # a directory written before the arrays existed: per-state CSVs only
-    (lambda d: [p.unlink() for p in d.glob("*.npy")], ["f.npy", "re-run `creditfolio solve`"]),
+    (_only_state_csvs, ["f.npy", "re-run `creditfolio solve`"]),
 ], ids=["missing-partner", "missing-state", "truncated", "not-a-tensor-grid", "policy-columns",
         "other-grid", "wrong-dtype", "object-array", "csv-only"])
-def test_damaged_solution_exits_2_naming_the_file(csv_dir, tmp_path, damage, where):
+def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, where):
     damaged = tmp_path / "damaged"
-    shutil.copytree(csv_dir, damaged)
+    shutil.copytree(solve_dir, damaged)
     damage(damaged)
     rc = run_cli("simulate", "--preset", "benchmark_s5", *SMALL, "--paths", "100",
                  "--steps", "10", "--solution", str(damaged), "--out", str(tmp_path / "rep"))

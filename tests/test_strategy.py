@@ -11,23 +11,11 @@ from creditfolio.model import DefaultState
 from creditfolio.strategy import (SolverError, ahat_slice, build_policy, pi_hat, solve_hhat,
                                   solve_hhat_slice, value_function)
 
-from conftest import bisect_reference, make_contagion_spec, make_single_name_spec
+from conftest import (GENERAL_SIGMA, bisect_reference, full_sigma_scott, general_sigma_of_y,
+                      make_contagion_spec, make_single_name_spec)
 
 Z00 = DefaultState.from_bitstring("00")
 Z11 = DefaultState.from_bitstring("11")
-GENERAL_SIGMA = np.array([[0.8, 0.1], [0.05, 0.7]])  # not diagonal: takes the general Newton
-
-
-def general_sigma_of_y(y):
-    """A y-dependent full sigma: GENERAL_SIGMA scaled by 1 + 0.2 y."""
-    return (1.0 + 0.2 * np.asarray(y, dtype=float)) * GENERAL_SIGMA
-
-
-def full_sigma_scott(sigma):
-    """scott_example22 with its diagonal sigma replaced by ``sigma``."""
-    base = cf.load_preset("scott_example22")
-    return cf.ModelSpec(n=2, factor=base.factor, credit=base.credit, pref=base.pref,
-                        market=cf.MarketSpec(mu=base.market.mu, sigma=sigma, r=base.market.r))
 
 
 def constant_fields(spec, values: dict, grid=None):
@@ -166,8 +154,8 @@ class TestSolveHhat:
                 fld, pol = result.fields[bits], result.policies[bits]
                 alive = list(fld.state.alive)
                 coef = Coefficients(spec, fld.state, fld.grid.y_nodes())
-                gap = coef.pi_sigma(pol.pi) - coef.diffusion_row(pol.theta,
-                                                                 coef.grad_term(fld.f, fld.df))
+                gap = (spec.market.pi_sigma(pol.pi, coef.sig)
+                       - coef.diffusion_row(pol.theta, coef.grad_term(fld.f, fld.df)))
                 assert np.max(np.abs(gap[..., alive]), initial=0.0) <= 1e-10, bits
                 assert np.allclose(pol.theta, coef.theta_from_h(pol.hhat), rtol=0, atol=1e-13)
                 for i in alive:   # every alive name of this model has a positive intensity
