@@ -33,6 +33,22 @@ __all__ = ["H_FLOOR", "Coefficients", "phi_bounds", "beta_exponent"]
 H_FLOOR = 1e-6
 
 
+def _sum_names(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)`` over the name axis, bitwise, by one add per name.
+
+    numpy adds a trailing axis of fewer than 8 entries from left to right, as
+    this loop does, and a reduction over such a short axis costs several
+    times these adds; longer axes go to ``np.sum``.
+    """
+    n = a.shape[-1]
+    if not 1 < n < 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + a[..., 1]
+    for i in range(2, n):
+        out += a[..., i]
+    return out
+
+
 class Coefficients:
     """Coefficients of one default state, or a stack of S states, on a 1-D array ``y``.
 
@@ -45,6 +61,11 @@ class Coefficients:
     (n_t + 1, n_y, n) for a whole policy, and broadcast against these arrays.
     ``sig`` is :meth:`MarketSpec.sigma` on ``y``: diagonal entries (n_y, n)
     when ``diagonal``, else matrices (n_y, n, n).
+
+    ``memo`` keeps what is derived from these arrays alone (the control
+    solver's masks and gathers, the zero gradient of each shape), so a
+    kernel that serves many solves derives it once; :meth:`take` starts an
+    empty one.
     """
 
     def __init__(self, spec: ModelSpec, state, y):
@@ -61,6 +82,8 @@ class Coefficients:
             self.state, self.states = None, tuple(state)
             self.alive = 1.0 - np.stack([s.indicator() for s in self.states])[:, None, :]
             self.lam = np.stack([spec.alive_intensity(self.y, s) for s in self.states])
+        self.alive_names = self._alive_names()
+        self.memo: dict = {}
         excess = spec.market.mu - spec.market.r
         self.diagonal = spec.market.is_diagonal
         self.sig = spec.market.sigma(self.y)
@@ -72,8 +95,7 @@ class Coefficients:
         self.s0 = spec.factor.vol_row(self.y)
         self.mu0 = spec.factor.drift(self.y)
 
-    @property
-    def alive_names(self) -> tuple[int, ...]:
+    def _alive_names(self) -> tuple[int, ...]:
         """Names alive in some state of the stack: the names the per-name sums run over.
 
         In a state where such a name has defaulted its intensity is 0, so its
@@ -88,6 +110,8 @@ class Coefficients:
         out = copy.copy(self)
         out.states = tuple(self.states[r] for r in rows)
         out.alive, out.lam = self.alive[rows], self.lam[rows]
+        out.alive_names = out._alive_names()
+        out.memo = {}
         return out
 
     def check_h(self, h) -> np.ndarray:
@@ -103,18 +127,6 @@ class Coefficients:
             return self.xi - self.lam * h / self.sig
         return self.xi - np.linalg.solve(self.sig, (self.lam * h)[..., None])[..., 0]
 
-    def h_from_theta(self, theta) -> np.ndarray:
-        """Inverse of :meth:`theta_from_h` on alive names (0 where defaulted)."""
-        gap = self.xi - np.asarray(theta, dtype=float)
-        if self.diagonal:
-            rhs = self.sig * gap
-        else:
-            rhs = (self.sig @ gap[..., None])[..., 0]
-        pos = self.lam > 0
-        if np.any((self.alive > 0) & ~pos & (np.abs(rhs) > 1e-12)):
-            raise ValueError("no jump loading reproduces theta: zero intensity for an alive name")
-        return np.where(pos, rhs / np.where(pos, self.lam, 1.0), 0.0)
-
     def phi_nu(self, hhat, theta) -> tuple[np.ndarray, np.ndarray]:
         """Reaction rate and transformed factor drift.
 
@@ -122,12 +134,12 @@ class Coefficients:
         nu = mu0 - q rho sigma0 theta.
         """
         q = self.q
-        phi = (0.5 * q * (q - 1.0) * np.sum(theta**2, axis=-1)
+        phi = (0.5 * q * (q - 1.0) * _sum_names(theta**2)
                - q * self.spec.market.r
-               + np.sum((q - 1.0 - q * (1.0 + hhat)) * self.lam, axis=-1))
+               + _sum_names((q - 1.0 - q * (1.0 + hhat)) * self.lam))
         nu = self.mu0
         if self.rho != 0.0:
-            nu = nu - q * self.rho * np.sum(self.s0 * theta, axis=-1)
+            nu = nu - q * self.rho * _sum_names(self.s0 * theta)
         return phi, nu
 
     def source_sum(self, hhat, children: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -138,15 +150,24 @@ class Coefficients:
         holds any positive value in the states where name i has defaulted.
         """
         q = self.q
-        out = np.full(np.shape(hhat)[:-1], self.spec.pref.K2 ** (1.0 - q))
+        out = self.spec.pref.K2 ** (1.0 - q)
         for i in self.alive_names:
             out = out + children[i] ** self.beta * (1.0 + hhat[..., i]) ** q * self.lam[..., i]
-        return out
+        return out if self.alive_names else np.full(np.shape(hhat)[:-1], out)
 
     def grad_term(self, f, df) -> np.ndarray:
-        """rho beta (D_y f / f) sigma0: the factor-hedging part of Lambda (zero when rho = 0)."""
+        """rho beta (D_y f / f) sigma0: the factor-hedging part of Lambda.
+
+        When rho = 0 it is zero and ``df`` is not read (it may be None): a
+        read-only zero of the right shape, made once per shape, that holds no
+        array of that size.
+        """
         if self.rho == 0.0:
-            return np.zeros(np.shape(f) + self.s0.shape[-1:])
+            shape = np.shape(f) + self.s0.shape[-1:]
+            zero = self.memo.get(shape)
+            if zero is None:
+                zero = self.memo[shape] = np.broadcast_to(0.0, shape)
+            return zero
         return self.rho * self.beta * (df / f)[..., None] * self.s0
 
     def diffusion_row(self, theta, grad) -> np.ndarray:

@@ -579,8 +579,16 @@ def preset_config(name: str) -> dict:
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _floats(text: str, key: str) -> list[float]:
+    """The comma-separated numbers of the config value ``text`` of ``key``.
+
+    A ';' starts a matrix row, which only ``[market] sigma`` has, so a ';'
+    here raises ValueError naming ``key``.
+    """
+    if ";" in text:
+        raise ValueError(f"{key} takes numbers separated by ',', got {text!r} "
+                         f"(';' separates matrix rows, in [market] sigma only)")
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def build_model(config: dict) -> ModelSpec:
@@ -593,8 +601,8 @@ def build_model(config: dict) -> ModelSpec:
         if fac.get("kind", "ou") != "ou":
             raise ValueError("only the mean-reverting (ou) factor kind is configurable")
         u0, kappa = float(fac["u0"]), float(fac["kappa"])
-        sigma0 = np.array(_floats(fac["sigma0"]))
-        lo, hi = _floats(fac["domain"])
+        sigma0 = np.array(_floats(fac["sigma0"], "[factor] sigma0"))
+        lo, hi = _floats(fac["domain"], "[factor] domain")
         factor = FactorSpec(mu0=lambda y, u0=u0, kappa=kappa: u0 - kappa * np.asarray(y, dtype=float),
                             sigma0=sigma0, rho=float(fac.get("rho", "0")),
                             domain_lo=lo, domain_hi=hi)
@@ -614,18 +622,18 @@ def build_model(config: dict) -> ModelSpec:
             credit = CreditSpec.exp_affine(n, {k: tuple(v) for k, v in table.items()})
 
         mkt = config["market"]
-        mu = _floats(mkt["mu"])
+        mu = _floats(mkt["mu"], "[market] mu")
         scale = float(mkt.get("sigma_scale", "1.0"))
         kind = mkt.get("sigma_kind", "const")
         if kind == "const":
-            rows = [_floats(row) for row in mkt["sigma"].split(";")]
+            rows = [_floats(row, "[market] sigma") for row in mkt["sigma"].split(";")]
             if [len(row) for row in rows] not in ([n], [n] * n):
                 raise ValueError(f"[market] sigma must be {n} diagonal volatilities or {n} rows "
                                  f"of {n} separated by ';', got {mkt['sigma']!r}")
             sigma = scale * np.array(rows[0] if len(rows) == 1 else rows)
         elif kind in ("scott", "stein"):
-            eps = np.array(_floats(mkt["sigma_eps"]))
-            gam = np.array(_floats(mkt["sigma_gamma"]))
+            eps = np.array(_floats(mkt["sigma_eps"], "[market] sigma_eps"))
+            gam = np.array(_floats(mkt["sigma_gamma"], "[market] sigma_gamma"))
             if kind == "scott":
                 sigma = lambda y, e=eps, g=gam, s=scale: s * np.sqrt(e + np.exp(g * np.asarray(y, dtype=float)[..., None]))
             else:

@@ -22,17 +22,25 @@ step k reads only its children's slices k and k + 1, so a state with d
 defaults takes step k at iteration m = k + (n - d): the loop runs n_t + n
 iterations, and each one advances every state in range as one stack, with
 one control solve, source assembly and Crank-Nicolson pass per predictor or
-sweep (with rho = 0 the stack shares one ``dgttrs`` call per distinct dt;
-with rho != 0 the operators differ and the solve goes state by state).
-Everything a state owns stays per state: its sweep leaves the stack once it
-converges, and its warm starts, stats, envelope, clamp hits and Newton
-counts are kept by row, so every state gets the values it would get marched
-alone.  The rows of every stack are the states' bits, so the march writes
-straight into the arrays of the :class:`SolveResult`.  The controls each step
-solves on its final slice f[k] (the predictor's) are the state's policy
-there and go into their channels of the policy table; the last iteration
-solves the final slice n_t, and :func:`strategy.build_policy` fills the rest
-of the table for the whole stack without solving again.
+sweep (with rho = 0 the stack shares one ``dgttrs`` call per distinct dt,
+which takes the stack's right-hand sides as they are when the whole stack
+shares one dt; with rho != 0 the operators differ and the solve goes state
+by state).  Everything a state owns stays per state: its sweep leaves the
+stack once it converges, and its warm starts, stats, envelope, clamp hits
+and Newton counts are kept by row, so every state gets the values it would
+get marched alone.  The rows of every stack are the states' bits, so the
+march writes straight into the arrays of the :class:`SolveResult`.  The
+march hands ``step_slice`` the states of each stack, and the workspace maps
+them back to rows; what a set of rows fixes (their selector, a slice when
+the rows are consecutive, and their coefficient kernel with the control
+solver's masks and gathers) is made the first time the set steps and kept
+for the rest of the solve.  A sweep over every state of the stack reads its
+arrays as views and folds its stats in place; only a sweep that some states
+have left gathers their rows.  The controls each step solves on its final
+slice f[k] (the predictor's) are the state's policy there and go into their
+channels of the policy table; the last iteration solves the final slice
+n_t, and :func:`strategy.build_policy` fills the rest of the table for the
+whole stack without solving again.
 
 The clamp reproduces the truncation device that makes the source Lipschitz.
 The wavefront first marches every state without it; that bootstrap pass
@@ -131,9 +139,15 @@ class _StepWorkspace:
 
     It holds the grid geometry, the stacked coefficient kernel and, per state
     (by row), the control warm starts, the running control stats, the range
-    of every slice value the unclamped source was given (``envelope``), clamp
-    hits, Newton counts and control residuals.  ``controls`` keeps the last
-    control solve asked to be kept, and ``tally`` counts the march's work.
+    of every slice value the unclamped source was given (:meth:`envelope`),
+    clamp hits, Newton counts and control residuals.  ``controls`` keeps the
+    last control solve asked to be kept, ``tally`` counts the march's work
+    and ``seconds`` times its control and Crank-Nicolson solves.
+
+    A sub-stack (the states at some rows) is met again and again, so its
+    selector and kernel are kept by rows: a run of consecutive rows selects
+    by a slice, whose arrays are views, and the kernel's ``memo`` keeps what
+    the control solver derives from it.
     """
 
     def __init__(self, states, spec: ModelSpec, grid: GridSpec):
@@ -148,13 +162,18 @@ class _StepWorkspace:
         self._op_cache = None
         self._lu_op = None
         self._lu: dict = {}
+        self._stacks: dict = {}
         self.controls = None
         self.tally = {"iterations": 0, "largest_batch": 0, "control_solves": 0, "sweeps": 0}
+        self.seconds = {"control_s": 0.0, "cn_s": 0.0}
         S, n = len(self.states), spec.n
-        self.all_rows = np.arange(S)
         self.h_warm = np.empty((S, grid.n_y, n))
         self.stats = _empty_stats((S, grid.n_y), n)
-        self.envelope: list[list] = [[] for _ in range(S)]
+        # columns (row, t, min, max), one per slice given to the unclamped source,
+        # in march order; a row's own columns start at ``_env_from[row]``
+        self._env = np.empty((4, S * (grid.n_t + 1)))
+        self._env_size = 0
+        self._env_from = np.zeros(S, dtype=int)
         self.clamp_hits = np.zeros(S, dtype=int)
         self.newton_iters = np.zeros(S, dtype=int)
         self.resid_max = np.zeros(S)
@@ -166,8 +185,7 @@ class _StepWorkspace:
         self.h_warm[rows] = 0.0   # no warm start yet: both Newtons start from h = 0
         for key, value in _empty_stats((len(rows), self.grid.n_y), self.spec.n).items():
             self.stats[key][rows] = value
-        for r in rows:
-            self.envelope[r] = []
+        self._env_from[rows] = self._env_size
         self.clamp_hits[rows] = 0
         self.newton_iters[rows] = 0
         self.resid_max[rows] = 0.0
@@ -175,27 +193,40 @@ class _StepWorkspace:
     def rows_of(self, states) -> np.ndarray:
         return np.array([self.row[s.bits] for s in states])
 
+    def _stack(self, rows):
+        """(selector, kernel) of the states at ``rows``, made once per distinct rows."""
+        key = rows.tobytes()
+        hit = self._stacks.get(key)
+        if hit is None:
+            first, size = int(rows[0]), len(rows)
+            if np.array_equal(rows, np.arange(first, first + size)):
+                sel = slice(first, first + size)
+            else:
+                sel = rows.copy()
+            whole = size == len(self.states) and isinstance(sel, slice)
+            hit = self._stacks[key] = (sel, self.coef if whole else self.coef.take(rows))
+        return hit
+
     def terms(self, rows, f_slice, children, keep=False):
         """Controls of the states at ``rows`` on their slices, folded into their stats.
 
         Returns the reaction rate, drift and source sum; with ``keep`` the
         solve's ``(hhat, theta, pi, iters, residuals)`` go to ``controls``.
         """
-        df_slice = spatial_gradient(f_slice, self.dy)
-        if np.array_equal(rows, self.all_rows):   # the whole stack: views, no gathers
-            rows, coef = slice(None), self.coef
-        else:
-            coef = self.coef.take(rows)
+        sel, coef = self._stack(rows)
+        df_slice = spatial_gradient(f_slice, self.dy) if coef.rho != 0.0 else None
+        started = time.perf_counter()
         out = strategy.solve_hhat_slice(self.y, coef.states, self.spec, f_slice, df_slice,
-                                        children, h_init=self.h_warm[rows], coef=coef)
+                                        children, h_init=self.h_warm[sel], coef=coef)
+        self.seconds["control_s"] += time.perf_counter() - started
         hhat, theta, _, iters, resid = out
         self.tally["control_solves"] += 1
-        self.h_warm[rows] = hhat
-        self.newton_iters[rows] = np.maximum(self.newton_iters[rows], iters)
-        self.resid_max[rows] = np.maximum(self.resid_max[rows], resid)
+        self.h_warm[sel] = hhat
+        _fold(self.newton_iters, sel, np.maximum, iters)
+        _fold(self.resid_max, sel, np.maximum, resid)
         phi, nu = coef.phi_nu(hhat, theta)
         s = coef.source_sum(hhat, children)
-        _fold_stats(self.stats, rows, hhat, theta, phi, s)
+        _fold_stats(self.stats, sel, hhat, theta, phi, s)
         if keep:
             self.controls = out
         return phi, nu, s
@@ -214,37 +245,54 @@ class _StepWorkspace:
         ``rhs`` holds (S, n_y) slices and ``dt`` their S steps.  An operator
         shared by the stack keeps its ``dgttrf`` factors per ``dt`` while it
         stays the same object, and the slices with equal ``dt`` go through one
-        ``dgttrs`` call; per-state operators (rows with a state axis) are
+        ``dgttrs`` call, which takes the whole stack as it is when every
+        ``dt`` is the same; per-state operators (rows with a state axis) are
         factored and solved state by state.
         """
+        started = time.perf_counter()
         sub, diag, sup = op
         if sub.ndim > 1:
-            return np.stack([_cn_apply(_cn_factor(sub[s], diag[s], sup[s], dt[s]), rhs[s])
-                             for s in range(len(rhs))])
-        if op is not self._lu_op:
-            self._lu_op, self._lu = op, {}
-        out = np.empty_like(rhs)
-        for d in (dt[:1] if np.all(dt == dt[0]) else np.unique(dt)):
-            lu = self._lu.get(d)
-            if lu is None:
-                lu = self._lu[d] = _cn_factor(sub, diag, sup, d)
-            same = dt == d
-            out[same] = _cn_apply(lu, rhs[same].T).T
-        return out
+            x = np.stack([_cn_apply(_cn_factor(sub[s], diag[s], sup[s], dt[s]), rhs[s])
+                          for s in range(len(rhs))])
+        else:
+            if op is not self._lu_op:
+                self._lu_op, self._lu = op, {}
+            rows_by_dt: dict = {}
+            for r, d in enumerate(dt.tolist()):
+                rows_by_dt.setdefault(d, []).append(r)
+            if len(rows_by_dt) == 1:
+                x = _cn_apply(self._factors(op, dt[0]), rhs.T).T
+            else:
+                x = np.empty_like(rhs)
+                for d, same in rows_by_dt.items():
+                    x[same] = _cn_apply(self._factors(op, d), rhs[same].T).T
+        self.seconds["cn_s"] += time.perf_counter() - started
+        return x
+
+    def _factors(self, op, dt):
+        lu = self._lu.get(dt)
+        if lu is None:
+            lu = self._lu[dt] = _cn_factor(*op, dt)
+        return lu
 
     def explicit_source(self, rows, t, f_slice, phi, s, bounds):
         """Reaction plus contagion source at the clamped slice values.
 
-        Unclamped (``bounds`` None), it records each slice's range in its
-        state's ``envelope`` so the caller can tell whether a clamp would have
-        changed anything; otherwise ``bounds`` holds one TruncationBounds per
-        slice.
+        Unclamped (``bounds`` None), it records each slice's range, for its
+        state's :meth:`envelope`, so the caller can tell whether a clamp would
+        have changed anything; otherwise ``bounds`` holds one TruncationBounds
+        per slice.
         """
         if bounds is None:
             v = f_slice
-            for r, entry in zip(rows.tolist(), zip(t.tolist(), f_slice.min(axis=-1).tolist(),
-                                                   f_slice.max(axis=-1).tolist())):
-                self.envelope[r].append(entry)
+            start, end = self._env_size, self._env_size + len(rows)
+            if end > self._env.shape[1]:
+                self._env = np.concatenate([self._env, np.empty_like(self._env)], axis=1)
+            env = self._env[:, start:end]
+            env[0], env[1] = rows, t
+            f_slice.min(axis=-1, out=env[2])
+            f_slice.max(axis=-1, out=env[3])
+            self._env_size = end
         else:
             lo = np.array([[b.k_under] for b in bounds])
             hi = np.array([[b.k_bar(tt)] for b, tt in zip(bounds, t.tolist())])
@@ -252,6 +300,25 @@ class _StepWorkspace:
             self.clamp_hits[rows] += np.sum(v != f_slice, axis=-1)
         beta = self.coef.beta
         return (phi * v + v ** (1.0 - beta) * s) / beta
+
+    def envelope(self, r):
+        """``(t, min, max)`` arrays of every slice row ``r``'s unclamped source was given.
+
+        Only the slices since the row's last :meth:`reset` count, in the
+        order the march gave them.
+        """
+        rows, t, lo, hi = self._env[:, self._env_from[r]:self._env_size]
+        mine = rows == r
+        return t[mine], lo[mine], hi[mine]
+
+
+def _fold(array, rows, fold, value) -> None:
+    """``array[rows] = fold(array[rows], value)``, in place when ``rows`` is a slice."""
+    if isinstance(rows, slice):
+        view = array[rows]
+        fold(view, value, out=view)
+    else:
+        array[rows] = fold(array[rows], value)
 
 
 def step_slice(f_now: np.ndarray, t, dt, state, children_now: Mapping[int, np.ndarray],
@@ -280,35 +347,40 @@ def step_slice(f_now: np.ndarray, t, dt, state, children_now: Mapping[int, np.nd
                           workspace or _StepWorkspace(state, spec, grid))[0]
     ws = workspace
     rows = ws.rows_of(state)
-    if bounds is None and np.any(f_now <= 0):
+    if bounds is None and (f_now <= 0).any():
         raise SolverError("non-positive slice value with the clamp disabled")
 
     dtc = dt[:, None]
+    half = 0.5 * dtc
     phi_now, nu_now, s_now = ws.terms(rows, f_now, children_now, keep=True)
     op_now = ws.operator(nu_now)
     src_now = ws.explicit_source(rows, t, f_now, phi_now, s_now, bounds)
 
-    expl = f_now + 0.5 * dtc * _apply_operator(*op_now, f_now)
+    expl = f_now + half * _apply_operator(*op_now, f_now)
     f_next = ws.cn_solve(op_now, expl + dtc * src_now, dt)
 
-    live = np.arange(len(rows))   # the states still sweeping
+    # the states still sweeping: all of them at first, as views of the stack
+    live = slice(None)
     for _ in range(_INNER_SWEEPS):
         ws.tally["sweeps"] += 1
         f_it = f_next[live]
         phi_next, nu_next, s_next = ws.terms(rows[live], f_it,
                                              {i: c[live] for i, c in children_next.items()})
-        src_next = ws.explicit_source(rows[live], t[live] + dt[live], f_it, phi_next, s_next,
-                                      None if bounds is None else [bounds[j] for j in live])
+        src_next = ws.explicit_source(
+            rows[live], t[live] + dt[live], f_it, phi_next, s_next,
+            None if bounds is None else [bounds[j] for j in np.arange(len(rows))[live]])
         f_new = ws.cn_solve(ws.operator(nu_next),
-                            expl[live] + 0.5 * dtc[live] * (src_now[live] + src_next), dt[live])
-        change = np.max(np.abs(f_new - f_it), axis=-1) / np.max(np.abs(f_it), axis=-1)
-        f_next[live] = f_new
-        live = live[~(change < _INNER_TOL)]
+                            expl[live] + half[live] * (src_now[live] + src_next), dt[live])
+        change = np.abs(f_new - f_it).max(axis=-1) / np.abs(f_it).max(axis=-1)
+        sweeping = ~(change < _INNER_TOL)
+        if isinstance(live, slice):
+            f_next, live = f_new, np.flatnonzero(sweeping)
+        else:
+            f_next[live], live = f_new, live[sweeping]
         if not live.size:
             break
-    bad = ~np.all(np.isfinite(f_next), axis=-1)
-    if bad.any():
-        j = int(np.argmax(bad))
+    if not np.isfinite(f_next).all():
+        j = int(np.argmax(~np.all(np.isfinite(f_next), axis=-1)))
         raise SolverError(f"slice blow-up at t={t[j]:.6g} in state {state[j]}")
     return f_next
 
@@ -328,6 +400,7 @@ def _empty_stats(shape: tuple, n: int) -> dict:
 def _fold_stats(stats: dict, rows, hhat, theta, phi, s) -> None:
     """Fold the controls, reaction and source sum of the states at ``rows`` into ``stats``.
 
+    ``rows`` is an index array or a slice, which folds in place.
     The extremes are kept per node and reduced once, by :func:`_stats_row`;
     the extremes of extremes are the same numbers.  A defaulted name's h is 0,
     which leaves its entries as they start.
@@ -336,7 +409,7 @@ def _fold_stats(stats: dict, rows, hhat, theta, phi, s) -> None:
                              ("h_max", np.maximum, hhat), ("h_min", np.minimum, hhat),
                              ("phi_min", np.fmin, phi), ("phi_max", np.fmax, phi),
                              ("source_sum_max", np.fmax, s)):
-        stats[key][rows] = fold(stats[key][rows], value)
+        _fold(stats[key], rows, fold, value)
 
 
 def _stats_row(stats: dict, r: int) -> dict:
@@ -440,16 +513,25 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, resid: np
     # on the ones slice, S * (n_t + 1), whatever k.
     first, moves = child * (n_t + 1), child < S
     kept = policy.reshape((-1,) + policy.shape[2:])
+    stacks = {}   # per set of rows stepping together: their states, child rows and bounds
     for m in range(n_t + lag.max() + 1):
         k = m - lag
         go = (k >= 0) & (k < n_t)
-        if go.any():
-            r, kr = rows[go], k[go]
-            at, kids = r * (n_t + 1) + kr, first[:, r] + moves[:, r] * kr
+        stack = stacks.get(go.tobytes())
+        if stack is None:
+            r = rows[go]
+            stack = stacks[go.tobytes()] = (
+                r, tuple(ws.states[j] for j in r), first[:, r], moves[:, r],
+                None if bounds is None else [bounds[j] for j in r])
+        r, states, first_r, moves_r, bounds_r = stack
+        if r.size:
+            kr = k[go]
+            at, kids = r * (n_t + 1) + kr, first_r + moves_r * kr
             slices[at + 1] = step_slice(
-                slices[at], t_nodes[kr], dt[kr], tuple(ws.states[j] for j in r),
-                dict(enumerate(slices[kids])), dict(enumerate(slices[kids + moves[:, r]])),
-                ws.spec, ws.grid, None if bounds is None else [bounds[j] for j in r], ws)
+                slices.take(at, axis=0), t_nodes.take(kr), dt.take(kr), states,
+                dict(enumerate(slices.take(kids, axis=0))),
+                dict(enumerate(slices.take(kids + moves_r, axis=0))),
+                ws.spec, ws.grid, bounds_r, ws)
             _keep_controls(ws.controls, kept, resid, r, at)
         done = rows[k == n_t]
         if done.size:
@@ -458,7 +540,7 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, resid: np
                      keep=True)
             _keep_controls(ws.controls, kept, resid, done, done * (n_t + 1) + n_t)
         ws.tally["iterations"] += 1
-        ws.tally["largest_batch"] = max(ws.tally["largest_batch"], int(go.sum()))
+        ws.tally["largest_batch"] = max(ws.tally["largest_batch"], r.size)
 
 
 def _keep_controls(controls, kept, resid, rows, at):
@@ -472,10 +554,13 @@ def _keep_controls(controls, kept, resid, rows, at):
 def _clamp_is_identity(envelope, bounds: TruncationBounds) -> bool:
     """True when the clamp would return every recorded slice unchanged.
 
-    ``k_bar`` is evaluated per recorded ``t`` as a scalar, exactly as the
-    clamp evaluates it; a NaN range fails the comparisons.
+    ``envelope`` is the ``(t, min, max)`` arrays of :meth:`_StepWorkspace.envelope`.
+    ``k_bar`` is evaluated over the recorded ``t`` at once; each value is
+    bitwise the scalar one the clamp evaluates at that ``t`` (a test checks
+    this on the presets' envelopes).  A NaN range fails the comparisons.
     """
-    return all(lo >= bounds.k_under and hi <= bounds.k_bar(t) for t, lo, hi in envelope)
+    t, lo, hi = envelope
+    return bool((lo >= bounds.k_under).all() and (hi <= bounds.k_bar(t)).all())
 
 
 def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
@@ -542,9 +627,8 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             st = states[r]
             bounds[st.bitstring] = truncation_bounds(st, bounds, spec, grid,
                                                      _stats_row(ws.stats, r))
-            skipped[r] = grid.clamp_enabled and _clamp_is_identity(ws.envelope[r],
+            skipped[r] = grid.clamp_enabled and _clamp_is_identity(ws.envelope(r),
                                                                     bounds[st.bitstring])
-            ws.envelope[r] = []   # read by this check only
             spent = time.perf_counter() - started
             elapsed[r] += spent
             seconds["bounds_s"] += spent
@@ -581,5 +665,5 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
                 f"solution escaped its a-priori bounds in state {st}: "
                 f"margins ({margin_lo:.3e}, {margin_hi:.3e})")
         result.report[st.bitstring] = row
-    result.march = {**ws.tally, **seconds}
+    result.march = {**ws.tally, **seconds, **ws.seconds}
     return result

@@ -72,8 +72,9 @@ def solve_hhat_slice(y_nodes: np.ndarray, state, spec: ModelSpec,
     Returns ``(hhat, theta, pi, newton_iters, residual_max)`` with arrays of
     shape (n_y, n).  ``children[i]`` is the f-slice of the state where name i
     has additionally defaulted, required for every alive name with positive
-    intensity.  ``coef`` is the state's coefficient kernel on ``y_nodes``,
-    built here when not supplied.
+    intensity.  ``df_slice`` is not read when rho = 0 and may be None.
+    ``coef`` is the state's coefficient kernel on ``y_nodes``, built here
+    when not supplied.
 
     ``state`` may also be a sequence of S states, with ``f_slice`` and
     ``df_slice`` shaped (S, n_y) and ``children[i]`` too (any positive value
@@ -105,98 +106,163 @@ def _per_state(per_node: np.ndarray, single: bool):
     return out.item() if single else out
 
 
+class _JumpEntries:
+    """What the diagonal solve derives from a kernel alone, built once per kernel.
+
+    The entries solved through the jump FOC (alive names with positive
+    intensity) are addressed by their flat index ``idx`` into the
+    (..., n_y, n) arrays, in increasing order, so each state's entries are
+    one segment that starts at ``starts``; ``sd``, ``xiv``, ``lamv`` and
+    ``lam_sd`` are the kernel's values there.  The residual at the first
+    bracket end h = ``_H_MAX_START`` reuses its power and linear part.
+    """
+
+    lo = -1.0 + H_FLOOR              # the bracket every entry starts from
+    hi = _H_MAX_START
+    x_lo, x_hi = lo + 1e-12, hi - 1e-12   # the Newton start is clipped into it
+
+    def __init__(self, coef):
+        q = coef.q
+        alive = coef.alive > 0
+        jumpy = alive & (coef.lam > _LAMBDA_TOL)
+        riskfree = alive & ~jumpy                    # defaultless names: diffusion matching only
+        self.riskfree = riskfree if riskfree.any() else None
+        self.idx = idx = np.flatnonzero(jumpy)
+        self.block = coef.sig.size                   # entries of one state's (n_y, n) block
+        self.fidx = idx // coef.lam.shape[-1]        # the entry's node in the (..., n_y) slices
+        node = idx % coef.sig.size                   # the entry of the y-only arrays
+        self.sd = coef.sig.reshape(-1)[node]
+        self.xiv = coef.xi.reshape(-1)[node]
+        self.lamv = coef.lam.reshape(-1)[idx]
+        self.lam_sd = self.lamv / self.sd
+        hi = np.full(idx.shape, _H_MAX_START)
+        self.pow_hi = (1.0 + hi) ** (q - 1.0)
+        self.lin_hi = (1.0 - q) * (self.xiv - self.lamv * hi / self.sd)
+        n_states = len(coef.states)
+        owner = idx // self.block
+        self.starts = np.searchsorted(owner, np.arange(n_states))
+        self.has = np.bincount(owner, minlength=n_states) > 0
+        self.every_state = bool(self.has.all())
+
+    def per_state(self, values: np.ndarray, single: bool):
+        """Each state's largest entry of ``values`` (0 for a state with no entries)."""
+        if self.every_state:
+            out = np.maximum.reduceat(values, self.starts)
+        else:
+            out = np.zeros(len(self.has), dtype=values.dtype)
+            out[self.has] = np.maximum.reduceat(values, self.starts[self.has])
+        return out[0].item() if single else out
+
+
 def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
     """Decoupled per-name scalar roots: safeguarded Newton inside a sign-change bracket.
 
     Every node and name iterates on its own (a converged entry is frozen),
     so a stack of states solves each state exactly as it would alone.  The
     entries solved are addressed by their flat index into the (..., n_y, n)
-    arrays.
+    arrays, and :class:`_JumpEntries` holds what the kernel fixes about them.
+    The residual is evaluated in place over every entry: a frozen entry's x
+    does not move, so evaluating it again gives its residual and its bracket
+    ends again.
     """
-    q = coef.q
-    lam, sig_diag, xi = coef.lam, coef.sig, coef.xi
-    alive_mask = coef.alive > 0
+    q, one_q = coef.q, 1.0 - coef.q
+    e = coef.memo.get("jump_entries")
+    if e is None:
+        e = coef.memo["jump_entries"] = _JumpEntries(coef)
+    single = coef.state is not None
 
-    hhat = np.zeros(lam.shape)
-    pi = np.zeros(lam.shape)
-    steps = np.zeros(lam.shape, dtype=int)
-    resid_full = np.zeros(lam.shape)
+    hhat = np.zeros(coef.lam.shape)
+    pi = np.zeros(coef.lam.shape)
+    if e.riskfree is not None:
+        free = coef.diffusion_row(coef.xi, grad_term) / coef.sig
+        pi[e.riskfree] = free[e.riskfree]
+    if not e.idx.size:
+        return (hhat, coef.theta_from_h(hhat), pi, _per_state(np.zeros(f_slice.shape, int), single),
+                _per_state(np.zeros(f_slice.shape), single))
 
-    jumpy = alive_mask & (lam > _LAMBDA_TOL)        # names solved through the jump FOC
-    riskfree = alive_mask & ~jumpy                   # defaultless names: diffusion matching only
+    idx, sd = e.idx, e.sd
+    ratv = (child.take(idx) / f_slice.take(e.fidx)) ** coef.beta
+    gv = grad_term.take(idx) if coef.rho != 0.0 else None   # zero when rho = 0
 
-    if np.any(riskfree):
-        lin = coef.diffusion_row(xi, grad_term) / sig_diag
-        pi[riskfree] = lin[riskfree]
+    def resid(h, r):
+        """Write sd (1 - (1+h)^{q-1} ratv) - (1-q)(xi - lam h / sd) - g into ``r``.
 
-    idx = np.flatnonzero(jumpy)
-    if idx.size:
-        node = idx % sig_diag.size                   # the entry of the y-only arrays
-        sd = sig_diag.reshape(-1)[node]
-        xiv = xi.reshape(-1)[node]
-        lamv = lam.reshape(-1)[idx]
-        ratv = (child.reshape(-1)[idx] / f_slice.reshape(-1)[idx // lam.shape[-1]]) ** coef.beta
-        gv = grad_term.reshape(-1)[idx]
-        one_q = 1.0 - q
+        Returns 1 + h and the bracket 1 - (1+h)^{q-1} ratv, the weight pi at h.
+        """
+        one_h = 1.0 + h
+        jump = one_h ** (q - 1.0)
+        jump *= ratv
+        np.subtract(1.0, jump, out=jump)
+        np.multiply(sd, jump, out=r)
+        part = e.lamv * h
+        part /= sd
+        np.subtract(e.xiv, part, out=part)
+        part *= one_q
+        r -= part
+        if gv is not None:
+            r -= gv
+        return one_h, jump
 
-        def resid(h):
-            return sd * (1.0 - (1.0 + h) ** (q - 1.0) * ratv) - one_q * (xiv - lamv * h / sd) - gv
-
-        lam_sd = lamv / sd
-
-        def dresid(h):
-            return one_q * (sd * (1.0 + h) ** (q - 2.0) * ratv + lam_sd)
-
-        lo = np.full(sd.shape, -1.0 + H_FLOOR)
-        hi = np.full(sd.shape, _H_MAX_START)
-        r_hi = resid(hi)
+    jump = e.pow_hi * ratv   # the residual at hi = _H_MAX_START
+    np.subtract(1.0, jump, out=jump)
+    r_hi = np.multiply(sd, jump)
+    r_hi -= e.lin_hi
+    if gv is not None:
+        r_hi -= gv
+    hi = e.hi   # one bracket end for all entries, unless a residual there is not positive
+    if (r_hi <= 0).any():
+        hi = np.full(idx.shape, e.hi)
         while np.any(r_hi <= 0) and hi.max() < _H_MAX_CAP:
             grow = r_hi <= 0
             hi = np.where(grow, np.minimum(hi * 2.0, _H_MAX_CAP), hi)
-            r_hi = resid(hi)
+            resid(hi, r_hi)
         if np.any(r_hi <= 0):
             bad = int(np.argmax(r_hi <= 0))
             raise SolverError(
                 f"jump-loading root not bracketed below h={_H_MAX_CAP} in state "
-                f"{coef.states[idx[bad] // sig_diag.size]} (residual {r_hi[bad]:.3e})")
+                f"{coef.states[idx[bad] // e.block]} (residual {r_hi[bad]:.3e})")
 
-        x = np.clip(h_init.reshape(-1)[idx] if h_init is not None else np.zeros(sd.shape),
-                    lo + 1e-12, hi - 1e-12)
-        r = resid(x)
-        lo = np.where(r < 0, x, lo)
-        hi = np.where(r > 0, x, hi)
-        converged = np.abs(r) < _NEWTON_TOL
-        taken = np.zeros(sd.shape, dtype=int)   # Newton updates each entry needed
-        for _ in range(_MAX_ITER):
-            if converged.all():
-                break
-            active = ~converged
-            taken += active
-            step = r / dresid(x)
-            x_new = x - step
-            outside = (x_new <= lo) | (x_new >= hi)
-            x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-            x = np.where(converged, x, x_new)
-            r = np.where(converged, r, resid(x))
-            lo = np.where(active & (r < 0), x, lo)
-            hi = np.where(active & (r > 0), x, hi)
-            converged |= (np.abs(r) < _NEWTON_TOL) | (hi - lo < 1e-15)
-        np.put(resid_full, idx, np.abs(r))   # r is resid(x) at every entry's final x
-        # a state alone stops on the pass that finds all of its entries converged
-        np.put(steps, idx, np.minimum(taken + 1, _MAX_ITER))
-        worst = resid_full.max(axis=(-2, -1))
-        if np.any(worst > _RESID_TOL):
-            bad = int(np.argmax(np.atleast_1d(worst) > _RESID_TOL))
-            raise SolverError(
-                f"jump-loading solve stalled in state {coef.states[bad]}: residual "
-                f"{np.atleast_1d(worst)[bad]:.3e} after "
-                f"{np.atleast_1d(steps.max(axis=(-2, -1)))[bad]} iterations")
-        np.put(hhat, idx, x)
-        np.put(pi, idx, 1.0 - (1.0 + x) ** (q - 1.0) * ratv)
-
-    single = coef.state is not None
-    return (hhat, coef.theta_from_h(hhat), pi, _per_state(steps.max(axis=-1), single),
-            _per_state(resid_full.max(axis=-1), single))
+    x = h_init.take(idx) if h_init is not None else np.zeros(idx.shape)
+    np.maximum(x, e.x_lo, out=x)             # np.clip, without its wrapper
+    np.minimum(x, e.x_hi if np.isscalar(hi) else hi - 1e-12, out=x)
+    r = np.empty(idx.shape)
+    one_h, jump = resid(x, r)
+    lo = np.where(r < 0, x, e.lo)
+    hi = np.where(r > 0, x, hi)
+    converged = np.abs(r) < _NEWTON_TOL
+    taken = np.zeros(idx.shape, dtype=int)   # Newton updates each entry needed
+    for _ in range(_MAX_ITER):
+        if converged.all():
+            break
+        active = ~converged
+        taken += active
+        step = one_h ** (q - 2.0)            # the derivative (1-q)(sd (1+x)^{q-2} ratv + lam/sd)
+        np.multiply(sd, step, out=step)
+        step *= ratv
+        step += e.lam_sd
+        step *= one_q
+        np.divide(r, step, out=step)
+        x_new = np.subtract(x, step, out=step)
+        outside = (x_new <= lo) | (x_new >= hi)
+        if outside.any():
+            np.putmask(x_new, outside, 0.5 * (lo + hi))
+        np.putmask(x, active, x_new)
+        one_h, jump = resid(x, r)
+        np.putmask(lo, r < 0, x)
+        np.putmask(hi, r > 0, x)
+        converged |= (np.abs(r) < _NEWTON_TOL) | (hi - lo < 1e-15)
+    np.abs(r, out=r)   # r is resid(x) at every entry's final x
+    # a state alone stops on the pass that finds all of its entries converged
+    steps = np.minimum(taken + 1, _MAX_ITER)
+    worst, iters = e.per_state(r, single), e.per_state(steps, single)
+    if np.greater(worst, _RESID_TOL).any():
+        bad = int(np.argmax(np.atleast_1d(worst) > _RESID_TOL))
+        raise SolverError(
+            f"jump-loading solve stalled in state {coef.states[bad]}: residual "
+            f"{np.atleast_1d(worst)[bad]:.3e} after {np.atleast_1d(iters)[bad]} iterations")
+    np.put(hhat, idx, x)
+    np.put(pi, idx, jump)
+    return hhat, coef.theta_from_h(hhat), pi, iters, worst
 
 
 def _solve_slice_general(coef, ratio, grad_term, h_init):

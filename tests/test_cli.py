@@ -172,11 +172,14 @@ class TestSolveCommand:
         assert set(manifest["elapsed"]) == {"00", "01", "10", "11"}
         march = manifest["march"]
         assert set(march) == {"iterations", "largest_batch", "control_solves", "sweeps",
-                              "march_s", "bounds_s", "policy_s"}
+                              "march_s", "bounds_s", "policy_s", "control_s", "cn_s"}
         # the wavefront: n_t + n iterations plus the final slice, all four states at once
         assert (march["iterations"], march["largest_batch"]) == (43, 4)
         assert march["control_solves"] > march["iterations"] and march["sweeps"] > 0
-        assert all(march[key] > 0.0 for key in ("march_s", "bounds_s", "policy_s"))
+        assert all(march[key] > 0.0 for key in ("march_s", "bounds_s", "policy_s", "control_s",
+                                                "cn_s"))
+        # the control and Crank-Nicolson solves are stages of the march
+        assert march["control_s"] + march["cn_s"] < march["march_s"]
         assert manifest["grid"]["n_y"] == 41 and manifest["grid"]["n_t"] == 40
         assert manifest["numpy"] == np.__version__
 
@@ -448,6 +451,19 @@ def test_misshapen_sigma_exits_2_naming_the_key(tmp_path, capsys, sigma):
                "--set", f"market.sigma={sigma}", "--out", str(tmp_path / "sol")])
     assert rc == EXIT_VALIDATION
     assert "[market] sigma" in capsys.readouterr().err
+    assert not (tmp_path / "sol").exists()
+
+
+@pytest.mark.parametrize("key, value", [("market.mu", "0.25; 0.24"), ("factor.sigma0", "0.3; 0.2"),
+                                        ("factor.domain", "-1.25; 1.25")],
+                         ids=["market.mu", "factor.sigma0", "factor.domain"])
+def test_row_separator_outside_sigma_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    # ';' starts a matrix row, which only [market] sigma has; elsewhere it is not a ','
+    rc = main(["solve", "--preset", "scott_example22", *SMALL, "--set", f"{key}={value}",
+               "--out", str(tmp_path / "sol")])
+    assert rc == EXIT_VALIDATION
+    section, name = key.split(".")
+    assert f"[{section}] {name}" in capsys.readouterr().err
     assert not (tmp_path / "sol").exists()
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import creditfolio as cf
-from creditfolio.dual import Coefficients, beta_exponent, phi_bounds
+from creditfolio.dual import Coefficients, beta_exponent, phi_bounds, _sum_names
 from creditfolio.fields import GridSpec, SolveResult
 from creditfolio.model import DefaultState, load_preset
 from creditfolio.strategy import value_function
@@ -24,6 +24,15 @@ def theta_at(h, y, state, spec):
     """theta tied to h at one node, through the kernel's domain check."""
     coef = Coefficients(spec, state, y)
     return coef.theta_from_h(coef.check_h(h)[None])[0]
+
+
+def h_from_theta(coef, theta):
+    """Inverse of ``coef.theta_from_h`` on alive names (0 where defaulted)."""
+    gap = coef.xi - np.asarray(theta, dtype=float)
+    rhs = coef.sig * gap if coef.diagonal else (coef.sig @ gap[..., None])[..., 0]
+    pos = coef.lam > 0
+    assert not np.any((coef.alive > 0) & ~pos & (np.abs(rhs) > 1e-12)), "zero intensity"
+    return np.where(pos, rhs / np.where(pos, coef.lam, 1.0), 0.0)
 
 
 def constant_dual(spec, g):
@@ -88,7 +97,7 @@ class TestThetaFromH:
         state = DefaultState(2, bits)
         h = np.array(h) * (1.0 - state.indicator())
         coef = Coefficients(spec, state, y)
-        back = coef.h_from_theta(coef.theta_from_h(h[None]))[0]
+        back = h_from_theta(coef, coef.theta_from_h(h[None]))[0]
         assert np.allclose(back, h, atol=1e-12)
 
 
@@ -115,10 +124,17 @@ class TestCoefficients:
                 want = xi - np.linalg.inv(s) @ (lam * scale * h[j])
                 assert np.allclose(theta[k, j], want, rtol=0, atol=1e-14)
             assert np.allclose(pisig[j], h[j] @ s, rtol=0, atol=1e-14)
-        assert np.allclose(coef.h_from_theta(theta[0]), h, rtol=0, atol=1e-12)
+        assert np.allclose(h_from_theta(coef, theta[0]), h, rtol=0, atol=1e-12)
 
 
 class TestPhiAndNu:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_name_sum_is_numpys_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(4, 51, n)) * rng.uniform(1e-3, 1e3, size=(4, 51, n))
+        for x in (a, a[0], a[:, :1]):
+            assert _sum_names(x).tobytes() == np.sum(x, axis=-1).tobytes()
+
     def test_rho_zero_drift(self):
         spec = load_preset("benchmark_s5")
         phi, nu = phi_nu_at([0.0, 0.0], [0.0, 0.0], 0.25, Z00, spec)

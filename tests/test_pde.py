@@ -304,7 +304,7 @@ def march_one_state(state, spec, grid, f_stack, bounds):
                               {i: c[k] for i, c in kids.items()},
                               {i: c[k + 1] for i, c in kids.items()}, spec, grid, bounds, ws)
         keep(k)
-    ws.terms(ws.all_rows, f[-1][None], {i: c[-1][None] for i, c in kids.items()}, keep=True)
+    ws.terms(np.array([0]), f[-1][None], {i: c[-1][None] for i, c in kids.items()}, keep=True)
     keep(grid.n_t)
     return f, ws, (kept, resid)
 
@@ -321,7 +321,7 @@ def reference_solve(spec, grid):
         f, ws, kept = march_one_state(state, spec, grid, f_stack, None)
         bnd = bounds[bits] = pde.truncation_bounds(state, bounds, spec, grid,
                                                    pde._stats_row(ws.stats, 0))
-        skipped = grid.clamp_enabled and pde._clamp_is_identity(ws.envelope[0], bnd)
+        skipped = grid.clamp_enabled and pde._clamp_is_identity(ws.envelope(0), bnd)
         if grid.clamp_enabled and not skipped:
             f, ws, kept = march_one_state(state, spec, grid, f_stack, bnd)
         f_stack[b] = f
@@ -428,6 +428,26 @@ class TestClampPassSkip:
             assert np.array_equal(result.fields[bits].f, f), bits
             assert (row["resid_max"], row["newton_iters_max"], row["clamp_hits"]) == (
                 ws.resid_max[0], ws.newton_iters[0], ws.clamp_hits[0]), bits
+
+    @pytest.mark.parametrize("preset", ["benchmark_s5", "scott_example22"])
+    def test_identity_check_reads_the_clamps_upper_bound(self, preset, monkeypatch):
+        # the check evaluates k_bar over each recorded envelope at once; every
+        # value is bitwise the scalar k_bar(t) the clamp evaluates at that t
+        seen = []
+        check = pde._clamp_is_identity
+
+        def recorded(envelope, bounds):
+            seen.append((envelope, bounds))
+            return check(envelope, bounds)
+
+        monkeypatch.setattr(pde, "_clamp_is_identity", recorded)
+        spec = load_preset(preset)
+        cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 41, 40))
+        assert len(seen) == 2**spec.n
+        for (t, lo, hi), b in seen:
+            assert t.size > 40 and t.shape == lo.shape == hi.shape
+            scalar = np.array([b.k_bar(tt) for tt in t.tolist()])
+            assert b.k_bar(t).tobytes() == scalar.tobytes(), b.state
 
     def test_clamped_march_runs_when_the_bootstrap_leaves_its_bounds(self, monkeypatch):
         spec = load_preset("benchmark_s5")

@@ -186,6 +186,44 @@ class TestSolveHhat:
             assert np.max(stack[3]) > 0   # the Newton iterated
 
 
+    def test_diagonal_stack_reports_each_state_as_alone(self):
+        # the stack's per-state Newton counts and residuals are those of each
+        # state solved alone, bit for bit: state 11 has no jump entries, name 1
+        # is alive but defaultless in state 00 (the risk-free branch), and the
+        # warm starts make the states' entries converge on different passes
+        base = make_contagion_spec()
+        spec = cf.ModelSpec(
+            n=2, market=base.market, pref=base.pref,
+            factor=cf.FactorSpec(mu0=base.factor.mu0, sigma0=base.factor.sigma0, rho=0.3,
+                                 domain_lo=-1.25, domain_hi=1.25),
+            credit=cf.CreditSpec.exp_affine(2, {(0, "00"): (0.6, 0.4, 0.1),
+                                                (1, "00"): (0.0, 0.0, 0.0),
+                                                (0, "01"): (0.8, 0.6, 0.1),
+                                                (1, "10"): (0.8, 0.6, 0.1)}))
+        y, states = np.linspace(-1.0, 1.0, 21), cf.all_states(2)
+        f = np.stack([1.0 + 0.1 * s.bits + 0.05 * np.sin(3.0 * y + s.bits) for s in states])
+        df = np.stack([0.15 * np.cos(3.0 * y + s.bits) for s in states])
+        kids = {i: np.stack([f[s.flip(i).bits] if i in s.alive else np.ones(len(y))
+                             for s in states]) for i in range(2)}
+        cold = solve_hhat_slice(y, states, spec, f, df, kids)
+        h_init = np.stack([np.zeros((len(y), 2)), cold[0][1], 0.5 + cold[0][2],
+                           np.zeros((len(y), 2))])
+        stack = solve_hhat_slice(y, states, spec, f, df, kids, h_init=h_init)
+        assert np.any(stack[2][0][:, 1] != 0.0)   # the defaultless name's diffusion weight
+        iters = []
+        for s in states:
+            lone = solve_hhat_slice(y, s, spec, f[s.bits], df[s.bits],
+                                    {i: kids[i][s.bits] for i in s.alive}, h_init=h_init[s.bits])
+            for got, want in zip(stack[:3], lone[:3]):
+                assert np.array_equal(got[s.bits], want), s
+            assert type(lone[3]) is int and type(lone[4]) is float
+            assert stack[3][s.bits] == lone[3], s
+            assert stack[4][s.bits].tobytes() == np.float64(lone[4]).tobytes(), s
+            iters.append(lone[3])
+        assert iters[3] == 0 and stack[4][3] == 0.0   # no jump entries: nothing solved
+        assert len(set(iters[:3])) == 3, iters       # three different last passes
+
+
 class TestPiHat:
     def test_merton_fraction(self, merton_result):
         spec, result, _ = merton_result
