@@ -40,8 +40,9 @@ model's states and the saved nodes.
 ``simulate`` runs one controlled Monte Carlo pass at ``seed``: its draws
 serve the compensator checks, the G-martingale probes, the duality gap and
 the ``--dump-paths`` trajectories; the Feynman–Kac probes run their own pass
-at ``seed + 2``.  It writes ``mc_report.csv``, whose last column ``extra``
-holds each check's diagnostics as ``key=value`` pairs joined by ``;``, and
+at ``seed + 2``, so the seed lies in [0, 2^64 - 3].  It writes
+``mc_report.csv``, whose last column ``extra`` holds each check's
+diagnostics as ``key=value`` pairs joined by ``;``, and
 ``simulate.json`` beside it with the run's fingerprint, seed, sizes, solution
 directory, versions, the pass's grid-exit and reflection fractions, the
 Feynman–Kac pass's own ``n_steps`` and ``seed`` (``feynman_kac``), and each
@@ -156,6 +157,10 @@ def build_grid(config: dict, args) -> GridSpec:
                     clamp_enabled=not args.no_clamp and g.get("clamp", "true").lower() != "false")
 
 
+# Philox keys are unsigned 64-bit, and the Feynman-Kac pass runs at seed + 2
+_SEED_MAX = 2**64 - 3
+
+
 def _mc_params(config: dict, args, spec: ModelSpec) -> dict:
     """Monte Carlo settings for ``spec``; ValueError naming a bad flag or key."""
     mc, n = config.get("mc", {}), spec.n
@@ -170,10 +175,15 @@ def _mc_params(config: dict, args, spec: ModelSpec) -> dict:
                          f"= {lo!r}, {hi!r}")
     if not x0 > 0:
         raise ValueError(f"[mc] x0 = {x0!r} must be positive (the initial wealth)")
+    seed = args.seed if args.seed is not None else _config_int("mc", mc, "seed", "42")
+    if not 0 <= seed <= _SEED_MAX:
+        where = "--seed" if args.seed is not None else "[mc] seed"
+        raise ValueError(f"{where} must lie in [0, {_SEED_MAX}] (the Feynman-Kac pass "
+                         f"keys its draws by seed + 2), got {seed}")
     return {
         **_counts("mc", mc, (("n_paths", "--paths", args.paths, "100000"),
                              ("n_steps", "--steps", args.steps, "400"))),
-        "seed": args.seed if args.seed is not None else _config_int("mc", mc, "seed", "42"),
+        "seed": seed,
         "y0": y0, "x0": x0, "z0": DefaultState.from_bitstring(state),
     }
 

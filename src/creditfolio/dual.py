@@ -6,7 +6,7 @@ admissibility tie between ``theta`` and ``h``, the reaction rate ``phi`` and
 transformed drift ``nu``, the contagion source sum, the diffusion row
 ``Lambda`` of the optimal wealth and the hedge gap.  The PDE march, the
 policy extraction, the point queries and the Monte Carlo checks build it
-once per state or stack; a scalar ``y`` is its size-1 case.
+once per stack of states; one state is the stack ``(state,)``.
 
 The dual diffusion loading ``theta`` is never an independent input: it is
 always derived from the jump loading ``h`` through the admissibility
@@ -21,7 +21,7 @@ Jump loadings of defaulted names are stored as 0 and excluded from all sums.
 from __future__ import annotations
 
 import copy
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,15 +50,13 @@ def _sum_names(a: np.ndarray) -> np.ndarray:
 
 
 class Coefficients:
-    """Coefficients of one default state, or a stack of S states, on a 1-D array ``y``.
+    """Coefficients of a stack of S default states on a 1-D array ``y`` (a scalar is one node).
 
-    A scalar ``y`` is the size-1 case.  For one state the per-state arrays are
-    shaped (n_y, n) (``alive``: (n,)); for a sequence of states they gain a
-    leading state axis, (S, n_y, n) (``alive``: (S, 1, n)), and the formulas
-    broadcast over it unchanged.  The y-only arrays (``xi``, ``s0``:
+    The per-state arrays are shaped (S, n_y, n) (``alive``: (S, 1, n)); one
+    state is the stack ``(state,)``.  The y-only arrays (``xi``, ``s0``:
     (n_y, n); ``mu0``: (n_y,); ``sig``) are shared by the stack.  Control
-    arguments of the methods may carry extra leading axes, e.g.
-    (n_t + 1, n_y, n) for a whole policy, and broadcast against these arrays.
+    arguments of the methods broadcast against these arrays, e.g. one
+    state's whole policy, (n_t + 1, n_y, n), against a one-state kernel.
     ``sig`` is :meth:`MarketSpec.sigma` on ``y``: diagonal entries (n_y, n)
     when ``diagonal``, else matrices (n_y, n, n).
 
@@ -68,20 +66,15 @@ class Coefficients:
     empty one.
     """
 
-    def __init__(self, spec: ModelSpec, state, y):
+    def __init__(self, spec: ModelSpec, states: Sequence[DefaultState], y):
         self.spec = spec
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         self.q = spec.q
         self.beta = spec.beta
         self.rho = spec.factor.rho
-        if isinstance(state, DefaultState):
-            self.state, self.states = state, (state,)
-            self.alive = 1.0 - state.indicator()
-            self.lam = spec.alive_intensity(self.y, state)
-        else:
-            self.state, self.states = None, tuple(state)
-            self.alive = 1.0 - np.stack([s.indicator() for s in self.states])[:, None, :]
-            self.lam = np.stack([spec.alive_intensity(self.y, s) for s in self.states])
+        self.states = tuple(states)
+        self.alive = 1.0 - np.stack([s.indicator() for s in self.states])[:, None, :]
+        self.lam = np.stack([spec.alive_intensity(self.y, s) for s in self.states])
         self.alive_names = self._alive_names()
         self.memo: dict = {}
         excess = spec.market.mu - spec.market.r
@@ -101,8 +94,6 @@ class Coefficients:
         In a state where such a name has defaulted its intensity is 0, so its
         terms there vanish exactly.
         """
-        if self.state is not None:
-            return self.state.alive
         return tuple(np.flatnonzero(self.alive.any(axis=(0, 1))).tolist())
 
     def take(self, rows) -> "Coefficients":
@@ -113,13 +104,6 @@ class Coefficients:
         out.alive_names = out._alive_names()
         out.memo = {}
         return out
-
-    def check_h(self, h) -> np.ndarray:
-        """``h`` with defaulted entries zeroed; ValueError unless 1 + h > H_FLOOR on alive names."""
-        h = np.asarray(h, dtype=float)
-        if np.any(1.0 + h[..., self.alive > 0] <= H_FLOOR):
-            raise ValueError(f"jump loading out of domain: need 1 + h > {H_FLOOR} for alive names")
-        return h * self.alive
 
     def theta_from_h(self, h) -> np.ndarray:
         """theta = xi - sigma^{-1} diag((1-z) lambda) h."""
@@ -176,12 +160,12 @@ class Coefficients:
 
     def hedge_gap(self, pi, theta, f, df) -> float:
         """Largest unmatched |pi^T sigma - Lambda| on defaulted names' Brownian motions (0 if none)."""
-        dead = list(self.state.defaulted)
-        if not dead:
+        dead = self.alive == 0.0
+        if not dead.any():
             return 0.0
         gap = (self.spec.market.pi_sigma(pi, self.sig)
                - self.diffusion_row(theta, self.grad_term(f, df)))
-        return float(np.max(np.abs(gap[..., dead])))
+        return float(np.max(np.abs(gap)[np.broadcast_to(dead, gap.shape)]))
 
 
 def phi_bounds(sup_theta_sq: float, sup_lam, sup_h, sup_one_ph, q: float, r: float) -> tuple[float, float]:

@@ -125,8 +125,7 @@ class FactorSpec:
 
     ``mu0`` maps y (scalar or ndarray) to the drift, elementwise.  ``sigma0``
     maps y to the 1-by-n loading row; constant loadings may be supplied as a
-    plain vector.  ``m`` is carried for generality but the grid solver only
-    accepts m = 1.
+    plain vector.
     """
 
     mu0: Callable[[np.ndarray], np.ndarray]
@@ -134,7 +133,6 @@ class FactorSpec:
     rho: float
     domain_lo: float
     domain_hi: float
-    m: int = 1
 
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
@@ -450,23 +448,19 @@ def _first_bad(y: np.ndarray, bad: np.ndarray) -> float | None:
     return float(y[idx[0]]) if idx.size else None
 
 
-def validate_spec(spec: ModelSpec, grid) -> ValidationReport:
+def validate_spec(spec: ModelSpec, y_nodes) -> ValidationReport:
     """Desk-level checks of the standing assumptions on a validation grid.
 
     Failures are reported, never raised.  Boundedness checks run on the grid
     only; non-exit of the factor from its domain is the caller's modelling
     responsibility (mean-reverting presets satisfy it by construction).
+    ``y_nodes`` is the array of factor nodes the checks run on.
     """
-    y = np.asarray(grid.y_nodes() if hasattr(grid, "y_nodes") else grid, dtype=float)
+    y = np.asarray(y_nodes, dtype=float)
     checks: list[ValidationCheck] = []
 
     if y.size < 2:
         return ValidationReport([ValidationCheck("grid", False, "need at least 2 interior points")])
-
-    # factor dimension supported by the grid solver
-    checks.append(ValidationCheck(
-        "factor-dimension", spec.factor.m == 1,
-        "" if spec.factor.m == 1 else f"grid solver requires m=1, got m={spec.factor.m}"))
 
     inside = (y > spec.factor.domain_lo) & (y < spec.factor.domain_hi)
     checks.append(ValidationCheck(

@@ -60,7 +60,7 @@ and preserves spatial constants); enlarge the domain to refine it.
 from __future__ import annotations
 
 import time
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -135,7 +135,7 @@ def _cn_apply(lu, rhs):
 
 
 class _StepWorkspace:
-    """Marching bookkeeping of a stack of states; one state is the size-1 case.
+    """Marching bookkeeping of a stack of states.
 
     It holds the grid geometry, the stacked coefficient kernel and, per state
     (by row), the control warm starts, the running control stats, the range
@@ -150,8 +150,8 @@ class _StepWorkspace:
     the control solver derives from it.
     """
 
-    def __init__(self, states, spec: ModelSpec, grid: GridSpec):
-        self.states = (states,) if isinstance(states, DefaultState) else tuple(states)
+    def __init__(self, states: Sequence[DefaultState], spec: ModelSpec, grid: GridSpec):
+        self.states = tuple(states)
         self.row = {s.bits: r for r, s in enumerate(self.states)}
         self.spec, self.grid = spec, grid
         self.y = grid.y_nodes()
@@ -321,32 +321,24 @@ def _fold(array, rows, fold, value) -> None:
         array[rows] = fold(array[rows], value)
 
 
-def step_slice(f_now: np.ndarray, t, dt, state, children_now: Mapping[int, np.ndarray],
-               children_next: Mapping[int, np.ndarray], spec: ModelSpec, grid: GridSpec,
-               bounds=None, workspace: _StepWorkspace | None = None) -> np.ndarray:
-    """Advance one horizon slice by dt with the IMEX theta = 1/2 scheme.
+def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
+               children_now: Mapping[int, np.ndarray], children_next: Mapping[int, np.ndarray],
+               spec: ModelSpec, grid: GridSpec, bounds=None,
+               workspace: _StepWorkspace | None = None) -> np.ndarray:
+    """Advance one horizon slice of S states, each by its own dt, with the IMEX theta = 1/2 scheme.
 
-    ``children_now``/``children_next`` hold the child-state slices at t and
-    t + dt.  A zero dt returns the slice unchanged.
-
-    The stacked form advances S states at once, each by its own step:
-    ``f_now`` is (S, n_y), ``t`` and ``dt`` are (S,) arrays, ``state`` the S
-    states, ``children_*[i]`` (S, n_y) arrays (any positive value where name
-    i has defaulted), and ``bounds`` None or one TruncationBounds per state.
-    One control solve, source assembly and Crank-Nicolson solve serve the
-    whole stack; a state whose inner sweep has converged leaves it.  Each
-    state gets the slice it would get alone.
+    ``f_now`` is (S, n_y), ``t`` and ``dt`` are (S,) arrays and
+    ``children_now``/``children_next`` hold the (S, n_y) child-state slices
+    at t and t + dt of every name alive in some state (any positive value
+    where name i has defaulted); ``bounds`` is None or one TruncationBounds
+    per state.  One control solve, source assembly and Crank-Nicolson solve
+    serve the whole stack; a state whose inner sweep has converged leaves it.
+    Each state gets the slice it would get alone; a zero dt returns its
+    slice unchanged.  ``workspace`` holds the march's bookkeeping of these
+    states, made here when not given.
     """
-    if isinstance(state, DefaultState):
-        if dt == 0.0:
-            return f_now.copy()
-        return step_slice(f_now[None], np.array([t]), np.array([dt]), (state,),
-                          {i: c[None] for i, c in children_now.items()},
-                          {i: c[None] for i, c in children_next.items()}, spec, grid,
-                          None if bounds is None else (bounds,),
-                          workspace or _StepWorkspace(state, spec, grid))[0]
-    ws = workspace
-    rows = ws.rows_of(state)
+    ws = workspace if workspace is not None else _StepWorkspace(states, spec, grid)
+    rows = ws.rows_of(states)
     if bounds is None and (f_now <= 0).any():
         raise SolverError("non-positive slice value with the clamp disabled")
 
@@ -381,7 +373,7 @@ def step_slice(f_now: np.ndarray, t, dt, state, children_now: Mapping[int, np.nd
             break
     if not np.isfinite(f_next).all():
         j = int(np.argmax(~np.all(np.isfinite(f_next), axis=-1)))
-        raise SolverError(f"slice blow-up at t={t[j]:.6g} in state {state[j]}")
+        raise SolverError(f"slice blow-up at t={t[j]:.6g} in state {states[j]}")
     return f_next
 
 

@@ -578,7 +578,7 @@ def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
     table = np.empty((len(states),) + result.f.shape[1:] + (4,))
     for row, state in enumerate(states):
         b = state.bits
-        coef = Coefficients(spec, state, y_nodes)
+        coef = Coefficients(spec, (state,), y_nodes)
         table[row, ..., 0], table[row, ..., 3] = coef.phi_nu(hhat[b], theta[b])
         table[row, ..., 1] = coef.source_sum(hhat[b], {i: result.f[state.flip(i).bits]
                                                        for i in state.alive})

@@ -18,15 +18,15 @@ with h = 0 at zero horizon, which picks the branch that is continuous in t
 when the scalar equations admit several crossings.  The march writes the
 controls it solves on each final slice into the policy table of its
 :class:`SolveResult`, and :func:`build_policy` fills the rest of the table
-for the whole stack without solving again.  The slice solver takes one
-state or a stack of states; a stack solves each state as it would alone.
-The point queries read the result's stacked ``f`` and ``df`` with
-:func:`fields.lookup`.
+for the whole stack without solving again.  The slice solver takes a stack
+of states and solves each state as it would alone.  A point query is the
+slice solve of the stack ``(state,)`` at one node, whose ``f``, ``df`` and
+children it reads from the result with :func:`fields.lookup`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ _NEWTON_TOL = 1e-13
 _MAX_ITER = 200
 _H_MAX_START = 8.0
 _H_MAX_CAP = 512.0
-_PI_CONSISTENCY_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -62,28 +61,26 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def solve_hhat_slice(y_nodes: np.ndarray, state, spec: ModelSpec,
+def solve_hhat_slice(y_nodes: np.ndarray, states: Sequence[DefaultState], spec: ModelSpec,
                      f_slice: np.ndarray, df_slice: np.ndarray,
                      children: Mapping[int, np.ndarray],
                      h_init: np.ndarray | None = None, coef: Coefficients | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Solve the feedback system at every node of one horizon slice.
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the feedback system at every node of one horizon slice of S states.
 
-    Returns ``(hhat, theta, pi, newton_iters, residual_max)`` with arrays of
-    shape (n_y, n).  ``children[i]`` is the f-slice of the state where name i
-    has additionally defaulted, required for every alive name with positive
-    intensity.  ``df_slice`` is not read when rho = 0 and may be None.
-    ``coef`` is the state's coefficient kernel on ``y_nodes``, built here
-    when not supplied.
+    ``f_slice`` and ``df_slice`` are (S, n_y).  ``children[i]`` is the
+    (S, n_y) f-slice of the states where name i has additionally defaulted,
+    required when name i is alive with positive intensity in some state (any
+    positive value where name i has defaulted).  ``df_slice`` is not read
+    when rho = 0 and may be None.  ``coef`` is the stack's coefficient kernel
+    on ``y_nodes``, built here when not supplied.
 
-    ``state`` may also be a sequence of S states, with ``f_slice`` and
-    ``df_slice`` shaped (S, n_y) and ``children[i]`` too (any positive value
-    where name i has defaulted); the arrays then come back shaped
-    (S, n_y, n), and the iteration counts and residuals per state, as (S,)
+    Returns ``(hhat, theta, pi, newton_iters, residual_max)``: arrays of
+    shape (S, n_y, n), then each state's iteration count and residual as (S,)
     arrays.  Each state gets the values it would get alone.
     """
     if coef is None:
-        coef = Coefficients(spec, state, y_nodes)
+        coef = Coefficients(spec, states, y_nodes)
     lam = coef.lam
     grad_term = coef.grad_term(f_slice, df_slice)
 
@@ -92,18 +89,14 @@ def solve_hhat_slice(y_nodes: np.ndarray, state, spec: ModelSpec,
         if i in children:
             child[..., i] = children[i]
         elif np.any(lam[..., i] > _LAMBDA_TOL):
-            raise SolverError(f"missing child field for alive name {i} in state {state}")
+            s = int(np.argmax((lam[..., i] > _LAMBDA_TOL).any(axis=-1)))
+            raise SolverError(f"missing child field for alive name {i} in state "
+                              f"{coef.states[s]}")
 
     if coef.diagonal:
         return _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init)
     return _solve_slice_general(coef, (child / f_slice[..., None]) ** coef.beta, grad_term,
                                 h_init)
-
-
-def _per_state(per_node: np.ndarray, single: bool):
-    """Largest entry of each state's (n_y,) row; a scalar for one state."""
-    out = per_node.max(axis=-1)
-    return out.item() if single else out
 
 
 class _JumpEntries:
@@ -142,16 +135,12 @@ class _JumpEntries:
         owner = idx // self.block
         self.starts = np.searchsorted(owner, np.arange(n_states))
         self.has = np.bincount(owner, minlength=n_states) > 0
-        self.every_state = bool(self.has.all())
 
-    def per_state(self, values: np.ndarray, single: bool):
+    def per_state(self, values: np.ndarray) -> np.ndarray:
         """Each state's largest entry of ``values`` (0 for a state with no entries)."""
-        if self.every_state:
-            out = np.maximum.reduceat(values, self.starts)
-        else:
-            out = np.zeros(len(self.has), dtype=values.dtype)
-            out[self.has] = np.maximum.reduceat(values, self.starts[self.has])
-        return out[0].item() if single else out
+        out = np.zeros(len(self.has), dtype=values.dtype)
+        out[self.has] = np.maximum.reduceat(values, self.starts[self.has])
+        return out
 
 
 def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
@@ -169,7 +158,6 @@ def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
     e = coef.memo.get("jump_entries")
     if e is None:
         e = coef.memo["jump_entries"] = _JumpEntries(coef)
-    single = coef.state is not None
 
     hhat = np.zeros(coef.lam.shape)
     pi = np.zeros(coef.lam.shape)
@@ -177,8 +165,8 @@ def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
         free = coef.diffusion_row(coef.xi, grad_term) / coef.sig
         pi[e.riskfree] = free[e.riskfree]
     if not e.idx.size:
-        return (hhat, coef.theta_from_h(hhat), pi, _per_state(np.zeros(f_slice.shape, int), single),
-                _per_state(np.zeros(f_slice.shape), single))
+        n_states = len(coef.states)
+        return hhat, coef.theta_from_h(hhat), pi, np.zeros(n_states, int), np.zeros(n_states)
 
     idx, sd = e.idx, e.sd
     ratv = (child.take(idx) / f_slice.take(e.fidx)) ** coef.beta
@@ -254,12 +242,12 @@ def _solve_slice_diagonal(coef, child, f_slice, grad_term, h_init):
     np.abs(r, out=r)   # r is resid(x) at every entry's final x
     # a state alone stops on the pass that finds all of its entries converged
     steps = np.minimum(taken + 1, _MAX_ITER)
-    worst, iters = e.per_state(r, single), e.per_state(steps, single)
+    worst, iters = e.per_state(r), e.per_state(steps)
     if np.greater(worst, _RESID_TOL).any():
-        bad = int(np.argmax(np.atleast_1d(worst) > _RESID_TOL))
+        bad = int(np.argmax(worst > _RESID_TOL))
         raise SolverError(
             f"jump-loading solve stalled in state {coef.states[bad]}: residual "
-            f"{np.atleast_1d(worst)[bad]:.3e} after {np.atleast_1d(iters)[bad]} iterations")
+            f"{worst[bad]:.3e} after {iters[bad]} iterations")
     np.put(hhat, idx, x)
     np.put(pi, idx, jump)
     return hhat, coef.theta_from_h(hhat), pi, iters, worst
@@ -349,10 +337,8 @@ def _solve_slice_general(coef, ratio, grad_term, h_init):
         bad = int(np.argmax(node_res > _RESID_TOL))
         raise SolverError(f"coupled control solve failed at {place(bad)}: "
                           f"residual {node_res[bad]:.3e}")
-    single = coef.state is not None
     return (h.reshape(shape), th.reshape(shape), pi.reshape(shape),
-            _per_state(iters.reshape(shape[:-1]), single),
-            _per_state(node_res.reshape(shape[:-1]), single))
+            iters.reshape(shape[:-1]).max(axis=-1), node_res.reshape(shape[:-1]).max(axis=-1))
 
 
 def ahat_slice(y_nodes: np.ndarray, spec: ModelSpec, f_slice: np.ndarray,
@@ -389,7 +375,7 @@ def build_policy(result: SolveResult, spec: ModelSpec) -> None:
         table[..., policy_channel("c_mult", n)] = k2q / f**spec.beta
         # unmatched diffusion loading on dead names' Brownian motions (replication
         # hypothesis diagnostic; the alive columns vanish by construction)
-        result.hedge_gap[b] = Coefficients(spec, state, y_nodes).hedge_gap(
+        result.hedge_gap[b] = Coefficients(spec, (state,), y_nodes).hedge_gap(
             table[..., policy_channel("pi", n)], table[..., policy_channel("theta", n)], f, df)
 
 
@@ -398,60 +384,37 @@ def build_policy(result: SolveResult, spec: ModelSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _point_inputs(t: float, y: float, state: DefaultState, result: SolveResult,
-                  spec: ModelSpec):
+def _point_controls(t: float, y: float, state: DefaultState, result: SolveResult,
+                    spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hhat, theta, pi)`` at one point: the slice solve of ``(state,)`` at the node y."""
     u = spec.pref.T - t
     if u < -1e-12:
         raise ValueError(f"clock time {t} exceeds the horizon {spec.pref.T}")
     u = max(u, 0.0)
     t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
     rows = np.array([state.bits] + [state.flip(i).bits for i in state.alive])
-    f_val, *child_vals = lookup(result.f, t_nodes, y_nodes, u, rows, y)
-    children = {i: np.array([float(v)]) for i, v in zip(state.alive, child_vals)}
-    return float(f_val), float(lookup(result.df, t_nodes, y_nodes, u, state.bits, y)), children
+    f_val, *child_vals = lookup(result.f, t_nodes, y_nodes, u, rows, y).reshape(-1, 1, 1)
+    df_val = lookup(result.df, t_nodes, y_nodes, u, state.bits, y).reshape(1, 1)
+    hhat, theta, pi, _, _ = solve_hhat_slice(np.array([y]), (state,), spec, f_val, df_val,
+                                             dict(zip(state.alive, child_vals)))
+    return hhat[0, 0], theta[0, 0], pi[0, 0]
 
 
 def solve_hhat(t: float, y: float, state: DefaultState, result: SolveResult,
                spec: ModelSpec) -> np.ndarray:
     """Jump loadings hhat(t, y, z) at one point (zeros for defaulted names)."""
-    f_val, df_val, children = _point_inputs(t, y, state, result, spec)
-    h, _, _, _, _ = solve_hhat_slice(np.array([y]), state, spec,
-                                     np.array([f_val]), np.array([df_val]), children)
-    return h[0]
+    return _point_controls(t, y, state, result, spec)[0]
 
 
-def pi_hat(t: float, y: float, state: DefaultState, hhat: np.ndarray,
-           result: SolveResult, spec: ModelSpec) -> np.ndarray:
-    """Optimal wealth fractions; raises if inconsistent with the diffusion matching.
+def pi_hat(t: float, y: float, state: DefaultState, result: SolveResult,
+           spec: ModelSpec) -> np.ndarray:
+    """Optimal wealth fractions pi(t, y, z) at one point (zeros for defaulted names).
 
     A name with positive intensity holds its jump exposure J_i = 1 - (1 +
-    hhat_i)^{q-1} (f_child_i / f)^beta; the diffusion matching on the alive
-    columns fixes the weights of alive defaultless names.
+    hhat_i)^{q-1} (f_child_i / f)^beta at the solved hhat; the diffusion
+    matching on the alive columns fixes the weights of alive defaultless names.
     """
-    f_val, df_val, children = _point_inputs(t, y, state, result, spec)
-    coef = Coefficients(spec, state, y)
-    theta = coef.theta_from_h(coef.check_h(hhat)[None])
-    Lam = coef.diffusion_row(theta, coef.grad_term(np.array([f_val]), np.array([df_val])))[0]
-    lam = coef.lam[0]
-    pi = np.zeros(spec.n)
-    for i in state.alive:
-        if lam[i] > _LAMBDA_TOL:
-            ratio = (float(children[i][0]) / f_val) ** coef.beta
-            pi[i] = 1.0 - (1.0 + hhat[i]) ** (coef.q - 1.0) * ratio
-    s = spec.market.matrix(y)
-    Lam_masked = Lam * coef.alive
-    free = [i for i in state.alive if lam[i] <= _LAMBDA_TOL]
-    if free:
-        # diffusion matching on the alive columns determines the defaultless weights
-        cols = list(state.alive)
-        rhs = Lam_masked[cols] - (pi @ s)[cols]
-        pi[free] = np.linalg.lstsq(s[np.ix_(free, cols)].T, rhs, rcond=None)[0]
-    residual = float(np.max(np.abs(pi @ s - Lam_masked))) if spec.n else 0.0
-    if residual > _PI_CONSISTENCY_TOL:
-        raise SolverError(
-            f"feedback weights inconsistent with diffusion matching: residual {residual:.3e} "
-            f"(jump loadings or gradient out of sync)")
-    return pi
+    return _point_controls(t, y, state, result, spec)[2]
 
 
 def value_function(x: float, y: float, state: DefaultState, result: SolveResult,

@@ -599,6 +599,29 @@ def test_non_positive_mc_counts_exit_2_before_the_solve(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("flags,where", [
+    (["--seed", "-1"], "--seed"),
+    (["--set", "mc.seed=-5"], "[mc] seed"),
+    (["--seed", str(2**64 - 2)], "--seed"),
+    (["--set", f"mc.seed={2**64}"], "[mc] seed"),
+], ids=["seed-negative", "config-seed-negative", "seed-too-large", "config-seed-too-large"])
+def test_out_of_range_seed_exits_2_before_the_solve(tmp_path, monkeypatch, capsys, flags, where):
+    # Philox keys are unsigned 64-bit and the Feynman-Kac pass draws at seed + 2
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the Monte Carlo seed was checked")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    monkeypatch.setattr(cli_mod, "load_solution", no_solve)
+    rc = main(["simulate", "--preset", "benchmark_s5", *SMALL, *flags,
+               "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert where in err and f"[0, {2**64 - 3}]" in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flags,where", [
     (["--ny", "0"], "--ny"),
     (["--ny", "-3"], "--ny"),
     (["--nt", "0"], "--nt"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import creditfolio as cf
-from creditfolio.dual import Coefficients, beta_exponent, phi_bounds, _sum_names
+from creditfolio.dual import H_FLOOR, Coefficients, beta_exponent, phi_bounds, _sum_names
 from creditfolio.fields import GridSpec, SolveResult
 from creditfolio.model import DefaultState, load_preset
 from creditfolio.strategy import value_function
@@ -17,13 +17,25 @@ Z11 = DefaultState.from_bitstring("11")
 
 def xi_at(y, spec):
     """Market price of risk xi(y) = sigma(y)^{-1} (mu - r 1), the kernel's y-only array."""
-    return Coefficients(spec, DefaultState(spec.n), y).xi[0]
+    return Coefficients(spec, (DefaultState(spec.n),), y).xi[0]
+
+
+def check_h(coef, h):
+    """``h`` with defaulted entries zeroed; ValueError unless 1 + h > H_FLOOR on alive names.
+
+    ``coef`` is the kernel of one state.
+    """
+    h = np.asarray(h, dtype=float)
+    alive = coef.alive[0, 0]
+    if np.any(1.0 + h[..., alive > 0] <= H_FLOOR):
+        raise ValueError(f"jump loading out of domain: need 1 + h > {H_FLOOR} for alive names")
+    return h * alive
 
 
 def theta_at(h, y, state, spec):
-    """theta tied to h at one node, through the kernel's domain check."""
-    coef = Coefficients(spec, state, y)
-    return coef.theta_from_h(coef.check_h(h)[None])[0]
+    """theta tied to h at one node, through the domain check."""
+    coef = Coefficients(spec, (state,), y)
+    return coef.theta_from_h(check_h(coef, h)[None])[0, 0]
 
 
 def h_from_theta(coef, theta):
@@ -44,9 +56,9 @@ def constant_dual(spec, g):
 
 
 def phi_nu_at(hhat, theta, y, state, spec):
-    coef = Coefficients(spec, state, y)
-    phi, nu = coef.phi_nu(coef.check_h(hhat)[None], np.asarray(theta, dtype=float)[None])
-    return float(phi[0]), float(nu[0])
+    coef = Coefficients(spec, (state,), y)
+    phi, nu = coef.phi_nu(check_h(coef, hhat)[None], np.asarray(theta, dtype=float)[None])
+    return float(phi[0, 0]), float(nu[0])
 
 
 class TestMarketPriceOfRisk:
@@ -96,8 +108,8 @@ class TestThetaFromH:
         spec = load_preset("benchmark_s5")
         state = DefaultState(2, bits)
         h = np.array(h) * (1.0 - state.indicator())
-        coef = Coefficients(spec, state, y)
-        back = h_from_theta(coef, coef.theta_from_h(h[None]))[0]
+        coef = Coefficients(spec, (state,), y)
+        back = h_from_theta(coef, coef.theta_from_h(h[None]))[0, 0]
         assert np.allclose(back, h, atol=1e-12)
 
 
@@ -113,7 +125,7 @@ class TestCoefficients:
         assert spec.market.is_diagonal == (sigma is None)
         y = np.linspace(-0.9, 0.9, 5)
         h = np.linspace(-0.5, 1.5, 10).reshape(5, 2)
-        coef = Coefficients(spec, Z00, y)
+        coef = Coefficients(spec, (Z00,), y)
         theta = coef.theta_from_h(np.stack([h, 0.5 * h]))
         pisig = spec.market.pi_sigma(h, coef.sig)
         for j, yv in enumerate(y):
@@ -124,7 +136,7 @@ class TestCoefficients:
                 want = xi - np.linalg.inv(s) @ (lam * scale * h[j])
                 assert np.allclose(theta[k, j], want, rtol=0, atol=1e-14)
             assert np.allclose(pisig[j], h[j] @ s, rtol=0, atol=1e-14)
-        assert np.allclose(h_from_theta(coef, theta[0]), h, rtol=0, atol=1e-12)
+        assert np.allclose(h_from_theta(coef, theta[0])[0], h, rtol=0, atol=1e-12)
 
 
 class TestPhiAndNu:

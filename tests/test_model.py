@@ -113,7 +113,7 @@ class TestPresets:
     def test_scott_market_price_of_risk(self):
         spec = load_preset("scott_example22")
         for y in (-0.5, 0.0, 0.7):
-            xi = Coefficients(spec, DefaultState(spec.n), y).xi[0]
+            xi = Coefficients(spec, (DefaultState(spec.n),), y).xi[0]
             theta_diag = spec.market.sigma(y) ** 2
             expected = (spec.market.mu - spec.market.r) / np.sqrt(theta_diag)
             assert np.allclose(xi, expected)

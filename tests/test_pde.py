@@ -119,7 +119,7 @@ class TestTruncationBounds:
         spec, result, grid = scott_result
         for bits, pol in result.policies.items():
             b = result.bounds[bits]
-            coef = Coefficients(spec, DefaultState.from_bitstring(bits), grid.y_nodes())
+            coef = Coefficients(spec, (DefaultState.from_bitstring(bits),), grid.y_nodes())
             for k in (0, grid.n_t // 2, grid.n_t):
                 phi, _ = coef.phi_nu(pol.hhat[k], pol.theta[k])
                 assert np.all(phi >= b.m_lo_norms - 1e-9)
@@ -153,7 +153,7 @@ def explicit_source(t, v, state, children, hhat, spec, bounds=None):
     That is v^{1-beta}/beta times the kernel's source sum, with v clamped
     into ``bounds`` when they are given.
     """
-    ws = pde._StepWorkspace(state, spec, cf.GridSpec(-1.0, 1.0, 3, 10))
+    ws = pde._StepWorkspace((state,), spec, cf.GridSpec(-1.0, 1.0, 3, 10))
     kids = {i: np.full((1, 3), c) for i, c in children.items()}
     s = ws.coef.source_sum(np.broadcast_to(np.asarray(hhat, dtype=float), (1, 3, spec.n)), kids)
     out = ws.explicit_source(np.array([0]), np.array([t]), np.full((1, 3), v), np.zeros((1, 3)),
@@ -186,15 +186,16 @@ class TestNonlinearSource:
 
     def test_nonpositive_v_raises_unclamped(self, benchmark_spec):
         with pytest.raises(SolverError, match="non-positive slice value"):
-            step_slice(np.full(11, -1.0), 0.5, 0.1, Z11, {}, {}, benchmark_spec,
-                       cf.GridSpec(-1.0, 1.0, 11, 10))
+            step_slice(np.full((1, 11), -1.0), np.array([0.5]), np.array([0.1]), (Z11,), {}, {},
+                       benchmark_spec, cf.GridSpec(-1.0, 1.0, 11, 10))
 
 
 class TestStepSlice:
     def test_zero_dt_identity(self, benchmark_spec):
         grid = cf.GridSpec(-1.0, 1.0, 11, 10)
-        f_now = np.linspace(1.0, 1.2, 11)
-        out = step_slice(f_now, 0.0, 0.0, Z11, {}, {}, benchmark_spec, grid)
+        f_now = np.linspace(1.0, 1.2, 11)[None]
+        out = step_slice(f_now, np.array([0.0]), np.array([0.0]), (Z11,), {}, {}, benchmark_spec,
+                         grid)
         assert np.array_equal(out, f_now)
 
     def test_constant_preserved(self, merton_result):
@@ -202,9 +203,9 @@ class TestStepSlice:
         spec, _, _ = merton_result
         grid = cf.GridSpec(-1.0, 1.0, 21, 10)
         st = DefaultState.from_bitstring("11")
-        f_now = np.full(21, 1.05)
-        out = step_slice(f_now, 0.0, 0.1, st, {}, {}, spec, grid)
-        assert np.max(np.abs(out - out[0])) < 1e-13
+        f_now = np.full((1, 21), 1.05)
+        out = step_slice(f_now, np.array([0.0]), np.array([0.1]), (st,), {}, {}, spec, grid)
+        assert np.max(np.abs(out - out[0, 0])) < 1e-13
 
     def test_single_step_matches_explicit_euler_ode(self):
         # sigma0 = 0, nu = 0, phi const, all defaulted: compare one step against
@@ -219,21 +220,22 @@ class TestStepSlice:
         z1 = DefaultState.from_bitstring("1")
         grid = cf.GridSpec(-0.5, 0.5, 3, 10)
         q, beta = spec.q, spec.beta
-        xi = Coefficients(spec, z1, 0.0).xi[0, 0]
+        xi = Coefficients(spec, (z1,), 0.0).xi[0, 0]
         phi1 = 0.5 * q * (q - 1) * xi**2 - q * spec.market.r
         f0 = spec.pref.K1 ** ((1 - q) / beta)
         for dt in (0.02, 0.01, 0.005):
-            f_now = np.full(3, f0)
-            out = step_slice(f_now, 0.0, dt, z1, {}, {}, spec, grid)
+            f_now = np.full((1, 3), f0)
+            out = step_slice(f_now, np.array([0.0]), np.array([dt]), (z1,), {}, {}, spec, grid)
             ftil = f0**beta + dt * (phi1 * f0**beta + spec.pref.K2 ** (1 - q))
             euler = ftil ** (1 / beta)
-            assert abs(out[1] - euler) < 10.0 * dt**2
+            assert abs(out[0, 1] - euler) < 10.0 * dt**2
 
     def test_blowup_detected(self, benchmark_spec):
         grid = cf.GridSpec(-1.0, 1.0, 11, 10)
-        f_now = np.full(11, -1.0)
+        f_now = np.full((1, 11), -1.0)
         with pytest.raises(SolverError):
-            step_slice(f_now, 0.0, 0.1, Z11, {}, {}, benchmark_spec, grid)
+            step_slice(f_now, np.array([0.0]), np.array([0.1]), (Z11,), {}, {}, benchmark_spec,
+                       grid)
 
 
 class TestConvergence:
@@ -288,7 +290,7 @@ def march_one_state(state, spec, grid, f_stack, bounds):
     t_nodes = grid.t_nodes(spec.pref.T)
     f = np.empty((grid.n_t + 1, grid.n_y))
     f[0] = spec.f0
-    ws = pde._StepWorkspace(state, spec, grid)
+    ws = pde._StepWorkspace((state,), spec, grid)
     kids = {i: f_stack[state.flip(i).bits] for i in state.alive}
     kept = {key: np.zeros((grid.n_t + 1, grid.n_y, spec.n)) for key in ("hhat", "theta", "pi")}
     resid = 0.0
@@ -300,9 +302,10 @@ def march_one_state(state, spec, grid, f_stack, bounds):
         resid = max(resid, float(res[0]))
 
     for k in range(grid.n_t):
-        f[k + 1] = step_slice(f[k], t_nodes[k], t_nodes[k + 1] - t_nodes[k], state,
-                              {i: c[k] for i, c in kids.items()},
-                              {i: c[k + 1] for i, c in kids.items()}, spec, grid, bounds, ws)
+        f[k + 1] = step_slice(f[k][None], t_nodes[k:k + 1], np.diff(t_nodes[k:k + 2]), (state,),
+                              {i: c[k][None] for i, c in kids.items()},
+                              {i: c[k + 1][None] for i, c in kids.items()}, spec, grid,
+                              None if bounds is None else (bounds,), ws)[0]
         keep(k)
     ws.terms(np.array([0]), f[-1][None], {i: c[-1][None] for i, c in kids.items()}, keep=True)
     keep(grid.n_t)
@@ -386,9 +389,10 @@ class TestWavefront:
             kids = {i: result.f[state.flip(i).bits] for i in state.alive}
             for k in range(grid.n_t + 1):
                 hhat, theta, pi, _, _ = strategy.solve_hhat_slice(
-                    y, state, benchmark_spec, fld.f[k], fld.df[k],
-                    {i: c[k] for i, c in kids.items()})
-                for got, want in ((pol.hhat[k], hhat), (pol.theta[k], theta), (pol.pi[k], pi)):
+                    y, (state,), benchmark_spec, fld.f[k][None], fld.df[k][None],
+                    {i: c[k][None] for i, c in kids.items()})
+                for got, want in ((pol.hhat[k], hhat[0]), (pol.theta[k], theta[0]),
+                                  (pol.pi[k], pi[0])):
                     assert np.max(np.abs(got - want)) <= 1e-12, (state, k)
 
     def test_build_policy_solves_nothing(self, benchmark_spec, monkeypatch):
@@ -483,7 +487,7 @@ def _banded_reference(op, rhs, dt):
 class TestCrankNicolsonFactors:
     def test_factors_reused_while_operator_and_dt_hold(self, benchmark_spec, monkeypatch):
         grid = cf.GridSpec(-1.0, 1.0, 41, 40)
-        ws = pde._StepWorkspace(DefaultState.from_bitstring("00"), benchmark_spec, grid)
+        ws = pde._StepWorkspace((DefaultState.from_bitstring("00"),), benchmark_spec, grid)
         assert ws.static_operator
         rng = np.random.default_rng(3)
         op = ws.operator(rng.normal(size=grid.n_y))
@@ -503,7 +507,7 @@ class TestCrankNicolsonFactors:
 
     def test_singular_matrix_raises(self, benchmark_spec):
         grid = cf.GridSpec(-1.0, 1.0, 11, 10)
-        ws = pde._StepWorkspace(DefaultState.from_bitstring("00"), benchmark_spec, grid)
+        ws = pde._StepWorkspace((DefaultState.from_bitstring("00"),), benchmark_spec, grid)
         dt = 0.1
         diag = np.full(grid.n_y, -1.0)
         diag[0] = 2.0 / dt  # zero pivot: the first row and column of the CN matrix vanish

@@ -7,7 +7,7 @@ import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio.dual import Coefficients
 from creditfolio.fields import GridSpec, SolveResult, lookup
-from creditfolio.model import DefaultState
+from creditfolio.model import DefaultState, load_preset
 from creditfolio.strategy import (SolverError, ahat_slice, build_policy, pi_hat, solve_hhat,
                                   solve_hhat_slice, value_function)
 
@@ -41,8 +41,8 @@ class TestLambdaAndJ:
     def test_zero_case(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         h = solve_hhat(0.5, 0.0, Z00, result, benchmark_spec)
-        assert np.allclose(pi_hat(0.5, 0.0, Z00, h, result, benchmark_spec), 0.0, atol=1e-8)
-        coef = Coefficients(benchmark_spec, Z00, 0.0)
+        assert np.allclose(pi_hat(0.5, 0.0, Z00, result, benchmark_spec), 0.0, atol=1e-8)
+        coef = Coefficients(benchmark_spec, (Z00,), 0.0)
         f, df = (lookup(a, result.t_nodes, result.grid.y_nodes(), 0.5, Z00.bits, 0.0)
                  for a in (result.f, result.df))
         Lam = coef.diffusion_row(coef.theta_from_h(h[None]), coef.grad_term(f, df))
@@ -51,24 +51,25 @@ class TestLambdaAndJ:
     def test_unit_ratio_gives_zero_J(self):
         spec = make_single_name_spec(mu=0.1, r=0.1)   # xi = 0: Lambda vanishes at h = 0
         fields = constant_fields(spec, {"0": 1.3, "1": 1.3})
-        pi = pi_hat(0.4, 0.0, DefaultState.from_bitstring("0"), np.array([0.0]), fields, spec)
-        assert pi[0] == pytest.approx(0.0, abs=1e-14)
+        z0 = DefaultState.from_bitstring("0")
+        assert solve_hhat(0.4, 0.0, z0, fields, spec)[0] == 0.0
+        assert pi_hat(0.4, 0.0, z0, fields, spec)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_value_q_zero(self):
-        # q = 0, beta = 1, g-ratio 0.5, h = 1: J = 1 - 0.5 / 2; sigma = 1 and
-        # xi - lambda h = 1 - 0.25 make it the diffusion matching's weight too
+        # q = 0, beta = 1, g-ratio 0.5: the solved root is h = 1, where J = 1 - 0.5 / 2
+        # and sigma = 1, xi - lambda h = 1 - 0.25 make it the diffusion matching's weight
         spec = make_single_name_spec(lam_a=0.25, lam_b=0.0, lam_c=0.0, mu=1.1, sigma=1.0,
                                      r=0.1)
         object.__setattr__(spec.pref, "_q_override", 0.0)
         fields = constant_fields(spec, {"0": 1.0, "1": 0.5})
-        pi = pi_hat(0.4, 0.0, DefaultState.from_bitstring("0"), np.array([1.0]), fields, spec)
-        assert pi[0] == pytest.approx(0.75)
+        z0 = DefaultState.from_bitstring("0")
+        assert solve_hhat(0.4, 0.0, z0, fields, spec)[0] == pytest.approx(1.0, abs=1e-12)
+        assert pi_hat(0.4, 0.0, z0, fields, spec)[0] == pytest.approx(0.75)
 
     def test_defaulted_component_zero(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         z10 = DefaultState.from_bitstring("10")
-        h = solve_hhat(0.5, 0.0, z10, result, benchmark_spec)
-        assert pi_hat(0.5, 0.0, z10, h, result, benchmark_spec)[0] == 0.0
+        assert pi_hat(0.5, 0.0, z10, result, benchmark_spec)[0] == 0.0
 
 
 class TestSolveHhat:
@@ -117,8 +118,8 @@ class TestSolveHhat:
         result, grid = benchmark_result
         fld, node = result.fields["00"], [grid.n_y // 2]
         with pytest.raises(SolverError, match="missing child"):
-            solve_hhat_slice(grid.y_nodes()[node], Z00, benchmark_spec, fld.f[100, node],
-                             fld.df[100, node], {})
+            solve_hhat_slice(grid.y_nodes()[node], (Z00,), benchmark_spec, fld.f[100, node][None],
+                             fld.df[100, node][None], {})
 
     def test_general_sigma_path_matches_diagonal(self, benchmark_spec, benchmark_result):
         # on the zero-premium benchmark a genuinely full sigma, solved by the
@@ -133,9 +134,9 @@ class TestSolveHhat:
         children = {i: result.fields[Z00.flip(i).bitstring].f[100] for i in (0, 1)}
         y = np.linspace(-1, 1, 9)
         idx = np.linspace(0, 200, 9, dtype=int)
-        h2, _, pi2, _, _ = solve_hhat_slice(y, Z00, spec2, fld.f[100, idx],
-                                            fld.df[100, idx],
-                                            {i: c[idx] for i, c in children.items()})
+        h2, _, pi2, _, _ = solve_hhat_slice(y, (Z00,), spec2, fld.f[100, idx][None],
+                                            fld.df[100, idx][None],
+                                            {i: c[idx][None] for i, c in children.items()})
         assert np.allclose(h2, 0.0, atol=1e-6)
         assert np.allclose(pi2, 0.0, atol=1e-6)
 
@@ -153,7 +154,7 @@ class TestSolveHhat:
                 assert row["resid_max"] <= 1e-10 and row["policy_resid_max"] <= 1e-10, bits
                 fld, pol = result.fields[bits], result.policies[bits]
                 alive = list(fld.state.alive)
-                coef = Coefficients(spec, fld.state, fld.grid.y_nodes())
+                coef = Coefficients(spec, (fld.state,), fld.grid.y_nodes())
                 gap = (spec.market.pi_sigma(pol.pi, coef.sig)
                        - coef.diffusion_row(pol.theta, coef.grad_term(fld.f, fld.df)))
                 assert np.max(np.abs(gap[..., alive]), initial=0.0) <= 1e-10, bits
@@ -178,11 +179,11 @@ class TestSolveHhat:
         for h_init in (None, warm):
             stack = solve_hhat_slice(y, states, spec, f, df, kids, h_init=h_init)
             for s in states:
-                lone = solve_hhat_slice(y, s, spec, f[s.bits], df[s.bits],
-                                        {i: kids[i][s.bits] for i in s.alive},
-                                        h_init=None if h_init is None else h_init[s.bits])
+                lone = solve_hhat_slice(y, (s,), spec, f[s.bits][None], df[s.bits][None],
+                                        {i: kids[i][s.bits][None] for i in s.alive},
+                                        h_init=None if h_init is None else h_init[s.bits][None])
                 for got, want in zip(stack, lone):
-                    assert np.array_equal(got[s.bits], want), s
+                    assert np.array_equal(got[s.bits], want[0]), s
             assert np.max(stack[3]) > 0   # the Newton iterated
 
 
@@ -212,14 +213,14 @@ class TestSolveHhat:
         assert np.any(stack[2][0][:, 1] != 0.0)   # the defaultless name's diffusion weight
         iters = []
         for s in states:
-            lone = solve_hhat_slice(y, s, spec, f[s.bits], df[s.bits],
-                                    {i: kids[i][s.bits] for i in s.alive}, h_init=h_init[s.bits])
+            lone = solve_hhat_slice(y, (s,), spec, f[s.bits][None], df[s.bits][None],
+                                    {i: kids[i][s.bits][None] for i in s.alive},
+                                    h_init=h_init[s.bits][None])
             for got, want in zip(stack[:3], lone[:3]):
-                assert np.array_equal(got[s.bits], want), s
-            assert type(lone[3]) is int and type(lone[4]) is float
-            assert stack[3][s.bits] == lone[3], s
-            assert stack[4][s.bits].tobytes() == np.float64(lone[4]).tobytes(), s
-            iters.append(lone[3])
+                assert np.array_equal(got[s.bits], want[0]), s
+            assert stack[3][s.bits] == lone[3][0], s
+            assert stack[4][s.bits].tobytes() == lone[4][0].tobytes(), s
+            iters.append(int(lone[3][0]))
         assert iters[3] == 0 and stack[4][3] == 0.0   # no jump entries: nothing solved
         assert len(set(iters[:3])) == 3, iters       # three different last passes
 
@@ -228,36 +229,45 @@ class TestPiHat:
     def test_merton_fraction(self, merton_result):
         spec, result, _ = merton_result
         target = om.merton_fraction(0.25, 0.2, 0.2, 0.5)
-        h = solve_hhat(0.3, 0.2, Z00, result, spec)
-        pi = pi_hat(0.3, 0.2, Z00, h, result, spec)
+        pi = pi_hat(0.3, 0.2, Z00, result, spec)
         assert np.allclose(pi, target, atol=1e-8)
 
     def test_defaulted_weight_zero(self, single_name_result):
         spec, result, _ = single_name_result
         z1 = DefaultState.from_bitstring("1")
-        pi = pi_hat(0.5, 0.0, z1, np.zeros(1), result, spec)
+        pi = pi_hat(0.5, 0.0, z1, result, spec)
         assert pi[0] == 0.0
 
     def test_zero_loading_unit_ratio(self, benchmark_spec, benchmark_result):
         # on the zero-premium benchmark the solved loading is 0 and the state
         # fields coincide, so the bracket vanishes and the weight is zero
         result, _ = benchmark_result
-        h = solve_hhat(0.5, 0.0, Z00, result, benchmark_spec)
-        pi = pi_hat(0.5, 0.0, Z00, h, result, benchmark_spec)
+        pi = pi_hat(0.5, 0.0, Z00, result, benchmark_spec)
         assert np.allclose(pi, 0.0, atol=1e-8)
-
-    def test_inconsistent_hhat_raises(self, single_name_result):
-        spec, result, _ = single_name_result
-        z0 = DefaultState.from_bitstring("0")
-        with pytest.raises(SolverError):
-            pi_hat(0.5, 0.0, z0, np.array([3.0]), result, spec)
 
     def test_nonzero_for_positive_premium(self, single_name_result):
         spec, result, _ = single_name_result
         z0 = DefaultState.from_bitstring("0")
-        h = solve_hhat(0.0, 0.0, z0, result, spec)
-        pi = pi_hat(0.0, 0.0, z0, h, result, spec)
+        pi = pi_hat(0.0, 0.0, z0, result, spec)
         assert 0.05 < pi[0] < 1.0
+
+    @pytest.mark.parametrize("preset", ["scott_example22", "benchmark_s5"])
+    def test_point_queries_read_the_policy_table(self, preset):
+        # at grid nodes (t_k, y_j) the point queries' own solve gives the march's controls
+        spec = load_preset(preset)
+        grid = cf.GridSpec(-1.0, 1.0, 41, 40)
+        result = cf.solve_recursive_system(spec, grid)
+        pi, hhat = result.channel("pi"), result.channel("hhat")
+        y_nodes = grid.y_nodes()
+        for state in cf.all_states(spec.n):
+            for k in range(0, grid.n_t + 1, 5):
+                t = spec.pref.T - result.t_nodes[k]
+                for j in range(0, grid.n_y, 4):
+                    y = float(y_nodes[j])
+                    assert np.max(np.abs(pi_hat(t, y, state, result, spec)
+                                         - pi[state.bits, k, j])) <= 1e-10, (state, k, j)
+                    assert np.max(np.abs(solve_hhat(t, y, state, result, spec)
+                                         - hhat[state.bits, k, j])) <= 1e-10, (state, k, j)
 
 
 class TestConsumptionAndValue:
