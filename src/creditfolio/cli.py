@@ -248,8 +248,8 @@ def _write_json(path: Path, manifest: dict) -> None:
 
 
 # solve_report.csv columns after ``state``, with the type each reloads as
-_REPORT_COLUMNS = {"resid_max": float, "policy_resid_max": float, "newton_iters_max": int,
-                   "clamp_hits": int, "clamp_pass_skipped": bool, "bound_margin_lo": float,
+_REPORT_COLUMNS = {"resid_max": float, "newton_iters_max": int, "clamp_hits": int,
+                   "clamp_pass_skipped": bool, "bound_margin_lo": float,
                    "bound_margin_hi": float, "hedge_gap": float, "ahat_max": float,
                    "bound_violation": bool}
 
@@ -399,8 +399,7 @@ def cmd_solve(args) -> int:
     dump_solution(result, out, spec)
     for bits, row in sorted(result.report.items()):
         print(f"state {bits}: solved in {row['elapsed']:.2f}s, control residual "
-              f"{max(row['resid_max'], row.get('policy_resid_max', 0.0)):.2e}, "
-              f"clamp hits {row['clamp_hits']}"
+              f"{row['resid_max']:.2e}, clamp hits {row['clamp_hits']}"
               + (", clamped pass skipped" if row["clamp_pass_skipped"] else ""))
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -121,15 +121,14 @@ def beta_exponent(q: float, rho: float) -> float:
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One-dimensional stochastic factor dY = mu0(Y) dt + sigma0(Y) [rho dW + sqrt(1-rho^2) dWbar].
+    """Mean-reverting factor dY = (u0 - kappa Y) dt + sigma0 [rho dW + sqrt(1-rho^2) dWbar].
 
-    ``mu0`` maps y (scalar or ndarray) to the drift, elementwise.  ``sigma0``
-    maps y to the 1-by-n loading row; constant loadings may be supplied as a
-    plain vector.
+    ``sigma0`` is the constant 1-by-n loading row, one entry per Brownian motion W_j.
     """
 
-    mu0: Callable[[np.ndarray], np.ndarray]
-    sigma0: Callable[[np.ndarray], np.ndarray] | np.ndarray | Sequence[float]
+    u0: float
+    kappa: float
+    sigma0: np.ndarray | Sequence[float]
     rho: float
     domain_lo: float
     domain_hi: float
@@ -141,13 +140,11 @@ class FactorSpec:
             raise ValueError("factor domain is empty")
 
     def drift(self, y):
-        return np.asarray(self.mu0(np.asarray(y, dtype=float)), dtype=float)
+        return self.u0 - self.kappa * np.asarray(y, dtype=float)
 
     def vol_row(self, y) -> np.ndarray:
-        """Loading row sigma0(y); shape (..., n) for array y, (n,) for scalar."""
+        """Loading row sigma0 at y; shape (..., n) for array y, (n,) for scalar."""
         y = np.asarray(y, dtype=float)
-        if callable(self.sigma0):
-            return np.asarray(self.sigma0(y), dtype=float)
         base = np.asarray(self.sigma0, dtype=float)
         return np.broadcast_to(base, y.shape + base.shape).copy() if y.ndim else base
 
@@ -158,38 +155,30 @@ class FactorSpec:
 
 
 class CreditSpec:
-    """Default intensities lambda_i(y, z) > 0, canonicalised so that the
-    z-argument of name i always has its own bit cleared.
+    """Exponential-affine default intensities lambda_i(y, z) = a + b exp(c y).
 
-    Either exponential-affine, lambda_i(y,z) = a + b exp(c y) with parameters
-    per (name, state), or an arbitrary vectorised callable ``fn(y, state) ->
-    (..., n)``.
+    ``table`` maps (name index, state bits) to (a, b, c); the parameters are
+    canonicalised so that the z-argument of name i always has its own bit
+    cleared, and a missing entry is zero.
     """
 
-    def __init__(self, n: int, *, table: Mapping[tuple[int, int], tuple[float, float, float]] | None = None,
-                 fn: Callable[[np.ndarray, DefaultState], np.ndarray] | None = None):
-        if (table is None) == (fn is None):
-            raise ValueError("supply exactly one of table= or fn=")
+    def __init__(self, n: int, table: Mapping[tuple[int, int], tuple[float, float, float]]):
         self.n = n
-        self._fn = fn
-        if table is not None:
-            a = np.zeros((n, 1 << n))
-            b = np.zeros((n, 1 << n))
-            c = np.zeros((n, 1 << n))
-            for (i, bits), (ai, bi, ci) in table.items():
-                if not 0 <= i < n or not 0 <= bits < (1 << n):
-                    raise ValueError(f"bad intensity table key ({i}, {bits})")
-                a[i, bits], b[i, bits], c[i, bits] = ai, bi, ci
-            # canonicalise: parameters of name i in state z live at bits with bit i cleared
-            for i in range(n):
-                for bits in range(1 << n):
-                    if (bits >> i) & 1:
-                        a[i, bits] = a[i, bits & ~(1 << i)]
-                        b[i, bits] = b[i, bits & ~(1 << i)]
-                        c[i, bits] = c[i, bits & ~(1 << i)]
-            self._abc = (a, b, c)
-        else:
-            self._abc = None
+        a = np.zeros((n, 1 << n))
+        b = np.zeros((n, 1 << n))
+        c = np.zeros((n, 1 << n))
+        for (i, bits), (ai, bi, ci) in table.items():
+            if not 0 <= i < n or not 0 <= bits < (1 << n):
+                raise ValueError(f"bad intensity table key ({i}, {bits})")
+            a[i, bits], b[i, bits], c[i, bits] = ai, bi, ci
+        # canonicalise: parameters of name i in state z live at bits with bit i cleared
+        for i in range(n):
+            for bits in range(1 << n):
+                if (bits >> i) & 1:
+                    a[i, bits] = a[i, bits & ~(1 << i)]
+                    b[i, bits] = b[i, bits & ~(1 << i)]
+                    c[i, bits] = c[i, bits & ~(1 << i)]
+        self._abc = (a, b, c)
         self._names = np.arange(n)
 
     @classmethod
@@ -213,41 +202,26 @@ class CreditSpec:
                 raise ValueError(f"intensity table missing all-alive parameters for name {i}")
             for bits in range(1 << n):
                 full.setdefault((i, bits), base[i])
-        return cls(n, table=full)
+        return cls(n, full)
 
     @classmethod
     def zero(cls, n: int) -> "CreditSpec":
         """Degenerate no-default-risk spec (lambda identically zero)."""
-        return cls(n, fn=lambda y, state: np.zeros(np.shape(np.asarray(y)) + (n,)))
+        return cls(n, {})
 
     def intensity(self, y, state: DefaultState) -> np.ndarray:
         """lambda(y, z) as an (..., n) array; includes entries of defaulted names."""
         y = np.asarray(y, dtype=float)
-        if self._abc is not None:
-            # the tables are canonicalised at construction, so a plain gather suffices
-            a, b, c = self._abc
-            sel = (self._names, state.bits)
-            return a[sel] + b[sel] * np.exp(c[sel] * y[..., None])
-        out = np.asarray(self._fn(y, state), dtype=float)   # a custom fn canonicalises itself
-        if out.shape[-1] != self.n:
-            raise ValueError("intensity callable returned wrong width")
-        return out
+        # the tables are canonicalised at construction, so a plain gather suffices
+        a, b, c = self._abc
+        sel = (self._names, state.bits)
+        return a[sel] + b[sel] * np.exp(c[sel] * y[..., None])
 
     def intensity_per_path(self, y: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """lambda over a batch of paths with per-path default states; (m, n).
-
-        Canonicalisation is baked into the exp-affine tables, so a plain
-        (name, state) gather suffices; custom callables are grouped by state.
-        """
-        if self._abc is not None:
-            a, b, c = self._abc
-            sel = (self._names[None, :], bits[:, None])
-            return a[sel] + b[sel] * np.exp(c[sel] * y[:, None])
-        out = np.empty((y.shape[0], self.n))
-        for s in np.nonzero(np.bincount(bits, minlength=1 << self.n))[0]:
-            mask = bits == s
-            out[mask] = self.intensity(y[mask], DefaultState(self.n, int(s)))
-        return out
+        """lambda over a batch of paths with per-path default states; (m, n)."""
+        a, b, c = self._abc
+        sel = (self._names[None, :], bits[:, None])
+        return a[sel] + b[sel] * np.exp(c[sel] * y[:, None])
 
 
 class MarketSpec:
@@ -356,7 +330,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.credit.n != self.n or self.market.n != self.n:
             raise ValueError("credit/market blocks disagree with n")
-        width = np.atleast_2d(self.factor.vol_row(0.0)).shape[-1]
+        width = len(self.factor.sigma0)
         if width != self.n:
             raise ValueError(f"factor loading row has {width} entries, need n={self.n}")
 
@@ -380,7 +354,7 @@ class ModelSpec:
     def fingerprint(self) -> str:
         """SHA-256 of the model: its scalars and every coefficient at fixed factor points.
 
-        Callable coefficients enter through their values at nine points across
+        Coefficients enter through their values at nine points across
         the factor domain: the drift and loading row of the factor, sigma, and
         each state's intensities.  Values are hashed as 12-significant-digit
         text, so a last-bit difference between math libraries keeps the hash.
@@ -597,8 +571,7 @@ def build_model(config: dict) -> ModelSpec:
         u0, kappa = float(fac["u0"]), float(fac["kappa"])
         sigma0 = np.array(_floats(fac["sigma0"], "[factor] sigma0"))
         lo, hi = _floats(fac["domain"], "[factor] domain")
-        factor = FactorSpec(mu0=lambda y, u0=u0, kappa=kappa: u0 - kappa * np.asarray(y, dtype=float),
-                            sigma0=sigma0, rho=float(fac.get("rho", "0")),
+        factor = FactorSpec(u0=u0, kappa=kappa, sigma0=sigma0, rho=float(fac.get("rho", "0")),
                             domain_lo=lo, domain_hi=hi)
 
         cred = config["credit"]

@@ -472,8 +472,8 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
 # ---------------------------------------------------------------------------
 
 
-def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, resid: np.ndarray,
-           rows, bounds, t_nodes, child):
+def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, rows, bounds, t_nodes,
+           child):
     """Wavefront march of the states at ``rows``, all of them in one loop.
 
     ``slices`` holds the n_t + 1 slices of every state, row by row (the
@@ -485,9 +485,8 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, resid: np
     iteration m steps every state whose k = m - lag is in range, as one
     stack.  A state's last iteration solves the controls of its final slice
     n_t.  The controls each step solves on its final slice f[k] go into their
-    channels of the (S, n_t + 1, n_y, 4n + 1) ``policy`` table, and the
-    largest control residual of each state into ``resid``.  ``bounds`` is
-    None for the bootstrap, else the TruncationBounds of each row.
+    channels of the (S, n_t + 1, n_y, 4n + 1) ``policy`` table.  ``bounds``
+    is None for the bootstrap, else the TruncationBounds of each row.
     """
     n_t = len(t_nodes) - 1
     dt = np.diff(t_nodes)
@@ -524,23 +523,22 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, resid: np
                 dict(enumerate(slices.take(kids, axis=0))),
                 dict(enumerate(slices.take(kids + moves_r, axis=0))),
                 ws.spec, ws.grid, bounds_r, ws)
-            _keep_controls(ws.controls, kept, resid, r, at)
+            _keep_controls(ws.controls, kept, at)
         done = rows[k == n_t]
         if done.size:
             kids = first[:, done] + moves[:, done] * n_t
             ws.terms(done, slices[done * (n_t + 1) + n_t], dict(enumerate(slices[kids])),
                      keep=True)
-            _keep_controls(ws.controls, kept, resid, done, done * (n_t + 1) + n_t)
+            _keep_controls(ws.controls, kept, done * (n_t + 1) + n_t)
         ws.tally["iterations"] += 1
         ws.tally["largest_batch"] = max(ws.tally["largest_batch"], r.size)
 
 
-def _keep_controls(controls, kept, resid, rows, at):
+def _keep_controls(controls, kept, at):
     """Write a solve's controls at the flat (state, slice) indices ``at`` of the policy table."""
-    hhat, theta, pi, _, res = controls
+    hhat, theta, pi, _, _ = controls
     for name, value in (("hhat", hhat), ("theta", theta), ("pi", pi)):
         kept[at, :, policy_channel(name, hhat.shape[-1])] = value
-    resid[rows] = np.maximum(resid[rows], res)
 
 
 def _clamp_is_identity(envelope, bounds: TruncationBounds) -> bool:
@@ -591,15 +589,13 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
     f = slices[:-1].reshape(S, grid.n_t + 1, grid.n_y)
     f[:, 0] = spec.f0
     policy = np.empty(f.shape + (4 * n + 1,))
-    resid = np.zeros(S)   # largest residual of the controls kept for the policy
     elapsed = np.zeros(S)
     seconds = {"march_s": 0.0, "bounds_s": 0.0, "policy_s": 0.0}
 
     def march(rows, bounds):
         started = time.perf_counter()
         ws.reset(rows)
-        resid[rows] = 0.0
-        _march(ws, slices, policy, resid, rows, bounds, t_nodes, child)
+        _march(ws, slices, policy, rows, bounds, t_nodes, child)
         spent = time.perf_counter() - started
         elapsed[rows] += spent
         seconds["march_s"] += spent
@@ -647,7 +643,6 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             "bound_margin_lo": margin_lo,
             "bound_margin_hi": margin_hi,
             "bound_violation": min(margin_lo, margin_hi) < -_BOUND_SLACK,
-            "policy_resid_max": float(resid[r]),
             "hedge_gap": float(result.hedge_gap[r]),
             "ahat_max": float(np.max(np.abs(ahat[r]))),
             "elapsed": float(elapsed[r] + seconds["policy_s"]),

@@ -31,7 +31,7 @@ computed once from a filled :class:`PathBundle` (``_compensator_reports``,
 ``_g_reports``, ``_duality_report``); :func:`check_G_martingale` and
 :func:`duality_gap` run their pass and call the same helper.
 
-Statistical reports compare an estimate to its target within ``tol_se``
+Statistical reports compare an estimate to its target within ``TOL_SE``
 standard errors plus an explicit ``bias_floor``.  The floor states the weak
 order of the discretization (first order in dt for controlled wealth/density
 stepping, second order for quadrature-only functionals): on degenerate
@@ -55,7 +55,6 @@ __all__ = [
     "McReport",
     "PathBundle",
     "simulate_market",
-    "simulate_wealth",
     "check_G_martingale",
     "duality_gap",
     "mc_feynman_kac",
@@ -64,6 +63,8 @@ __all__ = [
 _KIND_NORMALS = 0
 _KIND_CLOCKS = 1
 _KIND_FK = 2
+
+TOL_SE = 3.0   # standard errors every statistical check allows beside its bias floor
 
 
 def _block_rng(seed: int, kind: int, block: int) -> np.random.Generator:
@@ -74,21 +75,20 @@ def _block_rng(seed: int, kind: int, block: int) -> np.random.Generator:
 
 @dataclass
 class McReport:
-    """One statistical check: pass iff |estimate - target| <= tol_se * se + bias_floor."""
+    """One statistical check: pass iff |estimate - target| <= TOL_SE * se + bias_floor."""
 
     name: str
     estimate: float
     target: float
     se: float
     n_paths: int
-    tol_se: float = 3.0
     bias_floor: float = 0.0
     elapsed: float = 0.0
     extra: dict = field(default_factory=dict)
 
     @property
     def tolerance(self) -> float:
-        return self.tol_se * self.se + self.bias_floor
+        return TOL_SE * self.se + self.bias_floor
 
     @property
     def passed(self) -> bool:
@@ -180,23 +180,33 @@ def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
     return out
 
 
-def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
-              x0: float | None = None, g_probe_times: Sequence[float] = (),
-              comp_probe_times: Sequence[float] = (), keep: int = 0) -> PathBundle:
-    """One vectorised forward pass over all paths from the bundle's inputs; fills the bundle.
+def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
+                    y0: float = 0.0, z0: DefaultState | None = None,
+                    comp_probe_times: Sequence[float] = (), keep: int = 64,
+                    result: SolveResult | None = None, x0: float = 1.0,
+                    g_probe_times: Sequence[float] = ()) -> PathBundle:
+    """Factor, default-indicator and pre-default price paths under the physical measure.
 
-    The market block (factor, clocks, defaults) always runs and consumes
-    randomness in a fixed order; the control block (wealth, consumption
-    utility, density, martingale probes) runs when a solved ``result`` is
-    supplied.  Memory stays O(n_paths).
+    One vectorised forward pass over all paths; memory stays O(n_paths).
+    Records the compensator samples at ``comp_probe_times`` and the full
+    histories of the first ``keep`` paths.  The market block (factor, clocks,
+    defaults) consumes randomness in a fixed order, so the market paths and
+    compensator samples do not depend on ``result``.  Given a solved
+    ``result``, the same pass also runs its feedback policy from wealth
+    ``x0``: ``wealth`` gets terminal wealth, accumulated consumption utility,
+    the total realised utility sample and the terminal wealth implied by the
+    dual representation x (f(0,Y_T,H_T)/f(T,y0,z0))^beta (Gamma_T/B_T)^{q-1};
+    ``density`` gets the dual density ``Gamma_T``, which depends neither on
+    ``x0`` nor on the ``pi`` and ``c_mult`` channels of the policy; ``G_t`` is
+    sampled at ``g_probe_times``, and the kept paths gain X, c and Gamma.
     """
     if g_probe_times and result is None:
         raise ValueError("G-martingale probes need a solved result")
     if result is not None and x0 <= 0:
         raise ValueError("initial wealth must be positive")
     started = time.perf_counter()
-    spec, n_paths, n_steps, seed = bundle.spec, bundle.n_paths, bundle.n_steps, bundle.seed
-    y0, z0 = bundle.y0, bundle.z0
+    z0 = z0 or DefaultState(spec.n, 0)
+    bundle = PathBundle(spec, n_paths, n_steps, seed, y0, z0)
     n = spec.n
     T = spec.pref.T
     q = spec.q
@@ -269,8 +279,6 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
                          "Gamma": np.empty((keep, n_steps + 1))})
             kept["X"][:, 0] = x0
             kept["Gamma"][:, 0] = 1.0
-            _, _, _, _, cm0 = controls_at(0.0, Y[:keep], bits[:keep])
-            kept["c"][:, 0] = cm0 * x0
 
     def record_probes(k):
         t_now = t_mesh[k]
@@ -298,6 +306,8 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
             cons_util += u2_now * dt
             if u2_first is None:
                 u2_first = u2_now.copy()
+            if keep:
+                kept["c"][:, k] = cm[:keep] * X[:keep]
             # -X pi' dM contributes the compensator drift +pi'(1-z)lambda between defaults
             drift = r + pi @ (mu - r) + np.einsum("ij,ij->i", pi, lam_now) - cm
             X = X * np.exp((drift - 0.5 * np.einsum("ij,ij->i", pisig, pisig)) * dt
@@ -394,8 +404,6 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
             if with_controls:
                 kept["X"][:, k + 1] = X[kk]
                 kept["Gamma"][:, k + 1] = Gamma[kk]
-                _, _, _, _, cmk = controls_at(t_mesh[k + 1], Y[kk], bits[kk])
-                kept["c"][:, k + 1] = cmk * X[kk]
         record_probes(k + 1)
 
     bundle.t_mesh, bundle.default_times, bundle.final_bits = t_mesh, default_times, bits
@@ -404,6 +412,8 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
     if with_controls:
         _, _, _, _, cm_T = controls_at(T, Y, bits)
         u2_T = _power_utility(cm_T * X, spec.pref.K2, p)
+        if keep:
+            kept["c"][:, n_steps] = cm_T[:keep] * X[:keep]
         # close the trapezoid: running sum used left endpoints only
         cons_util += 0.5 * (u2_T - u2_first) * dt
         g0 = g_at(T, np.array([z0.bits]), np.array([y0], dtype=float))[0]
@@ -420,42 +430,8 @@ def _simulate(bundle: PathBundle, *, result: SolveResult | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Public operations
+# Reports and checks
 # ---------------------------------------------------------------------------
-
-
-def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
-                    y0: float = 0.0, z0: DefaultState | None = None,
-                    comp_probe_times: Sequence[float] = (), keep: int = 64,
-                    result: SolveResult | None = None, x0: float = 1.0,
-                    g_probe_times: Sequence[float] = ()) -> PathBundle:
-    """Factor, default-indicator and pre-default price paths under the physical measure.
-
-    Records the compensator samples at ``comp_probe_times`` and the full
-    histories of the first ``keep`` paths.  Given a solved ``result``, the
-    same pass also runs the feedback policy from wealth ``x0``: it fills
-    ``wealth`` and ``density`` as :func:`simulate_wealth` does, samples
-    ``G_t`` at ``g_probe_times`` and keeps X, c and Gamma for the kept paths.
-    The market paths and compensator samples do not depend on ``result``.
-    """
-    return _simulate(PathBundle(spec, n_paths, n_steps, seed, y0, z0 or DefaultState(spec.n, 0)),
-                     result=result, x0=x0, comp_probe_times=comp_probe_times,
-                     g_probe_times=g_probe_times, keep=keep)
-
-
-def simulate_wealth(bundle: PathBundle, result: SolveResult, x0: float) -> PathBundle:
-    """Wealth under the feedback policy of ``result`` along the bundle's paths (same draws).
-
-    Reruns the bundle's pass with the controls, keeping its probes and kept
-    paths.  Fills ``bundle.wealth`` with terminal wealth, accumulated
-    consumption utility, the total realised utility sample and the terminal
-    wealth implied by the dual representation x (f(0,Y_T,H_T)/f(T,y0,z0))^beta
-    (Gamma_T/B_T)^{q-1}, and ``bundle.density`` with the dual density
-    ``Gamma_T`` (the kept paths gain ``Gamma``).  Gamma depends neither on
-    ``x0`` nor on the ``pi`` and ``c_mult`` channels of the policy.
-    """
-    return _simulate(bundle, result=result, x0=x0, comp_probe_times=tuple(bundle.compensator),
-                     g_probe_times=tuple(bundle.g_probes), keep=len(bundle.kept.get("Y", ())))
 
 
 def _compensator_reports(bundle: PathBundle) -> list[McReport]:
@@ -470,7 +446,7 @@ def _compensator_reports(bundle: PathBundle) -> list[McReport]:
     return reports
 
 
-def _g_reports(bundle: PathBundle, tol_se: float = 3.0) -> list[McReport]:
+def _g_reports(bundle: PathBundle) -> list[McReport]:
     """E[G_t] at each of the bundle's G probes against G_0; see :func:`check_G_martingale`."""
     g0 = bundle.g0
     dt = bundle.spec.pref.T / bundle.n_steps
@@ -480,12 +456,12 @@ def _g_reports(bundle: PathBundle, tol_se: float = 3.0) -> list[McReport]:
         est, se = _mean_se(samples)
         reports.append(McReport(
             name=f"G-martingale t={t_probe:g}", estimate=est, target=g0, se=se,
-            n_paths=bundle.n_paths, tol_se=tol_se, bias_floor=abs(g0) * dt,
+            n_paths=bundle.n_paths, bias_floor=abs(g0) * dt,
             elapsed=bundle.elapsed, extra=dict(exits)))
     return reports
 
 
-def _duality_report(bundle: PathBundle, result: SolveResult, tol_se: float = 3.0) -> McReport:
+def _duality_report(bundle: PathBundle, result: SolveResult) -> McReport:
     """Realised utility of the bundle's controlled pass against V(x0, y0, z0).
 
     See :func:`duality_gap` for the target, the bias floor and the extras.
@@ -511,7 +487,7 @@ def _duality_report(bundle: PathBundle, result: SolveResult, tol_se: float = 3.0
     hedge_gap = max(float(result.hedge_gap[s.bits]) for s in reachable_states(spec, z0))
     return McReport(
         name="duality-gap", estimate=est, target=target, se=se, n_paths=int(ok.sum()),
-        tol_se=tol_se, bias_floor=abs(target) * dt, elapsed=bundle.elapsed,
+        bias_floor=abs(target) * dt, elapsed=bundle.elapsed,
         extra={"rep_log_corr": rep_corr, "rep_log_maxdev": rep_dev,
                "flagged": int((~ok).sum()), "hedge_gap": hedge_gap,
                "grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
@@ -519,8 +495,7 @@ def _duality_report(bundle: PathBundle, result: SolveResult, tol_se: float = 3.0
 
 def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_steps: int,
                        seed: int, probes: Sequence[float] = (0.25, 0.5, 1.0), *,
-                       y0: float = 0.0, z0: DefaultState | None = None,
-                       tol_se: float = 3.0) -> list[McReport]:
+                       y0: float = 0.0, z0: DefaultState | None = None) -> list[McReport]:
     """E[G_t] at each probe against G_0 = g(T, y0, z0).
 
     G_t = K2^{1-q} int_0^t (Gamma_s/B_s)^q ds + (Gamma_t/B_t)^q g(T-t, Y_t, H_t)
@@ -529,12 +504,12 @@ def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_ste
     """
     bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0, keep=0,
                              result=result, g_probe_times=tuple(probes))
-    return _g_reports(bundle, tol_se)
+    return _g_reports(bundle)
 
 
 def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
                 n_steps: int, seed: int, *, y0: float = 0.0,
-                z0: DefaultState | None = None, tol_se: float = 3.0) -> McReport:
+                z0: DefaultState | None = None) -> McReport:
     """Simulated primal utility under the feedback policy vs the dual value.
 
     The target is V(x0, y0, z0) = (x0^p / p) g(T, y0, z0)^{1-p}; the bias
@@ -544,26 +519,9 @@ def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
     correctness of the perturbed run; the utility estimate itself feeds
     optimality-ordering checks.
     """
-    bundle = PathBundle(spec, n_paths, n_steps, seed, y0, z0 or DefaultState(spec.n, 0))
-    simulate_wealth(bundle, result, x0)
-    return _duality_report(bundle, result, tol_se)
-
-
-def _affine_factor(spec: ModelSpec):
-    """(kappa, mean, vol) when the factor is affine OU with constant loadings, else None."""
-    y_pts = np.array([-0.5, 0.0, 0.5])
-    d = spec.factor.drift(y_pts)
-    kappa = (d[0] - d[2]) / 1.0
-    mid = 0.5 * (d[0] + d[2])
-    if abs(mid - d[1]) > 1e-12 * (1.0 + abs(mid)):
-        return None
-    rows = spec.factor.vol_row(y_pts)
-    if not np.allclose(rows[0], rows[1]) or not np.allclose(rows[1], rows[2]):
-        return None
-    if abs(kappa) < 1e-14:
-        return None
-    vol = float(np.sqrt(np.sum(rows[1] ** 2)))
-    return float(kappa), float(d[1] / kappa), vol
+    bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0, keep=0,
+                             result=result, x0=x0)
+    return _duality_report(bundle, result)
 
 
 def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
@@ -588,7 +546,7 @@ def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
 
 def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
                    probes: Sequence[tuple[DefaultState, tuple[float, float]]], n_paths: int,
-                   n_steps: int = 256, seed: int = 0, tol_se: float = 3.0) -> list[McReport]:
+                   n_steps: int = 256, seed: int = 0) -> list[McReport]:
     """Monte Carlo evaluation of the solution representation at a batch of probes.
 
     For each probe ``(state, (t, y))`` simulates the auxiliary factor under
@@ -596,9 +554,10 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     phi/beta}] + E[int Phi e^{int phi/beta}] with the grid fields supplying
     phi, the contagion source and f along the path, and compares against the
     grid value at the probe.  The probe time is the remaining-horizon
-    coordinate of the solution field.  Exact factor transitions are used in
-    the zero-correlation affine case, Euler otherwise; the quadrature bias
-    floor is second order in the step.
+    coordinate of the solution field.  Exact OU transitions, with kappa and
+    the mean u0/kappa read from the factor spec, are used when rho = 0 and
+    kappa != 0, Euler otherwise; the quadrature bias floor is second order in
+    the step.
 
     All probes run as one pass over (probe, path) arrays with one normal
     draw per step, the draw a single probe would use, so each report equals
@@ -623,17 +582,16 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     # per-probe constants, each computed as for a lone probe, as columns over the paths
     col = (slice(None), None)
     dt = np.array(dt_list)[col]
-    ou = _affine_factor(spec) if spec.factor.rho == 0.0 else None
-    if ou is not None:
-        kap, mean, vol = ou
+    fac = spec.factor
+    vol = np.sqrt(fac.vol_sq(0.0))
+    exact = fac.rho == 0.0 and fac.kappa != 0.0
+    if exact:
+        kap, mean = fac.kappa, fac.u0 / fac.kappa
         decay = [np.exp(-kap * d) for d in dt_list]
         sd = np.array([vol * np.sqrt((1.0 - e**2) / (2.0 * kap)) for e in decay])[col]
         decay = np.array(decay)[col]
     else:
-        # sqrt(sigma0 sigma0^T dt): once for constant loadings, per step when they depend on y
-        vol_step = (None if callable(spec.factor.sigma0)
-                    else np.array([np.sqrt(spec.factor.vol_sq(0.0)) * np.sqrt(d)
-                                   for d in dt_list])[col])
+        sd = np.array([vol * np.sqrt(d) for d in dt_list])[col]   # sqrt(sigma0 sigma0^T dt)
 
     work = {}                                   # interp_y's arrays, reused by every step
     probe_rows = np.arange(len(probes))[col]    # one blended slice per probe
@@ -669,19 +627,16 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     # each line below is one operation of the expression in its comment, in its order
     for k in range(n_steps):
         _block_rng(seed, _KIND_FK, rng_offset + k).standard_normal(out=z_draw)
-        if ou is not None:
+        if exact:
             # Yp = mean + (Yp - mean) decay + sd z
             Yp -= mean
             Yp *= decay
             Yp += mean
-            np.multiply(sd, z_draw, out=tmp)
         else:
-            # Yp = Yp + nu dt + step_sd z, with nu from the previous step's read
-            step_sd = (vol_step if vol_step is not None
-                       else np.sqrt(spec.factor.vol_sq(Yp.ravel()).reshape(Yp.shape)) * np.sqrt(dt))
+            # Yp = Yp + nu dt + sd z, with nu from the previous step's read
             np.multiply(vals[..., 3], dt, out=tmp)
             Yp += tmp
-            np.multiply(step_sd, z_draw, out=tmp)
+        np.multiply(sd, z_draw, out=tmp)
         Yp += tmp
         np.subtract(2 * grid.y_lo, Yp, out=Yp, where=Yp < grid.y_lo)
         np.subtract(2 * grid.y_hi, Yp, out=Yp, where=Yp > grid.y_hi)
@@ -713,6 +668,6 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
         target = float(lookup(result.f, t_nodes, y_nodes, t, state.bits, y))
         reports.append(McReport(
             name=f"feynman-kac state={state} probe=({t:g},{y:g})",
-            estimate=est, target=target, se=se, n_paths=n_paths, tol_se=tol_se,
+            estimate=est, target=target, se=se, n_paths=n_paths,
             bias_floor=4.0 * abs(target) * d**2, elapsed=elapsed))
     return reports

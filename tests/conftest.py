@@ -68,8 +68,7 @@ def make_single_name_spec(p=0.5, lam_a=0.5, lam_b=0.2, lam_c=0.3, mu=0.3, sigma=
     """One defaultable stock with positive excess return; exercises nonzero controls."""
     return ModelSpec(
         n=1,
-        factor=FactorSpec(mu0=lambda y: 0.4 - 1.0 * np.asarray(y, dtype=float),
-                          sigma0=np.array([0.5]), rho=0.0,
+        factor=FactorSpec(u0=0.4, kappa=1.0, sigma0=np.array([0.5]), rho=0.0,
                           domain_lo=-1.25, domain_hi=1.25),
         credit=CreditSpec.exp_affine(1, {(0, "0"): (lam_a, lam_b, lam_c)}),
         market=MarketSpec(mu=[mu], sigma=[sigma], r=r),
@@ -83,16 +82,11 @@ def make_premium_spec():
     The replication hypothesis holds on every reachable state, so duality is
     exact while the wealth paths carry genuine randomness and real defaults.
     """
-    def lam_fn(y, state):
-        y = np.asarray(y, dtype=float)
-        return np.stack([0.6 + 0.4 * np.exp(0.1 * y), np.zeros_like(y)], axis=-1)
-
     return ModelSpec(
         n=2,
-        factor=FactorSpec(mu0=lambda y: 0.5 - 1.2 * np.asarray(y, dtype=float),
-                          sigma0=np.array([0.6, 0.4]), rho=0.0,
+        factor=FactorSpec(u0=0.5, kappa=1.2, sigma0=np.array([0.6, 0.4]), rho=0.0,
                           domain_lo=-1.25, domain_hi=1.25),
-        credit=CreditSpec(2, fn=lam_fn),
+        credit=CreditSpec.exp_affine(2, {(0, "00"): (0.6, 0.4, 0.1), (1, "00"): (0.0, 0.0, 0.0)}),
         market=MarketSpec(mu=[0.2, 0.26], sigma=[0.8, 0.3], r=0.2),
         pref=PreferenceSpec(p=0.5, K1=1.0, K2=1.0, T=1.0),
     )
@@ -108,8 +102,7 @@ def make_contagion_spec(p=0.8):
     }
     return ModelSpec(
         n=2,
-        factor=FactorSpec(mu0=lambda y: 0.5 - 1.2 * np.asarray(y, dtype=float),
-                          sigma0=np.array([0.6, 0.4]), rho=0.0,
+        factor=FactorSpec(u0=0.5, kappa=1.2, sigma0=np.array([0.6, 0.4]), rho=0.0,
                           domain_lo=-1.25, domain_hi=1.25),
         credit=CreditSpec.exp_affine(2, table),
         market=MarketSpec(mu=[0.28, 0.28], sigma=[0.8, 0.8], r=0.2),

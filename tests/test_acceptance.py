@@ -105,7 +105,7 @@ def test_criterion_4_gradient_stability(bench):
 
 def test_criterion_5_stationarity_residual_and_bisection(bench):
     spec, result = bench
-    worst = max(row["policy_resid_max"] for row in result.report.values())
+    worst = max(row["resid_max"] for row in result.report.values())
     rng = np.random.default_rng(2024)
     y_nodes = FULL_GRID.y_nodes()
     worst_bisect = 0.0
@@ -134,8 +134,7 @@ def test_criterion_6_fixed_point_and_degenerate_solver():
 
     spec = ModelSpec(
         n=1,
-        factor=FactorSpec(mu0=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-                          sigma0=np.array([0.0]), rho=0.0,
+        factor=FactorSpec(u0=0.0, kappa=0.0, sigma0=np.array([0.0]), rho=0.0,
                           domain_lo=-1.25, domain_hi=1.25),
         credit=CreditSpec.exp_affine(1, {(0, "0"): (lam0, 0.0, 0.0)}),
         market=MarketSpec(mu=[r + xi * sig], sigma=[sig], r=r),
@@ -277,11 +276,9 @@ def test_criterion_11_simulator_exactness(bench):
 
     const_spec = ModelSpec(
         n=2,
-        factor=FactorSpec(mu0=lambda y: -np.asarray(y, dtype=float),
-                          sigma0=np.array([0.3, 0.2]), rho=0.0,
+        factor=FactorSpec(u0=0.0, kappa=1.0, sigma0=np.array([0.3, 0.2]), rho=0.0,
                           domain_lo=-2.0, domain_hi=2.0),
-        credit=CreditSpec(2, fn=lambda y, st: np.broadcast_to(
-            np.array([1.0, 1.0]), np.shape(np.asarray(y)) + (2,)).copy()),
+        credit=CreditSpec.exp_affine(2, {(0, "00"): (1.0, 0.0, 0.0), (1, "00"): (1.0, 0.0, 0.0)}),
         market=MarketSpec(mu=[0.25, 0.25], sigma=[0.5, 0.5], r=0.2),
         pref=PreferenceSpec(p=0.5, K1=1.0, K2=1.0, T=1.0),
     )
@@ -293,8 +290,8 @@ def test_criterion_11_simulator_exactness(bench):
     notes.append(f"constant-lambda survival {p_hat:.5f} vs e^-2 = {target:.5f} "
                  f"(3se = {3 * se:.5f})")
 
-    bundle2 = sim.simulate_market(spec, 1000, N_STEPS, seed=9)
-    sim.simulate_wealth(bundle2, with_policy(result, pi=np.zeros(2), c_mult=0.0), 1.0)
+    bundle2 = sim.simulate_market(spec, 1000, N_STEPS, seed=9,
+                                  result=with_policy(result, pi=np.zeros(2), c_mult=0.0), x0=1.0)
     bank_err = float(np.max(np.abs(bundle2.wealth["X_T"] - np.exp(0.2))))
     ok &= bank_err < 1e-12
     notes.append(f"bank-account wealth exact to {bank_err:.1e} (tol 1e-12)")

@@ -162,9 +162,8 @@ class TestSolveCommand:
             assert (solve_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
         with open(solve_dir / "solve_report.csv") as fh:
             assert next(csv.reader(fh)) == [
-                "state", "resid_max", "policy_resid_max", "newton_iters_max", "clamp_hits",
-                "clamp_pass_skipped", "bound_margin_lo", "bound_margin_hi", "hedge_gap",
-                "ahat_max", "bound_violation"]
+                "state", "resid_max", "newton_iters_max", "clamp_hits", "clamp_pass_skipped",
+                "bound_margin_lo", "bound_margin_hi", "hedge_gap", "ahat_max", "bound_violation"]
         manifest = json.loads((tmp_path / "run.json").read_text())
         assert set(manifest) == {"spec_sha256", "grid", "elapsed", "march", "unbounded_above",
                                  "python", "numpy", "scipy"}
@@ -497,13 +496,13 @@ def test_simulate_runs_one_path_pass(solve_dir, tmp_path, monkeypatch, dump):
     import creditfolio.sim as sim_mod
 
     calls = []
-    path_pass = sim_mod._simulate
+    path_pass = sim_mod.simulate_market
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("keep"))
         return path_pass(*args, **kwargs)
 
-    monkeypatch.setattr(sim_mod, "_simulate", counted)
+    monkeypatch.setattr(sim_mod, "simulate_market", counted)
     rc = main(["simulate", "--preset", "benchmark_s5", *SMALL, "--paths", "300", "--steps", "10",
                "--seed", "2", "--solution", str(solve_dir), *dump, "--out", str(tmp_path)])
     assert rc == 0

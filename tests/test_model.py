@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import creditfolio as cf
 from creditfolio.dual import Coefficients
 from creditfolio.model import (PRESET_NAMES, CreditSpec, DefaultState, MarketSpec,
-                               PreferenceSpec, all_states, load_preset, states_by_cardinality,
-                               validate_spec)
+                               PreferenceSpec, all_states, build_model, load_preset,
+                               states_by_cardinality, validate_spec)
 
 
 class TestDefaultState:
@@ -102,6 +102,18 @@ class TestPresets:
         y = np.linspace(-1, 1, 11)
         z00, z10 = DefaultState.from_bitstring("00"), DefaultState.from_bitstring("10")
         assert np.allclose(spec.intensity(y, z00)[:, 0], spec.intensity(y, z10)[:, 0])
+
+    @pytest.mark.parametrize("name", [*PRESET_NAMES, "three_names"])
+    def test_path_intensities_are_the_state_intensities(self, name):
+        # the path engine's per-path gather and the PDE's per-state kernel give
+        # the same bits for every state at every factor value
+        from test_cli import three_name_config
+
+        spec = build_model(three_name_config()) if name == "three_names" else load_preset(name)
+        y = np.linspace(spec.factor.domain_lo, spec.factor.domain_hi, 1001)
+        for state in all_states(spec.n):
+            per_path = spec.credit.intensity_per_path(y, np.full(y.shape, state.bits))
+            assert per_path.tobytes() == spec.intensity(y, state).tobytes(), state
 
     def test_merton_preset(self):
         spec = load_preset("merton_nodefault")

@@ -55,7 +55,7 @@ class TestSolveBenchmark:
     def test_control_residuals(self, benchmark_result):
         result, _ = benchmark_result
         for bits, row in result.report.items():
-            assert row["policy_resid_max"] <= 1e-10
+            assert row["resid_max"] <= 1e-10
 
     def test_gradient_bounded(self, benchmark_result):
         result, _ = benchmark_result
@@ -213,8 +213,7 @@ class TestStepSlice:
         spec = make_single_name_spec(lam_a=0.5, lam_b=0.0, mu=0.1, sigma=0.8, r=0.1)
         spec = cf.ModelSpec(
             n=1,
-            factor=cf.FactorSpec(mu0=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-                                 sigma0=np.array([0.0]), rho=0.0,
+            factor=cf.FactorSpec(u0=0.0, kappa=0.0, sigma0=np.array([0.0]), rho=0.0,
                                  domain_lo=-1.25, domain_hi=1.25),
             credit=spec.credit, market=spec.market, pref=spec.pref)
         z1 = DefaultState.from_bitstring("1")
@@ -283,9 +282,8 @@ def march_one_state(state, spec, grid, f_stack, bounds):
     """Per-state reference march: one state alone, step by step, its children solved.
 
     ``f_stack`` holds the children's solutions at the rows of their bits.
-    Returns (f, workspace, (kept controls, their largest residual)); the
-    controls are those each step solved on its final slice f[k], plus the
-    final slice's.
+    Returns (f, workspace, kept controls); the controls are those each step
+    solved on its final slice f[k], plus the final slice's.
     """
     t_nodes = grid.t_nodes(spec.pref.T)
     f = np.empty((grid.n_t + 1, grid.n_y))
@@ -293,13 +291,10 @@ def march_one_state(state, spec, grid, f_stack, bounds):
     ws = pde._StepWorkspace((state,), spec, grid)
     kids = {i: f_stack[state.flip(i).bits] for i in state.alive}
     kept = {key: np.zeros((grid.n_t + 1, grid.n_y, spec.n)) for key in ("hhat", "theta", "pi")}
-    resid = 0.0
 
     def keep(k):
-        nonlocal resid
-        hhat, theta, pi, _, res = ws.controls
+        hhat, theta, pi, _, _ = ws.controls
         kept["hhat"][k], kept["theta"][k], kept["pi"][k] = hhat[0], theta[0], pi[0]
-        resid = max(resid, float(res[0]))
 
     for k in range(grid.n_t):
         f[k + 1] = step_slice(f[k][None], t_nodes[k:k + 1], np.diff(t_nodes[k:k + 2]), (state,),
@@ -309,7 +304,7 @@ def march_one_state(state, spec, grid, f_stack, bounds):
         keep(k)
     ws.terms(np.array([0]), f[-1][None], {i: c[-1][None] for i, c in kids.items()}, keep=True)
     keep(grid.n_t)
-    return f, ws, (kept, resid)
+    return f, ws, kept
 
 
 def reference_solve(spec, grid):
@@ -321,14 +316,13 @@ def reference_solve(spec, grid):
     bounds, report = {}, {}
     for state in states_by_cardinality(n):
         bits, b = state.bitstring, state.bits
-        f, ws, kept = march_one_state(state, spec, grid, f_stack, None)
+        f, ws, controls = march_one_state(state, spec, grid, f_stack, None)
         bnd = bounds[bits] = pde.truncation_bounds(state, bounds, spec, grid,
                                                    pde._stats_row(ws.stats, 0))
         skipped = grid.clamp_enabled and pde._clamp_is_identity(ws.envelope(0), bnd)
         if grid.clamp_enabled and not skipped:
-            f, ws, kept = march_one_state(state, spec, grid, f_stack, bnd)
+            f, ws, controls = march_one_state(state, spec, grid, f_stack, bnd)
         f_stack[b] = f
-        controls, resid = kept
         for key, value in controls.items():
             policy[b][..., policy_channel(key, n)] = value
         margin_lo = float(np.min(f - bnd.k_under))
@@ -337,8 +331,7 @@ def reference_solve(spec, grid):
             "resid_max": float(ws.resid_max[0]), "newton_iters_max": int(ws.newton_iters[0]),
             "clamp_hits": int(ws.clamp_hits[0]), "clamp_pass_skipped": bool(skipped),
             "bound_margin_lo": margin_lo, "bound_margin_hi": margin_hi,
-            "bound_violation": min(margin_lo, margin_hi) < -pde._BOUND_SLACK,
-            "policy_resid_max": resid}
+            "bound_violation": min(margin_lo, margin_hi) < -pde._BOUND_SLACK}
     result = cf.SolveResult(grid=grid, t_nodes=t_nodes, f=f_stack,
                             df=spatial_gradient(f_stack, grid.dy), policy=policy,
                             hedge_gap=np.zeros(S), bounds=bounds, report=report)

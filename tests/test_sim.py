@@ -14,14 +14,12 @@ Z00 = DefaultState.from_bitstring("00")
 
 
 def constant_lambda_spec(lam=(1.0, 1.0)):
-    lam = np.asarray(lam, dtype=float)
     return ModelSpec(
         n=2,
-        factor=FactorSpec(mu0=lambda y: -np.asarray(y, dtype=float),
-                          sigma0=np.array([0.3, 0.2]), rho=0.0,
+        factor=FactorSpec(u0=0.0, kappa=1.0, sigma0=np.array([0.3, 0.2]), rho=0.0,
                           domain_lo=-2.0, domain_hi=2.0),
-        credit=CreditSpec(2, fn=lambda y, st: np.broadcast_to(
-            lam, np.shape(np.asarray(y)) + (2,)).copy()),
+        credit=CreditSpec.exp_affine(2, {(0, "00"): (lam[0], 0.0, 0.0),
+                                         (1, "00"): (lam[1], 0.0, 0.0)}),
         market=MarketSpec(mu=[0.25, 0.25], sigma=[0.5, 0.5], r=0.2),
         pref=PreferenceSpec(p=0.5, K1=1.0, K2=1.0, T=1.0),
     )
@@ -138,8 +136,8 @@ def clock_reference(spec, Y, n_steps, seed, probe_steps):
 
 @pytest.mark.parametrize("spec", [
     constant_lambda_spec((6.0, 4.0)),
-    dataclasses.replace(constant_lambda_spec(), credit=CreditSpec(2, fn=lambda y, st: np.stack(
-        [6.0 * np.exp(0.8 * np.asarray(y)), 4.0 * np.exp(-0.5 * np.asarray(y))], axis=-1))),
+    dataclasses.replace(constant_lambda_spec(), credit=CreditSpec.exp_affine(
+        2, {(0, "00"): (0.0, 6.0, 0.8), (1, "00"): (0.0, 4.0, -0.5)})),
 ], ids=["constant", "factor-driven"])
 def test_clock_sweeps_equal_a_per_path_reference(spec):
     n_paths, n_steps, seed = 200, 8, 3
@@ -183,8 +181,8 @@ class TestOnePass:
 class TestWealthPaths:
     def test_grid_exit_fraction_counts_kept_paths(self, benchmark_spec, benchmark_result):
         result, grid = benchmark_result
-        bundle = sim.simulate_market(benchmark_spec, 400, 50, seed=4, keep=400)
-        sim.simulate_wealth(bundle, result, 1.0)
+        bundle = sim.simulate_market(benchmark_spec, 400, 50, seed=4, keep=400, result=result,
+                                     x0=1.0)
         Y = bundle.kept["Y"][:, 1:]
         outside = np.count_nonzero((Y < grid.y_lo) | (Y > grid.y_hi))
         assert outside > 0
@@ -199,8 +197,9 @@ class TestWealthPaths:
 
     def test_bank_account_exact(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
-        bundle = sim.simulate_market(benchmark_spec, 500, 64, seed=2, keep=0)
-        sim.simulate_wealth(bundle, with_policy(result, pi=np.zeros(2), c_mult=0.0), 1.0)
+        bundle = sim.simulate_market(benchmark_spec, 500, 64, seed=2, keep=0,
+                                     result=with_policy(result, pi=np.zeros(2), c_mult=0.0),
+                                     x0=1.0)
         want = np.exp(benchmark_spec.market.r * 1.0)
         assert np.max(np.abs(bundle.wealth["X_T"] - want)) < 1e-12
 
@@ -209,9 +208,9 @@ class TestWealthPaths:
         spec, result, _ = merton_result
         n = 40000
         pi_c = 0.6
-        bundle = sim.simulate_market(spec, n, 64, seed=21, keep=0)
-        sim.simulate_wealth(bundle, with_policy(result, pi=np.array([pi_c, 0.0]), c_mult=0.0),
-                            1.0)
+        bundle = sim.simulate_market(
+            spec, n, 64, seed=21, keep=0,
+            result=with_policy(result, pi=np.array([pi_c, 0.0]), c_mult=0.0), x0=1.0)
         lx = np.log(bundle.wealth["X_T"])
         sig = 0.2
         drift = (spec.market.r + pi_c * (0.25 - 0.2) - 0.5 * pi_c**2 * sig**2) * 1.0
@@ -224,17 +223,18 @@ class TestWealthPaths:
         lam_c = 2.0
         spec = ModelSpec(
             n=1,
-            factor=FactorSpec(mu0=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-                              sigma0=np.array([0.1]), rho=0.0, domain_lo=-2, domain_hi=2),
-            credit=CreditSpec(1, fn=lambda y, st: np.full(np.shape(np.asarray(y)) + (1,), lam_c)),
+            factor=FactorSpec(u0=0.0, kappa=0.0, sigma0=np.array([0.1]), rho=0.0,
+                              domain_lo=-2, domain_hi=2),
+            credit=CreditSpec.exp_affine(1, {(0, "0"): (lam_c, 0.0, 0.0)}),
             market=MarketSpec(mu=[0.0], sigma=[1e-7], r=0.0),
             pref=PreferenceSpec(p=0.5, K1=1.0, K2=1.0, T=1.0),
         )
         grid = cf.GridSpec(-1.0, 1.0, 11, 20)
         result = cf.solve_recursive_system(spec, grid)
         n_steps = 200
-        bundle = sim.simulate_market(spec, 2000, n_steps, seed=3, keep=0)
-        sim.simulate_wealth(bundle, with_policy(result, pi=np.array([0.3]), c_mult=0.0), 1.0)
+        bundle = sim.simulate_market(spec, 2000, n_steps, seed=3, keep=0,
+                                     result=with_policy(result, pi=np.array([0.3]), c_mult=0.0),
+                                     x0=1.0)
         tau = bundle.default_times[:, 0]
         defaulted = np.isfinite(tau)
         assert 0.5 < defaulted.mean() < 0.95
@@ -250,8 +250,8 @@ class TestWealthPaths:
         spec = constant_lambda_spec((2.0, 0.0))
         grid = cf.GridSpec(-1.0, 1.0, 21, 20)
         result = cf.solve_recursive_system(spec, grid)
-        bundle = sim.simulate_market(spec, 2000, 20, seed=4, keep=0)
-        sim.simulate_wealth(bundle, with_policy(result, pi=np.array([1.5, 0.0])), 1.0)
+        bundle = sim.simulate_market(spec, 2000, 20, seed=4, keep=0,
+                                     result=with_policy(result, pi=np.array([1.5, 0.0])), x0=1.0)
         defaulted = np.isfinite(bundle.default_times[:, 0])
         assert np.all(bundle.wealth["flagged"][defaulted])
 
@@ -260,16 +260,15 @@ class TestDensity:
     def test_trivial_measure_change(self, benchmark_spec, benchmark_result):
         # benchmark optimal controls are ~0: Gamma stays at 1
         result, _ = benchmark_result
-        bundle = sim.simulate_market(benchmark_spec, 2000, 50, seed=6, keep=0)
-        sim.simulate_wealth(bundle, result, 1.0)
+        bundle = sim.simulate_market(benchmark_spec, 2000, 50, seed=6, keep=0, result=result,
+                                     x0=1.0)
         assert np.max(np.abs(bundle.density["Gamma_T"] - 1.0)) < 1e-6
 
     def test_unit_mean_deterministic_theta(self, merton_result):
         # merton: theta = xi constant, no defaults; exponential martingale mean 1
         spec, result, _ = merton_result
         n = 50000
-        bundle = sim.simulate_market(spec, n, 64, seed=8, keep=0)
-        sim.simulate_wealth(bundle, result, 1.0)
+        bundle = sim.simulate_market(spec, n, 64, seed=8, keep=0, result=result, x0=1.0)
         g = bundle.density["Gamma_T"]
         se = g.std(ddof=1) / np.sqrt(n)
         assert abs(g.mean() - 1.0) <= 3 * se
@@ -287,8 +286,8 @@ class TestDensity:
         hhat = np.array([[h_const * (1 - (b & 1)), 0.0] for b in range(4)])[:, None, None, :]
         result = with_policy(result, hhat=hhat, theta=0.0, ahat=0.0)
         n_steps = 50
-        bundle = sim.simulate_market(spec, 3000, n_steps, seed=10, keep=0)
-        sim.simulate_wealth(bundle, result, 1.0)
+        bundle = sim.simulate_market(spec, 3000, n_steps, seed=10, keep=0, result=result,
+                                     x0=1.0)
         # the density drift -h lambda accrues per step started alive; the jump
         # multiplies by exactly (1 + h)
         tau = bundle.default_times[:, 0]
@@ -398,9 +397,8 @@ class TestFeynmanKac:
     def test_deterministic_quadrature_when_vol_zero(self):
         spec = ModelSpec(
             n=1,
-            factor=FactorSpec(mu0=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-                              sigma0=np.array([0.0]), rho=0.0, domain_lo=-1.25,
-                              domain_hi=1.25),
+            factor=FactorSpec(u0=0.0, kappa=0.0, sigma0=np.array([0.0]), rho=0.0,
+                              domain_lo=-1.25, domain_hi=1.25),
             credit=CreditSpec.exp_affine(1, {(0, "0"): (0.5, 0.0, 0.0)}),
             market=MarketSpec(mu=[0.3], sigma=[0.8], r=0.1),
             pref=PreferenceSpec(p=0.5, K1=1.0, K2=1.0, T=1.0),
