@@ -123,17 +123,19 @@ def beta_exponent(q: float, rho: float) -> float:
 class FactorSpec:
     """Mean-reverting factor dY = (u0 - kappa Y) dt + sigma0 [rho dW + sqrt(1-rho^2) dWbar].
 
-    ``sigma0`` is the constant 1-by-n loading row, one entry per Brownian motion W_j.
+    ``sigma0`` is the constant 1-by-n loading row, one entry per Brownian motion W_j,
+    kept as a tuple of floats so that specs compare and hash by value.
     """
 
     u0: float
     kappa: float
-    sigma0: np.ndarray | Sequence[float]
+    sigma0: tuple[float, ...]
     rho: float
     domain_lo: float
     domain_hi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma0", tuple(float(v) for v in np.ravel(self.sigma0)))
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie strictly inside (-1, 1), got {self.rho}")
         if not self.domain_lo < self.domain_hi:
@@ -569,7 +571,7 @@ def build_model(config: dict) -> ModelSpec:
         if fac.get("kind", "ou") != "ou":
             raise ValueError("only the mean-reverting (ou) factor kind is configurable")
         u0, kappa = float(fac["u0"]), float(fac["kappa"])
-        sigma0 = np.array(_floats(fac["sigma0"], "[factor] sigma0"))
+        sigma0 = _floats(fac["sigma0"], "[factor] sigma0")
         lo, hi = _floats(fac["domain"], "[factor] domain")
         factor = FactorSpec(u0=u0, kappa=kappa, sigma0=sigma0, rho=float(fac.get("rho", "0")),
                             domain_lo=lo, domain_hi=hi)

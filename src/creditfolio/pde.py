@@ -9,38 +9,48 @@ reaction rate and Phi the contagion source built from the children of z, the
 states with one more default.
 
 Time stepping is a theta = 1/2 IMEX scheme: the linear operator is treated by
-Crank-Nicolson, the reaction and source explicitly at the clamped current
-value, with a small fixed-point sweep per step that refreshes the jump
-loadings (and, when rho != 0, the gradient coupling) at the new slice.  The
+Crank-Nicolson, and the reaction and source, evaluated at the clamped slice
+values, are averaged between the two ends of the step.  The end-of-step
+source depends on the new slice, so each step runs a small fixed-point sweep
+that refreshes the controls, hence the jump loadings (and, when rho != 0,
+the gradient coupling), at the new slice until the slice changes by less
+than ``_INNER_TOL`` relative, or for at most ``_INNER_SWEEPS`` sweeps.  The
+sweep starts from the slice an extrapolated end-of-step source gives (the
+extrapolated IMEX predictor of Ascher, Ruuth and Wetton, SIAM J. Numer. Anal.
+32(3), 1995): ``3 s_k - 3 s_{k-1} + s_{k-2}`` from the state's own step-start
+sources, ``2 s_k - s_{k-1}`` with one earlier step and ``s_k`` at the first,
+which is O(dt^3) from the fixed point on a uniform time grid, so most sweeps
+stop on their first pass.  A step whose sweep stops at the cap with the
+change still above the tolerance counts in ``sweep_cap_hits``.  The
 Crank-Nicolson matrix is LU-factored once per operator and time step and
 reused by every solve with both unchanged (for rho = 0, one operator serves
 every state and step).
 
-All 2^n states march in one wavefront loop (the hyperplane method of
-Lamport, "The parallel execution of DO loops", CACM 17(2), 1974).  A state's
-step k reads only its children's slices k and k + 1, so a state with d
-defaults takes step k at iteration m = k + (n - d): the loop runs n_t + n
-iterations, and each one advances every state in range as one stack, with
-one control solve, source assembly and Crank-Nicolson pass per predictor or
-sweep (with rho = 0 the stack shares one ``dgttrs`` call per distinct dt,
-which takes the stack's right-hand sides as they are when the whole stack
-shares one dt; with rho != 0 the operators differ and the solve goes state
-by state).  Everything a state owns stays per state: its sweep leaves the
-stack once it converges, and its warm starts, stats, envelope, clamp hits
-and Newton counts are kept by row, so every state gets the values it would
-get marched alone.  The rows of every stack are the states' bits, so the
-march writes straight into the arrays of the :class:`SolveResult`.  The
-march hands ``step_slice`` the states of each stack, and the workspace maps
-them back to rows; what a set of rows fixes (their selector, a slice when
-the rows are consecutive, and their coefficient kernel with the control
-solver's masks and gathers) is made the first time the set steps and kept
-for the rest of the solve.  A sweep over every state of the stack reads its
-arrays as views and folds its stats in place; only a sweep that some states
-have left gathers their rows.  The controls each step solves on its final
-slice f[k] (the predictor's) are the state's policy there and go into their
-channels of the policy table; the last iteration solves the final slice
-n_t, and :func:`strategy.build_policy` fills the rest of the table for the
-whole stack without solving again.
+All 2^n states march in one wavefront loop (the hyperplane method of Lamport,
+"The parallel execution of DO loops", CACM 17(2), 1974).  A state's step k
+reads only its children's slices k and k + 1, so a state with d defaults
+takes step k at iteration m = k + (n - d): the loop runs n_t + n iterations,
+and each one advances every state in range as one stack, with one control
+solve, source assembly and Crank-Nicolson pass per step start or sweep (with
+rho = 0 the stack shares one ``dgttrs`` call per distinct dt, which takes the
+stack's right-hand sides as they are when the whole stack shares one dt; with
+rho != 0 the operators differ and the solve goes state by state).  Everything
+a state owns stays per state: its sweep leaves the stack once it converges,
+and its warm starts, source history, stats, envelope, clamp hits and Newton
+counts are kept by row, so every state gets the values it would get marched
+alone.  The rows of every stack are the states' bits, so the march writes
+straight into the arrays of the :class:`SolveResult`.  The march hands
+``step_slice`` the states of each stack, and the workspace maps them back to
+rows; what a set of rows fixes (their selector, a slice when the rows are
+consecutive, and their coefficient kernel with the control solver's masks and
+gathers) is made the first time the set steps and kept for the rest of the
+solve.  A sweep over every state of the stack reads its arrays as views and
+folds its stats in place; only a sweep that some states have left gathers
+their rows.  The controls each step solves on its starting slice f[k] (its
+step-start control solve) are the state's policy there and go into their
+channels of the policy table; the last iteration solves the final slice n_t,
+and :func:`strategy.build_policy` fills the rest of the table for the whole
+stack without solving again.
 
 The clamp reproduces the truncation device that makes the source Lipschitz.
 The wavefront first marches every state without it; that bootstrap pass
@@ -84,6 +94,9 @@ _BOUND_SLACK = 1e-12
 # relative change below which the sweep stops early
 _INNER_SWEEPS = 5
 _INNER_TOL = 1e-8
+# the predictor's end-of-step source s + a (s - s1) + b (s1 - s2) by history depth
+# (0, 1, 2 earlier step-start sources s1, s2): s, 2 s - s1, 3 s - 3 s1 + s2
+_EXTRAPOLATION = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, -1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +153,10 @@ class _StepWorkspace:
     It holds the grid geometry, the stacked coefficient kernel and, per state
     (by row), the control warm starts, the running control stats, the range
     of every slice value the unclamped source was given (:meth:`envelope`),
-    clamp hits, Newton counts and control residuals.  ``controls`` keeps the
-    last control solve asked to be kept, ``tally`` counts the march's work
-    and ``seconds`` times its control and Crank-Nicolson solves.
+    clamp hits, Newton counts, control residuals and the last two step-start
+    sources (:meth:`end_source`).  ``controls`` keeps the last control solve
+    asked to be kept, ``tally`` counts the march's work and ``seconds`` times
+    its control and Crank-Nicolson solves.
 
     A sub-stack (the states at some rows) is met again and again, so its
     selector and kernel are kept by rows: a run of consecutive rows selects
@@ -164,7 +178,8 @@ class _StepWorkspace:
         self._lu: dict = {}
         self._stacks: dict = {}
         self.controls = None
-        self.tally = {"iterations": 0, "largest_batch": 0, "control_solves": 0, "sweeps": 0}
+        self.tally = {"iterations": 0, "largest_batch": 0, "control_solves": 0, "sweeps": 0,
+                      "sweep_cap_hits": 0}
         self.seconds = {"control_s": 0.0, "cn_s": 0.0}
         S, n = len(self.states), spec.n
         self.h_warm = np.empty((S, grid.n_y, n))
@@ -177,6 +192,9 @@ class _StepWorkspace:
         self.clamp_hits = np.zeros(S, dtype=int)
         self.newton_iters = np.zeros(S, dtype=int)
         self.resid_max = np.zeros(S)
+        self._src_1 = np.empty((S, grid.n_y))   # the step-start sources one and two steps back
+        self._src_2 = np.empty((S, grid.n_y))
+        self._depth = np.zeros(S, dtype=int)    # how many of them a row has
         self.reset(range(S))
 
     def reset(self, rows):
@@ -189,6 +207,8 @@ class _StepWorkspace:
         self.clamp_hits[rows] = 0
         self.newton_iters[rows] = 0
         self.resid_max[rows] = 0.0
+        self._src_1[rows] = self._src_2[rows] = 0.0
+        self._depth[rows] = 0
 
     def rows_of(self, states) -> np.ndarray:
         return np.array([self.row[s.bits] for s in states])
@@ -301,6 +321,23 @@ class _StepWorkspace:
         beta = self.coef.beta
         return (phi * v + v ** (1.0 - beta) * s) / beta
 
+    def end_source(self, rows, src):
+        """Extrapolated end-of-step source of the states at ``rows`` from their step-start ``src``.
+
+        The guess is ``src`` at a row's first step since its :meth:`reset`,
+        ``2 src - s1`` at its second and ``3 src - 3 s1 + s2`` after, with
+        ``s1`` and ``s2`` the row's step-start sources one and two steps back;
+        ``src`` then joins the row's history.
+        """
+        sel, _ = self._stack(rows)
+        s1, s2 = self._src_1[sel], self._src_2[sel]
+        a, b = _EXTRAPOLATION[self._depth[sel]].T[:, :, None]
+        guess = src + a * (src - s1) + b * (s1 - s2)
+        self._src_2[sel] = s1
+        self._src_1[sel] = src
+        self._depth[sel] = np.minimum(self._depth[sel] + 1, 2)
+        return guess
+
     def envelope(self, r):
         """``(t, min, max)`` arrays of every slice row ``r``'s unclamped source was given.
 
@@ -333,23 +370,33 @@ def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
     where name i has defaulted); ``bounds`` is None or one TruncationBounds
     per state.  One control solve, source assembly and Crank-Nicolson solve
     serve the whole stack; a state whose inner sweep has converged leaves it.
-    Each state gets the slice it would get alone; a zero dt returns its
-    slice unchanged.  ``workspace`` holds the march's bookkeeping of these
-    states, made here when not given.
+    The step-start control solve on ``f_now`` gives the step's source s_k
+    and the policy at t.  The first Crank-Nicolson solve takes the
+    workspace's extrapolated end-of-step source
+    (:meth:`_StepWorkspace.end_source`), built from the state's step-start
+    sources of its earlier steps since the workspace's last ``reset`` of its
+    row.  The extrapolation assumes the steps of a march share one dt; a
+    march on a nonuniform grid keeps the sweep's fixed point and its
+    convergence test, only its start is a worse guess.  Each sweep then
+    solves the controls on the new slice and refreshes it until the slice
+    changes by less than ``_INNER_TOL`` relative, for at most
+    ``_INNER_SWEEPS`` sweeps.  Each state gets the slice it would get alone;
+    a zero dt returns its slice unchanged.  ``workspace`` holds the march's
+    bookkeeping of these states, made here when not given, so a lone call
+    starts from ``s_k``.
     """
     ws = workspace if workspace is not None else _StepWorkspace(states, spec, grid)
     rows = ws.rows_of(states)
     if bounds is None and (f_now <= 0).any():
         raise SolverError("non-positive slice value with the clamp disabled")
 
-    dtc = dt[:, None]
-    half = 0.5 * dtc
+    half = 0.5 * dt[:, None]
     phi_now, nu_now, s_now = ws.terms(rows, f_now, children_now, keep=True)
     op_now = ws.operator(nu_now)
     src_now = ws.explicit_source(rows, t, f_now, phi_now, s_now, bounds)
 
     expl = f_now + half * _apply_operator(*op_now, f_now)
-    f_next = ws.cn_solve(op_now, expl + dtc * src_now, dt)
+    f_next = ws.cn_solve(op_now, expl + half * (src_now + ws.end_source(rows, src_now)), dt)
 
     # the states still sweeping: all of them at first, as views of the stack
     live = slice(None)
@@ -371,6 +418,8 @@ def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
             f_next[live], live = f_new, live[sweeping]
         if not live.size:
             break
+    else:
+        ws.tally["sweep_cap_hits"] += live.size
     if not np.isfinite(f_next).all():
         j = int(np.argmax(~np.all(np.isfinite(f_next), axis=-1)))
         raise SolverError(f"slice blow-up at t={t[j]:.6g} in state {states[j]}")

@@ -171,7 +171,8 @@ class TestSolveCommand:
         assert set(manifest["elapsed"]) == {"00", "01", "10", "11"}
         march = manifest["march"]
         assert set(march) == {"iterations", "largest_batch", "control_solves", "sweeps",
-                              "march_s", "bounds_s", "policy_s", "control_s", "cn_s"}
+                              "sweep_cap_hits", "march_s", "bounds_s", "policy_s", "control_s",
+                              "cn_s"}
         # the wavefront: n_t + n iterations plus the final slice, all four states at once
         assert (march["iterations"], march["largest_batch"]) == (43, 4)
         assert march["control_solves"] > march["iterations"] and march["sweeps"] > 0

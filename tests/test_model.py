@@ -140,6 +140,14 @@ class TestPresets:
         with pytest.raises(ValueError):
             load_preset("nope")
 
+    def test_factor_specs_compare_and_hash_by_value(self):
+        a, b = load_preset("benchmark_s5").factor, load_preset("benchmark_s5").factor
+        assert a == b and hash(a) == hash(b)
+        assert a.sigma0 == (0.6, 0.4)
+        assert a != load_preset("scott_example22").factor
+        assert cf.FactorSpec(u0=0.5, kappa=1.2, sigma0=np.array([0.6, 0.4]), rho=0.0,
+                             domain_lo=-1.25, domain_hi=1.25) == a
+
 
 class TestMarketSpec:
     FULL = np.array([[0.8, 0.1], [0.05, 0.7]])

@@ -11,7 +11,8 @@ from creditfolio import oracle as om
 from creditfolio import pde, strategy
 from creditfolio.dual import Coefficients
 from creditfolio.fields import policy_channel, spatial_gradient
-from creditfolio.model import DefaultState, build_model, load_preset, states_by_cardinality
+from creditfolio.model import (PRESET_NAMES, DefaultState, build_model, load_preset,
+                               states_by_cardinality)
 from creditfolio.pde import step_slice, truncation_bounds
 from creditfolio.strategy import SolverError
 
@@ -239,16 +240,15 @@ class TestStepSlice:
 
 class TestConvergence:
     def test_self_convergence_second_order(self):
-        # doubling (n_y, n_t) shrinks the change by roughly 4x on a model whose
-        # solution genuinely varies in y
+        # halving (dt, dy) divides the change in f by 4 on a model whose solution
+        # genuinely varies in y: each grid against the next finer one on its own
+        # (t, y) nodes, over all states
         spec = load_preset("scott_example22")
-        sols = {}
-        for n_y, n_t in ((51, 50), (101, 100), (201, 200)):
-            grid = cf.GridSpec(-1.0, 1.0, n_y, n_t)
-            sols[n_y] = cf.solve_recursive_system(spec, grid).fields["00"].f
-        e1 = np.max(np.abs(sols[51][-1] - sols[101][-1, ::2]))
-        e2 = np.max(np.abs(sols[101][-1] - sols[201][-1, ::2]))
-        assert 2.5 < e1 / e2 < 7.0
+        sols = [cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 50 * m + 1, 50 * m)).f
+                for m in (1, 2, 4, 8)]
+        diffs = [np.max(np.abs(coarse - fine[:, ::2, ::2])) for coarse, fine in zip(sols, sols[1:])]
+        for ratio in (diffs[0] / diffs[1], diffs[1] / diffs[2]):
+            assert 3.5 <= ratio <= 4.5, diffs
 
     def test_gradient_stable_under_refinement(self):
         spec = load_preset("scott_example22")
@@ -258,6 +258,41 @@ class TestConvergence:
             result = cf.solve_recursive_system(spec, grid)
             grads.append(max(np.max(np.abs(f.df)) for f in result.fields.values()))
         assert abs(grads[1] - grads[0]) / grads[0] < 0.02
+
+
+class TestSweepPredictor:
+    """The extrapolated end-of-step source starts each sweep next to its fixed point."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_sweeps_stop_on_the_tolerance(self, preset):
+        spec = load_preset(preset)
+        for n_y in (41, 101):
+            march = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, n_y, n_y - 1)).march
+            assert march["sweep_cap_hits"] == 0, n_y
+        # at 101x100 about one sweep per wavefront iteration: the predictor is
+        # already within the tolerance
+        assert march["sweeps"] <= 1.25 * march["iterations"]
+
+    def test_sweep_cap_hits_are_counted(self, monkeypatch):
+        monkeypatch.setattr(pde, "_INNER_SWEEPS", 1)
+        march = cf.solve_recursive_system(load_preset("benchmark_s5"),
+                                          cf.GridSpec(-1.0, 1.0, 41, 40)).march
+        # one count per (state, step) pair left unconverged
+        assert 0 < march["sweep_cap_hits"] <= 4 * 40
+
+    @pytest.mark.parametrize("preset", ["benchmark_s5", "scott_example22"])
+    def test_sweeps_end_at_the_fixed_point(self, preset, monkeypatch):
+        # the predictor moves where the sweep starts, not where it ends: against
+        # sweeps run to round-off
+        spec = load_preset(preset)
+        for n_y in (41, 101):
+            grid = cf.GridSpec(-1.0, 1.0, n_y, n_y - 1)
+            f = cf.solve_recursive_system(spec, grid).f
+            with monkeypatch.context() as patched:
+                patched.setattr(pde, "_INNER_TOL", 1e-15)
+                patched.setattr(pde, "_INNER_SWEEPS", 60)
+                ref = cf.solve_recursive_system(spec, grid).f
+            assert np.max(np.abs(f - ref) / ref) <= 3e-9, n_y
 
 
 class TestValidationGate:
