@@ -424,7 +424,7 @@ def cmd_simulate(args) -> int:
         result = solve_recursive_system(spec, grid, validate=False)
 
     # Feynman–Kac first: run after the controlled pass, its buffers stack on the heap that
-    # pass grew (about 1.4 MB more peak RSS at 4000 paths; the time does not move)
+    # pass grew (about 1.2 MB more peak RSS at 4000 paths; the time does not move)
     fk_probes = [(state, (t_probe, mc["y0"])) for state in states_by_cardinality(spec.n)
                  for t_probe in (0.5 * spec.pref.T, spec.pref.T)]
     fk_run = {"n_steps": _FK_STEPS, "seed": mc["seed"] + 2}
@@ -458,6 +458,7 @@ def cmd_simulate(args) -> int:
         "solution": str(Path(args.solution).resolve()) if args.solution else None,
         **_versions(), "grid_exit_frac": bundle.grid_exit_frac,
         "exit_fraction": bundle.exit_fraction, "feynman_kac": fk_run,
+        "stages": {"simulate_market": bundle.stages, "mc_feynman_kac": fk_reports[0].stages},
         "checks": [{"name": r.name, "estimate": r.estimate, "target": r.target,
                     "tolerance": r.tolerance, "passed": bool(r.passed), "elapsed": r.elapsed}
                    for r in reports]})

@@ -77,6 +77,9 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
     ``y`` is clamped to the grid and extra trailing axes pass through; a 0-d
     ``rows`` and ``y`` give a point query.
 
+    Each cell's ``b - a`` is formed once on the small slices and gathered
+    beside ``a``: the subtraction a point would do, so the same bits.
+
     ``work`` is an optional dict of scratch arrays that a loop passes to every
     call: the kernel then allocates nothing once the arrays exist, and the
     result is one of them, overwritten by the next call.  Its gathers write
@@ -86,7 +89,6 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
     result is a new array and an index out of range raises.
     """
     n_y = len(y_nodes)
-    flat = slices.reshape((-1,) + slices.shape[2:])
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(np.shape(rows), y.shape)
     scratch = {} if work is None else work
@@ -97,31 +99,33 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
             b = scratch[name] = np.empty(shp, dtype)
         return b
 
+    # b - a of every cell; the last node opens no cell, so its row is never read
+    diff = buf("diff", slices.shape)
+    np.subtract(slices[:, 1:], slices[:, :-1], out=diff[:, :-1])
     fy = np.subtract(y, y_nodes[0], out=buf("fy", y.shape))
     fy /= y_nodes[1] - y_nodes[0]
     np.clip(fy, 0.0, n_y - 1.0, out=fy)
-    j0 = buf("j0", y.shape, np.intp)
-    np.copyto(j0, fy, casting="unsafe")     # truncates, as astype(int) does
+    # the cell, truncated as astype(int) does, found in floats: wy subtracts no int array
+    j0 = np.trunc(fy, out=buf("j0", y.shape))
     np.minimum(j0, n_y - 2, out=j0)
     wy = np.subtract(fy, j0, out=fy)
     if slices.ndim > 2:
         wy = wy[..., None]
-    idx = np.multiply(rows, n_y, out=buf("idx", shape, np.intp))
-    idx += j0
+    idx = buf("idx", shape, np.intp)
+    np.copyto(idx, j0, casting="unsafe")
+    idx += np.multiply(rows, n_y)
 
-    def gather(name):
-        """Rows ``idx`` of flat: take gathers rows several times faster than flat[idx]."""
+    def gather(table, name):
+        """Rows ``idx`` of table: take gathers rows several times faster than table[idx]."""
+        table = table.reshape((-1,) + slices.shape[2:])
         if work is None:
-            return flat.take(idx, axis=0)
-        return flat.take(idx, axis=0, out=buf(name, shape + flat.shape[1:]), mode="clip")
+            return table.take(idx, axis=0)
+        return table.take(idx, axis=0, out=buf(name, shape + slices.shape[2:]), mode="clip")
 
-    a = gather("a")
-    idx += 1
-    out = gather("out")
     # a + wy (b - a), in place: fewer large temporaries, the same rounding
-    out -= a
+    out = gather(diff, "out")
     out *= wy
-    out += a
+    out += gather(slices, "a")
     return out
 
 

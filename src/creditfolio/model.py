@@ -161,7 +161,8 @@ class CreditSpec:
 
     ``table`` maps (name index, state bits) to (a, b, c); the parameters are
     canonicalised so that the z-argument of name i always has its own bit
-    cleared, and a missing entry is zero.
+    cleared, and a missing entry is zero.  :meth:`rate` is the one evaluation
+    of the formula, on rows that :meth:`params` gathers.
     """
 
     def __init__(self, n: int, table: Mapping[tuple[int, int], tuple[float, float, float]]):
@@ -180,7 +181,7 @@ class CreditSpec:
                     a[i, bits] = a[i, bits & ~(1 << i)]
                     b[i, bits] = b[i, bits & ~(1 << i)]
                     c[i, bits] = c[i, bits & ~(1 << i)]
-        self._abc = (a, b, c)
+        self._abc = np.stack((a, b, c))
         self._names = np.arange(n)
 
     @classmethod
@@ -211,19 +212,20 @@ class CreditSpec:
         """Degenerate no-default-risk spec (lambda identically zero)."""
         return cls(n, {})
 
+    def params(self, bits) -> np.ndarray:
+        """(a, b, c) of every name in the states ``bits``, an int or an array: (3, ..., n)."""
+        # the tables are canonicalised at construction, so a plain gather suffices
+        return self._abc[:, self._names, np.asarray(bits)[..., None]]
+
+    @staticmethod
+    def rate(abc: np.ndarray, y) -> np.ndarray:
+        """a + b exp(c y) for rows ``abc`` of :meth:`params` at factor values ``y``: (..., n)."""
+        a, b, c = abc
+        return a + b * np.exp(c * np.asarray(y, dtype=float)[..., None])
+
     def intensity(self, y, state: DefaultState) -> np.ndarray:
         """lambda(y, z) as an (..., n) array; includes entries of defaulted names."""
-        y = np.asarray(y, dtype=float)
-        # the tables are canonicalised at construction, so a plain gather suffices
-        a, b, c = self._abc
-        sel = (self._names, state.bits)
-        return a[sel] + b[sel] * np.exp(c[sel] * y[..., None])
-
-    def intensity_per_path(self, y: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """lambda over a batch of paths with per-path default states; (m, n)."""
-        a, b, c = self._abc
-        sel = (self._names[None, :], bits[:, None])
-        return a[sel] + b[sel] * np.exp(c[sel] * y[:, None])
+        return self.rate(self.params(state.bits), y)
 
 
 class MarketSpec:

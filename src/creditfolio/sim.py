@@ -14,12 +14,14 @@ across runs and independent of which optional observers are active.
 
 Controls and ``g`` are read in place from the solved result's policy table
 and ``f``, which stack every default state indexed by the state's bits, so
-one lookup per step serves all paths with no per-state mask; each path's
-intensity at the end of a step carries into the next.  The policy is data:
-a perturbed policy is a result whose table was edited, and a defaulted
-name's weight is masked to zero whatever the table holds.  The Feynman–Kac
-probes of a call share one normal stream and one pass over (probe, path)
-arrays; a probe's draws do not depend on its batch.
+one read per step serves all paths with no per-state mask; each path
+carries its intensity rows ``(a, b, c)`` and alive mask, gathered again in
+the clock sweeps only for paths that default.  The policy is data: a
+perturbed policy is a result whose table was edited, and a defaulted name's
+weight is masked to zero whatever the table holds.  The Feynman–Kac probes
+of a call share one normal stream and one pass over (probe, path) arrays; a
+probe's draws do not depend on its batch.  A :class:`StageClock` splits
+each pass's time by stage.
 
 One controlled pass serves every path check: given a solved result,
 :func:`simulate_market` runs the controls beside the market and records the
@@ -73,6 +75,29 @@ def _block_rng(seed: int, kind: int, block: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+class StageClock:
+    """Seconds and call counts per stage of a pass, charged lap by lap.
+
+    ``lap(name)`` charges the time since the previous lap (or since the clock
+    was made) to stage ``name`` and counts one call, so a pass's stages add
+    up to its time.  :meth:`as_dict` is the form ``simulate.json`` keeps.
+    """
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self.calls: dict[str, int] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] = self.seconds.get(name, 0.0) + (now - self._last)
+        self.calls[name] = self.calls.get(name, 0) + 1
+        self._last = now
+
+    def as_dict(self) -> dict[str, dict]:
+        return {name: {"s": s, "calls": self.calls[name]} for name, s in self.seconds.items()}
+
+
 @dataclass
 class McReport:
     """One statistical check: pass iff |estimate - target| <= TOL_SE * se + bias_floor."""
@@ -85,6 +110,7 @@ class McReport:
     bias_floor: float = 0.0
     elapsed: float = 0.0
     extra: dict = field(default_factory=dict)
+    stages: dict = field(default_factory=dict)   # StageClock.as_dict() of the pass
 
     @property
     def tolerance(self) -> float:
@@ -158,6 +184,7 @@ class PathBundle:
     g0: float = float("nan")                         # G_0 = g(T, y0, z0)
     grid_exit_count: int = 0       # path-steps outside the solved grid
     elapsed: float = 0.0
+    stages: dict = field(default_factory=dict)       # StageClock.as_dict() of the pass
 
     @property
     def exit_fraction(self) -> float:
@@ -199,12 +226,16 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     ``density`` gets the dual density ``Gamma_T``, which depends neither on
     ``x0`` nor on the ``pi`` and ``c_mult`` channels of the policy; ``G_t`` is
     sampled at ``g_probe_times``, and the kept paths gain X, c and Gamma.
+    Each path carries its intensity rows and alive mask, re-gathered in the
+    clock sweeps where it defaults, and the kept ``P`` compounds the carried
+    ``lam`` of each step's start; ``stages`` gets the :class:`StageClock` laps.
     """
     if g_probe_times and result is None:
         raise ValueError("G-martingale probes need a solved result")
     if result is not None and x0 <= 0:
         raise ValueError("initial wealth must be positive")
     started = time.perf_counter()
+    clock = StageClock()
     z0 = z0 or DefaultState(spec.n, 0)
     bundle = PathBundle(spec, n_paths, n_steps, seed, y0, z0)
     n = spec.n
@@ -232,22 +263,31 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     grid_exit_count = 0                      # Y after a step outside the solved grid
 
     alive_of = np.array([[1.0 - ((b >> i) & 1) for i in range(n)] for b in range(1 << n)])
+    # each path's intensity parameters and alive mask, gathered again only where bits change
+    abc, alive = spec.credit.params(bits), alive_of[bits]
+    sigma0 = np.asarray(spec.factor.sigma0)
     if with_controls:
         t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
-
-    def lam_alive(yv, bv):
-        return spec.credit.intensity_per_path(yv, bv) * alive_of[bv]
+        pol_work = {}                        # interp_y's arrays, reused by every policy read
+        pi, hh, th, ah = (np.empty((n_paths, n)) for _ in range(4))
+        rowdot = np.empty((8, n_paths))      # the wealth step's row-wise dot products
 
     def g_at(u, bv, yv):
         return lookup(result.f, t_nodes, y_nodes, u, bv, yv) ** spec.beta
 
-    def controls_at(t_clock, Yv, bv):
-        vals = lookup(result.policy, t_nodes, y_nodes, max(T - t_clock, 0.0), bv, Yv)
-        pi = vals[:, policy_channel("pi", n)] * alive_of[bv]
-        # contiguous channels keep the einsum reductions below on one code path
-        hh, th, ah = (np.ascontiguousarray(vals[:, policy_channel(c, n)])
-                      for c in ("hhat", "theta", "ahat"))
-        return pi, hh, th, ah, vals[:, policy_channel("c_mult", n)]
+    def controls_at(t_clock):
+        """Read the policy at (Y, bits) into pi (masked by alive), hh, th, ah; returns c_mult."""
+        vals = interp_y(blend_t(result.policy, t_nodes, max(T - t_clock, 0.0)), y_nodes,
+                        bits, Y, pol_work)
+        # contiguous channels keep the einsums on one code path; name by name copies run fast
+        for buf, c in ((pi, "pi"), (hh, "hhat"), (th, "theta"), (ah, "ahat")):
+            for i in range(n):
+                np.copyto(buf[:, i], vals[:, policy_channel(c, n)][:, i])
+        np.multiply(pi, alive, out=pi)
+        return vals[:, policy_channel("c_mult", n)]
+
+    def dot(a, b, row):
+        return np.einsum("ij,ij->i", a, b, out=rowdot[row])
 
     if with_controls:
         X = np.full(n_paths, float(x0))
@@ -291,16 +331,19 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             g_out[float(t_now)] = spec.pref.K2 ** (1.0 - q) * dens_int + gq * g_val
 
     record_probes(0)
-    lam_now = lam_alive(Y, bits)              # carried from step to step
+    lam_now = spec.credit.rate(abc, Y) * alive      # carried from step to step
+    clock.lap("setup")
 
     for k in range(n_steps):
         t_now = t_mesh[k]
         draws = _block_rng(seed, _KIND_NORMALS, k).standard_normal((n_paths, 2 * n))
         dW = draws[:, :n] * np.sqrt(dt)
         dWbar = draws[:, n:] * np.sqrt(dt)
+        clock.lap("rng")
 
         if with_controls:
-            pi, hh, th, ah, cm = controls_at(t_now, Y, bits)
+            cm = controls_at(t_now)
+            clock.lap("policy")
             pisig = spec.market.pi_sigma(pi, spec.market.sigma(Y))
             u2_now = _power_utility(cm * X, spec.pref.K2, p)
             cons_util += u2_now * dt
@@ -309,43 +352,45 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             if keep:
                 kept["c"][:, k] = cm[:keep] * X[:keep]
             # -X pi' dM contributes the compensator drift +pi'(1-z)lambda between defaults
-            drift = r + pi @ (mu - r) + np.einsum("ij,ij->i", pi, lam_now) - cm
-            X = X * np.exp((drift - 0.5 * np.einsum("ij,ij->i", pisig, pisig)) * dt
-                           + np.einsum("ij,ij->i", pisig, dW))
-            Gamma = Gamma * np.exp(
-                -np.einsum("ij,ij->i", th, dW) - np.einsum("ij,ij->i", ah, dWbar)
-                - (0.5 * np.einsum("ij,ij->i", th, th)
-                   + 0.5 * np.einsum("ij,ij->i", ah, ah)
-                   + np.einsum("ij,ij->i", hh, lam_now)) * dt)
+            drift = r + pi @ (mu - r) + dot(pi, lam_now, 0) - cm
+            X *= np.exp((drift - 0.5 * dot(pisig, pisig, 1)) * dt + dot(pisig, dW, 2))
+            Gamma *= np.exp(-dot(th, dW, 3) - dot(ah, dWbar, 4)
+                            - (0.5 * dot(th, th, 5) + 0.5 * dot(ah, ah, 6)
+                               + dot(hh, lam_now, 7)) * dt)
+            clock.lap("wealth")
 
         if keep:
             kk = slice(0, keep)
             sig = spec.market.matrix(Y[kk])   # stock i loads sig[i, j] on dW_j
             P_kept = P_kept * np.exp((mu + lam_now[kk] - 0.5 * np.sum(sig**2, axis=-1)) * dt
                                      + (sig @ dW[kk][..., None])[..., 0])
+            clock.lap("kept")
 
         # factor step (Euler-Maruyama with correlated drivers), reflected at the domain edge
-        s0 = spec.factor.vol_row(Y)
         dYw = spec.factor.rho * dW + np.sqrt(1.0 - spec.factor.rho**2) * dWbar
-        Y_next = Y + spec.factor.drift(Y) * dt + np.sum(s0 * dYw, axis=1)
+        Y_next = Y + spec.factor.drift(Y) * dt + np.sum(sigma0 * dYw, axis=1)
         out_lo = Y_next < lo
         out_hi = Y_next > hi
         reflect_count += int(np.sum(out_lo) + np.sum(out_hi))
         Y_next = np.where(out_lo, 2 * lo - Y_next, Y_next)
         Y_next = np.where(out_hi, 2 * hi - Y_next, Y_next)
+        clock.lap("factor")
+
+        lam_next = spec.credit.rate(abc, Y_next) * alive
+        clock.lap("intensity")
 
         # default clocks over [t_now, t_now + dt]; at most n crossings per path.  Sweep 0
         # runs on the whole arrays, where (1 - 0) dt is exactly dt; the paths that cross a
         # clock in it go on alone, each sweep from its last crossing to the step's end
-        bits_start = bits.copy()
-        lam_next = lam_alive(Y_next, bits)
         dA = 0.5 * (lam_now + lam_next) * dt
         crossing = (acc + dA >= E) & (dA > 0)
-        any_cross = crossing.any(axis=1)
-        quiet = ~any_cross[:, None]
-        np.add(comp_int, dA, out=comp_int, where=quiet)
-        np.add(acc, dA, out=acc, where=quiet)
-        hit = np.nonzero(any_cross)[0]
+        # any name: numpy reduces a short last axis row by row, a name-major copy at once
+        hit = defaulted = np.flatnonzero(crossing.T.copy().any(axis=0))
+        # quiet paths take the whole step (not a masked add: it runs row by row over names)
+        held = comp_int[hit], acc[hit]
+        comp_int += dA
+        acc += dA
+        comp_int[hit], acc[hit] = held
         dA, crossing = dA[hit], crossing[hit]
         frac_from = np.zeros(hit.size)
         while hit.size:
@@ -355,7 +400,6 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             fr = frac[np.arange(hit.size), winner]
             tau = t_now + (frac_from + fr * (1.0 - frac_from)) * dt
             comp_int[hit] += dA * fr[:, None]
-            acc[hit] += dA * fr[:, None]
             if with_controls:
                 jump_factor = 1.0 - pi[hit, winner]
                 bad = jump_factor <= 1e-12
@@ -365,17 +409,19 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
                 Gamma[hit] = Gamma[hit] * (1.0 + hh[hit, winner])
             default_times[hit, winner] = tau
             bits[hit] |= (np.int64(1) << winner.astype(np.int64))
+            rows, alive_hit = spec.credit.params(bits[hit]), alive_of[bits[hit]]   # carried on
+            abc[:, hit], alive[hit] = rows, alive_hit
             rounds[hit] = np.minimum(rounds[hit] + 1, n - 1)
             acc[hit] = 0.0
             E[hit] = clock_draws[rounds[hit], hit]
             frac_from = frac_from + fr * (1.0 - frac_from)
             # the next sweep, over the rest of the step
             Y_a = Y[hit] + frac_from * (Y_next[hit] - Y[hit])
-            lam_a = lam_alive(Y_a, bits[hit])
-            lam_b = lam_alive(Y_next[hit], bits[hit])
+            lam_a = spec.credit.rate(rows, Y_a) * alive_hit
+            lam_b = spec.credit.rate(rows, Y_next[hit]) * alive_hit
             dA = 0.5 * (lam_a + lam_b) * ((1.0 - frac_from)[:, None] * dt)
             crossing = (acc[hit] + dA >= E[hit]) & (dA > 0)
-            any_cross = crossing.any(axis=1)
+            any_cross = crossing.T.copy().any(axis=0)
             done = hit[~any_cross]
             comp_int[done] += dA[~any_cross]
             acc[done] += dA[~any_cross]
@@ -384,10 +430,11 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
 
         Y = Y_next
         # the intensity at Y_next carries to the next step; only paths that defaulted change it
-        changed = np.nonzero(bits != bits_start)[0]
-        if changed.size:
-            lam_next[changed] = lam_alive(Y[changed], bits[changed])
+        if defaulted.size:
+            lam_next[defaulted] = (spec.credit.rate(abc[:, defaulted], Y[defaulted])
+                                   * alive[defaulted])
         lam_now = lam_next
+        clock.lap("sweeps")
 
         if with_controls:
             grid_exit_count += int(np.count_nonzero((Y < y_nodes[0]) | (Y > y_nodes[-1])))
@@ -405,12 +452,13 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
                 kept["X"][:, k + 1] = X[kk]
                 kept["Gamma"][:, k + 1] = Gamma[kk]
         record_probes(k + 1)
+        clock.lap("observers")
 
     bundle.t_mesh, bundle.default_times, bundle.final_bits = t_mesh, default_times, bits
     bundle.y_terminal, bundle.reflect_count = Y, reflect_count
     bundle.compensator, bundle.kept = comp_out, kept
     if with_controls:
-        _, _, _, _, cm_T = controls_at(T, Y, bits)
+        cm_T = controls_at(T)
         u2_T = _power_utility(cm_T * X, spec.pref.K2, p)
         if keep:
             kept["c"][:, n_steps] = cm_T[:keep] * X[:keep]
@@ -425,7 +473,9 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         bundle.density = {"Gamma_T": Gamma}
         bundle.x0, bundle.g0, bundle.g_probes = x0, float(g0), g_out
         bundle.grid_exit_count = grid_exit_count
+    clock.lap("final")
     bundle.elapsed = time.perf_counter() - started
+    bundle.stages = clock.as_dict()
     return bundle
 
 
@@ -442,7 +492,7 @@ def _compensator_reports(bundle: PathBundle) -> list[McReport]:
             est, se = _mean_se(samples[:, i])
             reports.append(McReport(name=f"compensator name={i+1} t={t_probe:g}",
                                     estimate=est, target=0.0, se=se, n_paths=bundle.n_paths,
-                                    elapsed=bundle.elapsed))
+                                    elapsed=bundle.elapsed, stages=bundle.stages))
     return reports
 
 
@@ -457,7 +507,7 @@ def _g_reports(bundle: PathBundle) -> list[McReport]:
         reports.append(McReport(
             name=f"G-martingale t={t_probe:g}", estimate=est, target=g0, se=se,
             n_paths=bundle.n_paths, bias_floor=abs(g0) * dt,
-            elapsed=bundle.elapsed, extra=dict(exits)))
+            elapsed=bundle.elapsed, extra=dict(exits), stages=bundle.stages))
     return reports
 
 
@@ -487,7 +537,7 @@ def _duality_report(bundle: PathBundle, result: SolveResult) -> McReport:
     hedge_gap = max(float(result.hedge_gap[s.bits]) for s in reachable_states(spec, z0))
     return McReport(
         name="duality-gap", estimate=est, target=target, se=se, n_paths=int(ok.sum()),
-        bias_floor=abs(target) * dt, elapsed=bundle.elapsed,
+        bias_floor=abs(target) * dt, elapsed=bundle.elapsed, stages=bundle.stages,
         extra={"rep_log_corr": rep_corr, "rep_log_maxdev": rep_dev,
                "flagged": int((~ok).sum()), "hedge_gap": hedge_gap,
                "grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
@@ -569,6 +619,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     if any(t <= 0 for _, (t, _) in probes):
         raise ValueError("probe time must be positive")
     started = time.perf_counter()
+    clock = StageClock()
     states = list({state.bits: state for state, _ in probes}.values())
     row_of = {state.bits: r for r, state in enumerate(states)}
     rows = np.array([row_of[state.bits] for state, _ in probes])
@@ -608,6 +659,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     tmp, phi_here, phi_next, integrand_prev, integrand_next = (np.empty(Yp.shape)
                                                                for _ in range(5))
     z_draw = np.empty(n_paths)
+    clock.lap("setup")
 
     def integrand(vals, out):
         """f^{1-beta} / beta * source into ``out``.
@@ -621,12 +673,15 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
         out *= vals[..., 1]
 
     vals = read(t_probe, Yp)
+    clock.lap("read")
     np.divide(vals[..., 0], beta, out=phi_here)
     integrand(vals, integrand_prev)     # e^{I_0} = 1
+    clock.lap("integrand")
 
     # each line below is one operation of the expression in its comment, in its order
     for k in range(n_steps):
         _block_rng(seed, _KIND_FK, rng_offset + k).standard_normal(out=z_draw)
+        clock.lap("rng")
         if exact:
             # Yp = mean + (Yp - mean) decay + sd z
             Yp -= mean
@@ -640,8 +695,10 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
         Yp += tmp
         np.subtract(2 * grid.y_lo, Yp, out=Yp, where=Yp < grid.y_lo)
         np.subtract(2 * grid.y_hi, Yp, out=Yp, where=Yp > grid.y_hi)
+        clock.lap("factor")
         # field time runs backward along the path
         vals = read(np.maximum(t_probe - (k + 1) * dt[:, 0], 0.0), Yp)
+        clock.lap("read")
         np.divide(vals[..., 0], beta, out=phi_next)
         # I_acc += 0.5 (phi_here + phi_next) dt
         np.add(phi_here, phi_next, out=tmp)
@@ -659,9 +716,12 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
         E2 += tmp
         phi_here, phi_next = phi_next, phi_here
         integrand_prev, integrand_next = integrand_next, integrand_prev
+        clock.lap("integrand")
 
     samples = spec.f0 * np.exp(I_acc) + E2
+    clock.lap("final")
     elapsed = time.perf_counter() - started
+    stages = clock.as_dict()
     reports = []
     for (state, (t, y)), d, row in zip(probes, dt_list, samples):
         est, se = _mean_se(row)
@@ -669,5 +729,5 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
         reports.append(McReport(
             name=f"feynman-kac state={state} probe=({t:g},{y:g})",
             estimate=est, target=target, se=se, n_paths=n_paths,
-            bias_floor=4.0 * abs(target) * d**2, elapsed=elapsed))
+            bias_floor=4.0 * abs(target) * d**2, elapsed=elapsed, stages=stages))
     return reports

@@ -402,8 +402,16 @@ def test_simulate_manifest_holds_the_run_and_its_timings(solve_dir, tmp_path):
         manifest = json.loads((tmp_path / name / "simulate.json").read_text())
         assert set(manifest) == {"spec_sha256", "seed", "n_paths", "n_steps", "solution",
                                  "python", "numpy", "scipy", "grid_exit_frac",
-                                 "exit_fraction", "feynman_kac", "checks"}
+                                 "exit_fraction", "feynman_kac", "stages", "checks"}
         assert manifest["spec_sha256"] == spec.fingerprint()
+        # each pass's stage seconds and lap counts, per step or per Feynman-Kac read
+        stages = manifest["stages"]
+        assert {name: stage["calls"] for name, stage in stages["simulate_market"].items()} == {
+            "setup": 1, "rng": 10, "policy": 10, "wealth": 10, "factor": 10, "intensity": 10,
+            "sweeps": 10, "observers": 10, "final": 1}
+        assert {name: stage["calls"] for name, stage in stages["mc_feynman_kac"].items()} == {
+            "setup": 1, "read": 257, "integrand": 257, "rng": 256, "factor": 256, "final": 1}
+        assert all(stage["s"] >= 0.0 for run in stages.values() for stage in run.values())
         assert (manifest["seed"], manifest["n_paths"], manifest["n_steps"]) == (7, 200, 10)
         # the Feynman-Kac pass keeps its own step count and seed, whatever --steps says
         assert manifest["feynman_kac"] == {"n_steps": 256, "seed": 9}

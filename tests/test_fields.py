@@ -179,5 +179,51 @@ class TestStackedLookup:
             assert got.shape == want.shape == y.shape + stack.shape[3:]
             assert np.array_equal(got, want)
             assert got is work["out"]
-        # the upper corners' flat indices stay inside the slices, so clipping moved none
-        assert 1 <= work["idx"].min() and work["idx"].max() <= slices.shape[0] * slices.shape[1] - 1
+        # the cells' flat indices stay inside the slices and no cell opens at a row's last
+        # node, so clipping moved none and no point reads the unused last difference
+        idx = work["idx"]
+        assert 0 <= idx.min() and idx.max() <= slices.shape[0] * slices.shape[1] - 2
+        assert np.all(idx % slices.shape[1] != slices.shape[1] - 1)
+
+
+def two_gather(slices, y_nodes, rows, y):
+    """Each point gathers both nodes of its cell and subtracts: a + wy (b - a) (reference)."""
+    n_y = len(y_nodes)
+    fy = np.clip((np.asarray(y, dtype=float) - y_nodes[0]) / (y_nodes[1] - y_nodes[0]),
+                 0.0, n_y - 1.0)
+    j0 = np.minimum(fy.astype(int), n_y - 2)
+    wy = fy - j0
+    if slices.ndim > 2:
+        wy = wy[..., None]
+    flat = slices.reshape((-1,) + slices.shape[2:])
+    idx = np.asarray(rows) * n_y + j0
+    a, b = flat[idx], flat[idx + 1]
+    return a + wy * (b - a)
+
+
+class TestInterpKernel:
+    """interp_y, which gathers pre-formed cell differences, against the two-gather formula."""
+
+    Y_NODES = np.linspace(-1.0, 1.0, 21)
+
+    def test_equals_two_gather_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        lo, hi = self.Y_NODES[0], self.Y_NODES[-1]
+        # every node (both edges among them), points between nodes, and points beyond the edges
+        y = np.concatenate([self.Y_NODES, rng.uniform(lo, hi, 60),
+                            [np.nextafter(lo, -2.0), np.nextafter(hi, 2.0), lo - 0.3, hi + 0.3,
+                             -1e300, 1e300]])
+        work = {}                              # one work dict serves calls of every shape
+        for channels in ((), (3,), (1,)):
+            slices = rng.normal(size=(4, len(self.Y_NODES)) + channels)
+            cases = [(rng.integers(0, 4, y.size), y),                  # a row per point
+                     (np.arange(4)[:, None], np.stack([y, y[::-1], y + 0.05, y - 0.05])),
+                     (2, y),                                           # one row, many points
+                     (rng.integers(0, 4, 7), 0.37),                    # many rows, one point
+                     (3, hi), (0, lo - 1.0)]                           # point queries
+            for rows, yy in cases:
+                want = two_gather(slices, self.Y_NODES, rows, yy)
+                for got in (interp_y(slices, self.Y_NODES, rows, yy),
+                            interp_y(slices, self.Y_NODES, rows, yy, work)):
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -105,14 +105,14 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", [*PRESET_NAMES, "three_names"])
     def test_path_intensities_are_the_state_intensities(self, name):
-        # the path engine's per-path gather and the PDE's per-state kernel give
+        # the path engine's carried per-path rows and the PDE's per-state kernel give
         # the same bits for every state at every factor value
         from test_cli import three_name_config
 
         spec = build_model(three_name_config()) if name == "three_names" else load_preset(name)
         y = np.linspace(spec.factor.domain_lo, spec.factor.domain_hi, 1001)
         for state in all_states(spec.n):
-            per_path = spec.credit.intensity_per_path(y, np.full(y.shape, state.bits))
+            per_path = spec.credit.rate(spec.credit.params(np.full(y.shape, state.bits)), y)
             assert per_path.tobytes() == spec.intensity(y, state).tobytes(), state
 
     def test_merton_preset(self):

@@ -6,7 +6,8 @@ import pytest
 import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio import sim
-from creditfolio.model import CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec, PreferenceSpec
+from creditfolio.model import (CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec,
+                               PreferenceSpec, build_model)
 
 from conftest import GENERAL_SIGMA, full_sigma_scott, general_sigma_of_y, with_policy
 
@@ -152,6 +153,43 @@ def test_clock_sweeps_equal_a_per_path_reference(spec):
     # the sweeps after the first: both names default inside one step on some paths
     both = np.isfinite(times).all(axis=1)
     assert np.any(np.floor(times[both, 0] / dt) == np.floor(times[both, 1] / dt))
+
+
+@pytest.mark.parametrize("name", ["contagion", "three_names"])
+def test_kept_prices_read_each_steps_state_intensity(name):
+    # kept P compounds the intensity the pass carries from step to step; rebuilt from fresh
+    # intensity calls at the kept (Y, H) it has the same bits, so no carried row is stale
+    from conftest import make_contagion_spec
+    from test_cli import three_name_config
+
+    if name == "contagion":
+        spec = make_contagion_spec()
+    else:                  # three names, each one's intensity jumping when another defaults
+        cfg = three_name_config()
+        for i, state in ((1, "010"), (2, "001"), (3, "100")):
+            cfg["credit"].update({f"a_{i}_{state}": "0.9", f"b_{i}_{state}": "0.5",
+                                  f"c_{i}_{state}": "0.2"})
+        spec = build_model(cfg)
+    n, n_paths, n_steps, seed = spec.n, 400, 5, 21
+    bundle = sim.simulate_market(spec, n_paths, n_steps, seed, keep=n_paths)
+    Y, H = bundle.kept["Y"], bundle.kept["H_bits"]
+    dt = spec.pref.T / n_steps
+    P = np.ones((n_paths, n))
+    for k in range(n_steps):
+        draws = sim._block_rng(seed, sim._KIND_NORMALS, k).standard_normal((n_paths, 2 * n))
+        dW = draws[:, :n] * np.sqrt(dt)
+        ind = (H[:, :, None] >> np.arange(n)) & 1
+        lam = np.array([spec.intensity(y, DefaultState(n, int(b))) for y, b in zip(Y[:, k], H[:, k])])
+        lam *= 1.0 - ind[:, k]
+        sig = spec.market.matrix(Y[:, k])
+        P = P * np.exp((spec.market.mu + lam - 0.5 * np.sum(sig**2, axis=-1)) * dt
+                       + (sig @ dW[..., None])[..., 0])
+        assert (P * (1 - ind[:, k + 1])).tobytes() == bundle.kept["P"][:, k + 1].tobytes(), k
+    # paths default before the last step, so later steps read re-gathered rows; with three
+    # names some path takes two defaults inside one step
+    assert np.any(H[:, n_steps - 1] != H[:, 0])
+    if n == 3:
+        assert np.any(np.diff(np.bitwise_count(H), axis=1) >= 2)
 
 
 class TestOnePass:
