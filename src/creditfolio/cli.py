@@ -424,7 +424,7 @@ def cmd_simulate(args) -> int:
         result = solve_recursive_system(spec, grid, validate=False)
 
     # Feynman–Kac first: run after the controlled pass, its buffers stack on the heap that
-    # pass grew (about 1.2 MB more peak RSS at 4000 paths; the time does not move)
+    # pass grew (about 1 MB more peak RSS at 4000 paths; the time does not move)
     fk_probes = [(state, (t_probe, mc["y0"])) for state in states_by_cardinality(spec.n)
                  for t_probe in (0.5 * spec.pref.T, spec.pref.T)]
     fk_run = {"n_steps": _FK_STEPS, "seed": mc["seed"] + 2}

@@ -14,6 +14,7 @@ time ``tau`` therefore reads the fields at horizon ``T - tau``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,20 +78,25 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
     ``y`` is clamped to the grid and extra trailing axes pass through; a 0-d
     ``rows`` and ``y`` give a point query.
 
-    Each cell's ``b - a`` is formed once on the small slices and gathered
-    beside ``a``: the subtraction a point would do, so the same bits.
+    The kernel works channel-first: the slices are copied to ``(C, R n_y)``
+    planes, each cell's ``b - a`` is formed once on them (the subtraction a
+    point would do, so the same bits), and one ``take`` gathers every
+    channel, so ``wy`` multiplies contiguous planes.  The result is a
+    channel-last view of those planes; each channel ``[..., c]`` is contiguous.
 
     ``work`` is an optional dict of scratch arrays that a loop passes to every
     call: the kernel then allocates nothing once the arrays exist, and the
-    result is one of them, overwritten by the next call.  Its gathers write
+    result views one of them, overwritten by the next call.  Its gathers write
     into those arrays with ``mode="clip"``; the indices are in range by
     construction, so clipping changes no value, and numpy's default
     ``mode="raise"`` would copy ``out`` on every call.  Without ``work`` the
-    result is a new array and an index out of range raises.
+    result views new arrays and an index out of range raises.
     """
     n_y = len(y_nodes)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(np.shape(rows), y.shape)
+    channels = slices.shape[2:]
+    n_c = math.prod(channels)
     scratch = {} if work is None else work
 
     def buf(name, shp, dtype=float):
@@ -99,9 +105,13 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
             b = scratch[name] = np.empty(shp, dtype)
         return b
 
-    # b - a of every cell; the last node opens no cell, so its row is never read
-    diff = buf("diff", slices.shape)
-    np.subtract(slices[:, 1:], slices[:, :-1], out=diff[:, :-1])
+    # a and b - a of every cell as planes; a row's last node opens no cell, so the
+    # difference that spans two rows is never read
+    planes = buf("planes", (n_c,) + slices.shape[:2])
+    np.copyto(planes, slices.reshape(slices.shape[:2] + (n_c,)).transpose(2, 0, 1))
+    planes = planes.reshape(n_c, -1)
+    diff = buf("diff", planes.shape)
+    np.subtract(planes[:, 1:], planes[:, :-1], out=diff[:, :-1])
     fy = np.subtract(y, y_nodes[0], out=buf("fy", y.shape))
     fy /= y_nodes[1] - y_nodes[0]
     np.clip(fy, 0.0, n_y - 1.0, out=fy)
@@ -109,24 +119,22 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
     j0 = np.trunc(fy, out=buf("j0", y.shape))
     np.minimum(j0, n_y - 2, out=j0)
     wy = np.subtract(fy, j0, out=fy)
-    if slices.ndim > 2:
-        wy = wy[..., None]
     idx = buf("idx", shape, np.intp)
     np.copyto(idx, j0, casting="unsafe")
     idx += np.multiply(rows, n_y)
 
     def gather(table, name):
-        """Rows ``idx`` of table: take gathers rows several times faster than table[idx]."""
-        table = table.reshape((-1,) + slices.shape[2:])
+        """Columns ``idx`` of the planes: take gathers several times faster than indexing."""
         if work is None:
-            return table.take(idx, axis=0)
-        return table.take(idx, axis=0, out=buf(name, shape + slices.shape[2:]), mode="clip")
+            return table.take(idx, axis=1)
+        return table.take(idx, axis=1, out=buf(name, (n_c,) + shape), mode="clip")
 
     # a + wy (b - a), in place: fewer large temporaries, the same rounding
     out = gather(diff, "out")
     out *= wy
-    out += gather(slices, "a")
-    return out
+    out += gather(planes, "a")
+    k = len(channels)
+    return out.reshape(channels + shape).transpose(*range(k, k + len(shape)), *range(k))
 
 
 def lookup(table: np.ndarray, t_nodes: np.ndarray, y_nodes: np.ndarray, t: float, rows,

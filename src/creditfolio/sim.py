@@ -18,10 +18,11 @@ one read per step serves all paths with no per-state mask; each path
 carries its intensity rows ``(a, b, c)`` and alive mask, gathered again in
 the clock sweeps only for paths that default.  The policy is data: a
 perturbed policy is a result whose table was edited, and a defaulted name's
-weight is masked to zero whatever the table holds.  The Feynman–Kac probes
-of a call share one normal stream and one pass over (probe, path) arrays; a
-probe's draws do not depend on its batch.  A :class:`StageClock` splits
-each pass's time by stage.
+weight is masked to zero whatever the table holds; the wealth step sums its
+short name axis one add per name.  The Feynman–Kac probes of a call share
+one normal stream and one pass over (probe, path) arrays, and a probe's
+draws do not depend on its batch; the pass reads the PDE's own nodal terms
+(:func:`_fk_table`).  A :class:`StageClock` splits each pass's time by stage.
 
 One controlled pass serves every path check: given a solved result,
 :func:`simulate_market` runs the controls beside the market and records the
@@ -49,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import Coefficients
+from .dual import Coefficients, _sum_names
 from .fields import SolveResult, blend_t, interp_y, lookup, policy_channel
 from .model import DefaultState, ModelSpec
 
@@ -270,7 +271,6 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
         pol_work = {}                        # interp_y's arrays, reused by every policy read
         pi, hh, th, ah = (np.empty((n_paths, n)) for _ in range(4))
-        rowdot = np.empty((8, n_paths))      # the wealth step's row-wise dot products
 
     def g_at(u, bv, yv):
         return lookup(result.f, t_nodes, y_nodes, u, bv, yv) ** spec.beta
@@ -279,15 +279,16 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         """Read the policy at (Y, bits) into pi (masked by alive), hh, th, ah; returns c_mult."""
         vals = interp_y(blend_t(result.policy, t_nodes, max(T - t_clock, 0.0)), y_nodes,
                         bits, Y, pol_work)
-        # contiguous channels keep the einsums on one code path; name by name copies run fast
+        # each channel is a contiguous plane of vals; name by name copies run fast
         for buf, c in ((pi, "pi"), (hh, "hhat"), (th, "theta"), (ah, "ahat")):
             for i in range(n):
                 np.copyto(buf[:, i], vals[:, policy_channel(c, n)][:, i])
         np.multiply(pi, alive, out=pi)
         return vals[:, policy_channel("c_mult", n)]
 
-    def dot(a, b, row):
-        return np.einsum("ij,ij->i", a, b, out=rowdot[row])
+    def dot(a, b):
+        """Row-wise dot products, one add per name: numpy reduces a short axis row by row."""
+        return _sum_names(a * b)
 
     if with_controls:
         X = np.full(n_paths, float(x0))
@@ -352,11 +353,10 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             if keep:
                 kept["c"][:, k] = cm[:keep] * X[:keep]
             # -X pi' dM contributes the compensator drift +pi'(1-z)lambda between defaults
-            drift = r + pi @ (mu - r) + dot(pi, lam_now, 0) - cm
-            X *= np.exp((drift - 0.5 * dot(pisig, pisig, 1)) * dt + dot(pisig, dW, 2))
-            Gamma *= np.exp(-dot(th, dW, 3) - dot(ah, dWbar, 4)
-                            - (0.5 * dot(th, th, 5) + 0.5 * dot(ah, ah, 6)
-                               + dot(hh, lam_now, 7)) * dt)
+            drift = r + pi @ (mu - r) + dot(pi, lam_now) - cm
+            X *= np.exp((drift - 0.5 * dot(pisig, pisig)) * dt + dot(pisig, dW))
+            Gamma *= np.exp(-dot(th, dW) - dot(ah, dWbar)
+                            - (0.5 * dot(th, th) + 0.5 * dot(ah, ah) + dot(hh, lam_now)) * dt)
             clock.lap("wealth")
 
         if keep:
@@ -368,7 +368,7 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
 
         # factor step (Euler-Maruyama with correlated drivers), reflected at the domain edge
         dYw = spec.factor.rho * dW + np.sqrt(1.0 - spec.factor.rho**2) * dWbar
-        Y_next = Y + spec.factor.drift(Y) * dt + np.sum(sigma0 * dYw, axis=1)
+        Y_next = Y + spec.factor.drift(Y) * dt + _sum_names(sigma0 * dYw)
         out_lo = Y_next < lo
         out_hi = Y_next > hi
         reflect_count += int(np.sum(out_lo) + np.sum(out_hi))
@@ -575,22 +575,29 @@ def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
 
 
 def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
-              y_nodes: np.ndarray) -> np.ndarray:
-    """Reaction phi, contagion source, f and drift nu of each state, channel-last.
+              y_nodes: np.ndarray, with_nu: bool) -> np.ndarray:
+    """The Feynman–Kac integrand's nodal terms of each state, channel-last.
 
-    ``table[s, k, j]`` holds the four channels of state s at node (k, j), so
-    one gathered row reads all of them and the y weights are found once.  The
-    inputs are rows of the result's stacked ``f`` and policy table.
+    ``table[s, k, j]`` holds, at node (k, j) of state s, the reaction
+    ``phi / beta`` and the source term ``Phi = f**(1 - beta) / beta * source``
+    as the PDE's Crank–Nicolson march applies them at the nodes, then, given
+    ``with_nu``, the transformed drift ``nu`` that Euler steps of the factor
+    read.  ``Phi`` is formed on contiguous arrays in the order power, divide,
+    multiply, so each node holds the bits of the pointwise product there.
+    The inputs are rows of the result's stacked ``f`` and policy table.
     """
+    beta = spec.beta
     hhat, theta = result.channel("hhat"), result.channel("theta")
-    table = np.empty((len(states),) + result.f.shape[1:] + (4,))
+    table = np.empty((len(states),) + result.f.shape[1:] + (2 + with_nu,))
     for row, state in enumerate(states):
         b = state.bits
         coef = Coefficients(spec, (state,), y_nodes)
-        table[row, ..., 0], table[row, ..., 3] = coef.phi_nu(hhat[b], theta[b])
-        table[row, ..., 1] = coef.source_sum(hhat[b], {i: result.f[state.flip(i).bits]
-                                                       for i in state.alive})
-        table[row, ..., 2] = result.f[b]
+        phi, nu = coef.phi_nu(hhat[b], theta[b])
+        source = coef.source_sum(hhat[b], {i: result.f[state.flip(i).bits] for i in state.alive})
+        table[row, ..., 0] = phi / beta
+        table[row, ..., 1] = result.f[b] ** (1.0 - beta) / beta * source
+        if with_nu:
+            table[row, ..., 2] = nu
     return table
 
 
@@ -601,13 +608,14 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
 
     For each probe ``(state, (t, y))`` simulates the auxiliary factor under
     the state's transformed drift, accumulates f(t, y) = E[f(0) e^{int
-    phi/beta}] + E[int Phi e^{int phi/beta}] with the grid fields supplying
-    phi, the contagion source and f along the path, and compares against the
-    grid value at the probe.  The probe time is the remaining-horizon
-    coordinate of the solution field.  Exact OU transitions, with kappa and
-    the mean u0/kappa read from the factor spec, are used when rho = 0 and
-    kappa != 0, Euler otherwise; the quadrature bias floor is second order in
-    the step.
+    phi/beta}] + E[int Phi e^{int phi/beta}] and compares against the grid
+    value at the probe.  The path reads ``phi/beta`` and ``Phi`` from
+    :func:`_fk_table`, interpolated between the nodes where the PDE applies
+    them, so the integrand is ``Phi e^{I}``.  The probe time is the
+    remaining-horizon coordinate of the solution field.  Exact OU
+    transitions, with kappa and the mean u0/kappa read from the factor spec,
+    are used when rho = 0 and kappa != 0, Euler steps with the table's
+    ``nu`` otherwise; the quadrature bias floor is second order in the step.
 
     All probes run as one pass over (probe, path) arrays with one normal
     draw per step, the draw a single probe would use, so each report equals
@@ -626,13 +634,11 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     t_list = [t for _, (t, _) in probes]
     dt_list = [t / n_steps for t in t_list]
     grid, t_nodes, y_nodes = result.grid, result.t_nodes, result.grid.y_nodes()
-    beta = spec.beta
-
-    table = _fk_table(spec, result, states, y_nodes)
 
     # per-probe constants, each computed as for a lone probe, as columns over the paths
     col = (slice(None), None)
     dt = np.array(dt_list)[col]
+    half_dt = 0.5 * dt                  # the trapezoid weight
     fac = spec.factor
     vol = np.sqrt(fac.vol_sq(0.0))
     exact = fac.rho == 0.0 and fac.kappa != 0.0
@@ -644,11 +650,12 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     else:
         sd = np.array([vol * np.sqrt(d) for d in dt_list])[col]   # sqrt(sigma0 sigma0^T dt)
 
+    table = _fk_table(spec, result, states, y_nodes, with_nu=not exact)
     work = {}                                   # interp_y's arrays, reused by every step
     probe_rows = np.arange(len(probes))[col]    # one blended slice per probe
 
     def read(u, Yv):
-        """phi, source, f and nu at per-probe times u and points Yv: (probe, path, 4) in work."""
+        """phi/beta, Phi and nu at per-probe times u and points Yv: planes of (probe, path)."""
         return interp_y(blend_t(table, t_nodes, u, rows), y_nodes, probe_rows, Yv, work)
 
     rng_offset = 1 << 20  # keep FK blocks clear of market-step blocks
@@ -656,26 +663,14 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     Yp = np.repeat(np.array([y for _, (_, y) in probes], dtype=float)[col], n_paths, axis=1)
     I_acc = np.zeros(Yp.shape)          # int_0^s phi/beta along the path, trapezoid
     E2 = np.zeros(Yp.shape)
-    tmp, phi_here, phi_next, integrand_prev, integrand_next = (np.empty(Yp.shape)
-                                                               for _ in range(5))
+    tmp, phi_here, integrand_prev, integrand_next = (np.empty(Yp.shape) for _ in range(4))
     z_draw = np.empty(n_paths)
     clock.lap("setup")
 
-    def integrand(vals, out):
-        """f^{1-beta} / beta * source into ``out``.
-
-        The power runs on a contiguous copy of f: numpy may pick another loop,
-        with other last bits, for a strided input.
-        """
-        np.copyto(out, vals[..., 2])
-        out **= 1.0 - beta
-        out /= beta
-        out *= vals[..., 1]
-
     vals = read(t_probe, Yp)
     clock.lap("read")
-    np.divide(vals[..., 0], beta, out=phi_here)
-    integrand(vals, integrand_prev)     # e^{I_0} = 1
+    np.copyto(phi_here, vals[..., 0])
+    np.copyto(integrand_prev, vals[..., 1])     # e^{I_0} = 1
     clock.lap("integrand")
 
     # each line below is one operation of the expression in its comment, in its order
@@ -689,7 +684,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
             Yp += mean
         else:
             # Yp = Yp + nu dt + sd z, with nu from the previous step's read
-            np.multiply(vals[..., 3], dt, out=tmp)
+            np.multiply(vals[..., 2], dt, out=tmp)
             Yp += tmp
         np.multiply(sd, z_draw, out=tmp)
         Yp += tmp
@@ -699,22 +694,18 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
         # field time runs backward along the path
         vals = read(np.maximum(t_probe - (k + 1) * dt[:, 0], 0.0), Yp)
         clock.lap("read")
-        np.divide(vals[..., 0], beta, out=phi_next)
-        # I_acc += 0.5 (phi_here + phi_next) dt
-        np.add(phi_here, phi_next, out=tmp)
-        tmp *= 0.5
-        tmp *= dt
+        # I_acc += (phi_here + phi_next) 0.5 dt
+        np.add(phi_here, vals[..., 0], out=tmp)
+        tmp *= half_dt
         I_acc += tmp
-        # integrand_next = f^{1-beta} / beta * source * e^{I_acc}
-        integrand(vals, integrand_next)
-        np.exp(I_acc, out=tmp)
-        integrand_next *= tmp
-        # E2 += 0.5 (integrand_prev + integrand_next) dt
+        np.copyto(phi_here, vals[..., 0])
+        # integrand_next = Phi e^{I_acc}
+        np.exp(I_acc, out=integrand_next)
+        integrand_next *= vals[..., 1]
+        # E2 += (integrand_prev + integrand_next) 0.5 dt
         np.add(integrand_prev, integrand_next, out=tmp)
-        tmp *= 0.5
-        tmp *= dt
+        tmp *= half_dt
         E2 += tmp
-        phi_here, phi_next = phi_next, phi_here
         integrand_prev, integrand_next = integrand_next, integrand_prev
         clock.lap("integrand")
 

@@ -330,6 +330,17 @@ class TestSimulateCommand:
         assert {"compensator", "G-martingale", "feynman-kac", "duality-gap"} <= kinds
         assert all(r["pass"] == "1" for r in rows)
 
+    def test_coarse_grid_passes_the_feynman_kac_checks(self, tmp_path):
+        # the path integrand interpolates the source term the PDE applies at the nodes,
+        # so the checks hold on a grid as coarse as 21x10
+        rc = run_cli("simulate", "--preset", "benchmark_s5", "--ny", "21", "--nt", "10",
+                     "--paths", "500", "--steps", "20", "--out", str(tmp_path))
+        assert rc.returncode == 0, rc.stdout + rc.stderr
+        with open(tmp_path / "mc_report.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["test"].startswith("feynman-kac")]
+        assert len(rows) == 8
+        assert all(r["pass"] == "1" for r in rows), rows
+
     def test_path_dump(self, tmp_path):
         out = tmp_path / "pd"
         rc = run_cli("simulate", "--preset", "benchmark_s5", *SMALL,

@@ -178,7 +178,11 @@ class TestStackedLookup:
             want = interp_y(slices, self.Y_NODES, rows, y + shift)
             assert got.shape == want.shape == y.shape + stack.shape[3:]
             assert np.array_equal(got, want)
-            assert got is work["out"]
+            # the result views the work buffer, so the kernel allocated no output, and
+            # each channel is a contiguous plane of it
+            assert np.shares_memory(got, work["out"])
+            for c in range(int(np.prod(stack.shape[3:]))):
+                assert got.reshape(y.shape + (-1,))[..., c].flags.c_contiguous
         # the cells' flat indices stay inside the slices and no cell opens at a row's last
         # node, so clipping moved none and no point reads the unused last difference
         idx = work["idx"]

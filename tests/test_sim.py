@@ -6,8 +6,9 @@ import pytest
 import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio import sim
+from creditfolio.dual import Coefficients
 from creditfolio.model import (CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec,
-                               PreferenceSpec, build_model)
+                               PreferenceSpec, build_model, preset_config)
 
 from conftest import GENERAL_SIGMA, full_sigma_scott, general_sigma_of_y, with_policy
 
@@ -473,6 +474,39 @@ class TestFeynmanKac:
         [rep] = sim.mc_feynman_kac(spec, result, [(Z00, (0.8, -0.2))], 20000, 128, seed=4)
         assert rep.passed
         assert rep.se > 1e-8
+
+    def test_catches_a_wrong_solution(self):
+        # mc_scott sizes: scott_example22 at 101x100 and the state-00 probes of
+        # `creditfolio simulate --paths 4000 --seed 1`, whose pass draws at seed 3
+        spec = build_model(preset_config("scott_example22"))
+        result = cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 101, 100))
+        f = result.f.copy()
+        f[0b00, 1:] *= 1.0 + 1e-4
+        wrong = dataclasses.replace(result, f=f)
+        probes = [(Z00, (0.5, 0.0)), (Z00, (1.0, 0.0))]
+        assert all(rep.passed for rep in sim.mc_feynman_kac(spec, result, probes, 4000, 256, 3))
+        for rep in sim.mc_feynman_kac(spec, wrong, probes, 4000, 256, 3):
+            assert abs(rep.estimate - rep.target) > 2.0 * rep.tolerance, str(rep)
+
+    def test_table_holds_the_path_integrand_at_the_nodes_bitwise(self, scott_result):
+        # each node holds the bits of the pointwise terms: phi / beta, and Phi formed
+        # from a contiguous copy of f by power, divide, multiply
+        spec, result, _ = scott_result
+        beta, y_nodes = spec.beta, result.grid.y_nodes()
+        states = list(cf.all_states(2))
+        table = sim._fk_table(spec, result, states, y_nodes, with_nu=True)
+        hhat, theta = result.channel("hhat"), result.channel("theta")
+        for row, state in enumerate(states):
+            coef = Coefficients(spec, (state,), y_nodes)
+            phi, nu = coef.phi_nu(hhat[state.bits], theta[state.bits])
+            source = coef.source_sum(hhat[state.bits], {i: result.f[state.flip(i).bits]
+                                                        for i in state.alive})
+            integrand = np.array(result.f[state.bits])
+            integrand **= 1.0 - beta
+            integrand /= beta
+            integrand *= source
+            want = np.stack(np.broadcast_arrays(phi / beta, integrand, nu), axis=-1)
+            assert table[row].tobytes() == want.tobytes()
 
     def test_bad_probe_raises(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
