@@ -17,7 +17,7 @@ Sections and keys (units: rates per year, horizon in years):
                   sigma_kind=const|scott|stein (scott/stein take sigma_eps and
                   sigma_gamma lists), sigma_scale, r
     [preference]  p, k1, k2, horizon
-    [grid]        y_lo, y_hi, n_y, n_t, clamp (bool)
+    [grid]        y_lo, y_hi, n_y, n_t
     [mc]          n_paths, n_steps, seed, y0, x0, state (bitstring)
 
 Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure,
@@ -153,8 +153,7 @@ def build_grid(config: dict, args) -> GridSpec:
     if not y_lo < y_hi:
         raise ValueError(f"empty spatial domain: [grid] y_lo = {y_lo!r} must be below "
                          f"[grid] y_hi = {y_hi!r}")
-    return GridSpec(y_lo=y_lo, y_hi=y_hi, **counts,
-                    clamp_enabled=not args.no_clamp and g.get("clamp", "true").lower() != "false")
+    return GridSpec(y_lo=y_lo, y_hi=y_hi, **counts)
 
 
 # Philox keys are unsigned 64-bit, and the Feynman-Kac pass runs at seed + 2
@@ -432,8 +431,8 @@ def cmd_simulate(args) -> int:
     # one controlled pass serves the compensator, G-martingale, duality-gap and path outputs
     probes = (0.25 * spec.pref.T, 0.5 * spec.pref.T, spec.pref.T)
     bundle = sim.simulate_market(spec, mc["n_paths"], mc["n_steps"], mc["seed"], y0=mc["y0"],
-                                 z0=mc["z0"], comp_probe_times=probes, keep=args.dump_paths,
-                                 result=result, x0=mc["x0"], g_probe_times=probes)
+                                 z0=mc["z0"], probe_times=probes, keep=args.dump_paths,
+                                 result=result, x0=mc["x0"])
     reports = [*sim._compensator_reports(bundle), *sim._g_reports(bundle), *fk_reports,
                sim._duality_report(bundle, result)]
     out = Path(args.out)
@@ -560,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory for the artifacts")
         p.add_argument("--ny", type=int, help="spatial nodes (odd)")
         p.add_argument("--nt", type=int, help="time steps")
-        p.add_argument("--no-clamp", action="store_true",
-                       help="disable the a-priori clamp on the nonlinear source")
         if with_mc:
             p.add_argument("--seed", type=int, help="Monte Carlo seed")
             p.add_argument("--paths", type=int, help="Monte Carlo paths")

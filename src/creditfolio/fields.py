@@ -33,7 +33,6 @@ class GridSpec:
     y_hi: float
     n_y: int = 401
     n_t: int = 400
-    clamp_enabled: bool = True
 
     def __post_init__(self):
         if self.n_y < 3 or self.n_y % 2 == 0:

@@ -98,14 +98,14 @@ def all_states(n: int) -> list[DefaultState]:
     return [DefaultState(n, bits) for bits in range(1 << n)]
 
 
-def states_by_cardinality(n: int, descending: bool = True) -> list[DefaultState]:
-    """All 2^n states ordered by number of defaults (ties by bits ascending).
+def states_by_cardinality(n: int) -> list[DefaultState]:
+    """All 2^n states by descending number of defaults (ties by bits ascending).
 
-    Descending order is the solve order of the recursive PDE system: every
-    state is visited after all states reachable from it by one more default.
+    This is the solve order of the recursive PDE system: every state is
+    visited after all states reachable from it by one more default.
     """
     states = all_states(n)
-    states.sort(key=lambda s: (-s.cardinality if descending else s.cardinality, s.bits))
+    states.sort(key=lambda s: (-s.cardinality, s.bits))
     return states
 
 

@@ -21,10 +21,11 @@ extrapolated IMEX predictor of Ascher, Ruuth and Wetton, SIAM J. Numer. Anal.
 sources, ``2 s_k - s_{k-1}`` with one earlier step and ``s_k`` at the first,
 which is O(dt^3) from the fixed point on a uniform time grid, so most sweeps
 stop on their first pass.  A step whose sweep stops at the cap with the
-change still above the tolerance counts in ``sweep_cap_hits``.  The
-Crank-Nicolson matrix is LU-factored once per operator and time step and
-reused by every solve with both unchanged (for rho = 0, one operator serves
-every state and step).
+change still above the tolerance counts in ``sweep_cap_hits``.  The grid
+is uniform, so every step of a march takes the one ``dt = T / n_t``, and the
+Crank-Nicolson matrix is LU-factored once per operator and reused by every
+solve with it (for rho = 0, one operator serves every state and step, so a
+solve factors once).
 
 All 2^n states march in one wavefront loop (the hyperplane method of Lamport,
 "The parallel execution of DO loops", CACM 17(2), 1974).  A state's step k
@@ -32,8 +33,8 @@ reads only its children's slices k and k + 1, so a state with d defaults
 takes step k at iteration m = k + (n - d): the loop runs n_t + n iterations,
 and each one advances every state in range as one stack, with one control
 solve, source assembly and Crank-Nicolson pass per step start or sweep (with
-rho = 0 the stack shares one ``dgttrs`` call per distinct dt, which takes the
-stack's right-hand sides as they are when the whole stack shares one dt; with
+rho = 0 the stack shares one ``dgttrs`` call, which takes the stack's
+right-hand sides as they are, and one set of ``dgttrf`` factors; with
 rho != 0 the operators differ and the solve goes state by state).  Everything
 a state owns stays per state: its sweep leaves the stack once it converges,
 and its warm starts, source history, stats, envelope, clamp hits and Newton
@@ -174,8 +175,7 @@ class _StepWorkspace:
         self.diff = 0.5 * spec.factor.vol_sq(self.y) * np.ones_like(self.y)
         self.static_operator = spec.factor.rho == 0.0
         self._op_cache = None
-        self._lu_op = None
-        self._lu: dict = {}
+        self._lu = None   # (op, dt, factors) of the last shared operator factored
         self._stacks: dict = {}
         self.controls = None
         self.tally = {"iterations": 0, "largest_batch": 0, "control_solves": 0, "sweeps": 0,
@@ -262,38 +262,23 @@ class _StepWorkspace:
     def cn_solve(self, op, rhs, dt):
         """Solve the Crank-Nicolson systems (I - dt/2 A) x = rhs for the operator ``op``.
 
-        ``rhs`` holds (S, n_y) slices and ``dt`` their S steps.  An operator
-        shared by the stack keeps its ``dgttrf`` factors per ``dt`` while it
-        stays the same object, and the slices with equal ``dt`` go through one
-        ``dgttrs`` call, which takes the whole stack as it is when every
-        ``dt`` is the same; per-state operators (rows with a state axis) are
-        factored and solved state by state.
+        ``rhs`` holds (S, n_y) slices, all stepped by the float ``dt``.  An
+        operator shared by the stack keeps its ``dgttrf`` factors while it
+        stays the same object and ``dt`` the same value, and one ``dgttrs``
+        call takes the whole stack; per-state operators (rows with a state
+        axis) are factored and solved state by state.
         """
         started = time.perf_counter()
         sub, diag, sup = op
         if sub.ndim > 1:
-            x = np.stack([_cn_apply(_cn_factor(sub[s], diag[s], sup[s], dt[s]), rhs[s])
+            x = np.stack([_cn_apply(_cn_factor(sub[s], diag[s], sup[s], dt), rhs[s])
                           for s in range(len(rhs))])
         else:
-            if op is not self._lu_op:
-                self._lu_op, self._lu = op, {}
-            rows_by_dt: dict = {}
-            for r, d in enumerate(dt.tolist()):
-                rows_by_dt.setdefault(d, []).append(r)
-            if len(rows_by_dt) == 1:
-                x = _cn_apply(self._factors(op, dt[0]), rhs.T).T
-            else:
-                x = np.empty_like(rhs)
-                for d, same in rows_by_dt.items():
-                    x[same] = _cn_apply(self._factors(op, d), rhs[same].T).T
+            if self._lu is None or self._lu[0] is not op or self._lu[1] != dt:
+                self._lu = (op, dt, _cn_factor(*op, dt))
+            x = _cn_apply(self._lu[2], rhs.T).T
         self.seconds["cn_s"] += time.perf_counter() - started
         return x
-
-    def _factors(self, op, dt):
-        lu = self._lu.get(dt)
-        if lu is None:
-            lu = self._lu[dt] = _cn_factor(*op, dt)
-        return lu
 
     def explicit_source(self, rows, t, f_slice, phi, s, bounds):
         """Reaction plus contagion source at the clamped slice values.
@@ -362,9 +347,9 @@ def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
                children_now: Mapping[int, np.ndarray], children_next: Mapping[int, np.ndarray],
                spec: ModelSpec, grid: GridSpec, bounds=None,
                workspace: _StepWorkspace | None = None) -> np.ndarray:
-    """Advance one horizon slice of S states, each by its own dt, with the IMEX theta = 1/2 scheme.
+    """Advance one horizon slice of S states by the float ``dt`` with the IMEX theta = 1/2 scheme.
 
-    ``f_now`` is (S, n_y), ``t`` and ``dt`` are (S,) arrays and
+    ``f_now`` is (S, n_y), ``t`` is an (S,) array of the states' times and
     ``children_now``/``children_next`` hold the (S, n_y) child-state slices
     at t and t + dt of every name alive in some state (any positive value
     where name i has defaulted); ``bounds`` is None or one TruncationBounds
@@ -375,22 +360,19 @@ def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
     workspace's extrapolated end-of-step source
     (:meth:`_StepWorkspace.end_source`), built from the state's step-start
     sources of its earlier steps since the workspace's last ``reset`` of its
-    row.  The extrapolation assumes the steps of a march share one dt; a
-    march on a nonuniform grid keeps the sweep's fixed point and its
-    convergence test, only its start is a worse guess.  Each sweep then
-    solves the controls on the new slice and refreshes it until the slice
-    changes by less than ``_INNER_TOL`` relative, for at most
-    ``_INNER_SWEEPS`` sweeps.  Each state gets the slice it would get alone;
-    a zero dt returns its slice unchanged.  ``workspace`` holds the march's
-    bookkeeping of these states, made here when not given, so a lone call
-    starts from ``s_k``.
+    row, which took the same ``dt``.  Each sweep then solves the controls on
+    the new slice and refreshes it until the slice changes by less than
+    ``_INNER_TOL`` relative, for at most ``_INNER_SWEEPS`` sweeps.  Each
+    state gets the slice it would get alone; a zero ``dt`` returns the slices
+    unchanged.  ``workspace`` holds the march's bookkeeping of these states,
+    made here when not given, so a lone call starts from ``s_k``.
     """
     ws = workspace if workspace is not None else _StepWorkspace(states, spec, grid)
     rows = ws.rows_of(states)
     if bounds is None and (f_now <= 0).any():
-        raise SolverError("non-positive slice value with the clamp disabled")
+        raise SolverError("non-positive slice value in an unclamped march")
 
-    half = 0.5 * dt[:, None]
+    half = 0.5 * dt
     phi_now, nu_now, s_now = ws.terms(rows, f_now, children_now, keep=True)
     op_now = ws.operator(nu_now)
     src_now = ws.explicit_source(rows, t, f_now, phi_now, s_now, bounds)
@@ -406,10 +388,10 @@ def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
         phi_next, nu_next, s_next = ws.terms(rows[live], f_it,
                                              {i: c[live] for i, c in children_next.items()})
         src_next = ws.explicit_source(
-            rows[live], t[live] + dt[live], f_it, phi_next, s_next,
+            rows[live], t[live] + dt, f_it, phi_next, s_next,
             None if bounds is None else [bounds[j] for j in np.arange(len(rows))[live]])
         f_new = ws.cn_solve(ws.operator(nu_next),
-                            expl[live] + half[live] * (src_now[live] + src_next), dt[live])
+                            expl[live] + half * (src_now[live] + src_next), dt)
         change = np.abs(f_new - f_it).max(axis=-1) / np.abs(f_it).max(axis=-1)
         sweeping = ~(change < _INNER_TOL)
         if isinstance(live, slice):
@@ -538,7 +520,7 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, rows, bou
     is None for the bootstrap, else the TruncationBounds of each row.
     """
     n_t = len(t_nodes) - 1
-    dt = np.diff(t_nodes)
+    dt = t_nodes[-1] / n_t   # the grid is uniform: every step is T / n_t
     S = len(ws.states)
     rows = np.asarray(rows)
     marching = np.zeros(S + 1, dtype=bool)
@@ -568,7 +550,7 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, rows, bou
             kr = k[go]
             at, kids = r * (n_t + 1) + kr, first_r + moves_r * kr
             slices[at + 1] = step_slice(
-                slices.take(at, axis=0), t_nodes.take(kr), dt.take(kr), states,
+                slices.take(at, axis=0), t_nodes.take(kr), dt, states,
                 dict(enumerate(slices.take(kids, axis=0))),
                 dict(enumerate(slices.take(kids + moves_r, axis=0))),
                 ws.spec, ws.grid, bounds_r, ws)
@@ -610,11 +592,11 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
     that bootstrap pass yields the realised control statistics that fix the
     truncation bounds.  Then, one generation (default count) at a time from
     the top: a state whose children were re-marched is re-marched unclamped
-    against them first; its bounds follow; with clamping enabled it is
-    marched again with the clamped source only when a slice value its
-    bootstrap fed to the source lay outside those bounds.  Otherwise the
-    clamped march would repeat the bootstrap bit for bit, and the report
-    marks the state ``clamp_pass_skipped``.  The report also records, per
+    against them first; its bounds follow; it is marched again with the
+    clamped source only when a slice value its bootstrap fed to the source
+    lay outside those bounds.  Otherwise the clamped march would repeat the
+    bootstrap bit for bit, and the report marks the state
+    ``clamp_pass_skipped``.  The report also records, per
     state, the control-solve residual, clamp activity and the worst signed
     distance of the solution to its bounds (nonnegative margin means the
     bounds hold); ``elapsed`` is the wall time of the marches the state took
@@ -664,12 +646,11 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             st = states[r]
             bounds[st.bitstring] = truncation_bounds(st, bounds, spec, grid,
                                                      _stats_row(ws.stats, r))
-            skipped[r] = grid.clamp_enabled and _clamp_is_identity(ws.envelope(r),
-                                                                    bounds[st.bitstring])
+            skipped[r] = _clamp_is_identity(ws.envelope(r), bounds[st.bitstring])
             spent = time.perf_counter() - started
             elapsed[r] += spent
             seconds["bounds_s"] += spent
-        clamped = [r for r in gen if grid.clamp_enabled and not skipped[r]]
+        clamped = [r for r in gen if not skipped[r]]
         if clamped:
             march(clamped, {r: bounds[states[r].bitstring] for r in clamped})
         remarched[stale + clamped] = True
@@ -696,10 +677,6 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
             "ahat_max": float(np.max(np.abs(ahat[r]))),
             "elapsed": float(elapsed[r] + seconds["policy_s"]),
         }
-        if row["bound_violation"] and not grid.clamp_enabled:
-            raise SolverError(
-                f"solution escaped its a-priori bounds in state {st}: "
-                f"margins ({margin_lo:.3e}, {margin_hi:.3e})")
         result.report[st.bitstring] = row
     result.march = {**ws.tally, **seconds, **ws.seconds}
     return result

@@ -26,13 +26,14 @@ draws do not depend on its batch; the pass reads the PDE's own nodal terms
 
 One controlled pass serves every path check: given a solved result,
 :func:`simulate_market` runs the controls beside the market and records the
-compensator samples, the G-martingale probes, wealth and consumption
-utility, the density Gamma and the kept paths as observers of the same
-draws.  Because the market block draws its randomness in a fixed order, its
-samples are bitwise those of a market-only pass.  Each check's report is
-computed once from a filled :class:`PathBundle` (``_compensator_reports``,
-``_g_reports``, ``_duality_report``); :func:`check_G_martingale` and
-:func:`duality_gap` run their pass and call the same helper.
+compensator and G-martingale samples at one list of probe times, wealth and
+consumption utility, the density Gamma and the kept paths as observers of
+the same draws.  Because the market block draws its randomness in a fixed
+order, its samples are bitwise those of a market-only pass.  Each check's
+report is computed once from a filled :class:`PathBundle`
+(``_compensator_reports``, ``_g_reports``, ``_duality_report``);
+:func:`check_G_martingale` and :func:`duality_gap` run their pass and call
+the same helper.
 
 Statistical reports compare an estimate to its target within ``TOL_SE``
 standard errors plus an explicit ``bias_floor``.  The floor states the weak
@@ -109,9 +110,13 @@ class McReport:
     se: float
     n_paths: int
     bias_floor: float = 0.0
-    elapsed: float = 0.0
     extra: dict = field(default_factory=dict)
     stages: dict = field(default_factory=dict)   # StageClock.as_dict() of the pass
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds of the pass the check read: the sum of its ``stages``."""
+        return sum(stage["s"] for stage in self.stages.values())
 
     @property
     def tolerance(self) -> float:
@@ -154,14 +159,14 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class PathBundle:
-    """Trajectories of (Y, H, P, X, c, Gamma) and the observers of the pass that made them.
+    """Trajectories of (Y, H, X, c, Gamma) and the observers of the pass that made them.
 
     The first six fields are the pass's inputs; the rest are filled by the
     pass.  Full histories are retained for the first ``keep`` paths only;
     per-path terminal and probe summaries cover the whole set.  ``wealth``,
     ``density``, ``g_probes``, ``g0`` and ``grid_exit_count`` come from a
-    controlled pass (one given a solved result); ``elapsed`` is the time of
-    the last pass, in seconds.
+    controlled pass (one given a solved result); ``elapsed`` is the pass's
+    time in seconds, the sum of its ``stages``.
     """
 
     spec: ModelSpec
@@ -184,8 +189,11 @@ class PathBundle:
     g_probes: dict = field(default_factory=dict)     # probe time -> (n_paths,) samples of G_t
     g0: float = float("nan")                         # G_0 = g(T, y0, z0)
     grid_exit_count: int = 0       # path-steps outside the solved grid
-    elapsed: float = 0.0
     stages: dict = field(default_factory=dict)       # StageClock.as_dict() of the pass
+
+    @property
+    def elapsed(self) -> float:
+        return sum(stage["s"] for stage in self.stages.values())
 
     @property
     def exit_fraction(self) -> float:
@@ -210,13 +218,12 @@ def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
 
 def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
                     y0: float = 0.0, z0: DefaultState | None = None,
-                    comp_probe_times: Sequence[float] = (), keep: int = 64,
-                    result: SolveResult | None = None, x0: float = 1.0,
-                    g_probe_times: Sequence[float] = ()) -> PathBundle:
-    """Factor, default-indicator and pre-default price paths under the physical measure.
+                    probe_times: Sequence[float] = (), keep: int = 64,
+                    result: SolveResult | None = None, x0: float = 1.0) -> PathBundle:
+    """Factor and default-indicator paths under the physical measure.
 
     One vectorised forward pass over all paths; memory stays O(n_paths).
-    Records the compensator samples at ``comp_probe_times`` and the full
+    Records the compensator samples at ``probe_times`` and the Y and H
     histories of the first ``keep`` paths.  The market block (factor, clocks,
     defaults) consumes randomness in a fixed order, so the market paths and
     compensator samples do not depend on ``result``.  Given a solved
@@ -226,16 +233,12 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     dual representation x (f(0,Y_T,H_T)/f(T,y0,z0))^beta (Gamma_T/B_T)^{q-1};
     ``density`` gets the dual density ``Gamma_T``, which depends neither on
     ``x0`` nor on the ``pi`` and ``c_mult`` channels of the policy; ``G_t`` is
-    sampled at ``g_probe_times``, and the kept paths gain X, c and Gamma.
+    sampled at ``probe_times`` too, and the kept paths gain X, c and Gamma.
     Each path carries its intensity rows and alive mask, re-gathered in the
-    clock sweeps where it defaults, and the kept ``P`` compounds the carried
-    ``lam`` of each step's start; ``stages`` gets the :class:`StageClock` laps.
+    clock sweeps where it defaults; ``stages`` gets the StageClock laps.
     """
-    if g_probe_times and result is None:
-        raise ValueError("G-martingale probes need a solved result")
     if result is not None and x0 <= 0:
         raise ValueError("initial wealth must be positive")
-    started = time.perf_counter()
     clock = StageClock()
     z0 = z0 or DefaultState(spec.n, 0)
     bundle = PathBundle(spec, n_paths, n_steps, seed, y0, z0)
@@ -301,19 +304,15 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         g_out = {}
 
     comp_out = {}
-    comp_idx = {int(round(t / dt)) for t in comp_probe_times}
-    g_idx = {int(round(t / dt)) for t in g_probe_times}
+    probe_idx = {int(round(t / dt)) for t in probe_times}
 
     keep = min(keep, n_paths)
     kept: dict = {}
     if keep:
         kept = {"Y": np.empty((keep, n_steps + 1)),
-                "H_bits": np.empty((keep, n_steps + 1), dtype=np.int64),
-                "P": np.empty((keep, n_steps + 1, n))}
-        P_kept = np.ones((keep, n))
+                "H_bits": np.empty((keep, n_steps + 1), dtype=np.int64)}
         kept["Y"][:, 0] = Y[:keep]
         kept["H_bits"][:, 0] = bits[:keep]
-        kept["P"][:, 0] = P_kept
         if with_controls:
             kept.update({"X": np.empty((keep, n_steps + 1)),
                          "c": np.empty((keep, n_steps + 1)),
@@ -323,13 +322,13 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
 
     def record_probes(k):
         t_now = t_mesh[k]
-        if k in comp_idx:
+        if k in probe_idx:
             H_ind = np.stack([(bits >> i) & 1 for i in range(n)], axis=1).astype(float)
             comp_out[float(t_now)] = H_ind - comp_int.copy()
-        if with_controls and k in g_idx:
-            g_val = g_at(T - t_now, bits, Y)
-            gq = (Gamma * np.exp(-r * t_now)) ** q
-            g_out[float(t_now)] = spec.pref.K2 ** (1.0 - q) * dens_int + gq * g_val
+            if with_controls:
+                g_val = g_at(T - t_now, bits, Y)
+                gq = (Gamma * np.exp(-r * t_now)) ** q
+                g_out[float(t_now)] = spec.pref.K2 ** (1.0 - q) * dens_int + gq * g_val
 
     record_probes(0)
     lam_now = spec.credit.rate(abc, Y) * alive      # carried from step to step
@@ -358,13 +357,6 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             Gamma *= np.exp(-dot(th, dW) - dot(ah, dWbar)
                             - (0.5 * dot(th, th) + 0.5 * dot(ah, ah) + dot(hh, lam_now)) * dt)
             clock.lap("wealth")
-
-        if keep:
-            kk = slice(0, keep)
-            sig = spec.market.matrix(Y[kk])   # stock i loads sig[i, j] on dW_j
-            P_kept = P_kept * np.exp((mu + lam_now[kk] - 0.5 * np.sum(sig**2, axis=-1)) * dt
-                                     + (sig @ dW[kk][..., None])[..., 0])
-            clock.lap("kept")
 
         # factor step (Euler-Maruyama with correlated drivers), reflected at the domain edge
         dYw = spec.factor.rho * dW + np.sqrt(1.0 - spec.factor.rho**2) * dWbar
@@ -446,8 +438,6 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             kk = slice(0, keep)
             kept["Y"][:, k + 1] = Y[kk]
             kept["H_bits"][:, k + 1] = bits[kk]
-            ind = np.stack([(bits[kk] >> i) & 1 for i in range(n)], axis=1)
-            kept["P"][:, k + 1] = P_kept * (1 - ind)
             if with_controls:
                 kept["X"][:, k + 1] = X[kk]
                 kept["Gamma"][:, k + 1] = Gamma[kk]
@@ -474,7 +464,6 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         bundle.x0, bundle.g0, bundle.g_probes = x0, float(g0), g_out
         bundle.grid_exit_count = grid_exit_count
     clock.lap("final")
-    bundle.elapsed = time.perf_counter() - started
     bundle.stages = clock.as_dict()
     return bundle
 
@@ -492,7 +481,7 @@ def _compensator_reports(bundle: PathBundle) -> list[McReport]:
             est, se = _mean_se(samples[:, i])
             reports.append(McReport(name=f"compensator name={i+1} t={t_probe:g}",
                                     estimate=est, target=0.0, se=se, n_paths=bundle.n_paths,
-                                    elapsed=bundle.elapsed, stages=bundle.stages))
+                                    stages=bundle.stages))
     return reports
 
 
@@ -506,8 +495,8 @@ def _g_reports(bundle: PathBundle) -> list[McReport]:
         est, se = _mean_se(samples)
         reports.append(McReport(
             name=f"G-martingale t={t_probe:g}", estimate=est, target=g0, se=se,
-            n_paths=bundle.n_paths, bias_floor=abs(g0) * dt,
-            elapsed=bundle.elapsed, extra=dict(exits), stages=bundle.stages))
+            n_paths=bundle.n_paths, bias_floor=abs(g0) * dt, extra=dict(exits),
+            stages=bundle.stages))
     return reports
 
 
@@ -528,16 +517,15 @@ def _duality_report(bundle: PathBundle, result: SolveResult) -> McReport:
     X_T = bundle.wealth["X_T"][ok]
     X_rep = bundle.wealth["X_rep_T"][ok]
     lx, lr = np.log(X_T), np.log(X_rep)
+    rep_dev = float(np.max(np.abs(lx - lr)))
     if np.std(lx) > 1e-8 and np.std(lr) > 1e-8:
         rep_corr = float(np.corrcoef(lx, lr)[0, 1])
-        rep_dev = float(np.max(np.abs(lx - lr)))
     else:
         rep_corr = float("nan")  # degenerate: terminal wealth is deterministic
-        rep_dev = float(np.max(np.abs(lx - lr)))
     hedge_gap = max(float(result.hedge_gap[s.bits]) for s in reachable_states(spec, z0))
     return McReport(
         name="duality-gap", estimate=est, target=target, se=se, n_paths=int(ok.sum()),
-        bias_floor=abs(target) * dt, elapsed=bundle.elapsed, stages=bundle.stages,
+        bias_floor=abs(target) * dt, stages=bundle.stages,
         extra={"rep_log_corr": rep_corr, "rep_log_maxdev": rep_dev,
                "flagged": int((~ok).sum()), "hedge_gap": hedge_gap,
                "grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
@@ -553,7 +541,7 @@ def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_ste
     the bias floor is |G_0| dt (first-order density stepping).
     """
     bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0, keep=0,
-                             result=result, g_probe_times=tuple(probes))
+                             result=result, probe_times=tuple(probes))
     return _g_reports(bundle)
 
 
@@ -622,11 +610,10 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     that of a call with its probe alone.  The steps update a fixed set of
     (probe, path) arrays in place, so the pass allocates nothing per step
     but the small blended slices.  Reports come back in the order of
-    ``probes``; each carries the elapsed time of the whole pass.
+    ``probes``; each carries the stages of the whole pass.
     """
     if any(t <= 0 for _, (t, _) in probes):
         raise ValueError("probe time must be positive")
-    started = time.perf_counter()
     clock = StageClock()
     states = list({state.bits: state for state, _ in probes}.values())
     row_of = {state.bits: r for r, state in enumerate(states)}
@@ -711,7 +698,6 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
 
     samples = spec.f0 * np.exp(I_acc) + E2
     clock.lap("final")
-    elapsed = time.perf_counter() - started
     stages = clock.as_dict()
     reports = []
     for (state, (t, y)), d, row in zip(probes, dt_list, samples):
@@ -720,5 +706,5 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
         reports.append(McReport(
             name=f"feynman-kac state={state} probe=({t:g},{y:g})",
             estimate=est, target=target, se=se, n_paths=n_paths,
-            bias_floor=4.0 * abs(target) * d**2, elapsed=elapsed, stages=stages))
+            bias_floor=4.0 * abs(target) * d**2, stages=stages))
     return reports

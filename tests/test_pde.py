@@ -187,7 +187,7 @@ class TestNonlinearSource:
 
     def test_nonpositive_v_raises_unclamped(self, benchmark_spec):
         with pytest.raises(SolverError, match="non-positive slice value"):
-            step_slice(np.full((1, 11), -1.0), np.array([0.5]), np.array([0.1]), (Z11,), {}, {},
+            step_slice(np.full((1, 11), -1.0), np.array([0.5]), 0.1, (Z11,), {}, {},
                        benchmark_spec, cf.GridSpec(-1.0, 1.0, 11, 10))
 
 
@@ -195,8 +195,7 @@ class TestStepSlice:
     def test_zero_dt_identity(self, benchmark_spec):
         grid = cf.GridSpec(-1.0, 1.0, 11, 10)
         f_now = np.linspace(1.0, 1.2, 11)[None]
-        out = step_slice(f_now, np.array([0.0]), np.array([0.0]), (Z11,), {}, {}, benchmark_spec,
-                         grid)
+        out = step_slice(f_now, np.array([0.0]), 0.0, (Z11,), {}, {}, benchmark_spec, grid)
         assert np.array_equal(out, f_now)
 
     def test_constant_preserved(self, merton_result):
@@ -205,7 +204,7 @@ class TestStepSlice:
         grid = cf.GridSpec(-1.0, 1.0, 21, 10)
         st = DefaultState.from_bitstring("11")
         f_now = np.full((1, 21), 1.05)
-        out = step_slice(f_now, np.array([0.0]), np.array([0.1]), (st,), {}, {}, spec, grid)
+        out = step_slice(f_now, np.array([0.0]), 0.1, (st,), {}, {}, spec, grid)
         assert np.max(np.abs(out - out[0, 0])) < 1e-13
 
     def test_single_step_matches_explicit_euler_ode(self):
@@ -225,7 +224,7 @@ class TestStepSlice:
         f0 = spec.pref.K1 ** ((1 - q) / beta)
         for dt in (0.02, 0.01, 0.005):
             f_now = np.full((1, 3), f0)
-            out = step_slice(f_now, np.array([0.0]), np.array([dt]), (z1,), {}, {}, spec, grid)
+            out = step_slice(f_now, np.array([0.0]), dt, (z1,), {}, {}, spec, grid)
             ftil = f0**beta + dt * (phi1 * f0**beta + spec.pref.K2 ** (1 - q))
             euler = ftil ** (1 / beta)
             assert abs(out[0, 1] - euler) < 10.0 * dt**2
@@ -234,8 +233,7 @@ class TestStepSlice:
         grid = cf.GridSpec(-1.0, 1.0, 11, 10)
         f_now = np.full((1, 11), -1.0)
         with pytest.raises(SolverError):
-            step_slice(f_now, np.array([0.0]), np.array([0.1]), (Z11,), {}, {}, benchmark_spec,
-                       grid)
+            step_slice(f_now, np.array([0.0]), 0.1, (Z11,), {}, {}, benchmark_spec, grid)
 
 
 class TestConvergence:
@@ -302,16 +300,6 @@ class TestValidationGate:
         with pytest.raises(ValueError):
             cf.solve_recursive_system(spec, grid)
 
-    def test_no_clamp_solve_matches(self, benchmark_spec, benchmark_result):
-        result, _ = benchmark_result
-        grid = cf.GridSpec(-1.0, 1.0, 51, 50)
-        a = cf.solve_recursive_system(benchmark_spec, grid)
-        b = cf.solve_recursive_system(benchmark_spec,
-                                      cf.GridSpec(-1.0, 1.0, 51, 50, clamp_enabled=False))
-        for bits in a.fields:
-            assert np.array_equal(a.fields[bits].f, b.fields[bits].f), bits
-            assert a.report[bits]["clamp_pass_skipped"] and not b.report[bits]["clamp_pass_skipped"]
-
 
 def march_one_state(state, spec, grid, f_stack, bounds):
     """Per-state reference march: one state alone, step by step, its children solved.
@@ -321,6 +309,7 @@ def march_one_state(state, spec, grid, f_stack, bounds):
     solved on its final slice f[k], plus the final slice's.
     """
     t_nodes = grid.t_nodes(spec.pref.T)
+    dt = t_nodes[-1] / grid.n_t
     f = np.empty((grid.n_t + 1, grid.n_y))
     f[0] = spec.f0
     ws = pde._StepWorkspace((state,), spec, grid)
@@ -332,7 +321,7 @@ def march_one_state(state, spec, grid, f_stack, bounds):
         kept["hhat"][k], kept["theta"][k], kept["pi"][k] = hhat[0], theta[0], pi[0]
 
     for k in range(grid.n_t):
-        f[k + 1] = step_slice(f[k][None], t_nodes[k:k + 1], np.diff(t_nodes[k:k + 2]), (state,),
+        f[k + 1] = step_slice(f[k][None], t_nodes[k:k + 1], dt, (state,),
                               {i: c[k][None] for i, c in kids.items()},
                               {i: c[k + 1][None] for i, c in kids.items()}, spec, grid,
                               None if bounds is None else (bounds,), ws)[0]
@@ -354,8 +343,8 @@ def reference_solve(spec, grid):
         f, ws, controls = march_one_state(state, spec, grid, f_stack, None)
         bnd = bounds[bits] = pde.truncation_bounds(state, bounds, spec, grid,
                                                    pde._stats_row(ws.stats, 0))
-        skipped = grid.clamp_enabled and pde._clamp_is_identity(ws.envelope(0), bnd)
-        if grid.clamp_enabled and not skipped:
+        skipped = pde._clamp_is_identity(ws.envelope(0), bnd)
+        if not skipped:
             f, ws, controls = march_one_state(state, spec, grid, f_stack, bnd)
         f_stack[b] = f
         for key, value in controls.items():
@@ -529,9 +518,22 @@ class TestCrankNicolsonFactors:
         for dt in (0.025, 0.025, 0.025, 0.05, 0.05, 0.025):
             assert ws.operator(rng.normal(size=grid.n_y)) is op
             rhs = rng.normal(size=grid.n_y)
-            x = ws.cn_solve(op, rhs[None], np.array([dt]))[0]
+            x = ws.cn_solve(op, rhs[None], dt)[0]
             assert np.array_equal(x, _banded_reference(op, rhs, dt)), dt
-        assert len(factored) == 2
+        # one entry: no refactor while the operator and dt hold, one at each change of dt
+        assert len(factored) == 3
+
+    def test_a_solve_factors_once(self, benchmark_spec, monkeypatch):
+        # rho = 0 and a uniform grid: one operator and one dt serve every state and step
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dgttrf(*args)
+
+        monkeypatch.setattr(pde, "dgttrf", counted)
+        cf.solve_recursive_system(benchmark_spec, cf.GridSpec(-1.0, 1.0, 41, 40))
+        assert len(calls) == 1
 
     def test_singular_matrix_raises(self, benchmark_spec):
         grid = cf.GridSpec(-1.0, 1.0, 11, 10)
@@ -541,4 +543,4 @@ class TestCrankNicolsonFactors:
         diag[0] = 2.0 / dt  # zero pivot: the first row and column of the CN matrix vanish
         op = (np.zeros(grid.n_y), diag, np.zeros(grid.n_y))
         with pytest.raises(SolverError, match="tridiagonal"):
-            ws.cn_solve(op, np.ones((1, grid.n_y)), np.array([dt]))
+            ws.cn_solve(op, np.ones((1, grid.n_y)), dt)

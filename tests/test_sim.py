@@ -10,7 +10,8 @@ from creditfolio.dual import Coefficients
 from creditfolio.model import (CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec,
                                PreferenceSpec, build_model, preset_config)
 
-from conftest import GENERAL_SIGMA, full_sigma_scott, general_sigma_of_y, with_policy
+from conftest import (GENERAL_SIGMA, full_sigma_scott, general_sigma_of_y, make_contagion_spec,
+                      with_policy)
 
 Z00 = DefaultState.from_bitstring("00")
 
@@ -65,21 +66,12 @@ class TestMarketPaths:
 
     def test_compensator_zero_mean(self, benchmark_spec):
         bundle = sim.simulate_market(benchmark_spec, 50000, 100, seed=7,
-                                     comp_probe_times=(0.25, 0.5, 1.0))
+                                     probe_times=(0.25, 0.5, 1.0))
         for t, samples in bundle.compensator.items():
             for i in range(2):
                 m = samples[:, i].mean()
                 se = samples[:, i].std(ddof=1) / np.sqrt(len(samples))
                 assert abs(m) <= 3 * se, (t, i, m, 3 * se)
-
-    def test_kept_prices_zero_after_default(self, benchmark_spec):
-        bundle = sim.simulate_market(benchmark_spec, 64, 50, seed=33, keep=64)
-        H = bundle.kept["H_bits"]
-        P = bundle.kept["P"]
-        for i in range(2):
-            dead = (H >> i) & 1 == 1
-            assert np.all(P[..., i][dead] == 0.0)
-            assert np.all(P[..., i][~dead] > 0.0)
 
     def test_reflection_counted(self, benchmark_spec):
         bundle = sim.simulate_market(benchmark_spec, 2000, 50, seed=9)
@@ -136,16 +128,31 @@ def clock_reference(spec, Y, n_steps, seed, probe_steps):
     return times, final_bits, comp
 
 
+def three_name_contagion_spec():
+    """Three names, each one's intensity jumping when another defaults."""
+    from test_cli import three_name_config
+
+    cfg = three_name_config()
+    for i, state in ((1, "010"), (2, "001"), (3, "100")):
+        cfg["credit"].update({f"a_{i}_{state}": "0.9", f"b_{i}_{state}": "0.5",
+                              f"c_{i}_{state}": "0.2"})
+    return build_model(cfg)
+
+
 @pytest.mark.parametrize("spec", [
     constant_lambda_spec((6.0, 4.0)),
     dataclasses.replace(constant_lambda_spec(), credit=CreditSpec.exp_affine(
         2, {(0, "00"): (0.0, 6.0, 0.8), (1, "00"): (0.0, 4.0, -0.5)})),
-], ids=["constant", "factor-driven"])
+    make_contagion_spec(),
+    three_name_contagion_spec(),
+], ids=["constant", "factor-driven", "contagion", "three_names"])
 def test_clock_sweeps_equal_a_per_path_reference(spec):
+    # the reference reads every intensity afresh from (y, bits), so the rows the pass
+    # carries from step to step and re-gathers where a path defaults are checked too
     n_paths, n_steps, seed = 200, 8, 3
     dt = spec.pref.T / n_steps
     bundle = sim.simulate_market(spec, n_paths, n_steps, seed, keep=n_paths,
-                                 comp_probe_times=(0.5, 1.0))
+                                 probe_times=(0.5, 1.0))
     times, final_bits, comp = clock_reference(spec, bundle.kept["Y"], n_steps, seed, (4, 8))
     np.testing.assert_allclose(bundle.default_times, times, rtol=0, atol=1e-12)
     assert np.array_equal(bundle.final_bits, final_bits)
@@ -156,65 +163,23 @@ def test_clock_sweeps_equal_a_per_path_reference(spec):
     assert np.any(np.floor(times[both, 0] / dt) == np.floor(times[both, 1] / dt))
 
 
-@pytest.mark.parametrize("name", ["contagion", "three_names"])
-def test_kept_prices_read_each_steps_state_intensity(name):
-    # kept P compounds the intensity the pass carries from step to step; rebuilt from fresh
-    # intensity calls at the kept (Y, H) it has the same bits, so no carried row is stale
-    from conftest import make_contagion_spec
-    from test_cli import three_name_config
-
-    if name == "contagion":
-        spec = make_contagion_spec()
-    else:                  # three names, each one's intensity jumping when another defaults
-        cfg = three_name_config()
-        for i, state in ((1, "010"), (2, "001"), (3, "100")):
-            cfg["credit"].update({f"a_{i}_{state}": "0.9", f"b_{i}_{state}": "0.5",
-                                  f"c_{i}_{state}": "0.2"})
-        spec = build_model(cfg)
-    n, n_paths, n_steps, seed = spec.n, 400, 5, 21
-    bundle = sim.simulate_market(spec, n_paths, n_steps, seed, keep=n_paths)
-    Y, H = bundle.kept["Y"], bundle.kept["H_bits"]
-    dt = spec.pref.T / n_steps
-    P = np.ones((n_paths, n))
-    for k in range(n_steps):
-        draws = sim._block_rng(seed, sim._KIND_NORMALS, k).standard_normal((n_paths, 2 * n))
-        dW = draws[:, :n] * np.sqrt(dt)
-        ind = (H[:, :, None] >> np.arange(n)) & 1
-        lam = np.array([spec.intensity(y, DefaultState(n, int(b))) for y, b in zip(Y[:, k], H[:, k])])
-        lam *= 1.0 - ind[:, k]
-        sig = spec.market.matrix(Y[:, k])
-        P = P * np.exp((spec.market.mu + lam - 0.5 * np.sum(sig**2, axis=-1)) * dt
-                       + (sig @ dW[..., None])[..., 0])
-        assert (P * (1 - ind[:, k + 1])).tobytes() == bundle.kept["P"][:, k + 1].tobytes(), k
-    # paths default before the last step, so later steps read re-gathered rows; with three
-    # names some path takes two defaults inside one step
-    assert np.any(H[:, n_steps - 1] != H[:, 0])
-    if n == 3:
-        assert np.any(np.diff(np.bitwise_count(H), axis=1) >= 2)
-
-
 class TestOnePass:
     def test_controlled_pass_keeps_the_market_draws(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
         probes = (0.25, 0.5, 1.0)
         market = sim.simulate_market(benchmark_spec, 3000, 40, seed=17, keep=5,
-                                     comp_probe_times=probes)
+                                     probe_times=probes)
         both = sim.simulate_market(benchmark_spec, 3000, 40, seed=17, keep=5,
-                                   comp_probe_times=probes, result=result, x0=2.0,
-                                   g_probe_times=probes)
+                                   probe_times=probes, result=result, x0=2.0)
         assert sorted(both.compensator) == sorted(market.compensator)
         for t, samples in market.compensator.items():
             assert np.array_equal(both.compensator[t], samples)
         assert np.array_equal(both.default_times, market.default_times)
         assert np.array_equal(both.y_terminal, market.y_terminal)
-        for key in ("Y", "H_bits", "P"):
+        for key in ("Y", "H_bits"):
             assert np.array_equal(both.kept[key], market.kept[key])
         assert sorted(both.g_probes) == sorted(market.compensator)
         assert both.x0 == 2.0 and both.wealth["X_T"].shape == (3000,)
-
-    def test_probes_without_controls_raise(self, benchmark_spec):
-        with pytest.raises(ValueError, match="solved result"):
-            sim.simulate_market(benchmark_spec, 10, 5, seed=0, g_probe_times=(0.5,))
 
 
 class TestWealthPaths:
@@ -558,8 +523,8 @@ def test_full_sigma_passes_every_path_check(sigma):
     probes = (0.25, 0.5, 1.0)
     fk_probes = [(s, (t, 0.0)) for s in cf.states_by_cardinality(2) for t in (0.5, 1.0)]
     for seed in (1, 2, 3):
-        bundle = sim.simulate_market(spec, 4000, 100, seed, comp_probe_times=probes, keep=0,
-                                     result=result, x0=1.0, g_probe_times=probes)
+        bundle = sim.simulate_market(spec, 4000, 100, seed, probe_times=probes, keep=0,
+                                     result=result, x0=1.0)
         reports = [*sim._compensator_reports(bundle), *sim._g_reports(bundle),
                    *sim.mc_feynman_kac(spec, result, fk_probes, 4000, n_steps=256, seed=seed + 2),
                    sim._duality_report(bundle, result)]
