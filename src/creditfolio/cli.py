@@ -20,6 +20,9 @@ Sections and keys (units: rates per year, horizon in years):
     [grid]        y_lo, y_hi, n_y, n_t
     [mc]          n_paths, n_steps, seed, y0, x0, state (bitstring)
 
+A section or key outside this list exits 2 naming it, as does a ``[credit]``
+coefficient key whose name or bitstring does not fit ``[model] n``.
+
 Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure,
 4 statistical-test failure.
 
@@ -359,6 +362,32 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
+# every key some command reads, by section; build_model checks the [credit] coefficient
+# keys a_<i>_<bits>, b_<i>_<bits> and c_<i>_<bits> against n
+_CONFIG_KEYS = {
+    "model": ("n",),
+    "factor": ("kind", "u0", "kappa", "sigma0", "rho", "domain"),
+    "credit": ("kind", "a_<i>_<bits>", "b_<i>_<bits>", "c_<i>_<bits>"),
+    "market": ("mu", "sigma", "sigma_kind", "sigma_eps", "sigma_gamma", "sigma_scale", "r"),
+    "preference": ("p", "k1", "k2", "horizon"),
+    "grid": ("y_lo", "y_hi", "n_y", "n_t"),
+    "mc": ("n_paths", "n_steps", "seed", "y0", "x0", "state"),
+}
+
+
+def _check_config_keys(config: dict) -> None:
+    """ValueError naming the first section or key of ``config`` that no command reads."""
+    for section, values in config.items():
+        known = _CONFIG_KEYS.get(section)
+        if known is None:
+            raise ValueError(f"unknown config section [{section}]; the sections are "
+                             + ", ".join(f"[{name}]" for name in _CONFIG_KEYS))
+        for key in values:
+            if key not in known and not (section == "credit" and key[:2] in ("a_", "b_", "c_")):
+                raise ValueError(f"unknown config key [{section}] {key}; [{section}] takes "
+                                 + ", ".join(known))
+
+
 def _resolve_config(args) -> dict:
     if args.config:
         config = read_config(args.config)
@@ -366,7 +395,9 @@ def _resolve_config(args) -> dict:
         config = preset_config(args.preset)
     else:
         raise ValueError("supply --preset or --config")
-    return apply_overrides(config, args.set or [])
+    config = apply_overrides(config, args.set or [])
+    _check_config_keys(config)
+    return config
 
 
 def cmd_validate(args) -> int:

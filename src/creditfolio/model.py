@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -563,6 +564,10 @@ def _floats(text: str, key: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+# an exp-affine [credit] coefficient key: a, b or c, the 1-based name, the state bitstring
+_CREDIT_KEY = re.compile(r"([abc])_([0-9]+)_([01]+)")
+
+
 def build_model(config: dict) -> ModelSpec:
     """ModelSpec from a config dict; raises ValueError on malformed input."""
     try:
@@ -579,18 +584,24 @@ def build_model(config: dict) -> ModelSpec:
                             domain_lo=lo, domain_hi=hi)
 
         cred = config["credit"]
-        if cred.get("kind", "exp_affine") == "zero":
+        table = {}
+        for key, val in cred.items():
+            if key == "kind":
+                continue
+            match = _CREDIT_KEY.fullmatch(key)
+            if match is None or not 1 <= int(match[2]) <= n or len(match[3]) != n:
+                raise ValueError(f"[credit] {key} is no intensity key: expected a_<i>_<bits>, "
+                                 f"b_<i>_<bits> or c_<i>_<bits> with a name i in 1..{n} "
+                                 f"and {n} state digits 0 or 1")
+            entry = table.setdefault((int(match[2]) - 1, match[3]), [0.0, 0.0, 0.0])
+            entry["abc".index(match[1])] = float(val)
+        kind = cred.get("kind", "exp_affine")
+        if kind == "exp_affine":
+            credit = CreditSpec.exp_affine(n, {k: tuple(v) for k, v in table.items()})
+        elif kind == "zero":
             credit = CreditSpec.zero(n)
         else:
-            table = {}
-            for key, val in cred.items():
-                if key == "kind":
-                    continue
-                coef, name_s, bits_s = key.split("_")
-                i = int(name_s) - 1
-                entry = table.setdefault((i, bits_s), [0.0, 0.0, 0.0])
-                entry["abc".index(coef)] = float(val)
-            credit = CreditSpec.exp_affine(n, {k: tuple(v) for k, v in table.items()})
+            raise ValueError(f"unknown [credit] kind {kind!r}; expected exp_affine or zero")
 
         mkt = config["market"]
         mu = _floats(mkt["mu"], "[market] mu")

@@ -25,7 +25,14 @@ change still above the tolerance counts in ``sweep_cap_hits``.  The grid
 is uniform, so every step of a march takes the one ``dt = T / n_t``, and the
 Crank-Nicolson matrix is LU-factored once per operator and reused by every
 solve with it (for rho = 0, one operator serves every state and step, so a
-solve factors once).
+solve factors once).  The LU routines are LAPACK's ``dgttrf`` and ``dgttrs``,
+loaded from scipy's compiled wrapper module ``scipy.linalg._flapack`` without
+running ``scipy.linalg``'s package import: that import's array-API layer
+imports most of numpy's namespace (``numpy.f2py``, ``numpy.testing``,
+``numpy.ma``, ...), which cost every command about 0.15 s and 19 MB.
+They are the very objects ``scipy.linalg.lapack`` exports, so every solve is
+bitwise the same; when ``scipy.linalg`` is loaded already, or this scipy keeps
+the extension elsewhere, the public import supplies them.
 
 All 2^n states march in one wavefront loop (the hyperplane method of Lamport,
 "The parallel execution of DO loops", CACM 17(2), 1974).  A state's step k
@@ -70,11 +77,15 @@ and preserves spatial constants); enlarge the domain to refine it.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+import scipy
 
 from . import strategy
 from .dual import Coefficients, phi_bounds as _phi_bounds
@@ -98,6 +109,28 @@ _INNER_TOL = 1e-8
 # the predictor's end-of-step source s + a (s - s1) + b (s1 - s2) by history depth
 # (0, 1, 2 earlier step-start sources s1, s2): s, 2 s - s1, 3 s - 3 s1 + s2
 _EXTRAPOLATION = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, -1.0]])
+
+
+def _lapack_tridiagonal():
+    """LAPACK's ``dgttrf`` and ``dgttrs`` from scipy's compiled wrapper module.
+
+    ``scipy.linalg`` itself is not imported: its array-API layer imports most
+    of numpy's namespace.  The public routines are taken when ``scipy.linalg``
+    is loaded already or the extension is not where this scipy keeps it.
+    """
+    spec = None
+    if "scipy.linalg" not in sys.modules:
+        linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg_dir])
+    if spec is None:
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        return dgttrf, dgttrs
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgttrf, flapack.dgttrs
+
+
+dgttrf, dgttrs = _lapack_tridiagonal()
 
 
 # ---------------------------------------------------------------------------

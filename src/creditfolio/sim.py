@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (imported with the module, not on the first block drawn)
 
 from .dual import Coefficients, _sum_names
 from .fields import SolveResult, blend_t, interp_y, lookup, policy_channel

@@ -82,3 +82,10 @@ def test_worker_runs_a_traced_simulate_from_a_saved_solution(harness, tmp_path):
     # cli reaches both path passes through the module attributes the harness wraps
     for name in ("cli.load_solution.s", "sim.mc_feynman_kac.s", "sim.simulate_market.s"):
         assert layers[name] > 0, name
+
+
+def test_worker_n4_config_passes_the_key_check(harness):
+    _, worker = harness
+    cfg = worker.n4_config(cf.cli)
+    cf.cli._check_config_keys(cfg)
+    assert cf.cli.build_model(cfg).n == 4

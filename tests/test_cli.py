@@ -10,7 +10,7 @@ import pytest
 
 import creditfolio as cf
 from creditfolio.fields import POLICY_CHANNELS
-from creditfolio.model import all_states
+from creditfolio.model import PRESET_NAMES, all_states
 from creditfolio.cli import (EXIT_STATISTICAL, EXIT_VALIDATION, apply_overrides,
                              build_model, dump_solution, load_solution, main, preset_config)
 
@@ -704,6 +704,35 @@ def test_non_integer_counts_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
     assert rc == EXIT_VALIDATION
     assert where in err and "integer" in err and "invalid literal" not in err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("override,where", [
+    ("grid.clamp=false", ["unknown config key", "[grid] clamp"]),
+    ("grid.n_yy=5", ["unknown config key", "[grid] n_yy"]),
+    ("mcc.seed=3", ["unknown config section", "[mcc]"]),
+    ("credit.a_1=0.5", ["[credit] a_1", "a_<i>_<bits>"]),
+    ("credit.x_1_00=0.5", ["unknown config key", "[credit] x_1_00"]),
+    ("credit.a_0_00=0.5", ["[credit] a_0_00", "1..2"]),
+    ("credit.a_1_000=0.5", ["[credit] a_1_000", "2 state digits"]),
+    ("credit.kind=exp_afine", ["[credit] kind", "'exp_afine'"]),
+], ids=["retired-clamp", "misspelt-grid-key", "unknown-section", "credit-key-no-state",
+        "credit-key-bad-coefficient", "credit-key-name-zero", "credit-key-long-state",
+        "credit-kind"])
+def test_unread_config_keys_exit_2_naming_them(tmp_path, capsys, override, where):
+    rc = main(["validate", "--preset", "benchmark_s5", "--ny", "11", "--nt", "10",
+               "--set", override, "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert all(part in err for part in where), err
+    for cryptic in ("not enough values", "substring not found", "negative shift"):
+        assert cryptic not in err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_preset_passes_the_key_check(tmp_path, preset):
+    assert main(["validate", "--preset", preset, "--ny", "11", "--nt", "10",
+                 "--out", str(tmp_path / "v")]) == 0
 
 
 @pytest.mark.parametrize("flags,where", [
