@@ -75,8 +75,8 @@ import scipy
 from . import oracle as oracle_mod
 from . import sim
 from .fields import GridSpec, SolveResult, TruncationBounds, lookup
-from .model import (DefaultState, ModelSpec, PRESET_NAMES, all_states, build_model,
-                    preset_config, states_by_cardinality, validate_spec)
+from .model import (DefaultState, ModelSpec, PRESET_NAMES, _config_number, all_states,
+                    build_model, preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
 from .strategy import SolverError
 
@@ -113,24 +113,6 @@ def apply_overrides(config: dict, pairs: list[str]) -> dict:
     return out
 
 
-def _config_int(section: str, values: dict, key: str, default: str) -> int:
-    """``[section] key`` as an integer; ValueError naming the key when it is not one."""
-    text = values.get(key, default)
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"[{section}] {key} must be an integer, got {text!r}") from None
-
-
-def _config_float(section: str, values: dict, key: str, default: str) -> float:
-    """``[section] key`` as a float; ValueError naming the key when it is not a number."""
-    text = values.get(key, default)
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"[{section}] {key} must be a number, got {text!r}") from None
-
-
 def _counts(section: str, values: dict, wanted) -> dict:
     """``{key: count}`` from a flag when given, else the config section, else the default.
 
@@ -140,7 +122,7 @@ def _counts(section: str, values: dict, wanted) -> dict:
     """
     counts = {}
     for key, flag, given, default in wanted:
-        value = given if given is not None else _config_int(section, values, key, default)
+        value = given if given is not None else _config_number(section, values, key, default, int)
         if value <= 0:
             where = flag if given is not None else f"[{section}] {key}"
             raise ValueError(f"{where} must be a positive integer, got {value}")
@@ -152,7 +134,7 @@ def build_grid(config: dict, args) -> GridSpec:
     g = config.get("grid", {})
     counts = _counts("grid", g, (("n_y", "--ny", args.ny, "401"),
                                  ("n_t", "--nt", args.nt, "400")))
-    y_lo, y_hi = _config_float("grid", g, "y_lo", "-1.0"), _config_float("grid", g, "y_hi", "1.0")
+    y_lo, y_hi = (_config_number("grid", g, k, d) for k, d in (("y_lo", "-1.0"), ("y_hi", "1.0")))
     if not y_lo < y_hi:
         raise ValueError(f"empty spatial domain: [grid] y_lo = {y_lo!r} must be below "
                          f"[grid] y_hi = {y_hi!r}")
@@ -170,14 +152,14 @@ def _mc_params(config: dict, args, spec: ModelSpec) -> dict:
     if len(state) != n or any(c not in "01" for c in state):
         raise ValueError(f"[mc] state must be {n} digits 0 or 1, one per name of the "
                          f"n = {n} model, got {state!r}")
-    y0, x0 = _config_float("mc", mc, "y0", "0.0"), _config_float("mc", mc, "x0", "1.0")
+    y0, x0 = _config_number("mc", mc, "y0", "0.0"), _config_number("mc", mc, "x0", "1.0")
     lo, hi = spec.factor.domain_lo, spec.factor.domain_hi
     if not lo < y0 < hi:
         raise ValueError(f"[mc] y0 = {y0!r} must lie strictly inside [factor] domain "
                          f"= {lo!r}, {hi!r}")
     if not x0 > 0:
         raise ValueError(f"[mc] x0 = {x0!r} must be positive (the initial wealth)")
-    seed = args.seed if args.seed is not None else _config_int("mc", mc, "seed", "42")
+    seed = args.seed if args.seed is not None else _config_number("mc", mc, "seed", "42", int)
     if not 0 <= seed <= _SEED_MAX:
         where = "--seed" if args.seed is not None else "[mc] seed"
         raise ValueError(f"{where} must lie in [0, {_SEED_MAX}] (the Feynman-Kac pass "

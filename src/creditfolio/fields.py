@@ -21,8 +21,8 @@ import numpy as np
 
 from .model import DefaultState, all_states
 
-__all__ = ["GridSpec", "blend_t", "interp_y", "lookup", "POLICY_CHANNELS", "policy_channel",
-           "SolutionField", "PolicyField", "TruncationBounds", "SolveResult"]
+__all__ = ["GridSpec", "blend_t", "interp_y", "interp_cells", "lookup", "POLICY_CHANNELS",
+           "policy_channel", "SolutionField", "PolicyField", "TruncationBounds", "SolveResult"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,15 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
     ``rows`` and ``y`` broadcast together; a point gathers from the flattened
     slices with the flat index ``row * n_y + j``, so no per-row mask is needed.
     ``y`` is clamped to the grid and extra trailing axes pass through; a 0-d
-    ``rows`` and ``y`` give a point query.
+    ``rows`` and ``y`` give a point query.  The points go to
+    :func:`interp_cells` as grid-cell coordinates ``(y - y0) / dy``.
+    """
+    fy = (np.asarray(y, dtype=float) - y_nodes[0]) / (y_nodes[1] - y_nodes[0])
+    return interp_cells(slices, rows, np.clip(fy, 0.0, len(y_nodes) - 1.0), work)
+
+
+def interp_cells(slices: np.ndarray, rows, fy, work: dict | None = None) -> np.ndarray:
+    """:func:`interp_y` at grid-cell coordinates ``fy`` in [0, n_y - 1], read and kept as is.
 
     The kernel works channel-first: the slices are copied to ``(C, R n_y)``
     planes, each cell's ``b - a`` is formed once on them (the subtraction a
@@ -85,15 +93,14 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
 
     ``work`` is an optional dict of scratch arrays that a loop passes to every
     call: the kernel then allocates nothing once the arrays exist, and the
-    result views one of them, overwritten by the next call.  Its gathers write
+    result views ``work["out"]``, overwritten by the next call.  Its gathers write
     into those arrays with ``mode="clip"``; the indices are in range by
     construction, so clipping changes no value, and numpy's default
     ``mode="raise"`` would copy ``out`` on every call.  Without ``work`` the
     result views new arrays and an index out of range raises.
     """
-    n_y = len(y_nodes)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(np.shape(rows), y.shape)
+    n_y = slices.shape[1]
+    shape = np.broadcast_shapes(np.shape(rows), np.shape(fy))
     channels = slices.shape[2:]
     n_c = math.prod(channels)
     scratch = {} if work is None else work
@@ -111,16 +118,13 @@ def interp_y(slices: np.ndarray, y_nodes: np.ndarray, rows, y,
     planes = planes.reshape(n_c, -1)
     diff = buf("diff", planes.shape)
     np.subtract(planes[:, 1:], planes[:, :-1], out=diff[:, :-1])
-    fy = np.subtract(y, y_nodes[0], out=buf("fy", y.shape))
-    fy /= y_nodes[1] - y_nodes[0]
-    np.clip(fy, 0.0, n_y - 1.0, out=fy)
     # the cell, truncated as astype(int) does, found in floats: wy subtracts no int array
-    j0 = np.trunc(fy, out=buf("j0", y.shape))
+    j0 = np.trunc(fy, out=buf("j0", np.shape(fy)))
     np.minimum(j0, n_y - 2, out=j0)
-    wy = np.subtract(fy, j0, out=fy)
     idx = buf("idx", shape, np.intp)
     np.copyto(idx, j0, casting="unsafe")
     idx += np.multiply(rows, n_y)
+    wy = np.subtract(fy, j0, out=j0)
 
     def gather(table, name):
         """Columns ``idx`` of the planes: take gathers several times faster than indexing."""

@@ -183,7 +183,6 @@ class CreditSpec:
                     b[i, bits] = b[i, bits & ~(1 << i)]
                     c[i, bits] = c[i, bits & ~(1 << i)]
         self._abc = np.stack((a, b, c))
-        self._names = np.arange(n)
 
     @classmethod
     def exp_affine(cls, n: int, table: Mapping[tuple[int, str], tuple[float, float, float]]) -> "CreditSpec":
@@ -214,19 +213,22 @@ class CreditSpec:
         return cls(n, {})
 
     def params(self, bits) -> np.ndarray:
-        """(a, b, c) of every name in the states ``bits``, an int or an array: (3, ..., n)."""
+        """(a, b, c) of every name in the states ``bits``, an int or an array: (3, n, ...).
+
+        A ``take`` along the states' axis: the rows of a vector of ``bits`` are contiguous.
+        """
         # the tables are canonicalised at construction, so a plain gather suffices
-        return self._abc[:, self._names, np.asarray(bits)[..., None]]
+        return self._abc.take(bits, axis=-1)
 
     @staticmethod
     def rate(abc: np.ndarray, y) -> np.ndarray:
-        """a + b exp(c y) for rows ``abc`` of :meth:`params` at factor values ``y``: (..., n)."""
+        """a + b exp(c y) for rows ``abc`` of :meth:`params`, ``y`` broadcasting against them."""
         a, b, c = abc
-        return a + b * np.exp(c * np.asarray(y, dtype=float)[..., None])
+        return a + b * np.exp(c * y)
 
     def intensity(self, y, state: DefaultState) -> np.ndarray:
         """lambda(y, z) as an (..., n) array; includes entries of defaulted names."""
-        return self.rate(self.params(state.bits), y)
+        return self.rate(self.params(state.bits), np.asarray(y, dtype=float)[..., None])
 
 
 class MarketSpec:
@@ -561,7 +563,21 @@ def _floats(text: str, key: str) -> list[float]:
     if ";" in text:
         raise ValueError(f"{key} takes numbers separated by ',', got {text!r} "
                          f"(';' separates matrix rows, in [market] sigma only)")
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{key} takes numbers separated by ',', got {text!r}") from None
+
+
+def _config_number(section: str, values: dict, key: str, default: str | None = None,
+                   kind: type = float):
+    """``[section] key`` (else ``default``) as a ``kind``; a ValueError names a bad key."""
+    text = values[key] if default is None else values.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"[{section}] {key} must be {what}, got {text!r}") from None
 
 
 # an exp-affine [credit] coefficient key: a, b or c, the 1-based name, the state bitstring
@@ -571,17 +587,17 @@ _CREDIT_KEY = re.compile(r"([abc])_([0-9]+)_([01]+)")
 def build_model(config: dict) -> ModelSpec:
     """ModelSpec from a config dict; raises ValueError on malformed input."""
     try:
-        n = int(config["model"]["n"])
+        n = _config_number("model", config["model"], "n", kind=int)
         if not 1 <= n <= MAX_NAMES:
             raise ValueError(f"[model] n must be in [1, {MAX_NAMES}], got {n}")
         fac = config["factor"]
         if fac.get("kind", "ou") != "ou":
             raise ValueError("only the mean-reverting (ou) factor kind is configurable")
-        u0, kappa = float(fac["u0"]), float(fac["kappa"])
+        u0, kappa = _config_number("factor", fac, "u0"), _config_number("factor", fac, "kappa")
         sigma0 = _floats(fac["sigma0"], "[factor] sigma0")
         lo, hi = _floats(fac["domain"], "[factor] domain")
-        factor = FactorSpec(u0=u0, kappa=kappa, sigma0=sigma0, rho=float(fac.get("rho", "0")),
-                            domain_lo=lo, domain_hi=hi)
+        factor = FactorSpec(u0=u0, kappa=kappa, sigma0=sigma0, domain_lo=lo, domain_hi=hi,
+                            rho=_config_number("factor", fac, "rho", "0"))
 
         cred = config["credit"]
         table = {}
@@ -594,7 +610,7 @@ def build_model(config: dict) -> ModelSpec:
                                  f"b_<i>_<bits> or c_<i>_<bits> with a name i in 1..{n} "
                                  f"and {n} state digits 0 or 1")
             entry = table.setdefault((int(match[2]) - 1, match[3]), [0.0, 0.0, 0.0])
-            entry["abc".index(match[1])] = float(val)
+            entry["abc".index(match[1])] = _config_number("credit", cred, key)
         kind = cred.get("kind", "exp_affine")
         if kind == "exp_affine":
             credit = CreditSpec.exp_affine(n, {k: tuple(v) for k, v in table.items()})
@@ -605,7 +621,7 @@ def build_model(config: dict) -> ModelSpec:
 
         mkt = config["market"]
         mu = _floats(mkt["mu"], "[market] mu")
-        scale = float(mkt.get("sigma_scale", "1.0"))
+        scale = _config_number("market", mkt, "sigma_scale", "1.0")
         kind = mkt.get("sigma_kind", "const")
         if kind == "const":
             rows = [_floats(row, "[market] sigma") for row in mkt["sigma"].split(";")]
@@ -614,19 +630,20 @@ def build_model(config: dict) -> ModelSpec:
                                  f"of {n} separated by ';', got {mkt['sigma']!r}")
             sigma = scale * np.array(rows[0] if len(rows) == 1 else rows)
         elif kind in ("scott", "stein"):
-            eps = np.array(_floats(mkt["sigma_eps"], "[market] sigma_eps"))
-            gam = np.array(_floats(mkt["sigma_gamma"], "[market] sigma_gamma"))
+            # name by name over contiguous y; the (m, n) result is a transposed view
+            eps = np.array(_floats(mkt["sigma_eps"], "[market] sigma_eps"))[:, None]
+            gam = np.array(_floats(mkt["sigma_gamma"], "[market] sigma_gamma"))[:, None]
             if kind == "scott":
-                sigma = lambda y, e=eps, g=gam, s=scale: s * np.sqrt(e + np.exp(g * np.asarray(y, dtype=float)[..., None]))
+                sigma = lambda y, e=eps, g=gam, s=scale: (s * np.sqrt(e + np.exp(g * y))).T
             else:
-                sigma = lambda y, e=eps, g=gam, s=scale: s * np.sqrt(e + g * np.asarray(y, dtype=float)[..., None] ** 2)
+                sigma = lambda y, e=eps, g=gam, s=scale: (s * np.sqrt(e + g * y ** 2)).T
         else:
             raise ValueError(f"unknown sigma_kind {kind!r}")
-        market = MarketSpec(mu=mu, sigma=sigma, r=float(mkt["r"]))
+        market = MarketSpec(mu=mu, sigma=sigma, r=_config_number("market", mkt, "r"))
 
         pref_c = config["preference"]
-        pref = PreferenceSpec(p=float(pref_c["p"]), K1=float(pref_c["k1"]),
-                              K2=float(pref_c["k2"]), T=float(pref_c["horizon"]))
+        pref = PreferenceSpec(*(_config_number("preference", pref_c, key)
+                                for key in ("p", "k1", "k2", "horizon")))
         return ModelSpec(n=n, factor=factor, credit=credit, market=market, pref=pref)
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"bad model configuration: {exc}") from exc

@@ -14,15 +14,17 @@ across runs and independent of which optional observers are active.
 
 Controls and ``g`` are read in place from the solved result's policy table
 and ``f``, which stack every default state indexed by the state's bits, so
-one read per step serves all paths with no per-state mask; each path
-carries its intensity rows ``(a, b, c)`` and alive mask, gathered again in
-the clock sweeps only for paths that default.  The policy is data: a
-perturbed policy is a result whose table was edited, and a defaulted name's
-weight is masked to zero whatever the table holds; the wealth step sums its
-short name axis one add per name.  The Feynman–Kac probes of a call share
-one normal stream and one pass over (probe, path) arrays, and a probe's
-draws do not depend on its batch; the pass reads the PDE's own nodal terms
-(:func:`_fk_table`).  A :class:`StageClock` splits each pass's time by stage.
+one read per step serves all paths with no per-state mask.  Path arrays are
+name-major, ``(n, n_paths)``: the read's channel planes are the controls,
+each path carries its intensity rows ``(a, b, c)`` and alive mask, gathered
+again in the clock sweeps only for paths that default, and short name sums
+run along contiguous paths.  The policy is data: a perturbed policy is a
+result whose table was edited, and a defaulted name's weight is masked to
+zero whatever the table holds.  The Feynman–Kac probes of a call share one
+normal stream and one pass over (probe, path) arrays, and a probe's draws do
+not depend on its batch; the pass reads the PDE's own nodal terms
+(:func:`_fk_table`), scaled by the step, at paths kept in grid-cell units.
+A :class:`StageClock` splits each pass's time by stage.
 
 One controlled pass serves every path check: given a solved result,
 :func:`simulate_market` runs the controls beside the market and records the
@@ -53,7 +55,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (imported with the module, not on the first block drawn)
 
 from .dual import Coefficients, _sum_names
-from .fields import SolveResult, blend_t, interp_y, lookup, policy_channel
+from .fields import SolveResult, blend_t, interp_cells, interp_y, lookup, policy_channel
 from .model import DefaultState, ModelSpec
 
 __all__ = [
@@ -72,10 +74,17 @@ _KIND_FK = 2
 TOL_SE = 3.0   # standard errors every statistical check allows beside its bias floor
 
 
-def _block_rng(seed: int, kind: int, block: int) -> np.random.Generator:
-    """Independent generator for one (kind, block) pair; counter-based Philox."""
-    bitgen = np.random.Philox(key=np.uint64(seed), counter=[0, 0, np.uint64(kind), np.uint64(block)])
-    return np.random.Generator(bitgen)
+def _block_rng(seed: int, kind: int, block: int,
+               rng: np.random.Generator | None = None) -> np.random.Generator:
+    """Philox keyed by ``seed`` at counter (0, 0, kind, block); an earlier result ``rng`` is reset.
+
+    A pass resets one generator: setting a state reads no OS entropy, as building one does.
+    """
+    rng = np.random.Generator(np.random.Philox(0)) if rng is None else rng
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {
+        "counter": np.array([0, 0, kind, block], np.uint64), "key": np.array([seed, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 class StageClock:
@@ -213,8 +222,7 @@ class PathBundle:
 def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
     """(K/p) c^p with the c = 0 limit handled (0 for p > 0, -inf for p < 0)."""
     pos = c > 0
-    out = np.where(pos, (K / p) * np.where(pos, c, 1.0) ** p, 0.0 if p > 0 else -np.inf)
-    return out
+    return np.where(pos, (K / p) * np.where(pos, c, 1.0) ** p, 0.0 if p > 0 else -np.inf)
 
 
 def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
@@ -236,7 +244,10 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     ``x0`` nor on the ``pi`` and ``c_mult`` channels of the policy; ``G_t`` is
     sampled at ``probe_times`` too, and the kept paths gain X, c and Gamma.
     Each path carries its intensity rows and alive mask, re-gathered in the
-    clock sweeps where it defaults; ``stages`` gets the StageClock laps.
+    clock sweeps where it defaults; ``stages`` gets the StageClock laps.  Every
+    per-path, per-name array (intensity rows, clocks, controls, drivers, sigma)
+    is name-major, ``(n, n_paths)``, so per-name operations and name sums run
+    along contiguous paths; the bundle's ``(n_paths, n)`` arrays are transposes.
     """
     if result is not None and x0 <= 0:
         raise ValueError("initial wealth must be positive")
@@ -251,50 +262,32 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     dt = T / n_steps
     t_mesh = np.linspace(0.0, T, n_steps + 1)
     lo, hi = spec.factor.domain_lo, spec.factor.domain_hi
-    mu = spec.market.mu
     with_controls = result is not None
 
-    clock_draws = np.stack([_block_rng(seed, _KIND_CLOCKS, rnd).exponential(size=(n_paths, n))
-                            for rnd in range(n)])
+    rng = _block_rng(seed, _KIND_CLOCKS, 0)        # one generator, reset to each block
+    clock_draws = np.stack([_block_rng(seed, _KIND_CLOCKS, rnd, rng).exponential(
+        size=(n_paths, n)).T for rnd in range(n)])   # (round, name, path)
 
     Y = np.full(n_paths, float(y0))
     bits = np.full(n_paths, z0.bits, dtype=np.int64)
     rounds = np.zeros(n_paths, dtype=np.intp)
-    acc = np.zeros((n_paths, n))             # integrated intensity since the last round
+    acc = np.zeros((n, n_paths))             # integrated intensity since the last round
     E = clock_draws[0].copy()
-    default_times = np.full((n_paths, n), np.inf)
-    comp_int = np.zeros((n_paths, n))        # integral of alive intensity since time 0
+    default_times = np.full((n, n_paths), np.inf)
+    comp_int = np.zeros((n, n_paths))        # integral of alive intensity since time 0
     reflect_count = 0
     grid_exit_count = 0                      # Y after a step outside the solved grid
 
-    alive_of = np.array([[1.0 - ((b >> i) & 1) for i in range(n)] for b in range(1 << n)])
+    alive_of = np.array([[1.0 - ((b >> i) & 1) for b in range(1 << n)] for i in range(n)])
     # each path's intensity parameters and alive mask, gathered again only where bits change
-    abc, alive = spec.credit.params(bits), alive_of[bits]
-    sigma0 = np.asarray(spec.factor.sigma0)
+    abc, alive = spec.credit.params(bits), alive_of.take(bits, axis=1)
+    sigma0 = np.asarray(spec.factor.sigma0)[:, None]
+    dWW = np.empty((2 * n, n_paths))         # the step's dW over dWbar
+    dW, dWbar = dWW[:n], dWW[n:]
     if with_controls:
         t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
         pol_work = {}                        # interp_y's arrays, reused by every policy read
-        pi, hh, th, ah = (np.empty((n_paths, n)) for _ in range(4))
-
-    def g_at(u, bv, yv):
-        return lookup(result.f, t_nodes, y_nodes, u, bv, yv) ** spec.beta
-
-    def controls_at(t_clock):
-        """Read the policy at (Y, bits) into pi (masked by alive), hh, th, ah; returns c_mult."""
-        vals = interp_y(blend_t(result.policy, t_nodes, max(T - t_clock, 0.0)), y_nodes,
-                        bits, Y, pol_work)
-        # each channel is a contiguous plane of vals; name by name copies run fast
-        for buf, c in ((pi, "pi"), (hh, "hhat"), (th, "theta"), (ah, "ahat")):
-            for i in range(n):
-                np.copyto(buf[:, i], vals[:, policy_channel(c, n)][:, i])
-        np.multiply(pi, alive, out=pi)
-        return vals[:, policy_channel("c_mult", n)]
-
-    def dot(a, b):
-        """Row-wise dot products, one add per name: numpy reduces a short axis row by row."""
-        return _sum_names(a * b)
-
-    if with_controls:
+        pi = np.empty((n, n_paths))
         X = np.full(n_paths, float(x0))
         Gamma = np.ones(n_paths)
         cons_util = np.zeros(n_paths)
@@ -303,6 +296,20 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         u2_first = None
         wealth_flagged = np.zeros(n_paths, dtype=bool)
         g_out = {}
+
+    def g_at(u, bv, yv):
+        return lookup(result.f, t_nodes, y_nodes, u, bv, yv) ** spec.beta
+
+    def controls_at(t_clock):
+        """The policy at (Y, bits): pi, masked by alive, into ``pi``; the other channels back."""
+        vals = interp_y(blend_t(result.policy, t_nodes, max(T - t_clock, 0.0)), y_nodes,
+                        bits, Y, pol_work).T
+        np.multiply(vals[policy_channel("pi", n)], alive, out=pi)
+        return [vals[policy_channel(c, n)] for c in ("hhat", "theta", "ahat", "c_mult")]
+
+    def dot(a, b):
+        """Dot products over the names of (n, paths) arrays, one add per name."""
+        return _sum_names((a * b).T)
 
     comp_out = {}
     probe_idx = {int(round(t / dt)) for t in probe_times}
@@ -324,8 +331,8 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     def record_probes(k):
         t_now = t_mesh[k]
         if k in probe_idx:
-            H_ind = np.stack([(bits >> i) & 1 for i in range(n)], axis=1).astype(float)
-            comp_out[float(t_now)] = H_ind - comp_int.copy()
+            H_ind = np.stack([(bits >> i) & 1 for i in range(n)]).astype(float)
+            comp_out[float(t_now)] = (H_ind - comp_int).T
             if with_controls:
                 g_val = g_at(T - t_now, bits, Y)
                 gq = (Gamma * np.exp(-r * t_now)) ** q
@@ -337,15 +344,14 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
 
     for k in range(n_steps):
         t_now = t_mesh[k]
-        draws = _block_rng(seed, _KIND_NORMALS, k).standard_normal((n_paths, 2 * n))
-        dW = draws[:, :n] * np.sqrt(dt)
-        dWbar = draws[:, n:] * np.sqrt(dt)
+        draws = _block_rng(seed, _KIND_NORMALS, k, rng).standard_normal((n_paths, 2 * n))
+        np.multiply(draws.T, np.sqrt(dt), out=dWW)
         clock.lap("rng")
 
         if with_controls:
-            cm = controls_at(t_now)
+            hh, th, ah, cm = controls_at(t_now)
             clock.lap("policy")
-            pisig = spec.market.pi_sigma(pi, spec.market.sigma(Y))
+            pisig = spec.market.pi_sigma(pi.T, spec.market.sigma(Y)).T
             u2_now = _power_utility(cm * X, spec.pref.K2, p)
             cons_util += u2_now * dt
             if u2_first is None:
@@ -353,7 +359,7 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             if keep:
                 kept["c"][:, k] = cm[:keep] * X[:keep]
             # -X pi' dM contributes the compensator drift +pi'(1-z)lambda between defaults
-            drift = r + pi @ (mu - r) + dot(pi, lam_now) - cm
+            drift = r + (spec.market.mu - r) @ pi + dot(pi, lam_now) - cm
             X *= np.exp((drift - 0.5 * dot(pisig, pisig)) * dt + dot(pisig, dW))
             Gamma *= np.exp(-dot(th, dW) - dot(ah, dWbar)
                             - (0.5 * dot(th, th) + 0.5 * dot(ah, ah) + dot(hh, lam_now)) * dt)
@@ -361,7 +367,7 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
 
         # factor step (Euler-Maruyama with correlated drivers), reflected at the domain edge
         dYw = spec.factor.rho * dW + np.sqrt(1.0 - spec.factor.rho**2) * dWbar
-        Y_next = Y + spec.factor.drift(Y) * dt + _sum_names(sigma0 * dYw)
+        Y_next = Y + spec.factor.drift(Y) * dt + _sum_names((sigma0 * dYw).T)
         out_lo = Y_next < lo
         out_hi = Y_next > hi
         reflect_count += int(np.sum(out_lo) + np.sum(out_hi))
@@ -377,55 +383,54 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         # clock in it go on alone, each sweep from its last crossing to the step's end
         dA = 0.5 * (lam_now + lam_next) * dt
         crossing = (acc + dA >= E) & (dA > 0)
-        # any name: numpy reduces a short last axis row by row, a name-major copy at once
-        hit = defaulted = np.flatnonzero(crossing.T.copy().any(axis=0))
+        hit = defaulted = np.flatnonzero(crossing.any(axis=0))
         # quiet paths take the whole step (not a masked add: it runs row by row over names)
-        held = comp_int[hit], acc[hit]
+        held = comp_int[:, hit], acc[:, hit]
         comp_int += dA
         acc += dA
-        comp_int[hit], acc[hit] = held
-        dA, crossing = dA[hit], crossing[hit]
+        comp_int[:, hit], acc[:, hit] = held
+        dA, crossing = dA[:, hit], crossing[:, hit]
         frac_from = np.zeros(hit.size)
         while hit.size:
-            frac = np.where(crossing, (E[hit] - acc[hit]) / np.maximum(dA, 1e-300), np.inf)
+            frac = np.where(crossing, (E[:, hit] - acc[:, hit]) / np.maximum(dA, 1e-300), np.inf)
             frac = np.clip(frac, 0.0, 1.0)
-            winner = np.argmin(frac, axis=1)
-            fr = frac[np.arange(hit.size), winner]
+            winner = np.argmin(frac, axis=0)
+            fr = frac[winner, np.arange(hit.size)]
             tau = t_now + (frac_from + fr * (1.0 - frac_from)) * dt
-            comp_int[hit] += dA * fr[:, None]
+            comp_int[:, hit] += dA * fr
             if with_controls:
-                jump_factor = 1.0 - pi[hit, winner]
+                jump_factor = 1.0 - pi[winner, hit]
                 bad = jump_factor <= 1e-12
                 if bad.any():
                     wealth_flagged[hit[bad]] = True
                 X[hit] = X[hit] * np.where(bad, 1e-300, np.maximum(jump_factor, 1e-300))
-                Gamma[hit] = Gamma[hit] * (1.0 + hh[hit, winner])
-            default_times[hit, winner] = tau
+                Gamma[hit] = Gamma[hit] * (1.0 + hh[winner, hit])
+            default_times[winner, hit] = tau
             bits[hit] |= (np.int64(1) << winner.astype(np.int64))
-            rows, alive_hit = spec.credit.params(bits[hit]), alive_of[bits[hit]]   # carried on
-            abc[:, hit], alive[hit] = rows, alive_hit
+            rows, alive_hit = spec.credit.params(bits[hit]), alive_of.take(bits[hit], axis=1)
+            abc[:, :, hit], alive[:, hit] = rows, alive_hit      # carried on
             rounds[hit] = np.minimum(rounds[hit] + 1, n - 1)
-            acc[hit] = 0.0
-            E[hit] = clock_draws[rounds[hit], hit]
+            acc[:, hit] = 0.0
+            E[:, hit] = clock_draws[rounds[hit], :, hit].T
             frac_from = frac_from + fr * (1.0 - frac_from)
             # the next sweep, over the rest of the step
             Y_a = Y[hit] + frac_from * (Y_next[hit] - Y[hit])
             lam_a = spec.credit.rate(rows, Y_a) * alive_hit
             lam_b = spec.credit.rate(rows, Y_next[hit]) * alive_hit
-            dA = 0.5 * (lam_a + lam_b) * ((1.0 - frac_from)[:, None] * dt)
-            crossing = (acc[hit] + dA >= E[hit]) & (dA > 0)
-            any_cross = crossing.T.copy().any(axis=0)
+            dA = 0.5 * (lam_a + lam_b) * ((1.0 - frac_from) * dt)
+            crossing = (acc[:, hit] + dA >= E[:, hit]) & (dA > 0)
+            any_cross = crossing.any(axis=0)
             done = hit[~any_cross]
-            comp_int[done] += dA[~any_cross]
-            acc[done] += dA[~any_cross]
-            hit, dA, crossing = hit[any_cross], dA[any_cross], crossing[any_cross]
+            comp_int[:, done] += dA[:, ~any_cross]
+            acc[:, done] += dA[:, ~any_cross]
+            hit, dA, crossing = hit[any_cross], dA[:, any_cross], crossing[:, any_cross]
             frac_from = frac_from[any_cross]
 
         Y = Y_next
         # the intensity at Y_next carries to the next step; only paths that defaulted change it
         if defaulted.size:
-            lam_next[defaulted] = (spec.credit.rate(abc[:, defaulted], Y[defaulted])
-                                   * alive[defaulted])
+            lam_next[:, defaulted] = (spec.credit.rate(abc.take(defaulted, axis=-1), Y[defaulted])
+                                      * alive.take(defaulted, axis=1))
         lam_now = lam_next
         clock.lap("sweeps")
 
@@ -445,11 +450,11 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         record_probes(k + 1)
         clock.lap("observers")
 
-    bundle.t_mesh, bundle.default_times, bundle.final_bits = t_mesh, default_times, bits
+    bundle.t_mesh, bundle.default_times, bundle.final_bits = t_mesh, default_times.T, bits
     bundle.y_terminal, bundle.reflect_count = Y, reflect_count
     bundle.compensator, bundle.kept = comp_out, kept
     if with_controls:
-        cm_T = controls_at(T)
+        cm_T = controls_at(T)[-1]
         u2_T = _power_utility(cm_T * X, spec.pref.K2, p)
         if keep:
             kept["c"][:, n_steps] = cm_T[:keep] * X[:keep]
@@ -610,8 +615,12 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     draw per step, the draw a single probe would use, so each report equals
     that of a call with its probe alone.  The steps update a fixed set of
     (probe, path) arrays in place, so the pass allocates nothing per step
-    but the small blended slices.  Reports come back in the order of
-    ``probes``; each carries the stages of the whole pass.
+    but the small blended slices.  The path runs in grid-cell units
+    ``(Y - y0) / dy``, reflected at 0 and ``n_y - 1``, and each blended slice
+    is scaled once per probe (``phi/beta`` and ``Phi`` by dt/2, ``nu`` by
+    dt/dy), so the read and the trapezoid sums take the cells and the scaled
+    channels as they are.  Reports come back in the order of ``probes``;
+    each carries the stages of the whole pass.
     """
     if any(t <= 0 for _, (t, _) in probes):
         raise ValueError("probe time must be positive")
@@ -621,78 +630,86 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     rows = np.array([row_of[state.bits] for state, _ in probes])
     t_list = [t for _, (t, _) in probes]
     dt_list = [t / n_steps for t in t_list]
-    grid, t_nodes, y_nodes = result.grid, result.t_nodes, result.grid.y_nodes()
+    t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
 
     # per-probe constants, each computed as for a lone probe, as columns over the paths
     col = (slice(None), None)
-    dt = np.array(dt_list)[col]
-    half_dt = 0.5 * dt                  # the trapezoid weight
+    y_cell0, dy, top = y_nodes[0], y_nodes[1] - y_nodes[0], len(y_nodes) - 1.0
     fac = spec.factor
     vol = np.sqrt(fac.vol_sq(0.0))
     exact = fac.rho == 0.0 and fac.kappa != 0.0
     if exact:
-        kap, mean = fac.kappa, fac.u0 / fac.kappa
+        kap, mean = fac.kappa, (fac.u0 / fac.kappa - y_cell0) / dy
         decay = [np.exp(-kap * d) for d in dt_list]
-        sd = np.array([vol * np.sqrt((1.0 - e**2) / (2.0 * kap)) for e in decay])[col]
+        sd = np.array([vol * np.sqrt((1.0 - e**2) / (2.0 * kap)) for e in decay])[col] / dy
         decay = np.array(decay)[col]
     else:
-        sd = np.array([vol * np.sqrt(d) for d in dt_list])[col]   # sqrt(sigma0 sigma0^T dt)
+        sd = np.array([vol * np.sqrt(d) for d in dt_list])[col] / dy   # sqrt(sigma0 sigma0^T dt)
+    # per probe: phi/beta and Phi by the trapezoid weight, nu by the cells per unit drift
+    scale = np.array([[0.5 * d, 0.5 * d, d / dy][:2 + (not exact)] for d in dt_list])[:, None]
 
     table = _fk_table(spec, result, states, y_nodes, with_nu=not exact)
-    work = {}                                   # interp_y's arrays, reused by every step
+    work, spare = {}, None                      # interp_cells' arrays, reused by every step
     probe_rows = np.arange(len(probes))[col]    # one blended slice per probe
 
-    def read(u, Yv):
-        """phi/beta, Phi and nu at per-probe times u and points Yv: planes of (probe, path)."""
-        return interp_y(blend_t(table, t_nodes, u, rows), y_nodes, probe_rows, Yv, work)
+    def read(u, cells):
+        """Scaled phi/beta, Phi and nu at times u and ``cells``; the last read's output stays."""
+        nonlocal spare
+        slices = blend_t(table, t_nodes, u, rows)
+        slices *= scale
+        work["out"], spare = spare, work.get("out")
+        return interp_cells(slices, probe_rows, cells, work)
 
     rng_offset = 1 << 20  # keep FK blocks clear of market-step blocks
-    t_probe = np.array(t_list)
-    Yp = np.repeat(np.array([y for _, (_, y) in probes], dtype=float)[col], n_paths, axis=1)
-    I_acc = np.zeros(Yp.shape)          # int_0^s phi/beta along the path, trapezoid
-    E2 = np.zeros(Yp.shape)
-    tmp, phi_here, integrand_prev, integrand_next = (np.empty(Yp.shape) for _ in range(4))
-    z_draw = np.empty(n_paths)
+    t_probe, dt = np.array(t_list), np.array(dt_list)
+    F = np.repeat(((np.array([y for _, (_, y) in probes], dtype=float) - y_cell0) / dy)[col],
+                  n_paths, axis=1)
+    I_acc = np.zeros(F.shape)           # int_0^s phi/beta along the path, trapezoid
+    E2 = np.zeros(F.shape)
+    tmp, integrand_prev, integrand_next = (np.empty(F.shape) for _ in range(3))
+    z_draw, rng = np.empty(n_paths), None
     clock.lap("setup")
 
-    vals = read(t_probe, Yp)
+    # a probe may start off the grid: the read then takes the cells clipped into tmp
+    vals = read(t_probe, F if 0.0 <= F.min() and F.max() <= top else np.clip(F, 0, top, out=tmp))
     clock.lap("read")
-    np.copyto(phi_here, vals[..., 0])
     np.copyto(integrand_prev, vals[..., 1])     # e^{I_0} = 1
     clock.lap("integrand")
 
     # each line below is one operation of the expression in its comment, in its order
     for k in range(n_steps):
-        _block_rng(seed, _KIND_FK, rng_offset + k).standard_normal(out=z_draw)
+        rng = _block_rng(seed, _KIND_FK, rng_offset + k, rng)
+        rng.standard_normal(out=z_draw)
         clock.lap("rng")
         if exact:
-            # Yp = mean + (Yp - mean) decay + sd z
-            Yp -= mean
-            Yp *= decay
-            Yp += mean
+            # F = mean + (F - mean) decay + sd z
+            F -= mean
+            F *= decay
+            F += mean
         else:
-            # Yp = Yp + nu dt + sd z, with nu from the previous step's read
-            np.multiply(vals[..., 2], dt, out=tmp)
-            Yp += tmp
+            # F = F + nu dt / dy + sd z, with nu from the previous step's read
+            F += vals[..., 2]
         np.multiply(sd, z_draw, out=tmp)
-        Yp += tmp
-        np.subtract(2 * grid.y_lo, Yp, out=Yp, where=Yp < grid.y_lo)
-        np.subtract(2 * grid.y_hi, Yp, out=Yp, where=Yp > grid.y_hi)
+        F += tmp
+        cells = F
+        if F.min() < 0.0 or F.max() > top:
+            # reflect at the grid's edges; a path that overshot the whole grid is clipped
+            np.negative(F, out=F, where=F < 0.0)
+            np.subtract(2.0 * top, F, out=F, where=F > top)
+            cells = np.clip(F, 0.0, top, out=tmp)
         clock.lap("factor")
         # field time runs backward along the path
-        vals = read(np.maximum(t_probe - (k + 1) * dt[:, 0], 0.0), Yp)
+        phi_prev = vals[..., 0]
+        vals = read(np.maximum(t_probe - (k + 1) * dt, 0.0), cells)
         clock.lap("read")
-        # I_acc += (phi_here + phi_next) 0.5 dt
-        np.add(phi_here, vals[..., 0], out=tmp)
-        tmp *= half_dt
+        # I_acc += (phi_prev + phi_next) 0.5 dt, the channel scaled by 0.5 dt
+        np.add(phi_prev, vals[..., 0], out=tmp)
         I_acc += tmp
-        np.copyto(phi_here, vals[..., 0])
-        # integrand_next = Phi e^{I_acc}
+        # integrand_next = Phi e^{I_acc} 0.5 dt, the channel scaled by 0.5 dt
         np.exp(I_acc, out=integrand_next)
         integrand_next *= vals[..., 1]
         # E2 += (integrand_prev + integrand_next) 0.5 dt
         np.add(integrand_prev, integrand_next, out=tmp)
-        tmp *= half_dt
         E2 += tmp
         integrand_prev, integrand_next = integrand_next, integrand_prev
         clock.lap("integrand")

@@ -89,3 +89,20 @@ def test_worker_n4_config_passes_the_key_check(harness):
     cfg = worker.n4_config(cf.cli)
     cf.cli._check_config_keys(cfg)
     assert cf.cli.build_model(cfg).n == 4
+
+
+def test_ci_runs_the_tier1_command_and_the_harness_tests():
+    # the workflow runs ROADMAP's Tier-1 command verbatim, on the pinned toolchain
+    import re
+
+    import yaml
+
+    root = PERFBENCH.parent
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (root / "ROADMAP.md").read_text())[1]
+    flow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    assert set(flow["on"]) == {"push", "pull_request"}
+    steps = flow["jobs"]["tier1"]["steps"]
+    assert {"python-version": "3.11"} in [step.get("with") for step in steps]
+    runs = [step["run"] for step in steps if "run" in step]
+    assert '"numpy==2.4.*"' in runs[0] and '"scipy==1.17.*"' in runs[0]
+    assert runs[1:] == [tier1, "python3 -m pytest perfbench -q"]

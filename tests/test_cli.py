@@ -763,6 +763,25 @@ def test_bad_floats_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, flags, 
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("override,where", [
+    ("factor.u0=abc", "[factor] u0 must be a number, got 'abc'"),
+    ("market.r=x", "[market] r must be a number, got 'x'"),
+    ("preference.p=y", "[preference] p must be a number, got 'y'"),
+    ("model.n=two", "[model] n must be an integer, got 'two'"),
+    ("credit.a_1_00=zz", "[credit] a_1_00 must be a number, got 'zz'"),
+    ("factor.sigma0=0.3,q", "[factor] sigma0 takes numbers separated by ','"),
+], ids=["factor-u0", "market-r", "preference-p", "model-n", "credit-coefficient",
+        "factor-sigma0"])
+def test_malformed_model_numbers_exit_2_naming_the_key(tmp_path, capsys, override, where):
+    rc = main(["validate", "--preset", "scott_example22", "--ny", "11", "--nt", "10",
+               "--set", override, "--out", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert where in err, err
+    assert "could not convert" not in err and "invalid literal" not in err
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("state", ["0", "111", "0a", ""], ids=["short", "long", "not-binary",
                                                               "empty"])
 def test_bad_mc_state_exits_2_before_the_solve(tmp_path, monkeypatch, capsys, state):

@@ -9,7 +9,7 @@ import creditfolio as cf
 from creditfolio.dual import Coefficients
 from creditfolio.model import (PRESET_NAMES, CreditSpec, DefaultState, MarketSpec,
                                PreferenceSpec, all_states, build_model, load_preset,
-                               states_by_cardinality, validate_spec)
+                               preset_config, states_by_cardinality, validate_spec)
 
 
 class TestDefaultState:
@@ -105,15 +105,32 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", [*PRESET_NAMES, "three_names"])
     def test_path_intensities_are_the_state_intensities(self, name):
-        # the path engine's carried per-path rows and the PDE's per-state kernel give
-        # the same bits for every state at every factor value
+        # the path engine's carried per-path rows, name-major (n, paths), and the PDE's
+        # per-state kernel give the same bits for every state at every factor value
         from test_cli import three_name_config
 
         spec = build_model(three_name_config()) if name == "three_names" else load_preset(name)
         y = np.linspace(spec.factor.domain_lo, spec.factor.domain_hi, 1001)
         for state in all_states(spec.n):
             per_path = spec.credit.rate(spec.credit.params(np.full(y.shape, state.bits)), y)
-            assert per_path.tobytes() == spec.intensity(y, state).tobytes(), state
+            assert per_path.shape == (spec.n, y.size)
+            assert per_path.T.tobytes() == spec.intensity(y, state).tobytes(), state
+
+    @pytest.mark.parametrize("name", [*PRESET_NAMES, "three_names"])
+    def test_rate_is_the_formula_name_by_name_on_path_rows(self, name):
+        # the market pass's layout: (3, n, paths) rows gathered by path, contiguous
+        from test_cli import three_name_config
+
+        spec = build_model(three_name_config()) if name == "three_names" else load_preset(name)
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 1 << spec.n, 500)
+        y = rng.uniform(spec.factor.domain_lo, spec.factor.domain_hi, 500)
+        abc = spec.credit.params(bits)
+        assert abc.shape == (3, spec.n, 500) and abc.flags.c_contiguous
+        lam = spec.credit.rate(abc, y)
+        for i in range(spec.n):
+            a, b, c = abc[:, i]
+            assert lam[i].tobytes() == (a + b * np.exp(c * y)).tobytes()
 
     def test_merton_preset(self):
         spec = load_preset("merton_nodefault")
@@ -173,6 +190,21 @@ class TestMarketSpec:
         m = MarketSpec(mu=[0.2, 0.2], sigma=nearly, r=0.2)
         assert not m.is_diagonal
         assert np.array_equal(m.sigma(0.0), nearly)
+
+    @pytest.mark.parametrize("name", ["scott_example22", "stein_stein_example22"])
+    def test_sigma_kernels_are_the_elementwise_formula_bitwise(self, name):
+        # evaluated name by name over contiguous y: each entry holds the bits of the
+        # pointwise formula, and the path engine's (n, paths) view sigma(Y).T is contiguous
+        spec, market = load_preset(name), preset_config(name)["market"]
+        eps = [float(v) for v in market["sigma_eps"].split(",")]
+        gam = [float(v) for v in market["sigma_gamma"].split(",")]
+        for y in (np.linspace(-1.25, 1.25, 1001), np.linspace(-1.0, 1.0, 60).reshape(3, 20)):
+            sig = spec.market.sigma(y)
+            assert sig.shape == y.shape + (2,)
+            for i in range(2):
+                inner = np.exp(gam[i] * y) if name == "scott_example22" else gam[i] * y**2
+                assert sig[..., i].tobytes() == np.sqrt(eps[i] + inner).tobytes()
+        assert spec.market.sigma(np.linspace(-1.0, 1.0, 4000)).T.flags.c_contiguous
 
     @pytest.mark.parametrize("sigma, shape", [
         (lambda y: np.array([0.8, 0.6]), "(2,)"),            # not vectorised over y

@@ -7,6 +7,7 @@ import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio import sim
 from creditfolio.dual import Coefficients
+from creditfolio.fields import lookup
 from creditfolio.model import (CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec,
                                PreferenceSpec, build_model, preset_config)
 
@@ -502,6 +503,82 @@ class TestFeynmanKac:
             assert rep.name == lone.name
             assert (rep.estimate, rep.se, rep.target) == (lone.estimate, lone.se, lone.target)
             assert rep.tolerance == lone.tolerance
+
+
+def fk_reference(spec, result, state, t, y, n_paths, n_steps, seed):
+    """One Feynman-Kac probe path by path in y-units, the pass's operations in their order.
+
+    Each step reads phi/beta, Phi and nu afresh through ``fields.lookup`` at
+    the path's y, from the same ``_block_rng`` draws as the pass, and reflects
+    at the solved grid's edges; the read clamps a point off the grid.
+    """
+    grid, t_nodes, y_nodes = result.grid, result.t_nodes, result.grid.y_nodes()
+    fac, dt = spec.factor, t / n_steps
+    vol = np.sqrt(fac.vol_sq(0.0))
+    exact = fac.rho == 0.0 and fac.kappa != 0.0
+    table = sim._fk_table(spec, result, [state], y_nodes, with_nu=not exact)
+    if exact:
+        mean, decay = fac.u0 / fac.kappa, np.exp(-fac.kappa * dt)
+        sd = vol * np.sqrt((1.0 - decay**2) / (2.0 * fac.kappa))
+    else:
+        sd = vol * np.sqrt(dt)
+    Y = np.full(n_paths, float(y))
+    vals = lookup(table, t_nodes, y_nodes, t, 0, Y)
+    I_acc, E2, integrand_prev = np.zeros(n_paths), np.zeros(n_paths), vals[:, 1]
+    for k in range(n_steps):
+        z = sim._block_rng(seed, sim._KIND_FK, (1 << 20) + k).standard_normal(n_paths)
+        if exact:
+            Y = mean + (Y - mean) * decay + sd * z
+        else:
+            Y = Y + vals[:, 2] * dt + sd * z
+        Y = np.where(Y < grid.y_lo, 2 * grid.y_lo - Y, Y)
+        Y = np.where(Y > grid.y_hi, 2 * grid.y_hi - Y, Y)
+        phi_prev = vals[:, 0]
+        vals = lookup(table, t_nodes, y_nodes, max(t - (k + 1) * dt, 0.0), 0, Y)
+        I_acc = I_acc + (phi_prev + vals[:, 0]) * (0.5 * dt)
+        integrand = np.exp(I_acc) * vals[:, 1]
+        E2 = E2 + (integrand_prev + integrand) * (0.5 * dt)
+        integrand_prev = integrand
+    return sim._mean_se(spec.f0 * np.exp(I_acc) + E2)
+
+
+@pytest.mark.parametrize("which,bits,probe", [
+    ("benchmark_s5", "00", (0.5, 0.0)), ("benchmark_s5", "01", (1.0, 0.3)),
+    ("scott_example22", "00", (0.8, -0.2)), ("scott_example22", "10", (0.5, 0.6)),
+    ("benchmark_s5", "00", (0.5, 1.5)), ("scott_example22", "01", (1.0, 1.5)),
+], ids=["s5-exact", "s5-exact-01", "scott-euler", "scott-euler-10", "s5-off-grid",
+        "scott-off-grid"])
+def test_feynman_kac_pass_equals_a_pointwise_reference(which, bits, probe, benchmark_spec,
+                                                       benchmark_result, scott_result):
+    # the pass runs in grid cells on step-scaled channels: the same estimate up to
+    # round-off; a probe at y = 1.5 starts off the solved grid [-1, 1]
+    if which == "benchmark_s5":
+        spec, (result, _) = benchmark_spec, benchmark_result
+    else:
+        spec, result, _ = scott_result
+    state = DefaultState.from_bitstring(bits)
+    [rep] = sim.mc_feynman_kac(spec, result, [(state, probe)], 300, 24, seed=11)
+    est, se = fk_reference(spec, result, state, *probe, 300, 24, seed=11)
+    assert se > 0.0
+    np.testing.assert_allclose(rep.estimate, est, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.se, se, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 3])
+def test_block_rng_is_the_keyed_philox_block(seed):
+    # one generator reset per block draws what a Philox built for that block draws,
+    # also after an earlier block of the same generator has been drawn from
+    rng = None
+    for kind, block in ((sim._KIND_NORMALS, 0), (sim._KIND_CLOCKS, 1), (sim._KIND_FK, 7),
+                        (sim._KIND_FK, (1 << 20) + 255), (sim._KIND_NORMALS, 0)):
+        want = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, kind, block]))
+        rng = sim._block_rng(seed, kind, block, rng)
+        assert np.array_equal(rng.standard_normal(1000), want.standard_normal(1000))
+        assert np.array_equal(rng.exponential(size=1000), want.exponential(size=1000))
+        fresh = sim._block_rng(seed, kind, block)
+        assert np.array_equal(fresh.standard_normal(7),
+                              np.random.Generator(np.random.Philox(
+                                  key=seed, counter=[0, 0, kind, block])).standard_normal(7))
 
 
 class TestReachability:
