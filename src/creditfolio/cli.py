@@ -23,7 +23,8 @@ Sections and keys (units: rates per year, horizon in years):
 A section or key outside this list exits 2 naming it, as does a ``[credit]``
 coefficient key whose name or bitstring does not fit ``[model] n``.
 
-Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure,
+Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure (a
+step that blows up, or a state whose march leaves its truncation bounds),
 4 statistical-test failure.
 
 ``solve`` writes the result's stacked arrays as ``.npy`` files (float64, no
@@ -54,8 +55,11 @@ carries no timing.
 
 Counts (``--ny``, ``--nt``, ``--paths``, ``--steps`` and their keys) must be
 positive, ``[grid] y_lo < y_hi``, ``[mc] x0`` positive, ``[mc] y0`` strictly
-inside ``[factor] domain``, and ``[mc] state`` one digit per name; otherwise a
-command exits 2 naming the flag or key before it loads or solves anything.
+inside ``[factor] domain`` and the solved grid, and ``[mc] state`` one digit
+per name; otherwise a command exits 2 naming the flag or key before it solves
+anything.  The solved grid is ``[grid] y_lo, y_hi``, or with ``--solution``
+the loaded ``y_nodes.npy``, so there the ``[mc]`` keys are read once the
+solution has loaded.
 """
 
 from __future__ import annotations
@@ -145,8 +149,11 @@ def build_grid(config: dict, args) -> GridSpec:
 _SEED_MAX = 2**64 - 3
 
 
-def _mc_params(config: dict, args, spec: ModelSpec) -> dict:
-    """Monte Carlo settings for ``spec``; ValueError naming a bad flag or key."""
+def _mc_params(config: dict, args, spec: ModelSpec, grid: GridSpec, grid_name: str) -> dict:
+    """Monte Carlo settings for ``spec`` on the solved ``grid``; ValueError naming a bad key.
+
+    ``grid_name`` says where ``grid`` came from, for the message.
+    """
     mc, n = config.get("mc", {}), spec.n
     state = mc.get("state", "0" * n)
     if len(state) != n or any(c not in "01" for c in state):
@@ -157,6 +164,9 @@ def _mc_params(config: dict, args, spec: ModelSpec) -> dict:
     if not lo < y0 < hi:
         raise ValueError(f"[mc] y0 = {y0!r} must lie strictly inside [factor] domain "
                          f"= {lo!r}, {hi!r}")
+    if not grid.y_lo < y0 < grid.y_hi:
+        raise ValueError(f"[mc] y0 = {y0!r} must lie strictly inside the solved grid, "
+                         f"{grid_name} = {grid.y_lo!r}, {grid.y_hi!r}")
     if not x0 > 0:
         raise ValueError(f"[mc] x0 = {x0!r} must be positive (the initial wealth)")
     seed = args.seed if args.seed is not None else _config_number("mc", mc, "seed", "42", int)
@@ -233,9 +243,8 @@ def _write_json(path: Path, manifest: dict) -> None:
 
 # solve_report.csv columns after ``state``, with the type each reloads as
 _REPORT_COLUMNS = {"resid_max": float, "newton_iters_max": int, "clamp_hits": int,
-                   "clamp_pass_skipped": bool, "bound_margin_lo": float,
-                   "bound_margin_hi": float, "hedge_gap": float, "ahat_max": float,
-                   "bound_violation": bool}
+                   "bound_margin_lo": float, "bound_margin_hi": float, "hedge_gap": float,
+                   "ahat_max": float, "bound_violation": bool}
 
 
 def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
@@ -411,8 +420,7 @@ def cmd_solve(args) -> int:
     dump_solution(result, out, spec)
     for bits, row in sorted(result.report.items()):
         print(f"state {bits}: solved in {row['elapsed']:.2f}s, control residual "
-              f"{row['resid_max']:.2e}, clamp hits {row['clamp_hits']}"
-              + (", clamped pass skipped" if row["clamp_pass_skipped"] else ""))
+              f"{row['resid_max']:.2e}, clamp hits {row['clamp_hits']}")
     return EXIT_OK
 
 
@@ -423,7 +431,6 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     spec = build_model(config)
     grid = build_grid(config, args)
-    mc = _mc_params(config, args, spec)
     if args.dump_paths < 0:
         raise ValueError(f"--dump-paths must be zero or a positive integer, got {args.dump_paths}")
     report = validate_spec(spec, grid.y_nodes())
@@ -432,7 +439,9 @@ def cmd_simulate(args) -> int:
         return EXIT_VALIDATION
     if args.solution:
         result = load_solution(Path(args.solution), spec)
+        mc = _mc_params(config, args, spec, result.grid, f"{Path(args.solution) / 'y_nodes.npy'}")
     else:
+        mc = _mc_params(config, args, spec, grid, "[grid] y_lo, y_hi")
         result = solve_recursive_system(spec, grid, validate=False)
 
     # Feynman–Kac first: run after the controlled pass, its buffers stack on the heap that

@@ -170,15 +170,17 @@ def spatial_gradient(f_slice: np.ndarray, dy: float) -> np.ndarray:
 
 @dataclass
 class TruncationBounds:
-    """A-priori solution bounds used to clamp the nonlinear source.
+    """A-priori solution bounds: the truncation of the nonlinear source in the existence proof.
 
     ``k_under <= f(t, y) <= k_bar(t)`` with ``k_under = f(0) exp(T (m_lo ^ 0)
     / beta)`` and ``k_bar(t) = f(0) exp((m_hi / beta + theta_rate) t)``.
-    ``m_lo``/``m_hi`` envelope the reaction coefficient phi and
-    ``theta_rate`` is the growth rate of the clamped contagion source at the
-    lower bound.  ``m_lo_norms``/``m_hi_norms`` carry the coarser
-    sup-norm-family envelope of phi (reported, always containing
-    [m_lo, m_hi]).
+    The solver checks every slice it gives the source against them: inside
+    them the truncated source is the one it used, and a state whose slices
+    leave them stops the solve.  ``m_lo``/``m_hi`` envelope the reaction
+    coefficient phi and ``theta_rate`` is the growth rate of the contagion
+    source truncated at the lower bound.  ``m_lo_norms``/``m_hi_norms``
+    carry the coarser sup-norm-family envelope of phi (reported, always
+    containing [m_lo, m_hi]).
     """
 
     state: DefaultState
@@ -195,8 +197,8 @@ class TruncationBounds:
     def k_bar(self, t):
         """The upper bound at horizon t; +inf, with no overflow warning, past the float range.
 
-        An infinite bound clamps nothing: ``run.json`` lists such states as
-        ``unbounded_above``.
+        An infinite bound truncates nothing, so every slice passes it:
+        ``run.json`` lists such states as ``unbounded_above``.
         """
         with np.errstate(over="ignore"):
             return self.f0 * np.exp((self.m_hi / self.beta + self.theta_rate)

@@ -9,8 +9,8 @@ reaction rate and Phi the contagion source built from the children of z, the
 states with one more default.
 
 Time stepping is a theta = 1/2 IMEX scheme: the linear operator is treated by
-Crank-Nicolson, and the reaction and source, evaluated at the clamped slice
-values, are averaged between the two ends of the step.  The end-of-step
+Crank-Nicolson, and the reaction and source, evaluated at the slice values,
+are averaged between the two ends of the step.  The end-of-step
 source depends on the new slice, so each step runs a small fixed-point sweep
 that refreshes the controls, hence the jump loadings (and, when rho != 0,
 the gradient coupling), at the new slice until the slice changes by less
@@ -44,9 +44,9 @@ rho = 0 the stack shares one ``dgttrs`` call, which takes the stack's
 right-hand sides as they are, and one set of ``dgttrf`` factors; with
 rho != 0 the operators differ and the solve goes state by state).  Everything
 a state owns stays per state: its sweep leaves the stack once it converges,
-and its warm starts, source history, stats, envelope, clamp hits and Newton
-counts are kept by row, so every state gets the values it would get marched
-alone.  The rows of every stack are the states' bits, so the march writes
+and its warm starts, source history, stats, envelope and Newton counts are
+kept by row, so every state gets the values it would get marched alone.
+The rows of every stack are the states' bits, so the march writes
 straight into the arrays of the :class:`SolveResult`.  The march hands
 ``step_slice`` the states of each stack, and the workspace maps them back to
 rows; what a set of rows fixes (their selector, a slice when the rows are
@@ -60,15 +60,13 @@ channels of the policy table; the last iteration solves the final slice n_t,
 and :func:`strategy.build_policy` fills the rest of the table for the whole
 stack without solving again.
 
-The clamp reproduces the truncation device that makes the source Lipschitz.
-The wavefront first marches every state without it; that bootstrap pass
-fixes the truncation bounds.  A state is marched again, clamped, only when
-some slice value its bootstrap fed to the source lay outside those bounds;
-otherwise the clamp is the identity on every argument and the clamped march
-would repeat the bootstrap bit for bit.  The parents of a re-marched state
-are marched again, unclamped, against its final slices, one generation at a
-time, before their own bounds are fitted.  At convergence the clamp is never
-active.
+The truncation bounds, the device of the existence proof that makes the
+source Lipschitz, are a check here.  The wavefront marches every state once
+and records the range of every slice it gives the source; then, children
+first, each state's bounds are fitted from its own control statistics, and a
+state with a recorded slice outside ``[k_under, k_bar(t)]`` stops the solve
+with a SolverError.  Inside its bounds the truncated source equals the one
+the march used, so a solve that returns has solved the truncated system.
 
 Boundary conditions are homogeneous Neumann at both ends of the factor
 domain.  This is an approximation (zero flux matches a mean-reverting factor
@@ -186,9 +184,9 @@ class _StepWorkspace:
 
     It holds the grid geometry, the stacked coefficient kernel and, per state
     (by row), the control warm starts, the running control stats, the range
-    of every slice value the unclamped source was given (:meth:`envelope`),
-    clamp hits, Newton counts, control residuals and the last two step-start
-    sources (:meth:`end_source`).  ``controls`` keeps the last control solve
+    of every slice value the source was given (:meth:`envelope`), Newton
+    counts, control residuals and the last two step-start sources
+    (:meth:`end_source`).  ``controls`` keeps the last control solve
     asked to be kept, ``tally`` counts the march's work and ``seconds`` times
     its control and Crank-Nicolson solves.
 
@@ -215,33 +213,16 @@ class _StepWorkspace:
                       "sweep_cap_hits": 0}
         self.seconds = {"control_s": 0.0, "cn_s": 0.0}
         S, n = len(self.states), spec.n
-        self.h_warm = np.empty((S, grid.n_y, n))
+        self.h_warm = np.zeros((S, grid.n_y, n))   # no warm start yet: Newton starts from h = 0
         self.stats = _empty_stats((S, grid.n_y), n)
-        # columns (row, t, min, max), one per slice given to the unclamped source,
-        # in march order; a row's own columns start at ``_env_from[row]``
+        # columns (row, t, min, max), one per slice given to the source, in march order
         self._env = np.empty((4, S * (grid.n_t + 1)))
         self._env_size = 0
-        self._env_from = np.zeros(S, dtype=int)
-        self.clamp_hits = np.zeros(S, dtype=int)
         self.newton_iters = np.zeros(S, dtype=int)
         self.resid_max = np.zeros(S)
-        self._src_1 = np.empty((S, grid.n_y))   # the step-start sources one and two steps back
-        self._src_2 = np.empty((S, grid.n_y))
+        self._src_1 = np.zeros((S, grid.n_y))   # the step-start sources one and two steps back
+        self._src_2 = np.zeros((S, grid.n_y))
         self._depth = np.zeros(S, dtype=int)    # how many of them a row has
-        self.reset(range(S))
-
-    def reset(self, rows):
-        """Fresh bookkeeping for the states at ``rows``, as before their first step."""
-        rows = list(rows)
-        self.h_warm[rows] = 0.0   # no warm start yet: both Newtons start from h = 0
-        for key, value in _empty_stats((len(rows), self.grid.n_y), self.spec.n).items():
-            self.stats[key][rows] = value
-        self._env_from[rows] = self._env_size
-        self.clamp_hits[rows] = 0
-        self.newton_iters[rows] = 0
-        self.resid_max[rows] = 0.0
-        self._src_1[rows] = self._src_2[rows] = 0.0
-        self._depth[rows] = 0
 
     def rows_of(self, states) -> np.ndarray:
         return np.array([self.row[s.bits] for s in states])
@@ -313,39 +294,30 @@ class _StepWorkspace:
         self.seconds["cn_s"] += time.perf_counter() - started
         return x
 
-    def explicit_source(self, rows, t, f_slice, phi, s, bounds):
-        """Reaction plus contagion source at the clamped slice values.
+    def explicit_source(self, rows, t, f_slice, phi, s):
+        """Reaction plus contagion source of the states at ``rows`` on their slices.
 
-        Unclamped (``bounds`` None), it records each slice's range, for its
-        state's :meth:`envelope`, so the caller can tell whether a clamp would
-        have changed anything; otherwise ``bounds`` holds one TruncationBounds
-        per slice.
+        It records each slice's range, for its state's :meth:`envelope`, so
+        the solve can check the slices against the state's truncation bounds.
         """
-        if bounds is None:
-            v = f_slice
-            start, end = self._env_size, self._env_size + len(rows)
-            if end > self._env.shape[1]:
-                self._env = np.concatenate([self._env, np.empty_like(self._env)], axis=1)
-            env = self._env[:, start:end]
-            env[0], env[1] = rows, t
-            f_slice.min(axis=-1, out=env[2])
-            f_slice.max(axis=-1, out=env[3])
-            self._env_size = end
-        else:
-            lo = np.array([[b.k_under] for b in bounds])
-            hi = np.array([[b.k_bar(tt)] for b, tt in zip(bounds, t.tolist())])
-            v = np.clip(f_slice, lo, hi)
-            self.clamp_hits[rows] += np.sum(v != f_slice, axis=-1)
+        start, end = self._env_size, self._env_size + len(rows)
+        if end > self._env.shape[1]:
+            self._env = np.concatenate([self._env, np.empty_like(self._env)], axis=1)
+        env = self._env[:, start:end]
+        env[0], env[1] = rows, t
+        f_slice.min(axis=-1, out=env[2])
+        f_slice.max(axis=-1, out=env[3])
+        self._env_size = end
         beta = self.coef.beta
-        return (phi * v + v ** (1.0 - beta) * s) / beta
+        return (phi * f_slice + f_slice ** (1.0 - beta) * s) / beta
 
     def end_source(self, rows, src):
         """Extrapolated end-of-step source of the states at ``rows`` from their step-start ``src``.
 
-        The guess is ``src`` at a row's first step since its :meth:`reset`,
-        ``2 src - s1`` at its second and ``3 src - 3 s1 + s2`` after, with
-        ``s1`` and ``s2`` the row's step-start sources one and two steps back;
-        ``src`` then joins the row's history.
+        The guess is ``src`` at a row's first step, ``2 src - s1`` at its
+        second and ``3 src - 3 s1 + s2`` after, with ``s1`` and ``s2`` the
+        row's step-start sources one and two steps back; ``src`` then joins
+        the row's history.
         """
         sel, _ = self._stack(rows)
         s1, s2 = self._src_1[sel], self._src_2[sel]
@@ -357,12 +329,8 @@ class _StepWorkspace:
         return guess
 
     def envelope(self, r):
-        """``(t, min, max)`` arrays of every slice row ``r``'s unclamped source was given.
-
-        Only the slices since the row's last :meth:`reset` count, in the
-        order the march gave them.
-        """
-        rows, t, lo, hi = self._env[:, self._env_from[r]:self._env_size]
+        """``(t, min, max)`` arrays of every slice row ``r``'s source was given, in march order."""
+        rows, t, lo, hi = self._env[:, :self._env_size]
         mine = rows == r
         return t[mine], lo[mine], hi[mine]
 
@@ -378,37 +346,36 @@ def _fold(array, rows, fold, value) -> None:
 
 def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
                children_now: Mapping[int, np.ndarray], children_next: Mapping[int, np.ndarray],
-               spec: ModelSpec, grid: GridSpec, bounds=None,
+               spec: ModelSpec, grid: GridSpec,
                workspace: _StepWorkspace | None = None) -> np.ndarray:
     """Advance one horizon slice of S states by the float ``dt`` with the IMEX theta = 1/2 scheme.
 
     ``f_now`` is (S, n_y), ``t`` is an (S,) array of the states' times and
     ``children_now``/``children_next`` hold the (S, n_y) child-state slices
     at t and t + dt of every name alive in some state (any positive value
-    where name i has defaulted); ``bounds`` is None or one TruncationBounds
-    per state.  One control solve, source assembly and Crank-Nicolson solve
-    serve the whole stack; a state whose inner sweep has converged leaves it.
-    The step-start control solve on ``f_now`` gives the step's source s_k
-    and the policy at t.  The first Crank-Nicolson solve takes the
-    workspace's extrapolated end-of-step source
+    where name i has defaulted).  One control solve, source assembly and
+    Crank-Nicolson solve serve the whole stack; a state whose inner sweep has
+    converged leaves it.  The step-start control solve on ``f_now`` gives the
+    step's source s_k and the policy at t.  The first Crank-Nicolson solve
+    takes the workspace's extrapolated end-of-step source
     (:meth:`_StepWorkspace.end_source`), built from the state's step-start
-    sources of its earlier steps since the workspace's last ``reset`` of its
-    row, which took the same ``dt``.  Each sweep then solves the controls on
-    the new slice and refreshes it until the slice changes by less than
-    ``_INNER_TOL`` relative, for at most ``_INNER_SWEEPS`` sweeps.  Each
+    sources of its earlier steps in the workspace, which took the same
+    ``dt``.  Each sweep then solves the controls on the new slice and
+    refreshes it until the slice changes by less than ``_INNER_TOL``
+    relative, for at most ``_INNER_SWEEPS`` sweeps.  Each
     state gets the slice it would get alone; a zero ``dt`` returns the slices
     unchanged.  ``workspace`` holds the march's bookkeeping of these states,
     made here when not given, so a lone call starts from ``s_k``.
     """
     ws = workspace if workspace is not None else _StepWorkspace(states, spec, grid)
     rows = ws.rows_of(states)
-    if bounds is None and (f_now <= 0).any():
-        raise SolverError("non-positive slice value in an unclamped march")
+    if (f_now <= 0).any():
+        raise SolverError("non-positive slice value")
 
     half = 0.5 * dt
     phi_now, nu_now, s_now = ws.terms(rows, f_now, children_now, keep=True)
     op_now = ws.operator(nu_now)
-    src_now = ws.explicit_source(rows, t, f_now, phi_now, s_now, bounds)
+    src_now = ws.explicit_source(rows, t, f_now, phi_now, s_now)
 
     expl = f_now + half * _apply_operator(*op_now, f_now)
     f_next = ws.cn_solve(op_now, expl + half * (src_now + ws.end_source(rows, src_now)), dt)
@@ -420,9 +387,7 @@ def step_slice(f_now: np.ndarray, t, dt, states: Sequence[DefaultState],
         f_it = f_next[live]
         phi_next, nu_next, s_next = ws.terms(rows[live], f_it,
                                              {i: c[live] for i, c in children_next.items()})
-        src_next = ws.explicit_source(
-            rows[live], t[live] + dt, f_it, phi_next, s_next,
-            None if bounds is None else [bounds[j] for j in np.arange(len(rows))[live]])
+        src_next = ws.explicit_source(rows[live], t[live] + dt, f_it, phi_next, s_next)
         f_new = ws.cn_solve(ws.operator(nu_next),
                             expl[live] + half * (src_now[live] + src_next), dt)
         change = np.abs(f_new - f_it).max(axis=-1) / np.abs(f_it).max(axis=-1)
@@ -487,9 +452,9 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
     """Solution bounds for one state, given bounds of every child state.
 
     ``k_under = f(0) exp(T (m_lo ^ 0) / beta)`` and ``k_bar(t) = f(0)
-    exp((m_hi / beta + theta_rate) t)`` with theta_rate the clamped-source
-    growth rate at k_under.  The usable reaction envelope [m_lo, m_hi] comes
-    from the realised reaction field (for q in (0, 1) the upper bound is 0,
+    exp((m_hi / beta + theta_rate) t)`` with theta_rate the growth rate of the
+    source truncated at k_under.  The usable reaction envelope [m_lo, m_hi]
+    comes from the realised reaction field (for q in (0, 1) the upper bound is 0,
     since phi < 0 there); the coarser sup-norm envelope of the control
     family is carried alongside for reporting.  ``control_stats`` is one row
     of the marching workspace's ``_StepWorkspace.stats``, through ``_stats_row``.
@@ -536,49 +501,39 @@ def truncation_bounds(state: DefaultState, children_bounds: Mapping[str, Truncat
 # ---------------------------------------------------------------------------
 
 
-def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, rows, bounds, t_nodes,
-           child):
-    """Wavefront march of the states at ``rows``, all of them in one loop.
+def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, t_nodes, child):
+    """Wavefront march of every state of ``ws``, all of them in one loop.
 
     ``slices`` holds the n_t + 1 slices of every state, row by row (the
     states' bits), then one slice of ones: ``child[i, r]`` is the row of state
     r's child for name i, or S where name i has defaulted, which reads the
-    ones.  A child outside ``rows`` must be marched already.  A state that is
-    ``lag`` generations above the bottom of ``rows`` takes its step k at
-    iteration k + lag, when its children hold slices k and k + 1, so
-    iteration m steps every state whose k = m - lag is in range, as one
-    stack.  A state's last iteration solves the controls of its final slice
-    n_t.  The controls each step solves on its final slice f[k] go into their
-    channels of the (S, n_t + 1, n_y, 4n + 1) ``policy`` table.  ``bounds``
-    is None for the bootstrap, else the TruncationBounds of each row.
+    ones.  A state with d of n names defaulted takes its step k at iteration
+    k + n - d, when its children hold slices k and k + 1, so iteration m
+    steps every state whose k is in range, as one stack.  A state's last
+    iteration solves the controls of its final slice n_t.  The controls each
+    step solves on its final slice f[k] go into their channels of the
+    (S, n_t + 1, n_y, 4n + 1) ``policy`` table.
     """
     n_t = len(t_nodes) - 1
     dt = t_nodes[-1] / n_t   # the grid is uniform: every step is T / n_t
     S = len(ws.states)
-    rows = np.asarray(rows)
-    marching = np.zeros(S + 1, dtype=bool)
-    marching[rows] = True
-    lag = np.zeros(S + 1, dtype=int)
-    for r in sorted(rows, reverse=True):   # a child has one more bit set: children come first
-        kids = child[:, r][marching[child[:, r]]]
-        lag[r] = lag[kids].max() + 1 if kids.size else 0
-    lag = lag[rows]
+    rows = np.arange(S)
+    lag = np.array([ws.spec.n - st.cardinality for st in ws.states])
     # (state, slice k) is row state * (n_t + 1) + k of ``slices`` and of the flattened
     # policy table: one gather or scatter per array.  A defaulted name's child stays
     # on the ones slice, S * (n_t + 1), whatever k.
     first, moves = child * (n_t + 1), child < S
     kept = policy.reshape((-1,) + policy.shape[2:])
-    stacks = {}   # per set of rows stepping together: their states, child rows and bounds
+    stacks = {}   # per set of rows stepping together: their states and child rows
     for m in range(n_t + lag.max() + 1):
         k = m - lag
         go = (k >= 0) & (k < n_t)
         stack = stacks.get(go.tobytes())
         if stack is None:
             r = rows[go]
-            stack = stacks[go.tobytes()] = (
-                r, tuple(ws.states[j] for j in r), first[:, r], moves[:, r],
-                None if bounds is None else [bounds[j] for j in r])
-        r, states, first_r, moves_r, bounds_r = stack
+            stack = stacks[go.tobytes()] = (r, tuple(ws.states[j] for j in r), first[:, r],
+                                            moves[:, r])
+        r, states, first_r, moves_r = stack
         if r.size:
             kr = k[go]
             at, kids = r * (n_t + 1) + kr, first_r + moves_r * kr
@@ -586,7 +541,7 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, rows, bou
                 slices.take(at, axis=0), t_nodes.take(kr), dt, states,
                 dict(enumerate(slices.take(kids, axis=0))),
                 dict(enumerate(slices.take(kids + moves_r, axis=0))),
-                ws.spec, ws.grid, bounds_r, ws)
+                ws.spec, ws.grid, workspace=ws)
             _keep_controls(ws.controls, kept, at)
         done = rows[k == n_t]
         if done.size:
@@ -605,37 +560,42 @@ def _keep_controls(controls, kept, at):
         kept[at, :, policy_channel(name, hhat.shape[-1])] = value
 
 
-def _clamp_is_identity(envelope, bounds: TruncationBounds) -> bool:
-    """True when the clamp would return every recorded slice unchanged.
+def _check_bounds(envelope, bounds: TruncationBounds) -> None:
+    """Raise SolverError when a recorded source slice leaves ``[k_under, k_bar(t)]``.
 
     ``envelope`` is the ``(t, min, max)`` arrays of :meth:`_StepWorkspace.envelope`.
     ``k_bar`` is evaluated over the recorded ``t`` at once; each value is
-    bitwise the scalar one the clamp evaluates at that ``t`` (a test checks
-    this on the presets' envelopes).  A NaN range fails the comparisons.
+    bitwise the scalar ``k_bar(t)`` (a test checks this on the presets'
+    envelopes).  A NaN range fails the comparisons.  The message names the
+    state, the bound and the worst margin, negative below ``k_under`` or
+    above ``k_bar(t)``.
     """
     t, lo, hi = envelope
-    return bool((lo >= bounds.k_under).all() and (hi <= bounds.k_bar(t)).all())
+    k_bar = bounds.k_bar(t)
+    if (lo >= bounds.k_under).all() and (hi <= k_bar).all():
+        return
+    margins = np.stack([lo - bounds.k_under, k_bar - hi])
+    side, j = np.unravel_index(np.argmin(margins), margins.shape)
+    bound = f"k_under = {bounds.k_under:.6g}" if side == 0 else f"k_bar(t) = {k_bar[j]:.6g}"
+    raise SolverError(f"state {bounds.state} leaves its truncation bounds: worst margin "
+                      f"{margins[side, j]:.3e} to {bound} at t={t[j]:.6g}")
 
 
 def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
                            validate: bool = True) -> SolveResult:
     """Solve every default state and extract policies.
 
-    All states are marched together by :func:`_march` without the clamp;
-    that bootstrap pass yields the realised control statistics that fix the
-    truncation bounds.  Then, one generation (default count) at a time from
-    the top: a state whose children were re-marched is re-marched unclamped
-    against them first; its bounds follow; it is marched again with the
-    clamped source only when a slice value its bootstrap fed to the source
-    lay outside those bounds.  Otherwise the clamped march would repeat the
-    bootstrap bit for bit, and the report marks the state
-    ``clamp_pass_skipped``.  The report also records, per
-    state, the control-solve residual, clamp activity and the worst signed
+    All states are marched together, once, by :func:`_march`; the march
+    yields the realised control statistics that fix the truncation bounds.
+    Then, children first, each state's bounds are fitted and checked against
+    every slice value the march gave its source: a state with a value outside
+    ``[k_under, k_bar(t)]`` raises SolverError.  The report records, per
+    state, the control-solve residual, ``clamp_hits`` (the source slices
+    outside the bounds, so 0 in a returned solve) and the worst signed
     distance of the solution to its bounds (nonnegative margin means the
-    bounds hold); ``elapsed`` is the wall time of the marches the state took
-    part in, shared with the states marched beside it, plus its own bounds
-    and the policy assembly of the whole stack.  ``SolveResult.march`` holds
-    the march's counts and stage seconds.
+    bounds hold); ``elapsed`` is the wall time of the march, shared by every
+    state, plus the state's own bounds and the policy assembly of the whole
+    stack.  ``SolveResult.march`` holds the march's counts and stage seconds.
     """
     if validate:
         report = validate_spec(spec, grid.y_nodes())
@@ -653,40 +613,21 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
     f = slices[:-1].reshape(S, grid.n_t + 1, grid.n_y)
     f[:, 0] = spec.f0
     policy = np.empty(f.shape + (4 * n + 1,))
-    elapsed = np.zeros(S)
-    seconds = {"march_s": 0.0, "bounds_s": 0.0, "policy_s": 0.0}
 
-    def march(rows, bounds):
-        started = time.perf_counter()
-        ws.reset(rows)
-        _march(ws, slices, policy, rows, bounds, t_nodes, child)
-        spent = time.perf_counter() - started
-        elapsed[rows] += spent
-        seconds["march_s"] += spent
-
-    march(np.arange(S), None)
-    order = states_by_cardinality(n)   # the row order of the bounds and the report
+    started = time.perf_counter()
+    _march(ws, slices, policy, t_nodes, child)
+    seconds = {"march_s": time.perf_counter() - started, "bounds_s": 0.0, "policy_s": 0.0}
+    elapsed = np.full(S, seconds["march_s"])
+    order = states_by_cardinality(n)   # children first: the row order of the bounds and the report
     bounds: dict[str, TruncationBounds] = {}
-    skipped = np.zeros(S, dtype=bool)
-    remarched = np.zeros(S + 1, dtype=bool)
-    for d in range(n, -1, -1):
-        gen = [st.bits for st in order if st.cardinality == d]
-        stale = [r for r in gen if remarched[child[:, r]].any()]
-        if stale:
-            march(stale, None)
-        for r in gen:
-            started = time.perf_counter()
-            st = states[r]
-            bounds[st.bitstring] = truncation_bounds(st, bounds, spec, grid,
-                                                     _stats_row(ws.stats, r))
-            skipped[r] = _clamp_is_identity(ws.envelope(r), bounds[st.bitstring])
-            spent = time.perf_counter() - started
-            elapsed[r] += spent
-            seconds["bounds_s"] += spent
-        clamped = [r for r in gen if not skipped[r]]
-        if clamped:
-            march(clamped, {r: bounds[states[r].bitstring] for r in clamped})
-        remarched[stale + clamped] = True
+    for st in order:
+        started = time.perf_counter()
+        r = st.bits
+        bounds[st.bitstring] = truncation_bounds(st, bounds, spec, grid, _stats_row(ws.stats, r))
+        _check_bounds(ws.envelope(r), bounds[st.bitstring])
+        spent = time.perf_counter() - started
+        elapsed[r] += spent
+        seconds["bounds_s"] += spent
 
     started = time.perf_counter()
     result = SolveResult(grid=grid, t_nodes=t_nodes, f=f, df=spatial_gradient(f, grid.dy),
@@ -701,8 +642,7 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
         row = {
             "resid_max": float(ws.resid_max[r]),
             "newton_iters_max": int(ws.newton_iters[r]),
-            "clamp_hits": int(ws.clamp_hits[r]),
-            "clamp_pass_skipped": bool(skipped[r]),
+            "clamp_hits": 0,   # _check_bounds raised on any slice outside the bounds
             "bound_margin_lo": margin_lo,
             "bound_margin_hi": margin_hi,
             "bound_violation": min(margin_lo, margin_hi) < -_BOUND_SLACK,

@@ -51,6 +51,9 @@ def test_worker_reads_a_traced_solve(harness, tmp_path):
                  "pde.solve_recursive_system.s", "pde.truncation_bounds.s",
                  "strategy.solve_hhat_slice.calls", "strategy.build_policy.incl_s"):
         assert layers[name] > 0, name
+    # the march passes its workspace by keyword: the harness tags a step_slice call
+    # "clamped" when it finds a ninth positional argument
+    assert layers["pde.step_slice.clamped.s"] == 0
 
     arrays = worker.result_arrays(workload.result)
     n_t, n_y, n = size["n_t"], size["n_y"], 2

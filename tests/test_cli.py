@@ -155,15 +155,15 @@ class TestSolveCommand:
     def test_rerun_csvs_are_byte_identical(self, solve_dir, tmp_path):
         rc = run_cli("solve", "--preset", "benchmark_s5", *SMALL, "--out", str(tmp_path))
         assert rc.returncode == 0, rc.stderr
-        assert rc.stdout.count("clamped pass skipped") == 4
+        assert rc.stdout.count("clamp hits 0") == 4
         names = sorted(p.name for p in solve_dir.glob("*.csv"))
         assert names == sorted(p.name for p in tmp_path.glob("*.csv")) and len(names) == 2
         for name in names:
             assert (solve_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
         with open(solve_dir / "solve_report.csv") as fh:
             assert next(csv.reader(fh)) == [
-                "state", "resid_max", "newton_iters_max", "clamp_hits", "clamp_pass_skipped",
-                "bound_margin_lo", "bound_margin_hi", "hedge_gap", "ahat_max", "bound_violation"]
+                "state", "resid_max", "newton_iters_max", "clamp_hits", "bound_margin_lo",
+                "bound_margin_hi", "hedge_gap", "ahat_max", "bound_violation"]
         manifest = json.loads((tmp_path / "run.json").read_text())
         assert set(manifest) == {"spec_sha256", "grid", "elapsed", "march", "unbounded_above",
                                  "python", "numpy", "scipy"}
@@ -745,8 +745,9 @@ def test_every_preset_passes_the_key_check(tmp_path, preset):
     (["--set", "mc.x0=0"], ["[mc] x0 = 0.0", "positive"]),
     (["--set", "mc.y0=5"], ["[mc] y0 = 5.0", "[factor] domain"]),
     (["--set", "mc.y0=-1.25"], ["[mc] y0 = -1.25", "[factor] domain"]),
+    (["--set", "mc.y0=1.2"], ["[mc] y0 = 1.2", "solved grid", "[grid] y_lo, y_hi = -1.0, 1.0"]),
 ], ids=["config-y-lo", "config-y-hi", "config-y0", "config-x0", "empty-domain", "x0-negative",
-        "x0-zero", "y0-outside", "y0-on-the-edge"])
+        "x0-zero", "y0-outside", "y0-on-the-edge", "y0-off-the-grid"])
 def test_bad_floats_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, flags, where):
     import creditfolio.cli as cli_mod
 
@@ -760,6 +761,20 @@ def test_bad_floats_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, flags, 
     assert rc == EXIT_VALIDATION
     assert all(part in err for part in where), err
     assert "could not convert" not in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_y0_off_a_loaded_grid_exits_2_naming_its_nodes(tmp_path, capsys):
+    # with --solution the loaded nodes are the solved grid, not [grid]
+    assert main(["solve", "--preset", "benchmark_s5", "--ny", "11", "--nt", "10", "--set",
+                 "grid.y_lo=-0.5", "--set", "grid.y_hi=0.5", "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    rc = main(["simulate", "--preset", "benchmark_s5", "--set", "mc.y0=0.7", "--paths", "100",
+               "--steps", "10", "--solution", str(tmp_path / "s"), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert all(part in err for part in ("[mc] y0 = 0.7", "solved grid",
+                                        f"{tmp_path / 's' / 'y_nodes.npy'} = -0.5, 0.5")), err
     assert not (tmp_path / "rep").exists()
 
 

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dgttrf
 
 import creditfolio as cf
 from creditfolio import oracle as om
-from creditfolio import pde, strategy
+from creditfolio import cli, pde, strategy
 from creditfolio.dual import Coefficients
 from creditfolio.fields import policy_channel, spatial_gradient
 from creditfolio.model import (PRESET_NAMES, DefaultState, build_model, load_preset,
@@ -133,32 +133,31 @@ class TestTruncationBounds:
             warnings.simplefilter("error")
             assert b.k_bar_final == np.inf
             assert np.isinf(b.k_bar(np.array([0.9, 1.0]))).all() and np.isfinite(b.k_bar(0.5))
+            # where k_bar is +inf, every slice above k_under passes the bounds check
+            t = np.array([0.9, 1.0])
             for v in (0.7, 3.0, 1e6):
-                clamped = explicit_source(1.0, v, Z11, {}, [0.0, 0.0], benchmark_spec, b)
-                assert clamped == explicit_source(1.0, v, Z11, {}, [0.0, 0.0], benchmark_spec)
-            # early on the bound is finite (e^0.8 at t = 0.001) and does clamp
-            assert (explicit_source(0.001, 3.0, Z11, {}, [0.0, 0.0], benchmark_spec, b)
-                    != explicit_source(0.001, 3.0, Z11, {}, [0.0, 0.0], benchmark_spec))
+                pde._check_bounds((t, np.full(2, v), np.full(2, v)), b)
+            # early on the bound is finite (e^0.8 at t = 0.001) and a slice above it fails
+            with pytest.raises(SolverError, match=r"state 11 .* k_bar\(t\) = 2\.2255"):
+                pde._check_bounds((np.array([0.001]), np.array([0.7]), np.array([3.0])), b)
 
     def test_missing_children_raise(self, benchmark_spec, benchmark_result):
         result, grid = benchmark_result
         z00 = DefaultState.from_bitstring("00")
-        _, ws, _ = march_one_state(z00, benchmark_spec, grid, result.f, None)
+        _, ws, _ = march_one_state(z00, benchmark_spec, grid, result.f)
         with pytest.raises(SolverError):
             truncation_bounds(z00, {}, benchmark_spec, grid, pde._stats_row(ws.stats, 0))
 
 
-def explicit_source(t, v, state, children, hhat, spec, bounds=None):
+def explicit_source(t, v, state, children, hhat, spec):
     """The march's explicit source at a constant slice v with phi = 0.
 
-    That is v^{1-beta}/beta times the kernel's source sum, with v clamped
-    into ``bounds`` when they are given.
+    That is v^{1-beta}/beta times the kernel's source sum.
     """
     ws = pde._StepWorkspace((state,), spec, cf.GridSpec(-1.0, 1.0, 3, 10))
     kids = {i: np.full((1, 3), c) for i, c in children.items()}
     s = ws.coef.source_sum(np.broadcast_to(np.asarray(hhat, dtype=float), (1, 3, spec.n)), kids)
-    out = ws.explicit_source(np.array([0]), np.array([t]), np.full((1, 3), v), np.zeros((1, 3)),
-                             s, None if bounds is None else [bounds])
+    out = ws.explicit_source(np.array([0]), np.array([t]), np.full((1, 3), v), np.zeros((1, 3)), s)
     return float(out[0, 1])
 
 
@@ -177,13 +176,12 @@ class TestNonlinearSource:
         vals = [explicit_source(0.2, v, z0, {0: 1.4}, [0.1], spec) for v in (0.5, 2.0)]
         assert vals[0] == pytest.approx(vals[1])
 
-    def test_clamp_noop_when_inside(self, benchmark_spec, benchmark_result):
+    def test_clamp_noop_when_inside(self, benchmark_result):
+        # every slice of the solve lies inside its bounds, where truncating the
+        # source would change nothing: the bounds check passes it
         result, _ = benchmark_result
-        b = result.bounds["11"]
-        v = float(result.fields["11"].f[100, 0])
-        with_clamp = explicit_source(0.5, v, Z11, {}, [0.0, 0.0], benchmark_spec, b)
-        without = explicit_source(0.5, v, Z11, {}, [0.0, 0.0], benchmark_spec)
-        assert with_clamp == pytest.approx(without)
+        f = result.fields["11"].f
+        pde._check_bounds((result.t_nodes, f.min(axis=-1), f.max(axis=-1)), result.bounds["11"])
 
     def test_nonpositive_v_raises_unclamped(self, benchmark_spec):
         with pytest.raises(SolverError, match="non-positive slice value"):
@@ -301,7 +299,7 @@ class TestValidationGate:
             cf.solve_recursive_system(spec, grid)
 
 
-def march_one_state(state, spec, grid, f_stack, bounds):
+def march_one_state(state, spec, grid, f_stack):
     """Per-state reference march: one state alone, step by step, its children solved.
 
     ``f_stack`` holds the children's solutions at the rows of their bits.
@@ -324,7 +322,7 @@ def march_one_state(state, spec, grid, f_stack, bounds):
         f[k + 1] = step_slice(f[k][None], t_nodes[k:k + 1], dt, (state,),
                               {i: c[k][None] for i, c in kids.items()},
                               {i: c[k + 1][None] for i, c in kids.items()}, spec, grid,
-                              None if bounds is None else (bounds,), ws)[0]
+                              workspace=ws)[0]
         keep(k)
     ws.terms(np.array([0]), f[-1][None], {i: c[-1][None] for i, c in kids.items()}, keep=True)
     keep(grid.n_t)
@@ -340,12 +338,10 @@ def reference_solve(spec, grid):
     bounds, report = {}, {}
     for state in states_by_cardinality(n):
         bits, b = state.bitstring, state.bits
-        f, ws, controls = march_one_state(state, spec, grid, f_stack, None)
+        f, ws, controls = march_one_state(state, spec, grid, f_stack)
         bnd = bounds[bits] = pde.truncation_bounds(state, bounds, spec, grid,
                                                    pde._stats_row(ws.stats, 0))
-        skipped = pde._clamp_is_identity(ws.envelope(0), bnd)
-        if not skipped:
-            f, ws, controls = march_one_state(state, spec, grid, f_stack, bnd)
+        pde._check_bounds(ws.envelope(0), bnd)
         f_stack[b] = f
         for key, value in controls.items():
             policy[b][..., policy_channel(key, n)] = value
@@ -353,7 +349,7 @@ def reference_solve(spec, grid):
         margin_hi = float(np.min(bnd.k_bar(t_nodes)[:, None] - f))
         report[bits] = {
             "resid_max": float(ws.resid_max[0]), "newton_iters_max": int(ws.newton_iters[0]),
-            "clamp_hits": int(ws.clamp_hits[0]), "clamp_pass_skipped": bool(skipped),
+            "clamp_hits": 0,
             "bound_margin_lo": margin_lo, "bound_margin_hi": margin_hi,
             "bound_violation": min(margin_lo, margin_hi) < -pde._BOUND_SLACK}
     result = cf.SolveResult(grid=grid, t_nodes=t_nodes, f=f_stack,
@@ -365,8 +361,8 @@ def reference_solve(spec, grid):
     return result
 
 
-def assert_same_solve(result, reference, states=None):
-    for bits in states or reference.fields:
+def assert_same_solve(result, reference):
+    for bits in reference.fields:
         got, want = result.fields[bits], reference.fields[bits]
         assert np.array_equal(got.f, want.f) and np.array_equal(got.df, want.df), bits
         assert result.bounds[bits] == reference.bounds[bits], bits
@@ -435,33 +431,19 @@ class TestWavefront:
         assert solves["march"] == result.march["control_solves"] > 0
 
 
-class TestClampPassSkip:
+class TestBoundsCheck:
     @pytest.mark.parametrize("preset", ["benchmark_s5", "scott_example22"])
-    def test_skip_equals_the_clamped_march(self, preset):
-        spec = load_preset(preset)
-        grid = cf.GridSpec(-1.0, 1.0, 41, 40)
-        result = cf.solve_recursive_system(spec, grid)
-        for state in states_by_cardinality(spec.n):
-            bits = state.bitstring
-            row = result.report[bits]
-            assert row["clamp_pass_skipped"], bits
-            f, ws, _ = march_one_state(state, spec, grid, result.f, result.bounds[bits])
-            assert np.array_equal(result.fields[bits].f, f), bits
-            assert (row["resid_max"], row["newton_iters_max"], row["clamp_hits"]) == (
-                ws.resid_max[0], ws.newton_iters[0], ws.clamp_hits[0]), bits
-
-    @pytest.mark.parametrize("preset", ["benchmark_s5", "scott_example22"])
-    def test_identity_check_reads_the_clamps_upper_bound(self, preset, monkeypatch):
+    def test_bounds_check_reads_the_upper_bound(self, preset, monkeypatch):
         # the check evaluates k_bar over each recorded envelope at once; every
-        # value is bitwise the scalar k_bar(t) the clamp evaluates at that t
+        # value is bitwise the scalar k_bar(t)
         seen = []
-        check = pde._clamp_is_identity
+        check = pde._check_bounds
 
         def recorded(envelope, bounds):
             seen.append((envelope, bounds))
             return check(envelope, bounds)
 
-        monkeypatch.setattr(pde, "_clamp_is_identity", recorded)
+        monkeypatch.setattr(pde, "_check_bounds", recorded)
         spec = load_preset(preset)
         cf.solve_recursive_system(spec, cf.GridSpec(-1.0, 1.0, 41, 40))
         assert len(seen) == 2**spec.n
@@ -470,7 +452,7 @@ class TestClampPassSkip:
             scalar = np.array([b.k_bar(tt) for tt in t.tolist()])
             assert b.k_bar(t).tobytes() == scalar.tobytes(), b.state
 
-    def test_clamped_march_runs_when_the_bootstrap_leaves_its_bounds(self, monkeypatch):
+    def test_a_state_that_leaves_its_bounds_stops_the_solve(self, monkeypatch, tmp_path, capsys):
         spec = load_preset("benchmark_s5")
         grid = cf.GridSpec(-1.0, 1.0, 21, 10)
         f = cf.solve_recursive_system(spec, grid).fields["11"].f
@@ -484,12 +466,12 @@ class TestClampPassSkip:
             return dataclasses.replace(b, k_under=0.5 * (f.min() + f.max()))
 
         monkeypatch.setattr(pde, "truncation_bounds", raised_floor)
-        result = cf.solve_recursive_system(spec, grid)
-        row = result.report["11"]
-        assert not row["clamp_pass_skipped"] and row["clamp_hits"] > 0
-        assert not np.array_equal(result.fields["11"].f, f)
-        # its parents were marched again against the clamped state, as one at a time would
-        assert_same_solve(result, reference_solve(spec, grid), ["11", "10", "01", "00"])
+        with pytest.raises(SolverError, match=r"state 11 .* worst margin -.* to k_under"):
+            cf.solve_recursive_system(spec, grid)
+        rc = cli.main(["solve", "--preset", "benchmark_s5", "--ny", "21", "--nt", "10",
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_SOLVER == 3 and not (tmp_path / "out").exists()
+        assert "state 11 leaves its truncation bounds" in capsys.readouterr().err
 
 
 def _banded_reference(op, rhs, dt):
