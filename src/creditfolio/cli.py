@@ -29,7 +29,7 @@ step that blows up, or a state whose march leaves its truncation bounds),
 
 ``solve`` writes the result's stacked arrays as ``.npy`` files (float64, no
 pickles): ``f.npy`` and ``df.npy`` (S, n_t+1, n_y), ``policy.npy``
-(S, n_t+1, n_y, 4n+1), ``hedge_gap.npy`` (S,), ``t_nodes.npy`` and
+(S, n_t+1, n_y, 3n+2), ``hedge_gap.npy`` (S,), ``t_nodes.npy`` and
 ``y_nodes.npy``, where S = 2^n and row ``state.bits`` is that state's.  Beside
 them go ``bounds.csv`` and ``solve_report.csv`` (a header row, floats at 17
 significant digits) and ``run.json`` with the per-state solve times, the
@@ -78,7 +78,7 @@ import scipy
 
 from . import oracle as oracle_mod
 from . import sim
-from .fields import GridSpec, SolveResult, TruncationBounds, lookup
+from .fields import GridSpec, SolveResult, TruncationBounds, lookup, policy_width
 from .model import (DefaultState, ModelSpec, PRESET_NAMES, _config_number, all_states,
                     build_model, preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
@@ -325,7 +325,7 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
     result = SolveResult(
         grid=grid, t_nodes=t_nodes, f=_read_array(out_dir / "f.npy", shape),
         df=_read_array(out_dir / "df.npy", shape),
-        policy=_read_array(out_dir / "policy.npy", shape + (4 * spec.n + 1,)),
+        policy=_read_array(out_dir / "policy.npy", shape + (policy_width(spec.n),)),
         hedge_gap=_read_array(out_dir / "hedge_gap.npy", (S,)))
 
     def bound(row):

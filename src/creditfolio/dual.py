@@ -53,8 +53,8 @@ class Coefficients:
     """Coefficients of a stack of S default states on a 1-D array ``y`` (a scalar is one node).
 
     The per-state arrays are shaped (S, n_y, n) (``alive``: (S, 1, n)); one
-    state is the stack ``(state,)``.  The y-only arrays (``xi``, ``s0``:
-    (n_y, n); ``mu0``: (n_y,); ``sig``) are shared by the stack.  Control
+    state is the stack ``(state,)``.  The stack shares ``xi`` (n_y, n), ``mu0``
+    (n_y,), ``sig`` and the factor's constant loading row ``s0`` (n,).  Control
     arguments of the methods broadcast against these arrays, e.g. one
     state's whole policy, (n_t + 1, n_y, n), against a one-state kernel.
     ``sig`` is :meth:`MarketSpec.sigma` on ``y``: diagonal entries (n_y, n)
@@ -85,7 +85,7 @@ class Coefficients:
         else:
             rhs = np.broadcast_to(excess[:, None], self.y.shape + excess.shape + (1,))
             self.xi = np.linalg.solve(self.sig, rhs)[..., 0]
-        self.s0 = spec.factor.vol_row(self.y)
+        self.s0 = np.asarray(spec.factor.sigma0)
         self.mu0 = spec.factor.drift(self.y)
 
     def _alive_names(self) -> tuple[int, ...]:

@@ -22,7 +22,8 @@ import numpy as np
 from .model import DefaultState, all_states
 
 __all__ = ["GridSpec", "blend_t", "interp_y", "interp_cells", "lookup", "POLICY_CHANNELS",
-           "policy_channel", "SolutionField", "PolicyField", "TruncationBounds", "SolveResult"]
+           "policy_channel", "policy_width", "SolutionField", "PolicyField", "TruncationBounds",
+           "SolveResult"]
 
 
 @dataclass(frozen=True)
@@ -209,22 +210,27 @@ class TruncationBounds:
         return float(self.k_bar(self.T))
 
 
-# last axis of the policy table: pi | hhat | theta | ahat, one column per name
-# each, then c_mult = K2^{1-q} / g, which turns wealth into the consumption rate
+# last axis of the policy table: pi | hhat | theta, one column per name each, then ahat (the
+# loading on the factor's own driver Bbar) and c_mult = K2^{1-q} / g (consumption per wealth)
 POLICY_CHANNELS = ("pi", "hhat", "theta", "ahat", "c_mult")
 
 
 def policy_channel(name: str, n: int):
-    """Index of channel ``name`` on the last axis of an n-name policy table (an int for c_mult)."""
+    """Last-axis index of channel ``name`` in an n-name policy table (an int: ahat, c_mult)."""
     c = POLICY_CHANNELS.index(name)
-    return c * n if name == "c_mult" else slice(c * n, (c + 1) * n)
+    return slice(c * n, (c + 1) * n) if c < 3 else 3 * n + c - 3
+
+
+def policy_width(n: int) -> int:
+    """Columns of an n-name policy table."""
+    return 3 * n + 2
 
 
 @dataclass(eq=False)
 class SolveResult:
     """One recursive solve, stacked by state: row ``state.bits`` of each array is that state's.
 
-    ``f`` and ``df`` are (S, n_t+1, n_y), ``policy`` is (S, n_t+1, n_y, 4n+1)
+    ``f`` and ``df`` are (S, n_t+1, n_y), ``policy`` is (S, n_t+1, n_y, 3n+2)
     with the channels of :data:`POLICY_CHANNELS`, and ``hedge_gap`` holds one
     value per state.  ``bounds`` and ``report`` are keyed by bitstring.
     ``fields`` and ``policies`` hand out per-state row views that own no

@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -145,16 +146,16 @@ class FactorSpec:
     def drift(self, y):
         return self.u0 - self.kappa * np.asarray(y, dtype=float)
 
-    def vol_row(self, y) -> np.ndarray:
-        """Loading row sigma0 at y; shape (..., n) for array y, (n,) for scalar."""
-        y = np.asarray(y, dtype=float)
-        base = np.asarray(self.sigma0, dtype=float)
-        return np.broadcast_to(base, y.shape + base.shape).copy() if y.ndim else base
+    @property
+    def vol_sq(self) -> float:
+        """|sigma0|^2 = sigma0 sigma0^T, the factor's diffusion coefficient."""
+        row = np.asarray(self.sigma0)
+        return float(np.sum(row * row))
 
-    def vol_sq(self, y):
-        """sigma0 sigma0^T (scalar diffusion coefficient), elementwise in y."""
-        row = self.vol_row(y)
-        return np.sum(row * row, axis=-1)
+    @property
+    def vol(self) -> float:
+        """|sigma0|: the factor's loading on its own scalar driver Bbar = sigma0 Wbar / |sigma0|."""
+        return math.sqrt(self.vol_sq)
 
 
 class CreditSpec:
@@ -370,7 +371,7 @@ class ModelSpec:
         y = np.linspace(self.factor.domain_lo, self.factor.domain_hi, 9)
         parts = [[self.n, self.pref.p, self.q, self.pref.K1, self.pref.K2, self.pref.T,
                   self.market.r, self.factor.rho, self.factor.domain_lo, self.factor.domain_hi],
-                 self.market.mu, self.factor.drift(y), self.factor.vol_row(y),
+                 self.market.mu, self.factor.drift(y), [self.factor.sigma0] * len(y),
                  self.market.matrix(y)]
         parts += [self.intensity(y, state) for state in all_states(self.n)]
         h = hashlib.sha256()
@@ -451,8 +452,7 @@ def validate_spec(spec: ModelSpec, y_nodes) -> ValidationReport:
 
     # (A1)-style boundedness of factor coefficients on the declared domain
     mu0 = spec.factor.drift(y)
-    s0 = spec.factor.vol_row(y)
-    ok = bool(np.all(np.isfinite(mu0)) and np.all(np.isfinite(s0)))
+    ok = bool(np.all(np.isfinite(mu0)) and np.all(np.isfinite(spec.factor.sigma0)))
     checks.append(ValidationCheck("factor-coefficients-bounded", ok,
                                   "" if ok else "mu0/sigma0 not finite on grid"))
     checks.append(ValidationCheck("correlation-range", -1.0 < spec.factor.rho < 1.0))

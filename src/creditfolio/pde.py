@@ -87,7 +87,8 @@ import scipy
 
 from . import strategy
 from .dual import Coefficients, phi_bounds as _phi_bounds
-from .fields import GridSpec, SolveResult, TruncationBounds, policy_channel, spatial_gradient
+from .fields import (GridSpec, SolveResult, TruncationBounds, policy_channel, policy_width,
+                     spatial_gradient)
 from .model import DefaultState, ModelSpec, all_states, states_by_cardinality, validate_spec
 from .strategy import SolverError
 
@@ -136,24 +137,16 @@ dgttrf, dgttrs = _lapack_tridiagonal()
 # ---------------------------------------------------------------------------
 
 
-def _banded_operator(y_nodes, diff_coef, nu, dy):
+def _banded_operator(diff_coef: float, nu, dy):
     """Banded (sub/diag/super) rows of the generator with Neumann mirror rows.
 
     A drift ``nu`` with a leading state axis gives rows with that axis too.
     """
-    shape = np.shape(nu)
-    sub = np.zeros(shape)
-    diag = np.zeros(shape)
-    sup = np.zeros(shape)
     d = diff_coef / dy**2
     adv = nu / (2.0 * dy)
-    diag[..., 1:-1] = -2.0 * d[1:-1]
-    sub[..., 1:-1] = d[1:-1] - adv[..., 1:-1]
-    sup[..., 1:-1] = d[1:-1] + adv[..., 1:-1]
-    diag[..., 0] = -2.0 * d[0]
-    sup[..., 0] = 2.0 * d[0]
-    diag[..., -1] = -2.0 * d[-1]
-    sub[..., -1] = 2.0 * d[-1]
+    sub, diag, sup = d - adv, np.full(np.shape(nu), -2.0 * d), d + adv
+    sub[..., 0], sup[..., 0] = 0.0, 2.0 * d     # the mirror rows
+    sub[..., -1], sup[..., -1] = 2.0 * d, 0.0
     return sub, diag, sup
 
 
@@ -203,7 +196,7 @@ class _StepWorkspace:
         self.y = grid.y_nodes()
         self.dy = grid.dy
         self.coef = Coefficients(spec, self.states, self.y)
-        self.diff = 0.5 * spec.factor.vol_sq(self.y) * np.ones_like(self.y)
+        self.diff = 0.5 * spec.factor.vol_sq
         self.static_operator = spec.factor.rho == 0.0
         self._op_cache = None
         self._lu = None   # (op, dt, factors) of the last shared operator factored
@@ -268,7 +261,7 @@ class _StepWorkspace:
     def operator(self, nu):
         if self.static_operator and self._op_cache is not None:
             return self._op_cache
-        op = _banded_operator(self.y, self.diff, nu, self.dy)
+        op = _banded_operator(self.diff, nu, self.dy)
         if self.static_operator:
             self._op_cache = op
         return op
@@ -512,7 +505,7 @@ def _march(ws: _StepWorkspace, slices: np.ndarray, policy: np.ndarray, t_nodes, 
     steps every state whose k is in range, as one stack.  A state's last
     iteration solves the controls of its final slice n_t.  The controls each
     step solves on its final slice f[k] go into their channels of the
-    (S, n_t + 1, n_y, 4n + 1) ``policy`` table.
+    (S, n_t + 1, n_y, 3n + 2) ``policy`` table.
     """
     n_t = len(t_nodes) - 1
     dt = t_nodes[-1] / n_t   # the grid is uniform: every step is T / n_t
@@ -612,7 +605,7 @@ def solve_recursive_system(spec: ModelSpec, grid: GridSpec, *,
     slices[-1] = 1.0
     f = slices[:-1].reshape(S, grid.n_t + 1, grid.n_y)
     f[:, 0] = spec.f0
-    policy = np.empty(f.shape + (4 * n + 1,))
+    policy = np.empty(f.shape + (policy_width(n),))
 
     started = time.perf_counter()
     _march(ws, slices, policy, t_nodes, child)

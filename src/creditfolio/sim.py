@@ -10,7 +10,9 @@ are ordered within the step).
 Randomness comes from counter-based Philox blocks keyed by the global seed,
 one block per time step (normals) and per default round (exponential clocks),
 so a path set is a pure function of (spec, seed, n_paths, n_steps), bit-stable
-across runs and independent of which optional observers are active.
+across runs and independent of which optional observers are active.  A step
+draws n + 1 normals per path: dW, then dBbar = sigma0 dWbar / |sigma0|, the
+one scalar of dWbar that the factor step and the density's ``ahat`` read.
 
 Controls and ``g`` are read in place from the solved result's policy table
 and ``f``, which stack every default state indexed by the state's bits, so
@@ -282,8 +284,10 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     # each path's intensity parameters and alive mask, gathered again only where bits change
     abc, alive = spec.credit.params(bits), alive_of.take(bits, axis=1)
     sigma0 = np.asarray(spec.factor.sigma0)[:, None]
-    dWW = np.empty((2 * n, n_paths))         # the step's dW over dWbar
-    dW, dWbar = dWW[:n], dWW[n:]
+    dWB = np.empty((n + 1, n_paths))         # the step's dW over dBbar
+    dW, dBbar = dWB[:n], dWB[n]
+    rho = spec.factor.rho
+    bar_vol = np.sqrt(1.0 - rho**2) * spec.factor.vol   # the factor's loading on dBbar
     if with_controls:
         t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
         pol_work = {}                        # interp_y's arrays, reused by every policy read
@@ -344,8 +348,8 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
 
     for k in range(n_steps):
         t_now = t_mesh[k]
-        draws = _block_rng(seed, _KIND_NORMALS, k, rng).standard_normal((n_paths, 2 * n))
-        np.multiply(draws.T, np.sqrt(dt), out=dWW)
+        draws = _block_rng(seed, _KIND_NORMALS, k, rng).standard_normal((n_paths, n + 1))
+        np.multiply(draws.T, np.sqrt(dt), out=dWB)
         clock.lap("rng")
 
         if with_controls:
@@ -361,13 +365,13 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             # -X pi' dM contributes the compensator drift +pi'(1-z)lambda between defaults
             drift = r + (spec.market.mu - r) @ pi + dot(pi, lam_now) - cm
             X *= np.exp((drift - 0.5 * dot(pisig, pisig)) * dt + dot(pisig, dW))
-            Gamma *= np.exp(-dot(th, dW) - dot(ah, dWbar)
-                            - (0.5 * dot(th, th) + 0.5 * dot(ah, ah) + dot(hh, lam_now)) * dt)
+            Gamma *= np.exp(-dot(th, dW) - ah * dBbar
+                            - (0.5 * dot(th, th) + 0.5 * ah * ah + dot(hh, lam_now)) * dt)
             clock.lap("wealth")
 
-        # factor step (Euler-Maruyama with correlated drivers), reflected at the domain edge
-        dYw = spec.factor.rho * dW + np.sqrt(1.0 - spec.factor.rho**2) * dWbar
-        Y_next = Y + spec.factor.drift(Y) * dt + _sum_names((sigma0 * dYw).T)
+        # factor step (Euler-Maruyama), reflected at the domain edge
+        Y_next = (Y + spec.factor.drift(Y) * dt + rho * _sum_names((sigma0 * dW).T)
+                  + bar_vol * dBbar)
         out_lo = Y_next < lo
         out_hi = Y_next > hi
         reflect_count += int(np.sum(out_lo) + np.sum(out_hi))
@@ -636,7 +640,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     col = (slice(None), None)
     y_cell0, dy, top = y_nodes[0], y_nodes[1] - y_nodes[0], len(y_nodes) - 1.0
     fac = spec.factor
-    vol = np.sqrt(fac.vol_sq(0.0))
+    vol = fac.vol
     exact = fac.rho == 0.0 and fac.kappa != 0.0
     if exact:
         kap, mean = fac.kappa, (fac.u0 / fac.kappa - y_cell0) / dy

@@ -341,16 +341,11 @@ def _solve_slice_general(coef, ratio, grad_term, h_init):
             iters.reshape(shape[:-1]).max(axis=-1), node_res.reshape(shape[:-1]).max(axis=-1))
 
 
-def ahat_slice(y_nodes: np.ndarray, spec: ModelSpec, f_slice: np.ndarray,
-               df_slice: np.ndarray) -> np.ndarray:
-    """Orthogonal diffusion loading ahat = -sqrt(1-rho^2)/(1-q) * beta sigma0^T D_y f / f.
-
-    ``f_slice``/``df_slice`` may carry a leading time axis.
-    """
+def ahat_slice(spec: ModelSpec, f_slice: np.ndarray, df_slice: np.ndarray) -> np.ndarray:
+    """ahat = -sqrt(1-rho^2)/(1-q) beta |sigma0| D_y f / f per node: the loading on Bbar."""
     rho = spec.factor.rho
     scale = -np.sqrt(1.0 - rho * rho) / (1.0 - spec.q) * spec.beta
-    s0 = spec.factor.vol_row(np.asarray(y_nodes, dtype=float))
-    return scale * (df_slice / f_slice)[..., None] * s0
+    return scale * (df_slice / f_slice) * spec.factor.vol
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +366,7 @@ def build_policy(result: SolveResult, spec: ModelSpec) -> None:
     for state in all_states(n):
         b = state.bits
         f, df, table = result.f[b], result.df[b], result.policy[b]
-        table[..., policy_channel("ahat", n)] = ahat_slice(y_nodes, spec, f, df)
+        table[..., policy_channel("ahat", n)] = ahat_slice(spec, f, df)
         table[..., policy_channel("c_mult", n)] = k2q / f**spec.beta
         # unmatched diffusion loading on dead names' Brownian motions (replication
         # hypothesis diagnostic; the alive columns vanish by construction)

@@ -45,7 +45,7 @@ def bisect_reference(spec, state, i, y, f_val, df_val, f_child, lo=-1 + 1e-6, hi
     sig = spec.market.matrix(y)[i, i]
     xi = (spec.market.mu[i] - spec.market.r) / sig
     lam = float(spec.alive_intensity(y, state)[i])
-    grad = rho * beta * (df_val / f_val) * float(spec.factor.vol_row(y)[i])
+    grad = rho * beta * (df_val / f_val) * spec.factor.sigma0[i]
     ratio = (f_child / f_val) ** beta
 
     def resid(h):

@@ -60,7 +60,7 @@ def test_worker_reads_a_traced_solve(harness, tmp_path):
     assert list(arrays) == [f"{name}_{bits}" for bits in ("00", "01", "10", "11")
                             for name in ("f", "df", "hhat", "theta", "ahat", "pi", "c_mult")]
     for key, arr in arrays.items():
-        per_name = key.split("_")[0] in ("hhat", "theta", "ahat", "pi")
+        per_name = key.split("_")[0] in ("hhat", "theta", "pi")
         assert arr.shape == (n_t + 1, n_y) + ((n,) if per_name else ()), key
         assert np.all(np.isfinite(arr)), key
     assert len(worker.digest(arrays)) == 64

@@ -113,7 +113,7 @@ class TestSolveCommand:
 
     def test_default_solve_writes_the_arrays_and_no_state_csv(self, solve_dir):
         assert {p.name for p in solve_dir.iterdir()} == ARTIFACTS
-        shapes = {"f": (4, 41, 41), "df": (4, 41, 41), "policy": (4, 41, 41, 9),
+        shapes = {"f": (4, 41, 41), "df": (4, 41, 41), "policy": (4, 41, 41, 8),
                   "hedge_gap": (4,), "t_nodes": (41,), "y_nodes": (41,)}
         for name, shape in shapes.items():
             values = np.load(solve_dir / f"{name}.npy", allow_pickle=False)
@@ -140,7 +140,7 @@ class TestSolveCommand:
         rc = run_cli("solve", "--config", str(ini), "--ny", "21", "--nt", "10",
                      "--out", str(out))
         assert rc.returncode == 0, rc.stderr
-        assert np.load(out / "policy.npy").shape == (8, 11, 21, 13)
+        assert np.load(out / "policy.npy").shape == (8, 11, 21, 11)
 
     def test_writer_bytes_match_csv_writer_reference(self, tmp_path):
         spec = build_model(three_name_config())
@@ -570,7 +570,11 @@ def _only_state_csvs(d):
     # the (t, y) grid flattened into one axis
     (lambda d: _edit_array(d / "f.npy", lambda a: a.reshape(len(a), -1)), ["f.npy", "(4, 1681)"]),
     (lambda d: _edit_array(d / "policy.npy", lambda a: a[..., :-1]),
-     ["policy.npy", "(4, 41, 41, 9)"]),
+     ["policy.npy", "(4, 41, 41, 8)"]),
+    # the older layout, 4n + 1 channels: one ahat column per name
+    (lambda d: _edit_array(d / "policy.npy",
+                           lambda a: np.concatenate([a[..., :-1], a[..., -2:]], axis=-1)),
+     ["policy.npy", "(4, 41, 41, 8)"]),
     # nodes of a 39-step grid beside arrays of the 40-step one
     (lambda d: np.save(d / "t_nodes.npy", np.linspace(0.0, 1.0, 40)), ["f.npy", "(4, 40, 41)"]),
     (lambda d: _edit_array(d / "df.npy", lambda a: a.astype(np.float32)), ["df.npy", "float32"]),
@@ -578,7 +582,7 @@ def _only_state_csvs(d):
      ["hedge_gap.npy", "allow_pickle"]),
     (_only_state_csvs, ["f.npy", "re-run `creditfolio solve`"]),
 ], ids=["missing-partner", "missing-state", "truncated", "not-a-tensor-grid", "policy-columns",
-        "other-grid", "wrong-dtype", "object-array", "csv-only"])
+        "policy-4n+1-columns", "other-grid", "wrong-dtype", "object-array", "csv-only"])
 def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, where):
     damaged = tmp_path / "damaged"
     shutil.copytree(solve_dir, damaged)

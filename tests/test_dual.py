@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import creditfolio as cf
 from creditfolio.dual import H_FLOOR, Coefficients, beta_exponent, phi_bounds, _sum_names
-from creditfolio.fields import GridSpec, SolveResult
+from creditfolio.fields import GridSpec, SolveResult, policy_width
 from creditfolio.model import DefaultState, load_preset
 from creditfolio.strategy import value_function
 
@@ -52,7 +52,8 @@ def constant_dual(spec, g):
     grid = GridSpec(-1.0, 1.0, 11, 10)
     f = np.full((2**spec.n, grid.n_t + 1, grid.n_y), g ** (1.0 / spec.beta))
     return SolveResult(grid=grid, t_nodes=grid.t_nodes(spec.pref.T), f=f, df=np.zeros_like(f),
-                       policy=np.zeros(f.shape + (4 * spec.n + 1,)), hedge_gap=np.zeros(len(f)))
+                       policy=np.zeros(f.shape + (policy_width(spec.n),)),
+                       hedge_gap=np.zeros(len(f)))
 
 
 def phi_nu_at(hhat, theta, y, state, spec):

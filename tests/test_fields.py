@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from creditfolio.fields import GridSpec, blend_t, interp_y, lookup, spatial_gradient
+from creditfolio.fields import (POLICY_CHANNELS, GridSpec, blend_t, interp_y, lookup,
+                               policy_channel, policy_width, spatial_gradient)
 
 
 class TestGridSpec:
@@ -20,6 +21,18 @@ class TestGridSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_policy_channels_cover_the_table_once(n):
+    # pi, hhat, theta take n columns each, ahat and c_mult one each: 3n + 2 in all
+    width = policy_width(n)
+    assert width == 3 * n + 2
+    hits = np.zeros(width, dtype=int)
+    for name in POLICY_CHANNELS:
+        np.add.at(hits, np.arange(width)[policy_channel(name, n)], 1)
+    assert hits.tolist() == [1] * width
+    assert isinstance(policy_channel("ahat", n), int)
 
 
 def four_corner(values, t_nodes, y_nodes, t, y):

@@ -10,7 +10,7 @@ import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio import cli, pde, strategy
 from creditfolio.dual import Coefficients
-from creditfolio.fields import policy_channel, spatial_gradient
+from creditfolio.fields import policy_channel, policy_width, spatial_gradient
 from creditfolio.model import (PRESET_NAMES, DefaultState, build_model, load_preset,
                                states_by_cardinality)
 from creditfolio.pde import step_slice, truncation_bounds
@@ -334,7 +334,7 @@ def reference_solve(spec, grid):
     t_nodes = grid.t_nodes(spec.pref.T)
     S, n = 2**spec.n, spec.n
     f_stack = np.empty((S, grid.n_t + 1, grid.n_y))
-    policy = np.empty(f_stack.shape + (4 * n + 1,))
+    policy = np.empty(f_stack.shape + (policy_width(n),))
     bounds, report = {}, {}
     for state in states_by_cardinality(n):
         bits, b = state.bitstring, state.bits

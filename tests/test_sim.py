@@ -7,7 +7,7 @@ import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio import sim
 from creditfolio.dual import Coefficients
-from creditfolio.fields import lookup
+from creditfolio.fields import lookup, policy_channel
 from creditfolio.model import (CreditSpec, DefaultState, FactorSpec, MarketSpec, ModelSpec,
                                PreferenceSpec, build_model, preset_config)
 
@@ -77,6 +77,60 @@ class TestMarketPaths:
     def test_reflection_counted(self, benchmark_spec):
         bundle = sim.simulate_market(benchmark_spec, 2000, 50, seed=9)
         assert 0.0 <= bundle.exit_fraction < 0.05
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3], ids=["rho=0", "rho=0.3"])
+    def test_factor_has_the_ou_law(self, benchmark_spec, rho):
+        # rho sigma0 dW + sqrt(1 - rho^2) |sigma0| dBbar has variance |sigma0|^2 dt for any
+        # rho; on a domain this wide no step reflects, so Y_T is the OU law's Euler scheme,
+        # whose variance lies 0.19 SE below the closed form's at these sizes
+        fac = dataclasses.replace(benchmark_spec.factor, rho=rho, domain_lo=-20.0,
+                                  domain_hi=20.0)
+        spec = dataclasses.replace(benchmark_spec, factor=fac)
+        n_paths, y0 = 20_000, 0.3
+        bundle = sim.simulate_market(spec, n_paths, 400, seed=21, y0=y0, keep=0)
+        assert bundle.exit_fraction == 0.0
+        decay = np.exp(-fac.kappa * spec.pref.T)
+        mean = fac.u0 / fac.kappa + (y0 - fac.u0 / fac.kappa) * decay
+        var = fac.vol_sq * (1.0 - decay**2) / (2.0 * fac.kappa)
+        Y_T = bundle.y_terminal
+        assert abs(Y_T.mean() - mean) <= 3.0 * np.sqrt(var / n_paths)
+        assert abs(Y_T.var(ddof=1) - var) <= 3.0 * var * np.sqrt(2.0 / (n_paths - 1))
+
+
+def test_path_step_equals_a_pointwise_reference(merton_result):
+    # a step draws (n_paths, n + 1) normals: dW, then the factor's own driver dBbar; the
+    # factor and Gamma, rebuilt name by name from the same blocks, agree bitwise
+    spec, result, grid = merton_result
+    n, n_paths, n_steps, seed, y0 = spec.n, 64, 5, 13, 0.2
+    bundle = sim.simulate_market(spec, n_paths, n_steps, seed, y0=y0, keep=n_paths,
+                                 result=result)
+    fac, T, z0 = spec.factor, spec.pref.T, DefaultState(spec.n, 0)
+    s0 = np.asarray(fac.sigma0)
+    bar_vol = np.sqrt(1.0 - fac.rho**2) * np.sqrt(np.sum(s0 * s0))
+    sqdt = np.sqrt(T / n_steps)
+    channel = {c: policy_channel(c, n) for c in ("hhat", "theta", "ahat")}
+
+    def dot(a, b):
+        out = a[:, 0] * b[:, 0]
+        for i in range(1, n):
+            out = out + a[:, i] * b[:, i]
+        return out
+
+    Y, Gamma = np.full(n_paths, y0), np.ones(n_paths)
+    for k in range(n_steps):
+        z = sim._block_rng(seed, sim._KIND_NORMALS, k).standard_normal((n_paths, n + 1))
+        dW, dB = z[:, :n] * sqdt, z[:, n] * sqdt
+        vals = lookup(result.policy, result.t_nodes, grid.y_nodes(), T - bundle.t_mesh[k], 0, Y)
+        hh, th, ah = (vals[:, channel[c]] for c in ("hhat", "theta", "ahat"))
+        lam = spec.alive_intensity(Y, z0)
+        Gamma = Gamma * np.exp(-dot(th, dW) - ah * dB - (0.5 * dot(th, th) + 0.5 * ah * ah
+                                                          + dot(hh, lam)) * (T / n_steps))
+        Y = (Y + (fac.u0 - fac.kappa * Y) * (T / n_steps) + fac.rho * dot(s0[None], dW)
+             + bar_vol * dB)
+        Y = np.where(Y < fac.domain_lo, 2 * fac.domain_lo - Y, Y)
+        Y = np.where(Y > fac.domain_hi, 2 * fac.domain_hi - Y, Y)
+        assert np.array_equal(bundle.kept["Y"][:, k + 1], Y), k
+        assert np.array_equal(bundle.kept["Gamma"][:, k + 1], Gamma), k
 
 
 def clock_reference(spec, Y, n_steps, seed, probe_steps):
@@ -514,7 +568,7 @@ def fk_reference(spec, result, state, t, y, n_paths, n_steps, seed):
     """
     grid, t_nodes, y_nodes = result.grid, result.t_nodes, result.grid.y_nodes()
     fac, dt = spec.factor, t / n_steps
-    vol = np.sqrt(fac.vol_sq(0.0))
+    vol = np.sqrt(fac.vol_sq)
     exact = fac.rho == 0.0 and fac.kappa != 0.0
     table = sim._fk_table(spec, result, [state], y_nodes, with_nu=not exact)
     if exact:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import creditfolio as cf
 from creditfolio import oracle as om
 from creditfolio.dual import Coefficients
-from creditfolio.fields import GridSpec, SolveResult, lookup
+from creditfolio.fields import GridSpec, SolveResult, lookup, policy_width
 from creditfolio.model import DefaultState, load_preset
 from creditfolio.strategy import (SolverError, ahat_slice, build_policy, pi_hat, solve_hhat,
                                   solve_hhat_slice, value_function)
@@ -27,7 +27,8 @@ def constant_fields(spec, values: dict, grid=None):
     for bits, val in values.items():
         f[DefaultState.from_bitstring(bits).bits] = float(val)
     return SolveResult(grid=grid, t_nodes=grid.t_nodes(spec.pref.T), f=f, df=np.zeros_like(f),
-                       policy=np.zeros(f.shape + (4 * spec.n + 1,)), hedge_gap=np.zeros(len(f)))
+                       policy=np.zeros(f.shape + (policy_width(spec.n),)),
+                       hedge_gap=np.zeros(len(f)))
 
 
 def consumption_at(t, y, state, x_wealth, result):
@@ -346,10 +347,12 @@ class TestAhat:
         spec, result, grid = scott_result
         fld = result.fields["00"]
         y = grid.y_nodes()
-        got = ahat_slice(y, spec, fld.f[50], fld.df[50])
+        got = ahat_slice(spec, fld.f[50], fld.df[50])
         rho, q, beta = spec.factor.rho, spec.q, spec.beta
+        # one scalar per node: the loading on Bbar = sigma0 Wbar / |sigma0|
         want = (-np.sqrt(1 - rho**2) / (1 - q) * beta
-                * (fld.df[50] / fld.f[50])[:, None] * spec.factor.vol_row(y))
+                * (fld.df[50] / fld.f[50]) * np.linalg.norm(spec.factor.sigma0))
+        assert got.shape == y.shape
         assert np.allclose(got, want)
 
     def test_bounded(self, scott_result, benchmark_result):
