@@ -454,13 +454,14 @@ def cmd_simulate(args) -> int:
     probes = (0.25 * spec.pref.T, 0.5 * spec.pref.T, spec.pref.T)
     bundle = sim.simulate_market(spec, mc["n_paths"], mc["n_steps"], mc["seed"], y0=mc["y0"],
                                  z0=mc["z0"], probe_times=probes, keep=args.dump_paths,
-                                 result=result, x0=mc["x0"])
-    reports = [*sim._compensator_reports(bundle), *sim._g_reports(bundle), *fk_reports,
-               sim._duality_report(bundle, result)]
+                                 policies=[(spec, result, mc["x0"])])
+    [run] = bundle.runs
+    reports = [*sim._compensator_reports(bundle), *sim._g_reports(bundle, run), *fk_reports,
+               sim._duality_report(bundle, run)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_paths:
-        kept = bundle.kept
+        kept = {**bundle.kept, **run.kept}
         rows = []
         for path_i in range(kept["Y"].shape[0]):
             for kk, t in enumerate(bundle.t_mesh):
@@ -477,7 +478,7 @@ def cmd_simulate(args) -> int:
         "spec_sha256": spec.fingerprint(), "seed": mc["seed"], "n_paths": mc["n_paths"],
         "n_steps": mc["n_steps"],
         "solution": str(Path(args.solution).resolve()) if args.solution else None,
-        **_versions(), "grid_exit_frac": bundle.grid_exit_frac,
+        **_versions(), "grid_exit_frac": run.grid_exit_frac,
         "exit_fraction": bundle.exit_fraction, "feynman_kac": fk_run,
         "stages": {"simulate_market": bundle.stages, "mc_feynman_kac": fk_reports[0].stages},
         "checks": [{"name": r.name, "estimate": r.estimate, "target": r.target,

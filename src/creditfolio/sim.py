@@ -28,16 +28,13 @@ not depend on its batch; the pass reads the PDE's own nodal terms
 (:func:`_fk_table`), scaled by the step, at paths kept in grid-cell units.
 A :class:`StageClock` splits each pass's time by stage.
 
-One controlled pass serves every path check: given a solved result,
-:func:`simulate_market` runs the controls beside the market and records the
-compensator and G-martingale samples at one list of probe times, wealth and
-consumption utility, the density Gamma and the kept paths as observers of
-the same draws.  Because the market block draws its randomness in a fixed
-order, its samples are bitwise those of a market-only pass.  Each check's
-report is computed once from a filled :class:`PathBundle`
-(``_compensator_reports``, ``_g_reports``, ``_duality_report``);
-:func:`check_G_martingale` and :func:`duality_gap` run their pass and call
-the same helper.
+One market loop serves every path check and any number of policies:
+:func:`simulate_market` steps the factor and the default clocks, records the
+compensator samples and the kept paths, and hands each step's draws to every
+policy it is given (:class:`~creditfolio.wealth.PolicyRun`), so policies are
+compared on common random numbers.  Each check's report is computed once
+from a filled :class:`PathBundle` and run; :func:`check_G_martingale` and
+:func:`duality_gap` run a one-policy pass.
 
 Statistical reports compare an estimate to its target within ``TOL_SE``
 standard errors plus an explicit ``bias_floor``.  The floor states the weak
@@ -50,15 +47,16 @@ test would demand agreement beyond the scheme's accuracy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  (imported with the module, not on the first block drawn)
 
 from .dual import Coefficients, _sum_names
-from .fields import SolveResult, blend_t, interp_cells, interp_y, lookup, policy_channel
+from .fields import SolveResult, blend_t, interp_cells, lookup
 from .model import DefaultState, ModelSpec
+from .wealth import PolicyRun
 
 __all__ = [
     "McReport",
@@ -171,14 +169,11 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class PathBundle:
-    """Trajectories of (Y, H, X, c, Gamma) and the observers of the pass that made them.
+    """Trajectories of (Y, H) from one pass, and the records of the policies it ran.
 
-    The first six fields are the pass's inputs; the rest are filled by the
-    pass.  Full histories are retained for the first ``keep`` paths only;
-    per-path terminal and probe summaries cover the whole set.  ``wealth``,
-    ``density``, ``g_probes``, ``g0`` and ``grid_exit_count`` come from a
-    controlled pass (one given a solved result); ``elapsed`` is the pass's
-    time in seconds, the sum of its ``stages``.
+    The first six fields are the pass's inputs, the rest its outputs.  Full
+    histories cover the first ``keep`` paths, terminal and probe summaries
+    all; ``runs`` holds one :class:`PolicyRun` per policy, in input order.
     """
 
     spec: ModelSpec
@@ -187,84 +182,64 @@ class PathBundle:
     seed: int
     y0: float
     z0: DefaultState
-    x0: float | None = None
-    t_mesh: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # (n_paths, n) default times, +inf where never defaulted
-    default_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    final_bits: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    y_terminal: np.ndarray = field(default_factory=lambda: np.empty(0))
-    reflect_count: int = 0
-    compensator: dict = field(default_factory=dict)  # probe time -> (n_paths, n) samples of M_t^i
-    kept: dict = field(default_factory=dict)
-    wealth: dict = field(default_factory=dict)
-    density: dict = field(default_factory=dict)
-    g_probes: dict = field(default_factory=dict)     # probe time -> (n_paths,) samples of G_t
-    g0: float = float("nan")                         # G_0 = g(T, y0, z0)
-    grid_exit_count: int = 0       # path-steps outside the solved grid
-    stages: dict = field(default_factory=dict)       # StageClock.as_dict() of the pass
-
-    @property
-    def elapsed(self) -> float:
-        return sum(stage["s"] for stage in self.stages.values())
+    t_mesh: np.ndarray
+    default_times: np.ndarray    # (n_paths, n) default times, +inf where never defaulted
+    final_bits: np.ndarray
+    y_terminal: np.ndarray
+    reflect_count: int
+    compensator: dict            # probe time -> (n_paths, n) samples of M_t^i
+    kept: dict                   # Y and H_bits of the kept paths
+    runs: list
+    stages: dict                 # StageClock.as_dict() of the pass
 
     @property
     def exit_fraction(self) -> float:
         """Share of path-steps whose factor step left the domain and was reflected."""
         return self.reflect_count / float(self.n_paths * max(self.n_steps, 1))
 
-    @property
-    def grid_exit_frac(self) -> float:
-        """Share of path-steps whose Y lies outside the solved grid, where lookups hold the edge."""
-        return self.grid_exit_count / float(self.n_paths * max(self.n_steps, 1))
-
     def survival_probability(self) -> float:
         return float(np.mean(self.final_bits == self.z0.bits))
 
 
-def _power_utility(c: np.ndarray, K: float, p: float) -> np.ndarray:
-    """(K/p) c^p with the c = 0 limit handled (0 for p > 0, -inf for p < 0)."""
-    pos = c > 0
-    return np.where(pos, (K / p) * np.where(pos, c, 1.0) ** p, 0.0 if p > 0 else -np.inf)
+def _compensated(bits: np.ndarray, comp_int: np.ndarray) -> np.ndarray:
+    """(n_paths, n) samples of M_t: each name's default indicator minus its integrated intensity."""
+    return (np.stack([(bits >> i) & 1 for i in range(len(comp_int))]).astype(float) - comp_int).T
 
 
 def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
                     y0: float = 0.0, z0: DefaultState | None = None,
-                    probe_times: Sequence[float] = (), keep: int = 64,
-                    result: SolveResult | None = None, x0: float = 1.0) -> PathBundle:
-    """Factor and default-indicator paths under the physical measure.
+                    probe_times: Sequence[float] = (), keep: int = 0,
+                    policies: Sequence[tuple[ModelSpec, SolveResult, float]] = ()) -> PathBundle:
+    """Factor and default-indicator paths under the physical measure, and policies run on them.
 
     One vectorised forward pass over all paths; memory stays O(n_paths).
-    Records the compensator samples at ``probe_times`` and the Y and H
-    histories of the first ``keep`` paths.  The market block (factor, clocks,
-    defaults) consumes randomness in a fixed order, so the market paths and
-    compensator samples do not depend on ``result``.  Given a solved
-    ``result``, the same pass also runs its feedback policy from wealth
-    ``x0``: ``wealth`` gets terminal wealth, accumulated consumption utility,
-    the total realised utility sample and the terminal wealth implied by the
-    dual representation x (f(0,Y_T,H_T)/f(T,y0,z0))^beta (Gamma_T/B_T)^{q-1};
-    ``density`` gets the dual density ``Gamma_T``, which depends neither on
-    ``x0`` nor on the ``pi`` and ``c_mult`` channels of the policy; ``G_t`` is
-    sampled at ``probe_times`` too, and the kept paths gain X, c and Gamma.
-    Each path carries its intensity rows and alive mask, re-gathered in the
-    clock sweeps where it defaults; ``stages`` gets the StageClock laps.  Every
-    per-path, per-name array (intensity rows, clocks, controls, drivers, sigma)
-    is name-major, ``(n, n_paths)``, so per-name operations and name sums run
-    along contiguous paths; the bundle's ``(n_paths, n)`` arrays are transposes.
+    Records the compensator samples at ``probe_times``, which lie in [0, T],
+    and the Y and H histories of the first ``keep`` paths.  The market
+    (factor, clocks, defaults) reads the seed, T, ``spec.factor`` and
+    ``spec.credit`` only, in a fixed order, so its samples are bitwise those
+    of a market-only pass.  Each ``(spec, result, x0)`` of ``policies`` runs
+    its result's feedback policy from wealth ``x0`` on the same draws; its
+    :class:`PolicyRun` lands in ``runs``, in input order, bitwise that of a
+    pass given it alone.  Its spec may differ from ``spec`` in p, K1 and K2
+    only.  Every per-path, per-name array is name-major, ``(n, n_paths)``;
+    the bundle's ``(n_paths, n)`` arrays are transposes.
     """
-    if result is not None and x0 <= 0:
-        raise ValueError("initial wealth must be positive")
+    T = spec.pref.T
+    for t in probe_times:
+        if not 0.0 <= t <= T:
+            raise ValueError(f"probe time {t:g} lies outside [0, T] = [0, {T:g}]")
+    for pspec, _, _ in policies:
+        if pspec is not spec and (pspec.pref.T != T or replace(
+                pspec, pref=spec.pref).fingerprint() != spec.fingerprint()):
+            raise ValueError("a policy's spec may differ from the pass's in [preference] p, K1, K2")
     clock = StageClock()
     z0 = z0 or DefaultState(spec.n, 0)
-    bundle = PathBundle(spec, n_paths, n_steps, seed, y0, z0)
-    n = spec.n
-    T = spec.pref.T
-    q = spec.q
-    r = spec.market.r
-    p = spec.pref.p
-    dt = T / n_steps
+    n, dt = spec.n, T / n_steps
     t_mesh = np.linspace(0.0, T, n_steps + 1)
     lo, hi = spec.factor.domain_lo, spec.factor.domain_hi
-    with_controls = result is not None
+    keep = min(keep, n_paths)
+    runs = [PolicyRun(pspec, result, x0, t_mesh, n_paths, keep, clock)
+            for pspec, result, x0 in policies]
 
     rng = _block_rng(seed, _KIND_CLOCKS, 0)        # one generator, reset to each block
     clock_draws = np.stack([_block_rng(seed, _KIND_CLOCKS, rnd, rng).exponential(
@@ -278,7 +253,6 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     default_times = np.full((n, n_paths), np.inf)
     comp_int = np.zeros((n, n_paths))        # integral of alive intensity since time 0
     reflect_count = 0
-    grid_exit_count = 0                      # Y after a step outside the solved grid
 
     alive_of = np.array([[1.0 - ((b >> i) & 1) for b in range(1 << n)] for i in range(n)])
     # each path's intensity parameters and alive mask, gathered again only where bits change
@@ -288,61 +262,15 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     dW, dBbar = dWB[:n], dWB[n]
     rho = spec.factor.rho
     bar_vol = np.sqrt(1.0 - rho**2) * spec.factor.vol   # the factor's loading on dBbar
-    if with_controls:
-        t_nodes, y_nodes = result.t_nodes, result.grid.y_nodes()
-        pol_work = {}                        # interp_y's arrays, reused by every policy read
-        pi = np.empty((n, n_paths))
-        X = np.full(n_paths, float(x0))
-        Gamma = np.ones(n_paths)
-        cons_util = np.zeros(n_paths)
-        dens_int = np.zeros(n_paths)         # int_0^t (Gamma/B)^q ds, trapezoid
-        gq_prev = np.ones(n_paths)
-        u2_first = None
-        wealth_flagged = np.zeros(n_paths, dtype=bool)
-        g_out = {}
-
-    def g_at(u, bv, yv):
-        return lookup(result.f, t_nodes, y_nodes, u, bv, yv) ** spec.beta
-
-    def controls_at(t_clock):
-        """The policy at (Y, bits): pi, masked by alive, into ``pi``; the other channels back."""
-        vals = interp_y(blend_t(result.policy, t_nodes, max(T - t_clock, 0.0)), y_nodes,
-                        bits, Y, pol_work).T
-        np.multiply(vals[policy_channel("pi", n)], alive, out=pi)
-        return [vals[policy_channel(c, n)] for c in ("hhat", "theta", "ahat", "c_mult")]
-
-    def dot(a, b):
-        """Dot products over the names of (n, paths) arrays, one add per name."""
-        return _sum_names((a * b).T)
 
     comp_out = {}
     probe_idx = {int(round(t / dt)) for t in probe_times}
-
-    keep = min(keep, n_paths)
-    kept: dict = {}
-    if keep:
-        kept = {"Y": np.empty((keep, n_steps + 1)),
-                "H_bits": np.empty((keep, n_steps + 1), dtype=np.int64)}
-        kept["Y"][:, 0] = Y[:keep]
-        kept["H_bits"][:, 0] = bits[:keep]
-        if with_controls:
-            kept.update({"X": np.empty((keep, n_steps + 1)),
-                         "c": np.empty((keep, n_steps + 1)),
-                         "Gamma": np.empty((keep, n_steps + 1))})
-            kept["X"][:, 0] = x0
-            kept["Gamma"][:, 0] = 1.0
-
-    def record_probes(k):
-        t_now = t_mesh[k]
-        if k in probe_idx:
-            H_ind = np.stack([(bits >> i) & 1 for i in range(n)]).astype(float)
-            comp_out[float(t_now)] = (H_ind - comp_int).T
-            if with_controls:
-                g_val = g_at(T - t_now, bits, Y)
-                gq = (Gamma * np.exp(-r * t_now)) ** q
-                g_out[float(t_now)] = spec.pref.K2 ** (1.0 - q) * dens_int + gq * g_val
-
-    record_probes(0)
+    kept = {"Y": np.empty((keep, n_steps + 1)), "H_bits": np.empty((keep, n_steps + 1), np.int64)}
+    kept["Y"][:, 0], kept["H_bits"][:, 0] = Y[:keep], bits[:keep]
+    if 0 in probe_idx:
+        comp_out[0.0] = _compensated(bits, comp_int)
+        for run in runs:
+            run.probe(0.0, Y, bits)
     lam_now = spec.credit.rate(abc, Y) * alive      # carried from step to step
     clock.lap("setup")
 
@@ -351,23 +279,8 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         draws = _block_rng(seed, _KIND_NORMALS, k, rng).standard_normal((n_paths, n + 1))
         np.multiply(draws.T, np.sqrt(dt), out=dWB)
         clock.lap("rng")
-
-        if with_controls:
-            hh, th, ah, cm = controls_at(t_now)
-            clock.lap("policy")
-            pisig = spec.market.pi_sigma(pi.T, spec.market.sigma(Y)).T
-            u2_now = _power_utility(cm * X, spec.pref.K2, p)
-            cons_util += u2_now * dt
-            if u2_first is None:
-                u2_first = u2_now.copy()
-            if keep:
-                kept["c"][:, k] = cm[:keep] * X[:keep]
-            # -X pi' dM contributes the compensator drift +pi'(1-z)lambda between defaults
-            drift = r + (spec.market.mu - r) @ pi + dot(pi, lam_now) - cm
-            X *= np.exp((drift - 0.5 * dot(pisig, pisig)) * dt + dot(pisig, dW))
-            Gamma *= np.exp(-dot(th, dW) - ah * dBbar
-                            - (0.5 * dot(th, th) + 0.5 * ah * ah + dot(hh, lam_now)) * dt)
-            clock.lap("wealth")
+        for run in runs:
+            run.step(k, Y, bits, alive, lam_now, dW, dBbar)
 
         # factor step (Euler-Maruyama), reflected at the domain edge
         Y_next = (Y + spec.factor.drift(Y) * dt + rho * _sum_names((sigma0 * dW).T)
@@ -402,13 +315,8 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
             fr = frac[winner, np.arange(hit.size)]
             tau = t_now + (frac_from + fr * (1.0 - frac_from)) * dt
             comp_int[:, hit] += dA * fr
-            if with_controls:
-                jump_factor = 1.0 - pi[winner, hit]
-                bad = jump_factor <= 1e-12
-                if bad.any():
-                    wealth_flagged[hit[bad]] = True
-                X[hit] = X[hit] * np.where(bad, 1e-300, np.maximum(jump_factor, 1e-300))
-                Gamma[hit] = Gamma[hit] * (1.0 + hh[winner, hit])
+            for run in runs:
+                run.jump(winner, hit)
             default_times[winner, hit] = tau
             bits[hit] |= (np.int64(1) << winner.astype(np.int64))
             rows, alive_hit = spec.credit.params(bits[hit]), alive_of.take(bits[hit], axis=1)
@@ -438,44 +346,18 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
         lam_now = lam_next
         clock.lap("sweeps")
 
-        if with_controls:
-            grid_exit_count += int(np.count_nonzero((Y < y_nodes[0]) | (Y > y_nodes[-1])))
-            gq_now = (Gamma * np.exp(-r * t_mesh[k + 1])) ** q
-            dens_int += 0.5 * (gq_prev + gq_now) * dt
-            gq_prev = gq_now
-
-        if keep:
-            kk = slice(0, keep)
-            kept["Y"][:, k + 1] = Y[kk]
-            kept["H_bits"][:, k + 1] = bits[kk]
-            if with_controls:
-                kept["X"][:, k + 1] = X[kk]
-                kept["Gamma"][:, k + 1] = Gamma[kk]
-        record_probes(k + 1)
+        probed = k + 1 in probe_idx
+        for run in runs:
+            run.observe(k + 1, Y, bits, probed)
+        kept["Y"][:, k + 1], kept["H_bits"][:, k + 1] = Y[:keep], bits[:keep]
+        if probed:
+            comp_out[float(t_mesh[k + 1])] = _compensated(bits, comp_int)
         clock.lap("observers")
 
-    bundle.t_mesh, bundle.default_times, bundle.final_bits = t_mesh, default_times.T, bits
-    bundle.y_terminal, bundle.reflect_count = Y, reflect_count
-    bundle.compensator, bundle.kept = comp_out, kept
-    if with_controls:
-        cm_T = controls_at(T)[-1]
-        u2_T = _power_utility(cm_T * X, spec.pref.K2, p)
-        if keep:
-            kept["c"][:, n_steps] = cm_T[:keep] * X[:keep]
-        # close the trapezoid: running sum used left endpoints only
-        cons_util += 0.5 * (u2_T - u2_first) * dt
-        g0 = g_at(T, np.array([z0.bits]), np.array([y0], dtype=float))[0]
-        B_T = np.exp(r * T)
-        X_rep = x0 * (g_at(0.0, bits, Y) / g0) * (Gamma / B_T) ** (q - 1.0)
-        bundle.wealth = {"X_T": X, "cons_util": cons_util,
-                         "utility": _power_utility(X, spec.pref.K1, p) + cons_util,
-                         "X_rep_T": X_rep, "flagged": wealth_flagged, "x0": x0}
-        bundle.density = {"Gamma_T": Gamma}
-        bundle.x0, bundle.g0, bundle.g_probes = x0, float(g0), g_out
-        bundle.grid_exit_count = grid_exit_count
+    runs = [run.finish(Y, bits, alive, y0, z0) for run in runs]
     clock.lap("final")
-    bundle.stages = clock.as_dict()
-    return bundle
+    return PathBundle(spec, n_paths, n_steps, seed, y0, z0, t_mesh, default_times.T, bits, Y,
+                      reflect_count, comp_out, kept, runs, clock.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +377,13 @@ def _compensator_reports(bundle: PathBundle) -> list[McReport]:
     return reports
 
 
-def _g_reports(bundle: PathBundle) -> list[McReport]:
-    """E[G_t] at each of the bundle's G probes against G_0; see :func:`check_G_martingale`."""
-    g0 = bundle.g0
-    dt = bundle.spec.pref.T / bundle.n_steps
-    exits = {"grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction}
+def _g_reports(bundle: PathBundle, run: PolicyRun) -> list[McReport]:
+    """E[G_t] at each of the run's G probes against G_0; see :func:`check_G_martingale`."""
+    g0 = run.g0
+    dt = run.spec.pref.T / bundle.n_steps
+    exits = {"grid_exit_frac": run.grid_exit_frac, "exit_fraction": bundle.exit_fraction}
     reports = []
-    for t_probe, samples in sorted(bundle.g_probes.items()):
+    for t_probe, samples in sorted(run.g_probes.items()):
         est, se = _mean_se(samples)
         reports.append(McReport(
             name=f"G-martingale t={t_probe:g}", estimate=est, target=g0, se=se,
@@ -510,22 +392,22 @@ def _g_reports(bundle: PathBundle) -> list[McReport]:
     return reports
 
 
-def _duality_report(bundle: PathBundle, result: SolveResult) -> McReport:
-    """Realised utility of the bundle's controlled pass against V(x0, y0, z0).
+def _duality_report(bundle: PathBundle, run: PolicyRun) -> McReport:
+    """Realised utility of one policy run of the bundle against V(x0, y0, z0).
 
     See :func:`duality_gap` for the target, the bias floor and the extras.
     """
     from .strategy import value_function
 
-    spec, z0 = bundle.spec, bundle.z0
-    util = bundle.wealth["utility"]
-    ok = ~bundle.wealth["flagged"] & np.isfinite(util)
+    spec, result, z0 = run.spec, run.result, bundle.z0
+    util = run.wealth["utility"]
+    ok = ~run.wealth["flagged"] & np.isfinite(util)
     est, se = _mean_se(util[ok])
-    target = value_function(bundle.x0, bundle.y0, z0, result, spec)
+    target = value_function(run.x0, bundle.y0, z0, result, spec)
     dt = spec.pref.T / bundle.n_steps
 
-    X_T = bundle.wealth["X_T"][ok]
-    X_rep = bundle.wealth["X_rep_T"][ok]
+    X_T = run.wealth["X_T"][ok]
+    X_rep = run.wealth["X_rep_T"][ok]
     lx, lr = np.log(X_T), np.log(X_rep)
     rep_dev = float(np.max(np.abs(lx - lr)))
     if np.std(lx) > 1e-8 and np.std(lr) > 1e-8:
@@ -538,7 +420,7 @@ def _duality_report(bundle: PathBundle, result: SolveResult) -> McReport:
         bias_floor=abs(target) * dt, stages=bundle.stages,
         extra={"rep_log_corr": rep_corr, "rep_log_maxdev": rep_dev,
                "flagged": int((~ok).sum()), "hedge_gap": hedge_gap,
-               "grid_exit_frac": bundle.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
+               "grid_exit_frac": run.grid_exit_frac, "exit_fraction": bundle.exit_fraction})
 
 
 def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_steps: int,
@@ -550,9 +432,9 @@ def check_G_martingale(spec: ModelSpec, result: SolveResult, n_paths: int, n_ste
     is a martingale under the optimal dual controls.  One report per probe;
     the bias floor is |G_0| dt (first-order density stepping).
     """
-    bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0, keep=0,
-                             result=result, probe_times=tuple(probes))
-    return _g_reports(bundle)
+    bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0,
+                             probe_times=tuple(probes), policies=[(spec, result, 1.0)])
+    return _g_reports(bundle, bundle.runs[0])
 
 
 def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
@@ -567,9 +449,9 @@ def duality_gap(spec: ModelSpec, result: SolveResult, x0: float, n_paths: int,
     correctness of the perturbed run; the utility estimate itself feeds
     optimality-ordering checks.
     """
-    bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0, keep=0,
-                             result=result, x0=x0)
-    return _duality_report(bundle, result)
+    bundle = simulate_market(spec, n_paths, n_steps, seed, y0=y0, z0=z0,
+                             policies=[(spec, result, x0)])
+    return _duality_report(bundle, bundle.runs[0])
 
 
 def _fk_table(spec: ModelSpec, result: SolveResult, states: list[DefaultState],
@@ -626,8 +508,9 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     channels as they are.  Reports come back in the order of ``probes``;
     each carries the stages of the whole pass.
     """
-    if any(t <= 0 for _, (t, _) in probes):
-        raise ValueError("probe time must be positive")
+    for _, (t, _) in probes:
+        if not 0.0 < t <= spec.pref.T:
+            raise ValueError(f"probe time {t:g} lies outside (0, T] = (0, {spec.pref.T:g}]")
     clock = StageClock()
     states = list({state.bits: state for state, _ in probes}.values())
     row_of = {state.bits: r for r, state in enumerate(states)}

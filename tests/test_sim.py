@@ -103,7 +103,7 @@ def test_path_step_equals_a_pointwise_reference(merton_result):
     spec, result, grid = merton_result
     n, n_paths, n_steps, seed, y0 = spec.n, 64, 5, 13, 0.2
     bundle = sim.simulate_market(spec, n_paths, n_steps, seed, y0=y0, keep=n_paths,
-                                 result=result)
+                                 policies=[(spec, result, 1.0)])
     fac, T, z0 = spec.factor, spec.pref.T, DefaultState(spec.n, 0)
     s0 = np.asarray(fac.sigma0)
     bar_vol = np.sqrt(1.0 - fac.rho**2) * np.sqrt(np.sum(s0 * s0))
@@ -130,7 +130,7 @@ def test_path_step_equals_a_pointwise_reference(merton_result):
         Y = np.where(Y < fac.domain_lo, 2 * fac.domain_lo - Y, Y)
         Y = np.where(Y > fac.domain_hi, 2 * fac.domain_hi - Y, Y)
         assert np.array_equal(bundle.kept["Y"][:, k + 1], Y), k
-        assert np.array_equal(bundle.kept["Gamma"][:, k + 1], Gamma), k
+        assert np.array_equal(bundle.runs[0].kept["Gamma"][:, k + 1], Gamma), k
 
 
 def clock_reference(spec, Y, n_steps, seed, probe_steps):
@@ -225,7 +225,7 @@ class TestOnePass:
         market = sim.simulate_market(benchmark_spec, 3000, 40, seed=17, keep=5,
                                      probe_times=probes)
         both = sim.simulate_market(benchmark_spec, 3000, 40, seed=17, keep=5,
-                                   probe_times=probes, result=result, x0=2.0)
+                                   probe_times=probes, policies=[(benchmark_spec, result, 2.0)])
         assert sorted(both.compensator) == sorted(market.compensator)
         for t, samples in market.compensator.items():
             assert np.array_equal(both.compensator[t], samples)
@@ -233,34 +233,83 @@ class TestOnePass:
         assert np.array_equal(both.y_terminal, market.y_terminal)
         for key in ("Y", "H_bits"):
             assert np.array_equal(both.kept[key], market.kept[key])
-        assert sorted(both.g_probes) == sorted(market.compensator)
-        assert both.x0 == 2.0 and both.wealth["X_T"].shape == (3000,)
+        [run] = both.runs
+        assert sorted(run.g_probes) == sorted(market.compensator)
+        assert run.x0 == 2.0 and run.wealth["X_T"].shape == (3000,)
+
+    @pytest.mark.parametrize("name", ["benchmark_s5", "scott_example22"])
+    def test_each_policy_of_a_pass_equals_its_own_pass(self, name):
+        # three policies on one set of draws: the optimum, the optimum of another p, and
+        # pi x 1.5 from x0 = 2; each run is bitwise its one-policy pass, the market a
+        # market-only pass
+        grid = cf.GridSpec(-1.0, 1.0, 41, 40)
+        spec, spec_p = cf.load_preset(name), cf.load_preset(name, p=0.1)
+        result = cf.solve_recursive_system(spec, grid)
+        policies = [(spec, result, 1.0), (spec_p, cf.solve_recursive_system(spec_p, grid), 1.0),
+                    (spec, with_policy(result, pi_scale=1.5), 2.0)]
+        kw = {"y0": 0.1, "probe_times": (0.0, 0.5, 1.0), "keep": 6}
+        bundle = sim.simulate_market(spec, 3000, 50, 5, policies=policies, **kw)
+        market = sim.simulate_market(spec, 3000, 50, 5, **kw)
+        for key in ("default_times", "final_bits", "y_terminal"):
+            assert np.array_equal(getattr(bundle, key), getattr(market, key))
+        for want, got in ((market.compensator, bundle.compensator), (market.kept, bundle.kept)):
+            assert want.keys() == got.keys()
+            assert all(np.array_equal(want[key], got[key]) for key in want)
+        assert len(bundle.runs) == 3
+        for policy, run in zip(policies, bundle.runs):
+            [alone] = sim.simulate_market(spec, 3000, 50, 5, policies=[policy], **kw).runs
+            assert (run.spec, run.x0, run.g0, run.grid_exit_count) == \
+                (alone.spec, alone.x0, alone.g0, alone.grid_exit_count)
+            for want, got in ((alone.wealth, run.wealth), (alone.density, run.density),
+                              (alone.g_probes, run.g_probes), (alone.kept, run.kept)):
+                assert want.keys() == got.keys()
+                assert all(np.array_equal(want[key], got[key]) for key in want)
+        assert not np.array_equal(bundle.runs[0].wealth["X_T"], bundle.runs[1].wealth["X_T"])
+
+    def test_policy_spec_differing_outside_its_preferences_raises(self, benchmark_spec,
+                                                                  benchmark_result):
+        result, _ = benchmark_result
+        pref = dataclasses.replace(benchmark_spec.pref, p=0.1, K2=2.0)
+        sim.simulate_market(benchmark_spec, 10, 2, 1, policies=[
+            (dataclasses.replace(benchmark_spec, pref=pref), result, 1.0)])
+        for other in (dataclasses.replace(benchmark_spec, factor=dataclasses.replace(
+                          benchmark_spec.factor, rho=0.1)),
+                      dataclasses.replace(benchmark_spec, pref=dataclasses.replace(pref, T=2.0))):
+            with pytest.raises(ValueError, match=r"in \[preference\] p, K1, K2"):
+                sim.simulate_market(benchmark_spec, 10, 2, 1, policies=[(other, result, 1.0)])
+
+    def test_probe_off_the_horizon_raises(self, benchmark_spec, benchmark_result):
+        result, _ = benchmark_result
+        with pytest.raises(ValueError, match=r"probe time 2 lies outside \[0, T\] = \[0, 1\]"):
+            sim.check_G_martingale(benchmark_spec, result, 200, 20, seed=1, probes=(2.0,))
+        with pytest.raises(ValueError, match=r"probe time -0.5 lies outside \[0, T\]"):
+            sim.simulate_market(benchmark_spec, 200, 20, seed=1, probe_times=(-0.5, 1.7))
 
 
 class TestWealthPaths:
     def test_grid_exit_fraction_counts_kept_paths(self, benchmark_spec, benchmark_result):
         result, grid = benchmark_result
-        bundle = sim.simulate_market(benchmark_spec, 400, 50, seed=4, keep=400, result=result,
-                                     x0=1.0)
+        bundle = sim.simulate_market(benchmark_spec, 400, 50, seed=4, keep=400,
+                                     policies=[(benchmark_spec, result, 1.0)])
+        [run] = bundle.runs
         Y = bundle.kept["Y"][:, 1:]
         outside = np.count_nonzero((Y < grid.y_lo) | (Y > grid.y_hi))
         assert outside > 0
-        assert bundle.grid_exit_frac == outside / Y.size
+        assert run.grid_exit_frac == outside / Y.size
         # the checks run the same factor paths for the same (seed, n_paths, n_steps)
         rep = sim.duality_gap(benchmark_spec, result, 1.0, 400, 50, seed=4)
-        assert rep.extra["grid_exit_frac"] == bundle.grid_exit_frac
+        assert rep.extra["grid_exit_frac"] == run.grid_exit_frac
         assert rep.extra["exit_fraction"] == bundle.exit_fraction
         for g_rep in sim.check_G_martingale(benchmark_spec, result, 400, 50, seed=4):
-            assert g_rep.extra == {"grid_exit_frac": bundle.grid_exit_frac,
+            assert g_rep.extra == {"grid_exit_frac": run.grid_exit_frac,
                                    "exit_fraction": bundle.exit_fraction}
 
     def test_bank_account_exact(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
-        bundle = sim.simulate_market(benchmark_spec, 500, 64, seed=2, keep=0,
-                                     result=with_policy(result, pi=np.zeros(2), c_mult=0.0),
-                                     x0=1.0)
+        bundle = sim.simulate_market(benchmark_spec, 500, 64, seed=2, keep=0, policies=[
+            (benchmark_spec, with_policy(result, pi=np.zeros(2), c_mult=0.0), 1.0)])
         want = np.exp(benchmark_spec.market.r * 1.0)
-        assert np.max(np.abs(bundle.wealth["X_T"] - want)) < 1e-12
+        assert np.max(np.abs(bundle.runs[0].wealth["X_T"] - want)) < 1e-12
 
     def test_gbm_log_mean(self, merton_result):
         # constant weight, no defaults, no consumption: log X_T has known mean
@@ -269,8 +318,8 @@ class TestWealthPaths:
         pi_c = 0.6
         bundle = sim.simulate_market(
             spec, n, 64, seed=21, keep=0,
-            result=with_policy(result, pi=np.array([pi_c, 0.0]), c_mult=0.0), x0=1.0)
-        lx = np.log(bundle.wealth["X_T"])
+            policies=[(spec, with_policy(result, pi=np.array([pi_c, 0.0]), c_mult=0.0), 1.0)])
+        lx = np.log(bundle.runs[0].wealth["X_T"])
         sig = 0.2
         drift = (spec.market.r + pi_c * (0.25 - 0.2) - 0.5 * pi_c**2 * sig**2) * 1.0
         se = lx.std(ddof=1) / np.sqrt(n)
@@ -291,44 +340,43 @@ class TestWealthPaths:
         grid = cf.GridSpec(-1.0, 1.0, 11, 20)
         result = cf.solve_recursive_system(spec, grid)
         n_steps = 200
-        bundle = sim.simulate_market(spec, 2000, n_steps, seed=3, keep=0,
-                                     result=with_policy(result, pi=np.array([0.3]), c_mult=0.0),
-                                     x0=1.0)
+        bundle = sim.simulate_market(spec, 2000, n_steps, seed=3, keep=0, policies=[
+            (spec, with_policy(result, pi=np.array([0.3]), c_mult=0.0), 1.0)])
         tau = bundle.default_times[:, 0]
         defaulted = np.isfinite(tau)
         assert 0.5 < defaulted.mean() < 0.95
         dt = 1.0 / n_steps
         alive_steps = np.floor(tau[defaulted] / dt) + 1
         want = 0.7 * np.exp(0.3 * lam_c * alive_steps * dt)
-        assert np.allclose(bundle.wealth["X_T"][defaulted], want, rtol=1e-5)
+        assert np.allclose(bundle.runs[0].wealth["X_T"][defaulted], want, rtol=1e-5)
         # survivors never jump
         want_surv = np.exp(0.3 * lam_c * 1.0)
-        assert np.allclose(bundle.wealth["X_T"][~defaulted], want_surv, rtol=1e-5)
+        assert np.allclose(bundle.runs[0].wealth["X_T"][~defaulted], want_surv, rtol=1e-5)
 
     def test_flagged_when_weight_reaches_one(self):
         spec = constant_lambda_spec((2.0, 0.0))
         grid = cf.GridSpec(-1.0, 1.0, 21, 20)
         result = cf.solve_recursive_system(spec, grid)
-        bundle = sim.simulate_market(spec, 2000, 20, seed=4, keep=0,
-                                     result=with_policy(result, pi=np.array([1.5, 0.0])), x0=1.0)
+        bundle = sim.simulate_market(spec, 2000, 20, seed=4, keep=0, policies=[
+            (spec, with_policy(result, pi=np.array([1.5, 0.0])), 1.0)])
         defaulted = np.isfinite(bundle.default_times[:, 0])
-        assert np.all(bundle.wealth["flagged"][defaulted])
+        assert np.all(bundle.runs[0].wealth["flagged"][defaulted])
 
 
 class TestDensity:
     def test_trivial_measure_change(self, benchmark_spec, benchmark_result):
         # benchmark optimal controls are ~0: Gamma stays at 1
         result, _ = benchmark_result
-        bundle = sim.simulate_market(benchmark_spec, 2000, 50, seed=6, keep=0, result=result,
-                                     x0=1.0)
-        assert np.max(np.abs(bundle.density["Gamma_T"] - 1.0)) < 1e-6
+        bundle = sim.simulate_market(benchmark_spec, 2000, 50, seed=6, keep=0,
+                                     policies=[(benchmark_spec, result, 1.0)])
+        assert np.max(np.abs(bundle.runs[0].density["Gamma_T"] - 1.0)) < 1e-6
 
     def test_unit_mean_deterministic_theta(self, merton_result):
         # merton: theta = xi constant, no defaults; exponential martingale mean 1
         spec, result, _ = merton_result
         n = 50000
-        bundle = sim.simulate_market(spec, n, 64, seed=8, keep=0, result=result, x0=1.0)
-        g = bundle.density["Gamma_T"]
+        bundle = sim.simulate_market(spec, n, 64, seed=8, keep=0, policies=[(spec, result, 1.0)])
+        g = bundle.runs[0].density["Gamma_T"]
         se = g.std(ddof=1) / np.sqrt(n)
         assert abs(g.mean() - 1.0) <= 3 * se
 
@@ -345,8 +393,8 @@ class TestDensity:
         hhat = np.array([[h_const * (1 - (b & 1)), 0.0] for b in range(4)])[:, None, None, :]
         result = with_policy(result, hhat=hhat, theta=0.0, ahat=0.0)
         n_steps = 50
-        bundle = sim.simulate_market(spec, 3000, n_steps, seed=10, keep=0, result=result,
-                                     x0=1.0)
+        bundle = sim.simulate_market(spec, 3000, n_steps, seed=10, keep=0,
+                                     policies=[(spec, result, 1.0)])
         # the density drift -h lambda accrues per step started alive; the jump
         # multiplies by exactly (1 + h)
         tau = bundle.default_times[:, 0]
@@ -355,7 +403,7 @@ class TestDensity:
         alive_time = np.where(defaulted, (np.floor(tau / dt) + 1) * dt, 1.0)
         jump = np.where(defaulted, 1.0 + h_const, 1.0)
         want = jump * np.exp(-h_const * 0.8 * alive_time)
-        assert np.allclose(bundle.density["Gamma_T"], want, rtol=1e-10)
+        assert np.allclose(bundle.runs[0].density["Gamma_T"], want, rtol=1e-10)
 
 
 class TestGMartingale:
@@ -530,8 +578,9 @@ class TestFeynmanKac:
 
     def test_bad_probe_raises(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
-        with pytest.raises(ValueError):
-            sim.mc_feynman_kac(benchmark_spec, result, [(Z00, (0.0, 0.0))], 100, 16, seed=5)
+        for t in (0.0, 1.5):     # a probe time lies in (0, T]
+            with pytest.raises(ValueError):
+                sim.mc_feynman_kac(benchmark_spec, result, [(Z00, (t, 0.0))], 100, 16, seed=5)
 
     def test_bad_probe_in_a_batch_raises(self, benchmark_spec, benchmark_result):
         result, _ = benchmark_result
@@ -655,9 +704,10 @@ def test_full_sigma_passes_every_path_check(sigma):
     fk_probes = [(s, (t, 0.0)) for s in cf.states_by_cardinality(2) for t in (0.5, 1.0)]
     for seed in (1, 2, 3):
         bundle = sim.simulate_market(spec, 4000, 100, seed, probe_times=probes, keep=0,
-                                     result=result, x0=1.0)
-        reports = [*sim._compensator_reports(bundle), *sim._g_reports(bundle),
+                                     policies=[(spec, result, 1.0)])
+        [run] = bundle.runs
+        reports = [*sim._compensator_reports(bundle), *sim._g_reports(bundle, run),
                    *sim.mc_feynman_kac(spec, result, fk_probes, 4000, n_steps=256, seed=seed + 2),
-                   sim._duality_report(bundle, result)]
+                   sim._duality_report(bundle, run)]
         assert len(reports) == 18
         assert [str(r) for r in reports if not r.passed] == [], seed
