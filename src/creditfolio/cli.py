@@ -27,19 +27,18 @@ Exit codes: 0 ok, 2 validation/configuration failure, 3 solver failure (a
 step that blows up, or a state whose march leaves its truncation bounds),
 4 statistical-test failure.
 
-``solve`` writes the result's stacked arrays as ``.npy`` files (float64, no
-pickles): ``f.npy`` and ``df.npy`` (S, n_t+1, n_y), ``policy.npy``
-(S, n_t+1, n_y, 3n+2), ``hedge_gap.npy`` (S,), ``t_nodes.npy`` and
-``y_nodes.npy``, where S = 2^n and row ``state.bits`` is that state's.  Beside
-them go ``bounds.csv`` and ``solve_report.csv`` (a header row, floats at 17
-significant digits) and ``run.json`` with the per-state solve times, the
-grid, the Python/numpy/scipy versions, the model fingerprint ``spec_sha256``
-and the states whose upper truncation bound overflows to +inf
-(``unbounded_above``); only ``run.json`` carries timing, so identical reruns
-write every other file byte for byte.  ``load_solution`` reads the arrays
-back bitwise and rejects, naming the file, artifacts solved for another
-model, a missing array, or one whose dtype or shape disagrees with the
-model's states and the saved nodes.
+``solve`` writes five files: ``f.npy`` (S, n_t+1, n_y) and ``policy.npy``
+(S, n_t+1, n_y, 3n+2) as float64 without pickles, where S = 2^n and row
+``state.bits`` is that state's; ``bounds.csv`` and ``solve_report.csv`` (a
+header row, floats at 17 significant digits); and ``run.json`` with the
+per-state solve times, the grid, the Python/numpy/scipy versions, the model
+fingerprint ``spec_sha256`` and the states whose upper truncation bound
+overflows to +inf (``unbounded_above``).  Only ``run.json`` carries timing,
+so identical reruns write every other file byte for byte.
+``load_solution`` reads them back and derives the rest as the solve made
+it: the grid and its nodes from ``run.json``'s ``grid``, ``df`` from ``f``,
+``hedge_gap`` from ``solve_report.csv``.  A missing or malformed file, key or
+column, or artifacts solved for another model, exit 2 naming the file.
 
 ``simulate`` runs one controlled Monte Carlo pass at ``seed``: its draws
 serve the compensator checks, the G-martingale probes, the duality gap and
@@ -54,12 +53,13 @@ check's estimate, target, tolerance, verdict and time, so ``mc_report.csv``
 carries no timing.
 
 Counts (``--ny``, ``--nt``, ``--paths``, ``--steps`` and their keys) must be
-positive, ``[grid] y_lo < y_hi``, ``[mc] x0`` positive, ``[mc] y0`` strictly
-inside ``[factor] domain`` and the solved grid, and ``[mc] state`` one digit
-per name; otherwise a command exits 2 naming the flag or key before it solves
-anything.  The solved grid is ``[grid] y_lo, y_hi``, or with ``--solution``
-the loaded ``y_nodes.npy``, so there the ``[mc]`` keys are read once the
-solution has loaded.
+positive, ``n_y`` odd and at least 3, ``[grid] y_lo < y_hi``, ``[mc] x0``
+positive, ``[mc] y0`` strictly inside ``[factor] domain`` and the solved
+grid, and ``[mc] state`` one digit per name; otherwise a command exits 2
+naming the flag or key before it solves anything.  The solved grid is
+``[grid] y_lo, y_hi``, or with ``--solution`` the ``grid`` of the loaded
+``run.json``, so there the ``[mc]`` keys are read once the solution has
+loaded.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ import scipy
 
 from . import oracle as oracle_mod
 from . import sim
-from .fields import GridSpec, SolveResult, TruncationBounds, lookup, policy_width
+from .fields import (GridSpec, SolveResult, TruncationBounds, lookup, policy_width,
+                     spatial_gradient)
 from .model import (DefaultState, ModelSpec, PRESET_NAMES, _config_number, all_states,
                     build_model, preset_config, states_by_cardinality, validate_spec)
 from .pde import solve_recursive_system
@@ -138,6 +139,10 @@ def build_grid(config: dict, args) -> GridSpec:
     g = config.get("grid", {})
     counts = _counts("grid", g, (("n_y", "--ny", args.ny, "401"),
                                  ("n_t", "--nt", args.nt, "400")))
+    if counts["n_y"] < 3 or counts["n_y"] % 2 == 0:
+        where = "--ny" if args.ny is not None else "[grid] n_y"
+        raise ValueError(f"{where} must be odd and at least 3 so a center node exists, "
+                         f"got {counts['n_y']}")
     y_lo, y_hi = (_config_number("grid", g, k, d) for k, d in (("y_lo", "-1.0"), ("y_hi", "1.0")))
     if not y_lo < y_hi:
         raise ValueError(f"empty spatial domain: [grid] y_lo = {y_lo!r} must be below "
@@ -201,35 +206,42 @@ def _extra_text(extra: dict) -> str:
                     for key, value in extra.items())
 
 
-def _read_array(path: Path, shape=None) -> np.ndarray:
-    """The float64 array saved in ``path``, of ``shape`` (any 1-D one when None).
-
-    Raises ValueError naming the file when it is missing, unreadable, holds a
-    pickled object array, or holds another dtype or shape.
-    """
+def _read_artifact(path: Path, read, part: str = "key"):
+    """``read(path)``; a failure raises ValueError naming the file (and a missing ``part``)."""
     try:
-        values = np.load(path, allow_pickle=False)
+        return read(path)
     except FileNotFoundError:
         raise ValueError(f"{path}: missing") from None
-    except (OSError, ValueError, EOFError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {part} {exc}") from None
+    except (OSError, ValueError, TypeError, EOFError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_array(path: Path, shape: tuple) -> np.ndarray:
+    """The float64 array of ``shape`` saved in ``path``; ValueError names the file otherwise."""
+    values = _read_artifact(path, lambda p: np.load(p, allow_pickle=False))
     if not isinstance(values, np.ndarray):
         raise ValueError(f"{path}: not a .npy array")
-    if values.dtype != np.float64 or (values.shape != shape if shape else values.ndim != 1):
+    if values.dtype != np.float64 or values.shape != shape:
         raise ValueError(f"{path}: a {values.dtype} array of shape {values.shape}, expected "
-                         f"float64 of shape {shape or '(n,)'}")
+                         f"float64 of shape {shape}")
     return values
 
 
-def _read_state_rows(path: Path, convert) -> dict:
-    """``{state: convert(row)}`` over a per-state CSV; ValueError names the file."""
-    with open(path, newline="") as fh:
-        try:
+def _read_state_rows(path: Path, convert, states) -> dict:
+    """``{state: convert(row)}`` over a per-state CSV with a row for each of ``states``.
+
+    Raises ValueError naming the file and the missing column or state.
+    """
+    def read(p):
+        with open(p, newline="") as fh:
             return {row["state"]: convert(row) for row in csv.DictReader(fh)}
-        except KeyError as exc:
-            raise ValueError(f"{path}: no column {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    rows = _read_artifact(path, read, "column")
+    for state in states:
+        if state.bitstring not in rows:
+            raise ValueError(f"{path}: no row for state {state.bitstring}")
+    return rows
 
 
 def _versions() -> dict:
@@ -250,18 +262,15 @@ _REPORT_COLUMNS = {"resid_max": float, "newton_iters_max": int, "clamp_hits": in
 def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
     """Write the solve's arrays, its per-state tables and its ``run.json`` into ``out_dir``.
 
-    ``f``, ``df``, the whole ``policy`` table, ``hedge_gap``, ``t_nodes`` and
-    ``y_nodes`` go to ``<name>.npy`` (float64, no pickles), the bounds and the
-    report rows to ``bounds.csv`` and ``solve_report.csv``.  None of these
-    holds a timing, so a rerun writes them byte for byte again; the per-state
-    solve times and the march's counts and stage seconds
-    (``SolveResult.march``) go to ``run.json`` with the grid, the versions,
-    the model's ``spec_sha256`` fingerprint and ``unbounded_above``, the
-    states whose ``k_bar`` is +inf.
+    ``f`` and the whole ``policy`` table go to ``<name>.npy`` (float64, no
+    pickles), the bounds and the report rows, ``hedge_gap`` among them, to
+    ``bounds.csv`` and ``solve_report.csv``.  None of these holds a timing,
+    so a rerun writes them byte for byte again; the per-state solve times and
+    the march's counts and stage seconds (``SolveResult.march``) go to
+    ``run.json`` with the grid, the versions, the model's ``spec_sha256``
+    fingerprint and ``unbounded_above``, the states whose ``k_bar`` is +inf.
     """
-    for name, values in (("f", result.f), ("df", result.df), ("policy", result.policy),
-                         ("hedge_gap", result.hedge_gap), ("t_nodes", result.t_nodes),
-                         ("y_nodes", result.grid.y_nodes())):
+    for name, values in (("f", result.f), ("policy", result.policy)):
         np.save(out_dir / f"{name}.npy", np.asarray(values, dtype=np.float64), allow_pickle=False)
     _write_csv(out_dir / "bounds.csv",
                ["state", "k_under", "k_bar_T", "theta_rate", "m_lo", "m_hi",
@@ -285,48 +294,32 @@ def dump_solution(result: SolveResult, out_dir: Path, spec: ModelSpec) -> None:
 def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
     """Rebuild a solve from the artifacts :func:`dump_solution` wrote into ``out_dir``.
 
-    The ``.npy`` arrays load bitwise, ``theta`` and ``hedge_gap`` included.
+    ``f`` and ``policy`` load bitwise; the rest is derived as the solve made
+    it: the grid from ``run.json``'s ``grid`` and its nodes from the grid,
+    ``df`` as ``spatial_gradient(f, grid.dy)``, ``hedge_gap`` from
+    ``solve_report.csv``, whose 17 significant digits round-trip it exactly.
     ``bounds`` and ``report`` come from ``bounds.csv`` and ``solve_report.csv``
-    when present (the report without the ``elapsed`` times of ``run.json``).
-    Raises ValueError naming the file when ``run.json`` was written for
-    another model (its ``spec_sha256`` differs from ``spec``'s; a manifest
-    without one is accepted), when an array is missing, unreadable, not
-    float64, or not of the shape the model's 2^n states and the grid of
-    ``t_nodes.npy`` and ``y_nodes.npy`` give, when those nodes are not that
-    grid's, or when ``out_dir`` holds only the per-state CSVs of an older
-    ``solve``.
+    (the report without the ``elapsed`` times of ``run.json``).  Raises
+    ValueError naming the file when ``run.json`` was written for another
+    model (its ``spec_sha256`` differs from ``spec``'s), when a file is
+    missing or unreadable, when ``run.json`` lacks ``spec_sha256`` or
+    ``grid`` or a CSV lacks a column or a state's row, or when an array is
+    not float64 or not of the shape the model's 2^n states and the grid give.
     """
     out_dir = Path(out_dir)
-    if not (out_dir / "f.npy").exists() and any(out_dir.glob("f_state_*.csv")):
-        raise ValueError(f"{out_dir / 'f.npy'}: missing; {out_dir} holds only per-state CSVs, "
-                         "which are not read back: re-run `creditfolio solve` to write the arrays")
     manifest_path = out_dir / "run.json"
-    if manifest_path.is_file():
-        try:
-            solved_for = json.loads(manifest_path.read_text()).get("spec_sha256")
-        except (ValueError, AttributeError) as exc:
-            raise ValueError(f"{manifest_path}: {exc}") from None
-        if solved_for is not None and solved_for != spec.fingerprint():
-            raise ValueError(f"{manifest_path}: solved for another model (spec_sha256 "
-                             f"{solved_for}, this model {spec.fingerprint()})")
-    t_path, y_path = out_dir / "t_nodes.npy", out_dir / "y_nodes.npy"
-    t_nodes, y_nodes = _read_array(t_path), _read_array(y_path)
-    try:
-        grid = GridSpec(float(y_nodes[0]), float(y_nodes[-1]), len(y_nodes), len(t_nodes) - 1)
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{y_path}, {t_path}: no grid ({exc})") from None
-    for path, nodes, expected in ((t_path, t_nodes, grid.t_nodes(spec.pref.T)),
-                                  (y_path, y_nodes, grid.y_nodes())):
-        if not np.array_equal(nodes, expected):
-            raise ValueError(f"{path}: not the uniform nodes of the grid {grid} at horizon "
-                             f"{spec.pref.T!r}")
-    S = 2 ** spec.n
-    shape = (S, grid.n_t + 1, grid.n_y)
-    result = SolveResult(
-        grid=grid, t_nodes=t_nodes, f=_read_array(out_dir / "f.npy", shape),
-        df=_read_array(out_dir / "df.npy", shape),
-        policy=_read_array(out_dir / "policy.npy", shape + (policy_width(spec.n),)),
-        hedge_gap=_read_array(out_dir / "hedge_gap.npy", (S,)))
+
+    def manifest(path):
+        saved = json.loads(path.read_text())
+        return saved["spec_sha256"], GridSpec(**saved["grid"])
+
+    solved_for, grid = _read_artifact(manifest_path, manifest)
+    if solved_for != spec.fingerprint():
+        raise ValueError(f"{manifest_path}: solved for another model (spec_sha256 "
+                         f"{solved_for}, this model {spec.fingerprint()})")
+    states = all_states(spec.n)
+    shape = (len(states), grid.n_t + 1, grid.n_y)
+    f = _read_array(out_dir / "f.npy", shape)
 
     def bound(row):
         return TruncationBounds(
@@ -336,16 +329,15 @@ def load_solution(out_dir: Path, spec: ModelSpec) -> SolveResult:
             m_hi_norms=float(row["m_hi_norms"]))
 
     def report_row(row):
-        # a report written before a column existed restores the columns it has
         return {key: float(row[key]) if kind is float else kind(int(row[key]))
-                for key, kind in _REPORT_COLUMNS.items() if key in row}
+                for key, kind in _REPORT_COLUMNS.items()}
 
-    bounds_path, report_path = out_dir / "bounds.csv", out_dir / "solve_report.csv"
-    if bounds_path.is_file():
-        result.bounds = _read_state_rows(bounds_path, bound)
-    if report_path.is_file():
-        result.report = _read_state_rows(report_path, report_row)
-    return result
+    report = _read_state_rows(out_dir / "solve_report.csv", report_row, states)
+    return SolveResult(
+        grid=grid, t_nodes=grid.t_nodes(spec.pref.T), f=f, df=spatial_gradient(f, grid.dy),
+        policy=_read_array(out_dir / "policy.npy", shape + (policy_width(spec.n),)),
+        hedge_gap=np.array([report[s.bitstring]["hedge_gap"] for s in states]),
+        bounds=_read_state_rows(out_dir / "bounds.csv", bound, states), report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +431,7 @@ def cmd_simulate(args) -> int:
         return EXIT_VALIDATION
     if args.solution:
         result = load_solution(Path(args.solution), spec)
-        mc = _mc_params(config, args, spec, result.grid, f"{Path(args.solution) / 'y_nodes.npy'}")
+        mc = _mc_params(config, args, spec, result.grid, f"{Path(args.solution) / 'run.json'} grid")
     else:
         mc = _mc_params(config, args, spec, grid, "[grid] y_lo, y_hi")
         result = solve_recursive_system(spec, grid, validate=False)
@@ -588,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, help="Monte Carlo time steps")
 
     p_solve = sub.add_parser(
-        "solve", help="solve the PDE system; write f, df, policy, hedge_gap and the nodes as "
-                      ".npy, bounds.csv, solve_report.csv and run.json")
+        "solve", help="solve the PDE system; write f.npy, policy.npy, bounds.csv, "
+                      "solve_report.csv and run.json")
     common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -630,10 +622,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -12,9 +12,9 @@ in closed form for any given loading path x; and for log utility (q = 0) the
 feedback fixed point for x is an explicit contraction solved by Picard
 iteration.
 
-Quadrature and ODE tolerances are fixed (composite Simpson with >= 512
-panels, RK4 with dt = T/4096) so oracle values are bit-stable across runs and
-more accurate than the solvers they judge.
+The quadrature is fixed (composite Simpson with >= 512 panels) so oracle
+values are bit-stable across runs and more accurate than the solvers they
+judge.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ __all__ = [
     "picard_fixed_point",
     "PicardResult",
     "merton_fraction",
-    "rk4",
     "simpson_panels",
 ]
 
 SIMPSON_PANELS = 512
-RK4_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,21 +67,6 @@ class ScalarModel:
     def phi1(self) -> float:
         """Reaction rate in the all-defaulted state: q(q-1)/2 xi^2 - q r."""
         return 0.5 * self.q * (self.q - 1.0) * self.xi**2 - self.q * self.r
-
-
-def rk4(rhs: Callable[[float, float], float], y0: float, t0: float, t1: float,
-        n_steps: int = RK4_STEPS) -> float:
-    """Classical fourth-order Runge-Kutta for a scalar ODE y' = rhs(t, y)."""
-    h = (t1 - t0) / n_steps
-    t, y = t0, y0
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
 
 
 def simpson_panels(values: np.ndarray, dt: float) -> float:

@@ -195,7 +195,7 @@ class PathBundle:
     @property
     def exit_fraction(self) -> float:
         """Share of path-steps whose factor step left the domain and was reflected."""
-        return self.reflect_count / float(self.n_paths * max(self.n_steps, 1))
+        return self.reflect_count / float(self.n_paths * self.n_steps)
 
     def survival_probability(self) -> float:
         return float(np.mean(self.final_bits == self.z0.bits))
@@ -206,15 +206,23 @@ def _compensated(bits: np.ndarray, comp_int: np.ndarray) -> np.ndarray:
     return (np.stack([(bits >> i) & 1 for i in range(len(comp_int))]).astype(float) - comp_int).T
 
 
+def _check_sizes(n_paths: int, n_steps: int) -> None:
+    """ValueError naming ``n_paths`` or ``n_steps`` when it is below 1."""
+    for name, value in (("n_paths", n_paths), ("n_steps", n_steps)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
                     y0: float = 0.0, z0: DefaultState | None = None,
                     probe_times: Sequence[float] = (), keep: int = 0,
                     policies: Sequence[tuple[ModelSpec, SolveResult, float]] = ()) -> PathBundle:
     """Factor and default-indicator paths under the physical measure, and policies run on them.
 
-    One vectorised forward pass over all paths; memory stays O(n_paths).
-    Records the compensator samples at ``probe_times``, which lie in [0, T],
-    and the Y and H histories of the first ``keep`` paths.  The market
+    One vectorised forward pass over all paths; memory stays O(n_paths), and
+    ``n_paths`` and ``n_steps`` are at least 1.  Records the compensator
+    samples at ``probe_times``, which lie in [0, T], and the Y and H
+    histories of the first ``keep`` paths.  The market
     (factor, clocks, defaults) reads the seed, T, ``spec.factor`` and
     ``spec.credit`` only, in a fixed order, so its samples are bitwise those
     of a market-only pass.  Each ``(spec, result, x0)`` of ``policies`` runs
@@ -224,6 +232,7 @@ def simulate_market(spec: ModelSpec, n_paths: int, n_steps: int, seed: int, *,
     only.  Every per-path, per-name array is name-major, ``(n, n_paths)``;
     the bundle's ``(n_paths, n)`` arrays are transposes.
     """
+    _check_sizes(n_paths, n_steps)
     T = spec.pref.T
     for t in probe_times:
         if not 0.0 <= t <= T:
@@ -508,6 +517,7 @@ def mc_feynman_kac(spec: ModelSpec, result: SolveResult,
     channels as they are.  Reports come back in the order of ``probes``;
     each carries the stages of the whole pass.
     """
+    _check_sizes(n_paths, n_steps)
     for _, (t, _) in probes:
         if not 0.0 < t <= spec.pref.T:
             raise ValueError(f"probe time {t:g} lies outside (0, T] = (0, {spec.pref.T:g}]")

@@ -125,6 +125,6 @@ class PolicyRun:
                        "utility": _power_utility(X, pref.K1, pref.p) + self.cons_util,
                        "X_rep_T": X_rep, "flagged": self.flagged, "x0": x0}
         self.density = {"Gamma_T": Gamma}
-        self.grid_exit_frac = self.grid_exit_count / float(len(X) * max(len(self.t_mesh) - 1, 1))
+        self.grid_exit_frac = self.grid_exit_count / float(len(X) * (len(self.t_mesh) - 1))
         self.work.clear()                    # the policy reads' buffers
         return self

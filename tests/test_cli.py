@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,8 +66,7 @@ def solve_dir(tmp_path_factory):
 
 
 # what a default solve writes
-ARTIFACTS = {"f.npy", "df.npy", "policy.npy", "hedge_gap.npy", "t_nodes.npy", "y_nodes.npy",
-             "bounds.csv", "solve_report.csv", "run.json"}
+ARTIFACTS = {"f.npy", "policy.npy", "bounds.csv", "solve_report.csv", "run.json"}
 
 
 class TestConfig:
@@ -113,8 +113,7 @@ class TestSolveCommand:
 
     def test_default_solve_writes_the_arrays_and_no_state_csv(self, solve_dir):
         assert {p.name for p in solve_dir.iterdir()} == ARTIFACTS
-        shapes = {"f": (4, 41, 41), "df": (4, 41, 41), "policy": (4, 41, 41, 8),
-                  "hedge_gap": (4,), "t_nodes": (41,), "y_nodes": (41,)}
+        shapes = {"f": (4, 41, 41), "policy": (4, 41, 41, 8)}
         for name, shape in shapes.items():
             values = np.load(solve_dir / f"{name}.npy", allow_pickle=False)
             assert values.dtype == np.float64 and values.shape == shape, name
@@ -355,7 +354,7 @@ class TestSimulateCommand:
         assert np.all(data["X"] > 0)
 
     def test_corrupted_solution_fails_statistics(self, tmp_path, solve_dir):
-        # a user-edited f: every state's f scaled by 1.1, df left as solved
+        # a user-edited f: every state's f scaled by 1.1 (and so its derived df)
         corrupt = tmp_path / "corrupt"
         shutil.copytree(solve_dir, corrupt)
         np.save(corrupt / "f.npy", 1.1 * np.load(solve_dir / "f.npy"), allow_pickle=False)
@@ -538,13 +537,13 @@ def test_foreign_solution_exits_2_naming_run_json(tmp_path):
                  "--solution", str(tmp_path / "s5"), "--out", str(tmp_path / "rep"))
     assert rc.returncode == EXIT_VALIDATION, rc.stderr
     assert "run.json" in rc.stderr and "Traceback" not in rc.stderr
-    # a manifest from before the fingerprint still loads
+    # a manifest without the fingerprint cannot say which model it was solved for
     manifest_path = tmp_path / "s5" / "run.json"
     manifest = json.loads(manifest_path.read_text())
     assert manifest.pop("spec_sha256") == build_model(preset_config("benchmark_s5")).fingerprint()
     manifest_path.write_text(json.dumps(manifest))
-    loaded = load_solution(tmp_path / "s5", build_model(preset_config("benchmark_s5")))
-    assert set(loaded.fields) == {"00", "01", "10", "11"}
+    with pytest.raises(ValueError, match=r"run\.json: no key 'spec_sha256'"):
+        load_solution(tmp_path / "s5", build_model(preset_config("benchmark_s5")))
 
 
 def _edit_array(path, edit):
@@ -555,18 +554,31 @@ def _drop_last_bytes(path, count=50):
     path.write_bytes(path.read_bytes()[:-count])
 
 
-def _only_state_csvs(d):
-    """A directory written before the arrays existed: per-state CSVs only."""
+def _edit_manifest(d, edit):
+    manifest = json.loads((d / "run.json").read_text())
+    edit(manifest)
+    (d / "run.json").write_text(json.dumps(manifest))
+
+
+def _edit_report(d, edit):
+    with open(d / "solve_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(d / "solve_report.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+
+
+def _only_csvs(d):
+    """The arrays gone, the CSVs and the manifest left."""
     for path in d.glob("*.npy"):
         path.unlink()
-    (d / "f_state_00.csv").write_text("t,y,f,g,df_dy\n")
 
 
 @pytest.mark.parametrize("damage, where", [
     (lambda d: (d / "policy.npy").unlink(), ["policy.npy", "missing"]),
+    (lambda d: (d / "f.npy").unlink(), ["f.npy", "missing"]),
     # one state's row fewer
     (lambda d: _edit_array(d / "f.npy", lambda a: a[:-1]), ["f.npy", "(3, 41, 41)"]),
-    (lambda d: _drop_last_bytes(d / "df.npy"), ["df.npy"]),
+    (lambda d: _drop_last_bytes(d / "policy.npy"), ["policy.npy"]),
     # the (t, y) grid flattened into one axis
     (lambda d: _edit_array(d / "f.npy", lambda a: a.reshape(len(a), -1)), ["f.npy", "(4, 1681)"]),
     (lambda d: _edit_array(d / "policy.npy", lambda a: a[..., :-1]),
@@ -575,14 +587,24 @@ def _only_state_csvs(d):
     (lambda d: _edit_array(d / "policy.npy",
                            lambda a: np.concatenate([a[..., :-1], a[..., -2:]], axis=-1)),
      ["policy.npy", "(4, 41, 41, 8)"]),
-    # nodes of a 39-step grid beside arrays of the 40-step one
-    (lambda d: np.save(d / "t_nodes.npy", np.linspace(0.0, 1.0, 40)), ["f.npy", "(4, 40, 41)"]),
-    (lambda d: _edit_array(d / "df.npy", lambda a: a.astype(np.float32)), ["df.npy", "float32"]),
-    (lambda d: np.save(d / "hedge_gap.npy", np.array([0.0, None, 0.0, 0.0]), allow_pickle=True),
-     ["hedge_gap.npy", "allow_pickle"]),
-    (_only_state_csvs, ["f.npy", "re-run `creditfolio solve`"]),
-], ids=["missing-partner", "missing-state", "truncated", "not-a-tensor-grid", "policy-columns",
-        "policy-4n+1-columns", "other-grid", "wrong-dtype", "object-array", "csv-only"])
+    # a manifest of a 39-step grid beside arrays of the 40-step one
+    (lambda d: _edit_manifest(d, lambda m: m["grid"].update(n_t=39)), ["f.npy", "(4, 40, 41)"]),
+    (lambda d: _edit_array(d / "f.npy", lambda a: a.astype(np.float32)), ["f.npy", "float32"]),
+    (lambda d: np.save(d / "policy.npy", np.array([0.0, None, 0.0, 0.0]), allow_pickle=True),
+     ["policy.npy", "allow_pickle"]),
+    (_only_csvs, ["f.npy", "missing"]),
+    (lambda d: (d / "run.json").unlink(), ["run.json", "missing"]),
+    (lambda d: _edit_manifest(d, lambda m: m.pop("spec_sha256")), ["run.json", "'spec_sha256'"]),
+    (lambda d: _edit_manifest(d, lambda m: m.pop("grid")), ["run.json", "'grid'"]),
+    (lambda d: (d / "bounds.csv").unlink(), ["bounds.csv", "missing"]),
+    (lambda d: (d / "solve_report.csv").unlink(), ["solve_report.csv", "missing"]),
+    (lambda d: _edit_report(d, lambda rows: [row[:-1] for row in rows]),
+     ["solve_report.csv", "no column 'bound_violation'"]),
+    (lambda d: _edit_report(d, lambda rows: rows[:-1]), ["solve_report.csv", "state 00"]),
+], ids=["missing-partner", "missing-f", "missing-state", "truncated", "not-a-tensor-grid",
+        "policy-columns", "policy-4n+1-columns", "other-grid", "wrong-dtype", "object-array",
+        "csv-only", "missing-manifest", "manifest-without-fingerprint", "manifest-without-grid",
+        "missing-bounds", "missing-report", "report-without-column", "report-without-state"])
 def test_damaged_solution_exits_2_naming_the_file(solve_dir, tmp_path, damage, where):
     damaged = tmp_path / "damaged"
     shutil.copytree(solve_dir, damaged)
@@ -667,6 +689,56 @@ def test_non_positive_grid_counts_exit_2_before_the_solve(tmp_path, monkeypatch,
     assert rc == EXIT_VALIDATION
     assert where in err and "positive" in err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flags,where,n_y", [
+    (["--ny", "4"], "--ny", 4),
+    (["--ny", "1"], "--ny", 1),
+    (["--set", "grid.n_y=20"], "[grid] n_y", 20),
+], ids=["ny-even", "ny-one", "config-ny-even"])
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_grid_without_a_center_node_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
+                                                            command, flags, where, n_y):
+    import creditfolio.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before n_y was checked")
+
+    monkeypatch.setattr(cli_mod, "solve_recursive_system", no_solve)
+    monkeypatch.setattr(cli_mod, "load_solution", no_solve)
+    rc = main([command, "--preset", "benchmark_s5", *flags, "--nt", "10",
+               "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert f"{where} must be odd and at least 3 so a center node exists, got {n_y}" in err, err
+    assert not (tmp_path / "rep").exists()
+
+
+def _readme_section(heading):
+    """The lines of README.md's ``### heading`` section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"\n### {heading}\n", 1)[1]
+    return section.split("\n#", 1)[0].splitlines()
+
+
+def test_readme_numpy_snippet_reads_a_fresh_solve(tmp_path):
+    out = tmp_path / "solve"
+    assert main(["solve", "--preset", "benchmark_s5", "--ny", "21", "--nt", "10",
+                 "--out", str(out)]) == 0
+    lines = _readme_section("Artifacts")
+    # the artifact table lists exactly the files solve writes
+    table = [line.split("`")[1] for line in lines if line.startswith("| `")]
+    assert sorted(table) == sorted(p.name for p in out.iterdir())
+    start = lines.index("```python") + 1
+    snippet = "\n".join(lines[start:lines.index("```", start)])
+    names = {}
+    exec(snippet.replace("out/solve", out.as_posix()), names)
+    result = cf.solve_recursive_system(cf.load_preset("benchmark_s5"),
+                                       cf.GridSpec(-1.0, 1.0, 21, 10))
+    assert names["n"] == 2
+    assert np.array_equal(names["pi_00"], result.channel("pi")[0, -1])
+    assert np.array_equal(names["y"], result.grid.y_nodes())
+    assert np.array_equal(names["f"], result.f)
 
 
 class TestOracleAndValidate:
@@ -769,7 +841,7 @@ def test_bad_floats_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, flags, 
 
 
 def test_y0_off_a_loaded_grid_exits_2_naming_its_nodes(tmp_path, capsys):
-    # with --solution the loaded nodes are the solved grid, not [grid]
+    # with --solution the loaded run.json's grid is the solved grid, not [grid]
     assert main(["solve", "--preset", "benchmark_s5", "--ny", "11", "--nt", "10", "--set",
                  "grid.y_lo=-0.5", "--set", "grid.y_hi=0.5", "--out", str(tmp_path / "s")]) == 0
     capsys.readouterr()
@@ -778,7 +850,7 @@ def test_y0_off_a_loaded_grid_exits_2_naming_its_nodes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert all(part in err for part in ("[mc] y0 = 0.7", "solved grid",
-                                        f"{tmp_path / 's' / 'y_nodes.npy'} = -0.5, 0.5")), err
+                                        f"{tmp_path / 's' / 'run.json'} grid = -0.5, 0.5")), err
     assert not (tmp_path / "rep").exists()
 
 

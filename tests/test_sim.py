@@ -285,6 +285,22 @@ class TestOnePass:
         with pytest.raises(ValueError, match=r"probe time -0.5 lies outside \[0, T\]"):
             sim.simulate_market(benchmark_spec, 200, 20, seed=1, probe_times=(-0.5, 1.7))
 
+    @pytest.mark.parametrize("n_paths, n_steps, name", [(10, 0, "n_steps"), (0, 5, "n_paths"),
+                                                        (-3, 5, "n_paths")])
+    def test_a_count_below_one_raises_naming_it(self, benchmark_spec, benchmark_result,
+                                                n_paths, n_steps, name):
+        result, _ = benchmark_result
+        message = rf"{name} must be at least 1, got {min(n_paths, n_steps)}"
+        with pytest.raises(ValueError, match=message):
+            sim.simulate_market(benchmark_spec, n_paths, n_steps, 1)
+        with pytest.raises(ValueError, match=message):
+            sim.check_G_martingale(benchmark_spec, result, n_paths, n_steps, seed=1)
+        with pytest.raises(ValueError, match=message):
+            sim.duality_gap(benchmark_spec, result, 1.0, n_paths, n_steps, seed=1)
+        with pytest.raises(ValueError, match=message):
+            sim.mc_feynman_kac(benchmark_spec, result, [(Z00, (0.5, 0.0))], n_paths, n_steps,
+                               seed=1)
+
 
 class TestWealthPaths:
     def test_grid_exit_fraction_counts_kept_paths(self, benchmark_spec, benchmark_result):
